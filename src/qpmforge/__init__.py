@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from . import analysis, biphoton, crystal, defaults, interference, measurement, tomography
+from . import analysis, biphoton, crystal, interference, measurement, tomography
 
 __all__ = [
     "analysis",
     "biphoton",
     "crystal",
-    "defaults",
     "interference",
     "measurement",
     "tomography",

@@ -14,7 +14,6 @@ weights.  Two figures of merit are used:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,15 +113,13 @@ def monte_carlo_uncertainty(
     n_modes: int = 8,
     n_resamples: int = 1000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> tuple[float, float]:
     """Poissonian bootstrap of a Schmidt metric from a count matrix.
 
     Each resample draws counts'_ij ~ Poisson(counts_ij), takes the square
     root as a flat-phase amplitude and recomputes the metric.  Returns
     (mean, sample std).  Trial k uses the independent substream
-    default_rng([seed, k]) so results are reproducible regardless of
-    threading.
+    default_rng([seed, k]).
 
     The flat-phase amplitude is an assumption, not an inference: measured
     intensities carry no phase, so the resampled metric tracks the
@@ -143,11 +140,7 @@ def monte_carlo_uncertainty(
             resampled = counts.copy()
         return _metric_from_counts(resampled, metric, n_modes)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(pool.map(one_trial, range(n_resamples)), dtype=float)
-    else:
-        values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
+    values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
     return float(values.mean()), float(values.std(ddof=1))
 
 

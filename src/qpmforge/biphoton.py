@@ -259,7 +259,12 @@ def build_jsa(
     """
     nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
     values = pump_envelope(pump, nu_sum) * _phasematching_on_grid(source, dispersion, grid)
-    jsa = JointSpectralAmplitude(grid=grid, values=values)
+    # zero detuning is the degenerate frequency, half the pump's
+    jsa = JointSpectralAmplitude(
+        grid=grid,
+        values=values,
+        metadata={"center_frequency_hz": C_LIGHT / (2.0 * pump.center_wavelength)},
+    )
 
     inten = jsa.intensity
     total = inten.sum()
@@ -292,12 +297,12 @@ def build_jsa(
 # nu0_hz records the absolute degenerate frequency for wavelength mapping.
 # ---------------------------------------------------------------------------
 
-DEFAULT_CENTER_FREQUENCY_HZ = C_LIGHT / 1555.7e-9
-
 
 def _header_line(jsa: JointSpectralAmplitude) -> str:
     n_i, n_s = jsa.grid.shape
-    nu0 = jsa.metadata.get("center_frequency_hz", DEFAULT_CENTER_FREQUENCY_HZ)
+    nu0 = jsa.metadata.get("center_frequency_hz")
+    if nu0 is None:
+        raise ValueError("amplitude carries no center_frequency_hz to write as nu0_hz")
     return (
         f"# ns={n_s} ni={n_i}"
         f" dnu_s_hz={jsa.grid.d_nu_signal / (2.0 * np.pi):.12g}"

@@ -38,6 +38,7 @@ from .measurement import (
 from .tomography import (
     HyperState,
     analyze_tomography,
+    default_bin_labels,
     load_tomography_bundle,
     save_tomography_bundle,
     simulate_tomography,
@@ -141,7 +142,10 @@ def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
             metadata={"counts_per_point": counts_per_point},
         )
         save_curve(noisy, os.path.join(out_dir, "counts.tsv"))
-        fit = fit_hom(noisy, n_pairs=n_pairs)
+        # a heralded curve carries no beat, so its fit holds delta at the
+        # configured spacing; the two-photon fit recovers it from the beat
+        initial = {"delta": delta} if kind == "heralded" else None
+        fit = fit_hom(noisy, n_pairs=n_pairs, initial=initial)
         _write_text(os.path.join(out_dir, "fit.txt"), fit.to_text())
 
 
@@ -179,14 +183,12 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
         header="time_s\tsignal_marginal\tidler_marginal",
     )
     k_point = schmidt_number(amplitude_from_counts(counts))
-    threads = cfg["run"]["threads"] or None
     resamples = cfg["spectrometer"]["resamples"]
     k_mean, k_std = monte_carlo_uncertainty(
         counts.values,
         metric="schmidt_number",
         n_resamples=resamples,
         seed=cfg["run"]["seed"],
-        threads=threads,
     )
     _write_text(
         os.path.join(out_dir, "report.txt"),
@@ -249,6 +251,7 @@ def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
     tomo = cfg["tomography"]
     results = analyze_tomography(
         counts,
+        labels=default_bin_labels(cfg["crystal"]["pair_count"]),
         spacing_hz=cfg["crystal"]["bin_spacing_hz"],
         width=tomo["gate_width_s"],
         n_resamples=tomo["resamples"],
@@ -288,9 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="run configuration file")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        cmd.add_argument(
-            "--threads", type=int, default=None, help="override [run] threads"
-        )
     return parser
 
 
@@ -300,8 +300,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.sections["run"]["seed"] = args.seed
-        if args.threads is not None:
-            cfg.sections["run"]["threads"] = args.threads
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](cfg, args.out)
         _write_manifest(args.out, args.command, cfg)

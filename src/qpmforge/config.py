@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
 from .biphoton import DispersionMap, FrequencyGrid, PumpSpec
 from .crystal import CombSpec
-from .measurement import SpectrometerSpec
+from .measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec
+from .tomography import DEFAULT_BIN_SPACING_HZ
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
 
@@ -27,40 +27,52 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
+# [spectrometer] key -> SpectrometerSpec field.  The field defaults are
+# the schema defaults, so the spectrometer defaults live in one place.
+_SPECTROMETER_FIELDS = {
+    "dispersion_ps_per_nm_km": "dispersion_ps_per_nm_km",
+    "fiber_length_km": "fiber_length_km",
+    "jitter_fwhm_s": "jitter_fwhm",
+    "time_bin_s": "time_bin",
+    "window_s": "window",
+    "reference_wavelength_m": "reference_wavelength",
+}
+_SPECTROMETER_DEFAULTS = SpectrometerSpec()
+
 # Section -> key -> default.  The default's type drives value parsing;
 # tuples mark comma-separated float lists (the tuple holds the default).
+# The crystal, pump and grid defaults describe one device: a 30 mm
+# crystal pumped at 777.85 nm by 1.3 ps pulses, emitting four bin pairs.
 _SCHEMA: dict[str, dict[str, object]] = {
     "crystal": {
-        "length_m": defaults.CRYSTAL_LENGTH,
-        "domain_width_m": defaults.DOMAIN_WIDTH,
-        "pair_count": defaults.PAIR_COUNT,
-        "bin_spacing_hz": defaults.BIN_SPACING_HZ,
+        "length_m": 30e-3,
+        "domain_width_m": 23e-6,
+        "pair_count": 4,
+        "bin_spacing_hz": DEFAULT_BIN_SPACING_HZ,
         "peak_width_m": 0.0,  # 0 = derive as length/4.5
-        "bin_purity": defaults.DESIGN_BIN_PURITY,
+        "bin_purity": 0.979,
         "source": "comb",  # comb | designed
     },
     "pump": {
-        "wavelength_m": defaults.PUMP_WAVELENGTH,
-        "fwhm_duration_s": defaults.PUMP_FWHM_DURATION,
+        "wavelength_m": 777.85e-9,
+        "fwhm_duration_s": 1.3e-12,
     },
     "grid": {
-        "points": defaults.GRID_POINTS,
-        "half_span_hz": defaults.GRID_HALF_SPAN_HZ,
+        "points": 1024,
+        "half_span_hz": 2.5e12,
     },
     "spectrometer": {
-        "dispersion_ps_per_nm_km": 20.0,
-        "fiber_length_km": 20.0,
-        "jitter_fwhm_s": 50e-12,
-        "time_bin_s": 25e-12,
-        "window_s": 12.5e-9,
-        "reference_wavelength_m": defaults.DEGENERATE_WAVELENGTH,
+        **{
+            key: getattr(_SPECTROMETER_DEFAULTS, name)
+            for key, name in _SPECTROMETER_FIELDS.items()
+        },
         "events": 43_000_000,
         "max_alias_fraction": 0.02,
         "resamples": 1000,
     },
     "tomography": {
         "events_per_projection": 20_000_000,
-        "gate_width_s": 1.52e-9,
+        "gate_width_s": DEFAULT_GATE_WIDTH,
         "phases_rad": (0.0,),
         "drift_rad": (0.0,),
         "resamples": 1000,
@@ -73,7 +85,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
     },
     "run": {
         "seed": 0,
-        "threads": 0,
         "input": "",
     },
 }
@@ -120,6 +131,13 @@ class RunConfig:
         return cfg["peak_width_m"] or cfg["length_m"] / 4.5
 
     def gvm_slope(self) -> float:
+        """Group-velocity-mismatch slope (s/m) calibrated from the bin purity.
+
+        A Gaussian pump and phasematching peak give a single-bin purity of
+        2r / (1 + r^2), r the phasematching-to-pump bandwidth ratio, so the
+        purity pins r and with it the slope.  The default 0.979 puts the
+        reference comb on K = 8.07(10) and eight-mode fidelity 0.985(5).
+        """
         cfg = self.sections["crystal"]
         purity = cfg["bin_purity"]
         if not 0.0 < purity < 1.0:
@@ -156,12 +174,7 @@ class RunConfig:
     def spectrometer_spec(self) -> SpectrometerSpec:
         cfg = self.sections["spectrometer"]
         return SpectrometerSpec(
-            dispersion_ps_per_nm_km=cfg["dispersion_ps_per_nm_km"],
-            fiber_length_km=cfg["fiber_length_km"],
-            jitter_fwhm=cfg["jitter_fwhm_s"],
-            time_bin=cfg["time_bin_s"],
-            window=cfg["window_s"],
-            reference_wavelength=cfg["reference_wavelength_m"],
+            **{name: cfg[key] for key, name in _SPECTROMETER_FIELDS.items()}
         )
 
     def bin_values(self, key: str, n_bins: int) -> np.ndarray:

@@ -1,77 +1,6 @@
-"""Reference design parameters for the eight-bin source.
+"""Empty module: the device defaults live in ``config._SCHEMA`` and the
+spectrometer defaults in the fields of ``measurement.SpectrometerSpec``.
 
-Everything here describes one concrete device: a 30 mm type-0 poled
-crystal pumped at 777.85 nm by 1.3 ps transform-limited pulses, designed
-to emit photon pairs across eight 500 GHz-spaced frequency bins around
-degeneracy at 1555.7 nm.
-
-The group-velocity-mismatch slope is calibrated rather than taken from a
-material model: for a Gaussian pump and Gaussian phasematching peak, the
-single-bin Schmidt purity is 2 r / (1 + r^2), with r the ratio of the
-phasematching bandwidth to the pump bandwidth in signal-idler detuning.
-Fixing the per-bin purity at DESIGN_BIN_PURITY pins r, and with it the
-slope that maps the designed mismatch comb onto 500 GHz bins.
+It stays importable only because ``perfbench/spans.py`` imports every
+module it traces by name; delete it together with that entry.
 """
-
-from __future__ import annotations
-
-import math
-
-from .biphoton import DispersionMap, FrequencyGrid, PumpSpec
-from .crystal import CombSpec
-
-# Crystal geometry
-CRYSTAL_LENGTH = 30e-3        # m
-DOMAIN_WIDTH = 23e-6          # m, first-order QPM period / 2
-QPM_CENTER = math.pi / DOMAIN_WIDTH   # rad/m
-PEAK_WIDTH = CRYSTAL_LENGTH / 4.5     # m, comb peak inverse width
-
-# Frequency plan
-PAIR_COUNT = 4                # comb pairs -> 2 * PAIR_COUNT bins
-BIN_SPACING_HZ = 500e9        # Hz between adjacent single-photon bins
-DEGENERATE_WAVELENGTH = 1555.7e-9     # m
-PUMP_WAVELENGTH = 777.85e-9           # m
-
-# Pump: transform-limited Gaussian, 1.3 ps intensity FWHM.
-PUMP_FWHM_DURATION = 1.3e-12          # s
-PUMP_SIGMA = 2.0 * math.sqrt(math.log(2.0)) / PUMP_FWHM_DURATION  # rad/s
-
-# Calibrated group-velocity-mismatch slope (see module docstring).  0.979
-# makes the reference comb land on the design targets (Schmidt number
-# within 8.07 +/- 0.10 and eight-mode fidelity within 0.985 +/- 0.005 on
-# the default grid); material dispersion data would override this.
-DESIGN_BIN_PURITY = 0.979
-_bandwidth_ratio = (1.0 - math.sqrt(1.0 - DESIGN_BIN_PURITY**2)) / DESIGN_BIN_PURITY
-GVM_SLOPE = 1.0 / (PEAK_WIDTH * _bandwidth_ratio * PUMP_SIGMA)    # s/m
-
-# Mismatch comb spacing implied by the slope and the bin plan.  The comb
-# lives on the signal-idler detuning difference, which doubles the per-
-# photon spacing, hence the 4 pi.
-COMB_SPACING = 4.0 * math.pi * GVM_SLOPE * BIN_SPACING_HZ         # rad/m
-
-# Simulation grid
-GRID_POINTS = 1024
-GRID_HALF_SPAN_HZ = 2.5e12    # Hz, per-photon detuning half width
-
-
-def default_comb() -> CombSpec:
-    """Mismatch comb matching the eight-bin frequency plan."""
-    return CombSpec(
-        pair_count=PAIR_COUNT,
-        spacing=COMB_SPACING,
-        peak_width=PEAK_WIDTH,
-        center=QPM_CENTER,
-        length=CRYSTAL_LENGTH,
-    )
-
-
-def default_pump() -> PumpSpec:
-    return PumpSpec(center_wavelength=PUMP_WAVELENGTH, sigma=PUMP_SIGMA)
-
-
-def default_dispersion() -> DispersionMap:
-    return DispersionMap(slope=GVM_SLOPE, center=QPM_CENTER)
-
-
-def default_grid(n: int = GRID_POINTS, half_span_hz: float = GRID_HALF_SPAN_HZ) -> FrequencyGrid:
-    return FrequencyGrid.symmetric(n, half_span_hz)

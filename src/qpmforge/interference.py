@@ -364,7 +364,7 @@ def _guess_delta(tau: np.ndarray, values: np.ndarray) -> float:
     spectrum[0] = 0.0
     f_star = freqs[int(np.argmax(spectrum))]
     if f_star <= 0:
-        return delta_from_bin_hz(500e9)
+        raise FitError("curve shows no beat to guess the bin spacing from")
     # Beat frequency in Hz equals the optical bin spacing in Hz.
     return delta_from_bin_hz(f_star)
 
@@ -379,7 +379,8 @@ def fit_hom(
     Model: y(tau) = B * (1 - V * D(tau; delta, sigma)) with D the closed
     dip shape normalized to D(0) = 1.  Free parameters: delta, sigma, V, B
     for two-photon curves; heralded curves carry no beat information, so
-    delta is held at its initial value there and (sigma, V, B) float.
+    delta is held at initial["delta"], which they require, and (sigma, V,
+    B) float.
     Poisson weights sqrt(max(y, 1)).  Raises FitError with residual
     diagnostics if the optimizer does not converge.
 
@@ -402,16 +403,19 @@ def fit_hom(
     y0 = float(y[np.argmin(np.abs(tau))])
     v0 = float(np.clip(1.0 - y0 / b0, 0.05, 1.0))
     guesses = {
-        "delta": _guess_delta(tau, y) if curve.kind == "two_photon" else delta_from_bin_hz(500e9),
         "sigma": 4.0 / span,
         "visibility": v0,
         "background": b0,
     }
     if initial:
-        unknown = set(initial) - set(guesses)
+        unknown = set(initial) - set(guesses) - {"delta"}
         if unknown:
             raise ValueError(f"unknown initial-guess keys: {sorted(unknown)}")
         guesses.update(initial)
+    if "delta" not in guesses:
+        if curve.kind == "heralded":
+            raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
+        guesses["delta"] = _guess_delta(tau, y)
 
     weights = np.sqrt(np.clip(y, 1.0, None))
     fixed_delta = guesses["delta"]

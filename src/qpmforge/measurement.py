@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .biphoton import (
-    C_LIGHT,
-    DEFAULT_CENTER_FREQUENCY_HZ,
-    FrequencyGrid,
-    JointSpectralAmplitude,
-)
+from .biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
 
 __all__ = [
     "MeasurementError",
@@ -50,8 +45,8 @@ __all__ = [
 DEFAULT_GATE_WIDTH = 1.52e-9  # s; matches an 8-bin comb with disjoint gates
 
 
-class MeasurementError(RuntimeError):
-    """Raised when the forward model cannot represent the requested state."""
+class MeasurementError(ValueError):
+    """Numeric failure of the forward model or of the count analysis."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,8 @@ def detuning_to_time(spec: SpectrometerSpec, detuning, center_frequency_hz: floa
 
     Uses the exact wavelength of the detuned photon, lambda = 2 pi c /
     (omega0 + nu), so the slight nonlinearity of the frequency-to-time map
-    across the band is kept.
+    across the band is kept.  Without a center frequency the band center
+    is the reference wavelength, so zero detuning arrives at t = 0.
     """
     if center_frequency_hz is None:
         center_frequency_hz = C_LIGHT / spec.reference_wavelength
@@ -161,7 +157,7 @@ def _box_blur_integral(edges: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: f
 def build_transfer(
     spec: SpectrometerSpec,
     nu_axis: np.ndarray,
-    center_frequency_hz: float,
+    center_frequency_hz: float | None,
 ) -> np.ndarray:
     """Per-axis transfer matrix T[m, k]: frequency cell k -> time bin m.
 
@@ -206,13 +202,13 @@ def project_to_spectrometer(
     alias_fraction): the n x n matrix of per-cell detection probabilities
     conditioned on landing in the window (sums to 1), and the fraction of
     the input intensity that fell outside it.  Rows index the idler
-    detector, columns the signal detector, matching the JSA layout.
+    detector, columns the signal detector, matching the JSA layout.  The
+    band center is center_frequency_hz, else the amplitude's own, else
+    the spectrometer's reference wavelength (see detuning_to_time).
     """
     inten, grid, metadata = _intensity_and_grid(jsa, grid)
     if center_frequency_hz is None:
-        center_frequency_hz = metadata.get(
-            "center_frequency_hz", DEFAULT_CENTER_FREQUENCY_HZ
-        )
+        center_frequency_hz = metadata.get("center_frequency_hz")
     total = inten.sum()
     if total <= 0:
         raise ValueError("joint spectrum carries no intensity")
@@ -237,7 +233,7 @@ class CountMatrix:
     time_bin: float               # s
     window_start: float           # s, left edge of first bin on both axes
     dispersion_ns_per_nm: float   # time_rate in ns/nm, for wavelength calibration
-    reference_wavelength: float = 1555.7e-9
+    reference_wavelength: float   # m, the wavelength that arrives at t = 0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -260,9 +256,21 @@ class CountMatrix:
         n = self.values.shape[0]
         return self.window_start + self.time_bin * (np.arange(n) + 0.5)
 
-    def wavelength_centers(self) -> np.ndarray:
-        rate = self.dispersion_ns_per_nm  # ns/nm and s/m coincide numerically
-        return self.reference_wavelength + self.time_centers / rate
+    def spectrometer_spec(self) -> SpectrometerSpec:
+        """The calibration the histogram carries, as a spectrometer.
+
+        The total dispersion is expressed as 1 km of fiber.  Detector
+        jitter is not recorded and reads 0; the time maps and the gates
+        do not use it.
+        """
+        return SpectrometerSpec(
+            dispersion_ps_per_nm_km=self.dispersion_ns_per_nm * 1e3,
+            fiber_length_km=1.0,
+            jitter_fwhm=0.0,
+            time_bin=self.time_bin,
+            window=self.values.shape[0] * self.time_bin,
+            reference_wavelength=self.reference_wavelength,
+        )
 
 
 def simulate_counts(
@@ -287,11 +295,28 @@ def simulate_counts(
     if total_events < 0:
         raise ValueError("total_events must be >= 0")
     probs, alias = project_to_spectrometer(jsa, spec, center_frequency_hz, grid=grid)
+    _check_alias(alias, spec, max_alias_fraction)
+    counts = _draw_counts(probs, spec, total_events, seed, efficiency)
+    counts.metadata["alias_fraction"] = alias
+    return counts
+
+
+def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float) -> None:
     if alias > max_alias_fraction:
         raise MeasurementError(
             f"{alias:.4%} of the joint spectrum lies outside the {spec.window * 1e9:.3g} ns "
             f"window (limit {max_alias_fraction:.2%}); widen the window or narrow the grid"
         )
+
+
+def _draw_counts(
+    probs: np.ndarray,
+    spec: SpectrometerSpec,
+    total_events: int,
+    seed,
+    efficiency: float | None = None,
+) -> CountMatrix:
+    """Multinomial draw of the detected events over the time-grid cells."""
     rng = np.random.default_rng(seed)
     n_detected = int(total_events)
     if efficiency is not None:
@@ -306,7 +331,7 @@ def simulate_counts(
         window_start=-spec.window / 2.0,
         dispersion_ns_per_nm=spec.time_rate,
         reference_wavelength=spec.reference_wavelength,
-        metadata={"alias_fraction": alias, "seed": seed, "requested_events": int(total_events)},
+        metadata={"seed": seed, "requested_events": int(total_events)},
     )
 
 
@@ -327,7 +352,7 @@ def reconstruct_jsi(counts: CountMatrix) -> JsiReconstruction:
     """
     total = counts.total
     if total <= 0:
-        raise ValueError("count matrix is empty")
+        raise MeasurementError("count matrix is empty")
     jsi = counts.values.astype(float) / total
     sig = jsi.sum(axis=0)
     idl = jsi.sum(axis=1)
@@ -374,7 +399,7 @@ def amplitude_from_counts(counts: CountMatrix) -> JointSpectralAmplitude:
     jsi = counts.values.astype(float)[::-1, ::-1]
     total = jsi.sum()
     if total <= 0:
-        raise ValueError("count matrix is empty")
+        raise MeasurementError("count matrix is empty")
     out = amplitude_from_jsi(jsi / total, grid)
     out.metadata["pseudo_detuning_axes"] = True
     return out
@@ -399,21 +424,29 @@ def gate_interval(spec: SpectrometerSpec, detuning: float,
     return max(lo, -edge), min(hi, edge)
 
 
+def _gate_cells(time_centers: np.ndarray, signal_gate: tuple[float, float],
+                idler_gate: tuple[float, float]):
+    """(idler rows, signal columns) index of the cells whose centers lie in both gates."""
+    t = time_centers
+    return np.ix_((t >= idler_gate[0]) & (t < idler_gate[1]),
+                  (t >= signal_gate[0]) & (t < signal_gate[1]))
+
+
 def gate_sum(counts: CountMatrix, signal_gate: tuple[float, float],
              idler_gate: tuple[float, float]) -> int:
     """Total counts with both arrival times inside their gates (cell-center rule)."""
-    t = counts.time_centers
-    sig_mask = (t >= signal_gate[0]) & (t < signal_gate[1])
-    idl_mask = (t >= idler_gate[0]) & (t < idler_gate[1])
-    return int(counts.values[np.ix_(idl_mask, sig_mask)].sum())
+    return int(counts.values[_gate_cells(counts.time_centers, signal_gate, idler_gate)].sum())
 
 
 def save_counts(counts: CountMatrix, path) -> None:
+    """CSV of the counts below one ``# key=value`` header line that
+    carries the whole time calibration."""
     header = (
         f"# nt={counts.values.shape[0]}"
         f" dt_ps={counts.time_bin * 1e12:.12g}"
         f" t0_ns={counts.window_start * 1e9:.12g}"
         f" disp_ns_per_nm={counts.dispersion_ns_per_nm:.12g}"
+        f" ref_wavelength_m={counts.reference_wavelength:.12g}"
     )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
@@ -435,6 +468,7 @@ def load_counts(path) -> CountMatrix:
             dt = float(fields["dt_ps"]) * 1e-12
             t0 = float(fields["t0_ns"]) * 1e-9
             disp = float(fields["disp_ns_per_nm"])
+            ref = float(fields["ref_wavelength_m"])
         except KeyError as exc:
             raise ValueError(f"{path}: header missing field {exc}") from exc
         rows = [
@@ -450,4 +484,5 @@ def load_counts(path) -> CountMatrix:
         time_bin=dt,
         window_start=t0,
         dispersion_ns_per_nm=disp,
+        reference_wavelength=ref,
     )

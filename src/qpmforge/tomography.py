@@ -21,16 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
+from .biphoton import FrequencyGrid, JointSpectralAmplitude
 from .measurement import (
     DEFAULT_GATE_WIDTH,
     CountMatrix,
+    MeasurementError,
     SpectrometerSpec,
+    _check_alias,
+    _draw_counts,
+    _gate_cells,
+    build_transfer,
     gate_interval,
+    gate_sum,
     load_counts,
-    project_to_spectrometer,
     save_counts,
-    simulate_counts,
 )
 
 __all__ = [
@@ -45,10 +49,10 @@ __all__ = [
     "HyperState",
     "default_bin_labels",
     "bin_detuning",
+    "DEFAULT_BIN_SPACING_HZ",
     "split_bins",
     "simulate_tomography",
     "expected_tomography",
-    "gate_bin",
     "tomography_probabilities",
     "BinResult",
     "analyze_tomography",
@@ -100,11 +104,12 @@ def _pair_operator(j: int, k: int) -> np.ndarray:
     return np.kron(sic_operator(j), sic_operator(k))
 
 
+# The 16 joint settings (j on signal, k on idler), in row-major order.
+_SETTINGS = tuple((j, k) for j in range(1, 5) for k in range(1, 5))
+
 # Frame matrix: row (j, k) holds vec((Mj x Mk)^T), so that
 # probabilities = FRAME @ vec(rho) reproduces Tr[rho (Mj x Mk)].
-_FRAME = np.array(
-    [_pair_operator(j, k).T.reshape(16) for j in range(1, 5) for k in range(1, 5)]
-)
+_FRAME = np.array([_pair_operator(j, k).T.reshape(16) for j, k in _SETTINGS])
 _FRAME_INV = np.linalg.inv(_FRAME)
 
 
@@ -207,13 +212,16 @@ def fidelity_singlet(state) -> tuple[float, float]:
     return fid, float(phi)
 
 
+DEFAULT_BIN_SPACING_HZ = 500e9  # Hz between adjacent single-photon bins
+
+
 def default_bin_labels(pair_count: int = 4) -> np.ndarray:
     """Bin-pair labels ordered by signal detuning: -pair_count..-1, 1..pair_count."""
     neg = -np.arange(pair_count, 0, -1)
     return np.concatenate([neg, np.arange(1, pair_count + 1)])
 
 
-def bin_detuning(label: int, spacing_hz: float = 500e9) -> float:
+def bin_detuning(label: int, spacing_hz: float = DEFAULT_BIN_SPACING_HZ) -> float:
     """Signal-photon detuning (rad/s) of a bin pair; idler sits at minus this."""
     if label == 0:
         raise ValueError("bin labels are signed and exclude 0")
@@ -281,7 +289,7 @@ class HyperState:
 
 def split_bins(
     jsa,
-    spacing_hz: float = 500e9,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     pair_count: int = 4,
     grid: FrequencyGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,6 +322,44 @@ def split_bins(
     return labels, parts, weights
 
 
+def _born_table(hyper: HyperState) -> np.ndarray:
+    """Tr[rho_i (Mj x Mk)]: rows over the 16 settings, columns over bins."""
+    states = [hyper.bin_state(i) for i in range(hyper.n_bins)]
+    return np.array([[project_probability(rho, j, k) for rho in states] for j, k in _SETTINGS])
+
+
+def _project_bins(
+    bin_intensities: np.ndarray,
+    grid: FrequencyGrid,
+    spec: SpectrometerSpec,
+    center_frequency_hz: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every bin's spectrum, scaled to unit mass, on the spectrometer time grid.
+
+    Builds the two transfer matrices once.  Returns (images, kept):
+    images[i] holds bin i's detection probability per time cell, and
+    kept[i] = images[i].sum() is the fraction of the bin inside the
+    window.  The projection is linear, so a mixture sum_i c_i I_i / |I_i|
+    maps to sum_i c_i images[i].
+    """
+    if bin_intensities.shape[1:] != grid.shape:
+        raise ValueError(f"bin intensities {bin_intensities.shape[1:]} do not match grid {grid.shape}")
+    if np.any(bin_intensities < 0):
+        raise ValueError("intensity must be nonnegative")
+    mass = bin_intensities.sum(axis=(1, 2))
+    if np.any(mass <= 0):
+        raise MeasurementError(f"bins {np.flatnonzero(mass <= 0).tolist()} carry no intensity")
+    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
+    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
+    images = np.empty((mass.size, spec.n_bins, spec.n_bins))
+    for i, part in enumerate(bin_intensities):
+        images[i] = t_idler @ (part / mass[i]) @ t_signal.T
+    # the blur integral is nonnegative analytically; floating cancellation
+    # can leave -1e-18-level residue that multinomial sampling rejects
+    np.clip(images, 0.0, None, out=images)
+    return images, images.sum(axis=(1, 2))
+
+
 def simulate_tomography(
     hyper: HyperState,
     bin_intensities: np.ndarray,
@@ -329,40 +375,50 @@ def simulate_tomography(
     of the total pair flux; the projection's event total is Poissonian
     with mean 4 * events * that flux (so ``events`` is the average count
     per projection), and the spectrum sampled is the correspondingly
-    weighted mixture of the per-bin intensities.
+    weighted mixture of the per-bin spectra.  Raises MeasurementError
+    when more than max_alias_fraction of the source as a whole falls
+    outside the acquisition window.
     """
     bin_intensities = np.asarray(bin_intensities, dtype=float)
     if bin_intensities.shape[0] != hyper.n_bins:
         raise ValueError("bin_intensities must carry one matrix per bin")
     if events < 0:
         raise ValueError("events must be >= 0")
-    states = [hyper.bin_state(i) for i in range(hyper.n_bins)]
+    images, kept = _project_bins(bin_intensities, grid, spec)
+    _check_alias(float(1.0 - hyper.weights @ kept), spec, max_alias_fraction)
+    born = _born_table(hyper)
     master = np.random.default_rng([int(seed), 0x7013])
     out: dict[tuple[int, int], CountMatrix] = {}
-    for j in range(1, 5):
-        for k in range(1, 5):
-            born = np.array([project_probability(rho, j, k) for rho in states])
-            # exact Born zeros (matched singlet projections) come out as
-            # -1e-16-level residue, which np.random.poisson rejects
-            flux = np.clip(hyper.weights * born, 0.0, None)
-            q_jk = flux.sum()
-            total = int(master.poisson(4.0 * events * q_jk))
-            if q_jk > 0:
-                mixture = np.tensordot(flux / q_jk, bin_intensities, axes=(0, 0))
-            else:
-                mixture = np.tensordot(hyper.weights, bin_intensities, axes=(0, 0))
-            counts = simulate_counts(
-                mixture,
-                spec,
-                total,
-                seed=[int(seed), j, k],
-                grid=grid,
-                max_alias_fraction=max_alias_fraction,
-            )
-            counts.metadata["projection"] = (j, k)
-            counts.metadata["born_flux"] = float(q_jk)
-            out[(j, k)] = counts
+    for (j, k), born_jk in zip(_SETTINGS, born):
+        # exact Born zeros (matched singlet projections) come out as
+        # -1e-16-level residue, which np.random.poisson rejects
+        flux = np.clip(hyper.weights * born_jk, 0.0, None)
+        q_jk = flux.sum()
+        total = int(master.poisson(4.0 * events * q_jk))
+        mix = flux / q_jk if q_jk > 0 else hyper.weights
+        counts = _draw_counts(
+            np.tensordot(mix, images, axes=(0, 0)), spec, total, seed=[int(seed), j, k]
+        )
+        counts.metadata["alias_fraction"] = max(float(1.0 - mix @ kept), 0.0)
+        counts.metadata["projection"] = (j, k)
+        counts.metadata["born_flux"] = float(q_jk)
+        out[(j, k)] = counts
     return out
+
+
+def _bin_gates(
+    spec: SpectrometerSpec,
+    label: int,
+    spacing_hz: float,
+    width: float,
+    center_frequency_hz: float | None = None,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(signal, idler) gates of a bin pair: the signal gate sits on the
+    bin's arrival time, the idler gate on the conjugate bin's."""
+    return tuple(
+        gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), width, center_frequency_hz)
+        for sign in (1, -1)
+    )
 
 
 def expected_tomography(
@@ -370,107 +426,58 @@ def expected_tomography(
     bin_intensities: np.ndarray,
     grid: FrequencyGrid,
     spec: SpectrometerSpec,
-    spacing_hz: float = 500e9,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     width: float = DEFAULT_GATE_WIDTH,
     center_frequency_hz: float | None = None,
 ) -> dict[int, np.ndarray]:
     """Infinite-statistics gated SIC probabilities for every bin.
 
     The expected gated count for (label, j, k) factorizes as
-    sum_i weight_i * Born_i(j,k) * G[label, i], with G the gate-capture
-    matrix of each bin's projected time distribution, so the whole table
-    needs one spectrometer projection per bin.  This is the deterministic
-    limit of simulate_tomography -> tomography_probabilities, exposing
-    the gating cross-talk with no sampling noise on top.
+    sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
+    i's projected time distribution inside the label's gates, so the
+    whole table needs one spectrometer projection per bin.  This is the
+    deterministic limit of simulate_tomography -> tomography_probabilities,
+    exposing the gating cross-talk with no sampling noise on top.
     """
-    bin_intensities = np.asarray(bin_intensities, dtype=float)
-    n = hyper.n_bins
-    t = spec.time_centers
-    capture = np.zeros((n, n))
-    masks = []
-    for label in hyper.labels:
-        sig = gate_interval(spec, bin_detuning(int(label), spacing_hz), width,
-                            center_frequency_hz)
-        idl = gate_interval(spec, bin_detuning(-int(label), spacing_hz), width,
-                            center_frequency_hz)
-        masks.append((
-            (t >= idl[0]) & (t < idl[1]),
-            (t >= sig[0]) & (t < sig[1]),
-        ))
-    for i in range(n):
-        probs, alias = project_to_spectrometer(
-            bin_intensities[i], spec, center_frequency_hz, grid=grid
-        )
-        absolute = probs * (1.0 - alias)
-        for g, (idl_mask, sig_mask) in enumerate(masks):
-            capture[g, i] = absolute[np.ix_(idl_mask, sig_mask)].sum()
-    states = [hyper.bin_state(i) for i in range(n)]
-    born = np.array(
-        [
-            [project_probability(rho, j, k) for rho in states]
-            for j in range(1, 5)
-            for k in range(1, 5)
-        ]
-    )  # (16, n_bins)
+    images, _ = _project_bins(
+        np.asarray(bin_intensities, dtype=float), grid, spec, center_frequency_hz
+    )
+    born = _born_table(hyper)
     out: dict[int, np.ndarray] = {}
-    for g, label in enumerate(hyper.labels):
-        gated = born @ (hyper.weights * capture[g])
+    for label in hyper.labels:
+        gates = _bin_gates(spec, label, spacing_hz, width, center_frequency_hz)
+        rows, cols = _gate_cells(spec.time_centers, *gates)
+        capture = images[:, rows, cols].sum(axis=(1, 2))
+        gated = born @ (hyper.weights * capture)
         out[int(label)] = 4.0 * gated / gated.sum()
     return out
-
-
-def _arrival_time(counts: CountMatrix, detuning: float) -> float:
-    """Exact arrival time of a detuned photon from the matrix calibration."""
-    omega0 = 2.0 * np.pi * C_LIGHT / counts.reference_wavelength
-    lam = 2.0 * np.pi * C_LIGHT / (omega0 + detuning)
-    rate = counts.dispersion_ns_per_nm  # numerically s/m
-    return rate * (lam - counts.reference_wavelength)
-
-
-def gate_bin(
-    counts: CountMatrix,
-    label: int,
-    spacing_hz: float = 500e9,
-    width: float = DEFAULT_GATE_WIDTH,
-) -> int:
-    """Counts inside the width x width square on a bin pair's arrival times.
-
-    The signal gate is centered on the bin's signal arrival time and the
-    idler gate on the conjugate bin's; both are truncated to the recorded
-    window, and cells count when their centers fall inside.
-    """
-    t_sig = _arrival_time(counts, bin_detuning(label, spacing_hz))
-    t_idl = _arrival_time(counts, bin_detuning(-label, spacing_hz))
-    t = counts.time_centers
-    half = width / 2.0
-    sig_mask = (t >= t_sig - half) & (t < t_sig + half)
-    idl_mask = (t >= t_idl - half) & (t < t_idl + half)
-    return int(counts.values[np.ix_(idl_mask, sig_mask)].sum())
 
 
 def tomography_probabilities(
     counts_by_projection: dict[tuple[int, int], CountMatrix],
     label: int,
-    spacing_hz: float = 500e9,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     width: float = DEFAULT_GATE_WIDTH,
 ) -> tuple[np.ndarray, int]:
     """Gated SIC probabilities for one bin: p_jk = 4 n_jk / sum(n).
 
-    The scale 4 restores the Born normalization (the 16 probabilities of
-    any state sum to 4) because each setting is a separate acquisition
-    with no shared total.  Returns (probabilities, total gated counts).
+    Each projection is gated with the calibration its count matrix
+    carries.  The scale 4 restores the Born normalization (the 16
+    probabilities of any state sum to 4) because each setting is a
+    separate acquisition with no shared total.  Returns (probabilities,
+    total gated counts).
     """
+    projections = [counts_by_projection[key] for key in _SETTINGS]
     gated = np.array(
         [
-            gate_bin(counts_by_projection[(j, k)], label, spacing_hz, width)
-            for j in range(1, 5)
-            for k in range(1, 5)
+            gate_sum(counts, *_bin_gates(counts.spectrometer_spec(), label, spacing_hz, width))
+            for counts in projections
         ],
         dtype=float,
     )
     total = gated.sum()
     if total <= 0:
-        raise ValueError(f"bin {label}: no gated counts in any projection")
+        raise MeasurementError(f"bin {label}: no gated counts in any projection")
     return 4.0 * gated / total, int(total)
 
 
@@ -528,7 +535,7 @@ def resample_tomography(
 def analyze_tomography(
     counts_by_projection: dict[tuple[int, int], CountMatrix],
     labels=None,
-    spacing_hz: float = 500e9,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     width: float = DEFAULT_GATE_WIDTH,
     n_resamples: int = 0,
     seed: int = 0,

@@ -79,13 +79,6 @@ class TestMonteCarlo:
         assert a == b
         assert a[1] > 0
 
-    def test_threading_matches_serial(self):
-        rng = np.random.default_rng(1)
-        counts = rng.poisson(80.0, size=(16, 16)).astype(float)
-        serial = monte_carlo_uncertainty(counts, n_resamples=32, seed=5, threads=None)
-        threaded = monte_carlo_uncertainty(counts, n_resamples=32, seed=5, threads=4)
-        assert serial == threaded
-
     def test_mean_tracks_point_estimate_at_high_counts(self):
         amp = np.zeros((16, 16))
         amp[np.arange(4), np.arange(4)] = 1.0

@@ -75,6 +75,7 @@ class TestParsing:
             ("[crystal\n", 1, "unterminated section"),
             ("[crystal]\nlength_m 0.02\n", 2, "expected 'key = value'"),
             ("seed = 3\n", 1, "outside any"),
+            ("[run]\nthreads = 2\n", 2, "unknown key"),
         ],
     )
     def test_line_precise_diagnostics(self, tmp_path, body, lineno, message):
@@ -211,13 +212,55 @@ class TestCliExitCodes:
 
     def test_alias_overflow_exits_3(self, tmp_path, capsys):
         # doubling the fiber pushes the outer bins past the acquisition
-        # window, which the simulator refuses
+        # window, which both simulators refuse
         config = make_config(
             tmp_path, **dict(FAST, **{"spectrometer.fiber_length_km": 40.0})
         )
-        code = main(["tofs-sim", "--config", config, "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        for command in ("tofs-sim", "tomo-sim"):
+            code = main([command, "--config", config, "--out", str(tmp_path / "o")])
+            assert code == 3, command
+            assert "numeric failure" in capsys.readouterr().err
+
+    def test_alias_limit_applies_to_the_source(self, tmp_path):
+        # phases spread over +-0.7 rad make some SIC projections mostly
+        # outer-bin light (5% aliased), but the source as a whole stays
+        # under the 2% limit
+        config = make_config(
+            tmp_path,
+            **dict(FAST, **{
+                "tomography.events_per_projection": 10_000,
+                "tomography.phases_rad": (-0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7),
+            }),
+        )
+        assert main(["tomo-sim", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+    def test_tomo_fit_reports_configured_bins(self, tmp_path):
+        config = make_config(
+            tmp_path,
+            **dict(FAST, **{
+                "crystal.pair_count": 2,
+                "tomography.events_per_projection": 20_000,
+                "tomography.resamples": 10,
+            }),
+        )
+        out = str(tmp_path / "tomo")
+        assert main(["tomo-sim", "--config", config, "--out", out]) == 0
+        assert main(["tomo-fit", "--config", config, "--out", out]) == 0
+        rows = (tmp_path / "tomo" / "report.txt").read_text().splitlines()[1:]
+        assert [int(row.split()[0]) for row in rows] == [-2, -1, 1, 2]
+
+    def test_empty_counts_exit_3(self, tmp_path, capsys):
+        config = make_config(tmp_path, **dict(FAST, **{"spectrometer.events": 0}))
+        out = str(tmp_path / "tofs")
+        assert main(["tofs-sim", "--config", config, "--out", out]) == 0
+        assert main(["tofs-analyze", "--config", config, "--out", out]) == 3
+        assert "numeric failure: count matrix is empty" in capsys.readouterr().err
+
+    def test_heralded_fit_reports_configured_spacing(self, tmp_path):
+        config = make_config(tmp_path, **dict(FAST, **{"crystal.bin_spacing_hz": 800e9}))
+        out = tmp_path / "her"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 0
+        assert "delta_hz: 8.000000e+11" in (out / "fit.txt").read_text().splitlines()
 
     def test_argparse_contract(self):
         with pytest.raises(SystemExit) as err:

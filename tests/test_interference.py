@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import FrequencyGrid
 from qpmforge.interference import (
+    FitError,
     HomCurve,
     bin_hz_from_delta,
     bin_model_jsa,
@@ -181,6 +182,15 @@ class TestFit:
         assert fit.delta_hz == pytest.approx(500e9)
         assert np.isnan(fit.delta_hz_std)
         assert fit.visibility == pytest.approx(0.125, abs=1e-4)
+
+    def test_spacing_is_never_guessed(self):
+        # a heralded fit needs the spacing it holds fixed, and a flat
+        # two-photon curve has no beat to recover it from
+        with pytest.raises(ValueError, match="delta"):
+            fit_hom(self.make_counts("heralded"), n_pairs=4)
+        flat = HomCurve(delays=TAUS, values=np.full(TAUS.size, 100.0), kind="two_photon")
+        with pytest.raises(FitError, match="no beat"):
+            fit_hom(flat)
 
     def test_rejects_unknown_initial_keys(self):
         with pytest.raises(ValueError, match="unknown initial-guess"):

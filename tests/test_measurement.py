@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,7 +267,9 @@ class TestGating:
 
 class TestCountsIO:
     def test_roundtrip(self, tmp_path, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 50_000, seed=8)
+        # a non-default reference wavelength must survive the file
+        spec = dataclasses.replace(spectro, reference_wavelength=1555.9e-9)
+        counts = simulate_counts(comb_jsa, spec, 50_000, seed=8)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path)
@@ -275,11 +279,16 @@ class TestCountsIO:
         assert back.dispersion_ns_per_nm == pytest.approx(
             counts.dispersion_ns_per_nm, rel=1e-12
         )
+        assert back.reference_wavelength == 1555.9e-9
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError, match="header"):
+            load_counts(path)
+        # a header without the reference wavelength has no fallback
+        path.write_text("# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4\n1,2\n3,4\n")
+        with pytest.raises(ValueError, match="ref_wavelength_m"):
             load_counts(path)
 
     def test_noninteger_counts_rejected(self, spectro):

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmforge import tomography
 from qpmforge.biphoton import FrequencyGrid, build_jsa
+from qpmforge.measurement import project_to_spectrometer
 from qpmforge.tomography import (
+    _born_table,
+    _project_bins,
     HyperState,
     analyze_tomography,
     bin_detuning,
@@ -324,6 +328,40 @@ class TestSimulateTomography:
             )
         with pytest.raises(ValueError, match="events"):
             simulate_tomography(pure_hyper, parts, small_grid, spectro, -1, seed=0)
+
+
+class TestSharedProjection:
+    def test_mixed_images_match_reference_projection(
+        self, pure_hyper, small_split, small_grid, spectro
+    ):
+        # projecting each bin once and mixing the images must equal
+        # projecting each setting's mixed spectrum: the map is linear
+        _, parts, weights = small_split
+        images, kept = _project_bins(parts, small_grid, spectro)
+        mixes = [weights] + [
+            np.clip(weights * born, 0.0, None) for born in _born_table(pure_hyper)
+        ]
+        for flux in mixes:
+            mix = flux / flux.sum()
+            ref, ref_alias = project_to_spectrometer(
+                np.tensordot(mix, parts, axes=(0, 0)), spectro, grid=small_grid
+            )
+            shared = np.tensordot(mix, images, axes=(0, 0))
+            assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
+            assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
+
+    def test_transfer_matrices_built_once_per_call(
+        self, monkeypatch, pure_hyper, small_split, small_grid, spectro
+    ):
+        _, parts, _ = small_split
+        calls = []
+        build = tomography.build_transfer
+        monkeypatch.setattr(
+            tomography, "build_transfer", lambda *args: calls.append(args) or build(*args)
+        )
+        simulate_tomography(pure_hyper, parts, small_grid, spectro, events=100, seed=0)
+        expected_tomography(pure_hyper, parts, small_grid, spectro)
+        assert len(calls) == 4
 
 
 class TestGatedAnalysis:
