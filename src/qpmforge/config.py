@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import DispersionMap, FrequencyGrid, PumpSpec
-from .crystal import CombSpec
-from .measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec
+from .crystal import DEFAULT_PAIR_COUNT, CombSpec
+from .measurement import DEFAULT_GATE_WIDTH, DEFAULT_MAX_ALIAS_FRACTION, SpectrometerSpec
 from .tomography import DEFAULT_BIN_SPACING_HZ
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
@@ -47,7 +47,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "crystal": {
         "length_m": 30e-3,
         "domain_width_m": 23e-6,
-        "pair_count": 4,
+        "pair_count": DEFAULT_PAIR_COUNT,
         "bin_spacing_hz": DEFAULT_BIN_SPACING_HZ,
         "peak_width_m": 0.0,  # 0 = derive as length/4.5
         "bin_purity": 0.979,
@@ -67,7 +67,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
             for key, name in _SPECTROMETER_FIELDS.items()
         },
         "events": 43_000_000,
-        "max_alias_fraction": 0.02,
+        "max_alias_fraction": DEFAULT_MAX_ALIAS_FRACTION,
         "resamples": 1000,
     },
     "tomography": {

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 __all__ = [
+    "DEFAULT_PAIR_COUNT",
     "CombSpec",
     "DomainConfig",
     "NonlinearityProfile",
@@ -42,6 +42,8 @@ __all__ = [
     "save_domains",
     "load_domains",
 ]
+
+DEFAULT_PAIR_COUNT = 4  # bin pairs in the comb: eight frequency modes
 
 
 @dataclass(frozen=True)
@@ -265,6 +267,54 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)
 
 
+def _lattice_run(widths: np.ndarray, mids: np.ndarray, dk: np.ndarray) -> tuple[int, float]:
+    """Length of the leading run of domains a chirp-z sum can cover, and the dk step.
+
+    The run is empty unless `dk` is a uniformly spaced 1-d grid: its deviation from the
+    lattice dk[0] + n * step may shift no run phase by more than 1e-9 rad.
+    The run then holds the leading domains whose widths match the first to
+    1e-9 relative and whose centres sit on that width's lattice to 1e-9 of
+    the width.
+    """
+    if dk.ndim != 1 or dk.size < 2:
+        return 0, 0.0
+    step = (dk[-1] - dk[0]) / (dk.size - 1)
+    w0 = widths[0]
+    on_lattice = np.abs(widths - w0) <= 1e-9 * w0
+    on_lattice &= np.abs(mids - (mids[0] + np.arange(widths.size) * w0)) <= 1e-9 * w0
+    run = widths.size if on_lattice.all() else int(np.argmin(on_lattice))
+    drift = np.abs(dk - (dk[0] + np.arange(dk.size) * step)).max()
+    return (run if drift * run * w0 <= 1e-9 else 0), step
+
+
+def _chirp_z(x: np.ndarray, angle: float, n_out: int) -> np.ndarray:
+    """X[n] = sum_j x[j] exp(-i angle n j) for n < n_out (Bluestein).
+
+    With n j = (n^2 + j^2 - (n - j)^2) / 2 the sum becomes a linear
+    convolution with the chirp c_k = exp(-i angle k^2 / 2) over the lags
+    n - j = -(m-1) .. n_out-1, done as one zero-padded FFT product.  The
+    chirp is even in k, so the lags 0 .. -(m-1) also give c_j.
+
+    The chirp phase runs to many turns at large k, where rounding it in
+    radians would cost far more than the sum's own rounding.  So
+    angle / 4 pi turns is split into q / 2**31 plus a remainder below
+    2**-32: q k^2 is reduced modulo 2**31 in integer arithmetic and only
+    the remainder's product is rounded.
+    """
+    m = x.size
+    k = np.arange(-(m - 1), n_out, dtype=np.int64)
+    turns = angle / (4.0 * np.pi)
+    q = int(np.rint(turns * 2.0**31))
+    k2 = k * k
+    whole = (q % 2**31) * (k2 % 2**31) % 2**31
+    chirp = np.exp(-2j * np.pi * (whole / 2.0**31 + (turns - q / 2.0**31) * k2))
+    size = 1 << (n_out + m - 2).bit_length()
+    a = np.fft.fft(x * chirp[m - 1::-1], size)
+    b = np.fft.fft(np.conj(chirp), size)
+    conv = np.fft.ifft(a * b)[m - 1:m - 1 + n_out]
+    return chirp[m - 1:] * conv
+
+
 def pmf_of_domains(config: DomainConfig, delta_k) -> np.ndarray:
     """Exact PMF of a poled crystal at arbitrary mismatch.
 
@@ -276,15 +326,31 @@ def pmf_of_domains(config: DomainConfig, delta_k) -> np.ndarray:
     s_j * w_j * sinc(dk w_j / 2) * exp(-i dk z_mid), which also covers the
     dk -> 0 limit.  The result is scaled by pi / (2 L) so a periodically
     poled crystal of the same length peaks at 1.
+
+    On a uniformly spaced `delta_k` the leading run of equal-width domains
+    on one lattice (all of a `design_domains` crystal but its remainder)
+    is summed as a chirp-z transform in O((N + M) log(N + M)); the domains
+    after the run take the closed-form sum term by term.
     """
     dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
     edges = config.boundaries
     mids = 0.5 * (edges[1:] + edges[:-1])
     w = config.widths
-    signed = config.orientations * w
-    core = signed[None, :] * _sinc(np.multiply.outer(dk, w / 2.0))
-    phase = np.exp(-1j * np.multiply.outer(dk, mids))
-    vals = (core * phase).sum(axis=1) * (np.pi / (2.0 * config.total_length))
+    run, step = _lattice_run(w, mids, dk)
+
+    vals = np.zeros(dk.shape, dtype=complex)
+    if run:
+        # exp(-i dk_n (z_0 + j w)) = exp(-i dk_n z_0) exp(-i dk_0 j w) exp(-i n step j w)
+        j = np.arange(run)
+        x = config.orientations[:run] * np.exp(-1j * dk[0] * w[0] * j)
+        envelope = w[0] * _sinc(dk * w[0] / 2.0) * np.exp(-1j * dk * mids[0])
+        vals += envelope * _chirp_z(x, step * w[0], dk.size)
+
+    signed = config.orientations[run:] * w[run:]
+    core = signed[None, :] * _sinc(np.multiply.outer(dk, w[run:] / 2.0))
+    phase = np.exp(-1j * np.multiply.outer(dk, mids[run:]))
+    vals += (core * phase).sum(axis=-1)
+    vals *= np.pi / (2.0 * config.total_length)
     if np.isscalar(delta_k) or np.asarray(delta_k).ndim == 0:
         return complex(vals[0])
     return vals
@@ -306,8 +372,8 @@ def design_overlap(
     dk = np.linspace(comb.center - half_span, comb.center + half_span, n_points)
     t = target_pmf(comb, dk)
     d = pmf_of_domains(config, dk)
-    inner = trapezoid(np.conj(t) * d, dk)
-    norm = np.sqrt(trapezoid(np.abs(t) ** 2, dk) * trapezoid(np.abs(d) ** 2, dk))
+    inner = np.trapezoid(np.conj(t) * d, dk)
+    norm = np.sqrt(np.trapezoid(np.abs(t) ** 2, dk) * np.trapezoid(np.abs(d) ** 2, dk))
     return float(np.abs(inner) / norm)
 
 

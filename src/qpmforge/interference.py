@@ -28,9 +28,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .biphoton import FrequencyGrid, JointSpectralAmplitude
+from .crystal import DEFAULT_PAIR_COUNT
 
 __all__ = [
     "HomCurve",
@@ -371,7 +371,7 @@ def _guess_delta(tau: np.ndarray, values: np.ndarray) -> float:
 
 def fit_hom(
     curve: HomCurve,
-    n_pairs: int = 4,
+    n_pairs: int = DEFAULT_PAIR_COUNT,
     initial: dict | None = None,
 ) -> HomFit:
     """Least-squares fit of the scaled closed form to a measured curve.
@@ -416,6 +416,9 @@ def fit_hom(
         if curve.kind == "heralded":
             raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
         guesses["delta"] = _guess_delta(tau, y)
+
+    # imported here so that scipy stays off the import path of every CLI process
+    from scipy.optimize import curve_fit
 
     weights = np.sqrt(np.clip(y, 1.0, None))
     fixed_delta = guesses["delta"]

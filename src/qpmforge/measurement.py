@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
 
@@ -40,9 +39,11 @@ __all__ = [
     "save_counts",
     "load_counts",
     "DEFAULT_GATE_WIDTH",
+    "DEFAULT_MAX_ALIAS_FRACTION",
 ]
 
 DEFAULT_GATE_WIDTH = 1.52e-9  # s; matches an 8-bin comb with disjoint gates
+DEFAULT_MAX_ALIAS_FRACTION = 0.02  # share of the spectrum allowed outside the window
 
 
 class MeasurementError(ValueError):
@@ -140,6 +141,9 @@ def _box_blur_integral(edges: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: f
     max(x, 0) recovers exact interval overlap.  Mass is conserved over the
     whole real line by construction.
     """
+    # imported here so that scipy stays off the import path of every CLI process
+    from scipy.special import ndtr
+
     def g(x: np.ndarray) -> np.ndarray:
         if sigma == 0.0:
             return np.maximum(x, 0.0)
@@ -279,7 +283,7 @@ def simulate_counts(
     total_events: int,
     seed: int,
     center_frequency_hz: float | None = None,
-    max_alias_fraction: float = 0.02,
+    max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
     efficiency: float | None = None,
     grid: FrequencyGrid | None = None,
 ) -> CountMatrix:

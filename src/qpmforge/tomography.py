@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import FrequencyGrid, JointSpectralAmplitude
+from .crystal import DEFAULT_PAIR_COUNT
 from .measurement import (
     DEFAULT_GATE_WIDTH,
+    DEFAULT_MAX_ALIAS_FRACTION,
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
@@ -215,7 +217,7 @@ def fidelity_singlet(state) -> tuple[float, float]:
 DEFAULT_BIN_SPACING_HZ = 500e9  # Hz between adjacent single-photon bins
 
 
-def default_bin_labels(pair_count: int = 4) -> np.ndarray:
+def default_bin_labels(pair_count: int = DEFAULT_PAIR_COUNT) -> np.ndarray:
     """Bin-pair labels ordered by signal detuning: -pair_count..-1, 1..pair_count."""
     neg = -np.arange(pair_count, 0, -1)
     return np.concatenate([neg, np.arange(1, pair_count + 1)])
@@ -279,7 +281,7 @@ class HyperState:
         return singlet_state(self.phases[index], self.coherences()[index])
 
     @classmethod
-    def uniform(cls, pair_count: int = 4, phases=None) -> "HyperState":
+    def uniform(cls, pair_count: int = DEFAULT_PAIR_COUNT, phases=None) -> "HyperState":
         labels = default_bin_labels(pair_count)
         n = labels.size
         if phases is None:
@@ -290,7 +292,7 @@ class HyperState:
 def split_bins(
     jsa,
     spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    pair_count: int = 4,
+    pair_count: int = DEFAULT_PAIR_COUNT,
     grid: FrequencyGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition a joint intensity into per-bin-pair components.
@@ -367,7 +369,7 @@ def simulate_tomography(
     spec: SpectrometerSpec,
     events: float,
     seed: int,
-    max_alias_fraction: float = 0.02,
+    max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
 ) -> dict[tuple[int, int], CountMatrix]:
     """Forward-simulate the 16 SIC projection acquisitions.
 
@@ -494,13 +496,6 @@ class BinResult:
     purity_std: float = float("nan")
     fidelity_std: float = float("nan")
     probabilities: np.ndarray = field(default=None, repr=False)
-
-
-def _metrics_from_gated(gated: np.ndarray) -> tuple[float, float, float]:
-    probs = 4.0 * gated / gated.sum()
-    state = reconstruct_state(probs)
-    fid, phi = fidelity_singlet(state)
-    return purity(state), fid, phi
 
 
 def resample_tomography(

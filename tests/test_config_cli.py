@@ -1,5 +1,10 @@
 """Config parsing diagnostics and the batch CLI exit-code contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -269,3 +274,18 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["--help"])
         assert err.value.code == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    """Every CLI process imports qpmforge.cli; scipy is loaded only where used."""
+    code = (
+        "import sys, qpmforge.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+from qpmforge.config import parse_config
 from qpmforge.crystal import (
     CombSpec,
     DomainConfig,
@@ -18,6 +21,25 @@ from qpmforge.crystal import (
 )
 
 DK0 = np.pi / 23e-6
+DESIGNED_CFG = Path(__file__).resolve().parents[1] / "configs" / "designed_crystal.cfg"
+
+
+def _dense_pmf(config, delta_k):
+    """Reference PMF: the closed-form domain sum as one dense dk x domain matrix."""
+    dk = np.atleast_1d(np.asarray(delta_k, dtype=float))
+    edges = config.boundaries
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    w = config.widths
+    core = (config.orientations * w)[None, :] * np.sinc(np.multiply.outer(dk, w / 2.0) / np.pi)
+    phase = np.exp(-1j * np.multiply.outer(dk, mids))
+    return (core * phase).sum(axis=1) * (np.pi / (2.0 * config.total_length))
+
+
+def _assert_matches_oracle(config, dk, rel):
+    want = _dense_pmf(config, dk)
+    got = np.atleast_1d(pmf_of_domains(config, dk))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
 
 
 def small_comb(pair_count=2, spacing=900.0):
@@ -133,6 +155,127 @@ class TestPmfOfDomains:
         vec = pmf_of_domains(cfgd, dk)
         for i, one in enumerate(dk):
             assert pmf_of_domains(cfgd, one) == pytest.approx(complex(vec[i]))
+
+
+def _design_overlap_grid(comb, cfg):
+    half_span = (comb.pair_count - 0.5) * comb.spacing + 8.0 / comb.peak_width
+    return np.linspace(comb.center - half_span, comb.center + half_span, 8192)
+
+
+def _pmf_curve_grid(comb, cfg):
+    half_span = (comb.pair_count + 0.5) * comb.spacing + 8.0 / comb.peak_width
+    return comb.center + np.linspace(-half_span, half_span, 4001)
+
+
+def _jsa_grid(comb, cfg):
+    grid = cfg.frequency_grid()
+    dispersion = cfg.dispersion_map()
+    n_i, n_s = grid.shape
+    base = grid.nu_signal[0] - grid.nu_idler[0]
+    d = np.arange(-(n_i - 1), n_s)
+    return dispersion.center + dispersion.slope * (base + d * grid.d_nu_signal)
+
+
+class TestChirpZ:
+    """pmf_of_domains against the dense closed-form sum."""
+
+    @pytest.mark.parametrize(
+        "make_grid, n_points",
+        [(_design_overlap_grid, 8192), (_pmf_curve_grid, 4001), (_jsa_grid, 2047)],
+    )
+    def test_designed_crystal_matches_dense_sum(self, make_grid, n_points):
+        # the residual is the cumsum rounding of DomainConfig.boundaries,
+        # which the lattice of the chirp-z sum does not share
+        cfg = parse_config(str(DESIGNED_CFG))
+        comb = cfg.comb_spec()
+        crystal = design_domains(comb, cfg["crystal"]["domain_width_m"])
+        dk = make_grid(comb, cfg)
+        assert dk.size == n_points
+        _assert_matches_oracle(crystal, dk, 1e-8)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        n_dk=st.integers(min_value=2, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_irregular_widths(self, n, n_dk, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.uniform(5e-6, 40e-6, n)
+        cfgd = DomainConfig(
+            widths=widths, orientations=rng.choice([-1, 1], n), total_length=float(widths.sum())
+        )
+        lo, hi = np.sort(rng.uniform(0.2 * DK0, 2.0 * DK0, 2))
+        _assert_matches_oracle(cfgd, np.linspace(lo, hi, n_dk), 1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n_run=st.integers(min_value=1, max_value=60),
+        n_tail=st.integers(min_value=1, max_value=20),
+        n_dk=st.integers(min_value=2, max_value=300),
+        decreasing=st.booleans(),
+        jittered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_uniform_run_broken_midway(self, n_run, n_tail, n_dk, decreasing, jittered, seed):
+        rng = np.random.default_rng(seed)
+        widths = np.concatenate([np.full(n_run, 23e-6), rng.uniform(5e-6, 40e-6, n_tail)])
+        n = widths.size
+        cfgd = DomainConfig(
+            widths=widths, orientations=rng.choice([-1, 1], n), total_length=float(widths.sum())
+        )
+        half_span = rng.uniform(1e3, 0.5 * DK0)
+        dk = np.linspace(DK0 - half_span, DK0 + half_span, n_dk)
+        if jittered:  # a non-uniform grid takes the closed-form sum throughout
+            dk[1:-1] += rng.uniform(-0.1, 0.1, n_dk - 2) * (dk[1] - dk[0])
+        _assert_matches_oracle(cfgd, dk[::-1] if decreasing else dk, 1e-12)
+
+    def test_slowly_drifting_widths(self):
+        # every width matches the first to 1e-9, but the centres walk off
+        # its lattice by 0.9e-9 of a width per domain
+        n = 2000
+        widths = np.full(n, 23e-6 * (1.0 + 0.9e-9))
+        widths[0] = 23e-6
+        cfgd = DomainConfig(
+            widths=widths,
+            orientations=np.where(np.arange(n) % 2 == 0, 1, -1),
+            total_length=float(widths.sum()),
+        )
+        dk = np.linspace(0.999 * DK0, 1.001 * DK0, 501)
+        _assert_matches_oracle(cfgd, dk, 1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_two_point_and_scalar_grids(self, n, seed):
+        # Two random points can both sit where the PMF nearly cancels, far
+        # below the pi/2 bound on |phi|; the dense sum itself rounds to
+        # about 1e-14 of that bound, so the bound is the scale here.
+        rng = np.random.default_rng(seed)
+        cfgd = DomainConfig(
+            widths=np.full(n, 23e-6),
+            orientations=rng.choice([-1, 1], n),
+            total_length=n * 23e-6,
+        )
+        two = rng.uniform(0.2 * DK0, 2.0 * DK0, 2)
+        np.testing.assert_allclose(
+            pmf_of_domains(cfgd, two), _dense_pmf(cfgd, two), rtol=0, atol=1e-12 * np.pi / 2
+        )
+        one = float(two[0])
+        got = pmf_of_domains(cfgd, one)
+        assert isinstance(got, complex)
+        assert abs(got - _dense_pmf(cfgd, one)[0]) <= 1e-12 * np.pi / 2
+
+    def test_grid_shape_is_kept(self):
+        cfgd = DomainConfig(
+            widths=np.full(5, 10e-6), orientations=[1, -1, 1, -1, 1], total_length=50e-6
+        )
+        dk = np.linspace(0.9, 1.1, 6).reshape(2, 3) * np.pi / 10e-6
+        got = pmf_of_domains(cfgd, dk)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got.ravel(), _dense_pmf(cfgd, dk.ravel()), rtol=1e-12)
 
 
 class TestDesignDomains:
