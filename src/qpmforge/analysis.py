@@ -4,7 +4,9 @@ The Schmidt decomposition of a JSA matrix is its singular value
 decomposition; normalised squared singular values are the Schmidt
 weights.  Two figures of merit are used:
 
-* Schmidt number K = 1 / sum(lambda^2), the effective mode count.
+* Schmidt number K = 1 / sum(lambda^2), the effective mode count.  It
+  equals the inverse purity of either photon's reduced state, which
+  schmidt_number computes from a Gram matrix without a decomposition.
 * Fidelity to the n-mode maximally entangled state,
   F_n = (sum_{k<n} sqrt(lambda_k / n))^2 with weights sorted descending,
   which is insensitive to the Schmidt-mode shapes because the maximally
@@ -23,6 +25,7 @@ from .biphoton import JointSpectralAmplitude
 __all__ = [
     "SchmidtSpectrum",
     "schmidt_decompose",
+    "schmidt_weights",
     "schmidt_number",
     "fidelity_to_maximal",
     "monte_carlo_uncertainty",
@@ -47,41 +50,91 @@ class SchmidtSpectrum:
 
     @property
     def schmidt_number(self) -> float:
-        return float(1.0 / np.sum(self.weights ** 2))
+        return _schmidt_number_of(self.weights)
 
     def entropy(self) -> float:
         """Shannon entropy of the weights in bits."""
-        w = self.weights[self.weights > 0]
-        return float(-(w * np.log2(w)).sum())
+        return _entropy_bits(self.weights)
 
 
-def schmidt_decompose(jsa: JointSpectralAmplitude | np.ndarray) -> SchmidtSpectrum:
-    """SVD-based Schmidt decomposition.
-
-    Weights below 1e-12 (relative) are dropped; they are numerical noise
-    at double precision and would otherwise pollute entropy sums.
-    """
+def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
     values = jsa.values if isinstance(jsa, JointSpectralAmplitude) else np.asarray(jsa)
     if values.ndim != 2:
         raise ValueError("expected a 2-d amplitude array")
-    u, s, vh = np.linalg.svd(values, full_matrices=False)
-    weights = s ** 2
+    return values
+
+
+def _floored_weights(singular_values: np.ndarray) -> np.ndarray:
+    """Normalised squared singular values (given descending), with the
+    weights below 1e-12 dropped; they are numerical noise at double
+    precision and would otherwise pollute entropy sums.  At least the
+    largest weight is kept."""
+    weights = singular_values ** 2
     total = weights.sum()
+    if not np.isfinite(total):
+        raise np.linalg.LinAlgError("Schmidt weights are not finite")
     if total <= 0:
         raise ValueError("amplitude is identically zero")
     weights = weights / total
-    keep = weights > _WEIGHT_FLOOR
-    if not np.any(keep):
-        keep[0] = True
+    return weights[: max(1, np.count_nonzero(weights > _WEIGHT_FLOOR))]
+
+
+def schmidt_decompose(jsa: JointSpectralAmplitude | np.ndarray) -> SchmidtSpectrum:
+    """SVD-based Schmidt decomposition: floored weights and mode functions."""
+    u, s, vh = np.linalg.svd(_amplitude(jsa), full_matrices=False)
+    weights = _floored_weights(s)
+    n = weights.size
     return SchmidtSpectrum(
-        weights=weights[keep],
-        idler_modes=u[:, keep],
-        signal_modes=vh[keep, :].conj().T,
+        weights=weights,
+        idler_modes=u[:, :n],
+        signal_modes=vh[:n, :].conj().T,
     )
 
 
+def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
+    """Schmidt weights (descending, floored as in schmidt_decompose) from
+    the singular values alone; no mode functions are computed."""
+    return _floored_weights(np.linalg.svd(_amplitude(jsa), compute_uv=False))
+
+
 def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
-    return schmidt_decompose(jsa).schmidt_number
+    """Schmidt number K = 1 / Tr(rho^2), the inverse purity of either
+    photon's reduced state (Law, Walmsley & Eberly, PRL 84, 5304, 2000).
+
+    With G the Gram matrix of the amplitude's smaller side, rho = G / Tr G,
+    so K = (Tr G)^2 / ||G||_F^2: one matrix product, no decomposition.
+    It differs from 1 / sum(lambda^2) over schmidt_decompose's floored
+    weights only by the weights below 1e-12, which add less than
+    n * 1e-24 to the sum.
+    """
+    values = _amplitude(jsa)
+    peak = np.max(np.abs(values))
+    if not np.isfinite(peak):
+        raise np.linalg.LinAlgError("amplitude is not finite")
+    if peak == 0:
+        raise ValueError("amplitude is identically zero")
+    # unit peak: ||G||_F^2 holds fourth powers of the amplitude, which
+    # would overflow or underflow far sooner than the SVD's squares
+    a = values / peak
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    trace = np.trace(gram).real
+    return float(trace * trace / np.vdot(gram, gram).real)
+
+
+def _schmidt_number_of(weights: np.ndarray) -> float:
+    return float(1.0 / np.sum(weights ** 2))
+
+
+def _fidelity_of(weights: np.ndarray, n_modes: int) -> float:
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    top = np.sort(weights)[::-1][:n_modes]
+    return float(np.sum(np.sqrt(top / n_modes)) ** 2)
+
+
+def _entropy_bits(weights: np.ndarray) -> float:
+    w = weights[weights > 0]
+    return float(-(w * np.log2(w)).sum())
 
 
 def fidelity_to_maximal(jsa, n_modes: int) -> float:
@@ -90,12 +143,8 @@ def fidelity_to_maximal(jsa, n_modes: int) -> float:
     F = |<phi_n | psi>|^2 = (sum_{k=0}^{n-1} sqrt(lambda_k / n))^2 with the
     weights sorted descending (zero-padded if fewer than n survive).
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    spectrum = jsa if isinstance(jsa, SchmidtSpectrum) else schmidt_decompose(jsa)
-    w = np.sort(spectrum.weights)[::-1]
-    top = w[:n_modes]
-    return float(np.sum(np.sqrt(top / n_modes)) ** 2)
+    weights = jsa.weights if isinstance(jsa, SchmidtSpectrum) else schmidt_weights(jsa)
+    return _fidelity_of(weights, n_modes)
 
 
 def _metric_from_counts(counts: np.ndarray, metric, n_modes: int) -> float:
@@ -172,11 +221,12 @@ class EntanglementReport:
 
 
 def report_from_jsa(jsa, n_modes: int = 8) -> EntanglementReport:
-    spectrum = schmidt_decompose(jsa)
+    """K, fidelity and entropy from the Schmidt weights alone."""
+    weights = schmidt_weights(jsa)
     return EntanglementReport(
-        schmidt_number=spectrum.schmidt_number,
-        fidelity=fidelity_to_maximal(spectrum, n_modes),
+        schmidt_number=_schmidt_number_of(weights),
+        fidelity=_fidelity_of(weights, n_modes),
         n_modes=n_modes,
-        entropy_bits=spectrum.entropy(),
-        weights=spectrum.weights,
+        entropy_bits=_entropy_bits(weights),
+        weights=weights,
     )

@@ -344,7 +344,7 @@ def save_jsa(jsa: JointSpectralAmplitude, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_header_line(jsa) + "\n")
         for row in jsa.values:
-            fh.write(",".join(repr(complex(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_jsa(path) -> JointSpectralAmplitude:
@@ -367,10 +367,12 @@ def load_jsa(path) -> JointSpectralAmplitude:
 
 def save_jsi(jsa: JointSpectralAmplitude, path) -> None:
     """Write the joint spectral intensity |JSA|^2."""
+    intensity = jsa.intensity
+    row_format = ",".join(["%.12e"] * intensity.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_header_line(jsa) + "\n")
-        for row in jsa.intensity:
-            fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        for row in intensity:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def load_jsi(path) -> tuple[FrequencyGrid, np.ndarray, dict]:

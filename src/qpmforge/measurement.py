@@ -14,6 +14,7 @@ the acquisition window centered on it: t in [-window/2, +window/2).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,7 +456,7 @@ def save_counts(counts: CountMatrix, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         for row in counts.values:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+            fh.write(",".join(map(str, row.tolist())) + "\n")
 
 
 def load_counts(path) -> CountMatrix:
@@ -475,12 +476,10 @@ def load_counts(path) -> CountMatrix:
             ref = float(fields["ref_wavelength_m"])
         except KeyError as exc:
             raise ValueError(f"{path}: header missing field {exc}") from exc
-        rows = [
-            [int(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    values = np.array(rows, dtype=np.int64)
+        with warnings.catch_warnings():
+            # an empty body is reported by the shape check below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
     if values.shape != (nt, nt):
         raise ValueError(f"{path}: data shape {values.shape} does not match header nt={nt}")
     return CountMatrix(

@@ -231,7 +231,7 @@ def test_tofs_reconstructed_schmidt_number(comb_jsa, spectro):
 
 @pytest.mark.criterion(7, "bootstrap K uncertainty scales as 1/sqrt(events)")
 def test_mc_error_scaling(comb_jsa):
-    # 200 x 200 grid keeps the 1000-fold eigendecomposition affordable
+    # 200 x 200 grid keeps the 1000-fold bootstrap (one Gram product each) affordable
     spec200 = SpectrometerSpec(
         dispersion_ps_per_nm_km=20.0,
         fiber_length_km=20.0,

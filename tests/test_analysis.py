@@ -9,6 +9,7 @@ from qpmforge.analysis import (
     report_from_jsa,
     schmidt_decompose,
     schmidt_number,
+    schmidt_weights,
 )
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
 
@@ -47,10 +48,16 @@ class TestSchmidtDecompose:
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-10)
 
     def test_rejects_zero_and_bad_shape(self):
-        with pytest.raises(ValueError):
-            schmidt_decompose(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            schmidt_decompose(np.zeros(7))
+        for fn in (schmidt_decompose, schmidt_weights, schmidt_number):
+            with pytest.raises(ValueError):
+                fn(np.zeros((4, 4)))
+            with pytest.raises(ValueError):
+                fn(np.zeros(7))
+            for bad in (np.nan, np.inf):
+                amp = np.eye(4)
+                amp[1, 2] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(amp)
 
 
 class TestFidelity:
@@ -120,6 +127,24 @@ class TestReport:
         np.testing.assert_allclose(report.weights, spectrum.weights)
 
 
+def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
+    """K, the report and both bootstrap metrics need no Schmidt modes."""
+    svd = np.linalg.svd
+    compute_uv_flags = []
+
+    def recording_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        compute_uv_flags.append(compute_uv)
+        return svd(a, full_matrices, compute_uv, hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report_from_jsa(comb_jsa, n_modes=8)
+    counts = np.random.default_rng(5).poisson(50.0, size=(40, 30)).astype(float)
+    schmidt_number(np.sqrt(counts))
+    for metric in ("schmidt_number", "fidelity"):
+        monte_carlo_uncertainty(counts, metric=metric, n_resamples=3, seed=1)
+    assert compute_uv_flags and not any(compute_uv_flags)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_schmidt_number_bounds(seed):
@@ -129,6 +154,33 @@ def test_schmidt_number_bounds(seed):
     amp = rng.normal(size=(n_i, n_s)) + 1j * rng.normal(size=(n_i, n_s))
     k = schmidt_number(amp)
     assert 1.0 - 1e-12 <= k <= min(n_i, n_s) + 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    kind=st.sampled_from(["complex", "rank_one", "sqrt_poisson"]),
+    n_modes=st.integers(1, 12),
+)
+def test_purity_and_weights_paths_match_svd(seed, kind, n_modes):
+    """K from the Gram matrix and F from the singular values alone agree
+    with the full decomposition, in either orientation."""
+    rng = np.random.default_rng(seed)
+    n_i, n_s = rng.integers(2, 40, size=2)
+    if kind == "complex":
+        amp = rng.normal(size=(n_i, n_s)) + 1j * rng.normal(size=(n_i, n_s))
+    elif kind == "rank_one":
+        amp = np.outer(
+            rng.normal(size=n_i) + 1j * rng.normal(size=n_i),
+            rng.normal(size=n_s) + 1j * rng.normal(size=n_s),
+        )
+    else:
+        amp = np.sqrt(rng.poisson(rng.uniform(0.0, 100.0, size=(n_i, n_s))).astype(float))
+    spectrum = schmidt_decompose(amp)
+    assert schmidt_number(amp) == pytest.approx(spectrum.schmidt_number, rel=1e-12)
+    assert fidelity_to_maximal(amp, n_modes) == pytest.approx(
+        fidelity_to_maximal(spectrum, n_modes), rel=1e-12
+    )
 
 
 @settings(deadline=None, max_examples=25)

@@ -144,6 +144,33 @@ class TestJsaIO:
         with pytest.raises(ValueError):
             load_jsa(path)
 
+    def test_writers_match_elementwise_format(self, tmp_path):
+        # the value-by-value formatting the row writers replaced is the oracle
+        grid = FrequencyGrid(
+            nu_signal=2 * np.pi * 1e9 * np.arange(-1.0, 2.0),
+            nu_idler=2 * np.pi * 1e9 * np.arange(-0.5, 1.0),
+        )
+        # the JSI squares the amplitude, so its extremes come from 1e+-150
+        for save, big, small, rows, fmt in (
+            (save_jsa, 1e300, 1e-300, lambda j: j.values, lambda v: repr(complex(v))),
+            (save_jsi, 1e150, 1e-150, lambda j: j.intensity, lambda v: f"{v:.12e}"),
+        ):
+            values = np.array(
+                [
+                    [complex(-0.0, -0.0), complex(big, -2.0), complex(3.0, 0.0)],
+                    [complex(small, -small), complex(-big, -0.0), complex(-4.0, -7.25)],
+                ]
+            )
+            jsa = JointSpectralAmplitude(
+                grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14}
+            )
+            path = tmp_path / "out.csv"
+            save(jsa, path)
+            body = path.read_text().split("\n", 1)[1]
+            assert body == "".join(
+                ",".join(fmt(v) for v in row) + "\n" for row in rows(jsa)
+            )
+
 
 class TestDispersionMap:
     def test_mismatch_is_affine_in_difference(self, dispersion):

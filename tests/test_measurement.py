@@ -291,6 +291,31 @@ class TestCountsIO:
         with pytest.raises(ValueError, match="ref_wavelength_m"):
             load_counts(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_body_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06\n"
+        for body in ("1,2.5\n3,4\n", "1,2\n3\n", ""):
+            path.write_text(header + body)
+            with pytest.raises(ValueError):
+                load_counts(path)
+
+    def test_writer_matches_elementwise_format(self, tmp_path, spectro):
+        # the value-by-value formatting the row writer replaced is the oracle
+        values = np.array([[0, 1, 2**53 + 1], [2**62, 7, 0], [123456789, 0, 5]])
+        counts = CountMatrix(
+            values=values,
+            time_bin=spectro.time_bin,
+            window_start=-spectro.window / 2,
+            dispersion_ns_per_nm=spectro.time_rate,
+            reference_wavelength=spectro.reference_wavelength,
+        )
+        path = tmp_path / "counts.csv"
+        save_counts(counts, path)
+        body = path.read_text().split("\n", 1)[1]
+        assert body == "".join(",".join(str(int(v)) for v in row) + "\n" for row in values)
+        np.testing.assert_array_equal(load_counts(path).values, values)
+
     def test_noninteger_counts_rejected(self, spectro):
         with pytest.raises(ValueError, match="integer"):
             CountMatrix(
