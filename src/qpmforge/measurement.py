@@ -479,6 +479,9 @@ def load_counts(path) -> CountMatrix:
         with warnings.catch_warnings():
             # an empty body is reported by the shape check below
             warnings.simplefilter("ignore", UserWarning)
+            # numpy versions that still parse "2.5" into an integer column
+            # truncate it under a DeprecationWarning; make that a ValueError
+            warnings.simplefilter("error", DeprecationWarning)
             values = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
     if values.shape != (nt, nt):
         raise ValueError(f"{path}: data shape {values.shape} does not match header nt={nt}")
