@@ -69,42 +69,24 @@ def main() -> None:
 
     tofs = run("tofs-sim", config, args.out, args.seed)
     # the analyzer defaults to counts.csv inside its own --out directory
-    show(run_analyze(config, args.out, args.seed, tofs))
+    counts = os.path.join(tofs, "counts.csv")
+    show(run_on_input("tofs-analyze", config, args.out, args.seed, counts, "analyze.cfg"))
 
-    run("tomo-sim", config, args.out, args.seed)
-    show(run_tomo_fit(config, args.out, args.seed))
+    bundle = os.path.join(run("tomo-sim", config, args.out, args.seed), "tomo")
+    show(run_on_input("tomo-fit", config, args.out, args.seed, bundle, "fit.cfg"))
 
 
-def run_analyze(config: str, out_root: str, seed: int | None, sim_dir: str) -> str:
-    out = os.path.join(out_root, "tofs_analyze")
+def run_on_input(stage: str, config: str, out_root: str, seed: int | None,
+                 data: str, config_name: str) -> str:
+    """Run an analysis stage on `data` through a copy of the config with [run] input set."""
     cfg = parse_config(config)
-    cfg.sections["run"]["input"] = os.path.join(sim_dir, "counts.csv")
+    cfg.sections["run"]["input"] = data
+    out = os.path.join(out_root, stage.replace("-", "_"))
     os.makedirs(out, exist_ok=True)
-    resolved = os.path.join(out, "analyze.cfg")
+    resolved = os.path.join(out, config_name)
     with open(resolved, "w", encoding="ascii") as fh:
         fh.write(cfg.resolved_text())
-    argv = ["tofs-analyze", "--config", resolved, "--out", out]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    if cli.main(argv) != 0:
-        raise SystemExit("stage tofs-analyze failed")
-    return out
-
-
-def run_tomo_fit(config: str, out_root: str, seed: int | None) -> str:
-    out = os.path.join(out_root, "tomo_fit")
-    cfg = parse_config(config)
-    cfg.sections["run"]["input"] = os.path.join(out_root, "tomo_sim", "tomo")
-    os.makedirs(out, exist_ok=True)
-    resolved = os.path.join(out, "fit.cfg")
-    with open(resolved, "w", encoding="ascii") as fh:
-        fh.write(cfg.resolved_text())
-    argv = ["tomo-fit", "--config", resolved, "--out", out]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    if cli.main(argv) != 0:
-        raise SystemExit("stage tomo-fit failed")
-    return out
+    return run(stage, resolved, out_root, seed)
 
 
 if __name__ == "__main__":

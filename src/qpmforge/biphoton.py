@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artefact import read_table, write_table
 from .crystal import CombSpec, DomainConfig, pmf_of_domains, target_pmf
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "FrequencyGrid",
     "JointSpectralAmplitude",
     "pump_envelope",
-    "bin_centers",
     "bin_spacing_from_comb",
     "build_jsa",
     "save_jsa",
@@ -181,17 +181,6 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     return np.exp(-(nu ** 2) / (2.0 * pump.sigma ** 2))
 
 
-def bin_centers(pair_count: int, bin_spacing_hz: float) -> np.ndarray:
-    """Per-photon bin centre detunings in rad/s, ascending.
-
-    2 * pair_count bins sit symmetrically about degeneracy at
-    +/- (2j+1) * bin_spacing / 2.
-    """
-    j = np.arange(pair_count)
-    pos = (2.0 * j + 1.0) * np.pi * bin_spacing_hz
-    return np.concatenate([-pos[::-1], pos])
-
-
 def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
     """Per-photon bin spacing in Hz implied by a mismatch comb spacing.
 
@@ -287,106 +276,56 @@ def build_jsa(
     return jsa
 
 
-# ---------------------------------------------------------------------------
-# File IO
-#
-# JSA and JSI files are plain CSV with a one-line header:
-#   # ns=<int> ni=<int> dnu_s_hz=<float> dnu_i_hz=<float> nu0_hz=<float>
-# Rows are idler samples, columns signal samples; axes are centred on zero
-# detuning.  JSA entries are Python complex literals, JSI entries floats.
-# nu0_hz records the absolute degenerate frequency for wavelength mapping.
-# ---------------------------------------------------------------------------
+_HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}
 
 
-def _header_line(jsa: JointSpectralAmplitude) -> str:
+def _header(jsa: JointSpectralAmplitude) -> dict:
     n_i, n_s = jsa.grid.shape
     nu0 = jsa.metadata.get("center_frequency_hz")
     if nu0 is None:
         raise ValueError("amplitude carries no center_frequency_hz to write as nu0_hz")
-    return (
-        f"# ns={n_s} ni={n_i}"
-        f" dnu_s_hz={jsa.grid.d_nu_signal / (2.0 * np.pi):.12g}"
-        f" dnu_i_hz={jsa.grid.d_nu_idler / (2.0 * np.pi):.12g}"
-        f" nu0_hz={nu0:.12g}"
-    )
+    return {
+        "ns": n_s,
+        "ni": n_i,
+        "dnu_s_hz": jsa.grid.d_nu_signal / (2.0 * np.pi),
+        "dnu_i_hz": jsa.grid.d_nu_idler / (2.0 * np.pi),
+        "nu0_hz": nu0,
+    }
 
 
-def _parse_header(line: str, path) -> dict:
-    if not line.startswith("#"):
-        raise ValueError(f"{path}: missing header line")
-    fields = {}
-    for token in line[1:].split():
-        key, _, value = token.partition("=")
-        fields[key] = value
-    try:
-        return {
-            "ns": int(fields["ns"]),
-            "ni": int(fields["ni"]),
-            "dnu_s_hz": float(fields["dnu_s_hz"]),
-            "dnu_i_hz": float(fields["dnu_i_hz"]),
-            "nu0_hz": float(fields["nu0_hz"]),
-        }
-    except KeyError as exc:
-        raise ValueError(f"{path}: header missing field {exc}") from exc
+def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, dict]:
+    h, values = read_table(path, _HEADER_FIELDS, dtype)
+    if values.shape != (h["ni"], h["ns"]):
+        raise ValueError(f"{path}: data shape {values.shape} does not match header")
 
-
-def _grid_from_header(h: dict) -> FrequencyGrid:
     def axis(n: int, d_hz: float) -> np.ndarray:
         return 2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0)
 
-    return FrequencyGrid(
-        nu_signal=axis(h["ns"], h["dnu_s_hz"]),
-        nu_idler=axis(h["ni"], h["dnu_i_hz"]),
+    grid = FrequencyGrid(
+        nu_signal=axis(h["ns"], h["dnu_s_hz"]), nu_idler=axis(h["ni"], h["dnu_i_hz"])
     )
+    return grid, values, {"center_frequency_hz": h["nu0_hz"]}
 
 
 def save_jsa(jsa: JointSpectralAmplitude, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_header_line(jsa) + "\n")
-        for row in jsa.values:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    write_table(path, _header(jsa), (",".join(map(repr, row.tolist())) for row in jsa.values))
 
 
 def load_jsa(path) -> JointSpectralAmplitude:
-    with open(path, "r", encoding="ascii") as fh:
-        header = _parse_header(fh.readline().rstrip("\n"), path)
-        rows = [
-            [complex(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    values = np.array(rows, dtype=complex)
-    if values.shape != (header["ni"], header["ns"]):
-        raise ValueError(f"{path}: data shape {values.shape} does not match header")
-    return JointSpectralAmplitude(
-        grid=_grid_from_header(header),
-        values=values,
-        metadata={"center_frequency_hz": header["nu0_hz"]},
-    )
+    grid, values, metadata = _load_grid_table(path, complex)
+    return JointSpectralAmplitude(grid=grid, values=values, metadata=metadata)
 
 
 def save_jsi(jsa: JointSpectralAmplitude, path) -> None:
     """Write the joint spectral intensity |JSA|^2."""
     intensity = jsa.intensity
-    row_format = ",".join(["%.12e"] * intensity.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_header_line(jsa) + "\n")
-        for row in intensity:
-            fh.write(row_format % tuple(row.tolist()))
+    row_format = ",".join(["%.12e"] * intensity.shape[1])
+    write_table(path, _header(jsa), (row_format % tuple(row.tolist()) for row in intensity))
 
 
 def load_jsi(path) -> tuple[FrequencyGrid, np.ndarray, dict]:
     """Read a JSI file; returns (grid, intensity, metadata)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = _parse_header(fh.readline().rstrip("\n"), path)
-        rows = [
-            [float(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    intensity = np.array(rows, dtype=float)
-    if intensity.shape != (header["ni"], header["ns"]):
-        raise ValueError(f"{path}: data shape {intensity.shape} does not match header")
+    grid, intensity, metadata = _load_grid_table(path, float)
     if np.any(intensity < 0):
         raise ValueError(f"{path}: intensity must be nonnegative")
-    return _grid_from_header(header), intensity, {"center_frequency_hz": header["nu0_hz"]}
+    return grid, intensity, metadata

@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artefact import read_table, write_table
+
 __all__ = [
     "DEFAULT_PAIR_COUNT",
     "CombSpec",
     "DomainConfig",
-    "NonlinearityProfile",
     "target_pmf",
-    "target_profile",
-    "sample_profile",
     "design_domains",
     "pmf_of_domains",
     "design_overlap",
@@ -92,6 +91,9 @@ class DomainConfig:
 
     def __post_init__(self) -> None:
         self.widths = np.asarray(self.widths, dtype=float)
+        # checked before the integer cast, which would truncate 1.5 to 1
+        if not np.all(np.isin(self.orientations, (-1, 1))):
+            raise ValueError("orientations must be +1 or -1")
         self.orientations = np.asarray(self.orientations, dtype=int)
         if self.widths.ndim != 1 or self.widths.size == 0:
             raise ValueError("widths must be a non-empty 1-d array")
@@ -99,8 +101,6 @@ class DomainConfig:
             raise ValueError("widths and orientations must have matching shapes")
         if np.any(self.widths <= 0):
             raise ValueError("domain widths must be > 0")
-        if not np.all(np.isin(self.orientations, (-1, 1))):
-            raise ValueError("orientations must be +1 or -1")
         tol = self.widths.size * np.finfo(float).eps * self.total_length
         if abs(self.widths.sum() - self.total_length) > max(tol, 1e-15):
             raise ValueError("sum of domain widths must equal total_length")
@@ -113,26 +113,6 @@ class DomainConfig:
 
     def __len__(self) -> int:
         return self.widths.size
-
-
-@dataclass(frozen=True)
-class NonlinearityProfile:
-    """Sampled complex nonlinearity profile g(z) over the crystal."""
-
-    positions: np.ndarray
-    amplitude: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.positions, dtype=float)
-        g = np.asarray(self.amplitude)
-        if z.ndim != 1 or z.size < 2:
-            raise ValueError("positions must hold at least two samples")
-        if g.shape != z.shape:
-            raise ValueError("amplitude must match positions")
-        if np.any(np.diff(z) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        object.__setattr__(self, "positions", z)
-        object.__setattr__(self, "amplitude", g)
 
 
 def target_pmf(comb: CombSpec, delta_k) -> np.ndarray:
@@ -165,23 +145,6 @@ def _envelope(comb: CombSpec, z: np.ndarray) -> np.ndarray:
     freqs = (2.0 * j + 1.0) * comb.spacing / 2.0
     cos_sum = np.cos(np.multiply.outer(z, freqs)).sum(axis=-1)
     return np.exp(-(z ** 2) / (2.0 * comb.peak_width ** 2)) * cos_sum
-
-
-def target_profile(comb: CombSpec, z) -> np.ndarray:
-    """Continuous nonlinearity profile whose Fourier magnitude is the comb.
-
-    Uses the forward transform phi(dk) = int g(z) exp(-i dk z) dz, so the
-    exp(+i center z) carrier places the comb at positive mismatch.
-    """
-    zz = np.asarray(z, dtype=float)
-    out = (2.0 / comb.peak_width) * np.exp(1j * comb.center * zz) * _envelope(comb, zz)
-    return out if out.ndim else complex(out)
-
-
-def sample_profile(comb: CombSpec, n_points: int = 4001) -> NonlinearityProfile:
-    """Sample target_profile uniformly over [-L/2, L/2]."""
-    z = np.linspace(-comb.length / 2.0, comb.length / 2.0, n_points)
-    return NonlinearityProfile(positions=z, amplitude=target_profile(comb, z))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -379,35 +342,17 @@ def design_overlap(
 
 def save_domains(config: DomainConfig, path) -> None:
     """Write a domain listing: header with total length, then width TAB orientation."""
-    lines = [f"# total_length_m={config.total_length:.12g}"]
-    for w, s in zip(config.widths, config.orientations):
-        lines.append(f"{w:.12g}\t{s:+d}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (f"{w:.12g}\t{s:+d}" for w, s in zip(config.widths, config.orientations))
+    write_table(path, {"total_length_m": config.total_length}, rows)
 
 
 def load_domains(path) -> DomainConfig:
     """Read a domain listing written by save_domains."""
-    widths = []
-    orientations = []
-    total = None
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key.strip() == "total_length_m":
-                    total = float(value)
-                continue
-            w_str, s_str = line.split("\t")
-            widths.append(float(w_str))
-            orientations.append(int(s_str))
-    if total is None:
-        raise ValueError(f"{path}: missing total_length_m header")
+    header, table = read_table(path, {"total_length_m": float}, float, delimiter="\t")
+    if table.shape[1] != 2:
+        raise ValueError(f"{path}: expected width and orientation columns, found {table.shape[1]}")
     return DomainConfig(
-        widths=np.array(widths),
-        orientations=np.array(orientations),
-        total_length=total,
+        widths=table[:, 0],
+        orientations=table[:, 1],
+        total_length=header["total_length_m"],
     )

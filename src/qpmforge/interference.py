@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artefact import read_table, write_table
 from .biphoton import FrequencyGrid, JointSpectralAmplitude
 from .crystal import DEFAULT_PAIR_COUNT
 
@@ -39,8 +40,6 @@ __all__ = [
     "VisibilityResult",
     "delta_from_bin_hz",
     "bin_hz_from_delta",
-    "p2_closed",
-    "p4_closed",
     "p2_numeric",
     "p4_numeric",
     "bin_model_jsa",
@@ -122,35 +121,18 @@ def _p4_raw(tau, n_pairs: int, delta: float, sigma: float) -> np.ndarray:
     return 0.5 - total.sum(axis=-1) / (4.0 * n_pairs**2)
 
 
-def p2_closed(tau, n_pairs: int, delta: float, sigma: float, clamp: bool = True):
-    """Two-photon coincidence probability, closed form.
-
-    Full dip at tau = 0, anti-bunching maxima at odd multiples of
-    2 pi / delta, baseline 1/2 at large delay.
-    """
-    _check_regime(n_pairs, delta, sigma)
-    out = _p2_raw(tau, n_pairs, delta, sigma)
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def p4_closed(tau, n_pairs: int, delta: float, sigma: float, clamp: bool = True):
-    """Heralded two-photon coincidence probability, closed form.
-
-    Smooth dip of depth 1/(4 n_pairs) at tau = 0 (visibility
-    1/(2 n_pairs)), baseline 1/2; no beats at leading order.
-    """
-    _check_regime(n_pairs, delta, sigma)
-    out = _p4_raw(tau, n_pairs, delta, sigma)
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
-    return out if out.ndim else float(out)
+_RAW_CURVES = {"two_photon": _p2_raw, "heralded": _p4_raw}
 
 
 def closed_curve(kind: str, delays, n_pairs: int, delta: float, sigma: float) -> HomCurve:
-    """Closed-form curve with clamping diagnostics in metadata."""
-    raw_fn = {"two_photon": _p2_raw, "heralded": _p4_raw}[kind]
+    """Closed-form curve with clamping diagnostics in metadata.
+
+    two_photon: full dip at tau = 0, anti-bunching maxima at odd
+    multiples of 2 pi / delta, baseline 1/2 at large delay.  heralded:
+    smooth dip of depth 1/(4 n_pairs) at tau = 0 (visibility
+    1/(2 n_pairs)), baseline 1/2; no beats at leading order.
+    """
+    raw_fn = _RAW_CURVES[kind]
     _check_regime(n_pairs, delta, sigma)
     delays = np.asarray(delays, dtype=float)
     raw = raw_fn(delays, n_pairs, delta, sigma)
@@ -348,7 +330,7 @@ class HomFit:
 
 
 def _dip_shape(kind: str, tau: np.ndarray, n_pairs: int, delta: float, sigma: float) -> np.ndarray:
-    raw_fn = {"two_photon": _p2_raw, "heralded": _p4_raw}[kind]
+    raw_fn = _RAW_CURVES[kind]
     dip = 1.0 - 2.0 * raw_fn(tau, n_pairs, delta, sigma)
     dip0 = 1.0 - 2.0 * raw_fn(np.array(0.0), n_pairs, delta, sigma)
     return dip / dip0
@@ -475,29 +457,12 @@ def fit_hom(
 
 
 def save_curve(curve: HomCurve, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# kind={curve.kind}\n")
-        for t, v in zip(curve.delays, curve.values):
-            fh.write(f"{t:.12e},{v:.12e}\n")
+    rows = (f"{t:.12e},{v:.12e}" for t, v in zip(curve.delays, curve.values))
+    write_table(path, {"kind": curve.kind}, rows)
 
 
 def load_curve(path) -> HomCurve:
-    kind = None
-    delays = []
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key.strip() == "kind":
-                    kind = value.strip()
-                continue
-            t_str, v_str = line.split(",")
-            delays.append(float(t_str))
-            values.append(float(v_str))
-    if kind is None:
-        raise ValueError(f"{path}: missing kind header")
-    return HomCurve(delays=np.array(delays), values=np.array(values), kind=kind)
+    header, table = read_table(path, {"kind": str}, float)
+    if table.shape[1] != 2:
+        raise ValueError(f"{path}: expected delay and value columns, found {table.shape[1]}")
+    return HomCurve(delays=table[:, 0], values=table[:, 1], kind=header["kind"])

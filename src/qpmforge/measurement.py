@@ -14,11 +14,11 @@ the acquisition window centered on it: t in [-window/2, +window/2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artefact import read_table, write_table
 from .biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
 
 __all__ = [
@@ -443,52 +443,33 @@ def gate_sum(counts: CountMatrix, signal_gate: tuple[float, float],
     return int(counts.values[_gate_cells(counts.time_centers, signal_gate, idler_gate)].sum())
 
 
+_COUNTS_FIELDS = {
+    "nt": int, "dt_ps": float, "t0_ns": float, "disp_ns_per_nm": float, "ref_wavelength_m": float,
+}
+
+
 def save_counts(counts: CountMatrix, path) -> None:
     """CSV of the counts below one ``# key=value`` header line that
     carries the whole time calibration."""
-    header = (
-        f"# nt={counts.values.shape[0]}"
-        f" dt_ps={counts.time_bin * 1e12:.12g}"
-        f" t0_ns={counts.window_start * 1e9:.12g}"
-        f" disp_ns_per_nm={counts.dispersion_ns_per_nm:.12g}"
-        f" ref_wavelength_m={counts.reference_wavelength:.12g}"
-    )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in counts.values:
-            fh.write(",".join(map(str, row.tolist())) + "\n")
+    header = {
+        "nt": counts.values.shape[0],
+        "dt_ps": counts.time_bin * 1e12,
+        "t0_ns": counts.window_start * 1e9,
+        "disp_ns_per_nm": counts.dispersion_ns_per_nm,
+        "ref_wavelength_m": counts.reference_wavelength,
+    }
+    write_table(path, header, (",".join(map(str, row.tolist())) for row in counts.values))
 
 
 def load_counts(path) -> CountMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing header line")
-        fields = {}
-        for token in header[1:].split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        try:
-            nt = int(fields["nt"])
-            dt = float(fields["dt_ps"]) * 1e-12
-            t0 = float(fields["t0_ns"]) * 1e-9
-            disp = float(fields["disp_ns_per_nm"])
-            ref = float(fields["ref_wavelength_m"])
-        except KeyError as exc:
-            raise ValueError(f"{path}: header missing field {exc}") from exc
-        with warnings.catch_warnings():
-            # an empty body is reported by the shape check below
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy versions that still parse "2.5" into an integer column
-            # truncate it under a DeprecationWarning; make that a ValueError
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+    header, values = read_table(path, _COUNTS_FIELDS, np.int64)
+    nt = header["nt"]
     if values.shape != (nt, nt):
         raise ValueError(f"{path}: data shape {values.shape} does not match header nt={nt}")
     return CountMatrix(
         values=values,
-        time_bin=dt,
-        window_start=t0,
-        dispersion_ns_per_nm=disp,
-        reference_wavelength=ref,
+        time_bin=header["dt_ps"] * 1e-12,
+        window_start=header["t0_ns"] * 1e-9,
+        dispersion_ns_per_nm=header["disp_ns_per_nm"],
+        reference_wavelength=header["ref_wavelength_m"],
     )

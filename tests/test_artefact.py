@@ -1,0 +1,255 @@
+"""The shared ``# key=value`` header + table format of every data file."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qpmforge.biphoton import (
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    load_jsa,
+    load_jsi,
+    save_jsa,
+    save_jsi,
+)
+from qpmforge.crystal import DomainConfig, load_domains, save_domains
+from qpmforge.interference import HomCurve, load_curve, save_curve
+from qpmforge.measurement import CountMatrix, load_counts, save_counts
+
+# one well-formed file per loader: header line, body rows
+VALID = {
+    load_jsa: (
+        "# ns=2 ni=2 dnu_s_hz=1e9 dnu_i_hz=1e9 nu0_hz=1.9e14",
+        ["(1+0j),0j", "0j,(1-2j)"],
+    ),
+    load_jsi: (
+        "# ns=2 ni=2 dnu_s_hz=1e9 dnu_i_hz=1e9 nu0_hz=1.9e14",
+        ["1.0e+00,0.0e+00", "0.0e+00,5.0e+00"],
+    ),
+    load_domains: ("# total_length_m=2e-05", ["1e-05\t+1", "1e-05\t-1"]),
+    load_curve: ("# kind=two_photon", ["0.0,0.5", "1.0e-12,0.6"]),
+    load_counts: (
+        "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06",
+        ["1,2", "3,4"],
+    ),
+}
+
+
+def _delimiter(row):
+    return "\t" if "\t" in row else ","
+
+
+def _first(row):
+    return row.split(_delimiter(row))[0]
+
+
+# name -> (lines from the valid header and rows, pattern the message must match)
+MALFORMED = {
+    "no header": (lambda h, rows: rows, "header"),
+    "text first line": (lambda h, rows: ["no header here", *rows], "header"),
+    "header below a blank line": (lambda h, rows: ["", h, *rows], "header"),
+    "spaces around =": (lambda h, rows: [h.replace("=", " = "), *rows], "key=value"),
+    "missing key": (
+        lambda h, rows: [h.rsplit(" ", 1)[0], *rows],
+        None,  # the dropped key, filled in below
+    ),
+    "non-numeric token": (
+        lambda h, rows: [h, "abc" + rows[0][len(_first(rows[0])):], *rows[1:]],
+        "abc",
+    ),
+    "ragged row": (lambda h, rows: [h, rows[0], _first(rows[1]), *rows[2:]], ""),
+    "wrong column count": (
+        lambda h, rows: [h, *(r + _delimiter(r) + _first(r) for r in rows)],
+        "",
+    ),
+    "empty body": (lambda h, rows: [h], "no data rows"),
+}
+
+CASES = [(loader, case) for loader in VALID for case in MALFORMED]
+
+
+@pytest.mark.parametrize(
+    "loader, case", CASES, ids=[f"{loader.__name__}-{case}" for loader, case in CASES]
+)
+def test_malformed_input_rejected(tmp_path, loader, case):
+    header, rows = VALID[loader]
+    build, pattern = MALFORMED[case]
+    lines = build(header, rows)
+    if pattern is None:
+        pattern = header.rsplit(" ", 1)[1].partition("=")[0]
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    # Python ignores DeprecationWarning outside __main__, so the
+    # rejection must not depend on the warning filters
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=pattern) as err:
+            loader(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("loader", list(VALID), ids=lambda f: f.__name__)
+def test_valid_fixture_loads(tmp_path, loader):
+    header, rows = VALID[loader]
+    path = tmp_path / "good.txt"
+    path.write_text("".join(line + "\n" for line in [header, *rows]))
+    loader(path)
+
+
+finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+scale = st.floats(min_value=1e-3, max_value=1e3)
+shape = st.integers(min_value=2, max_value=5)
+# one file path serves every example, each overwriting the last
+SETTINGS = settings(
+    deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def amplitudes(draw):
+    ni, ns = draw(shape), draw(shape)
+    parts = st.lists(finite, min_size=ni * ns * 2, max_size=ni * ns * 2)
+    flat = np.array(draw(parts))
+    grid = FrequencyGrid(
+        nu_signal=2 * np.pi * 1e9 * draw(scale) * (np.arange(ns) - (ns - 1) / 2),
+        nu_idler=2 * np.pi * 1e9 * draw(scale) * (np.arange(ni) - (ni - 1) / 2),
+    )
+    values = (flat[::2] + 1j * flat[1::2]).reshape(ni, ns)
+    return JointSpectralAmplitude(
+        grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14 * draw(scale)}
+    )
+
+
+def _assert_same_grid(got, want):
+    np.testing.assert_allclose(got.nu_signal, want.nu_signal, rtol=1e-11)
+    np.testing.assert_allclose(got.nu_idler, want.nu_idler, rtol=1e-11)
+
+
+@SETTINGS
+@given(jsa=amplitudes())
+def test_jsa_and_jsi_roundtrip(tmp_path, jsa):
+    path = tmp_path / "jsa.csv"
+    save_jsa(jsa, path)
+    back = load_jsa(path)
+    # Python complex literals are exact
+    np.testing.assert_array_equal(back.values, jsa.values)
+    np.testing.assert_array_equal(
+        np.signbit(back.values.view(float)), np.signbit(jsa.values.view(float))
+    )
+    _assert_same_grid(back.grid, jsa.grid)
+    nu0 = jsa.metadata["center_frequency_hz"]
+    assert back.metadata["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
+
+    path = tmp_path / "jsi.csv"
+    save_jsi(jsa, path)
+    grid, jsi, meta = load_jsi(path)
+    np.testing.assert_allclose(jsi, jsa.intensity, rtol=1e-11, atol=0)
+    _assert_same_grid(grid, jsa.grid)
+    assert meta["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
+
+
+@SETTINGS
+@given(
+    # the file keeps 12 significant digits, so widths are drawn on that grid
+    steps=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=50),
+    signs=st.lists(st.sampled_from([-1, 1]), min_size=50, max_size=50),
+)
+def test_domains_roundtrip(tmp_path, steps, signs):
+    widths = np.array(steps) * 1e-9
+    config = DomainConfig(
+        widths=widths, orientations=signs[: widths.size], total_length=float(widths.sum())
+    )
+    path = tmp_path / "domains.tsv"
+    save_domains(config, path)
+    back = load_domains(path)
+    np.testing.assert_allclose(back.widths, config.widths, rtol=1e-12)
+    np.testing.assert_array_equal(back.orientations, config.orientations)
+    assert back.orientations.dtype.kind == "i"
+    assert back.total_length == pytest.approx(config.total_length, rel=1e-12)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(["two_photon", "heralded"]),
+    points=st.lists(st.tuples(finite, finite), min_size=1, max_size=20),
+)
+def test_curve_roundtrip(tmp_path, kind, points):
+    delays, values = np.array(points).T
+    curve = HomCurve(delays=delays, values=values, kind=kind)
+    path = tmp_path / "curve.tsv"
+    save_curve(curve, path)
+    back = load_curve(path)
+    assert back.kind == kind
+    np.testing.assert_allclose(back.delays, delays, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(back.values, values, rtol=1e-12, atol=0)
+
+
+@SETTINGS
+@given(
+    nt=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    calibration=st.tuples(scale, scale, scale, scale),
+)
+def test_counts_roundtrip(tmp_path, nt, data, calibration):
+    ints = st.integers(min_value=0, max_value=2**62)
+    values = np.array(data.draw(st.lists(ints, min_size=nt * nt, max_size=nt * nt)))
+    a, b, c, d = calibration
+    counts = CountMatrix(
+        values=values.reshape(nt, nt),
+        time_bin=25e-12 * a,
+        window_start=-6.25e-9 * b,
+        dispersion_ns_per_nm=0.4 * c,
+        reference_wavelength=1555.7e-9 * d,
+    )
+    path = tmp_path / "counts.csv"
+    save_counts(counts, path)
+    back = load_counts(path)
+    np.testing.assert_array_equal(back.values, counts.values)
+    for name in ("time_bin", "window_start", "dispersion_ns_per_nm", "reference_wavelength"):
+        assert getattr(back, name) == pytest.approx(getattr(counts, name), rel=1e-11)
+
+
+@SETTINGS
+@given(jsa=amplitudes(), x=scale)
+def test_header_lines_match_format(tmp_path, jsa, x):
+    # the f-strings each writer used before the shared writer are the oracle
+    n_i, n_s = jsa.grid.shape
+    nu0 = jsa.metadata["center_frequency_hz"]
+    grid_header = (
+        f"# ns={n_s} ni={n_i}"
+        f" dnu_s_hz={jsa.grid.d_nu_signal / (2.0 * np.pi):.12g}"
+        f" dnu_i_hz={jsa.grid.d_nu_idler / (2.0 * np.pi):.12g}"
+        f" nu0_hz={nu0:.12g}"
+    )
+    widths = [1e-5 * x, 2e-5 * x]
+    domains = DomainConfig(widths=widths, orientations=[1, -1], total_length=sum(widths))
+    curve = HomCurve(delays=[-x, x], values=[0.5, 0.5], kind="heralded")
+    counts = CountMatrix(
+        values=np.zeros((3, 3), dtype=int),
+        time_bin=25e-12 * x,
+        window_start=-37.5e-12 * x,
+        dispersion_ns_per_nm=0.4 / x,
+        reference_wavelength=1555.7e-9 * x,
+    )
+    cases = [
+        (save_jsa, jsa, grid_header),
+        (save_jsi, jsa, grid_header),
+        (save_domains, domains, f"# total_length_m={domains.total_length:.12g}"),
+        (save_curve, curve, "# kind=heralded"),
+        (
+            save_counts,
+            counts,
+            f"# nt=3"
+            f" dt_ps={counts.time_bin * 1e12:.12g}"
+            f" t0_ns={counts.window_start * 1e9:.12g}"
+            f" disp_ns_per_nm={counts.dispersion_ns_per_nm:.12g}"
+            f" ref_wavelength_m={counts.reference_wavelength:.12g}",
+        ),
+    ]
+    path = tmp_path / "out.txt"
+    for save, obj, want in cases:
+        save(obj, path)
+        assert path.read_text().split("\n", 1)[0] == want, save.__name__

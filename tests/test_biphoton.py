@@ -9,7 +9,6 @@ from qpmforge.biphoton import (
     FrequencyGrid,
     JointSpectralAmplitude,
     PumpSpec,
-    bin_centers,
     bin_spacing_from_comb,
     build_jsa,
     load_jsa,
@@ -18,6 +17,7 @@ from qpmforge.biphoton import (
     save_jsa,
     save_jsi,
 )
+from qpmforge.tomography import bin_detuning, default_bin_labels
 
 
 class TestPumpSpec:
@@ -57,7 +57,7 @@ class TestFrequencyGrid:
 
 class TestBinGeometry:
     def test_bin_centers_symmetric_ascending(self):
-        centers = bin_centers(4, 500e9)
+        centers = np.array([bin_detuning(label, 500e9) for label in default_bin_labels(4)])
         assert centers.size == 8
         np.testing.assert_allclose(centers, -centers[::-1])
         assert np.all(np.diff(centers) > 0)
@@ -77,9 +77,10 @@ class TestBuildJsa:
     def test_marginals_peak_at_bin_centers(self, comb_jsa, cfg):
         grid = comb_jsa.grid
         marg = comb_jsa.signal_marginal()
-        centers = bin_centers(
-            cfg["crystal"]["pair_count"], cfg["crystal"]["bin_spacing_hz"]
-        )
+        centers = [
+            bin_detuning(label, cfg["crystal"]["bin_spacing_hz"])
+            for label in default_bin_labels(cfg["crystal"]["pair_count"])
+        ]
         # every bin centre should sit within one grid step of a local max
         step = grid.d_nu_signal
         for c in centers:
@@ -137,12 +138,6 @@ class TestJsaIO:
         grid, jsi, meta = load_jsi(path)
         np.testing.assert_allclose(jsi, jsa.intensity, rtol=1e-9, atol=1e-20)
         assert grid.shape == jsa.grid.shape
-
-    def test_load_rejects_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("no header here\n1,2\n")
-        with pytest.raises(ValueError):
-            load_jsa(path)
 
     def test_writers_match_elementwise_format(self, tmp_path):
         # the value-by-value formatting the row writers replaced is the oracle

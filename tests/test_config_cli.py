@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpmforge.biphoton import C_LIGHT, load_jsa, load_jsi
 from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
+from qpmforge.crystal import load_domains
+from qpmforge.interference import load_curve
+from qpmforge.tomography import load_tomography_bundle
 
 DEFAULTS_FILE = "configs/defaults.cfg"
 
@@ -165,6 +169,8 @@ class TestCliExitCodes:
         assert manifest.startswith("command = design\n")
         report = (out_a / "report.txt").read_text()
         assert "target_overlap" in report
+        domains = load_domains(out_a / "domains.tsv")
+        assert domains.total_length == pytest.approx(FAST["crystal.length_m"], rel=1e-12)
 
     def test_simulate_reports_mode_content(self, tmp_path):
         config = make_config(tmp_path, **FAST)
@@ -174,6 +180,14 @@ class TestCliExitCodes:
         assert "schmidt_number" in report
         assert "heralded_purity_proxy" in report
         assert (out / "jsa.csv").exists() and (out / "jsi.csv").exists()
+        nu0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
+        n = FAST["grid.points"]
+        jsa = load_jsa(out / "jsa.csv")
+        grid, _, meta = load_jsi(out / "jsi.csv")
+        for shape, metadata in ((jsa.grid.shape, jsa.metadata), (grid.shape, meta)):
+            assert shape == (n, n)
+            # the header keeps 12 significant digits
+            assert metadata["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
 
     def test_hom_fit_and_seed_override(self, tmp_path):
         config = make_config(tmp_path, **FAST)
@@ -185,6 +199,11 @@ class TestCliExitCodes:
         assert (out_a / "fit.txt").exists()
         assert (out_a / "counts.tsv").read_bytes() != (out_b / "counts.tsv").read_bytes()
         assert (out_a / "curve.tsv").read_bytes() == (out_b / "curve.tsv").read_bytes()
+        points = default_config()["hom"]["points"]
+        for name in ("curve.tsv", "counts.tsv"):
+            curve = load_curve(out_a / name)
+            assert curve.kind == "two_photon"
+            assert curve.delays.size == points
 
     def test_tofs_pipeline(self, tmp_path):
         config = make_config(tmp_path, **FAST)
@@ -253,6 +272,15 @@ class TestCliExitCodes:
         assert main(["tomo-fit", "--config", config, "--out", out]) == 0
         rows = (tmp_path / "tomo" / "report.txt").read_text().splitlines()[1:]
         assert [int(row.split()[0]) for row in rows] == [-2, -1, 1, 2]
+        spec = parse_config(config).spectrometer_spec()
+        bundle = load_tomography_bundle(tmp_path / "tomo" / "tomo")
+        for counts in bundle.values():
+            assert counts.values.shape == (spec.n_bins, spec.n_bins)
+            assert counts.time_bin == pytest.approx(spec.time_bin, rel=1e-12)
+            assert counts.dispersion_ns_per_nm == pytest.approx(spec.time_rate, rel=1e-12)
+            assert counts.reference_wavelength == pytest.approx(
+                spec.reference_wavelength, rel=1e-12
+            )
 
     def test_empty_counts_exit_3(self, tmp_path, capsys):
         config = make_config(tmp_path, **dict(FAST, **{"spectrometer.events": 0}))

@@ -10,14 +10,13 @@ from qpmforge.config import parse_config
 from qpmforge.crystal import (
     CombSpec,
     DomainConfig,
+    _envelope,
     design_domains,
     design_overlap,
     load_domains,
     pmf_of_domains,
-    sample_profile,
     save_domains,
     target_pmf,
-    target_profile,
 )
 
 DK0 = np.pi / 23e-6
@@ -95,7 +94,7 @@ class TestTargetPmf:
         # reproduce sqrt(2 pi) times the comb amplitude
         w = comb.peak_width
         z = np.linspace(-6 * w, 6 * w, 60001)
-        g = target_profile(comb, z)
+        g = (2.0 / w) * np.exp(1j * comb.center * z) * _envelope(comb, z)
         for dk in (
             comb.center,
             comb.center + 0.5 * comb.spacing,
@@ -105,12 +104,6 @@ class TestTargetPmf:
             ft = trapezoid(g * np.exp(-1j * dk * z), z)
             want = np.sqrt(2 * np.pi) * target_pmf(comb, dk)
             assert abs(ft) == pytest.approx(abs(want), rel=1e-3, abs=1e-4)
-
-    def test_sample_profile_spans_crystal(self, comb):
-        prof = sample_profile(comb, n_points=101)
-        assert prof.positions[0] == pytest.approx(-comb.length / 2)
-        assert prof.positions[-1] == pytest.approx(comb.length / 2)
-        assert prof.amplitude.shape == prof.positions.shape
 
 
 class TestDomainConfig:
@@ -123,6 +116,14 @@ class TestDomainConfig:
             DomainConfig(widths=[1e-6, 1e-6], orientations=[1, 2], total_length=2e-6)
         with pytest.raises(ValueError):
             DomainConfig(widths=[1e-6, 1e-6], orientations=[1, -1], total_length=3e-6)
+
+    def test_rejects_non_integral_orientation(self):
+        # the +-1 check must see the values before the integer cast truncates them
+        with pytest.raises(ValueError, match="orientations"):
+            DomainConfig(widths=[1e-5, 1e-5], orientations=[1.5, -1.0], total_length=2e-5)
+        cfgd = DomainConfig(widths=[1e-5, 1e-5], orientations=[1.0, -1.0], total_length=2e-5)
+        np.testing.assert_array_equal(cfgd.orientations, [1, -1])
+        assert cfgd.orientations.dtype.kind == "i"
 
     def test_boundaries_are_centered(self):
         cfgd = DomainConfig(
@@ -287,6 +288,9 @@ class TestDesignDomains:
         # all but the final remainder domain carry the writing pitch
         np.testing.assert_allclose(designed_crystal.widths[:-1], width)
         assert set(np.unique(designed_crystal.orientations)) <= {-1, 1}
+        assert designed_crystal.boundaries[0] == pytest.approx(-length / 2)
+        assert designed_crystal.boundaries[-1] == pytest.approx(length / 2)
+        assert designed_crystal.orientations.shape == designed_crystal.widths.shape
 
     def test_overlap_with_target(self, designed_crystal, comb):
         assert design_overlap(designed_crystal, comb) > 0.99

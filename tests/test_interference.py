@@ -15,9 +15,7 @@ from qpmforge.interference import (
     fit_hom,
     load_curve,
     numeric_curve,
-    p2_closed,
     p2_numeric,
-    p4_closed,
     p4_numeric,
     save_curve,
     visibility,
@@ -34,44 +32,44 @@ class TestClosedForms:
         assert bin_hz_from_delta(delta_from_bin_hz(123e9)) == pytest.approx(123e9)
 
     def test_full_dip_and_baseline(self):
-        p = p2_closed(TAUS, 4, DELTA_500, SIGMA)
+        p = closed_curve("two_photon", TAUS, 4, DELTA_500, SIGMA).values
         i0 = np.argmin(np.abs(TAUS))
         assert p[i0] <= 1e-5
         # the envelope dies as exp(-sigma^2 tau^2 / 4): gone by 10 ps here
-        assert p2_closed(10e-12, 4, DELTA_500, SIGMA) == pytest.approx(0.5, abs=1e-9)
-        assert p2_closed(-10e-12, 4, DELTA_500, SIGMA) == pytest.approx(0.5, abs=1e-9)
+        far = closed_curve("two_photon", [10e-12, -10e-12], 4, DELTA_500, SIGMA).values
+        assert far[0] == pytest.approx(0.5, abs=1e-9)
+        assert far[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_antibunching_extrema_at_half_beat_period(self):
         # first p2 maxima fall where every beat cosine is -1: tau = 2 pi / delta
         tau = np.linspace(0.2e-12, 2e-12, 3601)
-        p = p2_closed(tau, 4, DELTA_500, SIGMA)
+        p = closed_curve("two_photon", tau, 4, DELTA_500, SIGMA).values
         t_star = tau[np.argmax(p)]
         assert t_star == pytest.approx(2 * np.pi / DELTA_500, rel=0.02)
         assert p.max() > 0.5
 
     def test_even_in_delay(self):
         tau = np.linspace(0.1e-12, 5e-12, 40)
-        np.testing.assert_allclose(
-            p2_closed(tau, 4, DELTA_500, SIGMA), p2_closed(-tau, 4, DELTA_500, SIGMA)
-        )
-        np.testing.assert_allclose(
-            p4_closed(tau, 4, DELTA_500, SIGMA), p4_closed(-tau, 4, DELTA_500, SIGMA)
-        )
+        for kind in ("two_photon", "heralded"):
+            np.testing.assert_allclose(
+                closed_curve(kind, tau, 4, DELTA_500, SIGMA).values,
+                closed_curve(kind, -tau, 4, DELTA_500, SIGMA).values,
+            )
 
     def test_heralded_visibility_is_half_per_pair(self):
         for n in (1, 2, 4):
-            dip = p4_closed(0.0, n, 10 * SIGMA, SIGMA)
+            dip = closed_curve("heralded", [0.0], n, 10 * SIGMA, SIGMA).values[0]
             assert (0.5 - dip) / 0.5 == pytest.approx(1.0 / (2 * n), abs=1e-4)
 
     def test_regime_warning_below_five_sigma(self):
         with pytest.warns(UserWarning, match="well-separated"):
-            p2_closed(0.0, 4, 4.0 * SIGMA, SIGMA)
+            closed_curve("two_photon", [0.0], 4, 4.0 * SIGMA, SIGMA)
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
-            p2_closed(0.0, 0, DELTA_500, SIGMA)
+            closed_curve("two_photon", [0.0], 0, DELTA_500, SIGMA)
         with pytest.raises(ValueError):
-            p2_closed(0.0, 4, -1.0, SIGMA)
+            closed_curve("two_photon", [0.0], 4, -1.0, SIGMA)
 
     def test_closed_curve_reports_clamping(self):
         curve = closed_curve("two_photon", TAUS, 4, DELTA_500, SIGMA)
@@ -90,7 +88,7 @@ class TestNumericOracle:
         sigma, n = 0.6e12, 2
         delta = 10 * sigma
         jsa = bin_model_jsa(n, delta, sigma, model_grid)
-        closed = p2_closed(TAUS, n, delta, sigma)
+        closed = closed_curve("two_photon", TAUS, n, delta, sigma).values
         numeric = p2_numeric(jsa, TAUS)
         assert np.max(np.abs(closed - numeric)) < 2e-3
 
@@ -98,7 +96,7 @@ class TestNumericOracle:
         sigma, n = 0.6e12, 2
         delta = 10 * sigma
         jsa = bin_model_jsa(n, delta, sigma, model_grid)
-        closed = p4_closed(TAUS, n, delta, sigma)
+        closed = closed_curve("heralded", TAUS, n, delta, sigma).values
         numeric = p4_numeric(jsa, TAUS)
         assert np.max(np.abs(closed - numeric)) < 2e-3
 
@@ -222,12 +220,6 @@ class TestCurveIO:
         np.testing.assert_allclose(back.delays, curve.delays, rtol=1e-11)
         np.testing.assert_allclose(back.values, curve.values, rtol=1e-11)
 
-    def test_missing_kind_header_rejected(self, tmp_path):
-        path = tmp_path / "nokind.tsv"
-        path.write_text("0.0,0.5\n1.0e-12,0.6\n")
-        with pytest.raises(ValueError):
-            load_curve(path)
-
     def test_curve_shape_validation(self):
         with pytest.raises(ValueError):
             HomCurve(delays=np.zeros(3), values=np.zeros(4), kind="two_photon")
@@ -243,7 +235,7 @@ class TestCurveIO:
 )
 def test_closed_forms_stay_in_unit_interval(n, ratio, tau_ps):
     tau = tau_ps * 1e-12
-    p2 = p2_closed(tau, n, ratio * SIGMA, SIGMA)
-    p4 = p4_closed(tau, n, ratio * SIGMA, SIGMA)
+    p2 = closed_curve("two_photon", [tau], n, ratio * SIGMA, SIGMA).values[0]
+    p4 = closed_curve("heralded", [tau], n, ratio * SIGMA, SIGMA).values[0]
     assert 0.0 <= p2 <= 1.0
     assert 0.0 <= p4 <= 1.0

@@ -282,16 +282,6 @@ class TestCountsIO:
         )
         assert back.reference_wavelength == 1555.9e-9
 
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "raw.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(ValueError, match="header"):
-            load_counts(path)
-        # a header without the reference wavelength has no fallback
-        path.write_text("# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4\n1,2\n3,4\n")
-        with pytest.raises(ValueError, match="ref_wavelength_m"):
-            load_counts(path)
-
     def test_malformed_body_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         header = "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06\n"
