@@ -41,6 +41,11 @@ def _assert_matches_oracle(config, dk, rel):
     np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
 
 
+def _profile(comb, z):
+    """Continuous nonlinearity profile g(z) whose Fourier magnitude is the comb."""
+    return (2.0 / comb.peak_width) * np.exp(1j * comb.center * z) * _envelope(comb, z)
+
+
 def small_comb(pair_count=2, spacing=900.0):
     return CombSpec(
         pair_count=pair_count,
@@ -94,7 +99,7 @@ class TestTargetPmf:
         # reproduce sqrt(2 pi) times the comb amplitude
         w = comb.peak_width
         z = np.linspace(-6 * w, 6 * w, 60001)
-        g = (2.0 / w) * np.exp(1j * comb.center * z) * _envelope(comb, z)
+        g = _profile(comb, z)
         for dk in (
             comb.center,
             comb.center + 0.5 * comb.spacing,
@@ -104,6 +109,16 @@ class TestTargetPmf:
             ft = trapezoid(g * np.exp(-1j * dk * z), z)
             want = np.sqrt(2 * np.pi) * target_pmf(comb, dk)
             assert abs(ft) == pytest.approx(abs(want), rel=1e-3, abs=1e-4)
+
+    def test_sample_profile_spans_crystal(self, comb):
+        positions = np.linspace(-comb.length / 2, comb.length / 2, 101)
+        amplitude = _profile(comb, positions)
+        assert positions[0] == pytest.approx(-comb.length / 2)
+        assert positions[-1] == pytest.approx(comb.length / 2)
+        assert amplitude.shape == positions.shape
+        # the envelope peaks at pair_count in the crystal centre and is even
+        assert abs(amplitude[50]) == pytest.approx(2.0 * comb.pair_count / comb.peak_width)
+        np.testing.assert_allclose(abs(amplitude), abs(amplitude[::-1]), rtol=1e-12)
 
 
 class TestDomainConfig:
