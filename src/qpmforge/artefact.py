@@ -7,17 +7,20 @@ Every data file is a text table below one header line,
 The header is the first line and only the first line.  Its tokens are
 whitespace-separated ``key=value`` pairs with no spaces around ``=``.
 Floats in the header are written ``%.12g``, integers and strings as
-they are.  The body rows are delimited numbers in a format that belongs
-to each file:
+they are; a writer that needs more digits passes a formatted string.
+The body rows are delimited numbers in a format that belongs to each
+file:
 
 * ``jsa.csv`` and ``jsi.csv``, header
   ``ns=<int> ni=<int> dnu_s_hz=<float> dnu_i_hz=<float> nu0_hz=<float>``.
   Rows are idler samples, columns signal samples; axes are centred on
-  zero detuning.  JSA entries are Python complex literals, JSI entries
-  ``%.12e`` floats.  ``nu0_hz`` records the absolute degenerate
-  frequency for wavelength mapping.
+  zero detuning.  JSA entries are ``%.17g%+.17gj`` complex numbers
+  (e.g. ``1.2e-145-3.4e-146j``), which read back bit-identical; JSI
+  entries are ``%.12e`` floats.  ``nu0_hz`` records the absolute
+  degenerate frequency for wavelength mapping.
 * ``domains.tsv``, header ``total_length_m``; rows ``width<TAB>+1`` or
-  ``width<TAB>-1``, the width ``%.12g``.
+  ``width<TAB>-1``.  Widths and length are ``%.17g``, so the widths
+  read back bit-identical and still sum to the length.
 * ``curve.tsv`` and ``counts.tsv``, header ``kind``; rows
   ``delay,value`` in ``%.12e``.
 * count files, header ``nt dt_ps t0_ns disp_ns_per_nm

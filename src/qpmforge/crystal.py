@@ -341,9 +341,15 @@ def design_overlap(
 
 
 def save_domains(config: DomainConfig, path) -> None:
-    """Write a domain listing: header with total length, then width TAB orientation."""
-    rows = (f"{w:.12g}\t{s:+d}" for w, s in zip(config.widths, config.orientations))
-    write_table(path, {"total_length_m": config.total_length}, rows)
+    """Write a domain listing: header with total length, then width TAB orientation.
+
+    Widths and length keep 17 significant digits, so the listing loads
+    back bit-identical and its widths still sum to the length.
+    """
+    rows = (
+        "%.17g\t%+d" % ws for ws in zip(config.widths.tolist(), config.orientations.tolist())
+    )
+    write_table(path, {"total_length_m": "%.17g" % config.total_length}, rows)
 
 
 def load_domains(path) -> DomainConfig:

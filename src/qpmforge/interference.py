@@ -399,61 +399,106 @@ def fit_hom(
             raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
         guesses["delta"] = _guess_delta(tau, y)
 
-    # imported here so that scipy stays off the import path of every CLI process
-    from scipy.optimize import curve_fit
-
     weights = np.sqrt(np.clip(y, 1.0, None))
-    fixed_delta = guesses["delta"]
+    delta0, sigma0 = guesses["delta"], guesses["sigma"]
+    bounds = {
+        "delta": (0.5 * delta0, 2.0 * delta0),
+        "sigma": (1e-3 * sigma0, 1e3 * sigma0),
+        "visibility": (0.0, 1.0),
+        "background": (0.0, np.inf),
+    }
+    # a heralded curve carries no beat, so its delta stays at the guess
+    names = [k for k in bounds if not (k == "delta" and curve.kind == "heralded")]
 
-    if curve.kind == "two_photon":
-        def model(t, delta, sigma, vis, bg):
-            return bg * (1.0 - vis * _dip_shape("two_photon", t, n_pairs, delta, sigma))
+    def residual(p):
+        v = dict(guesses, **dict(zip(names, p)))
+        shape = _dip_shape(curve.kind, tau, n_pairs, v["delta"], v["sigma"])
+        return (v["background"] * (1.0 - v["visibility"] * shape) - y) / weights
 
-        p0 = [guesses["delta"], guesses["sigma"], guesses["visibility"], guesses["background"]]
-        lower = [guesses["delta"] * 0.5, 1e-3 * guesses["sigma"], 0.0, 0.0]
-        upper = [guesses["delta"] * 2.0, 1e3 * guesses["sigma"], 1.0, np.inf]
-    else:
-        def model(t, sigma, vis, bg):
-            return bg * (1.0 - vis * _dip_shape("heralded", t, n_pairs, fixed_delta, sigma))
-
-        p0 = [guesses["sigma"], guesses["visibility"], guesses["background"]]
-        lower = [1e-3 * guesses["sigma"], 0.0, 0.0]
-        upper = [1e3 * guesses["sigma"], 1.0, np.inf]
-
+    p0 = np.array([guesses[k] for k in names], dtype=float)
+    if np.any(p0 <= 0):
+        raise ValueError("initial guesses must be > 0")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # regime warning already governed by inputs
+        warnings.simplefilter("ignore")  # overflow in trial steps is rejected by cost
         try:
-            popt, pcov = curve_fit(
-                model, tau, y, p0=p0, sigma=weights, absolute_sigma=True,
-                bounds=(lower, upper), maxfev=20000,
+            popt, pcov = _least_squares(
+                residual, p0, *np.array([bounds[k] for k in names]).T
             )
-        except RuntimeError as exc:
-            resid = np.linalg.norm((model(tau, *p0) - y) / weights)
+        except FitError as exc:
+            resid = np.linalg.norm(residual(p0))
             raise FitError(
                 f"HOM fit did not converge: {exc}; initial-guess weighted residual "
                 f"norm {resid:.3e} over {tau.size} points"
             ) from exc
 
-    if curve.kind == "two_photon":
-        delta, sigma, vis, bg = popt
-        delta_var = pcov[0, 0]
-        vis_var = pcov[2, 2]
-    else:
-        sigma, vis, bg = popt
-        delta = fixed_delta
-        delta_var = float("nan")
-        vis_var = pcov[1, 1]
-
+    fitted = dict(guesses, **dict(zip(names, popt)))
+    std = dict(zip(names, np.sqrt(np.diag(pcov))))
     return HomFit(
         kind=curve.kind,
-        delta_hz=bin_hz_from_delta(delta),
-        sigma=float(sigma),
-        visibility=float(vis),
-        background=float(bg),
+        delta_hz=bin_hz_from_delta(fitted["delta"]),
+        sigma=float(fitted["sigma"]),
+        visibility=float(fitted["visibility"]),
+        background=float(fitted["background"]),
         covariance=pcov,
-        delta_hz_std=bin_hz_from_delta(np.sqrt(delta_var)) if np.isfinite(delta_var) else float("nan"),
-        visibility_std=float(np.sqrt(vis_var)),
+        delta_hz_std=float(bin_hz_from_delta(std.get("delta", float("nan")))),
+        visibility_std=float(std["visibility"]),
     )
+
+
+def _least_squares(residual, p0, lower, upper):
+    """Bounded Levenberg-Marquardt (Marquardt, J. SIAM 11, 431, 1963).
+
+    Minimises |residual(p)|^2 over lower <= p <= upper.  It works on
+    x = p / p0, so every parameter starts at 1 whatever its unit, clips
+    each step to the bounds and differentiates forward.  Returns the
+    solution and (J^T J)^-1 there, both in the units of p.
+    """
+    max_iter = 2000
+    lo, hi = lower / p0, upper / p0
+    x = np.ones_like(p0)
+    r = residual(x * p0)
+    cost = r @ r
+    if not np.isfinite(cost):
+        raise FitError("residuals are not finite at the initial guess")
+
+    def jacobian(x, r):
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(x), 1.0)
+        h = np.where(x + h > hi, -h, h)  # step back from an upper bound
+        steps = x + np.diag(h)
+        return np.column_stack([residual(s * p0) - r for s in steps]) / h
+
+    jac = jacobian(x, r)
+    scale = np.max(np.diag(jac.T @ jac))
+    damping = 1e-3 * scale
+    for _ in range(max_iter):
+        a, g = jac.T @ jac, jac.T @ r
+        # a parameter on a bound that the descent would push out stays put
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        step = np.zeros_like(x)
+        step[free] = -np.linalg.solve(
+            a[np.ix_(free, free)] + damping * np.eye(np.count_nonzero(free)), g[free]
+        )
+        step = np.clip(x + step, lo, hi) - x
+        if np.linalg.norm(step) <= 1e-10 * (np.linalg.norm(x) + 1e-10):
+            break
+        r_trial = residual((x + step) * p0)
+        cost_trial = r_trial @ r_trial
+        if not cost_trial < cost:
+            damping *= 4.0
+            continue
+        x, r, converged = x + step, r_trial, cost - cost_trial <= 1e-12 * cost
+        cost = cost_trial
+        jac = jacobian(x, r)
+        damping = max(damping / 3.0, 1e-12 * scale)
+        if converged:
+            break
+    else:
+        raise FitError(f"no convergence after {max_iter} iterations")
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        cov = np.full((x.size, x.size), np.inf)  # the curve does not fix every parameter
+    return x * p0, cov * np.outer(p0, p0)
 
 
 def save_curve(curve: HomCurve, path) -> None:

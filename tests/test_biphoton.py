@@ -147,7 +147,10 @@ class TestJsaIO:
         )
         # the JSI squares the amplitude, so its extremes come from 1e+-150
         for save, big, small, rows, fmt in (
-            (save_jsa, 1e300, 1e-300, lambda j: j.values, lambda v: repr(complex(v))),
+            (
+                save_jsa, 1e300, 1e-300, lambda j: j.values,
+                lambda v: "%.17g%+.17gj" % (v.real, v.imag),
+            ),
             (save_jsi, 1e150, 1e-150, lambda j: j.intensity, lambda v: f"{v:.12e}"),
         ):
             values = np.array(
@@ -165,6 +168,24 @@ class TestJsaIO:
             assert body == "".join(
                 ",".join(fmt(v) for v in row) + "\n" for row in rows(jsa)
             )
+
+    def test_jsa_roundtrip_is_bit_identical(self, tmp_path):
+        parts = np.array(
+            [[-0.0, 0.0, 1e-300, -5e-324, np.pi, -np.e],
+             [0.0, -0.0, -1e300, 2.5, 1 / 3, 2.0 ** -1074],
+             [1e-145, -3.4e-146, 7.0, -0.0, -1e-7, 123456789.123456789]]
+        )
+        base = parts[:, ::2] + 1j * parts[:, 1::2]
+        grid = FrequencyGrid.symmetric(3, 1e12)
+        # a transposed view is not contiguous
+        for values in (base, base.T.copy().T):
+            jsa = JointSpectralAmplitude(
+                grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14}
+            )
+            path = tmp_path / "jsa.csv"
+            save_jsa(jsa, path)
+            back = load_jsa(path).values
+            assert back.view(np.uint64).tobytes() == base.view(np.uint64).tobytes()
 
 
 class TestDispersionMap:

@@ -304,16 +304,25 @@ class TestCliExitCodes:
         assert err.value.code == 0
 
 
-def test_cli_import_leaves_scipy_out():
-    """Every CLI process imports qpmforge.cli; scipy is loaded only where used."""
-    code = (
-        "import sys, qpmforge.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+def test_cli_import_leaves_scipy_out(tmp_path):
+    """Every CLI process imports qpmforge.cli; scipy is loaded only where used.
+
+    The HOM fits need no scipy.optimize, so a hom or heralded run does
+    not load it either.
+    """
+    args = ["--config", make_config(tmp_path, **FAST), "--out", str(tmp_path)]
+    code = "\n".join([
+        "import sys, qpmforge.cli",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "for stage in ('hom', 'heralded'):",
+        f"    assert qpmforge.cli.main([stage, *{args!r}]) == 0",
+        "    print(stage, 'scipy.optimize' in sys.modules)",
+    ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "hom False", "heralded False"]
+    assert (tmp_path / "fit.txt").exists()

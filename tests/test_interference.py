@@ -8,6 +8,8 @@ from qpmforge.biphoton import FrequencyGrid
 from qpmforge.interference import (
     FitError,
     HomCurve,
+    _dip_shape,
+    _guess_delta,
     bin_hz_from_delta,
     bin_model_jsa,
     closed_curve,
@@ -169,6 +171,52 @@ class TestFit:
         fit = fit_hom(self.make_counts("two_photon", noisy=True, seed=0), n_pairs=4)
         assert fit.delta_hz == pytest.approx(500e9, rel=5e-3)
         assert fit.delta_hz_std < 0.01 * 500e9
+
+    def test_delta_std_describes_refit_scatter(self):
+        # 60 Poisson draws of one curve at 10^6 counts per point
+        fits = [
+            fit_hom(self.make_counts("two_photon", scale=2e6, noisy=True, seed=s), n_pairs=4)
+            for s in range(60)
+        ]
+        scatter = np.std([f.delta_hz for f in fits], ddof=1)
+        reported = np.mean([f.delta_hz_std for f in fits])
+        assert reported == pytest.approx(scatter, rel=0.25)
+
+    @pytest.mark.parametrize("kind, scale", [("two_photon", 2e6), ("heralded", 2e4)])
+    def test_matches_curve_fit(self, kind, scale):
+        # scipy's curve_fit from the same guesses, as fit_hom once called it, is the oracle
+        from scipy.optimize import curve_fit
+
+        for seed in range(10):
+            curve = self.make_counts(kind, scale=scale, noisy=True, seed=seed)
+            tau, y = curve.delays, curve.values
+            b0 = y[np.abs(tau) >= 0.75 * np.max(np.abs(tau))].mean()
+            v0 = np.clip(1.0 - y[np.argmin(np.abs(tau))] / b0, 0.05, 1.0)
+            s0 = 4.0 / (tau.max() - tau.min())
+            if kind == "two_photon":
+                d0 = _guess_delta(tau, y)
+                fit = fit_hom(curve, n_pairs=4)
+
+                def model(t, d, s, v, b):
+                    return b * (1.0 - v * _dip_shape(kind, t, 4, d, s))
+
+                p0 = [d0, s0, v0, b0]
+                bounds = ([0.5 * d0, 1e-3 * s0, 0.0, 0.0], [2.0 * d0, 1e3 * s0, 1.0, np.inf])
+                got = [delta_from_bin_hz(fit.delta_hz), fit.sigma, fit.visibility, fit.background]
+            else:
+                fit = fit_hom(curve, n_pairs=4, initial={"delta": DELTA_500})
+
+                def model(t, s, v, b):
+                    return b * (1.0 - v * _dip_shape(kind, t, 4, DELTA_500, s))
+
+                p0 = [s0, v0, b0]
+                bounds = ([1e-3 * s0, 0.0, 0.0], [1e3 * s0, 1.0, np.inf])
+                got = [fit.sigma, fit.visibility, fit.background]
+            want, _ = curve_fit(
+                model, tau, y, p0=p0, sigma=np.sqrt(np.clip(y, 1.0, None)),
+                absolute_sigma=True, bounds=bounds, maxfev=20000,
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-5, err_msg=f"seed {seed}")
 
     def test_heralded_fit_keeps_spacing_fixed(self):
         fit = fit_hom(
