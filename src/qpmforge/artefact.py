@@ -24,7 +24,9 @@ file:
 * ``curve.tsv`` and ``counts.tsv``, header ``kind``; rows
   ``delay,value`` in ``%.12e``.
 * count files, header ``nt dt_ps t0_ns disp_ns_per_nm
-  ref_wavelength_m``; an ``nt x nt`` integer matrix.
+  ref_wavelength_m nu0_hz``; an ``nt x nt`` integer matrix.  ``nu0_hz``
+  is the band center the detunings are measured from, written ``%.17g``
+  so that the gates computed from it read back bit-identical.
 """
 
 from __future__ import annotations

@@ -216,33 +216,20 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> Hyp
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     jsa = _jsa(cfg)
-    spacing_hz = cfg["crystal"]["bin_spacing_hz"]
     labels, parts, weights = split_bins(
-        jsa, spacing_hz=spacing_hz, pair_count=cfg["crystal"]["pair_count"]
+        jsa, spacing_hz=cfg["crystal"]["bin_spacing_hz"], pair_count=cfg["crystal"]["pair_count"]
     )
-    hyper = _hyper_state(cfg, weights, labels)
-    tomo = cfg["tomography"]
     counts = simulate_tomography(
-        hyper,
+        _hyper_state(cfg, weights, labels),
         parts,
         jsa.grid,
         cfg.spectrometer_spec(),
-        events=tomo["events_per_projection"],
+        jsa.metadata["center_frequency_hz"],
+        events=cfg["tomography"]["events_per_projection"],
         seed=cfg["run"]["seed"],
         max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],
     )
-    bundle = os.path.join(out_dir, "tomo")
-    save_tomography_bundle(
-        bundle,
-        counts,
-        manifest={
-            "events_per_projection": tomo["events_per_projection"],
-            "seed": cfg["run"]["seed"],
-            "bin_spacing_hz": f"{spacing_hz:.12g}",
-            "phases_rad": ",".join(f"{p:.12g}" for p in hyper.phases),
-            "drift_rad": ",".join(f"{d:.12g}" for d in hyper.drift),
-        },
-    )
+    save_tomography_bundle(os.path.join(out_dir, "tomo"), counts)
 
 
 def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:

@@ -260,6 +260,7 @@ def _validate(cfg: RunConfig) -> None:
         ("pump", "wavelength_m"),
         ("pump", "fwhm_duration_s"),
         ("grid", "half_span_hz"),
+        ("tomography", "gate_width_s"),
     ):
         if cfg.sections[section][key] <= 0:
             raise ConfigError(f"{cfg.path}: {key} must be > 0")
@@ -275,11 +276,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"{cfg.path}: hom points must be >= 2")
     if cfg.sections["hom"]["tau_max_s"] <= cfg.sections["hom"]["tau_min_s"]:
         raise ConfigError(f"{cfg.path}: hom range must have tau_max_s > tau_min_s")
-    for key in ("events",):
-        if cfg.sections["spectrometer"][key] < 0:
+    for section, key in (
+        ("spectrometer", "events"),
+        ("tomography", "events_per_projection"),
+        ("tomography", "resamples"),
+        ("hom", "counts_per_point"),
+    ):
+        if cfg.sections[section][key] < 0:
             raise ConfigError(f"{cfg.path}: {key} must be >= 0")
-    tomo = cfg.sections["tomography"]
-    if tomo["events_per_projection"] < 0:
-        raise ConfigError(f"{cfg.path}: events_per_projection must be >= 0")
-    if tomo["resamples"] < 0:
-        raise ConfigError(f"{cfg.path}: resamples must be >= 0")
+    if not 0.0 <= cfg.sections["spectrometer"]["max_alias_fraction"] <= 1.0:
+        raise ConfigError(f"{cfg.path}: max_alias_fraction must lie in [0, 1]")

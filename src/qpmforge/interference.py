@@ -362,9 +362,11 @@ def fit_hom(
     dip shape normalized to D(0) = 1.  Free parameters: delta, sigma, V, B
     for two-photon curves; heralded curves carry no beat information, so
     delta is held at initial["delta"], which they require, and (sigma, V,
-    B) float.
-    Poisson weights sqrt(max(y, 1)).  Raises FitError with residual
-    diagnostics if the optimizer does not converge.
+    B) float.  A two-photon curve beats at the odd multiples (2m+1) of
+    the spacing, so without initial["delta"] the fit starts from f/(2m+1)
+    for each m < n_pairs, f the curve's dominant beat, and keeps the
+    lowest weighted cost.  Poisson weights sqrt(max(y, 1)).  Raises
+    FitError with residual diagnostics if no start converges.
 
     When the fitted visibility saturates its physical bound of 1 (a full
     dip with near-zero counts at the bottom), the reported covariance is
@@ -394,44 +396,64 @@ def fit_hom(
         if unknown:
             raise ValueError(f"unknown initial-guess keys: {sorted(unknown)}")
         guesses.update(initial)
-    if "delta" not in guesses:
-        if curve.kind == "heralded":
-            raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
-        guesses["delta"] = _guess_delta(tau, y)
+    if "delta" in guesses:
+        starts = [guesses["delta"]]
+    elif curve.kind == "heralded":
+        raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
+    else:
+        # the FFT may pick any odd multiple of the spacing
+        beat = _guess_delta(tau, y)
+        starts = [beat / (2 * m + 1) for m in range(n_pairs)]
 
     weights = np.sqrt(np.clip(y, 1.0, None))
-    delta0, sigma0 = guesses["delta"], guesses["sigma"]
-    bounds = {
-        "delta": (0.5 * delta0, 2.0 * delta0),
-        "sigma": (1e-3 * sigma0, 1e3 * sigma0),
-        "visibility": (0.0, 1.0),
-        "background": (0.0, np.inf),
-    }
     # a heralded curve carries no beat, so its delta stays at the guess
-    names = [k for k in bounds if not (k == "delta" and curve.kind == "heralded")]
+    names = [k for k in ("delta", "sigma", "visibility", "background")
+             if not (k == "delta" and curve.kind == "heralded")]
 
-    def residual(p):
-        v = dict(guesses, **dict(zip(names, p)))
-        shape = _dip_shape(curve.kind, tau, n_pairs, v["delta"], v["sigma"])
-        return (v["background"] * (1.0 - v["visibility"] * shape) - y) / weights
+    def fit_from(delta0):
+        start = dict(guesses, delta=delta0)
+        sigma0 = start["sigma"]
+        bounds = {
+            "delta": (0.5 * delta0, 2.0 * delta0),
+            "sigma": (1e-3 * sigma0, 1e3 * sigma0),
+            "visibility": (0.0, 1.0),
+            "background": (0.0, np.inf),
+        }
 
-    p0 = np.array([guesses[k] for k in names], dtype=float)
-    if np.any(p0 <= 0):
-        raise ValueError("initial guesses must be > 0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # overflow in trial steps is rejected by cost
+        def residual(p):
+            v = dict(start, **dict(zip(names, p)))
+            shape = _dip_shape(curve.kind, tau, n_pairs, v["delta"], v["sigma"])
+            return (v["background"] * (1.0 - v["visibility"] * shape) - y) / weights
+
+        p0 = np.array([start[k] for k in names], dtype=float)
+        if np.any(p0 <= 0):
+            raise ValueError("initial guesses must be > 0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow in trial steps is rejected by cost
+            try:
+                popt, pcov = _least_squares(
+                    residual, p0, *np.array([bounds[k] for k in names]).T
+                )
+            except FitError as exc:
+                resid = np.linalg.norm(residual(p0))
+                raise FitError(
+                    f"HOM fit did not converge: {exc}; initial-guess weighted residual "
+                    f"norm {resid:.3e} over {tau.size} points"
+                ) from exc
+            r = residual(popt)
+        return r @ r, start, popt, pcov
+
+    fits, errors = [], []
+    for delta0 in starts:
         try:
-            popt, pcov = _least_squares(
-                residual, p0, *np.array([bounds[k] for k in names]).T
-            )
+            fits.append(fit_from(delta0))
         except FitError as exc:
-            resid = np.linalg.norm(residual(p0))
-            raise FitError(
-                f"HOM fit did not converge: {exc}; initial-guess weighted residual "
-                f"norm {resid:.3e} over {tau.size} points"
-            ) from exc
+            errors.append(exc)
+    if not fits:
+        raise errors[0]
+    _, start, popt, pcov = min(fits, key=lambda fit: fit[0])
 
-    fitted = dict(guesses, **dict(zip(names, popt)))
+    fitted = dict(start, **dict(zip(names, popt)))
     std = dict(zip(names, np.sqrt(np.diag(pcov))))
     return HomFit(
         kind=curve.kind,

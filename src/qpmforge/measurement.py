@@ -10,6 +10,12 @@ sampling error enters before the Poisson draw.
 
 Arrival times are measured relative to the reference wavelength's, with
 the acquisition window centered on it: t in [-window/2, +window/2).
+
+Detunings are measured from the band center, the degenerate frequency
+half the pump frequency: the pump sets the center, ``build_jsa`` records
+it on the amplitude, and count matrices and their files (``nu0_hz``)
+carry it on, so every projection and every gate maps a detuning to the
+arrival time of the source's own photons.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ __all__ = [
     "SpectrometerSpec",
     "CountMatrix",
     "wavelength_to_time",
-    "time_to_wavelength",
     "detuning_to_time",
     "build_transfer",
+    "project_intensities",
     "project_to_spectrometer",
     "simulate_counts",
     "reconstruct_jsi",
@@ -112,22 +118,13 @@ def wavelength_to_time(spec: SpectrometerSpec, wavelength) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def time_to_wavelength(spec: SpectrometerSpec, time) -> np.ndarray:
-    t = np.asarray(time, dtype=float)
-    out = spec.reference_wavelength + t / spec.time_rate
-    return out if out.ndim else float(out)
-
-
-def detuning_to_time(spec: SpectrometerSpec, detuning, center_frequency_hz: float | None = None):
+def detuning_to_time(spec: SpectrometerSpec, detuning, center_frequency_hz: float):
     """Arrival time for a photon at a given detuning (rad/s) from band center.
 
     Uses the exact wavelength of the detuned photon, lambda = 2 pi c /
     (omega0 + nu), so the slight nonlinearity of the frequency-to-time map
-    across the band is kept.  Without a center frequency the band center
-    is the reference wavelength, so zero detuning arrives at t = 0.
+    across the band is kept.
     """
-    if center_frequency_hz is None:
-        center_frequency_hz = C_LIGHT / spec.reference_wavelength
     omega0 = 2.0 * np.pi * center_frequency_hz
     lam = 2.0 * np.pi * C_LIGHT / (omega0 + np.asarray(detuning, dtype=float))
     return wavelength_to_time(spec, lam)
@@ -162,7 +159,7 @@ def _box_blur_integral(edges: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: f
 def build_transfer(
     spec: SpectrometerSpec,
     nu_axis: np.ndarray,
-    center_frequency_hz: float | None,
+    center_frequency_hz: float,
 ) -> np.ndarray:
     """Per-axis transfer matrix T[m, k]: frequency cell k -> time bin m.
 
@@ -180,54 +177,60 @@ def build_transfer(
     return _box_blur_integral(spec.time_edges, a, b, spec.jitter_sigma)
 
 
-def _intensity_and_grid(source, grid: FrequencyGrid | None):
-    """Accept either a JointSpectralAmplitude or an (intensity, grid) pair."""
-    if isinstance(source, JointSpectralAmplitude):
-        return source.intensity, source.grid, source.metadata
-    inten = np.asarray(source, dtype=float)
-    if grid is None:
-        raise ValueError("a bare intensity matrix needs an explicit frequency grid")
+def project_intensities(
+    intensities,
+    grid: FrequencyGrid,
+    spec: SpectrometerSpec,
+    center_frequency_hz: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each joint spectrum of a stack, scaled to unit mass, on the time grid.
+
+    ``intensities`` has shape (..., n_idler, n_signal).  Builds the two
+    transfer matrices once.  Returns (images, kept): images[...] holds
+    the detection probability per time cell, rows the idler detector and
+    columns the signal detector, and kept[...] = images[...].sum() is the
+    share of the spectrum inside the window.  The map is linear, so a
+    mixture sum_i c_i I_i / |I_i| projects to sum_i c_i images[i].
+    """
+    inten = np.asarray(intensities, dtype=float)
+    if inten.shape[-2:] != grid.shape:
+        raise ValueError(f"intensity shape {inten.shape[-2:]} does not match grid {grid.shape}")
     if np.any(inten < 0):
         raise ValueError("intensity must be nonnegative")
-    if inten.shape != grid.shape:
-        raise ValueError(f"intensity shape {inten.shape} does not match grid {grid.shape}")
-    return inten, grid, {}
+    mass = inten.sum(axis=(-2, -1))
+    if np.any(mass <= 0):
+        raise MeasurementError("joint spectrum carries no intensity")
+    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
+    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
+    images = np.empty(mass.shape + (spec.n_bins, spec.n_bins))
+    # one stack entry at a time: a batched product holds a second copy
+    for index in np.ndindex(mass.shape):
+        images[index] = t_idler @ (inten[index] / mass[index]) @ t_signal.T
+    # the blur integral is nonnegative analytically; floating cancellation
+    # can leave -1e-18-level residue that multinomial sampling rejects
+    np.clip(images, 0.0, None, out=images)
+    return images, images.sum(axis=(-2, -1))
 
 
 def project_to_spectrometer(
-    jsa,
+    jsa: JointSpectralAmplitude,
     spec: SpectrometerSpec,
-    center_frequency_hz: float | None = None,
-    grid: FrequencyGrid | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Deterministic forward map of a joint spectrum onto the time grid.
+    """Deterministic forward map of an amplitude onto the time grid.
 
-    Accepts a JointSpectralAmplitude, or a nonnegative intensity matrix
-    together with its frequency grid.  Returns (probabilities,
-    alias_fraction): the n x n matrix of per-cell detection probabilities
-    conditioned on landing in the window (sums to 1), and the fraction of
-    the input intensity that fell outside it.  Rows index the idler
-    detector, columns the signal detector, matching the JSA layout.  The
-    band center is center_frequency_hz, else the amplitude's own, else
-    the spectrometer's reference wavelength (see detuning_to_time).
+    Returns (probabilities, alias_fraction): the n x n matrix of per-cell
+    detection probabilities conditioned on landing in the window (sums
+    to 1), and the fraction of the intensity that fell outside it.  The
+    band center is the amplitude's own ``center_frequency_hz``.
     """
-    inten, grid, metadata = _intensity_and_grid(jsa, grid)
-    if center_frequency_hz is None:
-        center_frequency_hz = metadata.get("center_frequency_hz")
-    total = inten.sum()
-    if total <= 0:
-        raise ValueError("joint spectrum carries no intensity")
-    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
-    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
-    mapped = t_idler @ (inten / total) @ t_signal.T
-    # the blur integral is nonnegative analytically; floating cancellation
-    # can leave -1e-18-level residue that multinomial sampling rejects
-    np.clip(mapped, 0.0, None, out=mapped)
-    kept = mapped.sum()
-    alias = float(1.0 - kept)
+    center = jsa.metadata.get("center_frequency_hz")
+    if center is None:
+        raise ValueError("amplitude carries no center_frequency_hz to project around")
+    mapped, kept = project_intensities(jsa.intensity, jsa.grid, spec, center)
+    kept = float(kept)
     if kept <= 0:
         raise MeasurementError("entire joint spectrum maps outside the time window")
-    return mapped / kept, max(alias, 0.0)
+    return mapped / kept, max(1.0 - kept, 0.0)
 
 
 @dataclass
@@ -239,6 +242,7 @@ class CountMatrix:
     window_start: float           # s, left edge of first bin on both axes
     dispersion_ns_per_nm: float   # time_rate in ns/nm, for wavelength calibration
     reference_wavelength: float   # m, the wavelength that arrives at t = 0
+    center_frequency_hz: float    # Hz, the band center that detunings are measured from
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -279,29 +283,25 @@ class CountMatrix:
 
 
 def simulate_counts(
-    jsa,
+    jsa: JointSpectralAmplitude,
     spec: SpectrometerSpec,
     total_events: int,
     seed: int,
-    center_frequency_hz: float | None = None,
     max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
-    efficiency: float | None = None,
-    grid: FrequencyGrid | None = None,
 ) -> CountMatrix:
     """Poissonian acquisition of the projected joint spectrum.
 
-    Accepts a JointSpectralAmplitude or an intensity matrix with a grid.
     Draws the detected events multinomially over the time-grid cells, so
-    the matrix total equals the (possibly efficiency-thinned) event count
-    exactly.  Raises MeasurementError when more than max_alias_fraction of
-    the spectrum falls outside the acquisition window, reporting the mass;
-    smaller alias fractions are recorded in the metadata instead.
+    the matrix total equals the event count exactly.  Raises
+    MeasurementError when more than max_alias_fraction of the spectrum
+    falls outside the acquisition window, reporting the mass; smaller
+    alias fractions are recorded in the metadata instead.
     """
     if total_events < 0:
         raise ValueError("total_events must be >= 0")
-    probs, alias = project_to_spectrometer(jsa, spec, center_frequency_hz, grid=grid)
+    probs, alias = project_to_spectrometer(jsa, spec)
     _check_alias(alias, spec, max_alias_fraction)
-    counts = _draw_counts(probs, spec, total_events, seed, efficiency)
+    counts = _draw_counts(probs, spec, jsa.metadata["center_frequency_hz"], total_events, seed)
     counts.metadata["alias_fraction"] = alias
     return counts
 
@@ -317,25 +317,21 @@ def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float
 def _draw_counts(
     probs: np.ndarray,
     spec: SpectrometerSpec,
+    center_frequency_hz: float,
     total_events: int,
     seed,
-    efficiency: float | None = None,
 ) -> CountMatrix:
     """Multinomial draw of the detected events over the time-grid cells."""
     rng = np.random.default_rng(seed)
-    n_detected = int(total_events)
-    if efficiency is not None:
-        if not 0.0 < efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        n_detected = int(rng.binomial(n_detected, efficiency))
     flat = probs.ravel()
-    draws = rng.multinomial(n_detected, flat / flat.sum())
+    draws = rng.multinomial(int(total_events), flat / flat.sum())
     return CountMatrix(
         values=draws.reshape(probs.shape),
         time_bin=spec.time_bin,
         window_start=-spec.window / 2.0,
         dispersion_ns_per_nm=spec.time_rate,
         reference_wavelength=spec.reference_wavelength,
+        center_frequency_hz=center_frequency_hz,
         metadata={"seed": seed, "requested_events": int(total_events)},
     )
 
@@ -410,9 +406,8 @@ def amplitude_from_counts(counts: CountMatrix) -> JointSpectralAmplitude:
     return out
 
 
-def gate_interval(spec: SpectrometerSpec, detuning: float,
-                  width: float = DEFAULT_GATE_WIDTH,
-                  center_frequency_hz: float | None = None) -> tuple[float, float]:
+def gate_interval(spec: SpectrometerSpec, detuning: float, center_frequency_hz: float,
+                  width: float = DEFAULT_GATE_WIDTH) -> tuple[float, float]:
     """Time gate [lo, hi) centered on a bin's arrival time.
 
     Gates that partially overhang the acquisition window are truncated to
@@ -445,18 +440,21 @@ def gate_sum(counts: CountMatrix, signal_gate: tuple[float, float],
 
 _COUNTS_FIELDS = {
     "nt": int, "dt_ps": float, "t0_ns": float, "disp_ns_per_nm": float, "ref_wavelength_m": float,
+    "nu0_hz": float,
 }
 
 
 def save_counts(counts: CountMatrix, path) -> None:
     """CSV of the counts below one ``# key=value`` header line that
-    carries the whole time calibration."""
+    carries the whole time calibration and the band center."""
     header = {
         "nt": counts.values.shape[0],
         "dt_ps": counts.time_bin * 1e12,
         "t0_ns": counts.window_start * 1e9,
         "disp_ns_per_nm": counts.dispersion_ns_per_nm,
         "ref_wavelength_m": counts.reference_wavelength,
+        # all 17 digits, so the gates land where the simulation put them
+        "nu0_hz": f"{counts.center_frequency_hz:.17g}",
     }
     write_table(path, header, (",".join(map(str, row.tolist())) for row in counts.values))
 
@@ -472,4 +470,5 @@ def load_counts(path) -> CountMatrix:
         window_start=header["t0_ns"] * 1e-9,
         dispersion_ns_per_nm=header["disp_ns_per_nm"],
         reference_wavelength=header["ref_wavelength_m"],
+        center_frequency_hz=header["nu0_hz"],
     )

@@ -32,10 +32,10 @@ from .measurement import (
     _check_alias,
     _draw_counts,
     _gate_cells,
-    build_transfer,
     gate_interval,
     gate_sum,
     load_counts,
+    project_intensities,
     save_counts,
 )
 
@@ -290,10 +290,9 @@ class HyperState:
 
 
 def split_bins(
-    jsa,
+    jsa: JointSpectralAmplitude,
     spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     pair_count: int = DEFAULT_PAIR_COUNT,
-    grid: FrequencyGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition a joint intensity into per-bin-pair components.
 
@@ -301,12 +300,7 @@ def split_bins(
     nu_s - nu_i is nearest.  Returns (labels, intensities, weights) with
     intensities[i] normalized to unit sum and weights the mass fractions.
     """
-    if isinstance(jsa, JointSpectralAmplitude):
-        inten, grid = jsa.intensity, jsa.grid
-    else:
-        if grid is None:
-            raise ValueError("a bare intensity matrix needs an explicit frequency grid")
-        inten = np.asarray(jsa, dtype=float)
+    inten, grid = jsa.intensity, jsa.grid
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
     diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
@@ -330,43 +324,12 @@ def _born_table(hyper: HyperState) -> np.ndarray:
     return np.array([[project_probability(rho, j, k) for rho in states] for j, k in _SETTINGS])
 
 
-def _project_bins(
-    bin_intensities: np.ndarray,
-    grid: FrequencyGrid,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every bin's spectrum, scaled to unit mass, on the spectrometer time grid.
-
-    Builds the two transfer matrices once.  Returns (images, kept):
-    images[i] holds bin i's detection probability per time cell, and
-    kept[i] = images[i].sum() is the fraction of the bin inside the
-    window.  The projection is linear, so a mixture sum_i c_i I_i / |I_i|
-    maps to sum_i c_i images[i].
-    """
-    if bin_intensities.shape[1:] != grid.shape:
-        raise ValueError(f"bin intensities {bin_intensities.shape[1:]} do not match grid {grid.shape}")
-    if np.any(bin_intensities < 0):
-        raise ValueError("intensity must be nonnegative")
-    mass = bin_intensities.sum(axis=(1, 2))
-    if np.any(mass <= 0):
-        raise MeasurementError(f"bins {np.flatnonzero(mass <= 0).tolist()} carry no intensity")
-    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
-    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
-    images = np.empty((mass.size, spec.n_bins, spec.n_bins))
-    for i, part in enumerate(bin_intensities):
-        images[i] = t_idler @ (part / mass[i]) @ t_signal.T
-    # the blur integral is nonnegative analytically; floating cancellation
-    # can leave -1e-18-level residue that multinomial sampling rejects
-    np.clip(images, 0.0, None, out=images)
-    return images, images.sum(axis=(1, 2))
-
-
 def simulate_tomography(
     hyper: HyperState,
     bin_intensities: np.ndarray,
     grid: FrequencyGrid,
     spec: SpectrometerSpec,
+    center_frequency_hz: float,
     events: float,
     seed: int,
     max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
@@ -377,16 +340,17 @@ def simulate_tomography(
     of the total pair flux; the projection's event total is Poissonian
     with mean 4 * events * that flux (so ``events`` is the average count
     per projection), and the spectrum sampled is the correspondingly
-    weighted mixture of the per-bin spectra.  Raises MeasurementError
-    when more than max_alias_fraction of the source as a whole falls
-    outside the acquisition window.
+    weighted mixture of the per-bin spectra, projected around the band
+    center center_frequency_hz.  Raises MeasurementError when more than
+    max_alias_fraction of the source as a whole falls outside the
+    acquisition window.
     """
     bin_intensities = np.asarray(bin_intensities, dtype=float)
     if bin_intensities.shape[0] != hyper.n_bins:
         raise ValueError("bin_intensities must carry one matrix per bin")
     if events < 0:
         raise ValueError("events must be >= 0")
-    images, kept = _project_bins(bin_intensities, grid, spec)
+    images, kept = project_intensities(bin_intensities, grid, spec, center_frequency_hz)
     _check_alias(float(1.0 - hyper.weights @ kept), spec, max_alias_fraction)
     born = _born_table(hyper)
     master = np.random.default_rng([int(seed), 0x7013])
@@ -399,7 +363,8 @@ def simulate_tomography(
         total = int(master.poisson(4.0 * events * q_jk))
         mix = flux / q_jk if q_jk > 0 else hyper.weights
         counts = _draw_counts(
-            np.tensordot(mix, images, axes=(0, 0)), spec, total, seed=[int(seed), j, k]
+            np.tensordot(mix, images, axes=(0, 0)), spec, center_frequency_hz, total,
+            seed=[int(seed), j, k],
         )
         counts.metadata["alias_fraction"] = max(float(1.0 - mix @ kept), 0.0)
         counts.metadata["projection"] = (j, k)
@@ -411,14 +376,14 @@ def simulate_tomography(
 def _bin_gates(
     spec: SpectrometerSpec,
     label: int,
+    center_frequency_hz: float,
     spacing_hz: float,
     width: float,
-    center_frequency_hz: float | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """(signal, idler) gates of a bin pair: the signal gate sits on the
     bin's arrival time, the idler gate on the conjugate bin's."""
     return tuple(
-        gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), width, center_frequency_hz)
+        gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), center_frequency_hz, width)
         for sign in (1, -1)
     )
 
@@ -428,9 +393,9 @@ def expected_tomography(
     bin_intensities: np.ndarray,
     grid: FrequencyGrid,
     spec: SpectrometerSpec,
+    center_frequency_hz: float,
     spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     width: float = DEFAULT_GATE_WIDTH,
-    center_frequency_hz: float | None = None,
 ) -> dict[int, np.ndarray]:
     """Infinite-statistics gated SIC probabilities for every bin.
 
@@ -441,13 +406,11 @@ def expected_tomography(
     deterministic limit of simulate_tomography -> tomography_probabilities,
     exposing the gating cross-talk with no sampling noise on top.
     """
-    images, _ = _project_bins(
-        np.asarray(bin_intensities, dtype=float), grid, spec, center_frequency_hz
-    )
+    images, _ = project_intensities(bin_intensities, grid, spec, center_frequency_hz)
     born = _born_table(hyper)
     out: dict[int, np.ndarray] = {}
     for label in hyper.labels:
-        gates = _bin_gates(spec, label, spacing_hz, width, center_frequency_hz)
+        gates = _bin_gates(spec, label, center_frequency_hz, spacing_hz, width)
         rows, cols = _gate_cells(spec.time_centers, *gates)
         capture = images[:, rows, cols].sum(axis=(1, 2))
         gated = born @ (hyper.weights * capture)
@@ -463,8 +426,8 @@ def tomography_probabilities(
 ) -> tuple[np.ndarray, int]:
     """Gated SIC probabilities for one bin: p_jk = 4 n_jk / sum(n).
 
-    Each projection is gated with the calibration its count matrix
-    carries.  The scale 4 restores the Born normalization (the 16
+    Each projection is gated with the calibration and band center its
+    count matrix carries.  The scale 4 restores the Born normalization (the 16
     probabilities of any state sum to 4) because each setting is a
     separate acquisition with no shared total.  Returns (probabilities,
     total gated counts).
@@ -472,7 +435,9 @@ def tomography_probabilities(
     projections = [counts_by_projection[key] for key in _SETTINGS]
     gated = np.array(
         [
-            gate_sum(counts, *_bin_gates(counts.spectrometer_spec(), label, spacing_hz, width))
+            gate_sum(counts, *_bin_gates(
+                counts.spectrometer_spec(), label, counts.center_frequency_hz, spacing_hz, width
+            ))
             for counts in projections
         ],
         dtype=float,
@@ -589,16 +554,11 @@ _PROJ_RE = re.compile(r"proj_([1-4])_([1-4])\.csv$")
 def save_tomography_bundle(
     directory,
     counts_by_projection: dict[tuple[int, int], CountMatrix],
-    manifest: dict | None = None,
 ) -> None:
-    """Write proj_<j>_<k>.csv for all 16 settings plus a manifest."""
+    """Write proj_<j>_<k>.csv for all 16 settings."""
     os.makedirs(directory, exist_ok=True)
     for (j, k), counts in counts_by_projection.items():
         save_counts(counts, os.path.join(directory, f"proj_{j}_{k}.csv"))
-    if manifest is not None:
-        with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:
-            for key in sorted(manifest):
-                fh.write(f"{key} = {manifest[key]}\n")
 
 
 def load_tomography_bundle(directory) -> dict[tuple[int, int], CountMatrix]:

@@ -277,7 +277,9 @@ def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
 
     phases = np.random.default_rng(42).uniform(-np.pi, np.pi, 8)
     hyper = HyperState(phases=phases, weights=weights, labels=labels)
-    table = expected_tomography(hyper, list(parts), grid, spectro)
+    table = expected_tomography(
+        hyper, list(parts), grid, spectro, jsa.metadata["center_frequency_hz"]
+    )
 
     assert set(table) == set(labels)
     for i, label in enumerate(labels):

@@ -32,7 +32,8 @@ VALID = {
     load_domains: ("# total_length_m=2e-05", ["1e-05\t+1", "1e-05\t-1"]),
     load_curve: ("# kind=two_photon", ["0.0,0.5", "1.0e-12,0.6"]),
     load_counts: (
-        "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06",
+        "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06"
+        " nu0_hz=192705828887317.59",
         ["1,2", "3,4"],
     ),
 }
@@ -52,10 +53,7 @@ MALFORMED = {
     "text first line": (lambda h, rows: ["no header here", *rows], "header"),
     "header below a blank line": (lambda h, rows: ["", h, *rows], "header"),
     "spaces around =": (lambda h, rows: [h.replace("=", " = "), *rows], "key=value"),
-    "missing key": (
-        lambda h, rows: [h.rsplit(" ", 1)[0], *rows],
-        None,  # the dropped key, filled in below
-    ),
+    "missing key": (None, None),  # each header key dropped in turn, below
     "non-numeric token": (
         lambda h, rows: [h, "abc" + rows[0][len(_first(rows[0])):], *rows[1:]],
         "abc",
@@ -77,18 +75,25 @@ CASES = [(loader, case) for loader in VALID for case in MALFORMED]
 def test_malformed_input_rejected(tmp_path, loader, case):
     header, rows = VALID[loader]
     build, pattern = MALFORMED[case]
-    lines = build(header, rows)
-    if pattern is None:
-        pattern = header.rsplit(" ", 1)[1].partition("=")[0]
+    if build is None:
+        tokens = header[2:].split()
+        variants = [
+            (["# " + " ".join(t for t in tokens if t != drop), *rows],
+             f"missing field '{drop.partition('=')[0]}'")
+            for drop in tokens
+        ]
+    else:
+        variants = [(build(header, rows), pattern)]
     path = tmp_path / "bad.txt"
-    path.write_text("".join(line + "\n" for line in lines))
-    # Python ignores DeprecationWarning outside __main__, so the
-    # rejection must not depend on the warning filters
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match=pattern) as err:
-            loader(path)
-    assert str(path) in str(err.value)
+    for lines, pattern in variants:
+        path.write_text("".join(line + "\n" for line in lines))
+        # Python ignores DeprecationWarning outside __main__, so the
+        # rejection must not depend on the warning filters
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=pattern) as err:
+                loader(path)
+        assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("loader", list(VALID), ids=lambda f: f.__name__)
@@ -190,18 +195,19 @@ def test_curve_roundtrip(tmp_path, kind, points):
 @given(
     nt=st.integers(min_value=1, max_value=6),
     data=st.data(),
-    calibration=st.tuples(scale, scale, scale, scale),
+    calibration=st.tuples(scale, scale, scale, scale, scale),
 )
 def test_counts_roundtrip(tmp_path, nt, data, calibration):
     ints = st.integers(min_value=0, max_value=2**62)
     values = np.array(data.draw(st.lists(ints, min_size=nt * nt, max_size=nt * nt)))
-    a, b, c, d = calibration
+    a, b, c, d, e = calibration
     counts = CountMatrix(
         values=values.reshape(nt, nt),
         time_bin=25e-12 * a,
         window_start=-6.25e-9 * b,
         dispersion_ns_per_nm=0.4 * c,
         reference_wavelength=1555.7e-9 * d,
+        center_frequency_hz=1.9e14 * e,
     )
     path = tmp_path / "counts.csv"
     save_counts(counts, path)
@@ -209,6 +215,8 @@ def test_counts_roundtrip(tmp_path, nt, data, calibration):
     np.testing.assert_array_equal(back.values, counts.values)
     for name in ("time_bin", "window_start", "dispersion_ns_per_nm", "reference_wavelength"):
         assert getattr(back, name) == pytest.approx(getattr(counts, name), rel=1e-11)
+    # the band center places every gate, so it reads back bit-identical
+    assert back.center_frequency_hz == counts.center_frequency_hz
 
 
 @SETTINGS
@@ -232,6 +240,7 @@ def test_header_lines_match_format(tmp_path, jsa, x):
         window_start=-37.5e-12 * x,
         dispersion_ns_per_nm=0.4 / x,
         reference_wavelength=1555.7e-9 * x,
+        center_frequency_hz=1.9e14 * x,
     )
     cases = [
         (save_jsa, jsa, grid_header),
@@ -245,7 +254,8 @@ def test_header_lines_match_format(tmp_path, jsa, x):
             f" dt_ps={counts.time_bin * 1e12:.12g}"
             f" t0_ns={counts.window_start * 1e9:.12g}"
             f" disp_ns_per_nm={counts.dispersion_ns_per_nm:.12g}"
-            f" ref_wavelength_m={counts.reference_wavelength:.12g}",
+            f" ref_wavelength_m={counts.reference_wavelength:.12g}"
+            f" nu0_hz={counts.center_frequency_hz:.17g}",
         ),
     ]
     path = tmp_path / "out.txt"

@@ -1,6 +1,8 @@
 """Config parsing diagnostics and the batch CLI exit-code contract."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpmforge.biphoton import C_LIGHT, load_jsa, load_jsi
+import qpmforge
+from qpmforge.biphoton import C_LIGHT, build_jsa, load_jsa, load_jsi
 from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
 from qpmforge.crystal import load_domains
 from qpmforge.interference import load_curve
+from qpmforge.measurement import project_to_spectrometer
 from qpmforge.tomography import load_tomography_bundle
 
 DEFAULTS_FILE = "configs/defaults.cfg"
@@ -112,6 +116,11 @@ class TestValidation:
             ({"hom.tau_max_s": -6e-12}, "tau_max_s > tau_min_s"),
             ({"spectrometer.events": -5}, "events"),
             ({"tomography.resamples": -1}, "resamples"),
+            ({"tomography.gate_width_s": 0.0}, "gate_width_s"),
+            ({"tomography.gate_width_s": -1.52e-9}, "gate_width_s"),
+            ({"hom.counts_per_point": -1}, "counts_per_point"),
+            ({"spectrometer.max_alias_fraction": -0.1}, "max_alias_fraction"),
+            ({"spectrometer.max_alias_fraction": 1.5}, "max_alias_fraction"),
         ],
     )
     def test_semantic_errors(self, tmp_path, overrides, message):
@@ -302,6 +311,70 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["--help"])
         assert err.value.code == 0
+
+
+class TestBandCenter:
+    """tomo-sim projects, and tomo-fit gates, around the pump's band center."""
+
+    DRIFTS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
+    PHASE = 1.1
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        # 777.6 nm puts the band center 0.5 nm off the spectrometer's
+        # reference wavelength, about 200 ps of arrival time
+        tmp = tmp_path_factory.mktemp("band_center")
+        config = make_config(tmp, **{
+            "pump.wavelength_m": 777.6e-9,
+            "grid.points": 256,
+            "tomography.events_per_projection": 100_000_000,
+            "tomography.phases_rad": (self.PHASE,),
+            "tomography.drift_rad": self.DRIFTS,
+            "tomography.resamples": 10,
+        })
+        out = tmp / "tomo"
+        assert main(["tomo-sim", "--config", config, "--out", str(out)]) == 0
+        assert main(["tomo-fit", "--config", config, "--out", str(out)]) == 0
+        return parse_config(config), out
+
+    def test_tomography_counts_share_the_source_centroid(self, run):
+        # summed over the 16 settings the counts sample the weight-mixed
+        # bin images; their signal centroid must match the JSA's own
+        # projection (the statistical error here is about 0.1 ps)
+        cfg, out = run
+        spec = cfg.spectrometer_spec()
+        jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
+                        cfg.frequency_grid())
+        probs, _ = project_to_spectrometer(jsa, spec)
+        summed = sum(counts.values for counts in load_tomography_bundle(out / "tomo").values())
+
+        def centroid(image):
+            marginal = image.sum(axis=0)
+            return marginal @ spec.time_centers / marginal.sum()
+
+        assert centroid(probs) < -150e-12  # the source really sits off center
+        assert abs(centroid(summed) - centroid(probs)) < 1e-12
+
+    def test_fit_recovers_configured_states(self, run):
+        _, out = run
+        rows = (out / "report.txt").read_text().splitlines()[1:]
+        coherence = np.abs(np.sinc(np.array(self.DRIFTS) / (2.0 * np.pi)))
+        assert len(rows) == len(coherence)
+        for row, c in zip(rows, coherence):
+            fields = row.split()
+            purity, fidelity, phase = float(fields[2]), float(fields[5]), float(fields[-1])
+            assert purity == pytest.approx(0.5 * (1.0 + c * c), abs=4e-3), row
+            assert fidelity == pytest.approx(0.5 * (1.0 + c), abs=3e-3), row
+            assert phase == pytest.approx(self.PHASE, abs=3e-3), row
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(qpmforge.__path__)]
+)
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"qpmforge.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge.analysis import schmidt_number
-from qpmforge.biphoton import FrequencyGrid
+from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
 from qpmforge.measurement import (
     DEFAULT_GATE_WIDTH,
     CountMatrix,
@@ -20,13 +20,16 @@ from qpmforge.measurement import (
     gate_interval,
     gate_sum,
     load_counts,
+    project_intensities,
     project_to_spectrometer,
     reconstruct_jsi,
     save_counts,
     simulate_counts,
-    time_to_wavelength,
     wavelength_to_time,
 )
+
+# the band center whose zero detuning arrives at t = 0 on the default spectrometer
+NU0 = C_LIGHT / 1555.7e-9
 
 
 def jittered(spec, fwhm):
@@ -78,22 +81,24 @@ class TestCalibration:
         assert wavelength_to_time(spectro, lam0 + 3.8e-9) - t0 == pytest.approx(
             1.52e-9, rel=1e-15
         )
-        assert time_to_wavelength(spectro, 25e-12) - lam0 == pytest.approx(
-            0.0625e-9, rel=1e-15
+        assert wavelength_to_time(spectro, lam0 + 0.0625e-9) - t0 == pytest.approx(
+            25e-12, rel=1e-15
         )
 
     def test_window_spans_expected_band(self, spectro):
-        lo = time_to_wavelength(spectro, -spectro.window / 2)
-        hi = time_to_wavelength(spectro, spectro.window / 2)
-        assert (hi - lo) == pytest.approx(31.25e-9, rel=1e-12)
+        lam0 = spectro.reference_wavelength
+        lo = wavelength_to_time(spectro, lam0 - 15.625e-9)
+        hi = wavelength_to_time(spectro, lam0 + 15.625e-9)
+        assert lo == pytest.approx(-spectro.window / 2, rel=1e-12)
+        assert hi == pytest.approx(spectro.window / 2, rel=1e-12)
 
     def test_detuning_zero_arrives_at_zero(self, spectro):
-        assert detuning_to_time(spectro, 0.0) == pytest.approx(0.0, abs=1e-22)
+        assert detuning_to_time(spectro, 0.0, NU0) == pytest.approx(0.0, abs=1e-22)
 
     def test_detuning_sign_convention(self, spectro):
         # positive detuning = shorter wavelength = earlier arrival for
         # positive dispersion
-        assert detuning_to_time(spectro, 2 * np.pi * 500e9) < 0
+        assert detuning_to_time(spectro, 2 * np.pi * 500e9, NU0) < 0
 
     def test_gate_width_matches_bin_pitch(self, spectro):
         # 3.8 nm of bin pitch maps to the default 1.52 ns gate
@@ -141,16 +146,23 @@ class TestProjection:
         assert ks[0] == pytest.approx(8.124, abs=0.02)
 
     def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
-        direct, alias_a = project_to_spectrometer(comb_jsa, spectro)
-        from_matrix, alias_b = project_to_spectrometer(
-            comb_jsa.intensity, spectro, grid=comb_jsa.grid
+        direct, alias = project_to_spectrometer(comb_jsa, spectro)
+        center = comb_jsa.metadata["center_frequency_hz"]
+        image, kept = project_intensities(comb_jsa.intensity, comb_jsa.grid, spectro, center)
+        np.testing.assert_array_equal(direct, image / kept)
+        assert alias == 1.0 - kept
+        # a stack projects entry by entry
+        stack, kept2 = project_intensities(
+            np.stack([comb_jsa.intensity, 3.0 * comb_jsa.intensity]), comb_jsa.grid, spectro,
+            center,
         )
-        np.testing.assert_allclose(direct, from_matrix, rtol=1e-12)
-        assert alias_a == pytest.approx(alias_b)
+        np.testing.assert_allclose(stack, [image, image], rtol=0, atol=1e-12 * image.max())
+        np.testing.assert_allclose(kept2, [kept, kept], rtol=1e-12)
 
-    def test_bare_matrix_requires_grid(self, spectro):
-        with pytest.raises(ValueError, match="explicit frequency grid"):
-            project_to_spectrometer(np.ones((8, 8)), spectro)
+    def test_amplitude_requires_center(self, comb_jsa, spectro):
+        bare = JointSpectralAmplitude(grid=comb_jsa.grid, values=comb_jsa.values)
+        with pytest.raises(ValueError, match="center_frequency_hz"):
+            project_to_spectrometer(bare, spectro)
 
 
 class TestSimulateCounts:
@@ -176,13 +188,6 @@ class TestSimulateCounts:
     def test_zero_events(self, comb_jsa, spectro):
         counts = simulate_counts(comb_jsa, spectro, 0, seed=0)
         assert counts.total == 0
-
-    def test_efficiency_thins_total(self, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 200_000, seed=9, efficiency=0.25)
-        assert counts.total < 60_000
-        assert counts.total > 40_000
-        with pytest.raises(ValueError):
-            simulate_counts(comb_jsa, spectro, 100, seed=0, efficiency=1.5)
 
     def test_alias_overflow_raises(self, comb_jsa, spectro):
         with pytest.raises(MeasurementError, match="outside the"):
@@ -228,6 +233,7 @@ class TestReconstruction:
             window_start=-spectro.window / 2,
             dispersion_ns_per_nm=spectro.time_rate,
             reference_wavelength=spectro.reference_wavelength,
+            center_frequency_hz=NU0,
         )
         with pytest.raises(ValueError):
             reconstruct_jsi(empty)
@@ -237,18 +243,18 @@ class TestReconstruction:
 
 class TestGating:
     def test_gate_is_centered_and_clipped(self, spectro):
-        lo, hi = gate_interval(spectro, 0.0, width=1e-9)
+        lo, hi = gate_interval(spectro, 0.0, NU0, width=1e-9)
         assert lo == pytest.approx(-0.5e-9)
         assert hi == pytest.approx(0.5e-9)
         # a gate near the edge is truncated, never extended past it
         detuning = -2 * np.pi * 1750e9  # arrives near +5.65 ns
-        lo, hi = gate_interval(spectro, detuning)
+        lo, hi = gate_interval(spectro, detuning, NU0)
         assert hi == pytest.approx(spectro.window / 2)
         assert lo > 0
 
     def test_gate_fully_outside_raises(self, spectro):
         with pytest.raises(MeasurementError, match="outside the acquisition"):
-            gate_interval(spectro, -2 * np.pi * 6000e9, width=0.1e-9)
+            gate_interval(spectro, -2 * np.pi * 6000e9, NU0, width=0.1e-9)
 
     def test_gate_sum_uses_cell_centers(self, spectro):
         values = np.zeros((500, 500), dtype=np.int64)
@@ -259,6 +265,7 @@ class TestGating:
             window_start=-spectro.window / 2,
             dispersion_ns_per_nm=spectro.time_rate,
             reference_wavelength=spectro.reference_wavelength,
+            center_frequency_hz=NU0,
         )
         inside = (0.0, 25e-12)
         outside = (25e-12, 50e-12)
@@ -281,10 +288,12 @@ class TestCountsIO:
             counts.dispersion_ns_per_nm, rel=1e-12
         )
         assert back.reference_wavelength == 1555.9e-9
+        assert back.center_frequency_hz == comb_jsa.metadata["center_frequency_hz"]
 
     def test_malformed_body_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        header = "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06\n"
+        header = "# nt=2 dt_ps=25 t0_ns=-0.025 disp_ns_per_nm=0.4 ref_wavelength_m=1.5557e-06"
+        header += " nu0_hz=192705828887317.59\n"
         for body in ("1,2.5\n3,4\n", "1,1e3\n3,4\n", "1,2\n3\n", ""):
             path.write_text(header + body)
             # Python ignores DeprecationWarning outside __main__, so the
@@ -303,6 +312,7 @@ class TestCountsIO:
             window_start=-spectro.window / 2,
             dispersion_ns_per_nm=spectro.time_rate,
             reference_wavelength=spectro.reference_wavelength,
+            center_frequency_hz=NU0,
         )
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
@@ -318,22 +328,8 @@ class TestCountsIO:
                 window_start=-spectro.window / 2,
                 dispersion_ns_per_nm=spectro.time_rate,
                 reference_wavelength=spectro.reference_wavelength,
+                center_frequency_hz=NU0,
             )
-
-
-@settings(deadline=None, max_examples=50)
-@given(offset_nm=st.floats(min_value=-15.0, max_value=15.0))
-def test_wavelength_time_maps_are_inverse(offset_nm):
-    spec = SpectrometerSpec(
-        dispersion_ps_per_nm_km=20,
-        fiber_length_km=20,
-        jitter_fwhm=50e-12,
-        time_bin=25e-12,
-        window=12.5e-9,
-    )
-    lam = spec.reference_wavelength + offset_nm * 1e-9
-    back = time_to_wavelength(spec, wavelength_to_time(spec, lam))
-    assert back == pytest.approx(lam, rel=1e-14)
 
 
 @settings(deadline=None, max_examples=25)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpmforge import tomography
-from qpmforge.biphoton import FrequencyGrid, build_jsa
-from qpmforge.measurement import project_to_spectrometer
+from qpmforge import measurement
+from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
+from qpmforge.config import default_config
+from qpmforge.measurement import project_intensities, project_to_spectrometer
 from qpmforge.tomography import (
     _born_table,
-    _project_bins,
     HyperState,
     analyze_tomography,
     bin_detuning,
@@ -35,6 +35,8 @@ from qpmforge.tomography import (
 )
 
 SPACING = 500e9
+# band center of every amplitude built from the default pump
+NU0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
 
 
 def wrap_angle(x):
@@ -67,7 +69,7 @@ def pure_hyper(small_split, random_phases):
 @pytest.fixture(scope="module")
 def pure_table(pure_hyper, small_split, small_grid, spectro):
     _, parts, _ = small_split
-    return expected_tomography(pure_hyper, parts, small_grid, spectro)
+    return expected_tomography(pure_hyper, parts, small_grid, spectro, NU0)
 
 
 class TestSicFrame:
@@ -269,21 +271,17 @@ class TestSplitBins:
         target = jsa.intensity / jsa.intensity.sum()
         np.testing.assert_allclose(rebuilt, target, atol=1e-15 * target.max())
 
-    def test_bare_matrix_needs_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            split_bins(np.ones((8, 8)))
-
     def test_zero_intensity_rejected(self, small_grid):
         n = small_grid.nu_signal.size
         with pytest.raises(ValueError, match="no intensity"):
-            split_bins(np.zeros((n, n)), grid=small_grid)
+            split_bins(JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n))))
 
 
 @pytest.fixture(scope="module")
 def sim(pure_hyper, small_split, small_grid, spectro):
     _, parts, _ = small_split
     return simulate_tomography(
-        pure_hyper, parts, small_grid, spectro, events=2000, seed=5
+        pure_hyper, parts, small_grid, spectro, NU0, events=2000, seed=5
     )
 
 
@@ -308,15 +306,15 @@ class TestSimulateTomography:
     ):
         labels, parts, weights = small_split
         hyper = HyperState(phases=np.zeros(8), weights=weights, labels=labels)
-        sim = simulate_tomography(hyper, parts, small_grid, spectro, 500, seed=1)
+        sim = simulate_tomography(hyper, parts, small_grid, spectro, NU0, 500, seed=1)
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
     def test_reproducible(self, pure_hyper, small_split, small_grid, spectro):
         _, parts, _ = small_split
-        a = simulate_tomography(pure_hyper, parts, small_grid, spectro, 300, seed=9)
-        b = simulate_tomography(pure_hyper, parts, small_grid, spectro, 300, seed=9)
-        c = simulate_tomography(pure_hyper, parts, small_grid, spectro, 300, seed=10)
+        a = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=9)
+        b = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=9)
+        c = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=10)
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
@@ -324,10 +322,10 @@ class TestSimulateTomography:
         _, parts, _ = small_split
         with pytest.raises(ValueError, match="one matrix per bin"):
             simulate_tomography(
-                pure_hyper, parts[:3], small_grid, spectro, 100, seed=0
+                pure_hyper, parts[:3], small_grid, spectro, NU0, 100, seed=0
             )
         with pytest.raises(ValueError, match="events"):
-            simulate_tomography(pure_hyper, parts, small_grid, spectro, -1, seed=0)
+            simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, -1, seed=0)
 
 
 class TestSharedProjection:
@@ -337,15 +335,18 @@ class TestSharedProjection:
         # projecting each bin once and mixing the images must equal
         # projecting each setting's mixed spectrum: the map is linear
         _, parts, weights = small_split
-        images, kept = _project_bins(parts, small_grid, spectro)
+        images, kept = project_intensities(parts, small_grid, spectro, NU0)
         mixes = [weights] + [
             np.clip(weights * born, 0.0, None) for born in _born_table(pure_hyper)
         ]
         for flux in mixes:
             mix = flux / flux.sum()
-            ref, ref_alias = project_to_spectrometer(
-                np.tensordot(mix, parts, axes=(0, 0)), spectro, grid=small_grid
+            mixed = JointSpectralAmplitude(
+                grid=small_grid,
+                values=np.sqrt(np.tensordot(mix, parts, axes=(0, 0))),
+                metadata={"center_frequency_hz": NU0},
             )
+            ref, ref_alias = project_to_spectrometer(mixed, spectro)
             shared = np.tensordot(mix, images, axes=(0, 0))
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
@@ -355,12 +356,12 @@ class TestSharedProjection:
     ):
         _, parts, _ = small_split
         calls = []
-        build = tomography.build_transfer
+        build = measurement.build_transfer
         monkeypatch.setattr(
-            tomography, "build_transfer", lambda *args: calls.append(args) or build(*args)
+            measurement, "build_transfer", lambda *args: calls.append(args) or build(*args)
         )
-        simulate_tomography(pure_hyper, parts, small_grid, spectro, events=100, seed=0)
-        expected_tomography(pure_hyper, parts, small_grid, spectro)
+        simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, events=100, seed=0)
+        expected_tomography(pure_hyper, parts, small_grid, spectro, NU0)
         assert len(calls) == 4
 
 
@@ -385,7 +386,7 @@ class TestGatedAnalysis:
     ):
         labels, parts, _ = small_split
         run = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, events=100_000, seed=5
+            pure_hyper, parts, small_grid, spectro, NU0, events=100_000, seed=5
         )
         results = analyze_tomography(run, labels, n_resamples=200, seed=6)
         assert [r.label for r in results] == list(labels)
@@ -402,7 +403,7 @@ class TestGatedAnalysis:
     def test_zero_counts_raise(self, pure_hyper, small_split, small_grid, spectro):
         _, parts, _ = small_split
         sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, events=0, seed=0
+            pure_hyper, parts, small_grid, spectro, NU0, events=0, seed=0
         )
         with pytest.raises(ValueError, match="no gated counts"):
             tomography_probabilities(sim, 1)
@@ -412,7 +413,7 @@ class TestGatedAnalysis:
     ):
         labels, parts, _ = small_split
         sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, events=5000, seed=2
+            pure_hyper, parts, small_grid, spectro, NU0, events=5000, seed=2
         )
         results = analyze_tomography(sim, labels)
         text = tomography_report(results)
@@ -459,7 +460,7 @@ class TestResample:
             labels=labels,
             drift=np.full(8, 1.0),
         )
-        p16 = expected_tomography(hyper, parts, small_grid, spectro)[2]
+        p16 = expected_tomography(hyper, parts, small_grid, spectro, NU0)[2]
         truth = reconstruct_state(p16)
         truth_purity = purity(truth)
         truth_fid = fidelity_singlet(truth)[0]
@@ -484,27 +485,25 @@ class TestBundleIO:
     ):
         _, parts, _ = small_split
         sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, events=50, seed=3
+            pure_hyper, parts, small_grid, spectro, NU0, events=50, seed=3
         )
         target = tmp_path / "bundle"
-        save_tomography_bundle(target, sim, manifest={"events": 50, "seed": 3})
+        save_tomography_bundle(target, sim)
         names = sorted(os.listdir(target))
-        assert "manifest.txt" in names
         assert sum(name.startswith("proj_") for name in names) == 16
-        manifest_text = (target / "manifest.txt").read_text()
-        assert "events = 50" in manifest_text
         loaded = load_tomography_bundle(target)
         assert set(loaded) == set(sim)
         for key in sim:
             np.testing.assert_array_equal(loaded[key].values, sim[key].values)
             assert loaded[key].time_bin == pytest.approx(sim[key].time_bin)
+            assert loaded[key].center_frequency_hz == NU0
 
     def test_incomplete_bundle_rejected(
         self, pure_hyper, small_split, small_grid, spectro, tmp_path
     ):
         _, parts, _ = small_split
         sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, events=50, seed=3
+            pure_hyper, parts, small_grid, spectro, NU0, events=50, seed=3
         )
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
