@@ -11,6 +11,11 @@ weights.  Two figures of merit are used:
   F_n = (sum_{k<n} sqrt(lambda_k / n))^2 with weights sorted descending,
   which is insensitive to the Schmidt-mode shapes because the maximally
   entangled target is defined in the source's own dominant modes.
+
+A measured count matrix n has no phase, so its Schmidt number is read
+as schmidt_number(sqrt(n)), the flat-phase amplitude; the point estimate
+and every replica of monte_carlo_uncertainty's Poisson bootstrap
+evaluate that same expression.
 """
 
 from __future__ import annotations
@@ -147,32 +152,22 @@ def fidelity_to_maximal(jsa, n_modes: int) -> float:
     return _fidelity_of(weights, n_modes)
 
 
-def _metric_from_counts(counts: np.ndarray, metric, n_modes: int) -> float:
-    amp = np.sqrt(counts)
-    if metric == "schmidt_number":
-        return schmidt_number(amp)
-    if metric == "fidelity":
-        return fidelity_to_maximal(amp, n_modes)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def monte_carlo_uncertainty(
     counts: np.ndarray,
-    metric: str = "schmidt_number",
-    n_modes: int = 8,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Poissonian bootstrap of a Schmidt metric from a count matrix.
+    """Poissonian bootstrap of the Schmidt number of a count matrix.
 
-    Each resample draws counts'_ij ~ Poisson(counts_ij), takes the square
-    root as a flat-phase amplitude and recomputes the metric.  Returns
-    (mean, sample std).  Trial k uses the independent substream
-    default_rng([seed, k]).
+    Each resample draws counts'_ij ~ Poisson(counts_ij) and evaluates
+    schmidt_number(sqrt(counts')), the estimator whose value on the
+    observed counts is the point estimate.  Returns (mean, sample std).
+    Trial k uses the independent substream default_rng([seed, k]).
 
     The flat-phase amplitude is an assumption, not an inference: measured
-    intensities carry no phase, so the resampled metric tracks the
-    magnitude structure only.
+    intensities carry no phase, so K tracks the magnitude structure only.
+    Shot noise biases this estimator upward; the bootstrap measures its
+    spread, not that bias.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
@@ -187,7 +182,7 @@ def monte_carlo_uncertainty(
         resampled = rng.poisson(counts).astype(float)
         if resampled.sum() == 0:
             resampled = counts.copy()
-        return _metric_from_counts(resampled, metric, n_modes)
+        return schmidt_number(np.sqrt(resampled))
 
     values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
     return float(values.mean()), float(values.std(ddof=1))

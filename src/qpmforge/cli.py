@@ -29,7 +29,6 @@ from .interference import (
 )
 from .measurement import (
     MeasurementError,
-    amplitude_from_counts,
     load_counts,
     reconstruct_jsi,
     save_counts,
@@ -182,13 +181,11 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
         delimiter="\t",
         header="time_s\tsignal_marginal\tidler_marginal",
     )
-    k_point = schmidt_number(amplitude_from_counts(counts))
+    # the point K and every bootstrap replica are K of sqrt(counts)
+    k_point = schmidt_number(np.sqrt(counts.values))
     resamples = cfg["spectrometer"]["resamples"]
     k_mean, k_std = monte_carlo_uncertainty(
-        counts.values,
-        metric="schmidt_number",
-        n_resamples=resamples,
-        seed=cfg["run"]["seed"],
+        counts.values, n_resamples=resamples, seed=cfg["run"]["seed"]
     )
     _write_text(
         os.path.join(out_dir, "report.txt"),

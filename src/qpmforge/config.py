@@ -90,12 +90,20 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 
+_INT_LIMIT = 2**63  # event counts and sizes reach numpy as int64
+
+
 def _parse_value(raw: str, default, where: str):
+    """Typed value of one key; a number that is not finite, or an integer
+    outside int64, is rejected like any other malformed value."""
     if isinstance(default, tuple):
         try:
-            return tuple(float(tok) for tok in raw.split(","))
+            values = tuple(float(tok) for tok in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"{where}: expected comma-separated numbers, got {raw!r}") from exc
+        if not all(np.isfinite(values)):
+            raise ConfigError(f"{where}: expected comma-separated finite numbers, got {raw!r}")
+        return values
     if isinstance(default, bool):
         raise AssertionError("no boolean keys in schema")
     if isinstance(default, int):
@@ -103,14 +111,19 @@ def _parse_value(raw: str, default, where: str):
             value = int(raw.replace("_", ""), 0) if raw.lstrip("+-").isdigit() or "_" in raw else int(float(raw))
             if float(raw.replace("_", "")) != value:
                 raise ValueError
-            return value
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: int(inf)
             raise ConfigError(f"{where}: expected an integer, got {raw!r}") from exc
+        if abs(value) >= _INT_LIMIT:
+            raise ConfigError(f"{where}: integer {raw!r} does not fit in 64 bits")
+        return value
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -279,10 +292,15 @@ def _validate(cfg: RunConfig) -> None:
     for section, key in (
         ("spectrometer", "events"),
         ("tomography", "events_per_projection"),
-        ("tomography", "resamples"),
         ("hom", "counts_per_point"),
     ):
         if cfg.sections[section][key] < 0:
             raise ConfigError(f"{cfg.path}: {key} must be >= 0")
+    # a sample std needs two replicas; tomography may skip its bootstrap
+    if cfg.sections["spectrometer"]["resamples"] < 2:
+        raise ConfigError(f"{cfg.path}: spectrometer resamples must be >= 2")
+    tomo_resamples = cfg.sections["tomography"]["resamples"]
+    if tomo_resamples < 0 or tomo_resamples == 1:
+        raise ConfigError(f"{cfg.path}: tomography resamples must be 0 or >= 2")
     if not 0.0 <= cfg.sections["spectrometer"]["max_alias_fraction"] <= 1.0:
         raise ConfigError(f"{cfg.path}: max_alias_fraction must lie in [0, 1]")

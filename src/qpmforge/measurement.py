@@ -39,8 +39,6 @@ __all__ = [
     "simulate_counts",
     "reconstruct_jsi",
     "JsiReconstruction",
-    "amplitude_from_jsi",
-    "amplitude_from_counts",
     "gate_interval",
     "gate_sum",
     "save_counts",
@@ -362,48 +360,6 @@ def reconstruct_jsi(counts: CountMatrix) -> JsiReconstruction:
         signal_marginal=sig / sig.max(),
         idler_marginal=idl / idl.max(),
     )
-
-
-def amplitude_from_jsi(jsi: np.ndarray, grid: FrequencyGrid) -> JointSpectralAmplitude:
-    """Flat-phase amplitude: entrywise square root of a JSI, renormalized.
-
-    The measured intensity carries no phase information, so the returned
-    amplitude is the one consistent with a flat spectral phase; metadata
-    records the assumption.
-    """
-    jsi = np.asarray(jsi, dtype=float)
-    if np.any(jsi < 0):
-        raise ValueError("intensity must be nonnegative")
-    jsa = JointSpectralAmplitude(grid=grid, values=np.sqrt(jsi))
-    out = jsa.normalized()
-    out.metadata["flat_phase"] = True
-    return out
-
-
-def amplitude_from_counts(counts: CountMatrix) -> JointSpectralAmplitude:
-    """Flat-phase amplitude from a measured count matrix.
-
-    Each time pixel is treated as one spectral mode; the pseudo-detuning
-    axis comes from the linearized wavelength map (exact to ~1% across the
-    default window), flipped so detuning increases with the index.  Schmidt
-    metrics are invariant under that relabeling.
-    """
-    rate = counts.dispersion_ns_per_nm  # ns/nm == s/m numerically
-    d_lambda = counts.time_bin / rate
-    d_nu = 2.0 * np.pi * C_LIGHT / counts.reference_wavelength**2 * d_lambda
-    n_i, n_s = counts.values.shape
-
-    def axis(n: int) -> np.ndarray:
-        return d_nu * (np.arange(n) - (n - 1) / 2.0)
-
-    grid = FrequencyGrid(nu_signal=axis(n_s), nu_idler=axis(n_i))
-    jsi = counts.values.astype(float)[::-1, ::-1]
-    total = jsi.sum()
-    if total <= 0:
-        raise MeasurementError("count matrix is empty")
-    out = amplitude_from_jsi(jsi / total, grid)
-    out.metadata["pseudo_detuning_axes"] = True
-    return out
 
 
 def gate_interval(spec: SpectrometerSpec, detuning: float, center_frequency_hz: float,

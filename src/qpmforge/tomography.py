@@ -10,7 +10,11 @@ matrix per bin.
 Basis order is |q1 q2> in {HH, HV, VH, VV} with the signal photon first;
 ``kron(A, B)`` therefore applies A to the signal and B to the idler.
 Reconstruction is linear inversion over the tensor-product SIC frame
-followed by an optional (default-on) projection to the PSD cone.
+followed by a projection to the PSD cone.  One stacked estimator does
+both, so a point estimate and its bootstrap replicas run the same code:
+reconstruct_state applies it to the observed probabilities and
+resample_tomography to a stack of Poisson-resampled ones, and purity
+and fidelity_singlet take a single state or a stack alike.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .measurement import (
 
 __all__ = [
     "sic_operator",
-    "sic_projector_vector",
     "project_probability",
     "singlet_state",
     "TwoQubitState",
@@ -93,15 +96,6 @@ def sic_operator(k: int) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + bloch)
 
 
-def sic_projector_vector(k: int) -> np.ndarray:
-    """Unit ket |m_k> with M_k = |m_k><m_k| (global phase fixed by the
-    first nonzero component being real positive)."""
-    vals, vecs = np.linalg.eigh(sic_operator(k))
-    ket = vecs[:, np.argmax(vals)]
-    lead = ket[np.flatnonzero(np.abs(ket) > 1e-12)[0]]
-    return ket * (np.conj(lead) / abs(lead))
-
-
 def _pair_operator(j: int, k: int) -> np.ndarray:
     return np.kron(sic_operator(j), sic_operator(k))
 
@@ -117,8 +111,7 @@ _FRAME_INV = np.linalg.inv(_FRAME)
 
 def project_probability(rho, j: int, k: int) -> float:
     """Born probability Tr[rho (M_j x M_k)], j on signal, k on idler."""
-    rho = rho.rho if isinstance(rho, TwoQubitState) else np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ _pair_operator(j, k))))
+    return float(np.real(np.trace(_rho(rho) @ _pair_operator(j, k))))
 
 
 def singlet_state(phase: float = 0.0, coherence: float = 1.0) -> np.ndarray:
@@ -142,7 +135,7 @@ class TwoQubitState:
     """Validated 4x4 density matrix plus reconstruction diagnostics.
 
     ``clipped_weight`` is the total negative eigenvalue mass removed by
-    the PSD projection (0 for noiseless or unprojected states).
+    the PSD projection (0 when the inversion is already physical).
     """
 
     rho: np.ndarray
@@ -161,57 +154,67 @@ class TwoQubitState:
         self.rho = rho
 
 
-def _psd_clip(rho: np.ndarray) -> tuple[np.ndarray, float]:
+def _rho(state) -> np.ndarray:
+    return state.rho if isinstance(state, TwoQubitState) else np.asarray(state)
+
+
+def _reconstruct(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked linear inversion: p[..., 16] -> (rho[..., 4, 4], clipped[...]).
+
+    Inverts the frame, keeps the Hermitian part, clips the negative
+    eigenvalues and renormalizes the rest; ``clipped`` is the negative
+    eigenvalue mass removed.
+    """
+    rho = (p.astype(complex) @ _FRAME_INV.T).reshape(p.shape[:-1] + (4, 4))
+    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
     vals, vecs = np.linalg.eigh(rho)
-    clipped = float(-vals[vals < 0].sum())
+    clipped = -np.where(vals < 0, vals, 0.0).sum(axis=-1)
     vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T, clipped
+    vals /= vals.sum(axis=-1, keepdims=True)
+    return (vecs * vals[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2)), clipped
 
 
-def reconstruct_state(probabilities, psd: bool = True) -> TwoQubitState:
+def reconstruct_state(probabilities) -> TwoQubitState:
     """Linear-inversion tomography from the 16 SIC-pair probabilities.
 
     ``probabilities`` is ordered row-major over (j, k) and should sum to
     4 (the frame resolves 2I x 2I); values from gated counts are expected
-    as 4*n_jk / sum(n).  With ``psd`` the estimate is projected onto the
-    physical cone by clipping negative eigenvalues and renormalizing.
+    as 4*n_jk / sum(n).  The estimate is projected onto the physical
+    cone by clipping negative eigenvalues and renormalizing.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (16,):
         raise ValueError("expected 16 probabilities ordered over (j, k)")
     if not np.any(p):
         raise ValueError("all 16 probabilities are zero")
-    rho = (_FRAME_INV @ p.astype(complex)).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    clipped = 0.0
-    if psd:
-        rho, clipped = _psd_clip(rho)
-    return TwoQubitState(rho=rho, clipped_weight=clipped)
+    rho, clipped = _reconstruct(p)
+    return TwoQubitState(rho=rho, clipped_weight=float(clipped))
 
 
-def purity(state) -> float:
-    rho = state.rho if isinstance(state, TwoQubitState) else np.asarray(state)
-    return float(np.real(np.trace(rho @ rho)))
+def purity(state):
+    """Tr(rho^2) of one state (a float) or of a [..., 4, 4] stack (an array)."""
+    rho = _rho(state)
+    out = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return float(out) if rho.ndim == 2 else out
 
 
-def fidelity_singlet(state) -> tuple[float, float]:
+def fidelity_singlet(state):
     """Best fidelity to (|HV> - e^{i phi}|VH>)/sqrt(2) over the phase.
 
     F(phi) = (rho_HVHV + rho_VHVH)/2 - Re(e^{i phi} rho_HV,VH), maximized
     in closed form at phi_hat = pi - arg(rho_HV,VH).  Returns (F, phi_hat)
-    with phi_hat in (-pi, pi] (0 when the off-diagonal vanishes).
+    with phi_hat in (-pi, pi] (0 when the off-diagonal vanishes): floats
+    for one state, arrays over the leading axes of a [..., 4, 4] stack.
     """
-    rho = state.rho if isinstance(state, TwoQubitState) else np.asarray(state)
-    off = rho[1, 2]
-    fid = float(0.5 * np.real(rho[1, 1] + rho[2, 2]) + abs(off))
-    if abs(off) == 0.0:
-        return fid, 0.0
+    rho = _rho(state)
+    off = rho[..., 1, 2]
+    fid = 0.5 * np.real(rho[..., 1, 1] + rho[..., 2, 2]) + np.abs(off)
     phi = np.pi - np.angle(off)
     phi = (phi + np.pi) % (2.0 * np.pi) - np.pi
-    if phi == -np.pi:
-        phi = np.pi
-    return fid, float(phi)
+    phi = np.where(off == 0.0, 0.0, np.where(phi == -np.pi, np.pi, phi))
+    if rho.ndim == 2:
+        return float(fid), float(phi)
+    return fid, phi
 
 
 DEFAULT_BIN_SPACING_HZ = 500e9  # Hz between adjacent single-photon bins
@@ -320,8 +323,8 @@ def split_bins(
 
 def _born_table(hyper: HyperState) -> np.ndarray:
     """Tr[rho_i (Mj x Mk)]: rows over the 16 settings, columns over bins."""
-    states = [hyper.bin_state(i) for i in range(hyper.n_bins)]
-    return np.array([[project_probability(rho, j, k) for rho in states] for j, k in _SETTINGS])
+    states = np.array([hyper.bin_state(i).reshape(16) for i in range(hyper.n_bins)])
+    return (_FRAME @ states.T).real
 
 
 def simulate_tomography(
@@ -470,9 +473,9 @@ def resample_tomography(
 ) -> tuple[float, float]:
     """Poisson-bootstrap standard deviations of (purity, fidelity).
 
-    Resamples the 16 gated totals as independent Poisson variates,
-    reconstructing each replica with the PSD projection applied, exactly
-    as the point estimate is produced.
+    Resamples the 16 gated totals as independent Poisson variates and
+    runs each replica through the point estimate's own reconstruction,
+    purity and fidelity.  Replicas with no counts at all are dropped.
     """
     gated = np.asarray(gated_counts, dtype=float)
     if gated.shape != (16,):
@@ -480,16 +483,9 @@ def resample_tomography(
     rng = np.random.default_rng(seed)
     draws = rng.poisson(gated, size=(n_resamples, 16)).astype(float)
     draws = draws[draws.sum(axis=1) > 0]
-    probs = 4.0 * draws / draws.sum(axis=1, keepdims=True)
-    rho = (probs.astype(complex) @ _FRAME_INV.T).reshape(-1, 4, 4)
-    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum(axis=1, keepdims=True)
-    rho = np.einsum("nik,nk,njk->nij", vecs, vals, np.conj(vecs))
-    pur = np.einsum("nij,nji->n", rho, rho).real
-    fid = 0.5 * (rho[:, 1, 1] + rho[:, 2, 2]).real + np.abs(rho[:, 1, 2])
-    return float(pur.std(ddof=1)), float(fid.std(ddof=1))
+    rho, _ = _reconstruct(4.0 * draws / draws.sum(axis=1, keepdims=True))
+    fid, _ = fidelity_singlet(rho)
+    return float(purity(rho).std(ddof=1)), float(fid.std(ddof=1))
 
 
 def analyze_tomography(

@@ -32,7 +32,6 @@ from qpmforge.interference import (
 )
 from qpmforge.measurement import (
     SpectrometerSpec,
-    amplitude_from_counts,
     project_to_spectrometer,
     simulate_counts,
 )
@@ -222,7 +221,7 @@ def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
 )
 def test_tofs_reconstructed_schmidt_number(comb_jsa, spectro):
     counts = simulate_counts(comb_jsa, spectro, 43_000_000, seed=11)
-    k = schmidt_number(amplitude_from_counts(counts))
+    k = schmidt_number(np.sqrt(counts.values))
     assert 6.8 <= k <= 8.1
 
 
@@ -244,9 +243,7 @@ def test_mc_error_scaling(comb_jsa):
     stds = {}
     for n_events in (430_000, 43_000_000):
         counts = simulate_counts(comb_jsa, spec200, n_events, seed=17)
-        _, std = monte_carlo_uncertainty(
-            counts.values, metric="schmidt_number", n_resamples=1000, seed=19
-        )
+        _, std = monte_carlo_uncertainty(counts.values, n_resamples=1000, seed=19)
         stds[n_events] = std
 
     ratio = stds[430_000] / stds[43_000_000]
@@ -283,7 +280,7 @@ def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
 
     assert set(table) == set(labels)
     for i, label in enumerate(labels):
-        state = reconstruct_state(table[label], psd=False)
+        state = reconstruct_state(table[label])
         assert purity(state.rho) >= 0.999
         fid, phase_hat = fidelity_singlet(state.rho)
         assert fid >= 0.999
@@ -301,7 +298,7 @@ def test_depolarized_singlet_reference():
         [[np.trace(np.kron(sic_operator(j), sic_operator(k)) @ rho).real
           for k in range(1, 5)] for j in range(1, 5)]
     ).ravel()
-    state = reconstruct_state(p16, psd=False)
+    state = reconstruct_state(p16)
     fid, _ = fidelity_singlet(state.rho)
     assert purity(state.rho) == pytest.approx(0.8575, abs=1e-6)
     assert fid == pytest.approx(0.925, abs=1e-6)

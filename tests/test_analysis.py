@@ -94,17 +94,7 @@ class TestMonteCarlo:
         assert mean == pytest.approx(schmidt_number(np.sqrt(counts)), rel=0.02)
         assert std < 0.05
 
-    def test_fidelity_metric(self):
-        counts = np.zeros((8, 8))
-        counts[np.arange(4), np.arange(4)] = 1e5
-        mean, std = monte_carlo_uncertainty(
-            counts, metric="fidelity", n_modes=4, n_resamples=32, seed=7
-        )
-        assert mean == pytest.approx(1.0, abs=1e-3)
-
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            monte_carlo_uncertainty(np.ones((4, 4)), metric="nope", n_resamples=4)
         with pytest.raises(ValueError):
             monte_carlo_uncertainty(-np.ones((4, 4)), n_resamples=4)
         with pytest.raises(ValueError):
@@ -128,7 +118,7 @@ class TestReport:
 
 
 def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
-    """K, the report and both bootstrap metrics need no Schmidt modes."""
+    """K, the report and the bootstrap need no Schmidt modes."""
     svd = np.linalg.svd
     compute_uv_flags = []
 
@@ -140,8 +130,7 @@ def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
     report_from_jsa(comb_jsa, n_modes=8)
     counts = np.random.default_rng(5).poisson(50.0, size=(40, 30)).astype(float)
     schmidt_number(np.sqrt(counts))
-    for metric in ("schmidt_number", "fidelity"):
-        monte_carlo_uncertainty(counts, metric=metric, n_resamples=3, seed=1)
+    monte_carlo_uncertainty(counts, n_resamples=3, seed=1)
     assert compute_uv_flags and not any(compute_uv_flags)
 
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import qpmforge
+from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import C_LIGHT, build_jsa, load_jsa, load_jsi
 from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
 from qpmforge.crystal import load_domains
 from qpmforge.interference import load_curve
-from qpmforge.measurement import project_to_spectrometer
+from qpmforge.measurement import load_counts, project_to_spectrometer
 from qpmforge.tomography import load_tomography_bundle
 
 DEFAULTS_FILE = "configs/defaults.cfg"
@@ -89,6 +90,16 @@ class TestParsing:
             ("[crystal]\nlength_m 0.02\n", 2, "expected 'key = value'"),
             ("seed = 3\n", 1, "outside any"),
             ("[run]\nthreads = 2\n", 2, "unknown key"),
+            # non-finite and overflowing numbers
+            ("[grid]\npoints = inf\n", 2, "expected an integer"),
+            ("[hom]\npoints = inf\n", 2, "expected an integer"),
+            ("[hom]\ncounts_per_point = inf\n", 2, "expected an integer"),
+            ("[spectrometer]\nevents = 1e400\n", 2, "expected an integer"),
+            ("[spectrometer]\nevents = 1e19\n", 2, "64 bits"),
+            ("[pump]\nwavelength_m = inf\n", 2, "finite number"),
+            ("[crystal]\nlength_m = nan\n", 2, "finite number"),
+            ("[tomography]\ngate_width_s = nan\n", 2, "finite number"),
+            ("[tomography]\n\nphases_rad = 0.1,nan\n", 3, "finite numbers"),
         ],
     )
     def test_line_precise_diagnostics(self, tmp_path, body, lineno, message):
@@ -121,6 +132,9 @@ class TestValidation:
             ({"hom.counts_per_point": -1}, "counts_per_point"),
             ({"spectrometer.max_alias_fraction": -0.1}, "max_alias_fraction"),
             ({"spectrometer.max_alias_fraction": 1.5}, "max_alias_fraction"),
+            ({"tomography.resamples": 1}, "tomography resamples"),
+            ({"spectrometer.resamples": 1}, "spectrometer resamples"),
+            ({"spectrometer.resamples": 0}, "spectrometer resamples"),
         ],
     )
     def test_semantic_errors(self, tmp_path, overrides, message):
@@ -223,6 +237,15 @@ class TestCliExitCodes:
         assert "total_events = 50000" in report
         assert "schmidt_number" in report
         assert (out / "marginals.tsv").exists()
+
+    def test_tofs_point_estimate_is_k_of_sqrt_counts(self, tmp_path):
+        # the reported K is the expression every bootstrap replica evaluates
+        config = make_config(tmp_path, **FAST)
+        out = tmp_path / "tofs"
+        assert main(["tofs-sim", "--config", config, "--out", str(out)]) == 0
+        assert main(["tofs-analyze", "--config", config, "--out", str(out)]) == 0
+        k = schmidt_number(np.sqrt(load_counts(out / "counts.csv").values))
+        assert f"schmidt_number = {k:.6f}" in (out / "report.txt").read_text().splitlines()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -13,8 +13,6 @@ from qpmforge.measurement import (
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
-    amplitude_from_counts,
-    amplitude_from_jsi,
     build_transfer,
     detuning_to_time,
     gate_interval,
@@ -208,23 +206,9 @@ class TestReconstruction:
 
     def test_amplitude_recovers_mode_count(self, counts, comb_jsa):
         k_true = schmidt_number(comb_jsa)
-        k_rec = schmidt_number(amplitude_from_counts(counts))
+        k_rec = schmidt_number(np.sqrt(counts.values))
         # noise inflation at 2e6 events stays well under one mode
         assert abs(k_rec - k_true) < 0.5
-
-    def test_amplitude_axes_are_detunings(self, counts):
-        amp = amplitude_from_counts(counts)
-        assert amp.metadata["pseudo_detuning_axes"]
-        assert amp.metadata["flat_phase"]
-        np.testing.assert_allclose(
-            amp.grid.nu_signal, -amp.grid.nu_signal[::-1], atol=1e-6
-        )
-
-    def test_amplitude_from_jsi_rejects_negative(self):
-        grid = FrequencyGrid.symmetric(4, 1e12)
-        jsi = -np.ones((4, 4))
-        with pytest.raises(ValueError):
-            amplitude_from_jsi(jsi, grid)
 
     def test_empty_counts_rejected(self, spectro):
         empty = CountMatrix(
@@ -237,8 +221,6 @@ class TestReconstruction:
         )
         with pytest.raises(ValueError):
             reconstruct_jsi(empty)
-        with pytest.raises(ValueError):
-            amplitude_from_counts(empty)
 
 
 class TestGating:

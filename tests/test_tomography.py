@@ -14,6 +14,7 @@ from qpmforge.measurement import project_intensities, project_to_spectrometer
 from qpmforge.tomography import (
     _born_table,
     HyperState,
+    TwoQubitState,
     analyze_tomography,
     bin_detuning,
     default_bin_labels,
@@ -26,7 +27,6 @@ from qpmforge.tomography import (
     resample_tomography,
     save_tomography_bundle,
     sic_operator,
-    sic_projector_vector,
     simulate_tomography,
     singlet_state,
     split_bins,
@@ -89,9 +89,6 @@ class TestSicFrame:
             op = sic_operator(k)
             vals = np.sort(np.linalg.eigvalsh(op))
             np.testing.assert_allclose(vals, [0.0, 1.0], atol=1e-14)
-            ket = sic_projector_vector(k)
-            assert np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-14)
-            np.testing.assert_allclose(np.outer(ket, ket.conj()), op, atol=1e-12)
 
     def test_index_validation(self):
         for bad in (0, 5, -1):
@@ -116,7 +113,7 @@ class TestSicFrame:
         p = np.array(
             [project_probability(rho, j, k) for j in range(1, 5) for k in range(1, 5)]
         )
-        rec = reconstruct_state(p, psd=False)
+        rec = reconstruct_state(p)
         np.testing.assert_allclose(rec.rho, rho, atol=1e-12)
         assert rec.clipped_weight == 0.0
 
@@ -200,12 +197,13 @@ class TestReconstructState:
         )
         gated = np.random.default_rng(3).poisson(200.0 * p16 / 4.0).astype(float)
         noisy = 4.0 * gated / gated.sum()
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            reconstruct_state(noisy, psd=False)
         state = reconstruct_state(noisy)
         assert state.clipped_weight > 0.0
         assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(state.rho).min() >= -1e-15
+        # an unprojected estimate like that would not pass as a state
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            TwoQubitState(np.diag([1.1, -0.1, 0.0, 0.0]))
 
 
 class TestHyperState:
@@ -445,6 +443,46 @@ class TestResample:
         with pytest.raises(ValueError, match="16"):
             resample_tomography(np.ones(10))
 
+    def test_stacked_metrics_match_per_state(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+        stack = a @ np.conj(np.swapaxes(a, -1, -2))
+        stack /= np.trace(stack, axis1=-2, axis2=-1).real[..., None, None]
+        stack[0, 0] = singlet_state(0.0, coherence=0.0)  # phase falls back to 0
+        fid, phi = fidelity_singlet(stack)
+        pur = purity(stack)
+        assert pur.shape == fid.shape == phi.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            one = purity(stack[idx])
+            # a stacked matmul may sum in another order than a single one
+            assert isinstance(one, float) and pur[idx] == pytest.approx(one, abs=1e-15)
+            assert (fid[idx], phi[idx]) == fidelity_singlet(stack[idx])
+        assert isinstance(fidelity_singlet(stack[1, 1])[1], float)
+
+    @pytest.mark.parametrize("events", [3.0, 5000.0])
+    def test_stds_match_looped_point_estimator(self, events):
+        # at 3 events replicas need the PSD clip and some draw no counts
+        # at all; both paths must drop those and agree on the rest
+        p16 = np.array(
+            [
+                project_probability(singlet_state(0.4, coherence=0.8), j, k)
+                for j in range(1, 5)
+                for k in range(1, 5)
+            ]
+        )
+        gated = events * p16 / 4.0
+        draws = np.random.default_rng(31).poisson(gated, size=(300, 16)).astype(float)
+        draws = draws[draws.sum(axis=1) > 0]
+        states = [reconstruct_state(4.0 * d / d.sum()) for d in draws]
+        if events < 10.0:
+            assert len(states) < 300
+            assert any(state.clipped_weight > 0.0 for state in states)
+        pur = [purity(state) for state in states]
+        fid = [fidelity_singlet(state)[0] for state in states]
+        p_std, f_std = resample_tomography(gated, 300, seed=31)
+        assert p_std == pytest.approx(np.std(pur, ddof=1), abs=1e-12)
+        assert f_std == pytest.approx(np.std(fid, ddof=1), abs=1e-12)
+
     def test_error_bars_cover_truth(
         self, small_split, small_grid, spectro, random_phases
     ):
@@ -523,5 +561,28 @@ def test_frame_roundtrip_on_pure_states(seed):
         [project_probability(rho, j, k) for j in range(1, 5) for k in range(1, 5)]
     )
     assert p.sum() == pytest.approx(4.0, abs=1e-12)
-    rec = reconstruct_state(p, psd=False)
+    rec = reconstruct_state(p)
     np.testing.assert_allclose(rec.rho, rho, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), pairs=st.integers(1, 5))
+def test_born_table_matches_project_probability(seed, pairs):
+    # the forward model's frame-matrix table against the Born-rule oracle
+    rng = np.random.default_rng(seed)
+    n = 2 * pairs
+    hyper = HyperState(
+        phases=rng.uniform(-np.pi, np.pi, n),
+        weights=rng.dirichlet(np.ones(n)),
+        drift=rng.uniform(0.0, 4.0, n),
+    )
+    oracle = np.array(
+        [
+            [project_probability(hyper.bin_state(i), j, k) for i in range(n)]
+            for j in range(1, 5)
+            for k in range(1, 5)
+        ]
+    )
+    table = _born_table(hyper)
+    assert table.shape == (16, n)
+    np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-15)
