@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 C_LIGHT = 299_792_458.0  # m/s
+_EDGE_MASS_WARN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -231,20 +232,14 @@ def build_jsa(
     pump: PumpSpec,
     dispersion: DispersionMap,
     grid: FrequencyGrid,
-    normalize: bool = True,
-    edge_mass_warn: float = 1e-3,
 ) -> JointSpectralAmplitude:
-    """JSA = pump envelope x phasematching on the grid.
+    """JSA = pump envelope x phasematching on the grid, L2-normalised with
+    the grid measure.
 
-    Parameters
-    ----------
-    source : CombSpec or DomainConfig
-        Analytic comb target or a concrete poled crystal.
-    normalize : bool
-        L2-normalise with the grid measure (default).
-    edge_mass_warn : float
-        Warn if more than this fraction of the intensity sits in the two
-        outermost rows or columns, a sign the grid is clipping the state.
+    ``source`` is the analytic comb target (CombSpec) or a concrete poled
+    crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
+    intensity sits in the two outermost rows or columns, a sign the grid
+    is clipping the state.
     """
     nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
     values = pump_envelope(pump, nu_sum) * _phasematching_on_grid(source, dispersion, grid)
@@ -264,16 +259,13 @@ def build_jsa(
         )
         edge_fraction = float(edge / total)
         jsa.metadata["edge_mass_fraction"] = edge_fraction
-        if edge_fraction > edge_mass_warn:
+        if edge_fraction > _EDGE_MASS_WARN:
             warnings.warn(
                 f"{edge_fraction:.2%} of the joint intensity sits at the grid edge; "
                 "the frequency span is probably too small",
                 stacklevel=2,
             )
-    if normalize:
-        jsa = jsa.normalized()
-        jsa.metadata["normalized"] = True
-    return jsa
+    return jsa.normalized()
 
 
 _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}

@@ -173,7 +173,7 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
     path = cfg["run"]["input"] or os.path.join(out_dir, "counts.csv")
     counts = load_counts(path)
     rec = reconstruct_jsi(counts)
-    t = counts.time_centers
+    t = counts.spec.time_centers
     np.savetxt(
         os.path.join(out_dir, "marginals.tsv"),
         np.column_stack([t, rec.signal_marginal, rec.idler_marginal]),

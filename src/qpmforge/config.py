@@ -49,7 +49,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "domain_width_m": 23e-6,
         "pair_count": DEFAULT_PAIR_COUNT,
         "bin_spacing_hz": DEFAULT_BIN_SPACING_HZ,
-        "peak_width_m": 0.0,  # 0 = derive as length/4.5
         "bin_purity": 0.979,
         "source": "comb",  # comb | designed
     },
@@ -108,9 +107,13 @@ def _parse_value(raw: str, default, where: str):
         raise AssertionError("no boolean keys in schema")
     if isinstance(default, int):
         try:
-            value = int(raw.replace("_", ""), 0) if raw.lstrip("+-").isdigit() or "_" in raw else int(float(raw))
-            if float(raw.replace("_", "")) != value:
-                raise ValueError
+            if raw.lstrip("+-").replace("_", "").isdigit():
+                value = int(raw)  # exact, however many digits
+            else:
+                number = float(raw)
+                value = int(number)
+                if number != value:
+                    raise ValueError
         except (ValueError, OverflowError) as exc:  # OverflowError: int(inf)
             raise ConfigError(f"{where}: expected an integer, got {raw!r}") from exc
         if abs(value) >= _INT_LIMIT:
@@ -140,8 +143,7 @@ class RunConfig:
     # --- builders -------------------------------------------------------
 
     def peak_width(self) -> float:
-        cfg = self.sections["crystal"]
-        return cfg["peak_width_m"] or cfg["length_m"] / 4.5
+        return self.sections["crystal"]["length_m"] / 4.5
 
     def gvm_slope(self) -> float:
         """Group-velocity-mismatch slope (s/m) calibrated from the bin purity.

@@ -319,20 +319,14 @@ def pmf_of_domains(config: DomainConfig, delta_k) -> np.ndarray:
     return vals
 
 
-def design_overlap(
-    config: DomainConfig,
-    comb: CombSpec,
-    n_points: int = 8192,
-    half_span: float | None = None,
-) -> float:
+def design_overlap(config: DomainConfig, comb: CombSpec) -> float:
     """Normalised |<target, designed>| over the comb band.
 
-    Plain trapezoid quadrature on a band wide enough to contain every comb
-    peak plus eight peak widths of tail.
+    Plain trapezoid quadrature, 8192 points on a band wide enough to
+    contain every comb peak plus eight peak widths of tail.
     """
-    if half_span is None:
-        half_span = (comb.pair_count - 0.5) * comb.spacing + 8.0 / comb.peak_width
-    dk = np.linspace(comb.center - half_span, comb.center + half_span, n_points)
+    half_span = (comb.pair_count - 0.5) * comb.spacing + 8.0 / comb.peak_width
+    dk = np.linspace(comb.center - half_span, comb.center + half_span, 8192)
     t = target_pmf(comb, dk)
     d = pmf_of_domains(config, dk)
     inner = np.trapezoid(np.conj(t) * d, dk)

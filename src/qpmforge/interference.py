@@ -44,7 +44,6 @@ __all__ = [
     "p4_numeric",
     "bin_model_jsa",
     "closed_curve",
-    "numeric_curve",
     "visibility",
     "fit_hom",
     "save_curve",
@@ -249,12 +248,6 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
     ).sum(axis=-1)
     values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
     return JointSpectralAmplitude(grid=grid, values=values).normalized()
-
-
-def numeric_curve(jsa: JointSpectralAmplitude, delays, kind: str = "two_photon") -> HomCurve:
-    fn = {"two_photon": p2_numeric, "heralded": p4_numeric}[kind]
-    delays = np.asarray(delays, dtype=float)
-    return HomCurve(delays=delays, values=fn(jsa, delays), kind=kind, metadata={"source": "numeric"})
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ half the pump frequency: the pump sets the center, ``build_jsa`` records
 it on the amplitude, and count matrices and their files (``nu0_hz``)
 carry it on, so every projection and every gate maps a detuning to the
 arrival time of the source's own photons.
+
+One SpectrometerSpec is the whole calibration.  A count matrix carries
+the spec it was recorded with, its file header records that spec, and
+load_counts rebuilds it; every gate is cut by gate_cells on the spec's
+own time grid.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ __all__ = [
     "reconstruct_jsi",
     "JsiReconstruction",
     "gate_interval",
-    "gate_sum",
+    "gate_cells",
     "save_counts",
     "load_counts",
     "DEFAULT_GATE_WIDTH",
@@ -74,10 +79,10 @@ class SpectrometerSpec:
     def __post_init__(self) -> None:
         for name in ("dispersion_ps_per_nm_km", "fiber_length_km", "time_bin",
                      "window", "reference_wavelength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.jitter_fwhm < 0:
-            raise ValueError("jitter_fwhm must be >= 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 <= self.jitter_fwhm < np.inf:
+            raise ValueError("jitter_fwhm must be finite and >= 0")
         ratio = self.window / self.time_bin
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("window must be an integer number of time bins")
@@ -233,20 +238,25 @@ def project_to_spectrometer(
 
 @dataclass
 class CountMatrix:
-    """Detected coincidence histogram on the spectrometer time grid."""
+    """Detected coincidence histogram on the spectrometer time grid.
+
+    ``spec`` is the spectrometer the histogram was recorded with: its time
+    grid indexes both axes, rows the idler detector and columns the
+    signal detector, and its wavelength-to-time map places every gate.
+    """
 
     values: np.ndarray            # (n_idler_bins, n_signal_bins) nonnegative ints
-    time_bin: float               # s
-    window_start: float           # s, left edge of first bin on both axes
-    dispersion_ns_per_nm: float   # time_rate in ns/nm, for wavelength calibration
-    reference_wavelength: float   # m, the wavelength that arrives at t = 0
+    spec: SpectrometerSpec
     center_frequency_hz: float    # Hz, the band center that detunings are measured from
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
-        if self.values.ndim != 2:
-            raise ValueError("values must be 2-d")
+        n = self.spec.n_bins
+        if self.values.shape != (n, n):
+            raise ValueError(
+                f"values of shape {self.values.shape} do not fill the {n} x {n} time grid"
+            )
         if np.any(self.values < 0):
             raise ValueError("counts must be nonnegative")
         if not np.issubdtype(self.values.dtype, np.integer):
@@ -257,27 +267,6 @@ class CountMatrix:
     @property
     def total(self) -> int:
         return int(self.values.sum())
-
-    @property
-    def time_centers(self) -> np.ndarray:
-        n = self.values.shape[0]
-        return self.window_start + self.time_bin * (np.arange(n) + 0.5)
-
-    def spectrometer_spec(self) -> SpectrometerSpec:
-        """The calibration the histogram carries, as a spectrometer.
-
-        The total dispersion is expressed as 1 km of fiber.  Detector
-        jitter is not recorded and reads 0; the time maps and the gates
-        do not use it.
-        """
-        return SpectrometerSpec(
-            dispersion_ps_per_nm_km=self.dispersion_ns_per_nm * 1e3,
-            fiber_length_km=1.0,
-            jitter_fwhm=0.0,
-            time_bin=self.time_bin,
-            window=self.values.shape[0] * self.time_bin,
-            reference_wavelength=self.reference_wavelength,
-        )
 
 
 def simulate_counts(
@@ -325,10 +314,7 @@ def _draw_counts(
     draws = rng.multinomial(int(total_events), flat / flat.sum())
     return CountMatrix(
         values=draws.reshape(probs.shape),
-        time_bin=spec.time_bin,
-        window_start=-spec.window / 2.0,
-        dispersion_ns_per_nm=spec.time_rate,
-        reference_wavelength=spec.reference_wavelength,
+        spec=spec,
         center_frequency_hz=center_frequency_hz,
         metadata={"seed": seed, "requested_events": int(total_events)},
     )
@@ -380,18 +366,12 @@ def gate_interval(spec: SpectrometerSpec, detuning: float, center_frequency_hz: 
     return max(lo, -edge), min(hi, edge)
 
 
-def _gate_cells(time_centers: np.ndarray, signal_gate: tuple[float, float],
-                idler_gate: tuple[float, float]):
+def gate_cells(spec: SpectrometerSpec, signal_gate: tuple[float, float],
+               idler_gate: tuple[float, float]):
     """(idler rows, signal columns) index of the cells whose centers lie in both gates."""
-    t = time_centers
+    t = spec.time_centers
     return np.ix_((t >= idler_gate[0]) & (t < idler_gate[1]),
                   (t >= signal_gate[0]) & (t < signal_gate[1]))
-
-
-def gate_sum(counts: CountMatrix, signal_gate: tuple[float, float],
-             idler_gate: tuple[float, float]) -> int:
-    """Total counts with both arrival times inside their gates (cell-center rule)."""
-    return int(counts.values[_gate_cells(counts.time_centers, signal_gate, idler_gate)].sum())
 
 
 _COUNTS_FIELDS = {
@@ -403,12 +383,13 @@ _COUNTS_FIELDS = {
 def save_counts(counts: CountMatrix, path) -> None:
     """CSV of the counts below one ``# key=value`` header line that
     carries the whole time calibration and the band center."""
+    spec = counts.spec
     header = {
-        "nt": counts.values.shape[0],
-        "dt_ps": counts.time_bin * 1e12,
-        "t0_ns": counts.window_start * 1e9,
-        "disp_ns_per_nm": counts.dispersion_ns_per_nm,
-        "ref_wavelength_m": counts.reference_wavelength,
+        "nt": spec.n_bins,
+        "dt_ps": spec.time_bin * 1e12,
+        "t0_ns": -spec.window / 2.0 * 1e9,
+        "disp_ns_per_nm": spec.time_rate,
+        "ref_wavelength_m": spec.reference_wavelength,
         # all 17 digits, so the gates land where the simulation put them
         "nu0_hz": f"{counts.center_frequency_hz:.17g}",
     }
@@ -416,15 +397,30 @@ def save_counts(counts: CountMatrix, path) -> None:
 
 
 def load_counts(path) -> CountMatrix:
+    """Count matrix and the spectrometer its header describes.
+
+    The header records the total dispersion, not how it was reached, so
+    the spectrometer reads as 1 km of fiber with that dispersion.
+    Detector jitter is not recorded and reads 0; the time maps and the
+    gates do not use it.  The window is centered on the reference
+    wavelength, so ``t0_ns`` must be -nt * dt / 2.
+    """
     header, values = read_table(path, _COUNTS_FIELDS, np.int64)
-    nt = header["nt"]
-    if values.shape != (nt, nt):
-        raise ValueError(f"{path}: data shape {values.shape} does not match header nt={nt}")
-    return CountMatrix(
-        values=values,
-        time_bin=header["dt_ps"] * 1e-12,
-        window_start=header["t0_ns"] * 1e-9,
-        dispersion_ns_per_nm=header["disp_ns_per_nm"],
-        reference_wavelength=header["ref_wavelength_m"],
-        center_frequency_hz=header["nu0_hz"],
-    )
+    time_bin = header["dt_ps"] * 1e-12
+    try:
+        spec = SpectrometerSpec(
+            dispersion_ps_per_nm_km=header["disp_ns_per_nm"] * 1e3,
+            fiber_length_km=1.0,
+            jitter_fwhm=0.0,
+            time_bin=time_bin,
+            window=header["nt"] * time_bin,
+            reference_wavelength=header["ref_wavelength_m"],
+        )
+        if abs(header["t0_ns"] * 1e-9 + spec.window / 2.0) > 1e-9 * spec.window:
+            raise ValueError(
+                f"t0_ns={header['t0_ns']:.12g} does not center the "
+                f"{spec.window * 1e9:.12g} ns window on the reference wavelength"
+            )
+        return CountMatrix(values=values, spec=spec, center_frequency_hz=header["nu0_hz"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -35,9 +35,8 @@ from .measurement import (
     SpectrometerSpec,
     _check_alias,
     _draw_counts,
-    _gate_cells,
+    gate_cells,
     gate_interval,
-    gate_sum,
     load_counts,
     project_intensities,
     save_counts,
@@ -376,19 +375,20 @@ def simulate_tomography(
     return out
 
 
-def _bin_gates(
+def _bin_cells(
     spec: SpectrometerSpec,
     label: int,
     center_frequency_hz: float,
     spacing_hz: float,
     width: float,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(signal, idler) gates of a bin pair: the signal gate sits on the
-    bin's arrival time, the idler gate on the conjugate bin's."""
-    return tuple(
+):
+    """(idler rows, signal columns) index of a bin pair's gated cells: the
+    signal gate sits on the bin's arrival time, the idler gate on the
+    conjugate bin's."""
+    return gate_cells(spec, *(
         gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), center_frequency_hz, width)
         for sign in (1, -1)
-    )
+    ))
 
 
 def expected_tomography(
@@ -413,8 +413,7 @@ def expected_tomography(
     born = _born_table(hyper)
     out: dict[int, np.ndarray] = {}
     for label in hyper.labels:
-        gates = _bin_gates(spec, label, center_frequency_hz, spacing_hz, width)
-        rows, cols = _gate_cells(spec.time_centers, *gates)
+        rows, cols = _bin_cells(spec, label, center_frequency_hz, spacing_hz, width)
         capture = images[:, rows, cols].sum(axis=(1, 2))
         gated = born @ (hyper.weights * capture)
         out[int(label)] = 4.0 * gated / gated.sum()
@@ -438,9 +437,9 @@ def tomography_probabilities(
     projections = [counts_by_projection[key] for key in _SETTINGS]
     gated = np.array(
         [
-            gate_sum(counts, *_bin_gates(
-                counts.spectrometer_spec(), label, counts.center_frequency_hz, spacing_hz, width
-            ))
+            counts.values[_bin_cells(
+                counts.spec, label, counts.center_frequency_hz, spacing_hz, width
+            )].sum()
             for counts in projections
         ],
         dtype=float,

@@ -17,7 +17,7 @@ from qpmforge.biphoton import (
 )
 from qpmforge.crystal import DomainConfig, load_domains, save_domains
 from qpmforge.interference import HomCurve, load_curve, save_curve
-from qpmforge.measurement import CountMatrix, load_counts, save_counts
+from qpmforge.measurement import CountMatrix, SpectrometerSpec, load_counts, save_counts
 
 # one well-formed file per loader: header line, body rows
 VALID = {
@@ -201,20 +201,22 @@ def test_counts_roundtrip(tmp_path, nt, data, calibration):
     ints = st.integers(min_value=0, max_value=2**62)
     values = np.array(data.draw(st.lists(ints, min_size=nt * nt, max_size=nt * nt)))
     a, b, c, d, e = calibration
-    counts = CountMatrix(
-        values=values.reshape(nt, nt),
+    spec = SpectrometerSpec(
+        dispersion_ps_per_nm_km=20.0 * b,
+        fiber_length_km=20.0 * c,
         time_bin=25e-12 * a,
-        window_start=-6.25e-9 * b,
-        dispersion_ns_per_nm=0.4 * c,
+        window=nt * 25e-12 * a,
         reference_wavelength=1555.7e-9 * d,
-        center_frequency_hz=1.9e14 * e,
+    )
+    counts = CountMatrix(
+        values=values.reshape(nt, nt), spec=spec, center_frequency_hz=1.9e14 * e
     )
     path = tmp_path / "counts.csv"
     save_counts(counts, path)
     back = load_counts(path)
     np.testing.assert_array_equal(back.values, counts.values)
-    for name in ("time_bin", "window_start", "dispersion_ns_per_nm", "reference_wavelength"):
-        assert getattr(back, name) == pytest.approx(getattr(counts, name), rel=1e-11)
+    for name in ("time_bin", "window", "time_rate", "reference_wavelength"):
+        assert getattr(back.spec, name) == pytest.approx(getattr(spec, name), rel=1e-11)
     # the band center places every gate, so it reads back bit-identical
     assert back.center_frequency_hz == counts.center_frequency_hz
 
@@ -234,13 +236,15 @@ def test_header_lines_match_format(tmp_path, jsa, x):
     widths = [1e-5 * x, 2e-5 * x]
     domains = DomainConfig(widths=widths, orientations=[1, -1], total_length=sum(widths))
     curve = HomCurve(delays=[-x, x], values=[0.5, 0.5], kind="heralded")
-    counts = CountMatrix(
-        values=np.zeros((3, 3), dtype=int),
+    spec = SpectrometerSpec(
+        dispersion_ps_per_nm_km=20.0 / x,
+        fiber_length_km=20.0,
         time_bin=25e-12 * x,
-        window_start=-37.5e-12 * x,
-        dispersion_ns_per_nm=0.4 / x,
+        window=75e-12 * x,
         reference_wavelength=1555.7e-9 * x,
-        center_frequency_hz=1.9e14 * x,
+    )
+    counts = CountMatrix(
+        values=np.zeros((3, 3), dtype=int), spec=spec, center_frequency_hz=1.9e14 * x
     )
     cases = [
         (save_jsa, jsa, grid_header),
@@ -251,10 +255,10 @@ def test_header_lines_match_format(tmp_path, jsa, x):
             save_counts,
             counts,
             f"# nt=3"
-            f" dt_ps={counts.time_bin * 1e12:.12g}"
-            f" t0_ns={counts.window_start * 1e9:.12g}"
-            f" disp_ns_per_nm={counts.dispersion_ns_per_nm:.12g}"
-            f" ref_wavelength_m={counts.reference_wavelength:.12g}"
+            f" dt_ps={spec.time_bin * 1e12:.12g}"
+            f" t0_ns={-spec.window / 2.0 * 1e9:.12g}"
+            f" disp_ns_per_nm={spec.time_rate:.12g}"
+            f" ref_wavelength_m={spec.reference_wavelength:.12g}"
             f" nu0_hz={counts.center_frequency_hz:.17g}",
         ),
     ]

@@ -111,10 +111,6 @@ class TestBuildJsa:
         with pytest.raises(TypeError):
             build_jsa(object(), pump, dispersion, grid)
 
-    def test_unnormalized_keeps_raw_scale(self, comb, pump, dispersion):
-        small = FrequencyGrid.symmetric(128, 2.5e12)
-        raw = build_jsa(comb, pump, dispersion, small, normalize=False)
-        assert abs(raw.values).max() == pytest.approx(1.0, abs=0.05)
 
 
 class TestJsaIO:

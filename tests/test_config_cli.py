@@ -100,6 +100,8 @@ class TestParsing:
             ("[crystal]\nlength_m = nan\n", 2, "finite number"),
             ("[tomography]\ngate_width_s = nan\n", 2, "finite number"),
             ("[tomography]\n\nphases_rad = 0.1,nan\n", 3, "finite numbers"),
+            # the peak width is always length / 4.5
+            ("[crystal]\nlength_m = 0.02\npeak_width_m = 0\n", 3, "unknown key"),
         ],
     )
     def test_line_precise_diagnostics(self, tmp_path, body, lineno, message):
@@ -108,6 +110,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message) as err:
             parse_config(path)
         assert f":{lineno}:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body, section, key, value",
+        [
+            # more significant digits than a double holds
+            ("[run]\nseed = 12345678901234567\n", "run", "seed", 12345678901234567),
+            ("[run]\nseed = -9_007_199_254_740_993\n", "run", "seed", -9007199254740993),
+            ("[spectrometer]\nevents = 9223372036854775807\n", "spectrometer", "events",
+             2**63 - 1),
+        ],
+    )
+    def test_exact_integers(self, tmp_path, body, section, key, value):
+        path = tmp_path / "ok.cfg"
+        path.write_text(body)
+        assert parse_config(path)[section][key] == value
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -152,8 +169,6 @@ class TestBuilders:
     def test_peak_width_defaults_to_length_fraction(self):
         cfg = default_config()
         assert cfg.peak_width() == pytest.approx(cfg["crystal"]["length_m"] / 4.5)
-        cfg.sections["crystal"]["peak_width_m"] = 1e-3
-        assert cfg.peak_width() == 1e-3
 
     def test_comb_spec_wiring(self):
         cfg = default_config()
@@ -308,9 +323,9 @@ class TestCliExitCodes:
         bundle = load_tomography_bundle(tmp_path / "tomo" / "tomo")
         for counts in bundle.values():
             assert counts.values.shape == (spec.n_bins, spec.n_bins)
-            assert counts.time_bin == pytest.approx(spec.time_bin, rel=1e-12)
-            assert counts.dispersion_ns_per_nm == pytest.approx(spec.time_rate, rel=1e-12)
-            assert counts.reference_wavelength == pytest.approx(
+            assert counts.spec.time_bin == pytest.approx(spec.time_bin, rel=1e-12)
+            assert counts.spec.time_rate == pytest.approx(spec.time_rate, rel=1e-12)
+            assert counts.spec.reference_wavelength == pytest.approx(
                 spec.reference_wavelength, rel=1e-12
             )
 

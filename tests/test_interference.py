@@ -16,7 +16,6 @@ from qpmforge.interference import (
     delta_from_bin_hz,
     fit_hom,
     load_curve,
-    numeric_curve,
     p2_numeric,
     p4_numeric,
     save_curve,
@@ -114,11 +113,11 @@ class TestNumericOracle:
         assert isinstance(p2_numeric(jsa, 0.0), float)
         assert isinstance(p4_numeric(jsa, 0.0), float)
 
-    def test_numeric_curve_wrapper(self, model_grid):
+    def test_delay_array_matches_scalar_delays(self, model_grid):
         jsa = bin_model_jsa(1, 6e12, 0.6e12, model_grid)
-        curve = numeric_curve(jsa, TAUS, kind="heralded")
-        assert curve.kind == "heralded"
-        np.testing.assert_allclose(curve.values, p4_numeric(jsa, TAUS))
+        np.testing.assert_allclose(
+            p4_numeric(jsa, TAUS), [p4_numeric(jsa, tau) for tau in TAUS]
+        )
 
     def test_requires_square_grid(self):
         grid = FrequencyGrid(

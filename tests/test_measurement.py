@@ -15,8 +15,8 @@ from qpmforge.measurement import (
     SpectrometerSpec,
     build_transfer,
     detuning_to_time,
+    gate_cells,
     gate_interval,
-    gate_sum,
     load_counts,
     project_intensities,
     project_to_spectrometer,
@@ -28,6 +28,11 @@ from qpmforge.measurement import (
 
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
+
+
+def windowed(spec, n_bins):
+    """The spectrometer narrowed to a window of n_bins time bins."""
+    return dataclasses.replace(spec, window=n_bins * spec.time_bin)
 
 
 def jittered(spec, fwhm):
@@ -213,10 +218,7 @@ class TestReconstruction:
     def test_empty_counts_rejected(self, spectro):
         empty = CountMatrix(
             values=np.zeros((4, 4), dtype=np.int64),
-            time_bin=spectro.time_bin,
-            window_start=-spectro.window / 2,
-            dispersion_ns_per_nm=spectro.time_rate,
-            reference_wavelength=spectro.reference_wavelength,
+            spec=windowed(spectro, 4),
             center_frequency_hz=NU0,
         )
         with pytest.raises(ValueError):
@@ -238,21 +240,13 @@ class TestGating:
         with pytest.raises(MeasurementError, match="outside the acquisition"):
             gate_interval(spectro, -2 * np.pi * 6000e9, NU0, width=0.1e-9)
 
-    def test_gate_sum_uses_cell_centers(self, spectro):
+    def test_gate_cells_use_cell_centers(self, spectro):
         values = np.zeros((500, 500), dtype=np.int64)
         values[250, 250] = 7  # cell centered at +12.5 ps on both axes
-        counts = CountMatrix(
-            values=values,
-            time_bin=spectro.time_bin,
-            window_start=-spectro.window / 2,
-            dispersion_ns_per_nm=spectro.time_rate,
-            reference_wavelength=spectro.reference_wavelength,
-            center_frequency_hz=NU0,
-        )
         inside = (0.0, 25e-12)
         outside = (25e-12, 50e-12)
-        assert gate_sum(counts, inside, inside) == 7
-        assert gate_sum(counts, outside, inside) == 0
+        assert values[gate_cells(spectro, inside, inside)].sum() == 7
+        assert values[gate_cells(spectro, outside, inside)].sum() == 0
 
 
 class TestCountsIO:
@@ -264,13 +258,47 @@ class TestCountsIO:
         save_counts(counts, path)
         back = load_counts(path)
         np.testing.assert_array_equal(back.values, counts.values)
-        assert back.time_bin == pytest.approx(counts.time_bin, rel=1e-12)
-        assert back.window_start == pytest.approx(counts.window_start, rel=1e-12)
-        assert back.dispersion_ns_per_nm == pytest.approx(
-            counts.dispersion_ns_per_nm, rel=1e-12
-        )
-        assert back.reference_wavelength == 1555.9e-9
+        assert back.spec.time_bin == pytest.approx(spec.time_bin, rel=1e-12)
+        assert back.spec.window == pytest.approx(spec.window, rel=1e-12)
+        assert back.spec.time_rate == pytest.approx(spec.time_rate, rel=1e-12)
+        assert back.spec.reference_wavelength == 1555.9e-9
         assert back.center_frequency_hz == comb_jsa.metadata["center_frequency_hz"]
+
+    @pytest.mark.parametrize(
+        "edit, body, message",
+        [
+            # cells would run to +0.05 ns while every gate stops at +0.025 ns
+            ({"t0_ns": "-0.0"}, "1,2\n3,4\n", "center"),
+            ({"t0_ns": "-0.05"}, "1,2\n3,4\n", "center"),
+            ({"dt_ps": "0"}, "1,2\n3,4\n", "time_bin"),
+            ({"dt_ps": "-25"}, "1,2\n3,4\n", "time_bin"),
+            ({"disp_ns_per_nm": "0"}, "1,2\n3,4\n", "dispersion"),
+            ({"disp_ns_per_nm": "-0.4"}, "1,2\n3,4\n", "dispersion"),
+            ({"disp_ns_per_nm": "nan"}, "1,2\n3,4\n", "dispersion"),
+            ({}, "1,2\n3,-4\n", "nonnegative"),
+        ],
+        ids=["t0 at zero", "t0 one bin early", "zero dt", "negative dt", "zero dispersion",
+             "negative dispersion", "nan dispersion", "negative count"],
+    )
+    def test_file_the_count_matrix_cannot_hold_rejected(self, tmp_path, edit, body, message):
+        fields = {"nt": "2", "dt_ps": "25", "t0_ns": "-0.025", "disp_ns_per_nm": "0.4",
+                  "ref_wavelength_m": "1.5557e-06", "nu0_hz": "192705828887317.59"}
+        fields.update(edit)
+        path = tmp_path / "counts.csv"
+        path.write_text("# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n" + body)
+        with pytest.raises(ValueError, match=message) as err:
+            load_counts(path)
+        assert str(path) in str(err.value)
+
+    def test_loaded_spec_reads_as_one_km_without_jitter(self, tmp_path, comb_jsa, spectro):
+        counts = simulate_counts(comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3)
+        path = tmp_path / "counts.csv"
+        save_counts(counts, path)
+        back = load_counts(path).spec
+        assert back.fiber_length_km == 1.0
+        assert back.jitter_fwhm == 0.0
+        np.testing.assert_allclose(back.time_centers, spectro.time_centers, rtol=0, atol=1e-21)
+        assert back.time_rate == pytest.approx(spectro.time_rate, rel=1e-12)
 
     def test_malformed_body_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -290,10 +318,7 @@ class TestCountsIO:
         values = np.array([[0, 1, 2**53 + 1], [2**62, 7, 0], [123456789, 0, 5]])
         counts = CountMatrix(
             values=values,
-            time_bin=spectro.time_bin,
-            window_start=-spectro.window / 2,
-            dispersion_ns_per_nm=spectro.time_rate,
-            reference_wavelength=spectro.reference_wavelength,
+            spec=windowed(spectro, 3),
             center_frequency_hz=NU0,
         )
         path = tmp_path / "counts.csv"
@@ -302,14 +327,20 @@ class TestCountsIO:
         assert body == "".join(",".join(str(int(v)) for v in row) + "\n" for row in values)
         np.testing.assert_array_equal(load_counts(path).values, values)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (5, 5), (16,)])
+    def test_values_must_fill_the_time_grid(self, spectro, shape):
+        with pytest.raises(ValueError, match="4 x 4 time grid"):
+            CountMatrix(
+                values=np.zeros(shape, dtype=np.int64),
+                spec=windowed(spectro, 4),
+                center_frequency_hz=NU0,
+            )
+
     def test_noninteger_counts_rejected(self, spectro):
         with pytest.raises(ValueError, match="integer"):
             CountMatrix(
                 values=np.full((4, 4), 0.5),
-                time_bin=spectro.time_bin,
-                window_start=-spectro.window / 2,
-                dispersion_ns_per_nm=spectro.time_rate,
-                reference_wavelength=spectro.reference_wavelength,
+                spec=windowed(spectro, 4),
                 center_frequency_hz=NU0,
             )
 

@@ -533,7 +533,7 @@ class TestBundleIO:
         assert set(loaded) == set(sim)
         for key in sim:
             np.testing.assert_array_equal(loaded[key].values, sim[key].values)
-            assert loaded[key].time_bin == pytest.approx(sim[key].time_bin)
+            assert loaded[key].spec.time_bin == pytest.approx(sim[key].spec.time_bin)
             assert loaded[key].center_frequency_hz == NU0
 
     def test_incomplete_bundle_rejected(
