@@ -20,7 +20,6 @@ evaluate that same expression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -24,7 +24,7 @@ total closest to the target envelope integral wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -416,18 +416,17 @@ def test_public_names_resolve(module):
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
-    """Every CLI process imports qpmforge.cli; scipy is loaded only where used.
-
-    The HOM fits need no scipy.optimize, so a hom or heralded run does
-    not load it either.
-    """
+    """No CLI process loads scipy: not on import of qpmforge.cli, not in the
+    HOM fits, and not in the spectrometer's jitter blur."""
     args = ["--config", make_config(tmp_path, **FAST), "--out", str(tmp_path)]
     code = "\n".join([
         "import sys, qpmforge.cli",
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-        "for stage in ('hom', 'heralded'):",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "print(scipy_modules())",
+        "for stage in ('hom', 'heralded', 'tofs-sim', 'tomo-sim'):",
         f"    assert qpmforge.cli.main([stage, *{args!r}]) == 0",
-        "    print(stage, 'scipy.optimize' in sys.modules)",
+        "    print(stage, scipy_modules())",
     ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
@@ -435,5 +434,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.splitlines() == ["[]", "hom False", "heralded False"]
+    assert out.stdout.splitlines() == [
+        "[]", "hom []", "heralded []", "tofs-sim []", "tomo-sim []",
+    ]
     assert (tmp_path / "fit.txt").exists()
+    assert (tmp_path / "counts.csv").exists() and (tmp_path / "tomo").is_dir()

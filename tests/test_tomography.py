@@ -349,6 +349,15 @@ class TestSharedProjection:
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
 
+    def test_banded_projection_matches_dense_product(self, small_split, small_grid, spectro):
+        _, parts, _ = small_split
+        images, kept = project_intensities(parts, small_grid, spectro, NU0)
+        t_signal = measurement.build_transfer(spectro, small_grid.nu_signal, NU0)
+        t_idler = measurement.build_transfer(spectro, small_grid.nu_idler, NU0)
+        dense = np.array([t_idler @ (part / part.sum()) @ t_signal.T for part in parts])
+        assert np.abs(images - dense).max() <= 1e-12 * dense.max()
+        np.testing.assert_allclose(kept, dense.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+
     def test_transfer_matrices_built_once_per_call(
         self, monkeypatch, pure_hyper, small_split, small_grid, spectro
     ):
