@@ -15,7 +15,8 @@ weights.  Two figures of merit are used:
 A measured count matrix n has no phase, so its Schmidt number is read
 as schmidt_number(sqrt(n)), the flat-phase amplitude; the point estimate
 and every replica of monte_carlo_uncertainty's Poisson bootstrap
-evaluate that same expression.
+evaluate that same expression.  The bootstrap draws only the support of
+the counts, since an empty cell's Poisson replica is always 0.
 """
 
 from __future__ import annotations
@@ -161,7 +162,12 @@ def monte_carlo_uncertainty(
     Each resample draws counts'_ij ~ Poisson(counts_ij) and evaluates
     schmidt_number(sqrt(counts')), the estimator whose value on the
     observed counts is the point estimate.  Returns (mean, sample std).
-    Trial k uses the independent substream default_rng([seed, k]).
+    Trial k uses the independent substream default_rng([seed, k]).  A
+    replica that draws no counts at all falls back to the observed counts.
+
+    Only the nonzero cells are drawn, in C order, into one reused matrix.
+    numpy's Poisson draw with mean 0 returns 0 and consumes no randomness,
+    so each replica is bit-identical to a draw over every cell.
 
     The flat-phase amplitude is an assumption, not an inference: measured
     intensities carry no phase, so K tracks the magnitude structure only.
@@ -176,11 +182,15 @@ def monte_carlo_uncertainty(
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 
+    # != 0 keeps NaN cells in the draw, which rejects them
+    support = counts != 0
+    means = counts[support]
+    resampled = np.zeros_like(counts)
+
     def one_trial(k: int) -> float:
-        rng = np.random.default_rng([seed, k])
-        resampled = rng.poisson(counts).astype(float)
-        if resampled.sum() == 0:
-            resampled = counts.copy()
+        resampled[support] = np.random.default_rng([seed, k]).poisson(means)
+        if not resampled.any():
+            return schmidt_number(np.sqrt(counts))
         return schmidt_number(np.sqrt(resampled))
 
     values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)

@@ -195,36 +195,28 @@ def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
 def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
     """Evaluate the PMF of `source` at every grid point.
 
-    When both axes share one spacing the mismatch takes only
-    n_s + n_i - 1 distinct values, indexed by the column-row difference;
-    domain-resolved PMFs are evaluated once per distinct value.
+    The mismatch depends only on nu_s - nu_i.  When both axes share one
+    spacing it takes only n_s + n_i - 1 distinct values, indexed by the
+    column-row difference, and the PMF of either source is evaluated once
+    per distinct value and gathered; otherwise it is evaluated row by row.
     """
-    ds = grid.d_nu_signal
-    di = grid.d_nu_idler
-    n_i, n_s = grid.shape
-    same_step = abs(ds - di) <= 1e-9 * ds
-
     if isinstance(source, CombSpec):
-        diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
-        return target_pmf(source, dispersion.center + dispersion.slope * diff)
-
-    if not isinstance(source, DomainConfig):
+        pmf = target_pmf
+    elif isinstance(source, DomainConfig):
+        pmf = pmf_of_domains
+    else:
         raise TypeError("source must be a CombSpec or DomainConfig")
 
-    if same_step:
+    ds = grid.d_nu_signal
+    n_i, n_s = grid.shape
+    if abs(ds - grid.d_nu_idler) <= 1e-9 * ds:
         # nu_s[c] - nu_i[r] = (nu_s[0] - nu_i[0]) + (c - r) * step
-        base = grid.nu_signal[0] - grid.nu_idler[0]
-        d = np.arange(-(n_i - 1), n_s)
-        dk = dispersion.center + dispersion.slope * (base + d * ds)
-        pmf_vals = pmf_of_domains(source, dk)
+        diff = grid.nu_signal[0] - grid.nu_idler[0] + np.arange(-(n_i - 1), n_s) * ds
+        pmf_vals = pmf(source, dispersion.center + dispersion.slope * diff)
         idx = np.arange(n_s)[None, :] - np.arange(n_i)[:, None] + (n_i - 1)
         return pmf_vals[idx]
 
-    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
-    out = np.empty(diff.shape, dtype=complex)
-    for r in range(n_i):
-        out[r] = pmf_of_domains(source, dispersion.center + dispersion.slope * diff[r])
-    return out
+    return np.array([pmf(source, dispersion.mismatch(grid.nu_signal, nu)) for nu in grid.nu_idler])
 
 
 def build_jsa(

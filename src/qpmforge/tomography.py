@@ -312,11 +312,12 @@ def split_bins(
         raise ValueError("joint spectrum carries no intensity")
     parts = np.zeros((labels.size,) + inten.shape)
     weights = np.zeros(labels.size)
-    for i in range(labels.size):
-        part = np.where(nearest == i, inten, 0.0)
+    for i, part in enumerate(parts):
+        np.copyto(part, inten, where=nearest == i)
         mass = part.sum()
         weights[i] = mass / total
-        parts[i] = part / mass if mass > 0 else part
+        if mass > 0:
+            part /= mass
     return labels, parts, weights
 
 

@@ -77,7 +77,35 @@ class TestFidelity:
             fidelity_to_maximal(np.eye(4), 0)
 
 
+def all_cells_bootstrap(counts, n_resamples, seed):
+    """monte_carlo_uncertainty drawing a Poisson replica of every cell."""
+
+    def one_trial(k):
+        rng = np.random.default_rng([seed, k])
+        resampled = rng.poisson(counts).astype(float)
+        if resampled.sum() == 0:
+            resampled = counts.copy()
+        return schmidt_number(np.sqrt(resampled))
+
+    values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
+    return float(values.mean()), float(values.std(ddof=1))
+
+
 class TestMonteCarlo:
+    def test_support_draw_matches_all_cells_oracle(self):
+        rng = np.random.default_rng(3)
+        sparse = rng.poisson(40.0, size=(30, 24)) * (rng.random((30, 24)) < 0.25)
+        tiny = np.array([[0.0, 0.4], [0.3, 0.0]])
+        # some replica of the tiny matrix draws no counts at all
+        assert any(
+            not np.random.default_rng([7, k]).poisson(tiny).any() for k in range(32)
+        )
+        for counts, seed in ((sparse.astype(float), 5), (tiny, 7)):
+            assert np.any(counts == 0)
+            assert monte_carlo_uncertainty(
+                counts, n_resamples=32, seed=seed
+            ) == all_cells_bootstrap(counts, 32, seed)
+
     def test_reproducible_and_positive(self):
         rng = np.random.default_rng(0)
         counts = rng.poisson(200.0, size=(24, 24)).astype(float)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,22 @@ from qpmforge.biphoton import (
     save_jsa,
     save_jsi,
 )
+from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
+
+
+def full_grid_comb_jsa(comb, pump, dispersion, grid):
+    """The comb JSA with target_pmf evaluated on every grid cell."""
+    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
+    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    values = pump_envelope(pump, nu_sum) * target_pmf(
+        comb, dispersion.center + dispersion.slope * diff
+    )
+    return JointSpectralAmplitude(grid=grid, values=values).normalized().values
+
+
+def hz_axis(lo_hz, step_hz, n):
+    return 2 * np.pi * (lo_hz + step_hz * np.arange(n))
 
 
 class TestPumpSpec:
@@ -110,6 +127,42 @@ class TestBuildJsa:
     def test_rejects_unknown_source(self, pump, dispersion, grid):
         with pytest.raises(TypeError):
             build_jsa(object(), pump, dispersion, grid)
+        two_steps = FrequencyGrid(
+            nu_signal=hz_axis(-2.5e12, 25e9, 201), nu_idler=hz_axis(-2.5e12, 20e9, 251)
+        )
+        with pytest.raises(TypeError):
+            build_jsa(object(), pump, dispersion, two_steps)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            None,  # the default 1024^2 grid
+            # one step, non-square and off-centre
+            (hz_axis(-2.5e12, 25e9, 201), hz_axis(-2.2e12, 25e9, 173)),
+            # two steps: evaluated row by row
+            (hz_axis(-2.5e12, 25e9, 201), hz_axis(-2.5e12, 20e9, 251)),
+        ],
+        ids=["default", "same-step-nonsquare", "two-steps"],
+    )
+    def test_comb_matches_full_grid_oracle(self, axes, comb, pump, dispersion, grid):
+        if axes is not None:
+            grid = FrequencyGrid(nu_signal=axes[0], nu_idler=axes[1])
+        got = build_jsa(comb, pump, dispersion, grid).values
+        want = full_grid_comb_jsa(comb, pump, dispersion, grid)
+        peak = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11 * peak)
+
+    def test_comb_peak_memory(self, comb, pump, dispersion, grid):
+        # the comb PMF is evaluated on the 2n - 1 distinct mismatches, so no
+        # (n^2, pair_count) temporary is built
+        tracemalloc.start()
+        try:
+            jsa = build_jsa(comb, pump, dispersion, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (1024, 1024)
+        assert peak <= 5 * jsa.values.nbytes
 
 
 

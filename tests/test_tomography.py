@@ -245,7 +245,38 @@ class TestHyperState:
             bin_detuning(0)
 
 
+def where_split_bins(jsa):
+    """split_bins building each bin spectrum with np.where and a divided copy."""
+    inten, grid = jsa.intensity, jsa.grid
+    labels = default_bin_labels(4)
+    centers = np.array([2.0 * bin_detuning(lab, SPACING) for lab in labels])
+    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
+    total = inten.sum()
+    parts = np.zeros((labels.size,) + inten.shape)
+    weights = np.zeros(labels.size)
+    for i in range(labels.size):
+        part = np.where(nearest == i, inten, 0.0)
+        mass = part.sum()
+        weights[i] = mass / total
+        parts[i] = part / mass if mass > 0 else part
+    return labels, parts, weights
+
+
 class TestSplitBins:
+    def test_in_place_fill_matches_where_oracle(self, cfg, small_grid):
+        jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
+        # one lit cell leaves seven bins without mass
+        n = small_grid.nu_signal.size
+        one_cell = np.zeros((n, n))
+        one_cell[100, 140] = 0.5
+        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell)
+        assert np.count_nonzero(split_bins(lit)[2]) == 1
+        for amp in (jsa, lit):
+            got, want = split_bins(amp), where_split_bins(amp)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
     def test_labels_and_weights(self, small_split):
         labels, parts, weights = small_split
         np.testing.assert_array_equal(labels, [-4, -3, -2, -1, 1, 2, 3, 4])
