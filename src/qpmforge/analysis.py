@@ -32,7 +32,6 @@ __all__ = [
     "schmidt_decompose",
     "schmidt_weights",
     "schmidt_number",
-    "fidelity_to_maximal",
     "monte_carlo_uncertainty",
     "EntanglementReport",
     "report_from_jsa",
@@ -140,16 +139,6 @@ def _fidelity_of(weights: np.ndarray, n_modes: int) -> float:
 def _entropy_bits(weights: np.ndarray) -> float:
     w = weights[weights > 0]
     return float(-(w * np.log2(w)).sum())
-
-
-def fidelity_to_maximal(jsa, n_modes: int) -> float:
-    """Fidelity to the n-mode maximally entangled state in the dominant modes.
-
-    F = |<phi_n | psi>|^2 = (sum_{k=0}^{n-1} sqrt(lambda_k / n))^2 with the
-    weights sorted descending (zero-padded if fewer than n survive).
-    """
-    weights = jsa.weights if isinstance(jsa, SchmidtSpectrum) else schmidt_weights(jsa)
-    return _fidelity_of(weights, n_modes)
 
 
 def monte_carlo_uncertainty(

@@ -28,7 +28,6 @@ __all__ = [
     "FrequencyGrid",
     "JointSpectralAmplitude",
     "pump_envelope",
-    "bin_spacing_from_comb",
     "build_jsa",
     "save_jsa",
     "load_jsa",
@@ -182,16 +181,6 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     return np.exp(-(nu ** 2) / (2.0 * pump.sigma ** 2))
 
 
-def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
-    """Per-photon bin spacing in Hz implied by a mismatch comb spacing.
-
-    The mismatch comb lives on nu_s - nu_i, which changes twice as fast as
-    either photon detuning along the energy-conservation line, and the Hz
-    conversion contributes another 2 pi.
-    """
-    return spacing / (4.0 * np.pi * abs(dispersion.slope))
-
-
 def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
     """Evaluate the PMF of `source` at every grid point.
 
@@ -233,8 +222,8 @@ def build_jsa(
     intensity sits in the two outermost rows or columns, a sign the grid
     is clipping the state.
     """
-    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
-    values = pump_envelope(pump, nu_sum) * _phasematching_on_grid(source, dispersion, grid)
+    values = _phasematching_on_grid(source, dispersion, grid)
+    values *= pump_envelope(pump, grid.nu_signal[None, :] + grid.nu_idler[:, None])
     # zero detuning is the degenerate frequency, half the pump's
     jsa = JointSpectralAmplitude(
         grid=grid,
@@ -257,7 +246,12 @@ def build_jsa(
                 "the frequency span is probably too small",
                 stacklevel=2,
             )
-    return jsa.normalized()
+    del inten
+    if total <= 0:
+        raise ValueError("cannot normalise a zero amplitude")
+    # the same n2 and divide as normalized(), without a second copy
+    jsa.values /= np.sqrt(float(total * grid.d_nu_signal * grid.d_nu_idler))
+    return jsa
 
 
 _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}

@@ -37,11 +37,11 @@ from .measurement import (
 from .tomography import (
     HyperState,
     analyze_tomography,
+    bin_images,
     default_bin_labels,
     load_tomography_bundle,
     save_tomography_bundle,
     simulate_tomography,
-    split_bins,
     tomography_report,
 )
 
@@ -213,15 +213,18 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> Hyp
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     jsa = _jsa(cfg)
-    labels, parts, weights = split_bins(
-        jsa, spacing_hz=cfg["crystal"]["bin_spacing_hz"], pair_count=cfg["crystal"]["pair_count"]
+    center = jsa.metadata["center_frequency_hz"]
+    spec = cfg.spectrometer_spec()
+    labels, images, weights = bin_images(
+        jsa, spec, spacing_hz=cfg["crystal"]["bin_spacing_hz"],
+        pair_count=cfg["crystal"]["pair_count"],
     )
+    del jsa  # past the bin pass only the images are needed; free the amplitude
     counts = simulate_tomography(
         _hyper_state(cfg, weights, labels),
-        parts,
-        jsa.grid,
-        cfg.spectrometer_spec(),
-        jsa.metadata["center_frequency_hz"],
+        images,
+        spec,
+        center,
         events=cfg["tomography"]["events_per_projection"],
         seed=cfg["run"]["seed"],
         max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],

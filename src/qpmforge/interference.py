@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artefact import read_table, write_table
-from .biphoton import FrequencyGrid, JointSpectralAmplitude
+from .biphoton import JointSpectralAmplitude
 from .crystal import DEFAULT_PAIR_COUNT
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "bin_hz_from_delta",
     "p2_numeric",
     "p4_numeric",
-    "bin_model_jsa",
     "closed_curve",
     "visibility",
     "fit_hom",
@@ -225,29 +224,6 @@ def p4_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return float(out[0])
     return out
-
-
-def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid) -> JointSpectralAmplitude:
-    """Matched-bandwidth Gaussian-bin model state on a grid.
-
-    Pump and bin amplitudes share the width sigma in their respective
-    (sum / difference) variables, which makes each bin pair separable.
-    This is the state the closed forms describe exactly in the
-    well-separated limit; used as the oracle-vs-closed-form test state.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
-    nu_diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
-    j = np.arange(n_pairs)
-    centers = (2.0 * j + 1.0) * delta / 2.0
-    x = nu_diff[..., None]
-    comb = (
-        np.exp(-((x - centers) ** 2) / (2.0 * sigma**2))
-        + np.exp(-((x + centers) ** 2) / (2.0 * sigma**2))
-    ).sum(axis=-1)
-    values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
-    return JointSpectralAmplitude(grid=grid, values=values).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "wavelength_to_time",
     "detuning_to_time",
     "build_transfer",
+    "spectrum_projector",
     "project_intensities",
     "project_to_spectrometer",
     "simulate_counts",
@@ -204,6 +205,46 @@ def build_transfer(
     return _box_blur_integral(spec.time_edges, a, b, spec.jitter_sigma)
 
 
+def spectrum_projector(
+    grid: FrequencyGrid,
+    spec: SpectrometerSpec,
+    center_frequency_hz: float,
+):
+    """The spectrometer's map of one joint spectrum on ``grid``, as a function.
+
+    Builds the two transfer matrices once and returns ``project(inten,
+    image)``: it writes the (n_idler, n_signal) spectrum ``inten``,
+    scaled to unit mass, into the zeroed time-grid matrix ``image``,
+    rows the idler detector and columns the signal detector.  Each
+    transfer is applied only inside its band; ``image.sum()`` is then the
+    share of the spectrum inside the window.
+    """
+    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
+    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
+    idler_blocks = _row_blocks(t_idler)
+    signal_blocks = _row_blocks(t_signal)
+    half = np.zeros((spec.n_bins, grid.shape[1]))
+
+    def project(inten: np.ndarray, image: np.ndarray) -> None:
+        if inten.shape != grid.shape:
+            raise ValueError(f"intensity shape {inten.shape} does not match grid {grid.shape}")
+        if np.any(inten < 0):
+            raise ValueError("intensity must be nonnegative")
+        mass = inten.sum()
+        if mass <= 0:
+            raise MeasurementError("joint spectrum carries no intensity")
+        for rows, cols in idler_blocks:
+            half[rows] = t_idler[rows, cols] @ inten[cols]
+        for rows, cols in signal_blocks:
+            image[:, rows] = half[:, cols] @ t_signal[rows, cols].T
+        image /= mass
+        # the blur integral is nonnegative analytically; floating cancellation
+        # can leave -1e-18-level residue that multinomial sampling rejects
+        np.clip(image, 0.0, None, out=image)
+
+    return project
+
+
 def project_intensities(
     intensities,
     grid: FrequencyGrid,
@@ -212,38 +253,18 @@ def project_intensities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each joint spectrum of a stack, scaled to unit mass, on the time grid.
 
-    ``intensities`` has shape (..., n_idler, n_signal).  Builds the two
-    transfer matrices once.  Returns (images, kept): images[...] holds
-    the detection probability per time cell, rows the idler detector and
-    columns the signal detector, and kept[...] = images[...].sum() is the
-    share of the spectrum inside the window.  The map is linear, so a
-    mixture sum_i c_i I_i / |I_i| projects to sum_i c_i images[i].
+    ``intensities`` has shape (..., n_idler, n_signal); each entry goes
+    through one spectrum_projector.  Returns (images, kept): images[...]
+    holds the detection probability per time cell and kept[...] =
+    images[...].sum() is the share of the spectrum inside the window.
+    The map is linear, so a mixture sum_i c_i I_i / |I_i| projects to
+    sum_i c_i images[i].
     """
     inten = np.asarray(intensities, dtype=float)
-    if inten.shape[-2:] != grid.shape:
-        raise ValueError(f"intensity shape {inten.shape[-2:]} does not match grid {grid.shape}")
-    if np.any(inten < 0):
-        raise ValueError("intensity must be nonnegative")
-    mass = inten.sum(axis=(-2, -1))
-    if np.any(mass <= 0):
-        raise MeasurementError("joint spectrum carries no intensity")
-    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
-    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
-    idler_blocks = _row_blocks(t_idler)
-    signal_blocks = _row_blocks(t_signal)
-    images = np.zeros(mass.shape + (spec.n_bins, spec.n_bins))
-    half = np.zeros((spec.n_bins, grid.shape[1]))
-    # one stack entry at a time, each transfer applied only inside its band
-    for index in np.ndindex(mass.shape):
-        for rows, cols in idler_blocks:
-            half[rows] = t_idler[rows, cols] @ inten[index][cols]
-        image = images[index]
-        for rows, cols in signal_blocks:
-            image[:, rows] = half[:, cols] @ t_signal[rows, cols].T
-        image /= mass[index]
-    # the blur integral is nonnegative analytically; floating cancellation
-    # can leave -1e-18-level residue that multinomial sampling rejects
-    np.clip(images, 0.0, None, out=images)
+    project = spectrum_projector(grid, spec, center_frequency_hz)
+    images = np.zeros(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
+    for index in np.ndindex(inten.shape[:-2]):
+        project(inten[index], images[index])
     return images, images.sum(axis=(-2, -1))
 
 
@@ -260,6 +281,14 @@ def _row_blocks(transfer: np.ndarray) -> list[tuple[slice, slice]]:
     return blocks
 
 
+def _band_center(jsa: JointSpectralAmplitude) -> float:
+    """The band center an amplitude's photons are projected around."""
+    center = jsa.metadata.get("center_frequency_hz")
+    if center is None:
+        raise ValueError("amplitude carries no center_frequency_hz to project around")
+    return center
+
+
 def project_to_spectrometer(
     jsa: JointSpectralAmplitude,
     spec: SpectrometerSpec,
@@ -271,10 +300,7 @@ def project_to_spectrometer(
     to 1), and the fraction of the intensity that fell outside it.  The
     band center is the amplitude's own ``center_frequency_hz``.
     """
-    center = jsa.metadata.get("center_frequency_hz")
-    if center is None:
-        raise ValueError("amplitude carries no center_frequency_hz to project around")
-    mapped, kept = project_intensities(jsa.intensity, jsa.grid, spec, center)
+    mapped, kept = project_intensities(jsa.intensity, jsa.grid, spec, _band_center(jsa))
     kept = float(kept)
     if kept <= 0:
         raise MeasurementError("entire joint spectrum maps outside the time window")

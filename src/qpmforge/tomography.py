@@ -5,7 +5,10 @@ frequency-bin pair i, is a singlet up to a bin-dependent phase:
 (|HV> - e^{i phi_i}|VH>)/sqrt(2).  Projecting both photons onto the four
 SIC states gives 16 joint settings; time-gating the spectrometer
 histograms separates the bins, so one acquisition yields a density
-matrix per bin.
+matrix per bin.  The forward model forms each bin pair's spectrum in
+turn in one buffer and projects it onto the time grid at once
+(bin_images); only the per-bin images are kept, never a stack of the
+bin spectra, and simulate_tomography mixes those images per setting.
 
 Basis order is |q1 q2> in {HH, HV, VH, VV} with the signal photon first;
 ``kron(A, B)`` therefore applies A to the signal and B to the idler.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biphoton import FrequencyGrid, JointSpectralAmplitude
+from .biphoton import JointSpectralAmplitude
 from .crystal import DEFAULT_PAIR_COUNT
 from .measurement import (
     DEFAULT_GATE_WIDTH,
@@ -33,18 +36,18 @@ from .measurement import (
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
+    _band_center,
     _check_alias,
     _draw_counts,
     gate_cells,
     gate_interval,
     load_counts,
-    project_intensities,
     save_counts,
+    spectrum_projector,
 )
 
 __all__ = [
     "sic_operator",
-    "project_probability",
     "singlet_state",
     "TwoQubitState",
     "reconstruct_state",
@@ -54,9 +57,8 @@ __all__ = [
     "default_bin_labels",
     "bin_detuning",
     "DEFAULT_BIN_SPACING_HZ",
-    "split_bins",
+    "bin_images",
     "simulate_tomography",
-    "expected_tomography",
     "tomography_probabilities",
     "BinResult",
     "analyze_tomography",
@@ -106,11 +108,6 @@ _SETTINGS = tuple((j, k) for j in range(1, 5) for k in range(1, 5))
 # probabilities = FRAME @ vec(rho) reproduces Tr[rho (Mj x Mk)].
 _FRAME = np.array([_pair_operator(j, k).T.reshape(16) for j, k in _SETTINGS])
 _FRAME_INV = np.linalg.inv(_FRAME)
-
-
-def project_probability(rho, j: int, k: int) -> float:
-    """Born probability Tr[rho (M_j x M_k)], j on signal, k on idler."""
-    return float(np.real(np.trace(_rho(rho) @ _pair_operator(j, k))))
 
 
 def singlet_state(phase: float = 0.0, coherence: float = 1.0) -> np.ndarray:
@@ -291,34 +288,47 @@ class HyperState:
         return cls(phases=phases, weights=np.full(n, 1.0 / n), labels=labels)
 
 
-def split_bins(
+def bin_images(
     jsa: JointSpectralAmplitude,
+    spec: SpectrometerSpec,
     spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
     pair_count: int = DEFAULT_PAIR_COUNT,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition a joint intensity into per-bin-pair components.
+    """Each bin pair's spectrum on the spectrometer's time grid.
 
     Cells are assigned to the bin pair whose difference-frequency center
-    nu_s - nu_i is nearest.  Returns (labels, intensities, weights) with
-    intensities[i] normalized to unit sum and weights the mass fractions.
+    nu_s - nu_i is nearest.  The bin spectra are formed one at a time in
+    one reused buffer, each normalized to unit sum and projected around
+    the amplitude's own ``center_frequency_hz`` at once, so no stack of
+    bin spectra exists.  Returns (labels, images, weights): images[i] as
+    spectrum_projector writes it, weights the mass fractions.
     """
+    center = _band_center(jsa)
     inten, grid = jsa.intensity, jsa.grid
-    labels = default_bin_labels(pair_count)
-    centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
-    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
-    nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
     total = inten.sum()
     if total <= 0:
         raise ValueError("joint spectrum carries no intensity")
-    parts = np.zeros((labels.size,) + inten.shape)
+    labels = default_bin_labels(pair_count)
+    centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
+    bounds = 0.5 * (centers[1:] + centers[:-1])
+    # one byte of bin index per cell, formed a row at a time
+    nearest = np.empty(grid.shape, dtype=np.min_scalar_type(labels.size))
+    for row, nu_idler in zip(nearest, grid.nu_idler):
+        row[:] = np.digitize(grid.nu_signal - nu_idler, bounds)
+    project = spectrum_projector(grid, spec, center)
+    images = np.zeros((labels.size, spec.n_bins, spec.n_bins))
     weights = np.zeros(labels.size)
-    for i, part in enumerate(parts):
+    part = np.empty(grid.shape)
+    for i, image in enumerate(images):
+        part.fill(0.0)
         np.copyto(part, inten, where=nearest == i)
         mass = part.sum()
+        if mass <= 0:
+            raise MeasurementError(f"bin {labels[i]:+d} of the joint spectrum carries no intensity")
         weights[i] = mass / total
-        if mass > 0:
-            part /= mass
-    return labels, parts, weights
+        part /= mass
+        project(part, image)
+    return labels, images, weights
 
 
 def _born_table(hyper: HyperState) -> np.ndarray:
@@ -329,8 +339,7 @@ def _born_table(hyper: HyperState) -> np.ndarray:
 
 def simulate_tomography(
     hyper: HyperState,
-    bin_intensities: np.ndarray,
-    grid: FrequencyGrid,
+    images: np.ndarray,
     spec: SpectrometerSpec,
     center_frequency_hz: float,
     events: float,
@@ -342,18 +351,18 @@ def simulate_tomography(
     For setting (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)]
     of the total pair flux; the projection's event total is Poissonian
     with mean 4 * events * that flux (so ``events`` is the average count
-    per projection), and the spectrum sampled is the correspondingly
-    weighted mixture of the per-bin spectra, projected around the band
-    center center_frequency_hz.  Raises MeasurementError when more than
-    max_alias_fraction of the source as a whole falls outside the
-    acquisition window.
+    per projection), and the image sampled is the correspondingly
+    weighted mixture of the per-bin images, which bin_images projects
+    one spectrum at a time around the band center center_frequency_hz.
+    Raises MeasurementError when more than max_alias_fraction of the
+    source as a whole falls outside the acquisition window.
     """
-    bin_intensities = np.asarray(bin_intensities, dtype=float)
-    if bin_intensities.shape[0] != hyper.n_bins:
-        raise ValueError("bin_intensities must carry one matrix per bin")
+    images = np.asarray(images, dtype=float)
+    if images.shape[0] != hyper.n_bins:
+        raise ValueError("images must carry one matrix per bin")
     if events < 0:
         raise ValueError("events must be >= 0")
-    images, kept = project_intensities(bin_intensities, grid, spec, center_frequency_hz)
+    kept = images.sum(axis=(-2, -1))
     _check_alias(float(1.0 - hyper.weights @ kept), spec, max_alias_fraction)
     born = _born_table(hyper)
     master = np.random.default_rng([int(seed), 0x7013])
@@ -390,35 +399,6 @@ def _bin_cells(
         gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), center_frequency_hz, width)
         for sign in (1, -1)
     ))
-
-
-def expected_tomography(
-    hyper: HyperState,
-    bin_intensities: np.ndarray,
-    grid: FrequencyGrid,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    width: float = DEFAULT_GATE_WIDTH,
-) -> dict[int, np.ndarray]:
-    """Infinite-statistics gated SIC probabilities for every bin.
-
-    The expected gated count for (label, j, k) factorizes as
-    sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
-    i's projected time distribution inside the label's gates, so the
-    whole table needs one spectrometer projection per bin.  This is the
-    deterministic limit of simulate_tomography -> tomography_probabilities,
-    exposing the gating cross-talk with no sampling noise on top.
-    """
-    images, _ = project_intensities(bin_intensities, grid, spec, center_frequency_hz)
-    born = _born_table(hyper)
-    out: dict[int, np.ndarray] = {}
-    for label in hyper.labels:
-        rows, cols = _bin_cells(spec, label, center_frequency_hz, spacing_hz, width)
-        capture = images[:, rows, cols].sum(axis=(1, 2))
-        gated = born @ (hyper.weights * capture)
-        out[int(label)] = 4.0 * gated / gated.sum()
-    return out
 
 
 def tomography_probabilities(

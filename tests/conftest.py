@@ -6,13 +6,11 @@ so the whole suite builds them once.  Tests marked with
 printed after the run.
 """
 
-import numpy as np
 import pytest
 
 from qpmforge.biphoton import build_jsa
 from qpmforge.config import default_config
 from qpmforge.crystal import design_domains
-from qpmforge.tomography import split_bins
 
 _CRITERIA: dict[int, dict] = {}
 
@@ -108,9 +106,3 @@ def designed_jsa(designed_crystal, pump, dispersion, grid):
 @pytest.fixture(scope="session")
 def spectro(cfg):
     return cfg.spectrometer_spec()
-
-
-@pytest.fixture(scope="session")
-def bin_split(comb_jsa):
-    labels, parts, weights = split_bins(comb_jsa)
-    return labels, np.asarray(parts), weights

@@ -1,0 +1,128 @@
+"""Test oracles: plain, dense statements of what the package computes.
+
+No pipeline stage calls these.  Each states a quantity directly, as a
+Born rule, a dense stack or a closed form, and tests compare the
+package's own structured or streamed code against it.
+"""
+
+import numpy as np
+
+from qpmforge.analysis import SchmidtSpectrum, _fidelity_of, schmidt_weights
+from qpmforge.biphoton import DispersionMap, FrequencyGrid, JointSpectralAmplitude
+from qpmforge.crystal import DEFAULT_PAIR_COUNT
+from qpmforge.measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec
+from qpmforge.tomography import (
+    DEFAULT_BIN_SPACING_HZ,
+    HyperState,
+    _bin_cells,
+    _born_table,
+    _pair_operator,
+    _rho,
+    bin_detuning,
+    default_bin_labels,
+)
+
+
+def project_probability(rho, j: int, k: int) -> float:
+    """Born probability Tr[rho (M_j x M_k)], j on signal, k on idler."""
+    return float(np.real(np.trace(_rho(rho) @ _pair_operator(j, k))))
+
+
+def split_bins(
+    jsa: JointSpectralAmplitude,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
+    pair_count: int = DEFAULT_PAIR_COUNT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition a joint intensity into per-bin-pair components, as one stack.
+
+    Cells are assigned to the bin pair whose difference-frequency center
+    nu_s - nu_i is nearest.  Returns (labels, intensities, weights) with
+    intensities[i] normalized to unit sum and weights the mass fractions.
+    """
+    inten, grid = jsa.intensity, jsa.grid
+    labels = default_bin_labels(pair_count)
+    centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
+    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
+    total = inten.sum()
+    if total <= 0:
+        raise ValueError("joint spectrum carries no intensity")
+    parts = np.zeros((labels.size,) + inten.shape)
+    weights = np.zeros(labels.size)
+    for i, part in enumerate(parts):
+        np.copyto(part, inten, where=nearest == i)
+        mass = part.sum()
+        weights[i] = mass / total
+        if mass > 0:
+            part /= mass
+    return labels, parts, weights
+
+
+def expected_tomography(
+    hyper: HyperState,
+    images: np.ndarray,
+    spec: SpectrometerSpec,
+    center_frequency_hz: float,
+    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
+    width: float = DEFAULT_GATE_WIDTH,
+) -> dict[int, np.ndarray]:
+    """Infinite-statistics gated SIC probabilities for every bin.
+
+    The expected gated count for (label, j, k) factorizes as
+    sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
+    i's image (as bin_images projects it) inside the label's gates.  This
+    is the deterministic limit of simulate_tomography ->
+    tomography_probabilities, exposing the gating cross-talk with no
+    sampling noise on top.
+    """
+    born = _born_table(hyper)
+    out: dict[int, np.ndarray] = {}
+    for label in hyper.labels:
+        rows, cols = _bin_cells(spec, label, center_frequency_hz, spacing_hz, width)
+        capture = images[:, rows, cols].sum(axis=(1, 2))
+        gated = born @ (hyper.weights * capture)
+        out[int(label)] = 4.0 * gated / gated.sum()
+    return out
+
+
+def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid) -> JointSpectralAmplitude:
+    """Matched-bandwidth Gaussian-bin model state on a grid.
+
+    Pump and bin amplitudes share the width sigma in their respective
+    (sum / difference) variables, which makes each bin pair separable.
+    This is the state the closed forms describe exactly in the
+    well-separated limit.
+    """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
+    nu_diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    j = np.arange(n_pairs)
+    centers = (2.0 * j + 1.0) * delta / 2.0
+    x = nu_diff[..., None]
+    comb = (
+        np.exp(-((x - centers) ** 2) / (2.0 * sigma**2))
+        + np.exp(-((x + centers) ** 2) / (2.0 * sigma**2))
+    ).sum(axis=-1)
+    values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
+    return JointSpectralAmplitude(grid=grid, values=values).normalized()
+
+
+def fidelity_to_maximal(jsa, n_modes: int) -> float:
+    """Fidelity to the n-mode maximally entangled state in the dominant modes.
+
+    F = |<phi_n | psi>|^2 = (sum_{k=0}^{n-1} sqrt(lambda_k / n))^2 with the
+    weights sorted descending (zero-padded if fewer than n survive).
+    """
+    weights = jsa.weights if isinstance(jsa, SchmidtSpectrum) else schmidt_weights(jsa)
+    return _fidelity_of(weights, n_modes)
+
+
+def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
+    """Per-photon bin spacing in Hz implied by a mismatch comb spacing.
+
+    The mismatch comb lives on nu_s - nu_i, which changes twice as fast as
+    either photon detuning along the energy-conservation line, and the Hz
+    conversion contributes another 2 pi.
+    """
+    return spacing / (4.0 * np.pi * abs(dispersion.slope))

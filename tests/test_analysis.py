@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge.analysis import (
-    fidelity_to_maximal,
     monte_carlo_uncertainty,
     report_from_jsa,
     schmidt_decompose,
@@ -12,6 +11,8 @@ from qpmforge.analysis import (
     schmidt_weights,
 )
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
+
+from oracles import fidelity_to_maximal
 
 
 def separable_gaussian(n=128, half_span=2e12):

@@ -11,7 +11,6 @@ from qpmforge.biphoton import (
     FrequencyGrid,
     JointSpectralAmplitude,
     PumpSpec,
-    bin_spacing_from_comb,
     build_jsa,
     load_jsa,
     load_jsi,
@@ -21,6 +20,8 @@ from qpmforge.biphoton import (
 )
 from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
+
+from oracles import bin_spacing_from_comb
 
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):

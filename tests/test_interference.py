@@ -11,7 +11,6 @@ from qpmforge.interference import (
     _dip_shape,
     _guess_delta,
     bin_hz_from_delta,
-    bin_model_jsa,
     closed_curve,
     delta_from_bin_hz,
     fit_hom,
@@ -21,6 +20,8 @@ from qpmforge.interference import (
     save_curve,
     visibility,
 )
+
+from oracles import bin_model_jsa
 
 SIGMA = 1.0e12  # rad/s; keeps delta/sigma >= 5 for the 500 GHz defaults
 DELTA_500 = delta_from_bin_hz(500e9)

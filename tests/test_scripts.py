@@ -27,11 +27,19 @@ def test_purity_scan_tabulates_each_step(tmp_path):
     assert all(len(row.split()) == 4 for row in rows)
 
 
-def test_full_pipeline_quick_runs_every_stage(tmp_path):
+def small_config(tmp_path, **sections):
+    """A 256-point copy of configs/defaults.cfg with `sections` overriding keys."""
     cfg = parse_config(ROOT / "configs" / "defaults.cfg")
     cfg.sections["grid"]["points"] = 256
+    for name, values in sections.items():
+        cfg.sections[name].update(values)
     config = tmp_path / "small.cfg"
     config.write_text(cfg.resolved_text())
+    return config
+
+
+def test_full_pipeline_quick_runs_every_stage(tmp_path):
+    config = small_config(tmp_path)
     out = tmp_path / "out"
     result = run_script(
         "run_full_pipeline.py", "--quick", "--config", str(config), "--out", str(out),
@@ -40,3 +48,29 @@ def test_full_pipeline_quick_runs_every_stage(tmp_path):
     assert result.returncode == 0, result.stderr
     rows = (out / "tomo_fit" / "report.txt").read_text().splitlines()[1:]
     assert len(rows) == 8
+
+
+def test_stage_peaks_reports_every_stage(tmp_path):
+    config = small_config(
+        tmp_path,
+        spectrometer={"events": 100_000, "resamples": 10},
+        tomography={"events_per_projection": 10_000, "resamples": 10},
+    )
+    out = tmp_path / "out"
+    result = run_script(
+        "stage_peaks.py", "--config", str(config), "--out", str(out), "--seed", "3",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["stage", "wall_s", "peak_rss_mb"]
+    assert [row.split()[0] for row in rows] == [
+        "design", "simulate", "hom", "heralded",
+        "tofs-sim", "tofs-analyze", "tomo-sim", "tomo-fit",
+    ]
+    for row in rows:
+        seconds, peak_mb = map(float, row.split()[1:])
+        # every stage imports numpy, which alone holds more than 10 MB
+        assert seconds > 0.0 and peak_mb > 10.0
+    assert len((out / "tofs" / "report.txt").read_text().splitlines()) == 5
+    assert len((out / "tomo" / "report.txt").read_text().splitlines()) == 9

@@ -1,27 +1,27 @@
 """Tomography layer: SIC frame algebra, reconstruction, gating, error bars."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpmforge import measurement
+from qpmforge import cli, measurement
 from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
 from qpmforge.config import default_config
-from qpmforge.measurement import project_intensities, project_to_spectrometer
+from qpmforge.measurement import MeasurementError, project_intensities, project_to_spectrometer
 from qpmforge.tomography import (
     _born_table,
     HyperState,
     TwoQubitState,
     analyze_tomography,
     bin_detuning,
+    bin_images,
     default_bin_labels,
-    expected_tomography,
     fidelity_singlet,
     load_tomography_bundle,
-    project_probability,
     purity,
     reconstruct_state,
     resample_tomography,
@@ -29,10 +29,11 @@ from qpmforge.tomography import (
     sic_operator,
     simulate_tomography,
     singlet_state,
-    split_bins,
     tomography_probabilities,
     tomography_report,
 )
+
+from oracles import expected_tomography, project_probability, split_bins
 
 SPACING = 500e9
 # band center of every amplitude built from the default pump
@@ -49,10 +50,20 @@ def small_grid():
 
 
 @pytest.fixture(scope="module")
-def small_split(cfg, small_grid):
-    jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
-    labels, parts, weights = split_bins(jsa)
+def small_jsa(cfg, small_grid):
+    return build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
+
+
+@pytest.fixture(scope="module")
+def small_split(small_jsa):
+    labels, parts, weights = split_bins(small_jsa)
     return labels, np.asarray(parts), weights
+
+
+@pytest.fixture(scope="module")
+def small_images(small_jsa, spectro):
+    """(labels, images, weights) of the pipeline's bin pass."""
+    return bin_images(small_jsa, spectro)
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +72,15 @@ def random_phases():
 
 
 @pytest.fixture(scope="module")
-def pure_hyper(small_split, random_phases):
-    labels, _, weights = small_split
+def pure_hyper(small_images, random_phases):
+    labels, _, weights = small_images
     return HyperState(phases=random_phases, weights=weights, labels=labels)
 
 
 @pytest.fixture(scope="module")
-def pure_table(pure_hyper, small_split, small_grid, spectro):
-    _, parts, _ = small_split
-    return expected_tomography(pure_hyper, parts, small_grid, spectro, NU0)
+def pure_table(pure_hyper, small_images, spectro):
+    _, images, _ = small_images
+    return expected_tomography(pure_hyper, images, spectro, NU0)
 
 
 class TestSicFrame:
@@ -306,12 +317,51 @@ class TestSplitBins:
             split_bins(JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n))))
 
 
+class TestBinImages:
+    def test_matches_projected_dense_oracle(self, small_jsa, small_grid, spectro):
+        # the pass forms and projects one bin spectrum at a time; projecting
+        # the dense stack of the same spectra must give the same bits
+        labels, images, weights = bin_images(small_jsa, spectro)
+        want_labels, parts, want_weights = where_split_bins(small_jsa)
+        want_images, want_kept = project_intensities(parts, small_grid, spectro, NU0)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(images, want_images)
+        np.testing.assert_array_equal(images.sum(axis=(1, 2)), want_kept)
+        np.testing.assert_array_equal(weights, want_weights)
+
+    def test_empty_bins_raise_like_the_dense_oracle(self, small_grid, spectro):
+        n = small_grid.nu_signal.size
+        center = {"center_frequency_hz": NU0}
+        # one lit cell leaves seven bins without mass
+        one_cell = np.zeros((n, n))
+        one_cell[100, 140] = 0.5
+        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, metadata=center)
+        with pytest.raises(MeasurementError, match="no intensity"):
+            project_intensities(where_split_bins(lit)[1], small_grid, spectro, NU0)
+        with pytest.raises(MeasurementError, match="no intensity"):
+            bin_images(lit, spectro)
+        zero = JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n)), metadata=center)
+        with pytest.raises(ValueError, match="no intensity"):
+            bin_images(zero, spectro)
+        with pytest.raises(ValueError, match="center_frequency_hz"):
+            bin_images(JointSpectralAmplitude(grid=small_grid, values=one_cell), spectro)
+
+    def test_peak_memory_below_dense_stack(self, comb_jsa, spectro):
+        # the pass must never hold the (n_bins, n_idler, n_signal) stack
+        tracemalloc.start()
+        try:
+            labels, _, _ = bin_images(comb_jsa, spectro)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack_bytes = labels.size * comb_jsa.intensity.nbytes
+        assert peak < stack_bytes
+
+
 @pytest.fixture(scope="module")
-def sim(pure_hyper, small_split, small_grid, spectro):
-    _, parts, _ = small_split
-    return simulate_tomography(
-        pure_hyper, parts, small_grid, spectro, NU0, events=2000, seed=5
-    )
+def sim(pure_hyper, small_images, spectro):
+    _, images, _ = small_images
+    return simulate_tomography(pure_hyper, images, spectro, NU0, events=2000, seed=5)
 
 
 class TestSimulateTomography:
@@ -331,40 +381,39 @@ class TestSimulateTomography:
         assert abs(grand - mean) < 5 * np.sqrt(mean)
 
     def test_matched_projections_are_dark_for_common_phase(
-        self, small_split, small_grid, spectro
+        self, small_images, spectro
     ):
-        labels, parts, weights = small_split
+        labels, images, weights = small_images
         hyper = HyperState(phases=np.zeros(8), weights=weights, labels=labels)
-        sim = simulate_tomography(hyper, parts, small_grid, spectro, NU0, 500, seed=1)
+        sim = simulate_tomography(hyper, images, spectro, NU0, 500, seed=1)
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
-    def test_reproducible(self, pure_hyper, small_split, small_grid, spectro):
-        _, parts, _ = small_split
-        a = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=9)
-        b = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=9)
-        c = simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, 300, seed=10)
+    def test_reproducible(self, pure_hyper, small_images, spectro):
+        _, images, _ = small_images
+        a = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=9)
+        b = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=9)
+        c = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=10)
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
-    def test_validation(self, pure_hyper, small_split, small_grid, spectro):
-        _, parts, _ = small_split
+    def test_validation(self, pure_hyper, small_images, spectro):
+        _, images, _ = small_images
         with pytest.raises(ValueError, match="one matrix per bin"):
-            simulate_tomography(
-                pure_hyper, parts[:3], small_grid, spectro, NU0, 100, seed=0
-            )
+            simulate_tomography(pure_hyper, images[:3], spectro, NU0, 100, seed=0)
         with pytest.raises(ValueError, match="events"):
-            simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, -1, seed=0)
+            simulate_tomography(pure_hyper, images, spectro, NU0, -1, seed=0)
 
 
 class TestSharedProjection:
     def test_mixed_images_match_reference_projection(
-        self, pure_hyper, small_split, small_grid, spectro
+        self, pure_hyper, small_split, small_images, small_grid, spectro
     ):
         # projecting each bin once and mixing the images must equal
         # projecting each setting's mixed spectrum: the map is linear
         _, parts, weights = small_split
-        images, kept = project_intensities(parts, small_grid, spectro, NU0)
+        _, images, _ = small_images
+        kept = images.sum(axis=(1, 2))
         mixes = [weights] + [
             np.clip(weights * born, 0.0, None) for born in _born_table(pure_hyper)
         ]
@@ -389,18 +438,19 @@ class TestSharedProjection:
         assert np.abs(images - dense).max() <= 1e-12 * dense.max()
         np.testing.assert_allclose(kept, dense.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
-    def test_transfer_matrices_built_once_per_call(
-        self, monkeypatch, pure_hyper, small_split, small_grid, spectro
-    ):
-        _, parts, _ = small_split
+    def test_transfer_matrices_built_once_per_call(self, monkeypatch, tmp_path):
+        # one signal and one idler matrix for the whole tomo-sim stage
+        cfg = default_config()
+        cfg.sections["grid"]["points"] = 256
+        cfg.sections["tomography"]["events_per_projection"] = 100
         calls = []
         build = measurement.build_transfer
         monkeypatch.setattr(
             measurement, "build_transfer", lambda *args: calls.append(args) or build(*args)
         )
-        simulate_tomography(pure_hyper, parts, small_grid, spectro, NU0, events=100, seed=0)
-        expected_tomography(pure_hyper, parts, small_grid, spectro, NU0)
-        assert len(calls) == 4
+        cli.cmd_tomo_sim(cfg, str(tmp_path))
+        assert len(calls) == 2
+        assert len(os.listdir(tmp_path / "tomo")) == 16
 
 
 class TestGatedAnalysis:
@@ -420,12 +470,10 @@ class TestGatedAnalysis:
             assert abs(wrap_angle(phi - random_phases[i])) < 1e-6
 
     def test_simulated_analysis_recovers_state(
-        self, pure_hyper, random_phases, small_split, small_grid, spectro
+        self, pure_hyper, random_phases, small_images, spectro
     ):
-        labels, parts, _ = small_split
-        run = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, NU0, events=100_000, seed=5
-        )
+        labels, images, _ = small_images
+        run = simulate_tomography(pure_hyper, images, spectro, NU0, events=100_000, seed=5)
         results = analyze_tomography(run, labels, n_resamples=200, seed=6)
         assert [r.label for r in results] == list(labels)
         for i, res in enumerate(results):
@@ -438,21 +486,17 @@ class TestGatedAnalysis:
             assert 0.0 < res.purity_std < 0.02
             assert 0.0 < res.fidelity_std < 0.02
 
-    def test_zero_counts_raise(self, pure_hyper, small_split, small_grid, spectro):
-        _, parts, _ = small_split
-        sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, NU0, events=0, seed=0
-        )
+    def test_zero_counts_raise(self, pure_hyper, small_images, spectro):
+        _, images, _ = small_images
+        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             tomography_probabilities(sim, 1)
 
     def test_report_lists_every_bin(
-        self, pure_hyper, small_split, small_grid, spectro
+        self, pure_hyper, small_images, spectro
     ):
-        labels, parts, _ = small_split
-        sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, NU0, events=5000, seed=2
-        )
+        labels, images, _ = small_images
+        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=5000, seed=2)
         results = analyze_tomography(sim, labels)
         text = tomography_report(results)
         lines = text.splitlines()
@@ -524,21 +568,21 @@ class TestResample:
         assert f_std == pytest.approx(np.std(fid, ddof=1), abs=1e-12)
 
     def test_error_bars_cover_truth(
-        self, small_split, small_grid, spectro, random_phases
+        self, small_images, spectro, random_phases
     ):
         # 3-sigma bootstrap bars on (purity, fidelity) must cover the
         # infinite-statistics value in at least 99 of 100 synthetic runs;
         # the truth state has two exact zero eigenvalues, so the PSD clip
         # biases low-count estimates and the event count must be large
         # enough to keep that bias inside the bars
-        labels, parts, weights = small_split
+        labels, images, weights = small_images
         hyper = HyperState(
             phases=random_phases,
             weights=weights,
             labels=labels,
             drift=np.full(8, 1.0),
         )
-        p16 = expected_tomography(hyper, parts, small_grid, spectro, NU0)[2]
+        p16 = expected_tomography(hyper, images, spectro, NU0)[2]
         truth = reconstruct_state(p16)
         truth_purity = purity(truth)
         truth_fid = fidelity_singlet(truth)[0]
@@ -559,12 +603,10 @@ class TestResample:
 
 class TestBundleIO:
     def test_roundtrip(
-        self, pure_hyper, small_split, small_grid, spectro, tmp_path
+        self, pure_hyper, small_images, spectro, tmp_path
     ):
-        _, parts, _ = small_split
-        sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, NU0, events=50, seed=3
-        )
+        _, images, _ = small_images
+        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=50, seed=3)
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         names = sorted(os.listdir(target))
@@ -577,12 +619,10 @@ class TestBundleIO:
             assert loaded[key].center_frequency_hz == NU0
 
     def test_incomplete_bundle_rejected(
-        self, pure_hyper, small_split, small_grid, spectro, tmp_path
+        self, pure_hyper, small_images, spectro, tmp_path
     ):
-        _, parts, _ = small_split
-        sim = simulate_tomography(
-            pure_hyper, parts, small_grid, spectro, NU0, events=50, seed=3
-        )
+        _, images, _ = small_images
+        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=50, seed=3)
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         os.remove(target / "proj_2_3.csv")
