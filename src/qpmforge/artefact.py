@@ -14,15 +14,20 @@ file:
 * ``jsa.csv`` and ``jsi.csv``, header
   ``ns=<int> ni=<int> dnu_s_hz=<float> dnu_i_hz=<float> nu0_hz=<float>``.
   Rows are idler samples, columns signal samples; axes are centred on
-  zero detuning.  JSA entries are ``%.17g%+.17gj`` complex numbers
-  (e.g. ``1.2e-145-3.4e-146j``), which read back bit-identical; JSI
-  entries are ``%.12e`` floats.  ``nu0_hz`` records the absolute
-  degenerate frequency for wavelength mapping.
+  zero detuning.  Both photons share one axis, so both axis pairs are
+  written, equal, and the loaders reject a file where they differ.  JSA
+  entries are ``%.17g%+.17gj`` complex numbers (e.g.
+  ``1.2e-145-3.4e-146j``), which read back bit-identical; JSI entries
+  are ``%.12e`` floats.  ``nu0_hz`` records the absolute degenerate
+  frequency for wavelength mapping.
 * ``domains.tsv``, header ``total_length_m``; rows ``width<TAB>+1`` or
   ``width<TAB>-1``.  Widths and length are ``%.17g``, so the widths
   read back bit-identical and still sum to the length.
 * ``curve.tsv`` and ``counts.tsv``, header ``kind``; rows
   ``delay,value`` in ``%.12e``.
+* ``pmf_curve.tsv``, ``marginals.tsv`` and ``probabilities.tsv``,
+  header ``columns=<name>,<name>,...``; one row per sample, ``%.12g``
+  values tab-separated in the order the header names them.
 * count files, header ``nt dt_ps t0_ns disp_ns_per_nm
   ref_wavelength_m nu0_hz``; an ``nt x nt`` integer matrix.  ``nu0_hz``
   is the band center the detunings are measured from, written ``%.17g``

@@ -3,7 +3,9 @@
 Conventions used throughout:
 
 * Detunings nu_s, nu_i are angular frequencies (rad/s) measured from the
-  degenerate photon frequency; the pump detuning is their sum.
+  degenerate photon frequency; the pump detuning is their sum.  The
+  source is degenerate, so both photons share one uniform axis,
+  FrequencyGrid.nu, and the grid is square.
 * The phase mismatch is linearised around the first-order QPM point,
   dk = center + slope * (nu_s - nu_i).  The antisymmetric form places the
   comb peaks on the energy-conservation antidiagonal, which is what turns
@@ -81,55 +83,39 @@ class DispersionMap:
         if self.center <= 0:
             raise ValueError("center must be > 0")
 
-    def mismatch(self, nu_signal, nu_idler):
-        return self.center + self.slope * (np.asarray(nu_signal) - np.asarray(nu_idler))
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform rectangular detuning grid, rad/s, one axis per photon."""
+    """Square detuning grid, rad/s: one uniform axis shared by both photons."""
 
-    nu_signal: np.ndarray
-    nu_idler: np.ndarray
+    nu: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("nu_signal", "nu_idler"):
-            ax = np.asarray(getattr(self, name), dtype=float)
-            if ax.ndim != 1 or ax.size < 2:
-                raise ValueError(f"{name} must hold at least two samples")
-            steps = np.diff(ax)
-            if np.any(steps <= 0):
-                raise ValueError(f"{name} must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValueError(f"{name} must be uniformly spaced")
-            object.__setattr__(self, name, ax)
+        nu = np.asarray(self.nu, dtype=float)
+        if nu.ndim != 1 or nu.size < 2:
+            raise ValueError("nu must hold at least two samples")
+        steps = np.diff(nu)
+        if np.any(steps <= 0):
+            raise ValueError("nu must be strictly increasing")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("nu must be uniformly spaced")
+        object.__setattr__(self, "nu", nu)
 
     @classmethod
     def symmetric(cls, n: int, half_span_hz: float) -> "FrequencyGrid":
-        """Square grid of n x n points spanning +/- half_span_hz on both axes."""
+        """Grid of n x n points spanning +/- half_span_hz."""
         if n < 2:
             raise ValueError("n must be >= 2")
-        nu = 2.0 * np.pi * np.linspace(-half_span_hz, half_span_hz, n)
-        return cls(nu_signal=nu, nu_idler=nu.copy())
+        return cls(nu=2.0 * np.pi * np.linspace(-half_span_hz, half_span_hz, n))
 
     @property
-    def d_nu_signal(self) -> float:
-        return float(self.nu_signal[1] - self.nu_signal[0])
-
-    @property
-    def d_nu_idler(self) -> float:
-        return float(self.nu_idler[1] - self.nu_idler[0])
+    def d_nu(self) -> float:
+        return float(self.nu[1] - self.nu[0])
 
     @property
     def shape(self) -> tuple[int, int]:
         """(n_idler, n_signal), matching JSA array layout."""
-        return (self.nu_idler.size, self.nu_signal.size)
-
-    def is_square(self) -> bool:
-        return (
-            self.nu_signal.size == self.nu_idler.size
-            and np.allclose(self.nu_signal, self.nu_idler, rtol=0.0, atol=1e-6 * abs(self.d_nu_signal))
-        )
+        return (self.nu.size, self.nu.size)
 
 
 @dataclass
@@ -153,9 +139,7 @@ class JointSpectralAmplitude:
 
     def norm_squared(self) -> float:
         """L2 norm with the grid measure: sum |f|^2 dnu_s dnu_i."""
-        return float(
-            np.sum(self.intensity) * self.grid.d_nu_signal * self.grid.d_nu_idler
-        )
+        return float(np.sum(self.intensity) * self.grid.d_nu * self.grid.d_nu)
 
     def normalized(self) -> "JointSpectralAmplitude":
         n2 = self.norm_squared()
@@ -169,10 +153,10 @@ class JointSpectralAmplitude:
 
     def signal_marginal(self) -> np.ndarray:
         """Spectral intensity of the signal photon, integrated over the idler."""
-        return self.intensity.sum(axis=0) * self.grid.d_nu_idler
+        return self.intensity.sum(axis=0) * self.grid.d_nu
 
     def idler_marginal(self) -> np.ndarray:
-        return self.intensity.sum(axis=1) * self.grid.d_nu_signal
+        return self.intensity.sum(axis=1) * self.grid.d_nu
 
 
 def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
@@ -184,10 +168,10 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
 def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
     """Evaluate the PMF of `source` at every grid point.
 
-    The mismatch depends only on nu_s - nu_i.  When both axes share one
-    spacing it takes only n_s + n_i - 1 distinct values, indexed by the
-    column-row difference, and the PMF of either source is evaluated once
-    per distinct value and gathered; otherwise it is evaluated row by row.
+    The mismatch depends only on nu_s - nu_i, which on the shared axis
+    takes only 2n - 1 distinct values, indexed by the column-row
+    difference: the PMF of either source is evaluated once per distinct
+    value and gathered.
     """
     if isinstance(source, CombSpec):
         pmf = target_pmf
@@ -196,16 +180,11 @@ def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGri
     else:
         raise TypeError("source must be a CombSpec or DomainConfig")
 
-    ds = grid.d_nu_signal
-    n_i, n_s = grid.shape
-    if abs(ds - grid.d_nu_idler) <= 1e-9 * ds:
-        # nu_s[c] - nu_i[r] = (nu_s[0] - nu_i[0]) + (c - r) * step
-        diff = grid.nu_signal[0] - grid.nu_idler[0] + np.arange(-(n_i - 1), n_s) * ds
-        pmf_vals = pmf(source, dispersion.center + dispersion.slope * diff)
-        idx = np.arange(n_s)[None, :] - np.arange(n_i)[:, None] + (n_i - 1)
-        return pmf_vals[idx]
-
-    return np.array([pmf(source, dispersion.mismatch(grid.nu_signal, nu)) for nu in grid.nu_idler])
+    n = grid.nu.size
+    # nu[c] - nu[r] = (c - r) * step
+    diff = np.arange(-(n - 1), n) * grid.d_nu
+    pmf_vals = pmf(source, dispersion.center + dispersion.slope * diff)
+    return pmf_vals[np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)]
 
 
 def build_jsa(
@@ -223,7 +202,7 @@ def build_jsa(
     is clipping the state.
     """
     values = _phasematching_on_grid(source, dispersion, grid)
-    values *= pump_envelope(pump, grid.nu_signal[None, :] + grid.nu_idler[:, None])
+    values *= pump_envelope(pump, grid.nu[None, :] + grid.nu[:, None])
     # zero detuning is the degenerate frequency, half the pump's
     jsa = JointSpectralAmplitude(
         grid=grid,
@@ -250,7 +229,7 @@ def build_jsa(
     if total <= 0:
         raise ValueError("cannot normalise a zero amplitude")
     # the same n2 and divide as normalized(), without a second copy
-    jsa.values /= np.sqrt(float(total * grid.d_nu_signal * grid.d_nu_idler))
+    jsa.values /= np.sqrt(float(total * grid.d_nu * grid.d_nu))
     return jsa
 
 
@@ -258,30 +237,26 @@ _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "n
 
 
 def _header(jsa: JointSpectralAmplitude) -> dict:
-    n_i, n_s = jsa.grid.shape
+    n = jsa.grid.nu.size
     nu0 = jsa.metadata.get("center_frequency_hz")
     if nu0 is None:
         raise ValueError("amplitude carries no center_frequency_hz to write as nu0_hz")
-    return {
-        "ns": n_s,
-        "ni": n_i,
-        "dnu_s_hz": jsa.grid.d_nu_signal / (2.0 * np.pi),
-        "dnu_i_hz": jsa.grid.d_nu_idler / (2.0 * np.pi),
-        "nu0_hz": nu0,
-    }
+    d_nu_hz = jsa.grid.d_nu / (2.0 * np.pi)
+    # the format keeps a key pair per photon; one axis writes both, equal
+    return {"ns": n, "ni": n, "dnu_s_hz": d_nu_hz, "dnu_i_hz": d_nu_hz, "nu0_hz": nu0}
 
 
 def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, dict]:
     h, values = read_table(path, _HEADER_FIELDS, dtype)
-    if values.shape != (h["ni"], h["ns"]):
+    n, d_hz = h["ns"], h["dnu_s_hz"]
+    if (h["ni"], h["dnu_i_hz"]) != (n, d_hz):
+        raise ValueError(
+            f"{path}: signal axis (ns={n}, dnu_s_hz={d_hz:.12g}) and idler axis "
+            f"(ni={h['ni']}, dnu_i_hz={h['dnu_i_hz']:.12g}) differ; the grid is one shared axis"
+        )
+    if values.shape != (n, n):
         raise ValueError(f"{path}: data shape {values.shape} does not match header")
-
-    def axis(n: int, d_hz: float) -> np.ndarray:
-        return 2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0)
-
-    grid = FrequencyGrid(
-        nu_signal=axis(h["ns"], h["dnu_s_hz"]), nu_idler=axis(h["ni"], h["dnu_i_hz"])
-    )
+    grid = FrequencyGrid(nu=2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0))
     return grid, values, {"center_frequency_hz": h["nu0_hz"]}
 
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .analysis import monte_carlo_uncertainty, report_from_jsa, schmidt_number
+from .artefact import write_table
 from .biphoton import build_jsa, save_jsa, save_jsi
 from .config import ConfigError, RunConfig, parse_config
 from .crystal import design_domains, design_overlap, pmf_of_domains, save_domains, target_pmf
@@ -55,6 +56,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _write_columns(path: str, names: list[str], table: np.ndarray) -> None:
+    """A numeric table, ``%.12g`` tab-separated, below a ``# columns=...`` header."""
+    row_format = "\t".join(["%.12g"] * len(names))
+    rows = (row_format % tuple(row.tolist()) for row in table)
+    write_table(path, {"columns": ",".join(names)}, rows)
+
+
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
     head = f"command = {command}\n\n"
     _write_text(os.path.join(out_dir, "manifest.txt"), head + cfg.resolved_text())
@@ -84,13 +92,10 @@ def cmd_design(cfg: RunConfig, out_dir: str) -> None:
     dk = comb.center + np.linspace(-half_span, half_span, 4001)
     target = target_pmf(comb, dk)
     designed = pmf_of_domains(domains, dk)
-    table = np.column_stack([dk, np.abs(target), np.abs(designed)])
-    np.savetxt(
+    _write_columns(
         os.path.join(out_dir, "pmf_curve.tsv"),
-        table,
-        fmt="%.12g",
-        delimiter="\t",
-        header="dk_rad_per_m\ttarget_abs\tdesigned_abs",
+        ["dk_rad_per_m", "target_abs", "designed_abs"],
+        np.column_stack([dk, np.abs(target), np.abs(designed)]),
     )
 
     flips = int(np.sum(domains.orientations[1:] != domains.orientations[:-1]))
@@ -174,12 +179,10 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
     counts = load_counts(path)
     rec = reconstruct_jsi(counts)
     t = counts.spec.time_centers
-    np.savetxt(
+    _write_columns(
         os.path.join(out_dir, "marginals.tsv"),
+        ["time_s", "signal_marginal", "idler_marginal"],
         np.column_stack([t, rec.signal_marginal, rec.idler_marginal]),
-        fmt="%.12g",
-        delimiter="\t",
-        header="time_s\tsignal_marginal\tidler_marginal",
     )
     # the point K and every bootstrap replica are K of sqrt(counts)
     k_point = schmidt_number(np.sqrt(counts.values))
@@ -246,12 +249,10 @@ def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
     )
     _write_text(os.path.join(out_dir, "report.txt"), tomography_report(results))
     rows = np.array([np.concatenate([[r.label], r.probabilities]) for r in results])
-    np.savetxt(
+    _write_columns(
         os.path.join(out_dir, "probabilities.tsv"),
+        ["bin"] + [f"p_{j}{k}" for j in range(1, 5) for k in range(1, 5)],
         rows,
-        fmt="%.12g",
-        delimiter="\t",
-        header="bin\t" + "\t".join(f"p_{j}{k}" for j in range(1, 5) for k in range(1, 5)),
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .biphoton import DispersionMap, FrequencyGrid, PumpSpec
 from .crystal import DEFAULT_PAIR_COUNT, CombSpec
+from .interference import MIN_FIT_POINTS
 from .measurement import DEFAULT_GATE_WIDTH, DEFAULT_MAX_ALIAS_FRACTION, SpectrometerSpec
 from .tomography import DEFAULT_BIN_SPACING_HZ
 
@@ -298,6 +299,12 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if cfg.sections[section][key] < 0:
             raise ConfigError(f"{cfg.path}: {key} must be >= 0")
+    # counts_per_point > 0 fits the sampled curve, which needs enough delays
+    hom = cfg.sections["hom"]
+    if hom["counts_per_point"] > 0 and hom["points"] < MIN_FIT_POINTS:
+        raise ConfigError(
+            f"{cfg.path}: hom points must be >= {MIN_FIT_POINTS} when counts_per_point > 0"
+        )
     # a sample std needs two replicas; tomography may skip its bootstrap
     if cfg.sections["spectrometer"]["resamples"] < 2:
         raise ConfigError(f"{cfg.path}: spectrometer resamples must be >= 2")

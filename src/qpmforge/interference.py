@@ -47,9 +47,11 @@ __all__ = [
     "fit_hom",
     "save_curve",
     "load_curve",
+    "MIN_FIT_POINTS",
 ]
 
 CURVE_KINDS = ("two_photon", "heralded")
+MIN_FIT_POINTS = 10  # delays fit_hom needs to fit its four parameters
 
 
 def delta_from_bin_hz(bin_spacing_hz: float) -> float:
@@ -146,11 +148,8 @@ def closed_curve(kind: str, delays, n_pairs: int, delta: float, sigma: float) ->
     return HomCurve(delays=delays, values=clamped, kind=kind, metadata=meta)
 
 
-def _normalized_square_values(jsa: JointSpectralAmplitude) -> tuple[np.ndarray, float]:
-    grid = jsa.grid
-    if not grid.is_square():
-        raise ValueError("interference quadrature requires a square grid with identical axes")
-    d_nu = grid.d_nu_signal
+def _normalized_values(jsa: JointSpectralAmplitude) -> tuple[np.ndarray, float]:
+    d_nu = jsa.grid.d_nu
     values = jsa.values * d_nu  # absorb the 2-d measure, sqrt(dnu) per axis
     norm = np.sqrt(np.sum(np.abs(values) ** 2))
     if norm == 0:
@@ -176,7 +175,7 @@ def p2_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
     axis indices only through i - s, so the double sum is reduced to a
     single sum over the 2N-1 difference diagonals.
     """
-    f, d_nu = _normalized_square_values(jsa)
+    f, d_nu = _normalized_values(jsa)
     n = f.shape[0]
     # W[i, s] = f(s, i) * conj(f(i, s)) with rows indexing the idler axis.
     swap = f * np.conj(f.T)
@@ -210,7 +209,7 @@ def p4_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
     heralded purity, i.e. 1/K for flat-phase states.  One N^3 matrix
     product, then the same difference-diagonal reduction as p2_numeric.
     """
-    f, d_nu = _normalized_square_values(jsa)
+    f, d_nu = _normalized_values(jsa)
     n = f.shape[0]
     reduced = f.T @ f.conj()
     weight = np.abs(reduced) ** 2
@@ -344,8 +343,8 @@ def fit_hom(
     """
     tau = curve.delays
     y = curve.values
-    if tau.size < 10:
-        raise ValueError("need at least 10 delay points")
+    if tau.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} delay points")
     span = tau.max() - tau.min()
     if span <= 0:
         raise ValueError("degenerate delay range")

@@ -44,7 +44,6 @@ __all__ = [
     "detuning_to_time",
     "build_transfer",
     "spectrum_projector",
-    "project_intensities",
     "project_to_spectrometer",
     "simulate_counts",
     "reconstruct_jsi",
@@ -189,12 +188,14 @@ def build_transfer(
     nu_axis: np.ndarray,
     center_frequency_hz: float,
 ) -> np.ndarray:
-    """Per-axis transfer matrix T[m, k]: frequency cell k -> time bin m.
+    """Transfer matrix T[m, k] of one detector: frequency cell k -> time bin m.
 
-    Cell k spans the arrival times of its two frequency edges (exact
-    wavelength map, no linearization), then the jitter blur integral
-    spreads it over the time bins.  Columns sum to <= 1; the deficit is
-    the cell's out-of-window (aliased plus blurred-out) mass.
+    Both photons share the grid's axis, so one matrix serves the signal
+    and the idler detector alike.  Cell k spans the arrival times of its
+    two frequency edges (exact wavelength map, no linearization), then
+    the jitter blur integral spreads it over the time bins.  Columns sum
+    to <= 1; the deficit is the cell's out-of-window (aliased plus
+    blurred-out) mass.
     """
     nu = np.asarray(nu_axis, dtype=float)
     d_nu = nu[1] - nu[0]
@@ -212,18 +213,18 @@ def spectrum_projector(
 ):
     """The spectrometer's map of one joint spectrum on ``grid``, as a function.
 
-    Builds the two transfer matrices once and returns ``project(inten,
-    image)``: it writes the (n_idler, n_signal) spectrum ``inten``,
-    scaled to unit mass, into the zeroed time-grid matrix ``image``,
-    rows the idler detector and columns the signal detector.  Each
-    transfer is applied only inside its band; ``image.sum()`` is then the
-    share of the spectrum inside the window.
+    Builds the one transfer matrix of the grid's shared axis once and
+    returns ``project(inten, image)``: it writes the (n_idler, n_signal)
+    spectrum ``inten``, scaled to unit mass, into the zeroed time-grid
+    matrix ``image``, rows the idler detector and columns the signal
+    detector.  The transfer is applied, only inside its band, to the
+    idler side and then to the signal side; ``image.sum()`` is then the
+    share of the spectrum inside the window.  The map is linear, so a
+    mixture sum_i c_i I_i / |I_i| projects to sum_i c_i image_i.
     """
-    t_signal = build_transfer(spec, grid.nu_signal, center_frequency_hz)
-    t_idler = build_transfer(spec, grid.nu_idler, center_frequency_hz)
-    idler_blocks = _row_blocks(t_idler)
-    signal_blocks = _row_blocks(t_signal)
-    half = np.zeros((spec.n_bins, grid.shape[1]))
+    transfer = build_transfer(spec, grid.nu, center_frequency_hz)
+    blocks = _row_blocks(transfer)
+    half = np.zeros((spec.n_bins, grid.nu.size))
 
     def project(inten: np.ndarray, image: np.ndarray) -> None:
         if inten.shape != grid.shape:
@@ -233,39 +234,16 @@ def spectrum_projector(
         mass = inten.sum()
         if mass <= 0:
             raise MeasurementError("joint spectrum carries no intensity")
-        for rows, cols in idler_blocks:
-            half[rows] = t_idler[rows, cols] @ inten[cols]
-        for rows, cols in signal_blocks:
-            image[:, rows] = half[:, cols] @ t_signal[rows, cols].T
+        for rows, cols in blocks:
+            half[rows] = transfer[rows, cols] @ inten[cols]
+        for rows, cols in blocks:
+            image[:, rows] = half[:, cols] @ transfer[rows, cols].T
         image /= mass
         # the blur integral is nonnegative analytically; floating cancellation
         # can leave -1e-18-level residue that multinomial sampling rejects
         np.clip(image, 0.0, None, out=image)
 
     return project
-
-
-def project_intensities(
-    intensities,
-    grid: FrequencyGrid,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each joint spectrum of a stack, scaled to unit mass, on the time grid.
-
-    ``intensities`` has shape (..., n_idler, n_signal); each entry goes
-    through one spectrum_projector.  Returns (images, kept): images[...]
-    holds the detection probability per time cell and kept[...] =
-    images[...].sum() is the share of the spectrum inside the window.
-    The map is linear, so a mixture sum_i c_i I_i / |I_i| projects to
-    sum_i c_i images[i].
-    """
-    inten = np.asarray(intensities, dtype=float)
-    project = spectrum_projector(grid, spec, center_frequency_hz)
-    images = np.zeros(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
-    for index in np.ndindex(inten.shape[:-2]):
-        project(inten[index], images[index])
-    return images, images.sum(axis=(-2, -1))
 
 
 def _row_blocks(transfer: np.ndarray) -> list[tuple[slice, slice]]:
@@ -300,8 +278,9 @@ def project_to_spectrometer(
     to 1), and the fraction of the intensity that fell outside it.  The
     band center is the amplitude's own ``center_frequency_hz``.
     """
-    mapped, kept = project_intensities(jsa.intensity, jsa.grid, spec, _band_center(jsa))
-    kept = float(kept)
+    mapped = np.zeros((spec.n_bins, spec.n_bins))
+    spectrum_projector(jsa.grid, spec, _band_center(jsa))(jsa.intensity, mapped)
+    kept = float(mapped.sum())
     if kept <= 0:
         raise MeasurementError("entire joint spectrum maps outside the time window")
     return mapped / kept, max(1.0 - kept, 0.0)

@@ -313,8 +313,8 @@ def bin_images(
     bounds = 0.5 * (centers[1:] + centers[:-1])
     # one byte of bin index per cell, formed a row at a time
     nearest = np.empty(grid.shape, dtype=np.min_scalar_type(labels.size))
-    for row, nu_idler in zip(nearest, grid.nu_idler):
-        row[:] = np.digitize(grid.nu_signal - nu_idler, bounds)
+    for row, nu_idler in zip(nearest, grid.nu):
+        row[:] = np.digitize(grid.nu - nu_idler, bounds)
     project = spectrum_projector(grid, spec, center)
     images = np.zeros((labels.size, spec.n_bins, spec.n_bins))
     weights = np.zeros(labels.size)

@@ -10,7 +10,7 @@ import numpy as np
 from qpmforge.analysis import SchmidtSpectrum, _fidelity_of, schmidt_weights
 from qpmforge.biphoton import DispersionMap, FrequencyGrid, JointSpectralAmplitude
 from qpmforge.crystal import DEFAULT_PAIR_COUNT
-from qpmforge.measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec
+from qpmforge.measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec, spectrum_projector
 from qpmforge.tomography import (
     DEFAULT_BIN_SPACING_HZ,
     HyperState,
@@ -42,7 +42,7 @@ def split_bins(
     inten, grid = jsa.intensity, jsa.grid
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
-    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    diff = grid.nu[None, :] - grid.nu[:, None]
     nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
     total = inten.sum()
     if total <= 0:
@@ -56,6 +56,21 @@ def split_bins(
         if mass > 0:
             part /= mass
     return labels, parts, weights
+
+
+def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
+                  center_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each spectrum of a (..., n, n) stack through one spectrum_projector.
+
+    Returns (images, kept): images[...] scaled to unit mass on the time
+    grid and kept[...] = images[...].sum(), the share inside the window.
+    """
+    inten = np.asarray(intensities, dtype=float)
+    project = spectrum_projector(grid, spec, center_frequency_hz)
+    images = np.zeros(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
+    for index in np.ndindex(inten.shape[:-2]):
+        project(inten[index], images[index])
+    return images, images.sum(axis=(-2, -1))
 
 
 def expected_tomography(
@@ -95,8 +110,8 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
-    nu_diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    nu_sum = grid.nu[None, :] + grid.nu[:, None]
+    nu_diff = grid.nu[None, :] - grid.nu[:, None]
     j = np.arange(n_pairs)
     centers = (2.0 * j + 1.0) * delta / 2.0
     x = nu_diff[..., None]

@@ -57,7 +57,7 @@ def test_design_metrics_and_runtime(cfg, comb, pump, dispersion, grid):
     f8 = fidelity_to_maximal(jsa, comb.pair_count * 2)
     elapsed = time.perf_counter() - start
 
-    assert grid.nu_signal.size == 1024
+    assert grid.nu.size == 1024
     assert k == pytest.approx(8.07, abs=0.10)
     assert f8 == pytest.approx(0.985, abs=0.005)
     assert elapsed <= 120.0

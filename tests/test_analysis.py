@@ -17,8 +17,8 @@ from oracles import fidelity_to_maximal
 
 def separable_gaussian(n=128, half_span=2e12):
     grid = FrequencyGrid.symmetric(n, half_span)
-    s = np.exp(-(grid.nu_signal / (2 * np.pi * 0.4e12)) ** 2)
-    i = np.exp(-(grid.nu_idler / (2 * np.pi * 0.25e12)) ** 2)
+    s = np.exp(-(grid.nu / (2 * np.pi * 0.4e12)) ** 2)
+    i = np.exp(-(grid.nu / (2 * np.pi * 0.25e12)) ** 2)
     return JointSpectralAmplitude(grid=grid, values=np.outer(i, s)).normalized()
 
 

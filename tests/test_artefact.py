@@ -65,8 +65,19 @@ MALFORMED = {
     ),
     "empty body": (lambda h, rows: [h], "no data rows"),
 }
+# the JSA and JSI grid is one axis shared by both photons; a file whose
+# two axes differ is rejected even when its body fits the header
+GRID_MALFORMED = {
+    "ni differs from ns": (lambda h, rows: [h.replace("ni=2", "ni=3"), *rows, rows[-1]], "differ"),
+    "dnu_i_hz differs from dnu_s_hz": (
+        lambda h, rows: [h.replace("dnu_i_hz=1e9", "dnu_i_hz=2e9"), *rows],
+        "differ",
+    ),
+}
 
-CASES = [(loader, case) for loader in VALID for case in MALFORMED]
+CASES = [(loader, case) for loader in VALID for case in MALFORMED] + [
+    (loader, case) for loader in (load_jsa, load_jsi) for case in GRID_MALFORMED
+]
 
 
 @pytest.mark.parametrize(
@@ -74,7 +85,7 @@ CASES = [(loader, case) for loader in VALID for case in MALFORMED]
 )
 def test_malformed_input_rejected(tmp_path, loader, case):
     header, rows = VALID[loader]
-    build, pattern = MALFORMED[case]
+    build, pattern = {**MALFORMED, **GRID_MALFORMED}[case]
     if build is None:
         tokens = header[2:].split()
         variants = [
@@ -115,22 +126,18 @@ SETTINGS = settings(
 
 @st.composite
 def amplitudes(draw):
-    ni, ns = draw(shape), draw(shape)
-    parts = st.lists(finite, min_size=ni * ns * 2, max_size=ni * ns * 2)
+    n = draw(shape)
+    parts = st.lists(finite, min_size=n * n * 2, max_size=n * n * 2)
     flat = np.array(draw(parts))
-    grid = FrequencyGrid(
-        nu_signal=2 * np.pi * 1e9 * draw(scale) * (np.arange(ns) - (ns - 1) / 2),
-        nu_idler=2 * np.pi * 1e9 * draw(scale) * (np.arange(ni) - (ni - 1) / 2),
-    )
-    values = (flat[::2] + 1j * flat[1::2]).reshape(ni, ns)
+    grid = FrequencyGrid(nu=2 * np.pi * 1e9 * draw(scale) * (np.arange(n) - (n - 1) / 2))
+    values = (flat[::2] + 1j * flat[1::2]).reshape(n, n)
     return JointSpectralAmplitude(
         grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14 * draw(scale)}
     )
 
 
 def _assert_same_grid(got, want):
-    np.testing.assert_allclose(got.nu_signal, want.nu_signal, rtol=1e-11)
-    np.testing.assert_allclose(got.nu_idler, want.nu_idler, rtol=1e-11)
+    np.testing.assert_allclose(got.nu, want.nu, rtol=1e-11)
 
 
 @SETTINGS
@@ -229,8 +236,8 @@ def test_header_lines_match_format(tmp_path, jsa, x):
     nu0 = jsa.metadata["center_frequency_hz"]
     grid_header = (
         f"# ns={n_s} ni={n_i}"
-        f" dnu_s_hz={jsa.grid.d_nu_signal / (2.0 * np.pi):.12g}"
-        f" dnu_i_hz={jsa.grid.d_nu_idler / (2.0 * np.pi):.12g}"
+        f" dnu_s_hz={jsa.grid.d_nu / (2.0 * np.pi):.12g}"
+        f" dnu_i_hz={jsa.grid.d_nu / (2.0 * np.pi):.12g}"
         f" nu0_hz={nu0:.12g}"
     )
     widths = [1e-5 * x, 2e-5 * x]

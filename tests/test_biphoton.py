@@ -26,8 +26,8 @@ from oracles import bin_spacing_from_comb
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):
     """The comb JSA with target_pmf evaluated on every grid cell."""
-    nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
-    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    nu_sum = grid.nu[None, :] + grid.nu[:, None]
+    diff = grid.nu[None, :] - grid.nu[:, None]
     values = pump_envelope(pump, nu_sum) * target_pmf(
         comb, dispersion.center + dispersion.slope * diff
     )
@@ -62,10 +62,9 @@ class TestFrequencyGrid:
     def test_symmetric_axes(self):
         grid = FrequencyGrid.symmetric(64, 1e12)
         assert grid.shape == (64, 64)
-        assert grid.is_square
-        np.testing.assert_allclose(grid.nu_signal, -grid.nu_signal[::-1], atol=1e-3)
-        assert grid.nu_signal[-1] == pytest.approx(2 * np.pi * 1e12)
-        step = np.diff(grid.nu_signal)
+        np.testing.assert_allclose(grid.nu, -grid.nu[::-1], atol=1e-3)
+        assert grid.nu[-1] == pytest.approx(2 * np.pi * 1e12)
+        step = np.diff(grid.nu)
         np.testing.assert_allclose(step, step[0])
 
     def test_rejects_single_point(self):
@@ -100,17 +99,17 @@ class TestBuildJsa:
             for label in default_bin_labels(cfg["crystal"]["pair_count"])
         ]
         # every bin centre should sit within one grid step of a local max
-        step = grid.d_nu_signal
+        step = grid.d_nu
         for c in centers:
-            idx = int(np.argmin(np.abs(grid.nu_signal - c)))
+            idx = int(np.argmin(np.abs(grid.nu - c)))
             lo, hi = max(idx - 2, 0), min(idx + 3, marg.size)
-            local_peak = grid.nu_signal[lo + int(np.argmax(marg[lo:hi]))]
+            local_peak = grid.nu[lo + int(np.argmax(marg[lo:hi]))]
             assert abs(local_peak - c) <= 1.5 * step
 
     def test_antidiagonal_energy_conservation(self, comb_jsa, pump):
         # intensity collapses onto |nu_s + nu_i| <~ a few pump widths
         grid = comb_jsa.grid
-        nu_sum = grid.nu_signal[None, :] + grid.nu_idler[:, None]
+        nu_sum = grid.nu[None, :] + grid.nu[:, None]
         inten = comb_jsa.intensity
         inside = inten[np.abs(nu_sum) <= 4.0 * pump.sigma].sum()
         assert inside / inten.sum() > 0.9999
@@ -128,26 +127,19 @@ class TestBuildJsa:
     def test_rejects_unknown_source(self, pump, dispersion, grid):
         with pytest.raises(TypeError):
             build_jsa(object(), pump, dispersion, grid)
-        two_steps = FrequencyGrid(
-            nu_signal=hz_axis(-2.5e12, 25e9, 201), nu_idler=hz_axis(-2.5e12, 20e9, 251)
-        )
-        with pytest.raises(TypeError):
-            build_jsa(object(), pump, dispersion, two_steps)
 
     @pytest.mark.parametrize(
-        "axes",
+        "axis",
         [
             None,  # the default 1024^2 grid
-            # one step, non-square and off-centre
-            (hz_axis(-2.5e12, 25e9, 201), hz_axis(-2.2e12, 25e9, 173)),
-            # two steps: evaluated row by row
-            (hz_axis(-2.5e12, 25e9, 201), hz_axis(-2.5e12, 20e9, 251)),
+            # an axis that does not straddle zero symmetrically
+            hz_axis(-2.2e12, 25e9, 201),
         ],
-        ids=["default", "same-step-nonsquare", "two-steps"],
+        ids=["default", "off-centre"],
     )
-    def test_comb_matches_full_grid_oracle(self, axes, comb, pump, dispersion, grid):
-        if axes is not None:
-            grid = FrequencyGrid(nu_signal=axes[0], nu_idler=axes[1])
+    def test_comb_matches_full_grid_oracle(self, axis, comb, pump, dispersion, grid):
+        if axis is not None:
+            grid = FrequencyGrid(nu=axis)
         got = build_jsa(comb, pump, dispersion, grid).values
         want = full_grid_comb_jsa(comb, pump, dispersion, grid)
         peak = np.abs(want).max()
@@ -177,7 +169,7 @@ class TestJsaIO:
         assert back.grid.shape == jsa.grid.shape
         np.testing.assert_allclose(back.values, jsa.values, rtol=1e-9, atol=1e-16)
         np.testing.assert_allclose(
-            back.grid.nu_signal, jsa.grid.nu_signal, rtol=1e-10
+            back.grid.nu, jsa.grid.nu, rtol=1e-10
         )
 
     def test_jsi_roundtrip(self, tmp_path, comb, pump, dispersion):
@@ -191,10 +183,7 @@ class TestJsaIO:
 
     def test_writers_match_elementwise_format(self, tmp_path):
         # the value-by-value formatting the row writers replaced is the oracle
-        grid = FrequencyGrid(
-            nu_signal=2 * np.pi * 1e9 * np.arange(-1.0, 2.0),
-            nu_idler=2 * np.pi * 1e9 * np.arange(-0.5, 1.0),
-        )
+        grid = FrequencyGrid(nu=2 * np.pi * 1e9 * np.arange(-1.0, 2.0))
         # the JSI squares the amplitude, so its extremes come from 1e+-150
         for save, big, small, rows, fmt in (
             (
@@ -207,6 +196,7 @@ class TestJsaIO:
                 [
                     [complex(-0.0, -0.0), complex(big, -2.0), complex(3.0, 0.0)],
                     [complex(small, -small), complex(-big, -0.0), complex(-4.0, -7.25)],
+                    [complex(0.5, 1e-5), complex(-1e-7, big), complex(-small, 0.0)],
                 ]
             )
             jsa = JointSpectralAmplitude(
@@ -239,12 +229,6 @@ class TestJsaIO:
 
 
 class TestDispersionMap:
-    def test_mismatch_is_affine_in_difference(self, dispersion):
-        a = dispersion.mismatch(1e12, 0.3e12)
-        b = dispersion.mismatch(1.5e12, 0.8e12)
-        assert a == pytest.approx(b, rel=1e-12)
-        assert dispersion.mismatch(0.0, 0.0) == pytest.approx(dispersion.center)
-
     def test_rejects_zero_slope(self):
         with pytest.raises(ValueError):
             DispersionMap(slope=0.0, center=1.0)
@@ -257,8 +241,8 @@ class TestDispersionMap:
 )
 def test_grid_measure_matches_span(n, half_span):
     grid = FrequencyGrid.symmetric(n, half_span)
-    width = grid.nu_signal[-1] - grid.nu_signal[0]
-    assert width == pytest.approx((n - 1) * grid.d_nu_signal, rel=1e-12)
+    width = grid.nu[-1] - grid.nu[0]
+    assert width == pytest.approx((n - 1) * grid.d_nu, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=10)

@@ -269,6 +269,22 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_too_few_hom_points_to_fit_rejected_at_parse(self, tmp_path, capsys):
+        # sampled counts are fitted, and the fit needs ten delays; the config
+        # is refused before any stage writes a file
+        config = make_config(tmp_path, **{"hom.points": 5, "hom.counts_per_point": 100})
+        with pytest.raises(ConfigError, match="hom points") as err:
+            parse_config(config)
+        assert config in str(err.value)
+        for command in ("hom", "heralded"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 2
+            message = capsys.readouterr().err
+            assert "hom points" in message and config in message
+            assert not out.exists() or not any(out.iterdir())
+        # without counts nothing is fitted, and five points stay legal
+        parse_config(make_config(tmp_path, name="curve.cfg", **{"hom.points": 5}))
+
     def test_missing_config_exits_2(self, tmp_path):
         missing = str(tmp_path / "absent.cfg")
         assert main(["design", "--config", missing, "--out", str(tmp_path / "o")]) == 2

@@ -186,10 +186,9 @@ def _pmf_curve_grid(comb, cfg):
 def _jsa_grid(comb, cfg):
     grid = cfg.frequency_grid()
     dispersion = cfg.dispersion_map()
-    n_i, n_s = grid.shape
-    base = grid.nu_signal[0] - grid.nu_idler[0]
-    d = np.arange(-(n_i - 1), n_s)
-    return dispersion.center + dispersion.slope * (base + d * grid.d_nu_signal)
+    n = grid.nu.size
+    d = np.arange(-(n - 1), n)
+    return dispersion.center + dispersion.slope * (d * grid.d_nu)
 
 
 class TestChirpZ:

@@ -120,15 +120,6 @@ class TestNumericOracle:
             p4_numeric(jsa, TAUS), [p4_numeric(jsa, tau) for tau in TAUS]
         )
 
-    def test_requires_square_grid(self):
-        grid = FrequencyGrid(
-            nu_signal=np.linspace(-1e12, 1e12, 32),
-            nu_idler=np.linspace(-2e12, 2e12, 48),
-        )
-        jsa = bin_model_jsa(1, 6e12, 0.6e12, grid)
-        with pytest.raises(ValueError):
-            p2_numeric(jsa, 0.0)
-
 
 class TestVisibility:
     def test_full_visibility_two_photon(self):

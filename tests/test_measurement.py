@@ -19,13 +19,14 @@ from qpmforge.measurement import (
     gate_cells,
     gate_interval,
     load_counts,
-    project_intensities,
     project_to_spectrometer,
     reconstruct_jsi,
     save_counts,
     simulate_counts,
     wavelength_to_time,
 )
+
+from oracles import project_stack
 
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
@@ -137,13 +138,13 @@ class TestTransfer:
     def test_interior_columns_conserve_mass(self, spectro):
         # frequency cells arriving well inside the window must put all
         # their mass into the time bins
-        nu = FrequencyGrid.symmetric(64, 1.2e12).nu_signal
+        nu = FrequencyGrid.symmetric(64, 1.2e12).nu
         transfer = build_transfer(spectro, nu, self.CENTER_HZ)
         assert transfer.shape == (spectro.n_bins, nu.size)
         np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=1e-9)
 
     def test_jitter_spreads_but_conserves(self, spectro):
-        nu = FrequencyGrid.symmetric(32, 1.0e12).nu_signal
+        nu = FrequencyGrid.symmetric(32, 1.0e12).nu
         sharp = build_transfer(jittered(spectro, 0.0), nu, self.CENTER_HZ)
         blurred = build_transfer(jittered(spectro, 200e-12), nu, self.CENTER_HZ)
         np.testing.assert_allclose(
@@ -155,7 +156,7 @@ class TestTransfer:
     @pytest.mark.parametrize("fwhm", [50e-12, 200e-12])
     def test_band_matches_dense_oracle(self, spectro, grid, fwhm):
         spec = jittered(spectro, fwhm)
-        nu = grid.nu_signal
+        nu = grid.nu
         banded = build_transfer(spec, nu, self.CENTER_HZ)
         dense = dense_transfer(spec, nu, self.CENTER_HZ)
         band = banded != 0
@@ -166,7 +167,7 @@ class TestTransfer:
         assert np.abs(banded.sum(axis=0) - dense.sum(axis=0)).max() <= 1e-12
 
     def test_columns_vanish_beyond_the_cut(self, spectro, grid):
-        nu = grid.nu_signal
+        nu = grid.nu
         transfer = build_transfer(spectro, nu, self.CENTER_HZ)
         a, b = cell_times(spectro, nu, self.CENTER_HZ)
         reach = 9.0 * spectro.jitter_sigma
@@ -179,7 +180,7 @@ class TestTransfer:
 
     def test_zero_jitter_band_is_interval_overlap(self, spectro, grid):
         spec = jittered(spectro, 0.0)
-        nu = grid.nu_signal
+        nu = grid.nu
         a, b = cell_times(spec, nu, self.CENTER_HZ)
         u, v = spec.time_edges[:-1, None], spec.time_edges[1:, None]
         overlap = np.clip(np.minimum(v, b) - np.maximum(u, a), 0.0, None) / (b - a)
@@ -209,11 +210,11 @@ class TestProjection:
     def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
         direct, alias = project_to_spectrometer(comb_jsa, spectro)
         center = comb_jsa.metadata["center_frequency_hz"]
-        image, kept = project_intensities(comb_jsa.intensity, comb_jsa.grid, spectro, center)
+        image, kept = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
         np.testing.assert_array_equal(direct, image / kept)
         assert alias == 1.0 - kept
         # a stack projects entry by entry
-        stack, kept2 = project_intensities(
+        stack, kept2 = project_stack(
             np.stack([comb_jsa.intensity, 3.0 * comb_jsa.intensity]), comb_jsa.grid, spectro,
             center,
         )
@@ -416,7 +417,7 @@ def test_blur_never_creates_mass(sigma_ps, half_span_hz):
         time_bin=25e-12,
         window=12.5e-9,
     )
-    nu = FrequencyGrid.symmetric(24, half_span_hz).nu_signal
+    nu = FrequencyGrid.symmetric(24, half_span_hz).nu
     transfer = build_transfer(spec, nu, 192.6e12)
     sums = transfer.sum(axis=0)
     # differences of Gaussian integrals leave ~1e-14 negative residue,

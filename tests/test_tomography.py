@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qpmforge import cli, measurement
 from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
 from qpmforge.config import default_config
-from qpmforge.measurement import MeasurementError, project_intensities, project_to_spectrometer
+from qpmforge.measurement import MeasurementError, project_to_spectrometer
 from qpmforge.tomography import (
     _born_table,
     HyperState,
@@ -33,7 +33,7 @@ from qpmforge.tomography import (
     tomography_report,
 )
 
-from oracles import expected_tomography, project_probability, split_bins
+from oracles import expected_tomography, project_probability, project_stack, split_bins
 
 SPACING = 500e9
 # band center of every amplitude built from the default pump
@@ -261,7 +261,7 @@ def where_split_bins(jsa):
     inten, grid = jsa.intensity, jsa.grid
     labels = default_bin_labels(4)
     centers = np.array([2.0 * bin_detuning(lab, SPACING) for lab in labels])
-    diff = grid.nu_signal[None, :] - grid.nu_idler[:, None]
+    diff = grid.nu[None, :] - grid.nu[:, None]
     nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
     total = inten.sum()
     parts = np.zeros((labels.size,) + inten.shape)
@@ -278,7 +278,7 @@ class TestSplitBins:
     def test_in_place_fill_matches_where_oracle(self, cfg, small_grid):
         jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
         # one lit cell leaves seven bins without mass
-        n = small_grid.nu_signal.size
+        n = small_grid.nu.size
         one_cell = np.zeros((n, n))
         one_cell[100, 140] = 0.5
         lit = JointSpectralAmplitude(grid=small_grid, values=one_cell)
@@ -312,7 +312,7 @@ class TestSplitBins:
         np.testing.assert_allclose(rebuilt, target, atol=1e-15 * target.max())
 
     def test_zero_intensity_rejected(self, small_grid):
-        n = small_grid.nu_signal.size
+        n = small_grid.nu.size
         with pytest.raises(ValueError, match="no intensity"):
             split_bins(JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n))))
 
@@ -323,21 +323,21 @@ class TestBinImages:
         # the dense stack of the same spectra must give the same bits
         labels, images, weights = bin_images(small_jsa, spectro)
         want_labels, parts, want_weights = where_split_bins(small_jsa)
-        want_images, want_kept = project_intensities(parts, small_grid, spectro, NU0)
+        want_images, want_kept = project_stack(parts, small_grid, spectro, NU0)
         np.testing.assert_array_equal(labels, want_labels)
         np.testing.assert_array_equal(images, want_images)
         np.testing.assert_array_equal(images.sum(axis=(1, 2)), want_kept)
         np.testing.assert_array_equal(weights, want_weights)
 
     def test_empty_bins_raise_like_the_dense_oracle(self, small_grid, spectro):
-        n = small_grid.nu_signal.size
+        n = small_grid.nu.size
         center = {"center_frequency_hz": NU0}
         # one lit cell leaves seven bins without mass
         one_cell = np.zeros((n, n))
         one_cell[100, 140] = 0.5
         lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, metadata=center)
         with pytest.raises(MeasurementError, match="no intensity"):
-            project_intensities(where_split_bins(lit)[1], small_grid, spectro, NU0)
+            project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
             bin_images(lit, spectro)
         zero = JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n)), metadata=center)
@@ -431,26 +431,31 @@ class TestSharedProjection:
 
     def test_banded_projection_matches_dense_product(self, small_split, small_grid, spectro):
         _, parts, _ = small_split
-        images, kept = project_intensities(parts, small_grid, spectro, NU0)
-        t_signal = measurement.build_transfer(spectro, small_grid.nu_signal, NU0)
-        t_idler = measurement.build_transfer(spectro, small_grid.nu_idler, NU0)
-        dense = np.array([t_idler @ (part / part.sum()) @ t_signal.T for part in parts])
+        images, kept = project_stack(parts, small_grid, spectro, NU0)
+        transfer = measurement.build_transfer(spectro, small_grid.nu, NU0)
+        dense = np.array([transfer @ (part / part.sum()) @ transfer.T for part in parts])
         assert np.abs(images - dense).max() <= 1e-12 * dense.max()
         np.testing.assert_allclose(kept, dense.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
     def test_transfer_matrices_built_once_per_call(self, monkeypatch, tmp_path):
-        # one signal and one idler matrix for the whole tomo-sim stage
+        # both photons share one axis, so each readout stage builds one
+        # transfer matrix and applies it to both detectors
         cfg = default_config()
         cfg.sections["grid"]["points"] = 256
         cfg.sections["tomography"]["events_per_projection"] = 100
+        cfg.sections["spectrometer"]["events"] = 100
         calls = []
         build = measurement.build_transfer
         monkeypatch.setattr(
             measurement, "build_transfer", lambda *args: calls.append(args) or build(*args)
         )
         cli.cmd_tomo_sim(cfg, str(tmp_path))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert len(os.listdir(tmp_path / "tomo")) == 16
+        calls.clear()
+        cli.cmd_tofs_sim(cfg, str(tmp_path))
+        assert len(calls) == 1
+        assert os.path.exists(tmp_path / "counts.csv")
 
 
 class TestGatedAnalysis:
