@@ -256,7 +256,10 @@ def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, dict]:
         )
     if values.shape != (n, n):
         raise ValueError(f"{path}: data shape {values.shape} does not match header")
-    grid = FrequencyGrid(nu=2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0))
+    try:
+        grid = FrequencyGrid(nu=2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return grid, values, {"center_frequency_hz": h["nu0_hz"]}
 
 
@@ -265,8 +268,7 @@ def _save_grid_table(jsa: JointSpectralAmplitude, path, values: np.ndarray, cell
     row_format = ",".join([cell] * values.shape[1])
     # a complex row views as its interleaved real and imaginary parts,
     # which "%.17g%+.17gj" takes two at a time
-    rows = np.ascontiguousarray(values).view(float)
-    write_table(path, _header(jsa), (row_format % tuple(row.tolist()) for row in rows))
+    write_table(path, _header(jsa), row_format, np.ascontiguousarray(values).view(float))
 
 
 def save_jsa(jsa: JointSpectralAmplitude, path) -> None:

@@ -58,9 +58,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_columns(path: str, names: list[str], table: np.ndarray) -> None:
     """A numeric table, ``%.12g`` tab-separated, below a ``# columns=...`` header."""
-    row_format = "\t".join(["%.12g"] * len(names))
-    rows = (row_format % tuple(row.tolist()) for row in table)
-    write_table(path, {"columns": ",".join(names)}, rows)
+    write_table(path, {"columns": ",".join(names)}, "\t".join(["%.12g"] * len(names)), table)
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:

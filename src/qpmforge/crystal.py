@@ -340,10 +340,9 @@ def save_domains(config: DomainConfig, path) -> None:
     Widths and length keep 17 significant digits, so the listing loads
     back bit-identical and its widths still sum to the length.
     """
-    rows = (
-        "%.17g\t%+d" % ws for ws in zip(config.widths.tolist(), config.orientations.tolist())
-    )
-    write_table(path, {"total_length_m": "%.17g" % config.total_length}, rows)
+    # the +-1 orientations are exact as floats, and "%+d" prints them as integers
+    table = np.column_stack([config.widths, config.orientations])
+    write_table(path, {"total_length_m": "%.17g" % config.total_length}, "%.17g\t%+d", table)
 
 
 def load_domains(path) -> DomainConfig:

@@ -492,8 +492,8 @@ def _least_squares(residual, p0, lower, upper):
 
 
 def save_curve(curve: HomCurve, path) -> None:
-    rows = (f"{t:.12e},{v:.12e}" for t, v in zip(curve.delays, curve.values))
-    write_table(path, {"kind": curve.kind}, rows)
+    table = np.column_stack([curve.delays, curve.values])
+    write_table(path, {"kind": curve.kind}, "%.12e,%.12e", table)
 
 
 def load_curve(path) -> HomCurve:

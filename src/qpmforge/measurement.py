@@ -444,7 +444,7 @@ def save_counts(counts: CountMatrix, path) -> None:
         "nu0_hz": f"{counts.center_frequency_hz:.17g}",
     }
     row_format = ",".join(["%d"] * counts.values.shape[1])
-    write_table(path, header, (row_format % tuple(row.tolist()) for row in counts.values))
+    write_table(path, header, row_format, counts.values)
 
 
 def load_counts(path) -> CountMatrix:

@@ -1,5 +1,9 @@
 """The shared ``# key=value`` header + table format of every data file."""
 
+import glob
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qpmforge import artefact
+from qpmforge.artefact import write_table
 from qpmforge.biphoton import (
     FrequencyGrid,
     JointSpectralAmplitude,
@@ -72,6 +78,15 @@ GRID_MALFORMED = {
     "dnu_i_hz differs from dnu_s_hz": (
         lambda h, rows: [h.replace("dnu_i_hz=1e9", "dnu_i_hz=2e9"), *rows],
         "differ",
+    ),
+    # a header the axis itself cannot hold
+    "one sample": (
+        lambda h, rows: [h.replace("ns=2 ni=2", "ns=1 ni=1"), _first(rows[0])],
+        "at least two samples",
+    ),
+    "negative step": (
+        lambda h, rows: [h.replace("=1e9", "=-1e9"), *rows],
+        "strictly increasing",
     ),
 }
 
@@ -273,3 +288,123 @@ def test_header_lines_match_format(tmp_path, jsa, x):
     for save, obj, want in cases:
         save(obj, path)
         assert path.read_text().split("\n", 1)[0] == want, save.__name__
+
+
+# --- row blocks formatted across processes -------------------------------
+
+# kind -> (row format, table of n rows drawn from a generator)
+TABLES = {
+    "float": ("%.17g,%.12e,%.12g", lambda rng, n: rng.standard_normal((n, 3)) * 1e3),
+    # a complex table views as interleaved real and imaginary parts
+    "complex": (
+        "%.17g%+.17gj,%.17g%+.17gj",
+        lambda rng, n: (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))).view(float),
+    ),
+    "int64": ("%d,%d,%d,%d", lambda rng, n: rng.integers(-(2**62), 2**62, size=(n, 4))),
+}
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+
+
+def _split_everything(monkeypatch, workers=3):
+    """Split every table into up to `workers` blocks; returns a list that
+    grows by one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(artefact, "SPLIT_CELLS", 1)
+    monkeypatch.setattr(artefact, "_workers", lambda: workers)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_leftovers(tmp_path):
+    assert glob.glob(str(tmp_path / "*.part")) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", list(TABLES))
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 1023])
+def test_split_table_bytes_match_in_process(tmp_path, monkeypatch, kind, n_rows):
+    row_format, make = TABLES[kind]
+    table = make(np.random.default_rng(n_rows), n_rows)
+    header = {"n": n_rows, "x": 0.5, "s": "%.17g" % 0.1}
+    write_table(tmp_path / "whole.txt", header, row_format, table)
+    forks = _split_everything(monkeypatch)
+    write_table(tmp_path / "split.txt", header, row_format, table)
+    assert len(forks) == min(3, n_rows) - 1
+    whole = (tmp_path / "whole.txt").read_bytes()
+    assert (tmp_path / "split.txt").read_bytes() == whole
+    assert whole.count(b"\n") == n_rows + 1
+    _assert_no_leftovers(tmp_path)
+
+
+@needs_fork
+def test_failed_row_writer_process_raises(tmp_path, monkeypatch):
+    parent = os.getpid()
+    write_rows = artefact._write_rows
+
+    def fail_in_child(fh, row_format, table):
+        if os.getpid() != parent:
+            raise OSError("disk full")
+        write_rows(fh, row_format, table)
+
+    _split_everything(monkeypatch)
+    monkeypatch.setattr(artefact, "_write_rows", fail_in_child)
+    path = tmp_path / "out.txt"
+    with pytest.raises(OSError, match="out.txt") as err:
+        write_table(path, {"k": 1}, "%d,%d", np.arange(12).reshape(6, 2))
+    assert str(path) in str(err.value)
+    _assert_no_leftovers(tmp_path)
+
+
+@needs_fork
+def test_parent_error_kills_and_reaps_row_writers(tmp_path, monkeypatch):
+    parent = os.getpid()
+    write_rows = artefact._write_rows
+
+    class ParentFailure(Exception):
+        pass
+
+    def fail_in_parent(fh, row_format, table):
+        if os.getpid() == parent:
+            raise ParentFailure
+        write_rows(fh, row_format, table)
+
+    _split_everything(monkeypatch)
+    monkeypatch.setattr(artefact, "_write_rows", fail_in_parent)
+    with pytest.raises(ParentFailure):
+        write_table(tmp_path / "out.txt", {"k": 1}, "%d,%d", np.arange(12).reshape(6, 2))
+    _assert_no_leftovers(tmp_path)
+
+
+ATEXIT_SCRIPT = """
+import atexit, os, sys
+import numpy as np
+from qpmforge import artefact
+
+hits, out = sys.argv[1:]
+atexit.register(lambda: os.write(os.open(hits, os.O_WRONLY | os.O_APPEND | os.O_CREAT), b"x"))
+artefact.SPLIT_CELLS = 1
+artefact._workers = lambda: 3
+artefact.write_table(out, {"k": 1}, "%d,%d", np.arange(6).reshape(3, 2))
+"""
+
+
+@needs_fork
+def test_row_writer_processes_skip_atexit(tmp_path):
+    hits, out = tmp_path / "hits", tmp_path / "out.txt"
+    # the package this suite imports, not an installed copy
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artefact.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", ATEXIT_SCRIPT, str(hits), str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "# k=1\n0,1\n2,3\n4,5\n"
+    assert hits.read_bytes() == b"x"
