@@ -143,8 +143,8 @@ def _entropy_bits(weights: np.ndarray) -> float:
 
 def monte_carlo_uncertainty(
     counts: np.ndarray,
-    n_resamples: int = 1000,
-    seed: int = 0,
+    n_resamples: int,
+    seed: int,
 ) -> tuple[float, float]:
     """Poissonian bootstrap of the Schmidt number of a count matrix.
 
@@ -213,7 +213,7 @@ class EntanglementReport:
         return "\n".join(lines) + "\n"
 
 
-def report_from_jsa(jsa, n_modes: int = 8) -> EntanglementReport:
+def report_from_jsa(jsa, n_modes: int) -> EntanglementReport:
     """K, fidelity and entropy from the Schmidt weights alone."""
     weights = schmidt_weights(jsa)
     return EntanglementReport(

@@ -11,6 +11,9 @@ Conventions used throughout:
   comb peaks on the energy-conservation antidiagonal, which is what turns
   a mismatch comb into frequency bins.
 * JSA arrays are indexed values[idler, signal].
+* An amplitude carries its band center center_frequency_hz, the
+  degenerate frequency (Hz) the detunings are measured from; the JSA and
+  JSI files record it as nu0_hz.
 """
 
 from __future__ import annotations
@@ -120,10 +123,12 @@ class FrequencyGrid:
 
 @dataclass
 class JointSpectralAmplitude:
-    """Discretised JSA: values[idler, signal] on a FrequencyGrid."""
+    """Discretised JSA: values[idler, signal] on a FrequencyGrid around the
+    band center; ``metadata`` holds diagnostics (``edge_mass_fraction``)."""
 
     grid: FrequencyGrid
     values: np.ndarray
+    center_frequency_hz: float  # Hz
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -148,6 +153,7 @@ class JointSpectralAmplitude:
         return JointSpectralAmplitude(
             grid=self.grid,
             values=self.values / np.sqrt(n2),
+            center_frequency_hz=self.center_frequency_hz,
             metadata=dict(self.metadata),
         )
 
@@ -207,7 +213,7 @@ def build_jsa(
     jsa = JointSpectralAmplitude(
         grid=grid,
         values=values,
-        metadata={"center_frequency_hz": C_LIGHT / (2.0 * pump.center_wavelength)},
+        center_frequency_hz=C_LIGHT / (2.0 * pump.center_wavelength),
     )
 
     inten = jsa.intensity
@@ -238,15 +244,13 @@ _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "n
 
 def _header(jsa: JointSpectralAmplitude) -> dict:
     n = jsa.grid.nu.size
-    nu0 = jsa.metadata.get("center_frequency_hz")
-    if nu0 is None:
-        raise ValueError("amplitude carries no center_frequency_hz to write as nu0_hz")
     d_nu_hz = jsa.grid.d_nu / (2.0 * np.pi)
     # the format keeps a key pair per photon; one axis writes both, equal
-    return {"ns": n, "ni": n, "dnu_s_hz": d_nu_hz, "dnu_i_hz": d_nu_hz, "nu0_hz": nu0}
+    return {"ns": n, "ni": n, "dnu_s_hz": d_nu_hz, "dnu_i_hz": d_nu_hz,
+            "nu0_hz": jsa.center_frequency_hz}
 
 
-def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, dict]:
+def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, float]:
     h, values = read_table(path, _HEADER_FIELDS, dtype)
     n, d_hz = h["ns"], h["dnu_s_hz"]
     if (h["ni"], h["dnu_i_hz"]) != (n, d_hz):
@@ -260,7 +264,7 @@ def _load_grid_table(path, dtype) -> tuple[FrequencyGrid, np.ndarray, dict]:
         grid = FrequencyGrid(nu=2.0 * np.pi * d_hz * (np.arange(n) - (n - 1) / 2.0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return grid, values, {"center_frequency_hz": h["nu0_hz"]}
+    return grid, values, h["nu0_hz"]
 
 
 def _save_grid_table(jsa: JointSpectralAmplitude, path, values: np.ndarray, cell: str) -> None:
@@ -277,8 +281,8 @@ def save_jsa(jsa: JointSpectralAmplitude, path) -> None:
 
 
 def load_jsa(path) -> JointSpectralAmplitude:
-    grid, values, metadata = _load_grid_table(path, complex)
-    return JointSpectralAmplitude(grid=grid, values=values, metadata=metadata)
+    grid, values, center = _load_grid_table(path, complex)
+    return JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=center)
 
 
 def save_jsi(jsa: JointSpectralAmplitude, path) -> None:
@@ -286,9 +290,9 @@ def save_jsi(jsa: JointSpectralAmplitude, path) -> None:
     _save_grid_table(jsa, path, jsa.intensity, "%.12e")
 
 
-def load_jsi(path) -> tuple[FrequencyGrid, np.ndarray, dict]:
-    """Read a JSI file; returns (grid, intensity, metadata)."""
-    grid, intensity, metadata = _load_grid_table(path, float)
+def load_jsi(path) -> tuple[FrequencyGrid, np.ndarray, float]:
+    """Read a JSI file; returns (grid, intensity, center_frequency_hz)."""
+    grid, intensity, center = _load_grid_table(path, float)
     if np.any(intensity < 0):
         raise ValueError(f"{path}: intensity must be nonnegative")
-    return grid, intensity, metadata
+    return grid, intensity, center

@@ -31,7 +31,7 @@ from .interference import (
 from .measurement import (
     MeasurementError,
     load_counts,
-    reconstruct_jsi,
+    marginals,
     save_counts,
     simulate_counts,
 )
@@ -146,8 +146,7 @@ def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
         save_curve(noisy, os.path.join(out_dir, "counts.tsv"))
         # a heralded curve carries no beat, so its fit holds delta at the
         # configured spacing; the two-photon fit recovers it from the beat
-        initial = {"delta": delta} if kind == "heralded" else None
-        fit = fit_hom(noisy, n_pairs=n_pairs, initial=initial)
+        fit = fit_hom(noisy, n_pairs, delta if kind == "heralded" else None)
         _write_text(os.path.join(out_dir, "fit.txt"), fit.to_text())
 
 
@@ -175,12 +174,10 @@ def cmd_tofs_sim(cfg: RunConfig, out_dir: str) -> None:
 def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
     path = cfg["run"]["input"] or os.path.join(out_dir, "counts.csv")
     counts = load_counts(path)
-    rec = reconstruct_jsi(counts)
-    t = counts.spec.time_centers
     _write_columns(
         os.path.join(out_dir, "marginals.tsv"),
         ["time_s", "signal_marginal", "idler_marginal"],
-        np.column_stack([t, rec.signal_marginal, rec.idler_marginal]),
+        np.column_stack([counts.spec.time_centers, *marginals(counts)]),
     )
     # the point K and every bootstrap replica are K of sqrt(counts)
     k_point = schmidt_number(np.sqrt(counts.values))
@@ -214,7 +211,7 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> Hyp
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     jsa = _jsa(cfg)
-    center = jsa.metadata["center_frequency_hz"]
+    center = jsa.center_frequency_hz
     spec = cfg.spectrometer_spec()
     labels, images, weights = bin_images(
         jsa, spec, spacing_hz=cfg["crystal"]["bin_spacing_hz"],

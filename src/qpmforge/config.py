@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import DispersionMap, FrequencyGrid, PumpSpec
-from .crystal import DEFAULT_PAIR_COUNT, CombSpec
+from .crystal import CombSpec
 from .interference import MIN_FIT_POINTS
-from .measurement import DEFAULT_GATE_WIDTH, DEFAULT_MAX_ALIAS_FRACTION, SpectrometerSpec
-from .tomography import DEFAULT_BIN_SPACING_HZ
+from .measurement import SpectrometerSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
 
@@ -48,8 +47,8 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "crystal": {
         "length_m": 30e-3,
         "domain_width_m": 23e-6,
-        "pair_count": DEFAULT_PAIR_COUNT,
-        "bin_spacing_hz": DEFAULT_BIN_SPACING_HZ,
+        "pair_count": 4,
+        "bin_spacing_hz": 500e9,  # Hz between adjacent single-photon bins
         "bin_purity": 0.979,
         "source": "comb",  # comb | designed
     },
@@ -67,12 +66,12 @@ _SCHEMA: dict[str, dict[str, object]] = {
             for key, name in _SPECTROMETER_FIELDS.items()
         },
         "events": 43_000_000,
-        "max_alias_fraction": DEFAULT_MAX_ALIAS_FRACTION,
+        "max_alias_fraction": 0.02,  # share of the spectrum allowed outside the window
         "resamples": 1000,
     },
     "tomography": {
         "events_per_projection": 20_000_000,
-        "gate_width_s": DEFAULT_GATE_WIDTH,
+        "gate_width_s": 1.52e-9,  # matches an 8-bin comb with disjoint gates
         "phases_rad": (0.0,),
         "drift_rad": (0.0,),
         "resamples": 1000,
@@ -280,10 +279,8 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if cfg.sections[section][key] <= 0:
             raise ConfigError(f"{cfg.path}: {key} must be > 0")
-    if crystal["pair_count"] < 1:
-        raise ConfigError(f"{cfg.path}: pair_count must be >= 1")
     # a zero bin spacing collapses the comb to one peak, legal only for a
-    # single pair; CombSpec enforces the pairing rule itself
+    # single pair; the CombSpec built below enforces the pairing rule
     if crystal["bin_spacing_hz"] < 0:
         raise ConfigError(f"{cfg.path}: bin_spacing_hz must be >= 0")
     if cfg.sections["grid"]["points"] < 2:
@@ -313,3 +310,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"{cfg.path}: tomography resamples must be 0 or >= 2")
     if not 0.0 <= cfg.sections["spectrometer"]["max_alias_fraction"] <= 1.0:
         raise ConfigError(f"{cfg.path}: max_alias_fraction must lie in [0, 1]")
+    if crystal["domain_width_m"] > crystal["length_m"]:
+        raise ConfigError(f"{cfg.path}: domain_width_m must not exceed length_m")
+    # the device's own types hold the other rules (pair count, bin purity,
+    # whole time bins): build each, so no stage starts on a device it cannot
+    try:
+        cfg.comb_spec()
+        cfg.dispersion_map()
+        cfg.frequency_grid()
+        cfg.spectrometer_spec()
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: {exc}") from exc

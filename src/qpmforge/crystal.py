@@ -31,7 +31,6 @@ import numpy as np
 from .artefact import read_table, write_table
 
 __all__ = [
-    "DEFAULT_PAIR_COUNT",
     "CombSpec",
     "DomainConfig",
     "target_pmf",
@@ -41,8 +40,6 @@ __all__ = [
     "save_domains",
     "load_domains",
 ]
-
-DEFAULT_PAIR_COUNT = 4  # bin pairs in the comb: eight frequency modes
 
 
 @dataclass(frozen=True)

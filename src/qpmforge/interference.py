@@ -31,7 +31,6 @@ import numpy as np
 
 from .artefact import read_table, write_table
 from .biphoton import JointSpectralAmplitude
-from .crystal import DEFAULT_PAIR_COUNT
 
 __all__ = [
     "HomCurve",
@@ -321,20 +320,20 @@ def _guess_delta(tau: np.ndarray, values: np.ndarray) -> float:
 
 def fit_hom(
     curve: HomCurve,
-    n_pairs: int = DEFAULT_PAIR_COUNT,
-    initial: dict | None = None,
+    n_pairs: int,
+    delta: float | None = None,
 ) -> HomFit:
     """Least-squares fit of the scaled closed form to a measured curve.
 
     Model: y(tau) = B * (1 - V * D(tau; delta, sigma)) with D the closed
     dip shape normalized to D(0) = 1.  Free parameters: delta, sigma, V, B
     for two-photon curves; heralded curves carry no beat information, so
-    delta is held at initial["delta"], which they require, and (sigma, V,
-    B) float.  A two-photon curve beats at the odd multiples (2m+1) of
-    the spacing, so without initial["delta"] the fit starts from f/(2m+1)
-    for each m < n_pairs, f the curve's dominant beat, and keeps the
-    lowest weighted cost.  Poisson weights sqrt(max(y, 1)).  Raises
-    FitError with residual diagnostics if no start converges.
+    delta is held at ``delta``, which they require, and (sigma, V, B)
+    float.  A two-photon curve beats at the odd multiples (2m+1) of the
+    spacing, so without ``delta`` the fit starts from f/(2m+1) for each
+    m < n_pairs, f the curve's dominant beat, and keeps the lowest
+    weighted cost.  Poisson weights sqrt(max(y, 1)).  Raises FitError
+    with residual diagnostics if no start converges.
 
     When the fitted visibility saturates its physical bound of 1 (a full
     dip with near-zero counts at the bottom), the reported covariance is
@@ -354,20 +353,11 @@ def fit_hom(
     b0 = max(b0, np.finfo(float).tiny)
     y0 = float(y[np.argmin(np.abs(tau))])
     v0 = float(np.clip(1.0 - y0 / b0, 0.05, 1.0))
-    guesses = {
-        "sigma": 4.0 / span,
-        "visibility": v0,
-        "background": b0,
-    }
-    if initial:
-        unknown = set(initial) - set(guesses) - {"delta"}
-        if unknown:
-            raise ValueError(f"unknown initial-guess keys: {sorted(unknown)}")
-        guesses.update(initial)
-    if "delta" in guesses:
-        starts = [guesses["delta"]]
+    guesses = {"sigma": 4.0 / span, "visibility": v0, "background": b0}
+    if delta is not None:
+        starts = [delta]
     elif curve.kind == "heralded":
-        raise ValueError("a heralded fit holds delta fixed: pass initial={'delta': ...}")
+        raise ValueError("a heralded fit holds delta fixed: pass delta")
     else:
         # the FFT may pick any odd multiple of the spacing
         beat = _guess_delta(tau, y)

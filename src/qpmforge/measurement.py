@@ -15,10 +15,10 @@ Arrival times are measured relative to the reference wavelength's, with
 the acquisition window centered on it: t in [-window/2, +window/2).
 
 Detunings are measured from the band center, the degenerate frequency
-half the pump frequency: the pump sets the center, ``build_jsa`` records
-it on the amplitude, and count matrices and their files (``nu0_hz``)
-carry it on, so every projection and every gate maps a detuning to the
-arrival time of the source's own photons.
+half the pump frequency: the pump sets the center, each amplitude
+carries it as ``center_frequency_hz``, and count matrices and their
+files (``nu0_hz``) carry it on, so every projection and every gate maps
+a detuning to the arrival time of the source's own photons.
 
 One SpectrometerSpec is the whole calibration.  A count matrix carries
 the spec it was recorded with, its file header records that spec, and
@@ -46,18 +46,12 @@ __all__ = [
     "spectrum_projector",
     "project_to_spectrometer",
     "simulate_counts",
-    "reconstruct_jsi",
-    "JsiReconstruction",
+    "marginals",
     "gate_interval",
     "gate_cells",
     "save_counts",
     "load_counts",
-    "DEFAULT_GATE_WIDTH",
-    "DEFAULT_MAX_ALIAS_FRACTION",
 ]
-
-DEFAULT_GATE_WIDTH = 1.52e-9  # s; matches an 8-bin comb with disjoint gates
-DEFAULT_MAX_ALIAS_FRACTION = 0.02  # share of the spectrum allowed outside the window
 
 
 class MeasurementError(ValueError):
@@ -259,14 +253,6 @@ def _row_blocks(transfer: np.ndarray) -> list[tuple[slice, slice]]:
     return blocks
 
 
-def _band_center(jsa: JointSpectralAmplitude) -> float:
-    """The band center an amplitude's photons are projected around."""
-    center = jsa.metadata.get("center_frequency_hz")
-    if center is None:
-        raise ValueError("amplitude carries no center_frequency_hz to project around")
-    return center
-
-
 def project_to_spectrometer(
     jsa: JointSpectralAmplitude,
     spec: SpectrometerSpec,
@@ -279,7 +265,7 @@ def project_to_spectrometer(
     band center is the amplitude's own ``center_frequency_hz``.
     """
     mapped = np.zeros((spec.n_bins, spec.n_bins))
-    spectrum_projector(jsa.grid, spec, _band_center(jsa))(jsa.intensity, mapped)
+    spectrum_projector(jsa.grid, spec, jsa.center_frequency_hz)(jsa.intensity, mapped)
     kept = float(mapped.sum())
     if kept <= 0:
         raise MeasurementError("entire joint spectrum maps outside the time window")
@@ -324,7 +310,7 @@ def simulate_counts(
     spec: SpectrometerSpec,
     total_events: int,
     seed: int,
-    max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
+    max_alias_fraction: float,
 ) -> CountMatrix:
     """Poissonian acquisition of the projected joint spectrum.
 
@@ -338,7 +324,7 @@ def simulate_counts(
         raise ValueError("total_events must be >= 0")
     probs, alias = project_to_spectrometer(jsa, spec)
     _check_alias(alias, spec, max_alias_fraction)
-    counts = _draw_counts(probs, spec, jsa.metadata["center_frequency_hz"], total_events, seed)
+    counts = _draw_counts(probs, spec, jsa.center_frequency_hz, total_events, seed)
     counts.metadata["alias_fraction"] = alias
     return counts
 
@@ -370,36 +356,19 @@ def _draw_counts(
     )
 
 
-@dataclass(frozen=True)
-class JsiReconstruction:
-    """Normalized joint spectral intensity estimate with peak-normalized marginals."""
-
-    jsi: np.ndarray
-    signal_marginal: np.ndarray
-    idler_marginal: np.ndarray
-
-
-def reconstruct_jsi(counts: CountMatrix) -> JsiReconstruction:
-    """Counts normalized to a probability matrix, plus its marginals.
-
-    Marginals are the column (signal) and row (idler) sums scaled so the
-    tallest peak is 1, the usual display convention.
-    """
+def marginals(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(signal, idler) marginals of the counts: the column and row sums of
+    the counts over their total, scaled so the tallest peak is 1."""
     total = counts.total
     if total <= 0:
         raise MeasurementError("count matrix is empty")
-    jsi = counts.values.astype(float) / total
-    sig = jsi.sum(axis=0)
-    idl = jsi.sum(axis=1)
-    return JsiReconstruction(
-        jsi=jsi,
-        signal_marginal=sig / sig.max(),
-        idler_marginal=idl / idl.max(),
-    )
+    share = counts.values.astype(float) / total
+    sig, idl = share.sum(axis=0), share.sum(axis=1)
+    return sig / sig.max(), idl / idl.max()
 
 
 def gate_interval(spec: SpectrometerSpec, detuning: float, center_frequency_hz: float,
-                  width: float = DEFAULT_GATE_WIDTH) -> tuple[float, float]:
+                  width: float) -> tuple[float, float]:
     """Time gate [lo, hi) centered on a bin's arrival time.
 
     Gates that partially overhang the acquisition window are truncated to

@@ -29,14 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import JointSpectralAmplitude
-from .crystal import DEFAULT_PAIR_COUNT
 from .measurement import (
-    DEFAULT_GATE_WIDTH,
-    DEFAULT_MAX_ALIAS_FRACTION,
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
-    _band_center,
     _check_alias,
     _draw_counts,
     gate_cells,
@@ -56,7 +52,6 @@ __all__ = [
     "HyperState",
     "default_bin_labels",
     "bin_detuning",
-    "DEFAULT_BIN_SPACING_HZ",
     "bin_images",
     "simulate_tomography",
     "tomography_probabilities",
@@ -213,16 +208,13 @@ def fidelity_singlet(state):
     return fid, phi
 
 
-DEFAULT_BIN_SPACING_HZ = 500e9  # Hz between adjacent single-photon bins
-
-
-def default_bin_labels(pair_count: int = DEFAULT_PAIR_COUNT) -> np.ndarray:
+def default_bin_labels(pair_count: int) -> np.ndarray:
     """Bin-pair labels ordered by signal detuning: -pair_count..-1, 1..pair_count."""
     neg = -np.arange(pair_count, 0, -1)
     return np.concatenate([neg, np.arange(1, pair_count + 1)])
 
 
-def bin_detuning(label: int, spacing_hz: float = DEFAULT_BIN_SPACING_HZ) -> float:
+def bin_detuning(label: int, spacing_hz: float) -> float:
     """Signal-photon detuning (rad/s) of a bin pair; idler sits at minus this."""
     if label == 0:
         raise ValueError("bin labels are signed and exclude 0")
@@ -233,8 +225,8 @@ def bin_detuning(label: int, spacing_hz: float = DEFAULT_BIN_SPACING_HZ) -> floa
 class HyperState:
     """Per-bin polarization description of the hyperentangled source.
 
-    Each frequency-bin pair i carries a singlet with its own phase
-    phases[i] and an emission weight weights[i] (summing to 1).  The
+    Each frequency-bin pair labels[i] carries a singlet with its own
+    phase phases[i] and an emission weight weights[i] (summing to 1).  The
     optional drift[i] (radians) dephases that bin's HV/VH coherence by
     sinc(drift/2), the average of e^{i theta} over a retardance sweeping
     uniformly through drift radians during the acquisition; zeros (the
@@ -243,7 +235,7 @@ class HyperState:
 
     phases: np.ndarray
     weights: np.ndarray
-    labels: np.ndarray = None
+    labels: np.ndarray
     drift: np.ndarray = None
 
     def __post_init__(self) -> None:
@@ -256,10 +248,6 @@ class HyperState:
             raise ValueError("weights and phases must have equal length")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.labels is None:
-            if n % 2:
-                raise ValueError("labels required for an odd number of bins")
-            self.labels = default_bin_labels(n // 2)
         self.labels = np.atleast_1d(np.asarray(self.labels, dtype=int))
         if self.labels.shape != (n,) or len(set(self.labels.tolist())) != n:
             raise ValueError("labels must be distinct and match phases in length")
@@ -279,20 +267,12 @@ class HyperState:
     def bin_state(self, index: int) -> np.ndarray:
         return singlet_state(self.phases[index], self.coherences()[index])
 
-    @classmethod
-    def uniform(cls, pair_count: int = DEFAULT_PAIR_COUNT, phases=None) -> "HyperState":
-        labels = default_bin_labels(pair_count)
-        n = labels.size
-        if phases is None:
-            phases = np.zeros(n)
-        return cls(phases=phases, weights=np.full(n, 1.0 / n), labels=labels)
-
 
 def bin_images(
     jsa: JointSpectralAmplitude,
     spec: SpectrometerSpec,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    pair_count: int = DEFAULT_PAIR_COUNT,
+    spacing_hz: float,
+    pair_count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin pair's spectrum on the spectrometer's time grid.
 
@@ -303,7 +283,6 @@ def bin_images(
     bin spectra exists.  Returns (labels, images, weights): images[i] as
     spectrum_projector writes it, weights the mass fractions.
     """
-    center = _band_center(jsa)
     inten, grid = jsa.intensity, jsa.grid
     total = inten.sum()
     if total <= 0:
@@ -315,7 +294,7 @@ def bin_images(
     nearest = np.empty(grid.shape, dtype=np.min_scalar_type(labels.size))
     for row, nu_idler in zip(nearest, grid.nu):
         row[:] = np.digitize(grid.nu - nu_idler, bounds)
-    project = spectrum_projector(grid, spec, center)
+    project = spectrum_projector(grid, spec, jsa.center_frequency_hz)
     images = np.zeros((labels.size, spec.n_bins, spec.n_bins))
     weights = np.zeros(labels.size)
     part = np.empty(grid.shape)
@@ -344,7 +323,7 @@ def simulate_tomography(
     center_frequency_hz: float,
     events: float,
     seed: int,
-    max_alias_fraction: float = DEFAULT_MAX_ALIAS_FRACTION,
+    max_alias_fraction: float,
 ) -> dict[tuple[int, int], CountMatrix]:
     """Forward-simulate the 16 SIC projection acquisitions.
 
@@ -404,8 +383,8 @@ def _bin_cells(
 def tomography_probabilities(
     counts_by_projection: dict[tuple[int, int], CountMatrix],
     label: int,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    width: float = DEFAULT_GATE_WIDTH,
+    spacing_hz: float,
+    width: float,
 ) -> tuple[np.ndarray, int]:
     """Gated SIC probabilities for one bin: p_jk = 4 n_jk / sum(n).
 
@@ -448,8 +427,8 @@ class BinResult:
 
 def resample_tomography(
     gated_counts: np.ndarray,
-    n_resamples: int = 1000,
-    seed: int = 0,
+    n_resamples: int,
+    seed: int,
 ) -> tuple[float, float]:
     """Poisson-bootstrap standard deviations of (purity, fidelity).
 
@@ -470,19 +449,17 @@ def resample_tomography(
 
 def analyze_tomography(
     counts_by_projection: dict[tuple[int, int], CountMatrix],
-    labels=None,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    width: float = DEFAULT_GATE_WIDTH,
-    n_resamples: int = 0,
-    seed: int = 0,
+    labels,
+    spacing_hz: float,
+    width: float,
+    n_resamples: int,
+    seed: int,
 ) -> list[BinResult]:
     """Gate, reconstruct, and summarize every bin of a projection set.
 
     With ``n_resamples`` > 0 each bin also gets Poisson-bootstrap error
     bars on purity and fidelity.
     """
-    if labels is None:
-        labels = default_bin_labels()
     results = []
     for label in labels:
         probs, total = tomography_probabilities(

@@ -8,11 +8,10 @@ package's own structured or streamed code against it.
 import numpy as np
 
 from qpmforge.analysis import SchmidtSpectrum, _fidelity_of, schmidt_weights
-from qpmforge.biphoton import DispersionMap, FrequencyGrid, JointSpectralAmplitude
-from qpmforge.crystal import DEFAULT_PAIR_COUNT
-from qpmforge.measurement import DEFAULT_GATE_WIDTH, SpectrometerSpec, spectrum_projector
+from qpmforge.biphoton import C_LIGHT, DispersionMap, FrequencyGrid, JointSpectralAmplitude
+from qpmforge.config import default_config
+from qpmforge.measurement import SpectrometerSpec, spectrum_projector
 from qpmforge.tomography import (
-    DEFAULT_BIN_SPACING_HZ,
     HyperState,
     _bin_cells,
     _born_table,
@@ -22,6 +21,9 @@ from qpmforge.tomography import (
     default_bin_labels,
 )
 
+# band center of every amplitude built from the default pump
+NU0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
+
 
 def project_probability(rho, j: int, k: int) -> float:
     """Born probability Tr[rho (M_j x M_k)], j on signal, k on idler."""
@@ -30,8 +32,8 @@ def project_probability(rho, j: int, k: int) -> float:
 
 def split_bins(
     jsa: JointSpectralAmplitude,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    pair_count: int = DEFAULT_PAIR_COUNT,
+    spacing_hz: float,
+    pair_count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition a joint intensity into per-bin-pair components, as one stack.
 
@@ -78,8 +80,8 @@ def expected_tomography(
     images: np.ndarray,
     spec: SpectrometerSpec,
     center_frequency_hz: float,
-    spacing_hz: float = DEFAULT_BIN_SPACING_HZ,
-    width: float = DEFAULT_GATE_WIDTH,
+    spacing_hz: float,
+    width: float,
 ) -> dict[int, np.ndarray]:
     """Infinite-statistics gated SIC probabilities for every bin.
 
@@ -120,7 +122,7 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
         + np.exp(-((x + centers) ** 2) / (2.0 * sigma**2))
     ).sum(axis=-1)
     values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
-    return JointSpectralAmplitude(grid=grid, values=values).normalized()
+    return JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0).normalized()
 
 
 def fidelity_to_maximal(jsa, n_modes: int) -> float:

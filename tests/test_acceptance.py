@@ -15,6 +15,7 @@ import pytest
 
 from qpmforge.analysis import monte_carlo_uncertainty, schmidt_number
 from qpmforge.biphoton import FrequencyGrid, build_jsa
+from qpmforge.config import default_config
 from qpmforge.crystal import design_overlap
 from qpmforge.interference import (
     HomCurve,
@@ -41,6 +42,9 @@ from qpmforge.tomography import (
 )
 
 from oracles import bin_model_jsa, expected_tomography, fidelity_to_maximal
+
+DEVICE = default_config()
+ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
 
 BIN_SPACING_HZ = 500e9
 
@@ -203,7 +207,7 @@ def test_tofs_calibration_constants(spectro):
 def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     n_events = 10_000_000
     probs, _ = project_to_spectrometer(comb_jsa, spectro)
-    counts = simulate_counts(comb_jsa, spectro, n_events, seed=7)
+    counts = simulate_counts(comb_jsa, spectro, n_events, seed=7, max_alias_fraction=ALIAS)
     tv = 0.5 * np.abs(counts.values / counts.total - probs).sum()
     assert tv <= 0.02
 
@@ -216,7 +220,7 @@ def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     "50 ps jitter remove only about 0.02",
 )
 def test_tofs_reconstructed_schmidt_number(comb_jsa, spectro):
-    counts = simulate_counts(comb_jsa, spectro, 43_000_000, seed=11)
+    counts = simulate_counts(comb_jsa, spectro, 43_000_000, seed=11, max_alias_fraction=ALIAS)
     k = schmidt_number(np.sqrt(counts.values))
     assert 6.8 <= k <= 8.1
 
@@ -238,7 +242,7 @@ def test_mc_error_scaling(comb_jsa):
 
     stds = {}
     for n_events in (430_000, 43_000_000):
-        counts = simulate_counts(comb_jsa, spec200, n_events, seed=17)
+        counts = simulate_counts(comb_jsa, spec200, n_events, seed=17, max_alias_fraction=ALIAS)
         _, std = monte_carlo_uncertainty(counts.values, n_resamples=1000, seed=19)
         stds[n_events] = std
 
@@ -266,11 +270,15 @@ def test_sic_frame_identities():
 def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
     grid = FrequencyGrid.symmetric(256, 2.5e12)
     jsa = build_jsa(comb, pump, dispersion, grid)
-    labels, images, weights = bin_images(jsa, spectro)
+    spacing, pairs = DEVICE["crystal"]["bin_spacing_hz"], DEVICE["crystal"]["pair_count"]
+    labels, images, weights = bin_images(jsa, spectro, spacing, pairs)
 
     phases = np.random.default_rng(42).uniform(-np.pi, np.pi, 8)
     hyper = HyperState(phases=phases, weights=weights, labels=labels)
-    table = expected_tomography(hyper, images, spectro, jsa.metadata["center_frequency_hz"])
+    table = expected_tomography(
+        hyper, images, spectro, jsa.center_frequency_hz, spacing,
+        DEVICE["tomography"]["gate_width_s"],
+    )
 
     assert set(table) == set(labels)
     for i, label in enumerate(labels):

@@ -147,7 +147,7 @@ def amplitudes(draw):
     grid = FrequencyGrid(nu=2 * np.pi * 1e9 * draw(scale) * (np.arange(n) - (n - 1) / 2))
     values = (flat[::2] + 1j * flat[1::2]).reshape(n, n)
     return JointSpectralAmplitude(
-        grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14 * draw(scale)}
+        grid=grid, values=values, center_frequency_hz=1.9e14 * draw(scale)
     )
 
 
@@ -167,15 +167,15 @@ def test_jsa_and_jsi_roundtrip(tmp_path, jsa):
         np.signbit(back.values.view(float)), np.signbit(jsa.values.view(float))
     )
     _assert_same_grid(back.grid, jsa.grid)
-    nu0 = jsa.metadata["center_frequency_hz"]
-    assert back.metadata["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
+    nu0 = jsa.center_frequency_hz
+    assert back.center_frequency_hz == pytest.approx(nu0, rel=1e-11)
 
     path = tmp_path / "jsi.csv"
     save_jsi(jsa, path)
-    grid, jsi, meta = load_jsi(path)
+    grid, jsi, center = load_jsi(path)
     np.testing.assert_allclose(jsi, jsa.intensity, rtol=1e-11, atol=0)
     _assert_same_grid(grid, jsa.grid)
-    assert meta["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
+    assert center == pytest.approx(nu0, rel=1e-11)
 
 
 @SETTINGS
@@ -248,7 +248,7 @@ def test_counts_roundtrip(tmp_path, nt, data, calibration):
 def test_header_lines_match_format(tmp_path, jsa, x):
     # the f-strings each writer used before the shared writer are the oracle
     n_i, n_s = jsa.grid.shape
-    nu0 = jsa.metadata["center_frequency_hz"]
+    nu0 = jsa.center_frequency_hz
     grid_header = (
         f"# ns={n_s} ni={n_i}"
         f" dnu_s_hz={jsa.grid.d_nu / (2.0 * np.pi):.12g}"

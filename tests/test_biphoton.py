@@ -21,7 +21,7 @@ from qpmforge.biphoton import (
 from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
 
-from oracles import bin_spacing_from_comb
+from oracles import NU0, bin_spacing_from_comb
 
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):
@@ -31,7 +31,8 @@ def full_grid_comb_jsa(comb, pump, dispersion, grid):
     values = pump_envelope(pump, nu_sum) * target_pmf(
         comb, dispersion.center + dispersion.slope * diff
     )
-    return JointSpectralAmplitude(grid=grid, values=values).normalized().values
+    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0)
+    return jsa.normalized().values
 
 
 def hz_axis(lo_hz, step_hz, n):
@@ -177,9 +178,10 @@ class TestJsaIO:
         jsa = build_jsa(comb, pump, dispersion, small)
         path = tmp_path / "jsi.csv"
         save_jsi(jsa, path)
-        grid, jsi, meta = load_jsi(path)
+        grid, jsi, center = load_jsi(path)
         np.testing.assert_allclose(jsi, jsa.intensity, rtol=1e-9, atol=1e-20)
         assert grid.shape == jsa.grid.shape
+        assert center == pytest.approx(jsa.center_frequency_hz, rel=1e-11)
 
     def test_writers_match_elementwise_format(self, tmp_path):
         # the value-by-value formatting the row writers replaced is the oracle
@@ -199,9 +201,7 @@ class TestJsaIO:
                     [complex(0.5, 1e-5), complex(-1e-7, big), complex(-small, 0.0)],
                 ]
             )
-            jsa = JointSpectralAmplitude(
-                grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14}
-            )
+            jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
             path = tmp_path / "out.csv"
             save(jsa, path)
             body = path.read_text().split("\n", 1)[1]
@@ -219,9 +219,7 @@ class TestJsaIO:
         grid = FrequencyGrid.symmetric(3, 1e12)
         # a transposed view is not contiguous
         for values in (base, base.T.copy().T):
-            jsa = JointSpectralAmplitude(
-                grid=grid, values=values, metadata={"center_frequency_hz": 1.9e14}
-            )
+            jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
             path = tmp_path / "jsa.csv"
             save_jsa(jsa, path)
             back = load_jsa(path).values
@@ -251,5 +249,5 @@ def test_jsa_norm_invariant(seed):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.symmetric(16, 1e12)
     vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    jsa = JointSpectralAmplitude(grid=grid, values=vals).normalized()
+    jsa = JointSpectralAmplitude(grid=grid, values=vals, center_frequency_hz=NU0).normalized()
     assert jsa.norm_squared() == pytest.approx(1.0, rel=1e-12)

@@ -1,5 +1,6 @@
 """Config parsing diagnostics and the batch CLI exit-code contract."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -160,9 +161,38 @@ class TestValidation:
             parse_config(path)
 
     def test_bin_purity_bounds_checked_on_use(self, tmp_path):
-        cfg = parse_config(make_config(tmp_path, **{"crystal.bin_purity": 1.5}))
+        with pytest.raises(ConfigError, match="bin_purity"):
+            parse_config(make_config(tmp_path, **{"crystal.bin_purity": 1.5}))
+        # a config mutated after parsing, as scripts/purity_scan.py does
+        cfg = parse_config(make_config(tmp_path))
+        cfg.sections["crystal"]["bin_purity"] = 1.5
         with pytest.raises(ConfigError, match="bin_purity"):
             cfg.gvm_slope()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"spectrometer.window_s": 12.51e-9}, "integer number of time bins"),
+            ({"crystal.bin_purity": 1.5}, "bin_purity"),
+            ({"crystal.domain_width_m": 40e-3}, "domain_width_m must not exceed"),
+            (
+                {"crystal.domain_width_m": 40e-3, "crystal.source": "designed"},
+                "domain_width_m must not exceed",
+            ),
+        ],
+        ids=["window", "purity", "domain-width", "domain-width-designed"],
+    )
+    def test_device_the_stages_cannot_build_rejected(self, tmp_path, overrides, message):
+        # each parsed once and failed only inside a stage, after doing work
+        path = make_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+        out = tmp_path / "out"
+        for stage in ("design", "simulate", "hom", "heralded", "tofs-sim", "tofs-analyze",
+                      "tomo-sim", "tomo-fit"):
+            assert main([stage, "--config", path, "--out", str(out)]) == 2, stage
+        assert not out.exists()
 
 
 class TestBuilders:
@@ -221,11 +251,11 @@ class TestCliExitCodes:
         nu0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
         n = FAST["grid.points"]
         jsa = load_jsa(out / "jsa.csv")
-        grid, _, meta = load_jsi(out / "jsi.csv")
-        for shape, metadata in ((jsa.grid.shape, jsa.metadata), (grid.shape, meta)):
+        grid, _, center = load_jsi(out / "jsi.csv")
+        for shape, got in ((jsa.grid.shape, jsa.center_frequency_hz), (grid.shape, center)):
             assert shape == (n, n)
             # the header keeps 12 significant digits
-            assert metadata["center_frequency_hz"] == pytest.approx(nu0, rel=1e-11)
+            assert got == pytest.approx(nu0, rel=1e-11)
 
     def test_hom_fit_and_seed_override(self, tmp_path):
         config = make_config(tmp_path, **FAST)
@@ -422,13 +452,37 @@ class TestBandCenter:
             assert phase == pytest.approx(self.PHASE, abs=3e-3), row
 
 
+def _own_top_level_names(module) -> set[str]:
+    """Names the module's own source binds at top level: defs, classes, assignments."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 @pytest.mark.parametrize(
     "module", [m.name for m in pkgutil.iter_modules(qpmforge.__path__)]
 )
 def test_public_names_resolve(module):
+    # every export resolves and is defined by the module itself, once: a
+    # name left in __all__ after its definition is deleted fails here even
+    # while an import from another module still binds it
     mod = importlib.import_module(f"qpmforge.{module}")
-    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
-    assert not missing
+    exported = list(getattr(mod, "__all__", ()))
+    assert len(exported) == len(set(exported))
+    assert not [name for name in exported if not hasattr(mod, name)]
+    assert not sorted(set(exported) - _own_top_level_names(mod))
+
+
+def test_package_exports_its_modules():
+    submodules = {m.name for m in pkgutil.iter_modules(qpmforge.__path__)}
+    assert set(qpmforge.__all__) <= submodules
+    assert all(hasattr(qpmforge, name) for name in qpmforge.__all__)
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

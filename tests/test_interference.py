@@ -195,7 +195,7 @@ class TestFit:
                 bounds = ([0.5 * d0, 1e-3 * s0, 0.0, 0.0], [2.0 * d0, 1e3 * s0, 1.0, np.inf])
                 got = [delta_from_bin_hz(fit.delta_hz), fit.sigma, fit.visibility, fit.background]
             else:
-                fit = fit_hom(curve, n_pairs=4, initial={"delta": DELTA_500})
+                fit = fit_hom(curve, n_pairs=4, delta=DELTA_500)
 
                 def model(t, s, v, b):
                     return b * (1.0 - v * _dip_shape(kind, t, 4, DELTA_500, s))
@@ -222,11 +222,7 @@ class TestFit:
             assert fit.delta_hz == pytest.approx(500e9, rel=5e-3), f"seed {seed}"
 
     def test_heralded_fit_keeps_spacing_fixed(self):
-        fit = fit_hom(
-            self.make_counts("heralded"),
-            n_pairs=4,
-            initial={"delta": DELTA_500},
-        )
+        fit = fit_hom(self.make_counts("heralded"), n_pairs=4, delta=DELTA_500)
         assert fit.kind == "heralded"
         assert fit.delta_hz == pytest.approx(500e9)
         assert np.isnan(fit.delta_hz_std)
@@ -239,11 +235,7 @@ class TestFit:
             fit_hom(self.make_counts("heralded"), n_pairs=4)
         flat = HomCurve(delays=TAUS, values=np.full(TAUS.size, 100.0), kind="two_photon")
         with pytest.raises(FitError, match="no beat"):
-            fit_hom(flat)
-
-    def test_rejects_unknown_initial_keys(self):
-        with pytest.raises(ValueError, match="unknown initial-guess"):
-            fit_hom(self.make_counts("two_photon"), initial={"slope": 1.0})
+            fit_hom(flat, n_pairs=4)
 
     def test_rejects_sparse_curves(self):
         curve = HomCurve(
@@ -252,7 +244,7 @@ class TestFit:
             kind="two_photon",
         )
         with pytest.raises(ValueError):
-            fit_hom(curve)
+            fit_hom(curve, n_pairs=4)
 
     def test_to_text_lists_parameters(self):
         fit = fit_hom(self.make_counts("two_photon"), n_pairs=4)

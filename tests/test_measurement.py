@@ -9,8 +9,8 @@ from scipy.special import ndtr
 
 from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
+from qpmforge.config import default_config
 from qpmforge.measurement import (
-    DEFAULT_GATE_WIDTH,
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
@@ -19,8 +19,8 @@ from qpmforge.measurement import (
     gate_cells,
     gate_interval,
     load_counts,
+    marginals,
     project_to_spectrometer,
-    reconstruct_jsi,
     save_counts,
     simulate_counts,
     wavelength_to_time,
@@ -30,6 +30,8 @@ from oracles import project_stack
 
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
+ALIAS = default_config()["spectrometer"]["max_alias_fraction"]
+WIDTH = default_config()["tomography"]["gate_width_s"]
 
 
 def windowed(spec, n_bins):
@@ -127,9 +129,10 @@ class TestCalibration:
         # positive dispersion
         assert detuning_to_time(spectro, 2 * np.pi * 500e9, NU0) < 0
 
-    def test_gate_width_matches_bin_pitch(self, spectro):
+    def test_gate_width_matches_bin_pitch(self, cfg, spectro):
         # 3.8 nm of bin pitch maps to the default 1.52 ns gate
-        assert DEFAULT_GATE_WIDTH == pytest.approx(3.8e-9 * spectro.time_rate)
+        gate = cfg["tomography"]["gate_width_s"]
+        assert gate == pytest.approx(3.8e-9 * spectro.time_rate)
 
 
 class TestTransfer:
@@ -209,7 +212,7 @@ class TestProjection:
 
     def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
         direct, alias = project_to_spectrometer(comb_jsa, spectro)
-        center = comb_jsa.metadata["center_frequency_hz"]
+        center = comb_jsa.center_frequency_hz
         image, kept = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
         np.testing.assert_array_equal(direct, image / kept)
         assert alias == 1.0 - kept
@@ -221,26 +224,27 @@ class TestProjection:
         np.testing.assert_allclose(stack, [image, image], rtol=0, atol=1e-12 * image.max())
         np.testing.assert_allclose(kept2, [kept, kept], rtol=1e-12)
 
-    def test_amplitude_requires_center(self, comb_jsa, spectro):
-        bare = JointSpectralAmplitude(grid=comb_jsa.grid, values=comb_jsa.values)
-        with pytest.raises(ValueError, match="center_frequency_hz"):
-            project_to_spectrometer(bare, spectro)
+    def test_amplitude_requires_center(self, comb_jsa):
+        # the projection reads the amplitude's own band center, which no
+        # amplitude can lack
+        with pytest.raises(TypeError, match="center_frequency_hz"):
+            JointSpectralAmplitude(grid=comb_jsa.grid, values=comb_jsa.values)
 
 
 class TestSimulateCounts:
     def test_total_is_exact_and_reproducible(self, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 100_000, seed=3)
-        again = simulate_counts(comb_jsa, spectro, 100_000, seed=3)
+        counts = simulate_counts(comb_jsa, spectro, 100_000, seed=3, max_alias_fraction=ALIAS)
+        again = simulate_counts(comb_jsa, spectro, 100_000, seed=3, max_alias_fraction=ALIAS)
         assert counts.total == 100_000
         np.testing.assert_array_equal(counts.values, again.values)
-        other = simulate_counts(comb_jsa, spectro, 100_000, seed=4)
+        other = simulate_counts(comb_jsa, spectro, 100_000, seed=4, max_alias_fraction=ALIAS)
         assert np.any(other.values != counts.values)
 
     def test_counts_match_expectation(self, comb_jsa, spectro):
         n = 500_000
         probs, _ = project_to_spectrometer(comb_jsa, spectro)
         probs = probs / probs.sum()
-        counts = simulate_counts(comb_jsa, spectro, n, seed=12)
+        counts = simulate_counts(comb_jsa, spectro, n, seed=12, max_alias_fraction=ALIAS)
         expected = n * probs
         hot = expected > 25.0
         z = (counts.values[hot] - expected[hot]) / np.sqrt(expected[hot])
@@ -248,7 +252,7 @@ class TestSimulateCounts:
         assert np.mean(np.abs(z) > 3.0) < 0.01
 
     def test_zero_events(self, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 0, seed=0)
+        counts = simulate_counts(comb_jsa, spectro, 0, seed=0, max_alias_fraction=ALIAS)
         assert counts.total == 0
 
     def test_alias_overflow_raises(self, comb_jsa, spectro):
@@ -258,15 +262,17 @@ class TestSimulateCounts:
 
 @pytest.fixture(scope="module")
 def counts(comb_jsa, spectro):
-    return simulate_counts(comb_jsa, spectro, 2_000_000, seed=21)
+    return simulate_counts(comb_jsa, spectro, 2_000_000, seed=21, max_alias_fraction=ALIAS)
 
 
 class TestReconstruction:
     def test_marginals_peak_normalized(self, counts):
-        rec = reconstruct_jsi(counts)
-        assert rec.jsi.sum() == pytest.approx(1.0)
-        assert rec.signal_marginal.max() == pytest.approx(1.0)
-        assert rec.idler_marginal.max() == pytest.approx(1.0)
+        signal, idler = marginals(counts)
+        assert signal.max() == pytest.approx(1.0)
+        assert idler.max() == pytest.approx(1.0)
+        columns, rows = counts.values.sum(axis=0), counts.values.sum(axis=1)
+        np.testing.assert_allclose(signal, columns / columns.max(), rtol=1e-12)
+        np.testing.assert_allclose(idler, rows / rows.max(), rtol=1e-12)
 
     def test_amplitude_recovers_mode_count(self, counts, comb_jsa):
         k_true = schmidt_number(comb_jsa)
@@ -281,7 +287,7 @@ class TestReconstruction:
             center_frequency_hz=NU0,
         )
         with pytest.raises(ValueError):
-            reconstruct_jsi(empty)
+            marginals(empty)
 
 
 class TestGating:
@@ -291,7 +297,7 @@ class TestGating:
         assert hi == pytest.approx(0.5e-9)
         # a gate near the edge is truncated, never extended past it
         detuning = -2 * np.pi * 1750e9  # arrives near +5.65 ns
-        lo, hi = gate_interval(spectro, detuning, NU0)
+        lo, hi = gate_interval(spectro, detuning, NU0, width=WIDTH)
         assert hi == pytest.approx(spectro.window / 2)
         assert lo > 0
 
@@ -312,7 +318,7 @@ class TestCountsIO:
     def test_roundtrip(self, tmp_path, comb_jsa, spectro):
         # a non-default reference wavelength must survive the file
         spec = dataclasses.replace(spectro, reference_wavelength=1555.9e-9)
-        counts = simulate_counts(comb_jsa, spec, 50_000, seed=8)
+        counts = simulate_counts(comb_jsa, spec, 50_000, seed=8, max_alias_fraction=ALIAS)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path)
@@ -321,7 +327,7 @@ class TestCountsIO:
         assert back.spec.window == pytest.approx(spec.window, rel=1e-12)
         assert back.spec.time_rate == pytest.approx(spec.time_rate, rel=1e-12)
         assert back.spec.reference_wavelength == 1555.9e-9
-        assert back.center_frequency_hz == comb_jsa.metadata["center_frequency_hz"]
+        assert back.center_frequency_hz == comb_jsa.center_frequency_hz
 
     @pytest.mark.parametrize(
         "edit, body, message",
@@ -350,7 +356,9 @@ class TestCountsIO:
         assert str(path) in str(err.value)
 
     def test_loaded_spec_reads_as_one_km_without_jitter(self, tmp_path, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3)
+        counts = simulate_counts(
+            comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3, max_alias_fraction=ALIAS
+        )
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path).spec

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge import cli, measurement
-from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
+from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude, build_jsa
 from qpmforge.config import default_config
 from qpmforge.measurement import MeasurementError, project_to_spectrometer
 from qpmforge.tomography import (
@@ -33,11 +33,14 @@ from qpmforge.tomography import (
     tomography_report,
 )
 
-from oracles import expected_tomography, project_probability, project_stack, split_bins
+from oracles import NU0, expected_tomography, project_probability, project_stack, split_bins
 
-SPACING = 500e9
-# band center of every amplitude built from the default pump
-NU0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
+# the device every library call below is handed explicitly
+DEVICE = default_config()
+SPACING = DEVICE["crystal"]["bin_spacing_hz"]
+PAIRS = DEVICE["crystal"]["pair_count"]
+WIDTH = DEVICE["tomography"]["gate_width_s"]
+ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
 
 
 def wrap_angle(x):
@@ -56,14 +59,14 @@ def small_jsa(cfg, small_grid):
 
 @pytest.fixture(scope="module")
 def small_split(small_jsa):
-    labels, parts, weights = split_bins(small_jsa)
+    labels, parts, weights = split_bins(small_jsa, SPACING, PAIRS)
     return labels, np.asarray(parts), weights
 
 
 @pytest.fixture(scope="module")
 def small_images(small_jsa, spectro):
     """(labels, images, weights) of the pipeline's bin pass."""
-    return bin_images(small_jsa, spectro)
+    return bin_images(small_jsa, spectro, SPACING, PAIRS)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +83,7 @@ def pure_hyper(small_images, random_phases):
 @pytest.fixture(scope="module")
 def pure_table(pure_hyper, small_images, spectro):
     _, images, _ = small_images
-    return expected_tomography(pure_hyper, images, spectro, NU0)
+    return expected_tomography(pure_hyper, images, spectro, NU0, SPACING, WIDTH)
 
 
 class TestSicFrame:
@@ -227,8 +230,8 @@ class TestHyperState:
             HyperState(phases=np.zeros(2), weights=[0.7, 0.4], labels=[-1, 1])
         with pytest.raises(ValueError, match="sum to 1"):
             HyperState(phases=np.zeros(2), weights=[-0.2, 1.2], labels=[-1, 1])
-        with pytest.raises(ValueError, match="labels required"):
-            HyperState(phases=np.zeros(3), weights=np.full(3, 1 / 3))
+        with pytest.raises(TypeError, match="labels"):
+            HyperState(phases=np.zeros(2), weights=np.full(2, 0.5))
         with pytest.raises(ValueError, match="distinct"):
             HyperState(phases=np.zeros(2), weights=np.full(2, 0.5), labels=[1, 1])
         with pytest.raises(ValueError, match="drift"):
@@ -241,19 +244,12 @@ class TestHyperState:
         assert hyper.phases[0] == pytest.approx(-0.5 * np.pi)
         assert hyper.phases[1] == pytest.approx(np.pi)
 
-    def test_uniform_constructor(self):
-        hyper = HyperState.uniform()
-        assert hyper.n_bins == 8
-        np.testing.assert_array_equal(hyper.labels, default_bin_labels())
-        np.testing.assert_allclose(hyper.weights, 0.125)
-        np.testing.assert_allclose(hyper.coherences(), 1.0)
-
     def test_bin_detuning(self):
         assert bin_detuning(1, SPACING) == pytest.approx(np.pi * SPACING)
         assert bin_detuning(2, SPACING) == pytest.approx(3 * np.pi * SPACING)
         assert bin_detuning(-3, SPACING) == pytest.approx(-5 * np.pi * SPACING)
         with pytest.raises(ValueError):
-            bin_detuning(0)
+            bin_detuning(0, SPACING)
 
 
 def where_split_bins(jsa):
@@ -281,10 +277,10 @@ class TestSplitBins:
         n = small_grid.nu.size
         one_cell = np.zeros((n, n))
         one_cell[100, 140] = 0.5
-        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell)
-        assert np.count_nonzero(split_bins(lit)[2]) == 1
+        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, center_frequency_hz=NU0)
+        assert np.count_nonzero(split_bins(lit, SPACING, PAIRS)[2]) == 1
         for amp in (jsa, lit):
-            got, want = split_bins(amp), where_split_bins(amp)
+            got, want = split_bins(amp, SPACING, PAIRS), where_split_bins(amp)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
@@ -314,14 +310,17 @@ class TestSplitBins:
     def test_zero_intensity_rejected(self, small_grid):
         n = small_grid.nu.size
         with pytest.raises(ValueError, match="no intensity"):
-            split_bins(JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n))))
+            zero = JointSpectralAmplitude(
+                grid=small_grid, values=np.zeros((n, n)), center_frequency_hz=NU0
+            )
+            split_bins(zero, SPACING, PAIRS)
 
 
 class TestBinImages:
     def test_matches_projected_dense_oracle(self, small_jsa, small_grid, spectro):
         # the pass forms and projects one bin spectrum at a time; projecting
         # the dense stack of the same spectra must give the same bits
-        labels, images, weights = bin_images(small_jsa, spectro)
+        labels, images, weights = bin_images(small_jsa, spectro, SPACING, PAIRS)
         want_labels, parts, want_weights = where_split_bins(small_jsa)
         want_images, want_kept = project_stack(parts, small_grid, spectro, NU0)
         np.testing.assert_array_equal(labels, want_labels)
@@ -331,26 +330,25 @@ class TestBinImages:
 
     def test_empty_bins_raise_like_the_dense_oracle(self, small_grid, spectro):
         n = small_grid.nu.size
-        center = {"center_frequency_hz": NU0}
         # one lit cell leaves seven bins without mass
         one_cell = np.zeros((n, n))
         one_cell[100, 140] = 0.5
-        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, metadata=center)
+        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, center_frequency_hz=NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
-            bin_images(lit, spectro)
-        zero = JointSpectralAmplitude(grid=small_grid, values=np.zeros((n, n)), metadata=center)
+            bin_images(lit, spectro, SPACING, PAIRS)
+        zero = JointSpectralAmplitude(
+            grid=small_grid, values=np.zeros((n, n)), center_frequency_hz=NU0
+        )
         with pytest.raises(ValueError, match="no intensity"):
-            bin_images(zero, spectro)
-        with pytest.raises(ValueError, match="center_frequency_hz"):
-            bin_images(JointSpectralAmplitude(grid=small_grid, values=one_cell), spectro)
+            bin_images(zero, spectro, SPACING, PAIRS)
 
     def test_peak_memory_below_dense_stack(self, comb_jsa, spectro):
         # the pass must never hold the (n_bins, n_idler, n_signal) stack
         tracemalloc.start()
         try:
-            labels, _, _ = bin_images(comb_jsa, spectro)
+            labels, _, _ = bin_images(comb_jsa, spectro, SPACING, PAIRS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,7 +359,9 @@ class TestBinImages:
 @pytest.fixture(scope="module")
 def sim(pure_hyper, small_images, spectro):
     _, images, _ = small_images
-    return simulate_tomography(pure_hyper, images, spectro, NU0, events=2000, seed=5)
+    return simulate_tomography(
+        pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
+    )
 
 
 class TestSimulateTomography:
@@ -385,24 +385,36 @@ class TestSimulateTomography:
     ):
         labels, images, weights = small_images
         hyper = HyperState(phases=np.zeros(8), weights=weights, labels=labels)
-        sim = simulate_tomography(hyper, images, spectro, NU0, 500, seed=1)
+        sim = simulate_tomography(
+            hyper, images, spectro, NU0, 500, seed=1, max_alias_fraction=ALIAS
+        )
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
     def test_reproducible(self, pure_hyper, small_images, spectro):
         _, images, _ = small_images
-        a = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=9)
-        b = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=9)
-        c = simulate_tomography(pure_hyper, images, spectro, NU0, 300, seed=10)
+        a = simulate_tomography(
+            pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
+        )
+        b = simulate_tomography(
+            pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
+        )
+        c = simulate_tomography(
+            pure_hyper, images, spectro, NU0, 300, seed=10, max_alias_fraction=ALIAS
+        )
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
     def test_validation(self, pure_hyper, small_images, spectro):
         _, images, _ = small_images
         with pytest.raises(ValueError, match="one matrix per bin"):
-            simulate_tomography(pure_hyper, images[:3], spectro, NU0, 100, seed=0)
+            simulate_tomography(
+                pure_hyper, images[:3], spectro, NU0, 100, seed=0, max_alias_fraction=ALIAS
+            )
         with pytest.raises(ValueError, match="events"):
-            simulate_tomography(pure_hyper, images, spectro, NU0, -1, seed=0)
+            simulate_tomography(
+                pure_hyper, images, spectro, NU0, -1, seed=0, max_alias_fraction=ALIAS
+            )
 
 
 class TestSharedProjection:
@@ -422,7 +434,7 @@ class TestSharedProjection:
             mixed = JointSpectralAmplitude(
                 grid=small_grid,
                 values=np.sqrt(np.tensordot(mix, parts, axes=(0, 0))),
-                metadata={"center_frequency_hz": NU0},
+                center_frequency_hz=NU0,
             )
             ref, ref_alias = project_to_spectrometer(mixed, spectro)
             shared = np.tensordot(mix, images, axes=(0, 0))
@@ -478,8 +490,10 @@ class TestGatedAnalysis:
         self, pure_hyper, random_phases, small_images, spectro
     ):
         labels, images, _ = small_images
-        run = simulate_tomography(pure_hyper, images, spectro, NU0, events=100_000, seed=5)
-        results = analyze_tomography(run, labels, n_resamples=200, seed=6)
+        run = simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=100_000, seed=5, max_alias_fraction=ALIAS
+        )
+        results = analyze_tomography(run, labels, SPACING, WIDTH, n_resamples=200, seed=6)
         assert [r.label for r in results] == list(labels)
         for i, res in enumerate(results):
             assert res.events > 0
@@ -493,16 +507,20 @@ class TestGatedAnalysis:
 
     def test_zero_counts_raise(self, pure_hyper, small_images, spectro):
         _, images, _ = small_images
-        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=0, seed=0)
+        sim = simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=0, seed=0, max_alias_fraction=ALIAS
+        )
         with pytest.raises(ValueError, match="no gated counts"):
-            tomography_probabilities(sim, 1)
+            tomography_probabilities(sim, 1, SPACING, WIDTH)
 
     def test_report_lists_every_bin(
         self, pure_hyper, small_images, spectro
     ):
         labels, images, _ = small_images
-        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=5000, seed=2)
-        results = analyze_tomography(sim, labels)
+        sim = simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=5000, seed=2, max_alias_fraction=ALIAS
+        )
+        results = analyze_tomography(sim, labels, SPACING, WIDTH, n_resamples=0, seed=0)
         text = tomography_report(results)
         lines = text.splitlines()
         assert len(lines) == 9
@@ -530,7 +548,7 @@ class TestResample:
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="16"):
-            resample_tomography(np.ones(10))
+            resample_tomography(np.ones(10), 10, seed=0)
 
     def test_stacked_metrics_match_per_state(self):
         rng = np.random.default_rng(5)
@@ -587,7 +605,7 @@ class TestResample:
             labels=labels,
             drift=np.full(8, 1.0),
         )
-        p16 = expected_tomography(hyper, images, spectro, NU0)[2]
+        p16 = expected_tomography(hyper, images, spectro, NU0, SPACING, WIDTH)[2]
         truth = reconstruct_state(p16)
         truth_purity = purity(truth)
         truth_fid = fidelity_singlet(truth)[0]
@@ -611,7 +629,9 @@ class TestBundleIO:
         self, pure_hyper, small_images, spectro, tmp_path
     ):
         _, images, _ = small_images
-        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=50, seed=3)
+        sim = simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
+        )
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         names = sorted(os.listdir(target))
@@ -627,7 +647,9 @@ class TestBundleIO:
         self, pure_hyper, small_images, spectro, tmp_path
     ):
         _, images, _ = small_images
-        sim = simulate_tomography(pure_hyper, images, spectro, NU0, events=50, seed=3)
+        sim = simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
+        )
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         os.remove(target / "proj_2_3.csv")
@@ -659,6 +681,7 @@ def test_born_table_matches_project_probability(seed, pairs):
     hyper = HyperState(
         phases=rng.uniform(-np.pi, np.pi, n),
         weights=rng.dirichlet(np.ones(n)),
+        labels=default_bin_labels(pairs),
         drift=rng.uniform(0.0, 4.0, n),
     )
     oracle = np.array(
