@@ -53,7 +53,6 @@ def main() -> None:
     if args.quick:
         cfg = parse_config(args.config)
         cfg.sections["spectrometer"]["events"] = 2_000_000
-        cfg.sections["spectrometer"]["resamples"] = 50
         cfg.sections["tomography"]["events_per_projection"] = 500_000
         cfg.sections["tomography"]["resamples"] = 100
         cfg.sections["hom"]["counts_per_point"] = 3000

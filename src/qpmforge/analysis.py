@@ -13,10 +13,14 @@ weights.  Two figures of merit are used:
   entangled target is defined in the source's own dominant modes.
 
 A measured count matrix n has no phase, so its Schmidt number is read
-as schmidt_number(sqrt(n)), the flat-phase amplitude; the point estimate
-and every replica of monte_carlo_uncertainty's Poisson bootstrap
-evaluate that same expression.  The bootstrap draws only the support of
-the counts, since an empty cell's Poisson replica is always 0.
+as schmidt_number(sqrt(n)), the flat-phase amplitude.  Its uncertainty,
+schmidt_number_std, is first order (the delta method): a Poisson count's
+square root has variance close to 1/4 whatever its mean, so the std is
+half the norm of the gradient of K in sqrt(n), summed over every cell,
+since a repeat of the experiment can fill a cell that is empty now.  It
+costs one more matrix product than K itself.  monte_carlo_uncertainty,
+a Poisson bootstrap of the same expression that costs one Gram product
+per replica, is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "schmidt_decompose",
     "schmidt_weights",
     "schmidt_number",
+    "schmidt_number_std",
     "monte_carlo_uncertainty",
     "EntanglementReport",
     "report_from_jsa",
@@ -111,7 +116,14 @@ def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     weights only by the weights below 1e-12, which add less than
     n * 1e-24 to the sum.
     """
-    values = _amplitude(jsa)
+    _, _, gram = _unit_gram(_amplitude(jsa))
+    trace = np.trace(gram).real
+    return float(trace * trace / np.vdot(gram, gram).real)
+
+
+def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(peak, a, G): the amplitude scaled to unit peak |value| and the
+    Gram matrix of its smaller side."""
     peak = np.max(np.abs(values))
     if not np.isfinite(peak):
         raise np.linalg.LinAlgError("amplitude is not finite")
@@ -121,8 +133,36 @@ def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     # would overflow or underflow far sooner than the SVD's squares
     a = values / peak
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    trace = np.trace(gram).real
-    return float(trace * trace / np.vdot(gram, gram).real)
+    return peak, a, gram
+
+
+def _check_counts(counts) -> np.ndarray:
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2:
+        raise ValueError("counts must be a 2-d array")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    return counts
+
+
+def schmidt_number_std(counts: np.ndarray) -> float:
+    """First-order (delta-method) std of schmidt_number(sqrt(counts)).
+
+    With A = sqrt(counts), N = sum A^2, G the Gram matrix of A's smaller
+    side and F = ||G||_F^2, K = N^2 / F and
+    dK/dA = (4N/F) A - (4N^2/F^2) A A^T A.  Each sqrt of a Poisson count
+    has variance close to 1/4, so the std is half the Frobenius norm of
+    that gradient, taken over every cell: an empty cell can fill in a
+    repeat of the experiment.  The expansion is first order, so it
+    assumes the shot noise is small against the counts that shape K; it
+    measures the estimator's spread, not its shot-noise bias.
+    """
+    peak, a, gram = _unit_gram(np.sqrt(_check_counts(counts)))
+    n = np.trace(gram)
+    f = np.vdot(gram, gram)
+    aata = a @ gram if a.shape[0] >= a.shape[1] else gram @ a
+    gradient = (2.0 * n / f) * a - (2.0 * n * n / (f * f)) * aata
+    return float(np.linalg.norm(gradient) / peak)
 
 
 def _schmidt_number_of(weights: np.ndarray) -> float:
@@ -163,11 +203,7 @@ def monte_carlo_uncertainty(
     Shot noise biases this estimator upward; the bootstrap measures its
     spread, not that bias.
     """
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2:
-        raise ValueError("counts must be a 2-d array")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
+    counts = _check_counts(counts)
     if n_resamples < 2:
         raise ValueError("n_resamples must be >= 2")
 

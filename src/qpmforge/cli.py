@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analysis import monte_carlo_uncertainty, report_from_jsa, schmidt_number
+from .analysis import report_from_jsa, schmidt_number, schmidt_number_std
 from .artefact import write_table
 from .biphoton import build_jsa, save_jsa, save_jsi
 from .config import ConfigError, RunConfig, parse_config
@@ -125,10 +125,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
 
 
 def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
+    spacing = cfg["crystal"]["bin_spacing_hz"]
+    if spacing == 0:
+        # parse_config allows a zero spacing, which merges a single pair into
+        # one peak; the closed-form curves need a bin beat
+        raise ConfigError(f"{cfg.path}: hom and heralded need [crystal] bin_spacing_hz > 0, got 0")
     hom = cfg["hom"]
     taus = np.linspace(hom["tau_min_s"], hom["tau_max_s"], hom["points"])
     n_pairs = cfg["crystal"]["pair_count"]
-    delta = delta_from_bin_hz(cfg["crystal"]["bin_spacing_hz"])
+    delta = delta_from_bin_hz(spacing)
     sigma = cfg.pump_spec().sigma
     curve = closed_curve(kind, taus, n_pairs, delta, sigma)
     save_curve(curve, os.path.join(out_dir, "curve.tsv"))
@@ -179,21 +184,13 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
         ["time_s", "signal_marginal", "idler_marginal"],
         np.column_stack([counts.spec.time_centers, *marginals(counts)]),
     )
-    # the point K and every bootstrap replica are K of sqrt(counts)
-    k_point = schmidt_number(np.sqrt(counts.values))
-    resamples = cfg["spectrometer"]["resamples"]
-    k_mean, k_std = monte_carlo_uncertainty(
-        counts.values, n_resamples=resamples, seed=cfg["run"]["seed"]
-    )
     _write_text(
         os.path.join(out_dir, "report.txt"),
         "\n".join(
             [
                 f"total_events = {counts.total}",
-                f"schmidt_number = {k_point:.6f}",
-                f"schmidt_number_resampled_mean = {k_mean:.6f}",
-                f"schmidt_number_std = {k_std:.6f}",
-                f"resamples = {resamples}",
+                f"schmidt_number = {schmidt_number(np.sqrt(counts.values)):.6f}",
+                f"schmidt_number_std = {schmidt_number_std(counts.values):.6f}",
             ]
         ),
     )
@@ -211,13 +208,14 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> Hyp
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     jsa = _jsa(cfg)
-    center = jsa.center_frequency_hz
+    grid, center, intensity = jsa.grid, jsa.center_frequency_hz, jsa.intensity
+    del jsa  # the bin pass reads only the intensity; free the amplitude first
     spec = cfg.spectrometer_spec()
     labels, images, weights = bin_images(
-        jsa, spec, spacing_hz=cfg["crystal"]["bin_spacing_hz"],
+        intensity, grid, center, spec, spacing_hz=cfg["crystal"]["bin_spacing_hz"],
         pair_count=cfg["crystal"]["pair_count"],
     )
-    del jsa  # past the bin pass only the images are needed; free the amplitude
+    del intensity
     counts = simulate_tomography(
         _hyper_state(cfg, weights, labels),
         images,

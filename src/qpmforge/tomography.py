@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biphoton import JointSpectralAmplitude
+from .biphoton import FrequencyGrid
 from .measurement import (
     CountMatrix,
     MeasurementError,
@@ -269,21 +269,28 @@ class HyperState:
 
 
 def bin_images(
-    jsa: JointSpectralAmplitude,
+    intensity: np.ndarray,
+    grid: FrequencyGrid,
+    center_frequency_hz: float,
     spec: SpectrometerSpec,
     spacing_hz: float,
     pair_count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each bin pair's spectrum on the spectrometer's time grid.
 
-    Cells are assigned to the bin pair whose difference-frequency center
-    nu_s - nu_i is nearest.  The bin spectra are formed one at a time in
-    one reused buffer, each normalized to unit sum and projected around
-    the amplitude's own ``center_frequency_hz`` at once, so no stack of
-    bin spectra exists.  Returns (labels, images, weights): images[i] as
-    spectrum_projector writes it, weights the mass fractions.
+    ``intensity`` is a joint spectrum |JSA|^2 on ``grid`` around the band
+    center ``center_frequency_hz``; taking it in place of the amplitude
+    lets a caller free the amplitude before the pass.  Cells are assigned
+    to the bin pair whose difference-frequency center nu_s - nu_i is
+    nearest.  The bin spectra are formed one at a time in one reused
+    buffer, each normalized to unit sum and projected around the band
+    center at once, so no stack of bin spectra exists.  Returns (labels,
+    images, weights): images[i] as spectrum_projector writes it, weights
+    the mass fractions.
     """
-    inten, grid = jsa.intensity, jsa.grid
+    inten = np.asarray(intensity, dtype=float)
+    if inten.shape != grid.shape:
+        raise ValueError("intensity must match the grid's shape")
     total = inten.sum()
     if total <= 0:
         raise ValueError("joint spectrum carries no intensity")
@@ -294,7 +301,7 @@ def bin_images(
     nearest = np.empty(grid.shape, dtype=np.min_scalar_type(labels.size))
     for row, nu_idler in zip(nearest, grid.nu):
         row[:] = np.digitize(grid.nu - nu_idler, bounds)
-    project = spectrum_projector(grid, spec, jsa.center_frequency_hz)
+    project = spectrum_projector(grid, spec, center_frequency_hz)
     images = np.zeros((labels.size, spec.n_bins, spec.n_bins))
     weights = np.zeros(labels.size)
     part = np.empty(grid.shape)

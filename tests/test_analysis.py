@@ -8,6 +8,7 @@ from qpmforge.analysis import (
     report_from_jsa,
     schmidt_decompose,
     schmidt_number,
+    schmidt_number_std,
     schmidt_weights,
 )
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
@@ -132,6 +133,42 @@ class TestMonteCarlo:
             monte_carlo_uncertainty(np.ones(5), n_resamples=4, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_uncertainty(np.ones((4, 4)), n_resamples=1, seed=0)
+
+
+class TestSchmidtNumberStd:
+    def test_half_the_gradient_norm_in_sqrt_counts(self):
+        # Var(sqrt(n)) is close to 1/4 for a Poisson count, so the std is
+        # |grad K| / 2, with the gradient taken by central differences
+        counts = np.random.default_rng(8).poisson(30.0, size=(7, 5)).astype(float)
+        counts[2, 3] = 0.0  # an empty cell enters the sum too
+        for c in (counts, counts.T):  # the Gram matrix of either side
+            root = np.sqrt(c)
+            grad = np.zeros_like(root)
+            for idx in np.ndindex(root.shape):
+                up, down = root.copy(), root.copy()
+                up[idx] += 1e-5
+                down[idx] -= 1e-5
+                grad[idx] = (schmidt_number(up) - schmidt_number(down)) / 2e-5
+            assert abs(grad[np.nonzero(c == 0)]).min() > 1e-3
+            assert schmidt_number_std(c) == pytest.approx(0.5 * np.linalg.norm(grad), rel=1e-6)
+
+    def test_unit_peak_scaling(self):
+        # 1e300 counts would overflow the unscaled fourth powers; the std
+        # falls as 1/sqrt(counts) while K stays put
+        counts = np.random.default_rng(4).poisson(50.0, size=(12, 9)).astype(float)
+        assert schmidt_number_std(1e300 * counts) == pytest.approx(
+            1e-150 * schmidt_number_std(counts), rel=1e-12
+        )
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            schmidt_number_std(-np.ones((4, 4)))
+        with pytest.raises(ValueError):
+            schmidt_number_std(np.ones(5))
+        with pytest.raises(ValueError):
+            schmidt_number_std(np.zeros((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError):
+            schmidt_number_std(np.full((4, 4), np.inf))
 
 
 class TestReport:

@@ -66,7 +66,9 @@ def small_split(small_jsa):
 @pytest.fixture(scope="module")
 def small_images(small_jsa, spectro):
     """(labels, images, weights) of the pipeline's bin pass."""
-    return bin_images(small_jsa, spectro, SPACING, PAIRS)
+    return bin_images(
+        small_jsa.intensity, small_jsa.grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
+    )
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +322,9 @@ class TestBinImages:
     def test_matches_projected_dense_oracle(self, small_jsa, small_grid, spectro):
         # the pass forms and projects one bin spectrum at a time; projecting
         # the dense stack of the same spectra must give the same bits
-        labels, images, weights = bin_images(small_jsa, spectro, SPACING, PAIRS)
+        labels, images, weights = bin_images(
+            small_jsa.intensity, small_grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
+        )
         want_labels, parts, want_weights = where_split_bins(small_jsa)
         want_images, want_kept = project_stack(parts, small_grid, spectro, NU0)
         np.testing.assert_array_equal(labels, want_labels)
@@ -337,22 +341,24 @@ class TestBinImages:
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
-            bin_images(lit, spectro, SPACING, PAIRS)
-        zero = JointSpectralAmplitude(
-            grid=small_grid, values=np.zeros((n, n)), center_frequency_hz=NU0
-        )
+            bin_images(lit.intensity, small_grid, NU0, spectro, SPACING, PAIRS)
         with pytest.raises(ValueError, match="no intensity"):
-            bin_images(zero, spectro, SPACING, PAIRS)
+            bin_images(np.zeros((n, n)), small_grid, NU0, spectro, SPACING, PAIRS)
+        with pytest.raises(ValueError, match="grid's shape"):
+            bin_images(np.ones((n, n - 1)), small_grid, NU0, spectro, SPACING, PAIRS)
 
     def test_peak_memory_below_dense_stack(self, comb_jsa, spectro):
         # the pass must never hold the (n_bins, n_idler, n_signal) stack
+        intensity = comb_jsa.intensity
         tracemalloc.start()
         try:
-            labels, _, _ = bin_images(comb_jsa, spectro, SPACING, PAIRS)
+            labels, _, _ = bin_images(
+                intensity, comb_jsa.grid, comb_jsa.center_frequency_hz, spectro, SPACING, PAIRS
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack_bytes = labels.size * comb_jsa.intensity.nbytes
+        stack_bytes = labels.size * intensity.nbytes
         assert peak < stack_bytes
 
 
