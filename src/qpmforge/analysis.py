@@ -2,7 +2,10 @@
 
 The Schmidt decomposition of a JSA matrix is its singular value
 decomposition; normalised squared singular values are the Schmidt
-weights.  Two figures of merit are used:
+weights.  Every figure of merit here is a function of the weights
+alone, so schmidt_weights takes the singular values without the
+singular vectors, and no Schmidt mode function is ever computed.  Two
+figures of merit are used:
 
 * Schmidt number K = 1 / sum(lambda^2), the effective mode count.  It
   equals the inverse purity of either photon's reduced state, which
@@ -32,8 +35,6 @@ import numpy as np
 from .biphoton import JointSpectralAmplitude
 
 __all__ = [
-    "SchmidtSpectrum",
-    "schmidt_decompose",
     "schmidt_weights",
     "schmidt_number",
     "schmidt_number_std",
@@ -45,27 +46,6 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Schmidt weights (descending, sum 1) and mode functions.
-
-    idler_modes[:, k] and signal_modes[:, k] hold the k-th Schmidt mode
-    sampled on the idler and signal axes.
-    """
-
-    weights: np.ndarray
-    idler_modes: np.ndarray
-    signal_modes: np.ndarray
-
-    @property
-    def schmidt_number(self) -> float:
-        return _schmidt_number_of(self.weights)
-
-    def entropy(self) -> float:
-        """Shannon entropy of the weights in bits."""
-        return _entropy_bits(self.weights)
-
-
 def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
     values = jsa.values if isinstance(jsa, JointSpectralAmplitude) else np.asarray(jsa)
     if values.ndim != 2:
@@ -73,12 +53,15 @@ def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
     return values
 
 
-def _floored_weights(singular_values: np.ndarray) -> np.ndarray:
-    """Normalised squared singular values (given descending), with the
-    weights below 1e-12 dropped; they are numerical noise at double
+def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
+    """Schmidt weights: the normalised squared singular values, descending,
+    from the singular values alone (no mode functions are computed).
+
+    Weights below 1e-12 are dropped; they are numerical noise at double
     precision and would otherwise pollute entropy sums.  At least the
-    largest weight is kept."""
-    weights = singular_values ** 2
+    largest weight is kept.
+    """
+    weights = np.linalg.svd(_amplitude(jsa), compute_uv=False) ** 2
     total = weights.sum()
     if not np.isfinite(total):
         raise np.linalg.LinAlgError("Schmidt weights are not finite")
@@ -88,31 +71,13 @@ def _floored_weights(singular_values: np.ndarray) -> np.ndarray:
     return weights[: max(1, np.count_nonzero(weights > _WEIGHT_FLOOR))]
 
 
-def schmidt_decompose(jsa: JointSpectralAmplitude | np.ndarray) -> SchmidtSpectrum:
-    """SVD-based Schmidt decomposition: floored weights and mode functions."""
-    u, s, vh = np.linalg.svd(_amplitude(jsa), full_matrices=False)
-    weights = _floored_weights(s)
-    n = weights.size
-    return SchmidtSpectrum(
-        weights=weights,
-        idler_modes=u[:, :n],
-        signal_modes=vh[:n, :].conj().T,
-    )
-
-
-def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
-    """Schmidt weights (descending, floored as in schmidt_decompose) from
-    the singular values alone; no mode functions are computed."""
-    return _floored_weights(np.linalg.svd(_amplitude(jsa), compute_uv=False))
-
-
 def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     """Schmidt number K = 1 / Tr(rho^2), the inverse purity of either
     photon's reduced state (Law, Walmsley & Eberly, PRL 84, 5304, 2000).
 
     With G the Gram matrix of the amplitude's smaller side, rho = G / Tr G,
     so K = (Tr G)^2 / ||G||_F^2: one matrix product, no decomposition.
-    It differs from 1 / sum(lambda^2) over schmidt_decompose's floored
+    It differs from 1 / sum(lambda^2) over schmidt_weights' floored
     weights only by the weights below 1e-12, which add less than
     n * 1e-24 to the sum.
     """
@@ -163,22 +128,6 @@ def schmidt_number_std(counts: np.ndarray) -> float:
     aata = a @ gram if a.shape[0] >= a.shape[1] else gram @ a
     gradient = (2.0 * n / f) * a - (2.0 * n * n / (f * f)) * aata
     return float(np.linalg.norm(gradient) / peak)
-
-
-def _schmidt_number_of(weights: np.ndarray) -> float:
-    return float(1.0 / np.sum(weights ** 2))
-
-
-def _fidelity_of(weights: np.ndarray, n_modes: int) -> float:
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    top = np.sort(weights)[::-1][:n_modes]
-    return float(np.sum(np.sqrt(top / n_modes)) ** 2)
-
-
-def _entropy_bits(weights: np.ndarray) -> float:
-    w = weights[weights > 0]
-    return float(-(w * np.log2(w)).sum())
 
 
 def monte_carlo_uncertainty(
@@ -232,13 +181,6 @@ class EntanglementReport:
     entropy_bits: float
     weights: np.ndarray = field(repr=False)
 
-    def summary(self) -> str:
-        return (
-            f"K={self.schmidt_number:.3f}"
-            f" F{self.n_modes}={self.fidelity:.4f}"
-            f" S={self.entropy_bits:.3f}b"
-        )
-
     def to_text(self) -> str:
         lines = [
             f"schmidt_number: {self.schmidt_number:.6f}",
@@ -250,12 +192,15 @@ class EntanglementReport:
 
 
 def report_from_jsa(jsa, n_modes: int) -> EntanglementReport:
-    """K, fidelity and entropy from the Schmidt weights alone."""
+    """K, fidelity and entropy from the Schmidt weights alone; F_n sums
+    the n largest weights, zero-padded if fewer survive the floor."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     weights = schmidt_weights(jsa)
     return EntanglementReport(
-        schmidt_number=_schmidt_number_of(weights),
-        fidelity=_fidelity_of(weights, n_modes),
+        schmidt_number=float(1.0 / np.sum(weights ** 2)),
+        fidelity=float(np.sum(np.sqrt(weights[:n_modes] / n_modes)) ** 2),
         n_modes=n_modes,
-        entropy_bits=_entropy_bits(weights),
+        entropy_bits=float(-(weights * np.log2(weights)).sum()),
         weights=weights,
     )

@@ -157,13 +157,6 @@ class JointSpectralAmplitude:
             metadata=dict(self.metadata),
         )
 
-    def signal_marginal(self) -> np.ndarray:
-        """Spectral intensity of the signal photon, integrated over the idler."""
-        return self.intensity.sum(axis=0) * self.grid.d_nu
-
-    def idler_marginal(self) -> np.ndarray:
-        return self.intensity.sum(axis=1) * self.grid.d_nu
-
 
 def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     """Gaussian pump amplitude at a given sum detuning (rad/s)."""

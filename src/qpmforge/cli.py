@@ -30,6 +30,7 @@ from .interference import (
 )
 from .measurement import (
     MeasurementError,
+    detuning_to_time,
     load_counts,
     marginals,
     save_counts,
@@ -38,6 +39,7 @@ from .measurement import (
 from .tomography import (
     HyperState,
     analyze_tomography,
+    bin_detuning,
     bin_images,
     default_bin_labels,
     load_tomography_bundle,
@@ -124,12 +126,21 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
     )
 
 
-def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
+def _require_bin_spacing(cfg: RunConfig) -> float:
+    """The bin spacing of a stage that tells the bins apart: a HOM beat
+    or a time gate per bin.  parse_config allows a zero spacing, which
+    merges a single pair into one peak, for the stages that need no bins."""
     spacing = cfg["crystal"]["bin_spacing_hz"]
     if spacing == 0:
-        # parse_config allows a zero spacing, which merges a single pair into
-        # one peak; the closed-form curves need a bin beat
-        raise ConfigError(f"{cfg.path}: hom and heralded need [crystal] bin_spacing_hz > 0, got 0")
+        raise ConfigError(
+            f"{cfg.path}: [crystal] bin_spacing_hz = 0 merges the bins into one peak;"
+            " hom, heralded, tomo-sim and tomo-fit need it > 0"
+        )
+    return spacing
+
+
+def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
+    spacing = _require_bin_spacing(cfg)
     hom = cfg["hom"]
     taus = np.linspace(hom["tau_min_s"], hom["tau_max_s"], hom["points"])
     n_pairs = cfg["crystal"]["pair_count"]
@@ -207,13 +218,13 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> Hyp
 
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
+    spacing = _require_bin_spacing(cfg)
     jsa = _jsa(cfg)
     grid, center, intensity = jsa.grid, jsa.center_frequency_hz, jsa.intensity
     del jsa  # the bin pass reads only the intensity; free the amplitude first
     spec = cfg.spectrometer_spec()
     labels, images, weights = bin_images(
-        intensity, grid, center, spec, spacing_hz=cfg["crystal"]["bin_spacing_hz"],
-        pair_count=cfg["crystal"]["pair_count"],
+        intensity, grid, center, spec, spacing_hz=spacing, pair_count=cfg["crystal"]["pair_count"],
     )
     del intensity
     counts = simulate_tomography(
@@ -229,13 +240,27 @@ def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
 
 
 def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
+    spacing = _require_bin_spacing(cfg)
     bundle = cfg["run"]["input"] or os.path.join(out_dir, "tomo")
     counts = load_tomography_bundle(bundle)
     tomo = cfg["tomography"]
+    labels = default_bin_labels(cfg["crystal"]["pair_count"])
+    detunings = [bin_detuning(label, spacing) for label in labels]
+    # a gate wider than the gap between adjacent bins' arrival times, on
+    # the calibration the counts were recorded with, takes in a neighbour
+    gap = min(
+        np.abs(np.diff(detuning_to_time(c.spec, detunings, c.center_frequency_hz))).min()
+        for c in counts.values()
+    )
+    if tomo["gate_width_s"] > gap:
+        raise ConfigError(
+            f"{cfg.path}: [tomography] gate_width_s = {tomo['gate_width_s']:.4g} s is wider than"
+            f" the {gap:.4g} s between adjacent bins at [crystal] bin_spacing_hz = {spacing:.4g}"
+        )
     results = analyze_tomography(
         counts,
-        labels=default_bin_labels(cfg["crystal"]["pair_count"]),
-        spacing_hz=cfg["crystal"]["bin_spacing_hz"],
+        labels=labels,
+        spacing_hz=spacing,
         width=tomo["gate_width_s"],
         n_resamples=tomo["resamples"],
         seed=cfg["run"]["seed"],

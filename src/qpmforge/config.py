@@ -199,7 +199,8 @@ class RunConfig:
             return np.full(n_bins, values[0])
         if len(values) != n_bins:
             raise ConfigError(
-                f"{self.path}: {key} needs 1 or {n_bins} comma-separated values, got {len(values)}"
+                f"{self.path}: [tomography] {key} needs 1 or {n_bins} comma-separated values,"
+                f" got {len(values)}"
             )
         return np.asarray(values, dtype=float)
 
@@ -321,3 +322,8 @@ def _validate(cfg: RunConfig) -> None:
         raise
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}: {exc}") from exc
+    # tomo-sim gives each of the 2 * pair_count bins its own phase and drift
+    n_bins = 2 * crystal["pair_count"]
+    cfg.bin_values("phases_rad", n_bins)
+    if np.any(cfg.bin_values("drift_rad", n_bins) < 0):
+        raise ConfigError(f"{cfg.path}: [tomography] drift_rad must be >= 0")

@@ -72,11 +72,6 @@ class CombSpec:
         if self.length <= 0:
             raise ValueError("length must be > 0")
 
-    @property
-    def well_separated(self) -> bool:
-        """True when the comb peaks are cleanly resolved (width * spacing >= 10)."""
-        return self.peak_width * self.spacing >= 10.0
-
 
 @dataclass(eq=False)
 class DomainConfig:
@@ -107,9 +102,6 @@ class DomainConfig:
         """Domain boundary positions, from -L/2 to +L/2."""
         edges = np.concatenate(([0.0], np.cumsum(self.widths)))
         return edges - self.total_length / 2.0
-
-    def __len__(self) -> int:
-        return self.widths.size
 
 
 def target_pmf(comb: CombSpec, delta_k) -> np.ndarray:

@@ -7,7 +7,6 @@ package's own structured or streamed code against it.
 
 import numpy as np
 
-from qpmforge.analysis import SchmidtSpectrum, _fidelity_of, schmidt_weights
 from qpmforge.biphoton import C_LIGHT, DispersionMap, FrequencyGrid, JointSpectralAmplitude
 from qpmforge.config import default_config
 from qpmforge.measurement import SpectrometerSpec, spectrum_projector
@@ -125,14 +124,24 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
     return JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0).normalized()
 
 
+def svd_weights(jsa) -> np.ndarray:
+    """Schmidt weights by the full decomposition: np.linalg.svd with its
+    singular vectors, squared singular values normalized to unit sum,
+    descending, with the weights below 1e-12 dropped (the largest kept)."""
+    values = jsa.values if isinstance(jsa, JointSpectralAmplitude) else np.asarray(jsa)
+    _, s, _ = np.linalg.svd(values, full_matrices=False)
+    weights = s**2 / np.sum(s**2)
+    return weights[: max(1, np.count_nonzero(weights > 1e-12))]
+
+
 def fidelity_to_maximal(jsa, n_modes: int) -> float:
     """Fidelity to the n-mode maximally entangled state in the dominant modes.
 
     F = |<phi_n | psi>|^2 = (sum_{k=0}^{n-1} sqrt(lambda_k / n))^2 with the
-    weights sorted descending (zero-padded if fewer than n survive).
+    svd_weights sorted descending (zero-padded if fewer than n survive).
     """
-    weights = jsa.weights if isinstance(jsa, SchmidtSpectrum) else schmidt_weights(jsa)
-    return _fidelity_of(weights, n_modes)
+    top = svd_weights(jsa)[:n_modes]
+    return float(np.sum(np.sqrt(top / n_modes)) ** 2)
 
 
 def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:

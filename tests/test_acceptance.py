@@ -13,7 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qpmforge.analysis import monte_carlo_uncertainty, schmidt_number, schmidt_number_std
+from qpmforge.analysis import (
+    monte_carlo_uncertainty,
+    report_from_jsa,
+    schmidt_number,
+    schmidt_number_std,
+)
 from qpmforge.biphoton import FrequencyGrid, build_jsa
 from qpmforge.config import default_config
 from qpmforge.crystal import design_overlap
@@ -41,7 +46,7 @@ from qpmforge.tomography import (
     singlet_state,
 )
 
-from oracles import bin_model_jsa, expected_tomography, fidelity_to_maximal
+from oracles import bin_model_jsa, expected_tomography
 
 DEVICE = default_config()
 ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
@@ -58,7 +63,7 @@ def test_design_metrics_and_runtime(cfg, comb, pump, dispersion, grid):
     start = time.perf_counter()
     jsa = build_jsa(comb, pump, dispersion, grid)
     k = schmidt_number(jsa)
-    f8 = fidelity_to_maximal(jsa, comb.pair_count * 2)
+    f8 = report_from_jsa(jsa, comb.pair_count * 2).fidelity
     elapsed = time.perf_counter() - start
 
     assert grid.nu.size == 1024
@@ -201,8 +206,8 @@ def test_tofs_calibration_constants(spectro):
 @pytest.mark.criterion(6, "simulate/reconstruct total variation at 1e7 events")
 @pytest.mark.xfail(
     strict=True,
-    reason="multinomial sampling noise across roughly 27k occupied time "
-    "cells floors the total variation near 0.0205 at 1e7 events",
+    reason="multinomial sampling noise across the roughly 51k time cells "
+    "that 1e7 events occupy floors the total variation near 0.0206",
 )
 def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     n_events = 10_000_000

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,9 @@ from qpmforge.measurement import load_counts, project_to_spectrometer
 from qpmforge.tomography import load_tomography_bundle
 
 DEFAULTS_FILE = "configs/defaults.cfg"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+STAGES = ("design", "simulate", "hom", "heralded", "tofs-sim", "tofs-analyze", "tomo-sim",
+          "tomo-fit")
 
 
 def make_config(tmp_path, name="run.cfg", **overrides):
@@ -187,9 +191,28 @@ class TestValidation:
             parse_config(path)
         assert str(info.value).startswith(f"{path}: ")
         out = tmp_path / "out"
-        for stage in ("design", "simulate", "hom", "heralded", "tofs-sim", "tofs-analyze",
-                      "tomo-sim", "tomo-fit"):
+        for stage in STAGES:
             assert main([stage, "--config", path, "--out", str(out)]) == 2, stage
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tomography.drift_rad": (-0.1,)}, "[tomography] drift_rad must be >= 0"),
+            ({"tomography.phases_rad": (0.0, 0.1, 0.2)}, "[tomography] phases_rad needs 1 or 8"),
+        ],
+        ids=["negative-drift", "three-phases"],
+    )
+    def test_bin_lists_rejected_at_parse(self, tmp_path, capsys, overrides, message):
+        # each parsed once and failed only inside tomo-sim, after the
+        # amplitude and the bin pass, leaving an empty --out behind
+        path = make_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+        out = tmp_path / "out"
+        assert main(["tomo-sim", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -330,6 +353,35 @@ class TestCliExitCodes:
             assert config in message and "[crystal] bin_spacing_hz" in message
             assert not out.exists() or not any(out.iterdir())
 
+    def test_zero_bin_spacing_rejected_by_tomography_stages(self, tmp_path, capsys):
+        # the bin pass cut the one merged peak into halves labelled -1 and
+        # +1, and tomo-fit gated both labels on the same cells
+        config = "configs/single_bin.cfg"
+        out = tmp_path / "tomo"
+        for command in ("tomo-sim", "tomo-fit"):
+            assert main([command, "--config", config, "--out", str(out)]) == 2, command
+            message = capsys.readouterr().err
+            assert config in message and "[crystal] bin_spacing_hz" in message
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_gate_wider_than_the_bin_gap_rejected(self, tmp_path, capsys):
+        # adjacent bins arrive 1.590 ns apart at the default spacing and
+        # fiber, so a 1.7 ns gate takes in part of each neighbour's light
+        config = make_config(
+            tmp_path,
+            **dict(FAST, **{
+                "tomography.events_per_projection": 10_000,
+                "tomography.gate_width_s": 1.7e-9,
+            }),
+        )
+        out = tmp_path / "tomo"
+        assert main(["tomo-sim", "--config", config, "--out", str(out)]) == 0
+        assert main(["tomo-fit", "--config", config, "--out", str(out)]) == 2
+        message = capsys.readouterr().err
+        for named in (config, "[tomography] gate_width_s", "[crystal] bin_spacing_hz", "1.59e-09 s"):
+            assert named in message
+        assert not (out / "report.txt").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         missing = str(tmp_path / "absent.cfg")
         assert main(["design", "--config", missing, "--out", str(tmp_path / "o")]) == 2
@@ -465,6 +517,37 @@ class TestBandCenter:
             assert purity == pytest.approx(0.5 * (1.0 + c * c), abs=4e-3), row
             assert fidelity == pytest.approx(0.5 * (1.0 + c), abs=3e-3), row
             assert phase == pytest.approx(self.PHASE, abs=3e-3), row
+
+
+# every shipped config through every stage, at a small size: 2 where a
+# stage refuses the device the file describes, 0 everywhere else; a new
+# config needs its own row
+SHIPPED_EXIT_CODES = {
+    "defaults.cfg": dict.fromkeys(STAGES, 0),
+    "designed_crystal.cfg": dict.fromkeys(STAGES, 0),
+    "single_bin.cfg": {
+        **dict.fromkeys(STAGES, 0),
+        **dict.fromkeys(("hom", "heralded", "tomo-sim", "tomo-fit"), 2),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_every_stage_on_shipped_config(tmp_path, capsys, name):
+    cfg = parse_config(CONFIG_DIR / name)
+    cfg.sections["grid"]["points"] = 128
+    cfg.sections["spectrometer"]["events"] = 100_000
+    cfg.sections["tomography"]["events_per_projection"] = 10_000
+    cfg.sections["tomography"]["resamples"] = 0
+    config = tmp_path / name
+    config.write_text(cfg.resolved_text())
+    out = str(tmp_path / "out")
+    codes = {}
+    for stage in STAGES:
+        codes[stage] = main([stage, "--config", str(config), "--out", out])
+        err = capsys.readouterr().err
+        assert codes[stage] == 0 or str(config) in err, (stage, err)
+    assert codes == SHIPPED_EXIT_CODES[name]
 
 
 def _own_top_level_names(module) -> set[str]:

@@ -46,16 +46,6 @@ def _profile(comb, z):
     return (2.0 / comb.peak_width) * np.exp(1j * comb.center * z) * _envelope(comb, z)
 
 
-def small_comb(pair_count=2, spacing=900.0):
-    return CombSpec(
-        pair_count=pair_count,
-        spacing=spacing,
-        peak_width=30e-3 / 4.5,
-        center=DK0,
-        length=30e-3,
-    )
-
-
 class TestCombSpec:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -70,10 +60,6 @@ class TestCombSpec:
     def test_zero_spacing_single_pair_allowed(self):
         comb = CombSpec(pair_count=1, spacing=0.0, peak_width=1.0, center=1.0, length=1.0)
         assert comb.pair_count == 1
-
-    def test_well_separated_flag(self):
-        assert small_comb(spacing=3000.0).well_separated
-        assert not small_comb(spacing=900.0).well_separated
 
 
 class TestTargetPmf:
@@ -145,7 +131,7 @@ class TestDomainConfig:
             widths=[1e-6, 3e-6], orientations=[1, -1], total_length=4e-6
         )
         np.testing.assert_allclose(cfgd.boundaries, [-2e-6, -1e-6, 2e-6])
-        assert len(cfgd) == 2
+        assert cfgd.widths.size == 2
 
 
 class TestPmfOfDomains:
