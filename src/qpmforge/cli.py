@@ -227,7 +227,7 @@ def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
         intensity, grid, center, spec, spacing_hz=spacing, pair_count=cfg["crystal"]["pair_count"],
     )
     del intensity
-    counts = simulate_tomography(
+    projections = simulate_tomography(
         _hyper_state(cfg, weights, labels),
         images,
         spec,
@@ -236,29 +236,34 @@ def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
         seed=cfg["run"]["seed"],
         max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],
     )
-    save_tomography_bundle(os.path.join(out_dir, "tomo"), counts)
+    save_tomography_bundle(os.path.join(out_dir, "tomo"), projections)
 
 
 def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
     bundle = cfg["run"]["input"] or os.path.join(out_dir, "tomo")
-    counts = load_tomography_bundle(bundle)
     tomo = cfg["tomography"]
     labels = default_bin_labels(cfg["crystal"]["pair_count"])
     detunings = [bin_detuning(label, spacing) for label in labels]
-    # a gate wider than the gap between adjacent bins' arrival times, on
-    # the calibration the counts were recorded with, takes in a neighbour
-    gap = min(
-        np.abs(np.diff(detuning_to_time(c.spec, detunings, c.center_frequency_hz))).min()
-        for c in counts.values()
-    )
-    if tomo["gate_width_s"] > gap:
-        raise ConfigError(
-            f"{cfg.path}: [tomography] gate_width_s = {tomo['gate_width_s']:.4g} s is wider than"
-            f" the {gap:.4g} s between adjacent bins at [crystal] bin_spacing_hz = {spacing:.4g}"
-        )
+
+    def gate_checked(projections):
+        # a gate wider than the gap between adjacent bins' arrival times, on
+        # the calibration each file was recorded with, takes in a neighbour;
+        # every file is checked as it is read, before any output is written
+        for key, counts in projections:
+            times = detuning_to_time(counts.spec, detunings, counts.center_frequency_hz)
+            gap = np.abs(np.diff(times)).min()
+            if tomo["gate_width_s"] > gap:
+                raise ConfigError(
+                    f"{cfg.path}: [tomography] gate_width_s = {tomo['gate_width_s']:.4g} s is"
+                    f" wider than the {gap:.4g} s between adjacent bins at [crystal]"
+                    f" bin_spacing_hz = {spacing:.4g}"
+                )
+            yield key, counts
+            del counts  # reading the next file must not hold this one
+
     results = analyze_tomography(
-        counts,
+        gate_checked(load_tomography_bundle(bundle)),
         labels=labels,
         spacing_hz=spacing,
         width=tomo["gate_width_s"],
@@ -300,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
@@ -322,6 +326,20 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    out_is_new = not os.path.exists(args.out)
+    code = _run(args)
+    # a refused run leaves no empty output directory of its own behind;
+    # one that existed before the run is never removed
+    if code == EXIT_CONFIG and out_is_new:
+        try:
+            os.rmdir(args.out)
+        except OSError:  # never made, or the stage wrote into it
+            pass
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,13 @@ turn in one buffer and projects it onto the time grid at once
 (bin_images); only the per-bin images are kept, never a stack of the
 bin spectra, and simulate_tomography mixes those images per setting.
 
+The 16 projections stream in both directions, so neither stage holds
+more than one count matrix: simulate_tomography returns an iterator
+that draws each setting's counts when asked, save_tomography_bundle
+writes each as it arrives, load_tomography_bundle parses one file per
+step, and analyze_tomography gates each matrix as it is read into a
+table of gated totals (settings by bins) before it reconstructs any bin.
+
 Basis order is |q1 q2> in {HH, HV, VH, VV} with the signal photon first;
 ``kron(A, B)`` therefore applies A to the signal and B to the idler.
 Reconstruction is linear inversion over the tensor-product SIC frame
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,7 +339,7 @@ def simulate_tomography(
     events: float,
     seed: int,
     max_alias_fraction: float,
-) -> dict[tuple[int, int], CountMatrix]:
+) -> Iterator[tuple[tuple[int, int], CountMatrix]]:
     """Forward-simulate the 16 SIC projection acquisitions.
 
     For setting (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)]
@@ -342,6 +350,11 @@ def simulate_tomography(
     one spectrum at a time around the band center center_frequency_hz.
     Raises MeasurementError when more than max_alias_fraction of the
     source as a whole falls outside the acquisition window.
+
+    The arguments are checked at the call; the projections are then
+    drawn lazily, one per step of the returned iterator of ((j, k),
+    counts) pairs in setting order, so a consumer that writes and drops
+    each one holds one count matrix at a time.
     """
     images = np.asarray(images, dtype=float)
     if images.shape[0] != hyper.n_bins:
@@ -350,9 +363,14 @@ def simulate_tomography(
         raise ValueError("events must be >= 0")
     kept = images.sum(axis=(-2, -1))
     _check_alias(float(1.0 - hyper.weights @ kept), spec, max_alias_fraction)
+    return _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, seed)
+
+
+def _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, seed):
+    """The draws of simulate_tomography: one master stream for the event
+    totals, in setting order, and the stream [seed, j, k] for each image."""
     born = _born_table(hyper)
     master = np.random.default_rng([int(seed), 0x7013])
-    out: dict[tuple[int, int], CountMatrix] = {}
     for (j, k), born_jk in zip(_SETTINGS, born):
         # exact Born zeros (matched singlet projections) come out as
         # -1e-16-level residue, which np.random.poisson rejects
@@ -367,8 +385,8 @@ def simulate_tomography(
         counts.metadata["alias_fraction"] = max(float(1.0 - mix @ kept), 0.0)
         counts.metadata["projection"] = (j, k)
         counts.metadata["born_flux"] = float(q_jk)
-        out[(j, k)] = counts
-    return out
+        yield (j, k), counts
+        del counts  # drawing the next projection must not hold this one
 
 
 def _bin_cells(
@@ -387,30 +405,15 @@ def _bin_cells(
     ))
 
 
-def tomography_probabilities(
-    counts_by_projection: dict[tuple[int, int], CountMatrix],
-    label: int,
-    spacing_hz: float,
-    width: float,
-) -> tuple[np.ndarray, int]:
-    """Gated SIC probabilities for one bin: p_jk = 4 n_jk / sum(n).
+def tomography_probabilities(gated: np.ndarray, label: int) -> tuple[np.ndarray, int]:
+    """One bin's SIC probabilities from its 16 gated totals: p_jk = 4 n_jk / sum(n).
 
-    Each projection is gated with the calibration and band center its
-    count matrix carries.  The scale 4 restores the Born normalization (the 16
-    probabilities of any state sum to 4) because each setting is a
-    separate acquisition with no shared total.  Returns (probabilities,
-    total gated counts).
+    ``gated`` holds the bin's gated counts in setting order.  The scale 4
+    restores the Born normalization (the 16 probabilities of any state
+    sum to 4) because each setting is a separate acquisition with no
+    shared total.  Returns (probabilities, total gated counts).
     """
-    projections = [counts_by_projection[key] for key in _SETTINGS]
-    gated = np.array(
-        [
-            counts.values[_bin_cells(
-                counts.spec, label, counts.center_frequency_hz, spacing_hz, width
-            )].sum()
-            for counts in projections
-        ],
-        dtype=float,
-    )
+    gated = np.asarray(gated, dtype=float)
     total = gated.sum()
     if total <= 0:
         raise MeasurementError(f"bin {label}: no gated counts in any projection")
@@ -455,7 +458,7 @@ def resample_tomography(
 
 
 def analyze_tomography(
-    counts_by_projection: dict[tuple[int, int], CountMatrix],
+    projections: Iterable[tuple[tuple[int, int], CountMatrix]],
     labels,
     spacing_hz: float,
     width: float,
@@ -464,18 +467,37 @@ def analyze_tomography(
 ) -> list[BinResult]:
     """Gate, reconstruct, and summarize every bin of a projection set.
 
-    With ``n_resamples`` > 0 each bin also gets Poisson-bootstrap error
-    bars on purity and fidelity.
+    ``projections`` yields each of the 16 ((j, k), counts) pairs once, in
+    any order, as simulate_tomography, load_tomography_bundle or a dict's
+    items() give them.  One pass gates every bin of each count matrix,
+    with the calibration and band center that matrix carries, into a
+    table of gated totals and keeps nothing else of it; each bin is then
+    reconstructed from its column.  With ``n_resamples`` > 0 each bin
+    also gets Poisson-bootstrap error bars on purity and fidelity.
     """
+    labels = [int(label) for label in labels]
+    rows = {key: row for row, key in enumerate(_SETTINGS)}
+    gated = np.zeros((len(_SETTINGS), len(labels)))
+    for key, counts in projections:
+        row = rows.pop(key, None)
+        if row is None:
+            raise ValueError(f"projection {key} is not a SIC setting or arrives twice")
+        gated[row] = [
+            counts.values[_bin_cells(
+                counts.spec, label, counts.center_frequency_hz, spacing_hz, width
+            )].sum()
+            for label in labels
+        ]
+        del counts  # reading the next projection must not hold this one
+    if rows:
+        raise ValueError(f"projections {sorted(rows)} are missing")
     results = []
-    for label in labels:
-        probs, total = tomography_probabilities(
-            counts_by_projection, label, spacing_hz, width
-        )
+    for label, column in zip(labels, gated.T):
+        probs, total = tomography_probabilities(column, label)
         state = reconstruct_state(probs)
         fid, phi = fidelity_singlet(state)
         result = BinResult(
-            label=int(label),
+            label=label,
             state=state,
             purity=purity(state),
             fidelity=fid,
@@ -484,9 +506,8 @@ def analyze_tomography(
             probabilities=probs,
         )
         if n_resamples > 0:
-            gated = probs * total / 4.0
             result.purity_std, result.fidelity_std = resample_tomography(
-                gated, n_resamples, seed=[seed, int(label) & 0xFF]
+                probs * total / 4.0, n_resamples, seed=[seed, label & 0xFF]
             )
         results.append(result)
     return results
@@ -513,21 +534,30 @@ _PROJ_RE = re.compile(r"proj_([1-4])_([1-4])\.csv$")
 
 def save_tomography_bundle(
     directory,
-    counts_by_projection: dict[tuple[int, int], CountMatrix],
+    projections: Iterable[tuple[tuple[int, int], CountMatrix]],
 ) -> None:
-    """Write proj_<j>_<k>.csv for all 16 settings."""
+    """Write proj_<j>_<k>.csv for each ((j, k), counts) pair as it arrives.
+
+    ``projections`` is the iterator simulate_tomography returns or a
+    dict's items(); each file is written before the next pair is asked for.
+    """
     os.makedirs(directory, exist_ok=True)
-    for (j, k), counts in counts_by_projection.items():
+    for (j, k), counts in projections:
         save_counts(counts, os.path.join(directory, f"proj_{j}_{k}.csv"))
+        del counts  # drawing the next projection must not hold this one
 
 
-def load_tomography_bundle(directory) -> dict[tuple[int, int], CountMatrix]:
-    out: dict[tuple[int, int], CountMatrix] = {}
+def load_tomography_bundle(directory) -> Iterator[tuple[tuple[int, int], CountMatrix]]:
+    """The 16 ((j, k), counts) pairs of a bundle, one file parsed per step.
+
+    Checks that all 16 proj_<j>_<k>.csv files are present before it
+    parses any of them.
+    """
+    found = []
     for name in sorted(os.listdir(directory)):
         match = _PROJ_RE.match(name)
         if match:
-            j, k = int(match.group(1)), int(match.group(2))
-            out[(j, k)] = load_counts(os.path.join(directory, name))
-    if len(out) != 16:
-        raise ValueError(f"{directory}: found {len(out)} projection files, expected 16")
-    return out
+            found.append(((int(match.group(1)), int(match.group(2))), os.path.join(directory, name)))
+    if len(found) != 16:
+        raise ValueError(f"{directory}: found {len(found)} projection files, expected 16")
+    return ((key, load_counts(path)) for key, path in found)

@@ -88,7 +88,7 @@ def expected_tomography(
     sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
     i's image (as bin_images projects it) inside the label's gates.  This
     is the deterministic limit of simulate_tomography ->
-    tomography_probabilities, exposing the gating cross-talk with no
+    analyze_tomography, exposing the gating cross-talk with no
     sampling noise on top.
     """
     born = _born_table(hyper)

@@ -13,6 +13,7 @@ from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude, build_jsa
 from qpmforge.config import default_config
 from qpmforge.measurement import MeasurementError, project_to_spectrometer
 from qpmforge.tomography import (
+    _bin_cells,
     _born_table,
     HyperState,
     TwoQubitState,
@@ -365,9 +366,9 @@ class TestBinImages:
 @pytest.fixture(scope="module")
 def sim(pure_hyper, small_images, spectro):
     _, images, _ = small_images
-    return simulate_tomography(
+    return dict(simulate_tomography(
         pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
-    )
+    ))
 
 
 class TestSimulateTomography:
@@ -391,23 +392,23 @@ class TestSimulateTomography:
     ):
         labels, images, weights = small_images
         hyper = HyperState(phases=np.zeros(8), weights=weights, labels=labels)
-        sim = simulate_tomography(
+        sim = dict(simulate_tomography(
             hyper, images, spectro, NU0, 500, seed=1, max_alias_fraction=ALIAS
-        )
+        ))
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
     def test_reproducible(self, pure_hyper, small_images, spectro):
         _, images, _ = small_images
-        a = simulate_tomography(
+        a = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
-        )
-        b = simulate_tomography(
+        ))
+        b = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
-        )
-        c = simulate_tomography(
+        ))
+        c = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, 300, seed=10, max_alias_fraction=ALIAS
-        )
+        ))
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
@@ -517,7 +518,9 @@ class TestGatedAnalysis:
             pure_hyper, images, spectro, NU0, events=0, seed=0, max_alias_fraction=ALIAS
         )
         with pytest.raises(ValueError, match="no gated counts"):
-            tomography_probabilities(sim, 1, SPACING, WIDTH)
+            analyze_tomography(sim, pure_hyper.labels, SPACING, WIDTH, n_resamples=0, seed=0)
+        with pytest.raises(ValueError, match="no gated counts"):
+            tomography_probabilities(np.zeros(16), 1)
 
     def test_report_lists_every_bin(
         self, pure_hyper, small_images, spectro
@@ -635,14 +638,14 @@ class TestBundleIO:
         self, pure_hyper, small_images, spectro, tmp_path
     ):
         _, images, _ = small_images
-        sim = simulate_tomography(
+        sim = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
-        )
+        ))
         target = tmp_path / "bundle"
-        save_tomography_bundle(target, sim)
+        save_tomography_bundle(target, sim.items())
         names = sorted(os.listdir(target))
         assert sum(name.startswith("proj_") for name in names) == 16
-        loaded = load_tomography_bundle(target)
+        loaded = dict(load_tomography_bundle(target))
         assert set(loaded) == set(sim)
         for key in sim:
             np.testing.assert_array_equal(loaded[key].values, sim[key].values)
@@ -661,6 +664,73 @@ class TestBundleIO:
         os.remove(target / "proj_2_3.csv")
         with pytest.raises(ValueError, match="expected 16"):
             load_tomography_bundle(target)
+
+    def test_streamed_analysis_matches_in_memory(
+        self, pure_hyper, small_images, spectro, tmp_path
+    ):
+        # the analysis of the files read back, and of the pairs in any
+        # order, equals that of the pairs in memory bit for bit, and each
+        # bin's totals are the ones gated one bin at a time over all 16
+        labels, images, _ = small_images
+        sim = list(simulate_tomography(
+            pure_hyper, images, spectro, NU0, events=5000, seed=4, max_alias_fraction=ALIAS
+        ))
+        save_tomography_bundle(tmp_path, iter(sim))
+        reference, *streamed = [
+            analyze_tomography(pairs, labels, SPACING, WIDTH, n_resamples=50, seed=3)
+            for pairs in (sim, load_tomography_bundle(tmp_path), reversed(sim))
+        ]
+        for results in streamed:
+            assert tomography_report(results) == tomography_report(reference)
+            for res, ref in zip(results, reference, strict=True):
+                np.testing.assert_array_equal(res.probabilities, ref.probabilities)
+                assert (res.purity, res.fidelity, res.phase, res.events) == (
+                    ref.purity, ref.fidelity, ref.phase, ref.events
+                )
+                assert (res.purity_std, res.fidelity_std) == (ref.purity_std, ref.fidelity_std)
+        for ref in reference:
+            gated = np.array([
+                counts.values[_bin_cells(
+                    counts.spec, ref.label, counts.center_frequency_hz, SPACING, WIDTH
+                )].sum()
+                for _, counts in sim
+            ], dtype=float)
+            np.testing.assert_array_equal(ref.probabilities, 4.0 * gated / gated.sum())
+
+    def test_analysis_takes_each_setting_once(self, sim):
+        pairs = list(sim.items())
+        with pytest.raises(ValueError, match="missing"):
+            analyze_tomography(pairs[1:], [1], SPACING, WIDTH, n_resamples=0, seed=0)
+        with pytest.raises(ValueError, match="twice"):
+            analyze_tomography(pairs + pairs[:1], [1], SPACING, WIDTH, n_resamples=0, seed=0)
+
+    def test_peak_memory_below_held_projections(
+        self, pure_hyper, small_images, spectro, tmp_path
+    ):
+        # each direction of the stream holds one count matrix at a time.
+        # In units of one matrix's bytes the draws peak at 3.0 (the mixed
+        # image, its cell probabilities and the counts) and the gated read
+        # at 1.25; holding all 16 projections read 18.0 and 16.2
+        labels, images, _ = small_images
+        matrix_bytes = spectro.n_bins**2 * np.dtype(np.int64).itemsize
+        stages = (
+            lambda: save_tomography_bundle(tmp_path, simulate_tomography(
+                pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
+            )),
+            lambda: analyze_tomography(
+                load_tomography_bundle(tmp_path), labels, SPACING, WIDTH, n_resamples=0, seed=0
+            ),
+        )
+        peaks = []
+        for stage in stages:
+            tracemalloc.start()
+            try:
+                stage()
+                peaks.append(tracemalloc.get_traced_memory()[1] / matrix_bytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4.0
+        assert peaks[1] < 2.0
 
 
 @settings(deadline=None, max_examples=25)
