@@ -30,18 +30,16 @@ from .interference import (
 )
 from .measurement import (
     MeasurementError,
-    detuning_to_time,
     load_counts,
     marginals,
     save_counts,
     simulate_counts,
 )
 from .tomography import (
+    GateError,
     HyperState,
     analyze_tomography,
-    bin_detuning,
     bin_images,
-    default_bin_labels,
     load_tomography_bundle,
     save_tomography_bundle,
     simulate_tomography,
@@ -207,12 +205,11 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
     )
 
 
-def _hyper_state(cfg: RunConfig, weights: np.ndarray, labels: np.ndarray) -> HyperState:
-    n = labels.size
+def _hyper_state(cfg: RunConfig, weights: np.ndarray) -> HyperState:
+    n = weights.size
     return HyperState(
         phases=cfg.bin_values("phases_rad", n),
         weights=weights,
-        labels=labels,
         drift=cfg.bin_values("drift_rad", n),
     )
 
@@ -223,12 +220,12 @@ def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     grid, center, intensity = jsa.grid, jsa.center_frequency_hz, jsa.intensity
     del jsa  # the bin pass reads only the intensity; free the amplitude first
     spec = cfg.spectrometer_spec()
-    labels, images, weights = bin_images(
+    images, weights = bin_images(
         intensity, grid, center, spec, spacing_hz=spacing, pair_count=cfg["crystal"]["pair_count"],
     )
     del intensity
     projections = simulate_tomography(
-        _hyper_state(cfg, weights, labels),
+        _hyper_state(cfg, weights),
         images,
         spec,
         center,
@@ -243,33 +240,23 @@ def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
     bundle = cfg["run"]["input"] or os.path.join(out_dir, "tomo")
     tomo = cfg["tomography"]
-    labels = default_bin_labels(cfg["crystal"]["pair_count"])
-    detunings = [bin_detuning(label, spacing) for label in labels]
-
-    def gate_checked(projections):
-        # a gate wider than the gap between adjacent bins' arrival times, on
-        # the calibration each file was recorded with, takes in a neighbour;
-        # every file is checked as it is read, before any output is written
-        for key, counts in projections:
-            times = detuning_to_time(counts.spec, detunings, counts.center_frequency_hz)
-            gap = np.abs(np.diff(times)).min()
-            if tomo["gate_width_s"] > gap:
-                raise ConfigError(
-                    f"{cfg.path}: [tomography] gate_width_s = {tomo['gate_width_s']:.4g} s is"
-                    f" wider than the {gap:.4g} s between adjacent bins at [crystal]"
-                    f" bin_spacing_hz = {spacing:.4g}"
-                )
-            yield key, counts
-            del counts  # reading the next file must not hold this one
-
-    results = analyze_tomography(
-        gate_checked(load_tomography_bundle(bundle)),
-        labels=labels,
-        spacing_hz=spacing,
-        width=tomo["gate_width_s"],
-        n_resamples=tomo["resamples"],
-        seed=cfg["run"]["seed"],
-    )
+    try:
+        # each file is checked on its own calibration as it is read, before
+        # any output is written
+        results = analyze_tomography(
+            load_tomography_bundle(bundle),
+            pair_count=cfg["crystal"]["pair_count"],
+            spacing_hz=spacing,
+            width=tomo["gate_width_s"],
+            n_resamples=tomo["resamples"],
+            seed=cfg["run"]["seed"],
+        )
+    except GateError as exc:
+        raise ConfigError(
+            f"{cfg.path}: [tomography] gate_width_s = {tomo['gate_width_s']:.4g} s is"
+            f" wider than the {exc.gap:.4g} s between adjacent bins at [crystal]"
+            f" bin_spacing_hz = {spacing:.4g}"
+        ) from exc
     _write_text(os.path.join(out_dir, "report.txt"), tomography_report(results))
     rows = np.array([np.concatenate([[r.label], r.probabilities]) for r in results])
     _write_columns(
@@ -332,9 +319,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_is_new = not os.path.exists(args.out)
     code = _run(args)
-    # a refused run leaves no empty output directory of its own behind;
+    # a failed run leaves no empty output directory of its own behind;
     # one that existed before the run is never removed
-    if code == EXIT_CONFIG and out_is_new:
+    if code != EXIT_OK and out_is_new:
         try:
             os.rmdir(args.out)
         except OSError:  # never made, or the stage wrote into it

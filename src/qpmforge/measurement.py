@@ -22,8 +22,8 @@ a detuning to the arrival time of the source's own photons.
 
 One SpectrometerSpec is the whole calibration.  A count matrix carries
 the spec it was recorded with, its file header records that spec, and
-load_counts rebuilds it; every gate is cut by gate_cells on the spec's
-own time grid.
+load_counts rebuilds it; tomography.bin_gates cuts every bin's gates on
+the spec's own time grid.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "project_to_spectrometer",
     "simulate_counts",
     "marginals",
-    "gate_interval",
-    "gate_cells",
     "save_counts",
     "load_counts",
 ]
@@ -365,32 +363,6 @@ def marginals(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
     share = counts.values.astype(float) / total
     sig, idl = share.sum(axis=0), share.sum(axis=1)
     return sig / sig.max(), idl / idl.max()
-
-
-def gate_interval(spec: SpectrometerSpec, detuning: float, center_frequency_hz: float,
-                  width: float) -> tuple[float, float]:
-    """Time gate [lo, hi) centered on a bin's arrival time.
-
-    Gates that partially overhang the acquisition window are truncated to
-    it (the overhung counts were never recorded); a gate falling entirely
-    outside the window is an error.
-    """
-    center = detuning_to_time(spec, detuning, center_frequency_hz)
-    lo, hi = center - width / 2.0, center + width / 2.0
-    edge = spec.window / 2.0
-    if hi <= -edge or lo >= edge:
-        raise MeasurementError(
-            f"gate [{lo * 1e9:.3f}, {hi * 1e9:.3f}] ns lies outside the acquisition window"
-        )
-    return max(lo, -edge), min(hi, edge)
-
-
-def gate_cells(spec: SpectrometerSpec, signal_gate: tuple[float, float],
-               idler_gate: tuple[float, float]):
-    """(idler rows, signal columns) index of the cells whose centers lie in both gates."""
-    t = spec.time_centers
-    return np.ix_((t >= idler_gate[0]) & (t < idler_gate[1]),
-                  (t >= signal_gate[0]) & (t < signal_gate[1]))
 
 
 _COUNTS_FIELDS = {

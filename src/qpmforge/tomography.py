@@ -9,6 +9,8 @@ matrix per bin.  The forward model forms each bin pair's spectrum in
 turn in one buffer and projects it onto the time grid at once
 (bin_images); only the per-bin images are kept, never a stack of the
 bin spectra, and simulate_tomography mixes those images per setting.
+The bins are the 2 * pair_count of default_bin_labels, and bin_gates
+alone lays out their time gates.
 
 The 16 projections stream in both directions, so neither stage holds
 more than one count matrix: simulate_tomography returns an iterator
@@ -43,8 +45,7 @@ from .measurement import (
     SpectrometerSpec,
     _check_alias,
     _draw_counts,
-    gate_cells,
-    gate_interval,
+    detuning_to_time,
     load_counts,
     save_counts,
     spectrum_projector,
@@ -60,6 +61,8 @@ __all__ = [
     "HyperState",
     "default_bin_labels",
     "bin_detuning",
+    "GateError",
+    "bin_gates",
     "bin_images",
     "simulate_tomography",
     "tomography_probabilities",
@@ -233,7 +236,7 @@ def bin_detuning(label: int, spacing_hz: float) -> float:
 class HyperState:
     """Per-bin polarization description of the hyperentangled source.
 
-    Each frequency-bin pair labels[i] carries a singlet with its own
+    Bin i, in default_bin_labels order, carries a singlet with its own
     phase phases[i] and an emission weight weights[i] (summing to 1).  The
     optional drift[i] (radians) dephases that bin's HV/VH coherence by
     sinc(drift/2), the average of e^{i theta} over a retardance sweeping
@@ -243,7 +246,6 @@ class HyperState:
 
     phases: np.ndarray
     weights: np.ndarray
-    labels: np.ndarray
     drift: np.ndarray = None
 
     def __post_init__(self) -> None:
@@ -256,9 +258,6 @@ class HyperState:
             raise ValueError("weights and phases must have equal length")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        self.labels = np.atleast_1d(np.asarray(self.labels, dtype=int))
-        if self.labels.shape != (n,) or len(set(self.labels.tolist())) != n:
-            raise ValueError("labels must be distinct and match phases in length")
         if self.drift is None:
             self.drift = np.zeros(n)
         self.drift = np.atleast_1d(np.asarray(self.drift, dtype=float))
@@ -283,7 +282,7 @@ def bin_images(
     spec: SpectrometerSpec,
     spacing_hz: float,
     pair_count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each bin pair's spectrum on the spectrometer's time grid.
 
     ``intensity`` is a joint spectrum |JSA|^2 on ``grid`` around the band
@@ -292,9 +291,9 @@ def bin_images(
     to the bin pair whose difference-frequency center nu_s - nu_i is
     nearest.  The bin spectra are formed one at a time in one reused
     buffer, each normalized to unit sum and projected around the band
-    center at once, so no stack of bin spectra exists.  Returns (labels,
-    images, weights): images[i] as spectrum_projector writes it, weights
-    the mass fractions.
+    center at once, so no stack of bin spectra exists.  Returns (images,
+    weights) in default_bin_labels order: images[i] as spectrum_projector
+    writes it, weights the mass fractions.
     """
     inten = np.asarray(intensity, dtype=float)
     if inten.shape != grid.shape:
@@ -322,7 +321,7 @@ def bin_images(
         weights[i] = mass / total
         part /= mass
         project(part, image)
-    return labels, images, weights
+    return images, weights
 
 
 def _born_table(hyper: HyperState) -> np.ndarray:
@@ -383,26 +382,61 @@ def _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, se
             seed=[int(seed), j, k],
         )
         counts.metadata["alias_fraction"] = max(float(1.0 - mix @ kept), 0.0)
-        counts.metadata["projection"] = (j, k)
         counts.metadata["born_flux"] = float(q_jk)
         yield (j, k), counts
         del counts  # drawing the next projection must not hold this one
 
 
-def _bin_cells(
+class GateError(ValueError):
+    """A gate wider than the ``gap`` (s) between adjacent bins' arrival times."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
+
+
+def bin_gates(
     spec: SpectrometerSpec,
-    label: int,
     center_frequency_hz: float,
+    pair_count: int,
     spacing_hz: float,
     width: float,
-):
-    """(idler rows, signal columns) index of a bin pair's gated cells: the
-    signal gate sits on the bin's arrival time, the idler gate on the
-    conjugate bin's."""
-    return gate_cells(spec, *(
-        gate_interval(spec, bin_detuning(sign * int(label), spacing_hz), center_frequency_hz, width)
-        for sign in (1, -1)
-    ))
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(idler rows, signal columns) index of each bin's gated cells, in
+    default_bin_labels order, from every bin's arrival time on ``spec``.
+
+    Each gate is ``width`` wide: the signal gate is centered on the bin's
+    arrival time, the idler gate on the conjugate bin n-1-i's.  A gate
+    overhanging the window is truncated to it (those counts were never
+    recorded); cells are selected by their time centers in [lo, hi).
+    Raises GateError if ``width`` exceeds the smallest gap between
+    adjacent bins, then MeasurementError for a gate wholly outside the window.
+    """
+    labels = default_bin_labels(pair_count)
+    times = detuning_to_time(
+        spec, [bin_detuning(label, spacing_hz) for label in labels], center_frequency_hz
+    )
+    gap = float(np.abs(np.diff(times)).min())
+    if width > gap:
+        raise GateError(
+            f"a {width:.4g} s gate is wider than the {gap:.4g} s between adjacent bins", gap
+        )
+    edge = spec.window / 2.0
+    t = spec.time_centers
+
+    def cells(center):
+        lo, hi = center - width / 2.0, center + width / 2.0
+        if hi <= -edge or lo >= edge:
+            raise MeasurementError(
+                f"gate [{lo * 1e9:.3f}, {hi * 1e9:.3f}] ns lies outside the acquisition window"
+            )
+        return (t >= max(lo, -edge)) & (t < min(hi, edge))
+
+    gates = []
+    for signal, idler in zip(times, times[::-1]):
+        columns = cells(signal)  # the signal gate is checked first
+        gates.append(np.ix_(cells(idler), columns))
+    return gates
 
 
 def tomography_probabilities(gated: np.ndarray, label: int) -> tuple[np.ndarray, int]:
@@ -459,7 +493,7 @@ def resample_tomography(
 
 def analyze_tomography(
     projections: Iterable[tuple[tuple[int, int], CountMatrix]],
-    labels,
+    pair_count: int,
     spacing_hz: float,
     width: float,
     n_resamples: int,
@@ -469,25 +503,21 @@ def analyze_tomography(
 
     ``projections`` yields each of the 16 ((j, k), counts) pairs once, in
     any order, as simulate_tomography, load_tomography_bundle or a dict's
-    items() give them.  One pass gates every bin of each count matrix,
-    with the calibration and band center that matrix carries, into a
-    table of gated totals and keeps nothing else of it; each bin is then
-    reconstructed from its column.  With ``n_resamples`` > 0 each bin
-    also gets Poisson-bootstrap error bars on purity and fidelity.
+    items() give them.  One pass gates every bin of each count matrix
+    with bin_gates, on the calibration and band center that matrix
+    carries (so each is checked as it is read), into a table of gated
+    totals; each bin is then reconstructed from its column.  With
+    ``n_resamples`` > 0 each bin also gets Poisson-bootstrap error bars.
     """
-    labels = [int(label) for label in labels]
+    labels = [int(label) for label in default_bin_labels(pair_count)]
     rows = {key: row for row, key in enumerate(_SETTINGS)}
     gated = np.zeros((len(_SETTINGS), len(labels)))
     for key, counts in projections:
         row = rows.pop(key, None)
         if row is None:
             raise ValueError(f"projection {key} is not a SIC setting or arrives twice")
-        gated[row] = [
-            counts.values[_bin_cells(
-                counts.spec, label, counts.center_frequency_hz, spacing_hz, width
-            )].sum()
-            for label in labels
-        ]
+        gates = bin_gates(counts.spec, counts.center_frequency_hz, pair_count, spacing_hz, width)
+        gated[row] = [counts.values[cells].sum() for cells in gates]
         del counts  # reading the next projection must not hold this one
     if rows:
         raise ValueError(f"projections {sorted(rows)} are missing")

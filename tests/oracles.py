@@ -12,11 +12,11 @@ from qpmforge.config import default_config
 from qpmforge.measurement import SpectrometerSpec, spectrum_projector
 from qpmforge.tomography import (
     HyperState,
-    _bin_cells,
     _born_table,
     _pair_operator,
     _rho,
     bin_detuning,
+    bin_gates,
     default_bin_labels,
 )
 
@@ -86,15 +86,16 @@ def expected_tomography(
 
     The expected gated count for (label, j, k) factorizes as
     sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
-    i's image (as bin_images projects it) inside the label's gates.  This
-    is the deterministic limit of simulate_tomography ->
-    analyze_tomography, exposing the gating cross-talk with no
-    sampling noise on top.
+    i's image (as bin_images projects it) inside the label's gates, as
+    bin_gates cuts them.  This is the deterministic limit of
+    simulate_tomography -> analyze_tomography, exposing the gating
+    cross-talk with no sampling noise on top.
     """
     born = _born_table(hyper)
     out: dict[int, np.ndarray] = {}
-    for label in hyper.labels:
-        rows, cols = _bin_cells(spec, label, center_frequency_hz, spacing_hz, width)
+    pair_count = hyper.n_bins // 2
+    gates = bin_gates(spec, center_frequency_hz, pair_count, spacing_hz, width)
+    for label, (rows, cols) in zip(default_bin_labels(pair_count), gates):
         capture = images[:, rows, cols].sum(axis=(1, 2))
         gated = born @ (hyper.weights * capture)
         out[int(label)] = 4.0 * gated / gated.sum()

@@ -39,6 +39,7 @@ from qpmforge.measurement import (
 from qpmforge.tomography import (
     HyperState,
     bin_images,
+    default_bin_labels,
     fidelity_singlet,
     purity,
     reconstruct_state,
@@ -295,12 +296,13 @@ def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
     grid = FrequencyGrid.symmetric(256, 2.5e12)
     jsa = build_jsa(comb, pump, dispersion, grid)
     spacing, pairs = DEVICE["crystal"]["bin_spacing_hz"], DEVICE["crystal"]["pair_count"]
-    labels, images, weights = bin_images(
+    images, weights = bin_images(
         jsa.intensity, grid, jsa.center_frequency_hz, spectro, spacing, pairs
     )
+    labels = default_bin_labels(pairs)
 
     phases = np.random.default_rng(42).uniform(-np.pi, np.pi, 8)
-    hyper = HyperState(phases=phases, weights=weights, labels=labels)
+    hyper = HyperState(phases=phases, weights=weights)
     table = expected_tomography(
         hyper, images, spectro, jsa.center_frequency_hz, spacing,
         DEVICE["tomography"]["gate_width_s"],

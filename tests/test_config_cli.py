@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -409,6 +410,21 @@ class TestCliExitCodes:
             assert code == 3, command
             assert "numeric failure" in capsys.readouterr().err
 
+    def test_numeric_failure_leaves_no_empty_out(self, tmp_path, capsys):
+        # with no alias allowed the simulator refuses the source at exit 3,
+        # and removes the output directory it created, as a refused run at
+        # exit 2 does; a directory that was there before the run is kept
+        config = make_config(
+            tmp_path, **{"spectrometer.max_alias_fraction": 0.0, "grid.points": 128}
+        )
+        out = tmp_path / "tofs"
+        assert main(["tofs-sim", "--config", config, "--out", str(out)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+        out.mkdir()
+        assert main(["tofs-sim", "--config", config, "--out", str(out)]) == 3
+        assert out.is_dir()
+
     def test_alias_limit_applies_to_the_source(self, tmp_path):
         # phases spread over +-0.7 rad make some SIC projections mostly
         # outer-bin light (5% aliased), but the source as a whole stays
@@ -579,6 +595,28 @@ def test_public_names_resolve(module):
     assert len(exported) == len(set(exported))
     assert not [name for name in exported if not hasattr(mod, name)]
     assert not sorted(set(exported) - _own_top_level_names(mod))
+
+
+# every module but the command-line entry point and the empty defaults
+# module is a library module with an __all__
+LIBRARY_MODULES = sorted(
+    {m.name for m in pkgutil.iter_modules(qpmforge.__path__)} - {"cli", "defaults"}
+)
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_all_lists_exactly_the_public_definitions(module):
+    # a public function or class missing from __all__, or a function or
+    # class exported that the module does not itself define, fails here
+    mod = importlib.import_module(f"qpmforge.{module}")
+
+    def is_definition(name):
+        value = getattr(mod, name, None)
+        return inspect.isfunction(value) or inspect.isclass(value)
+
+    defined = {n for n in _own_top_level_names(mod) if not n.startswith("_") and is_definition(n)}
+    exported = {name for name in mod.__all__ if is_definition(name)}
+    assert sorted(exported ^ defined) == []
 
 
 def test_package_exports_its_modules():

@@ -16,8 +16,6 @@ from qpmforge.measurement import (
     SpectrometerSpec,
     build_transfer,
     detuning_to_time,
-    gate_cells,
-    gate_interval,
     load_counts,
     marginals,
     project_to_spectrometer,
@@ -31,7 +29,6 @@ from oracles import project_stack
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
 ALIAS = default_config()["spectrometer"]["max_alias_fraction"]
-WIDTH = default_config()["tomography"]["gate_width_s"]
 
 
 def windowed(spec, n_bins):
@@ -288,30 +285,6 @@ class TestReconstruction:
         )
         with pytest.raises(ValueError):
             marginals(empty)
-
-
-class TestGating:
-    def test_gate_is_centered_and_clipped(self, spectro):
-        lo, hi = gate_interval(spectro, 0.0, NU0, width=1e-9)
-        assert lo == pytest.approx(-0.5e-9)
-        assert hi == pytest.approx(0.5e-9)
-        # a gate near the edge is truncated, never extended past it
-        detuning = -2 * np.pi * 1750e9  # arrives near +5.65 ns
-        lo, hi = gate_interval(spectro, detuning, NU0, width=WIDTH)
-        assert hi == pytest.approx(spectro.window / 2)
-        assert lo > 0
-
-    def test_gate_fully_outside_raises(self, spectro):
-        with pytest.raises(MeasurementError, match="outside the acquisition"):
-            gate_interval(spectro, -2 * np.pi * 6000e9, NU0, width=0.1e-9)
-
-    def test_gate_cells_use_cell_centers(self, spectro):
-        values = np.zeros((500, 500), dtype=np.int64)
-        values[250, 250] = 7  # cell centered at +12.5 ps on both axes
-        inside = (0.0, 25e-12)
-        outside = (25e-12, 50e-12)
-        assert values[gate_cells(spectro, inside, inside)].sum() == 7
-        assert values[gate_cells(spectro, outside, inside)].sum() == 0
 
 
 class TestCountsIO:

@@ -1,5 +1,6 @@
 """Tomography layer: SIC frame algebra, reconstruction, gating, error bars."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -9,16 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge import cli, measurement
-from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude, build_jsa
+from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
 from qpmforge.config import default_config
-from qpmforge.measurement import MeasurementError, project_to_spectrometer
+from qpmforge.measurement import (
+    MeasurementError,
+    detuning_to_time,
+    load_counts,
+    project_to_spectrometer,
+    save_counts,
+)
 from qpmforge.tomography import (
-    _bin_cells,
     _born_table,
+    GateError,
     HyperState,
     TwoQubitState,
     analyze_tomography,
     bin_detuning,
+    bin_gates,
     bin_images,
     default_bin_labels,
     fidelity_singlet,
@@ -42,6 +50,7 @@ SPACING = DEVICE["crystal"]["bin_spacing_hz"]
 PAIRS = DEVICE["crystal"]["pair_count"]
 WIDTH = DEVICE["tomography"]["gate_width_s"]
 ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
+LABELS = default_bin_labels(PAIRS)
 
 
 def wrap_angle(x):
@@ -66,7 +75,7 @@ def small_split(small_jsa):
 
 @pytest.fixture(scope="module")
 def small_images(small_jsa, spectro):
-    """(labels, images, weights) of the pipeline's bin pass."""
+    """(images, weights) of the pipeline's bin pass."""
     return bin_images(
         small_jsa.intensity, small_jsa.grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
     )
@@ -79,13 +88,13 @@ def random_phases():
 
 @pytest.fixture(scope="module")
 def pure_hyper(small_images, random_phases):
-    labels, _, weights = small_images
-    return HyperState(phases=random_phases, weights=weights, labels=labels)
+    _, weights = small_images
+    return HyperState(phases=random_phases, weights=weights)
 
 
 @pytest.fixture(scope="module")
 def pure_table(pure_hyper, small_images, spectro):
-    _, images, _ = small_images
+    images, _ = small_images
     return expected_tomography(pure_hyper, images, spectro, NU0, SPACING, WIDTH)
 
 
@@ -182,12 +191,7 @@ class TestSinglet:
 
     def test_drifted_bin_metrics(self):
         # drift of 2 rad averages the coherence to sin(1)/1
-        hyper = HyperState(
-            phases=np.zeros(2),
-            weights=np.full(2, 0.5),
-            labels=np.array([-1, 1]),
-            drift=np.full(2, 2.0),
-        )
+        hyper = HyperState(phases=np.zeros(2), weights=np.full(2, 0.5), drift=np.full(2, 2.0))
         c = np.sin(1.0)
         np.testing.assert_allclose(hyper.coherences(), c, atol=1e-12)
         rho = hyper.bin_state(0)
@@ -225,25 +229,19 @@ class TestReconstructState:
 
 class TestHyperState:
     def test_validation(self):
-        ok = dict(phases=np.zeros(2), weights=np.full(2, 0.5), labels=[-1, 1])
+        ok = dict(phases=np.zeros(2), weights=np.full(2, 0.5))
         HyperState(**ok)
         with pytest.raises(ValueError, match="equal length"):
-            HyperState(phases=np.zeros(2), weights=np.full(3, 1 / 3), labels=[-1, 1])
+            HyperState(phases=np.zeros(2), weights=np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="sum to 1"):
-            HyperState(phases=np.zeros(2), weights=[0.7, 0.4], labels=[-1, 1])
+            HyperState(phases=np.zeros(2), weights=[0.7, 0.4])
         with pytest.raises(ValueError, match="sum to 1"):
-            HyperState(phases=np.zeros(2), weights=[-0.2, 1.2], labels=[-1, 1])
-        with pytest.raises(TypeError, match="labels"):
-            HyperState(phases=np.zeros(2), weights=np.full(2, 0.5))
-        with pytest.raises(ValueError, match="distinct"):
-            HyperState(phases=np.zeros(2), weights=np.full(2, 0.5), labels=[1, 1])
+            HyperState(phases=np.zeros(2), weights=[-0.2, 1.2])
         with pytest.raises(ValueError, match="drift"):
             HyperState(**ok, drift=[-0.1, 0.0])
 
     def test_phase_wrapping(self):
-        hyper = HyperState(
-            phases=[1.5 * np.pi, -np.pi], weights=[0.5, 0.5], labels=[-1, 1]
-        )
+        hyper = HyperState(phases=[1.5 * np.pi, -np.pi], weights=[0.5, 0.5])
         assert hyper.phases[0] == pytest.approx(-0.5 * np.pi)
         assert hyper.phases[1] == pytest.approx(np.pi)
 
@@ -323,12 +321,11 @@ class TestBinImages:
     def test_matches_projected_dense_oracle(self, small_jsa, small_grid, spectro):
         # the pass forms and projects one bin spectrum at a time; projecting
         # the dense stack of the same spectra must give the same bits
-        labels, images, weights = bin_images(
+        images, weights = bin_images(
             small_jsa.intensity, small_grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
         )
-        want_labels, parts, want_weights = where_split_bins(small_jsa)
+        _, parts, want_weights = where_split_bins(small_jsa)
         want_images, want_kept = project_stack(parts, small_grid, spectro, NU0)
-        np.testing.assert_array_equal(labels, want_labels)
         np.testing.assert_array_equal(images, want_images)
         np.testing.assert_array_equal(images.sum(axis=(1, 2)), want_kept)
         np.testing.assert_array_equal(weights, want_weights)
@@ -353,19 +350,106 @@ class TestBinImages:
         intensity = comb_jsa.intensity
         tracemalloc.start()
         try:
-            labels, _, _ = bin_images(
+            images, _ = bin_images(
                 intensity, comb_jsa.grid, comb_jsa.center_frequency_hz, spectro, SPACING, PAIRS
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stack_bytes = labels.size * intensity.nbytes
+        stack_bytes = len(images) * intensity.nbytes
         assert peak < stack_bytes
+
+
+def arrival_center(spec, label, arrival):
+    """The band center at which bin ``label``'s signal photon arrives at ``arrival`` (s)."""
+    wavelength = spec.reference_wavelength + arrival / spec.time_rate
+    return C_LIGHT / wavelength - bin_detuning(label, SPACING) / (2.0 * np.pi)
+
+
+class TestBinGates:
+    def test_gate_is_centered_and_truncated(self, spectro):
+        t = spectro.time_centers
+        # bin +1's signal photon arrives at t = 0: its 1 ns signal gate takes
+        # the 40 cells centered within +-0.5 ns, and its idler gate is the
+        # signal gate of the conjugate bin -1
+        plus = PAIRS  # the index of label +1
+        gates = bin_gates(spectro, arrival_center(spectro, 1, 0.0), PAIRS, SPACING, 1e-9)
+        rows, cols = (index.ravel() for index in gates[plus])
+        np.testing.assert_array_equal(cols, np.arange(230, 270))
+        np.testing.assert_array_equal(rows, gates[plus - 1][1].ravel())
+        # bin -4 arrives near +5.65 ns: its gate overhangs the window edge
+        # and is truncated to it, never extended past it
+        start = detuning_to_time(spectro, bin_detuning(-PAIRS, SPACING), NU0) - WIDTH / 2
+        assert start > 0
+        cols = bin_gates(spectro, NU0, PAIRS, SPACING, WIDTH)[0][1].ravel()
+        np.testing.assert_array_equal(cols, np.arange(cols[0], spectro.n_bins))
+        assert t[cols[0]] >= start > t[cols[0] - 1]
+
+    def test_gate_fully_outside_raises(self, spectro):
+        # at this spacing bin -4 sits 6 THz out, far beyond the window
+        with pytest.raises(MeasurementError, match="outside the acquisition"):
+            bin_gates(spectro, NU0, PAIRS, 6000e9 / 3.5, 0.1e-9)
+
+    def test_gates_select_cells_by_center(self, spectro):
+        # cell 250 spans [0, 25) ps and cell 251 [25, 50) ps: a 25 ps gate
+        # on [10, 35) ps overlaps both but takes only the cell whose center
+        # it holds; one pair keeps both bins' 25 ps gates inside the window
+        for arrival, cell in ((22.5e-12, 250), (2.5e-12, 250), (47.5e-12, 251)):
+            gates = bin_gates(spectro, arrival_center(spectro, 1, arrival), 1, SPACING, 25e-12)
+            assert gates[1][1].ravel().tolist() == [cell]
+
+    def test_gate_wider_than_the_bin_gap_raises(self, sim, spectro):
+        # adjacent bins arrive 1.590 ns apart on the default calibration, so
+        # a 1.7 ns gate would count part of each neighbour's light
+        with pytest.raises(GateError) as err:
+            analyze_tomography(sim.items(), PAIRS, SPACING, 1.7e-9, n_resamples=0, seed=0)
+        assert err.value.gap == pytest.approx(1.590e-9, rel=1e-3)
+        assert isinstance(err.value, ValueError)
+        # the gap is checked before the window: with every bin arriving
+        # beyond the window, a narrow gate is refused by the window and a
+        # wide one by the gap
+        far = arrival_center(spectro, 1, 30e-9)
+        with pytest.raises(MeasurementError, match="outside the acquisition"):
+            bin_gates(spectro, far, PAIRS, SPACING, 0.1e-9)
+        with pytest.raises(GateError):
+            bin_gates(spectro, far, PAIRS, SPACING, 3e-9)
+
+    def test_tomo_fit_checks_each_file_on_its_own_calibration(self, tmp_path, capsys):
+        # the last file read is re-saved at half the dispersion, where
+        # adjacent bins arrive 0.7949 ns apart: the default 1.52 ns gate
+        # fits the other 15 files and is refused on that one
+        cfg = default_config()
+        cfg.sections["crystal"]["length_m"] = 0.005
+        cfg.sections["grid"]["points"] = 128
+        cfg.sections["tomography"]["events_per_projection"] = 10_000
+        config = tmp_path / "run.cfg"
+        config.write_text(cfg.resolved_text())
+        out = tmp_path / "tomo"
+        assert cli.main(["tomo-sim", "--config", str(config), "--out", str(out)]) == 0
+        last = out / "tomo" / "proj_4_4.csv"
+        counts = load_counts(last)
+        half = dataclasses.replace(
+            counts.spec, dispersion_ps_per_nm_km=counts.spec.dispersion_ps_per_nm_km / 2
+        )
+        save_counts(dataclasses.replace(counts, spec=half), last)
+        refused = []
+        for key, each in load_tomography_bundle(out / "tomo"):
+            try:
+                bin_gates(each.spec, each.center_frequency_hz, PAIRS, SPACING, WIDTH)
+            except GateError:
+                refused.append(key)
+        assert refused == [(4, 4)]
+        assert cli.main(["tomo-fit", "--config", str(config), "--out", str(out)]) == 2
+        message = capsys.readouterr().err
+        for named in (str(config), "[tomography] gate_width_s", "[crystal] bin_spacing_hz",
+                      "7.949e-10 s"):
+            assert named in message
+        assert not (out / "report.txt").exists()
 
 
 @pytest.fixture(scope="module")
 def sim(pure_hyper, small_images, spectro):
-    _, images, _ = small_images
+    images, _ = small_images
     return dict(simulate_tomography(
         pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
     ))
@@ -374,8 +458,7 @@ def sim(pure_hyper, small_images, spectro):
 class TestSimulateTomography:
     def test_all_sixteen_settings(self, sim):
         assert set(sim) == {(j, k) for j in range(1, 5) for k in range(1, 5)}
-        for (j, k), counts in sim.items():
-            assert counts.metadata["projection"] == (j, k)
+        for counts in sim.values():
             assert counts.metadata["born_flux"] >= 0.0
 
     def test_born_flux_resolves_frame(self, sim):
@@ -390,8 +473,8 @@ class TestSimulateTomography:
     def test_matched_projections_are_dark_for_common_phase(
         self, small_images, spectro
     ):
-        labels, images, weights = small_images
-        hyper = HyperState(phases=np.zeros(8), weights=weights, labels=labels)
+        images, weights = small_images
+        hyper = HyperState(phases=np.zeros(8), weights=weights)
         sim = dict(simulate_tomography(
             hyper, images, spectro, NU0, 500, seed=1, max_alias_fraction=ALIAS
         ))
@@ -399,7 +482,7 @@ class TestSimulateTomography:
             assert sim[(j, j)].total == 0
 
     def test_reproducible(self, pure_hyper, small_images, spectro):
-        _, images, _ = small_images
+        images, _ = small_images
         a = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
         ))
@@ -413,7 +496,7 @@ class TestSimulateTomography:
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
     def test_validation(self, pure_hyper, small_images, spectro):
-        _, images, _ = small_images
+        images, _ = small_images
         with pytest.raises(ValueError, match="one matrix per bin"):
             simulate_tomography(
                 pure_hyper, images[:3], spectro, NU0, 100, seed=0, max_alias_fraction=ALIAS
@@ -431,7 +514,7 @@ class TestSharedProjection:
         # projecting each bin once and mixing the images must equal
         # projecting each setting's mixed spectrum: the map is linear
         _, parts, weights = small_split
-        _, images, _ = small_images
+        images, _ = small_images
         kept = images.sum(axis=(1, 2))
         mixes = [weights] + [
             np.clip(weights * born, 0.0, None) for born in _born_table(pure_hyper)
@@ -486,7 +569,7 @@ class TestGatedAnalysis:
     def test_noiseless_roundtrip_recovers_every_bin(
         self, pure_table, pure_hyper, random_phases
     ):
-        for i, label in enumerate(pure_hyper.labels):
+        for i, label in enumerate(LABELS):
             state = reconstruct_state(pure_table[int(label)])
             fid, phi = fidelity_singlet(state)
             assert purity(state) >= 0.999999
@@ -496,12 +579,12 @@ class TestGatedAnalysis:
     def test_simulated_analysis_recovers_state(
         self, pure_hyper, random_phases, small_images, spectro
     ):
-        labels, images, _ = small_images
+        images, _ = small_images
         run = simulate_tomography(
             pure_hyper, images, spectro, NU0, events=100_000, seed=5, max_alias_fraction=ALIAS
         )
-        results = analyze_tomography(run, labels, SPACING, WIDTH, n_resamples=200, seed=6)
-        assert [r.label for r in results] == list(labels)
+        results = analyze_tomography(run, PAIRS, SPACING, WIDTH, n_resamples=200, seed=6)
+        assert [r.label for r in results] == list(LABELS)
         for i, res in enumerate(results):
             assert res.events > 0
             # the PSD clip biases purity low on a rank-2 truth state, so
@@ -513,28 +596,28 @@ class TestGatedAnalysis:
             assert 0.0 < res.fidelity_std < 0.02
 
     def test_zero_counts_raise(self, pure_hyper, small_images, spectro):
-        _, images, _ = small_images
+        images, _ = small_images
         sim = simulate_tomography(
             pure_hyper, images, spectro, NU0, events=0, seed=0, max_alias_fraction=ALIAS
         )
         with pytest.raises(ValueError, match="no gated counts"):
-            analyze_tomography(sim, pure_hyper.labels, SPACING, WIDTH, n_resamples=0, seed=0)
+            analyze_tomography(sim, PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             tomography_probabilities(np.zeros(16), 1)
 
     def test_report_lists_every_bin(
         self, pure_hyper, small_images, spectro
     ):
-        labels, images, _ = small_images
+        images, _ = small_images
         sim = simulate_tomography(
             pure_hyper, images, spectro, NU0, events=5000, seed=2, max_alias_fraction=ALIAS
         )
-        results = analyze_tomography(sim, labels, SPACING, WIDTH, n_resamples=0, seed=0)
+        results = analyze_tomography(sim, PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
         text = tomography_report(results)
         lines = text.splitlines()
         assert len(lines) == 9
         assert lines[0].startswith("bin")
-        for label in labels:
+        for label in LABELS:
             assert any(line.startswith(f"{label:+d}") for line in lines[1:])
 
 
@@ -607,13 +690,8 @@ class TestResample:
         # the truth state has two exact zero eigenvalues, so the PSD clip
         # biases low-count estimates and the event count must be large
         # enough to keep that bias inside the bars
-        labels, images, weights = small_images
-        hyper = HyperState(
-            phases=random_phases,
-            weights=weights,
-            labels=labels,
-            drift=np.full(8, 1.0),
-        )
+        images, weights = small_images
+        hyper = HyperState(phases=random_phases, weights=weights, drift=np.full(8, 1.0))
         p16 = expected_tomography(hyper, images, spectro, NU0, SPACING, WIDTH)[2]
         truth = reconstruct_state(p16)
         truth_purity = purity(truth)
@@ -637,7 +715,7 @@ class TestBundleIO:
     def test_roundtrip(
         self, pure_hyper, small_images, spectro, tmp_path
     ):
-        _, images, _ = small_images
+        images, _ = small_images
         sim = dict(simulate_tomography(
             pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
         ))
@@ -655,7 +733,7 @@ class TestBundleIO:
     def test_incomplete_bundle_rejected(
         self, pure_hyper, small_images, spectro, tmp_path
     ):
-        _, images, _ = small_images
+        images, _ = small_images
         sim = simulate_tomography(
             pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
         )
@@ -671,13 +749,13 @@ class TestBundleIO:
         # the analysis of the files read back, and of the pairs in any
         # order, equals that of the pairs in memory bit for bit, and each
         # bin's totals are the ones gated one bin at a time over all 16
-        labels, images, _ = small_images
+        images, _ = small_images
         sim = list(simulate_tomography(
             pure_hyper, images, spectro, NU0, events=5000, seed=4, max_alias_fraction=ALIAS
         ))
         save_tomography_bundle(tmp_path, iter(sim))
         reference, *streamed = [
-            analyze_tomography(pairs, labels, SPACING, WIDTH, n_resamples=50, seed=3)
+            analyze_tomography(pairs, PAIRS, SPACING, WIDTH, n_resamples=50, seed=3)
             for pairs in (sim, load_tomography_bundle(tmp_path), reversed(sim))
         ]
         for results in streamed:
@@ -688,11 +766,11 @@ class TestBundleIO:
                     ref.purity, ref.fidelity, ref.phase, ref.events
                 )
                 assert (res.purity_std, res.fidelity_std) == (ref.purity_std, ref.fidelity_std)
-        for ref in reference:
+        for i, ref in enumerate(reference):
             gated = np.array([
-                counts.values[_bin_cells(
-                    counts.spec, ref.label, counts.center_frequency_hz, SPACING, WIDTH
-                )].sum()
+                counts.values[bin_gates(
+                    counts.spec, counts.center_frequency_hz, PAIRS, SPACING, WIDTH
+                )[i]].sum()
                 for _, counts in sim
             ], dtype=float)
             np.testing.assert_array_equal(ref.probabilities, 4.0 * gated / gated.sum())
@@ -700,9 +778,9 @@ class TestBundleIO:
     def test_analysis_takes_each_setting_once(self, sim):
         pairs = list(sim.items())
         with pytest.raises(ValueError, match="missing"):
-            analyze_tomography(pairs[1:], [1], SPACING, WIDTH, n_resamples=0, seed=0)
+            analyze_tomography(pairs[1:], 1, SPACING, WIDTH, n_resamples=0, seed=0)
         with pytest.raises(ValueError, match="twice"):
-            analyze_tomography(pairs + pairs[:1], [1], SPACING, WIDTH, n_resamples=0, seed=0)
+            analyze_tomography(pairs + pairs[:1], 1, SPACING, WIDTH, n_resamples=0, seed=0)
 
     def test_peak_memory_below_held_projections(
         self, pure_hyper, small_images, spectro, tmp_path
@@ -711,14 +789,14 @@ class TestBundleIO:
         # In units of one matrix's bytes the draws peak at 3.0 (the mixed
         # image, its cell probabilities and the counts) and the gated read
         # at 1.25; holding all 16 projections read 18.0 and 16.2
-        labels, images, _ = small_images
+        images, _ = small_images
         matrix_bytes = spectro.n_bins**2 * np.dtype(np.int64).itemsize
         stages = (
             lambda: save_tomography_bundle(tmp_path, simulate_tomography(
                 pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
             )),
             lambda: analyze_tomography(
-                load_tomography_bundle(tmp_path), labels, SPACING, WIDTH, n_resamples=0, seed=0
+                load_tomography_bundle(tmp_path), PAIRS, SPACING, WIDTH, n_resamples=0, seed=0
             ),
         )
         peaks = []
@@ -757,7 +835,6 @@ def test_born_table_matches_project_probability(seed, pairs):
     hyper = HyperState(
         phases=rng.uniform(-np.pi, np.pi, n),
         weights=rng.dirichlet(np.ones(n)),
-        labels=default_bin_labels(pairs),
         drift=rng.uniform(0.0, 4.0, n),
     )
     oracle = np.array(
