@@ -31,7 +31,10 @@ file:
 * count files, header ``nt dt_ps t0_ns disp_ns_per_nm
   ref_wavelength_m nu0_hz``; an ``nt x nt`` integer matrix.  ``nu0_hz``
   is the band center the detunings are measured from, written ``%.17g``
-  so that the gates computed from it read back bit-identical.
+  so that the gates computed from it read back bit-identical.  A
+  simulated tomography projection adds the bin layout it was drawn
+  with, ``bin_spacing_hz`` (``%.17g``) and ``pair_count``; a count file
+  without them (real data) still reads.
 
 Every body row is ``row_format % tuple(row.tolist())`` of one row of a
 2-d array, formatted in `write_table` and nowhere else.  A table of at
@@ -134,12 +137,15 @@ def write_table(path, header: dict, row_format: str, table) -> None:
                 os.remove(part)
 
 
-def read_table(path, fields: dict, dtype, delimiter: str = ",") -> tuple[dict, np.ndarray]:
+def read_table(
+    path, fields: dict, dtype, delimiter: str = ",", optional: dict | None = None
+) -> tuple[dict, np.ndarray]:
     """Read a data file; returns (header, body).
 
     `fields` maps each required header key to the type its value is
-    converted with; other keys are ignored.  The body is a 2-d `dtype`
-    array.  Every malformed file raises ValueError naming `path`.
+    converted with, and `optional` each key that may be absent; other
+    keys are ignored.  The body is a 2-d `dtype` array.  Every malformed
+    file raises ValueError naming `path`.
     """
     with open(path, "r", encoding="ascii") as fh:
         line = fh.readline()
@@ -152,9 +158,11 @@ def read_table(path, fields: dict, dtype, delimiter: str = ",") -> tuple[dict, n
                 raise ValueError(f"{path}: header token {token!r} is not key=value")
             raw[key] = value
         header = {}
-        for key, kind in fields.items():
+        for key, kind in {**fields, **(optional or {})}.items():
             if key not in raw:
-                raise ValueError(f"{path}: header missing field {key!r}")
+                if key in fields:
+                    raise ValueError(f"{path}: header missing field {key!r}")
+                continue
             try:
                 header[key] = kind(raw[key])
             except ValueError as exc:

@@ -5,7 +5,10 @@ Conventions used throughout:
 * Detunings nu_s, nu_i are angular frequencies (rad/s) measured from the
   degenerate photon frequency; the pump detuning is their sum.  The
   source is degenerate, so both photons share one uniform axis,
-  FrequencyGrid.nu, and the grid is square.
+  FrequencyGrid.nu, and the grid is square.  On it nu_s - nu_i depends
+  only on the column-row difference, so anything that is a function of
+  it (the phasematching, a bin assignment) is a (2n - 1)-vector that
+  FrequencyGrid.toeplitz spreads over the grid with no copy.
 * The phase mismatch is linearised around the first-order QPM point,
   dk = center + slope * (nu_s - nu_i).  The antisymmetric form places the
   comb peaks on the energy-conservation antidiagonal, which is what turns
@@ -120,6 +123,23 @@ class FrequencyGrid:
         """(n_idler, n_signal), matching JSA array layout."""
         return (self.nu.size, self.nu.size)
 
+    @property
+    def differences(self) -> np.ndarray:
+        """The 2n - 1 values of nu_s - nu_i on the grid, (c - r) * d_nu for
+        column c and row r, from c - r = -(n - 1) up to n - 1."""
+        n = self.nu.size
+        return np.arange(-(n - 1), n) * self.d_nu
+
+    def toeplitz(self, diagonals) -> np.ndarray:
+        """Read-only (n, n) view of a (2n - 1)-vector indexed like
+        ``differences``: entry [r, c] is diagonals[c - r + n - 1], so each
+        value fills one diagonal of the grid and no (n, n) array is made."""
+        diagonals = np.asarray(diagonals)
+        n = self.nu.size
+        if diagonals.shape != (2 * n - 1,):
+            raise ValueError(f"expected {2 * n - 1} diagonal values, got shape {diagonals.shape}")
+        return np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1]
+
 
 @dataclass
 class JointSpectralAmplitude:
@@ -165,12 +185,12 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
 
 
 def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
-    """Evaluate the PMF of `source` at every grid point.
+    """The PMF of `source` at every grid point, as a read-only view.
 
     The mismatch depends only on nu_s - nu_i, which on the shared axis
-    takes only 2n - 1 distinct values, indexed by the column-row
-    difference: the PMF of either source is evaluated once per distinct
-    value and gathered.
+    takes only the 2n - 1 values of grid.differences: the PMF of either
+    source is evaluated once per value and spread over the grid by
+    grid.toeplitz.
     """
     if isinstance(source, CombSpec):
         pmf = target_pmf
@@ -179,11 +199,7 @@ def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGri
     else:
         raise TypeError("source must be a CombSpec or DomainConfig")
 
-    n = grid.nu.size
-    # nu[c] - nu[r] = (c - r) * step
-    diff = np.arange(-(n - 1), n) * grid.d_nu
-    pmf_vals = pmf(source, dispersion.center + dispersion.slope * diff)
-    return pmf_vals[np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)]
+    return grid.toeplitz(pmf(source, dispersion.center + dispersion.slope * grid.differences))
 
 
 def build_jsa(
@@ -198,10 +214,13 @@ def build_jsa(
     ``source`` is the analytic comb target (CombSpec) or a concrete poled
     crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
     intensity sits in the two outermost rows or columns, a sign the grid
-    is clipping the state.
+    is clipping the state.  The pump is multiplied in one idler row at a
+    time, so the amplitude is the only (n, n) array built.
     """
-    values = _phasematching_on_grid(source, dispersion, grid)
-    values *= pump_envelope(pump, grid.nu[None, :] + grid.nu[:, None])
+    pmf = _phasematching_on_grid(source, dispersion, grid)
+    values = np.empty(grid.shape, dtype=complex)
+    for row, pmf_row, nu_idler in zip(values, pmf, grid.nu):
+        np.multiply(pmf_row, pump_envelope(pump, grid.nu + nu_idler), out=row)
     # zero detuning is the degenerate frequency, half the pump's
     jsa = JointSpectralAmplitude(
         grid=grid,

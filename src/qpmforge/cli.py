@@ -39,7 +39,7 @@ from .tomography import (
     GateError,
     HyperState,
     analyze_tomography,
-    bin_images,
+    bin_weights,
     load_tomography_bundle,
     save_tomography_bundle,
     simulate_tomography,
@@ -218,17 +218,15 @@ def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
     jsa = _jsa(cfg)
     grid, center, intensity = jsa.grid, jsa.center_frequency_hz, jsa.intensity
-    del jsa  # the bin pass reads only the intensity; free the amplitude first
-    spec = cfg.spectrometer_spec()
-    images, weights = bin_images(
-        intensity, grid, center, spec, spacing_hz=spacing, pair_count=cfg["crystal"]["pair_count"],
-    )
-    del intensity
+    del jsa  # the readout reads only the intensity; free the amplitude first
+    weights = bin_weights(intensity, grid, spacing, cfg["crystal"]["pair_count"])
     projections = simulate_tomography(
         _hyper_state(cfg, weights),
-        images,
-        spec,
+        intensity,
+        grid,
+        cfg.spectrometer_spec(),
         center,
+        spacing_hz=spacing,
         events=cfg["tomography"]["events_per_projection"],
         seed=cfg["run"]["seed"],
         max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],

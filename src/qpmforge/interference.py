@@ -1,8 +1,8 @@
 """Two-photon and heralded Hong-Ou-Mandel interference for bin combs.
 
 Closed forms and numeric quadrature oracles for the beamsplitter
-coincidence probability of frequency-bin biphotons, plus visibility
-extraction and model fitting.
+coincidence probability of frequency-bin biphotons, plus model fitting,
+which reports the fitted visibility.
 
 Variable conventions (documented once, used everywhere):
 
@@ -36,13 +36,11 @@ __all__ = [
     "HomCurve",
     "HomFit",
     "FitError",
-    "VisibilityResult",
     "delta_from_bin_hz",
     "bin_hz_from_delta",
     "p2_numeric",
     "p4_numeric",
     "closed_curve",
-    "visibility",
     "fit_hom",
     "save_curve",
     "load_curve",
@@ -225,40 +223,8 @@ def p4_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Visibility and fitting
+# Fitting
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VisibilityResult:
-    value: float
-    baseline: float
-    dip_value: float
-    convention: str = "V = (baseline - p(0)) / baseline"
-
-
-def visibility(curve: HomCurve, baseline: float | None = None) -> VisibilityResult:
-    """Standard HOM visibility V = (B - p(0)) / B.
-
-    The dip value is the sample nearest tau = 0; the baseline defaults to
-    the mean over the outer 25% of the delay range (at least 3 points
-    required there).
-    """
-    span = np.max(np.abs(curve.delays))
-    if span == 0:
-        raise ValueError("curve has a single delay point")
-    i0 = int(np.argmin(np.abs(curve.delays)))
-    if abs(curve.delays[i0]) > 0.05 * span:
-        raise ValueError("curve does not sample the tau = 0 region")
-    dip = float(curve.values[i0])
-    if baseline is None:
-        far = np.abs(curve.delays) >= 0.75 * span
-        if np.count_nonzero(far) < 3:
-            raise ValueError("curve lacks baseline samples at large delay")
-        baseline = float(curve.values[far].mean())
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return VisibilityResult(value=(baseline - dip) / baseline, baseline=baseline, dip_value=dip)
 
 
 class FitError(RuntimeError):

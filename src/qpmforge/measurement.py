@@ -23,12 +23,18 @@ a detuning to the arrival time of the source's own photons.
 One SpectrometerSpec is the whole calibration.  A count matrix carries
 the spec it was recorded with, its file header records that spec, and
 load_counts rebuilds it; tomography.bin_gates cuts every bin's gates on
-the spec's own time grid.
+the spec's own time grid.  A simulated tomography projection also
+carries, and its file records, the bin layout it was drawn with.
+
+spectrum_projector is the one projection: it takes a joint spectrum
+and, optionally, a weight per cell, such as a read-only Toeplitz view
+of one weight per diagonal, multiplied in block by block.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,11 +212,15 @@ def spectrum_projector(
     """The spectrometer's map of one joint spectrum on ``grid``, as a function.
 
     Builds the one transfer matrix of the grid's shared axis once and
-    returns ``project(inten, image)``: it writes the (n_idler, n_signal)
-    spectrum ``inten``, scaled to unit mass, into the zeroed time-grid
-    matrix ``image``, rows the idler detector and columns the signal
-    detector.  The transfer is applied, only inside its band, to the
-    idler side and then to the signal side; ``image.sum()`` is then the
+    returns ``project(inten, image, weights=None)``: it writes the
+    (n_idler, n_signal) spectrum ``inten``, cell by cell times the
+    nonnegative ``weights`` when given, scaled to unit mass, into the
+    zeroed time-grid matrix ``image``, rows the idler detector and
+    columns the signal detector.  The transfer is applied, only inside
+    its band, to the idler side and then to the signal side, and the
+    weights are multiplied in one block of rows at a time, so no
+    full-size product is formed; ``weights`` may be a read-only view
+    such as FrequencyGrid.toeplitz gives.  ``image.sum()`` is then the
     share of the spectrum inside the window.  The map is linear, so a
     mixture sum_i c_i I_i / |I_i| projects to sum_i c_i image_i.
     """
@@ -218,16 +228,20 @@ def spectrum_projector(
     blocks = _row_blocks(transfer)
     half = np.zeros((spec.n_bins, grid.nu.size))
 
-    def project(inten: np.ndarray, image: np.ndarray) -> None:
-        if inten.shape != grid.shape:
-            raise ValueError(f"intensity shape {inten.shape} does not match grid {grid.shape}")
-        if np.any(inten < 0):
-            raise ValueError("intensity must be nonnegative")
-        mass = inten.sum()
+    def project(inten: np.ndarray, image: np.ndarray, weights=None) -> None:
+        for name, array in (("intensity", inten), ("weights", weights)):
+            if array is None:
+                continue
+            if array.shape != grid.shape:
+                raise ValueError(f"{name} shape {array.shape} does not match grid {grid.shape}")
+            if np.any(array < 0):
+                raise ValueError(f"{name} must be nonnegative")
+        mass = inten.sum() if weights is None else np.einsum("ij,ij->", inten, weights)
         if mass <= 0:
             raise MeasurementError("joint spectrum carries no intensity")
         for rows, cols in blocks:
-            half[rows] = transfer[rows, cols] @ inten[cols]
+            part = inten[cols] if weights is None else inten[cols] * weights[cols]
+            half[rows] = transfer[rows, cols] @ part
         for rows, cols in blocks:
             image[:, rows] = half[:, cols] @ transfer[rows, cols].T
         image /= mass
@@ -342,10 +356,13 @@ def _draw_counts(
     total_events: int,
     seed,
 ) -> CountMatrix:
-    """Multinomial draw of the detected events over the time-grid cells."""
+    """Multinomial draw of the detected events over the time-grid cells.
+
+    ``probs`` is scaled to unit sum in place, so the draw needs no copy.
+    """
     rng = np.random.default_rng(seed)
-    flat = probs.ravel()
-    draws = rng.multinomial(int(total_events), flat / flat.sum())
+    probs /= probs.sum()
+    draws = rng.multinomial(int(total_events), probs.ravel())
     return CountMatrix(
         values=draws.reshape(probs.shape),
         spec=spec,
@@ -369,11 +386,14 @@ _COUNTS_FIELDS = {
     "nt": int, "dt_ps": float, "t0_ns": float, "disp_ns_per_nm": float, "ref_wavelength_m": float,
     "nu0_hz": float,
 }
+# the bin layout a simulated tomography projection was drawn with
+_LAYOUT_FIELDS = {"bin_spacing_hz": float, "pair_count": int}
 
 
 def save_counts(counts: CountMatrix, path) -> None:
     """CSV of the counts below one ``# key=value`` header line that
-    carries the whole time calibration and the band center."""
+    carries the whole time calibration and the band center, and the bin
+    layout (``bin_spacing_hz``, ``pair_count``) when the metadata holds it."""
     spec = counts.spec
     header = {
         "nt": spec.n_bins,
@@ -384,6 +404,10 @@ def save_counts(counts: CountMatrix, path) -> None:
         # all 17 digits, so the gates land where the simulation put them
         "nu0_hz": f"{counts.center_frequency_hz:.17g}",
     }
+    if "bin_spacing_hz" in counts.metadata:
+        header["bin_spacing_hz"] = f"{counts.metadata['bin_spacing_hz']:.17g}"
+    if "pair_count" in counts.metadata:
+        header["pair_count"] = int(counts.metadata["pair_count"])
     row_format = ",".join(["%d"] * counts.values.shape[1])
     write_table(path, header, row_format, counts.values)
 
@@ -395,9 +419,11 @@ def load_counts(path) -> CountMatrix:
     the spectrometer reads as 1 km of fiber with that dispersion.
     Detector jitter is not recorded and reads 0; the time maps and the
     gates do not use it.  The window is centered on the reference
-    wavelength, so ``t0_ns`` must be -nt * dt / 2.
+    wavelength, so ``t0_ns`` must be -nt * dt / 2.  The metadata holds
+    ``path`` and, when the header records them, ``bin_spacing_hz`` and
+    ``pair_count``.
     """
-    header, values = read_table(path, _COUNTS_FIELDS, np.int64)
+    header, values = read_table(path, _COUNTS_FIELDS, np.int64, optional=_LAYOUT_FIELDS)
     time_bin = header["dt_ps"] * 1e-12
     try:
         spec = SpectrometerSpec(
@@ -413,6 +439,10 @@ def load_counts(path) -> CountMatrix:
                 f"t0_ns={header['t0_ns']:.12g} does not center the "
                 f"{spec.window * 1e9:.12g} ns window on the reference wavelength"
             )
-        return CountMatrix(values=values, spec=spec, center_frequency_hz=header["nu0_hz"])
+        metadata = {key: header[key] for key in _LAYOUT_FIELDS if key in header}
+        return CountMatrix(
+            values=values, spec=spec, center_frequency_hz=header["nu0_hz"],
+            metadata={"path": os.fspath(path), **metadata},
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

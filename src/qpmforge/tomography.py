@@ -5,19 +5,26 @@ frequency-bin pair i, is a singlet up to a bin-dependent phase:
 (|HV> - e^{i phi_i}|VH>)/sqrt(2).  Projecting both photons onto the four
 SIC states gives 16 joint settings; time-gating the spectrometer
 histograms separates the bins, so one acquisition yields a density
-matrix per bin.  The forward model forms each bin pair's spectrum in
-turn in one buffer and projects it onto the time grid at once
-(bin_images); only the per-bin images are kept, never a stack of the
-bin spectra, and simulate_tomography mixes those images per setting.
-The bins are the 2 * pair_count of default_bin_labels, and bin_gates
-alone lays out their time gates.
+matrix per bin.  The bins are the 2 * pair_count of default_bin_labels.
+A grid cell belongs to the bin whose difference-frequency center is
+nearest its nu_s - nu_i, which on the shared axis is fixed by the
+column-row difference, so each bin is a band of whole diagonals and the
+bin map is one (2n - 1)-vector.  The forward model never splits the
+spectrum into bins: simulate_tomography mixes the bins of each SIC
+setting by weighting each cell of the source by mix_i / mass_i of its
+bin, and projects that one spectrum just before it draws the setting
+(bin_weights gives the mass fractions).  bin_gates alone lays out the
+bins' time gates.
 
 The 16 projections stream in both directions, so neither stage holds
 more than one count matrix: simulate_tomography returns an iterator
-that draws each setting's counts when asked, save_tomography_bundle
-writes each as it arrives, load_tomography_bundle parses one file per
-step, and analyze_tomography gates each matrix as it is read into a
-table of gated totals (settings by bins) before it reconstructs any bin.
+that projects and draws each setting's counts when asked,
+save_tomography_bundle writes each as it arrives, load_tomography_bundle
+parses one file per step, and analyze_tomography gates each matrix as
+it is read into a table of gated totals (settings by bins) before it
+reconstructs any bin.  Each simulated count matrix records the bin
+layout it was drawn with, and its file keeps it, so the analysis
+refuses to gate a bundle on another layout.
 
 Basis order is |q1 q2> in {HH, HV, VH, VV} with the signal photon first;
 ``kron(A, B)`` therefore applies A to the signal and B to the idler.
@@ -63,7 +70,7 @@ __all__ = [
     "bin_detuning",
     "GateError",
     "bin_gates",
-    "bin_images",
+    "bin_weights",
     "simulate_tomography",
     "tomography_probabilities",
     "BinResult",
@@ -275,53 +282,46 @@ class HyperState:
         return singlet_state(self.phases[index], self.coherences()[index])
 
 
-def bin_images(
-    intensity: np.ndarray,
-    grid: FrequencyGrid,
-    center_frequency_hz: float,
-    spec: SpectrometerSpec,
-    spacing_hz: float,
-    pair_count: int,
+def _bin_masses(
+    intensity, grid: FrequencyGrid, spacing_hz: float, pair_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each bin pair's spectrum on the spectrometer's time grid.
+    """(bins, masses): the bin index, in default_bin_labels order, of each
+    of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``.
 
-    ``intensity`` is a joint spectrum |JSA|^2 on ``grid`` around the band
-    center ``center_frequency_hz``; taking it in place of the amplitude
-    lets a caller free the amplitude before the pass.  Cells are assigned
-    to the bin pair whose difference-frequency center nu_s - nu_i is
-    nearest.  The bin spectra are formed one at a time in one reused
-    buffer, each normalized to unit sum and projected around the band
-    center at once, so no stack of bin spectra exists.  Returns (images,
-    weights) in default_bin_labels order: images[i] as spectrum_projector
-    writes it, weights the mass fractions.
+    A diagonal goes wholly to the bin pair whose difference-frequency
+    center is nearest its nu_s - nu_i.  Raises MeasurementError for a bin
+    that carries no intensity.
     """
     inten = np.asarray(intensity, dtype=float)
     if inten.shape != grid.shape:
         raise ValueError("intensity must match the grid's shape")
-    total = inten.sum()
-    if total <= 0:
-        raise ValueError("joint spectrum carries no intensity")
+    if np.any(inten < 0):
+        raise ValueError("intensity must be nonnegative")
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
-    bounds = 0.5 * (centers[1:] + centers[:-1])
-    # one byte of bin index per cell, formed a row at a time
-    nearest = np.empty(grid.shape, dtype=np.min_scalar_type(labels.size))
-    for row, nu_idler in zip(nearest, grid.nu):
-        row[:] = np.digitize(grid.nu - nu_idler, bounds)
-    project = spectrum_projector(grid, spec, center_frequency_hz)
-    images = np.zeros((labels.size, spec.n_bins, spec.n_bins))
-    weights = np.zeros(labels.size)
-    part = np.empty(grid.shape)
-    for i, image in enumerate(images):
-        part.fill(0.0)
-        np.copyto(part, inten, where=nearest == i)
-        mass = part.sum()
+    bins = np.digitize(grid.differences, 0.5 * (centers[1:] + centers[:-1]))
+    masses = np.sum([
+        np.bincount(row_bins, weights=row, minlength=labels.size)
+        for row_bins, row in zip(grid.toeplitz(bins), inten)
+    ], axis=0)
+    if masses.sum() <= 0:
+        raise ValueError("joint spectrum carries no intensity")
+    for label, mass in zip(labels, masses):
         if mass <= 0:
-            raise MeasurementError(f"bin {labels[i]:+d} of the joint spectrum carries no intensity")
-        weights[i] = mass / total
-        part /= mass
-        project(part, image)
-    return images, weights
+            raise MeasurementError(f"bin {label:+d} of the joint spectrum carries no intensity")
+    return bins, masses
+
+
+def bin_weights(
+    intensity: np.ndarray, grid: FrequencyGrid, spacing_hz: float, pair_count: int
+) -> np.ndarray:
+    """Each bin pair's share of the joint spectrum |JSA|^2 ``intensity``
+    on ``grid``, in default_bin_labels order: the emission weights of a
+    HyperState.  Every cell goes to the bin whose difference-frequency
+    center is nearest its nu_s - nu_i, so each diagonal lies in one bin.
+    """
+    _, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
+    return masses / masses.sum()
 
 
 def _born_table(hyper: HyperState) -> np.ndarray:
@@ -332,40 +332,56 @@ def _born_table(hyper: HyperState) -> np.ndarray:
 
 def simulate_tomography(
     hyper: HyperState,
-    images: np.ndarray,
+    intensity: np.ndarray,
+    grid: FrequencyGrid,
     spec: SpectrometerSpec,
     center_frequency_hz: float,
+    spacing_hz: float,
     events: float,
     seed: int,
     max_alias_fraction: float,
 ) -> Iterator[tuple[tuple[int, int], CountMatrix]]:
     """Forward-simulate the 16 SIC projection acquisitions.
 
-    For setting (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)]
-    of the total pair flux; the projection's event total is Poissonian
-    with mean 4 * events * that flux (so ``events`` is the average count
-    per projection), and the image sampled is the correspondingly
-    weighted mixture of the per-bin images, which bin_images projects
-    one spectrum at a time around the band center center_frequency_hz.
-    Raises MeasurementError when more than max_alias_fraction of the
-    source as a whole falls outside the acquisition window.
+    ``intensity`` is the source's joint spectrum |JSA|^2 on ``grid``
+    around the band center center_frequency_hz, split into the
+    hyper.n_bins bins of bin_weights at ``spacing_hz``.  For setting
+    (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
+    total pair flux; the projection's event total is Poissonian with
+    mean 4 * events * that flux (so ``events`` is the average count per
+    projection), and the image sampled is the spectrum in which each bin
+    carries its share mix_i of that flux, each cell of the source
+    weighted by mix_i / mass_i of its bin, projected at once.  Raises
+    MeasurementError when more than max_alias_fraction of the source, its
+    bins mixed by hyper.weights, falls outside the acquisition window.
 
     The arguments are checked at the call; the projections are then
     drawn lazily, one per step of the returned iterator of ((j, k),
     counts) pairs in setting order, so a consumer that writes and drops
-    each one holds one count matrix at a time.
+    each one holds one count matrix at a time.  Each carries the bin
+    layout, ``bin_spacing_hz`` and ``pair_count``, in its metadata.
     """
-    images = np.asarray(images, dtype=float)
-    if images.shape[0] != hyper.n_bins:
-        raise ValueError("images must carry one matrix per bin")
+    if hyper.n_bins % 2:
+        raise ValueError("hyper must carry one state per bin, 2 * pair_count of them")
     if events < 0:
         raise ValueError("events must be >= 0")
-    kept = images.sum(axis=(-2, -1))
-    _check_alias(float(1.0 - hyper.weights @ kept), spec, max_alias_fraction)
-    return _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, seed)
+    pair_count = hyper.n_bins // 2
+    intensity = np.asarray(intensity, dtype=float)
+    bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
+    project = spectrum_projector(grid, spec, center_frequency_hz)
+
+    def mixed_image(mix: np.ndarray) -> np.ndarray:
+        """The time-grid image of the source with bin i scaled to mass mix_i."""
+        image = np.zeros((spec.n_bins, spec.n_bins))
+        project(intensity, image, grid.toeplitz((mix / masses)[bins]))
+        return image
+
+    _check_alias(float(1.0 - mixed_image(hyper.weights).sum()), spec, max_alias_fraction)
+    layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
+    return _draw_projections(hyper, mixed_image, layout, spec, center_frequency_hz, events, seed)
 
 
-def _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, seed):
+def _draw_projections(hyper, mixed_image, layout, spec, center_frequency_hz, events, seed):
     """The draws of simulate_tomography: one master stream for the event
     totals, in setting order, and the stream [seed, j, k] for each image."""
     born = _born_table(hyper)
@@ -376,13 +392,11 @@ def _draw_projections(hyper, images, kept, spec, center_frequency_hz, events, se
         flux = np.clip(hyper.weights * born_jk, 0.0, None)
         q_jk = flux.sum()
         total = int(master.poisson(4.0 * events * q_jk))
-        mix = flux / q_jk if q_jk > 0 else hyper.weights
-        counts = _draw_counts(
-            np.tensordot(mix, images, axes=(0, 0)), spec, center_frequency_hz, total,
-            seed=[int(seed), j, k],
-        )
-        counts.metadata["alias_fraction"] = max(float(1.0 - mix @ kept), 0.0)
-        counts.metadata["born_flux"] = float(q_jk)
+        image = mixed_image(flux / q_jk if q_jk > 0 else hyper.weights)
+        alias = max(float(1.0 - image.sum()), 0.0)
+        counts = _draw_counts(image, spec, center_frequency_hz, total, seed=[int(seed), j, k])
+        del image  # writing these counts must not hold the image they were drawn from
+        counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
         yield (j, k), counts
         del counts  # drawing the next projection must not hold this one
 
@@ -506,8 +520,11 @@ def analyze_tomography(
     items() give them.  One pass gates every bin of each count matrix
     with bin_gates, on the calibration and band center that matrix
     carries (so each is checked as it is read), into a table of gated
-    totals; each bin is then reconstructed from its column.  With
-    ``n_resamples`` > 0 each bin also gets Poisson-bootstrap error bars.
+    totals; each bin is then reconstructed from its column.  A matrix
+    whose metadata records another bin layout (``bin_spacing_hz``,
+    ``pair_count``) than ``spacing_hz`` and ``pair_count`` is refused
+    with a ValueError naming its file.  With ``n_resamples`` > 0 each bin
+    also gets Poisson-bootstrap error bars.
     """
     labels = [int(label) for label in default_bin_labels(pair_count)]
     rows = {key: row for row, key in enumerate(_SETTINGS)}
@@ -516,6 +533,16 @@ def analyze_tomography(
         row = rows.pop(key, None)
         if row is None:
             raise ValueError(f"projection {key} is not a SIC setting or arrives twice")
+        recorded = (
+            counts.metadata.get("bin_spacing_hz", spacing_hz),
+            counts.metadata.get("pair_count", pair_count),
+        )
+        if recorded != (spacing_hz, pair_count):
+            raise ValueError(
+                f"{counts.metadata.get('path', f'projection {key}')}: drawn with bin_spacing_hz"
+                f" = {recorded[0]:.17g} and pair_count = {recorded[1]}, but gated with"
+                f" bin_spacing_hz = {spacing_hz:.17g} and pair_count = {pair_count}"
+            )
         gates = bin_gates(counts.spec, counts.center_frequency_hz, pair_count, spacing_hz, width)
         gated[row] = [counts.values[cells].sum() for cells in gates]
         del counts  # reading the next projection must not hold this one

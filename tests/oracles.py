@@ -5,10 +5,20 @@ Born rule, a dense stack or a closed form, and tests compare the
 package's own structured or streamed code against it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qpmforge.biphoton import C_LIGHT, DispersionMap, FrequencyGrid, JointSpectralAmplitude
+from qpmforge.biphoton import (
+    C_LIGHT,
+    DispersionMap,
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    pump_envelope,
+)
 from qpmforge.config import default_config
+from qpmforge.crystal import CombSpec, pmf_of_domains, target_pmf
+from qpmforge.interference import HomCurve
 from qpmforge.measurement import SpectrometerSpec, spectrum_projector
 from qpmforge.tomography import (
     HyperState,
@@ -37,13 +47,16 @@ def split_bins(
     """Partition a joint intensity into per-bin-pair components, as one stack.
 
     Cells are assigned to the bin pair whose difference-frequency center
-    nu_s - nu_i is nearest.  Returns (labels, intensities, weights) with
-    intensities[i] normalized to unit sum and weights the mass fractions.
+    is nearest nu_s - nu_i, taken as (column - row) * d_nu, so every
+    diagonal lies in one bin.  Returns (labels, intensities, weights)
+    with intensities[i] normalized to unit sum and weights the mass
+    fractions.
     """
     inten, grid = jsa.intensity, jsa.grid
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
-    diff = grid.nu[None, :] - grid.nu[:, None]
+    n = grid.nu.size
+    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) * grid.d_nu
     nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
     total = inten.sum()
     if total <= 0:
@@ -74,6 +87,21 @@ def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
     return images, images.sum(axis=(-2, -1))
 
 
+def bin_images(
+    jsa: JointSpectralAmplitude,
+    spec: SpectrometerSpec,
+    spacing_hz: float,
+    pair_count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each bin pair's spectrum of split_bins projected on its own:
+    (images, weights) in default_bin_labels order, images[i] scaled to
+    unit mass on the time grid and weights the mass fractions.  Any mix
+    of the bins projects to the same mix of these images."""
+    _, parts, weights = split_bins(jsa, spacing_hz, pair_count)
+    images, _ = project_stack(parts, jsa.grid, spec, jsa.center_frequency_hz)
+    return images, weights
+
+
 def expected_tomography(
     hyper: HyperState,
     images: np.ndarray,
@@ -100,6 +128,21 @@ def expected_tomography(
         gated = born @ (hyper.weights * capture)
         out[int(label)] = 4.0 * gated / gated.sum()
     return out
+
+
+def gathered_jsa(source, pump, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
+    """Normalized JSA values by the dense construction: the PMF on the
+    2n - 1 mismatches gathered onto the grid through an (n, n) index
+    array, times the pump envelope on the full (n, n) sum-frequency grid."""
+    pmf = target_pmf if isinstance(source, CombSpec) else pmf_of_domains
+    n = grid.nu.size
+    diff = np.arange(-(n - 1), n) * grid.d_nu
+    values = pmf(source, dispersion.center + dispersion.slope * diff)
+    values = values[np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)]
+    values = values * pump_envelope(pump, grid.nu[None, :] + grid.nu[:, None])
+    values = np.asarray(values, dtype=complex)
+    total = (np.abs(values) ** 2).sum()
+    return values / np.sqrt(float(total * grid.d_nu * grid.d_nu))
 
 
 def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid) -> JointSpectralAmplitude:
@@ -153,3 +196,35 @@ def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
     conversion contributes another 2 pi.
     """
     return spacing / (4.0 * np.pi * abs(dispersion.slope))
+
+
+@dataclass(frozen=True)
+class VisibilityResult:
+    value: float
+    baseline: float
+    dip_value: float
+    convention: str = "V = (baseline - p(0)) / baseline"
+
+
+def visibility(curve: HomCurve, baseline: float | None = None) -> VisibilityResult:
+    """Standard HOM visibility V = (B - p(0)) / B.
+
+    The dip value is the sample nearest tau = 0; the baseline defaults to
+    the mean over the outer 25% of the delay range (at least 3 points
+    required there).
+    """
+    span = np.max(np.abs(curve.delays))
+    if span == 0:
+        raise ValueError("curve has a single delay point")
+    i0 = int(np.argmin(np.abs(curve.delays)))
+    if abs(curve.delays[i0]) > 0.05 * span:
+        raise ValueError("curve does not sample the tau = 0 region")
+    dip = float(curve.values[i0])
+    if baseline is None:
+        far = np.abs(curve.delays) >= 0.75 * span
+        if np.count_nonzero(far) < 3:
+            raise ValueError("curve lacks baseline samples at large delay")
+        baseline = float(curve.values[far].mean())
+    if baseline <= 0:
+        raise ValueError("baseline must be positive")
+    return VisibilityResult(value=(baseline - dip) / baseline, baseline=baseline, dip_value=dip)

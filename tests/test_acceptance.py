@@ -29,7 +29,6 @@ from qpmforge.interference import (
     fit_hom,
     p2_numeric,
     p4_numeric,
-    visibility,
 )
 from qpmforge.measurement import (
     SpectrometerSpec,
@@ -38,7 +37,6 @@ from qpmforge.measurement import (
 )
 from qpmforge.tomography import (
     HyperState,
-    bin_images,
     default_bin_labels,
     fidelity_singlet,
     purity,
@@ -47,7 +45,7 @@ from qpmforge.tomography import (
     singlet_state,
 )
 
-from oracles import bin_model_jsa, expected_tomography
+from oracles import bin_images, bin_model_jsa, expected_tomography, visibility
 
 DEVICE = default_config()
 ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
@@ -296,9 +294,7 @@ def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
     grid = FrequencyGrid.symmetric(256, 2.5e12)
     jsa = build_jsa(comb, pump, dispersion, grid)
     spacing, pairs = DEVICE["crystal"]["bin_spacing_hz"], DEVICE["crystal"]["pair_count"]
-    images, weights = bin_images(
-        jsa.intensity, grid, jsa.center_frequency_hz, spectro, spacing, pairs
-    )
+    images, weights = bin_images(jsa, spectro, spacing, pairs)
     labels = default_bin_labels(pairs)
 
     phases = np.random.default_rng(42).uniform(-np.pi, np.pi, 8)

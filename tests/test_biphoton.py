@@ -21,7 +21,7 @@ from qpmforge.biphoton import (
 from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
 
-from oracles import NU0, bin_spacing_from_comb
+from oracles import NU0, bin_spacing_from_comb, gathered_jsa
 
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):
@@ -33,6 +33,19 @@ def full_grid_comb_jsa(comb, pump, dispersion, grid):
     )
     jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0)
     return jsa.normalized().values
+
+
+def traced_peak(source, pump, dispersion, grid):
+    """build_jsa's traced peak on the default 1024^2 grid, in units of the
+    amplitude's bytes."""
+    assert grid.shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        jsa = build_jsa(source, pump, dispersion, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / jsa.values.nbytes
 
 
 def hz_axis(lo_hz, step_hz, n):
@@ -71,6 +84,21 @@ class TestFrequencyGrid:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             FrequencyGrid.symmetric(1, 1e12)
+
+    @pytest.mark.parametrize("n", [2, 5, 256])
+    def test_toeplitz_view_equals_index_gather(self, n):
+        grid = FrequencyGrid.symmetric(n, 1e12)
+        diagonals = np.random.default_rng(n).normal(size=2 * n - 1)
+        view = grid.toeplitz(diagonals)
+        gathered = diagonals[np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)]
+        np.testing.assert_array_equal(view, gathered)
+        assert np.shares_memory(view, diagonals) and not view.flags.writeable
+        with pytest.raises(ValueError, match="diagonal values"):
+            grid.toeplitz(diagonals[1:])
+
+    def test_differences_step_by_column_minus_row(self):
+        grid = FrequencyGrid.symmetric(5, 1e12)
+        np.testing.assert_array_equal(grid.differences, np.arange(-4, 5) * grid.d_nu)
 
 
 class TestBinGeometry:
@@ -147,17 +175,26 @@ class TestBuildJsa:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11 * peak)
 
     def test_comb_peak_memory(self, comb, pump, dispersion, grid):
-        # the comb PMF is evaluated on the 2n - 1 distinct mismatches, so no
-        # (n^2, pair_count) temporary is built
-        tracemalloc.start()
-        try:
-            jsa = build_jsa(comb, pump, dispersion, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert grid.shape == (1024, 1024)
-        assert peak <= 5 * jsa.values.nbytes
+        # the PMF is evaluated on the 2n - 1 distinct mismatches and read
+        # through a view, and the pump is multiplied in one row at a time,
+        # so the amplitude and the intensity of the edge check (1.5x) are
+        # the only (n, n) arrays; gathering the PMF and multiplying the
+        # whole pump grid peaked at 2.0x
+        assert traced_peak(comb, pump, dispersion, grid) <= 1.75
 
+    def test_designed_peak_memory(self, designed_crystal, pump, dispersion, grid):
+        # as for the comb; the gather's (n, n) index array took the
+        # designed crystal's peak to 2.5x
+        assert traced_peak(designed_crystal, pump, dispersion, grid) <= 1.75
+
+    @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
+    @pytest.mark.parametrize("points", [256, 1024])
+    def test_matches_dense_gather_bit_for_bit(self, source, points, pump, dispersion, request):
+        crystal = request.getfixturevalue(source)
+        grid = FrequencyGrid.symmetric(points, 2.5e12)
+        got = build_jsa(crystal, pump, dispersion, grid).values
+        want = gathered_jsa(crystal, pump, dispersion, grid)
+        np.testing.assert_array_equal(got.view(float), want.view(float))
 
 
 class TestJsaIO:

@@ -18,10 +18,9 @@ from qpmforge.interference import (
     p2_numeric,
     p4_numeric,
     save_curve,
-    visibility,
 )
 
-from oracles import bin_model_jsa
+from oracles import bin_model_jsa, visibility
 
 SIGMA = 1.0e12  # rad/s; keeps delta/sigma >= 5 for the 500 GHz defaults
 DELTA_500 = delta_from_bin_hz(500e9)

@@ -27,7 +27,7 @@ from qpmforge.tomography import (
     analyze_tomography,
     bin_detuning,
     bin_gates,
-    bin_images,
+    bin_weights,
     default_bin_labels,
     fidelity_singlet,
     load_tomography_bundle,
@@ -42,7 +42,14 @@ from qpmforge.tomography import (
     tomography_report,
 )
 
-from oracles import NU0, expected_tomography, project_probability, project_stack, split_bins
+from oracles import (
+    NU0,
+    bin_images,
+    expected_tomography,
+    project_probability,
+    project_stack,
+    split_bins,
+)
 
 # the device every library call below is handed explicitly
 DEVICE = default_config()
@@ -75,10 +82,8 @@ def small_split(small_jsa):
 
 @pytest.fixture(scope="module")
 def small_images(small_jsa, spectro):
-    """(images, weights) of the pipeline's bin pass."""
-    return bin_images(
-        small_jsa.intensity, small_jsa.grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
-    )
+    """(images, weights) of the dense per-bin oracle."""
+    return bin_images(small_jsa, spectro, SPACING, PAIRS)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +92,22 @@ def random_phases():
 
 
 @pytest.fixture(scope="module")
-def pure_hyper(small_images, random_phases):
-    _, weights = small_images
-    return HyperState(phases=random_phases, weights=weights)
+def small_weights(small_jsa):
+    """The pipeline's bin weights of the small amplitude."""
+    return bin_weights(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
+
+
+@pytest.fixture(scope="module")
+def pure_hyper(small_weights, random_phases):
+    return HyperState(phases=random_phases, weights=small_weights)
+
+
+def simulate(hyper, jsa, spec, events, seed):
+    """simulate_tomography of an amplitude's intensity at the device's spacing."""
+    return simulate_tomography(
+        hyper, jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, SPACING,
+        events=events, seed=seed, max_alias_fraction=ALIAS,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -253,13 +271,23 @@ class TestHyperState:
             bin_detuning(0, SPACING)
 
 
+def diagonal_rule(grid):
+    """Each cell's bin index by the difference-frequency center nearest
+    (column - row) * d_nu, and the per-cell rule's, by nu_s - nu_i
+    subtracted cell by cell."""
+    centers = np.array([2.0 * bin_detuning(lab, SPACING) for lab in default_bin_labels(PAIRS)])
+    bounds = 0.5 * (centers[1:] + centers[:-1])
+    n = grid.nu.size
+    steps = np.arange(n)[None, :] - np.arange(n)[:, None]
+    return (np.digitize(steps * grid.d_nu, bounds),
+            np.digitize(grid.nu[None, :] - grid.nu[:, None], bounds))
+
+
 def where_split_bins(jsa):
     """split_bins building each bin spectrum with np.where and a divided copy."""
-    inten, grid = jsa.intensity, jsa.grid
-    labels = default_bin_labels(4)
-    centers = np.array([2.0 * bin_detuning(lab, SPACING) for lab in labels])
-    diff = grid.nu[None, :] - grid.nu[:, None]
-    nearest = np.digitize(diff, 0.5 * (centers[1:] + centers[:-1]))
+    inten = jsa.intensity
+    labels = default_bin_labels(PAIRS)
+    nearest, _ = diagonal_rule(jsa.grid)
     total = inten.sum()
     parts = np.zeros((labels.size,) + inten.shape)
     weights = np.zeros(labels.size)
@@ -317,18 +345,39 @@ class TestSplitBins:
             split_bins(zero, SPACING, PAIRS)
 
 
-class TestBinImages:
-    def test_matches_projected_dense_oracle(self, small_jsa, small_grid, spectro):
-        # the pass forms and projects one bin spectrum at a time; projecting
-        # the dense stack of the same spectra must give the same bits
-        images, weights = bin_images(
-            small_jsa.intensity, small_grid, small_jsa.center_frequency_hz, spectro, SPACING, PAIRS
+class TestBinWeights:
+    def test_match_dense_oracle(self, small_jsa, small_weights):
+        # the package sums each bin row by row and then over the rows, the
+        # oracle over a masked copy of the whole grid: the same masses in
+        # another order, each within about (256 + 256) eps of the exact sum
+        _, _, want = where_split_bins(small_jsa)
+        np.testing.assert_allclose(small_weights, want, rtol=512 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "points, half_span_hz", [(256, 2.5e12), (1001, DEVICE["grid"]["half_span_hz"])]
+    )
+    def test_every_diagonal_lies_in_one_bin(self, points, half_span_hz):
+        # on these grids a bin boundary falls on a grid difference, so
+        # nu_s - nu_i subtracted cell by cell rounds part of a diagonal to
+        # each side of it; the bins are bands of whole diagonals.  A flat
+        # spectrum gives each bin its cell count, which sums exactly.
+        grid = FrequencyGrid.symmetric(points, half_span_hz)
+        by_diagonal, by_cell = diagonal_rule(grid)
+        steps = np.arange(points)[None, :] - np.arange(points)[:, None]
+        split = [
+            d for d in np.unique(steps[by_diagonal != by_cell])
+            if np.unique(by_cell[steps == d]).size > 1
+        ]
+        assert len(split) == {256: 6, 1001: 3}[points]
+        cells = np.bincount(by_diagonal.ravel(), minlength=2 * PAIRS)
+        flat = np.ones(grid.shape)
+        np.testing.assert_array_equal(
+            bin_weights(flat, grid, SPACING, PAIRS), cells / cells.sum()
         )
-        _, parts, want_weights = where_split_bins(small_jsa)
-        want_images, want_kept = project_stack(parts, small_grid, spectro, NU0)
-        np.testing.assert_array_equal(images, want_images)
-        np.testing.assert_array_equal(images.sum(axis=(1, 2)), want_kept)
-        np.testing.assert_array_equal(weights, want_weights)
+        one = JointSpectralAmplitude(grid=grid, values=flat, center_frequency_hz=NU0)
+        parts = split_bins(one, SPACING, PAIRS)[1]
+        for d in split:
+            assert sum(np.any(part[steps == d]) for part in parts) == 1
 
     def test_empty_bins_raise_like_the_dense_oracle(self, small_grid, spectro):
         n = small_grid.nu.size
@@ -339,25 +388,11 @@ class TestBinImages:
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
-            bin_images(lit.intensity, small_grid, NU0, spectro, SPACING, PAIRS)
+            bin_weights(lit.intensity, small_grid, SPACING, PAIRS)
         with pytest.raises(ValueError, match="no intensity"):
-            bin_images(np.zeros((n, n)), small_grid, NU0, spectro, SPACING, PAIRS)
+            bin_weights(np.zeros((n, n)), small_grid, SPACING, PAIRS)
         with pytest.raises(ValueError, match="grid's shape"):
-            bin_images(np.ones((n, n - 1)), small_grid, NU0, spectro, SPACING, PAIRS)
-
-    def test_peak_memory_below_dense_stack(self, comb_jsa, spectro):
-        # the pass must never hold the (n_bins, n_idler, n_signal) stack
-        intensity = comb_jsa.intensity
-        tracemalloc.start()
-        try:
-            images, _ = bin_images(
-                intensity, comb_jsa.grid, comb_jsa.center_frequency_hz, spectro, SPACING, PAIRS
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stack_bytes = len(images) * intensity.nbytes
-        assert peak < stack_bytes
+            bin_weights(np.ones((n, n - 1)), small_grid, SPACING, PAIRS)
 
 
 def arrival_center(spec, label, arrival):
@@ -448,11 +483,8 @@ class TestBinGates:
 
 
 @pytest.fixture(scope="module")
-def sim(pure_hyper, small_images, spectro):
-    images, _ = small_images
-    return dict(simulate_tomography(
-        pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
-    ))
+def sim(pure_hyper, small_jsa, spectro):
+    return dict(simulate(pure_hyper, small_jsa, spectro, 2000, seed=5))
 
 
 class TestSimulateTomography:
@@ -471,40 +503,68 @@ class TestSimulateTomography:
         assert abs(grand - mean) < 5 * np.sqrt(mean)
 
     def test_matched_projections_are_dark_for_common_phase(
-        self, small_images, spectro
+        self, small_jsa, small_weights, spectro
     ):
-        images, weights = small_images
-        hyper = HyperState(phases=np.zeros(8), weights=weights)
-        sim = dict(simulate_tomography(
-            hyper, images, spectro, NU0, 500, seed=1, max_alias_fraction=ALIAS
-        ))
+        hyper = HyperState(phases=np.zeros(8), weights=small_weights)
+        sim = dict(simulate(hyper, small_jsa, spectro, 500, seed=1))
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
-    def test_reproducible(self, pure_hyper, small_images, spectro):
-        images, _ = small_images
-        a = dict(simulate_tomography(
-            pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
-        ))
-        b = dict(simulate_tomography(
-            pure_hyper, images, spectro, NU0, 300, seed=9, max_alias_fraction=ALIAS
-        ))
-        c = dict(simulate_tomography(
-            pure_hyper, images, spectro, NU0, 300, seed=10, max_alias_fraction=ALIAS
-        ))
+    def test_reproducible(self, pure_hyper, small_jsa, spectro):
+        a = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=9))
+        b = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=9))
+        c = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=10))
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
-    def test_validation(self, pure_hyper, small_images, spectro):
-        images, _ = small_images
-        with pytest.raises(ValueError, match="one matrix per bin"):
-            simulate_tomography(
-                pure_hyper, images[:3], spectro, NU0, 100, seed=0, max_alias_fraction=ALIAS
-            )
+    def test_validation(self, pure_hyper, small_jsa, spectro):
+        odd = HyperState(phases=np.zeros(3), weights=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="one state per bin"):
+            simulate(odd, small_jsa, spectro, 100, seed=0)
         with pytest.raises(ValueError, match="events"):
+            simulate(pure_hyper, small_jsa, spectro, -1, seed=0)
+        with pytest.raises(ValueError, match="grid's shape"):
             simulate_tomography(
-                pure_hyper, images, spectro, NU0, -1, seed=0, max_alias_fraction=ALIAS
+                pure_hyper, small_jsa.intensity[1:], small_jsa.grid, spectro, NU0, SPACING,
+                events=100, seed=0, max_alias_fraction=ALIAS,
             )
+
+    def test_peak_memory_below_image_stack(self, small_jsa, random_phases, spectro, tmp_path):
+        # the tomo-sim flow keeps no per-bin image: it projects each
+        # setting's mixed spectrum just before the draw, so it peaks at
+        # 0.43 of the stack of eight 500 x 500 bin images; mixing after
+        # projection held that stack and peaked at 1.41
+        stack_bytes = 2 * PAIRS * spectro.n_bins**2 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            weights = bin_weights(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
+            hyper = HyperState(phases=random_phases, weights=weights)
+            save_tomography_bundle(tmp_path, simulate(hyper, small_jsa, spectro, 2000, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
+
+    def test_counts_are_draws_from_mixed_oracle_images(
+        self, sim, pure_hyper, small_images, spectro
+    ):
+        # each setting projects its mixed spectrum at once; drawing with the
+        # same streams from the oracle's per-bin images, mixed after
+        # projection, gives the same counts
+        images, _ = small_images
+        kept = images.sum(axis=(1, 2))
+        master = np.random.default_rng([5, 0x7013])
+        for (j, k), born in zip(sim, _born_table(pure_hyper)):
+            flux = np.clip(pure_hyper.weights * born, 0.0, None)
+            total = master.poisson(4.0 * 2000 * flux.sum())
+            mix = flux / flux.sum()
+            probs = np.tensordot(mix, images, axes=(0, 0)).ravel()
+            want = np.random.default_rng([5, j, k]).multinomial(total, probs / probs.sum())
+            np.testing.assert_array_equal(sim[(j, k)].values.ravel(), want)
+            alias = sim[(j, k)].metadata["alias_fraction"]
+            assert alias == pytest.approx(1.0 - mix @ kept, rel=0, abs=1e-12)
+            assert sim[(j, k)].metadata["bin_spacing_hz"] == SPACING
+            assert sim[(j, k)].metadata["pair_count"] == PAIRS
 
 
 class TestSharedProjection:
@@ -530,6 +590,23 @@ class TestSharedProjection:
             shared = np.tensordot(mix, images, axes=(0, 0))
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
+
+    def test_weighted_projection_matches_formed_product(self, small_jsa, spectro):
+        # the weights are multiplied in block by block, never as a whole
+        # array; only the mass is summed in another order
+        grid = small_jsa.grid
+        diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
+        weights = grid.toeplitz(diagonals)
+        assert not weights.flags.writeable
+        project = measurement.spectrum_projector(grid, spectro, NU0)
+        got, want = np.zeros((2, spectro.n_bins, spectro.n_bins))
+        project(small_jsa.intensity, got, weights)
+        project(small_jsa.intensity * weights, want)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            project(small_jsa.intensity, got, -weights)
+        with pytest.raises(ValueError, match="weights shape"):
+            project(small_jsa.intensity, got, weights[1:])
 
     def test_banded_projection_matches_dense_product(self, small_split, small_grid, spectro):
         _, parts, _ = small_split
@@ -577,12 +654,9 @@ class TestGatedAnalysis:
             assert abs(wrap_angle(phi - random_phases[i])) < 1e-6
 
     def test_simulated_analysis_recovers_state(
-        self, pure_hyper, random_phases, small_images, spectro
+        self, pure_hyper, random_phases, small_jsa, spectro
     ):
-        images, _ = small_images
-        run = simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=100_000, seed=5, max_alias_fraction=ALIAS
-        )
+        run = simulate(pure_hyper, small_jsa, spectro, 100_000, seed=5)
         results = analyze_tomography(run, PAIRS, SPACING, WIDTH, n_resamples=200, seed=6)
         assert [r.label for r in results] == list(LABELS)
         for i, res in enumerate(results):
@@ -595,23 +669,17 @@ class TestGatedAnalysis:
             assert 0.0 < res.purity_std < 0.02
             assert 0.0 < res.fidelity_std < 0.02
 
-    def test_zero_counts_raise(self, pure_hyper, small_images, spectro):
-        images, _ = small_images
-        sim = simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=0, seed=0, max_alias_fraction=ALIAS
-        )
+    def test_zero_counts_raise(self, pure_hyper, small_jsa, spectro):
+        sim = simulate(pure_hyper, small_jsa, spectro, 0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             analyze_tomography(sim, PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             tomography_probabilities(np.zeros(16), 1)
 
     def test_report_lists_every_bin(
-        self, pure_hyper, small_images, spectro
+        self, pure_hyper, small_jsa, spectro
     ):
-        images, _ = small_images
-        sim = simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=5000, seed=2, max_alias_fraction=ALIAS
-        )
+        sim = simulate(pure_hyper, small_jsa, spectro, 5000, seed=2)
         results = analyze_tomography(sim, PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
         text = tomography_report(results)
         lines = text.splitlines()
@@ -713,12 +781,9 @@ class TestResample:
 
 class TestBundleIO:
     def test_roundtrip(
-        self, pure_hyper, small_images, spectro, tmp_path
+        self, pure_hyper, small_jsa, spectro, tmp_path
     ):
-        images, _ = small_images
-        sim = dict(simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
-        ))
+        sim = dict(simulate(pure_hyper, small_jsa, spectro, 50, seed=3))
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim.items())
         names = sorted(os.listdir(target))
@@ -731,12 +796,9 @@ class TestBundleIO:
             assert loaded[key].center_frequency_hz == NU0
 
     def test_incomplete_bundle_rejected(
-        self, pure_hyper, small_images, spectro, tmp_path
+        self, pure_hyper, small_jsa, spectro, tmp_path
     ):
-        images, _ = small_images
-        sim = simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=50, seed=3, max_alias_fraction=ALIAS
-        )
+        sim = simulate(pure_hyper, small_jsa, spectro, 50, seed=3)
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         os.remove(target / "proj_2_3.csv")
@@ -744,15 +806,12 @@ class TestBundleIO:
             load_tomography_bundle(target)
 
     def test_streamed_analysis_matches_in_memory(
-        self, pure_hyper, small_images, spectro, tmp_path
+        self, pure_hyper, small_jsa, spectro, tmp_path
     ):
         # the analysis of the files read back, and of the pairs in any
         # order, equals that of the pairs in memory bit for bit, and each
         # bin's totals are the ones gated one bin at a time over all 16
-        images, _ = small_images
-        sim = list(simulate_tomography(
-            pure_hyper, images, spectro, NU0, events=5000, seed=4, max_alias_fraction=ALIAS
-        ))
+        sim = list(simulate(pure_hyper, small_jsa, spectro, 5000, seed=4))
         save_tomography_bundle(tmp_path, iter(sim))
         reference, *streamed = [
             analyze_tomography(pairs, PAIRS, SPACING, WIDTH, n_resamples=50, seed=3)
@@ -778,23 +837,66 @@ class TestBundleIO:
     def test_analysis_takes_each_setting_once(self, sim):
         pairs = list(sim.items())
         with pytest.raises(ValueError, match="missing"):
-            analyze_tomography(pairs[1:], 1, SPACING, WIDTH, n_resamples=0, seed=0)
+            analyze_tomography(pairs[1:], PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
         with pytest.raises(ValueError, match="twice"):
-            analyze_tomography(pairs + pairs[:1], 1, SPACING, WIDTH, n_resamples=0, seed=0)
+            analyze_tomography(pairs + pairs[:1], PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
+
+    def test_analysis_refuses_another_bin_layout(self, sim, tmp_path):
+        # each simulated matrix, and each file of its bundle, records the
+        # layout it was drawn with; files without it (real data) still read
+        save_tomography_bundle(tmp_path, sim.items())
+        with open(tmp_path / "proj_1_1.csv", encoding="ascii") as fh:
+            assert fh.readline().rstrip().endswith(" bin_spacing_hz=500000000000 pair_count=4")
+        loaded = dict(load_tomography_bundle(tmp_path))
+        for key, counts in loaded.items():
+            assert counts.metadata["bin_spacing_hz"] == SPACING
+            assert counts.metadata["pair_count"] == PAIRS
+        for pairs, source in ((sim.items(), "projection (1, 1)"),
+                              (loaded.items(), str(tmp_path / "proj_1_1.csv"))):
+            with pytest.raises(ValueError, match="bin_spacing_hz") as err:
+                analyze_tomography(pairs, PAIRS, 540e9, WIDTH, n_resamples=0, seed=0)
+            for named in (source, "500000000000", "540000000000"):
+                assert named in str(err.value)
+            with pytest.raises(ValueError, match="pair_count = 3"):
+                analyze_tomography(pairs, 3, SPACING, WIDTH, n_resamples=0, seed=0)
+        bare = dataclasses.replace(sim[(1, 1)], metadata={})
+        save_counts(bare, tmp_path / "bare.csv")
+        assert load_counts(tmp_path / "bare.csv").metadata == {"path": str(tmp_path / "bare.csv")}
+
+    def test_tomo_fit_refuses_a_bundle_of_another_spacing(self, tmp_path, capsys):
+        # gated at 540 GHz, a 500 GHz bundle's outer bins lose a third of
+        # their events and their phases move; the files record the layout
+        cfg = default_config()
+        cfg.sections["crystal"]["length_m"] = 0.005
+        cfg.sections["grid"]["points"] = 128
+        cfg.sections["tomography"]["events_per_projection"] = 10_000
+        simulated, fitted = tmp_path / "sim.cfg", tmp_path / "fit.cfg"
+        simulated.write_text(cfg.resolved_text())
+        cfg.sections["crystal"]["bin_spacing_hz"] = 540e9
+        fitted.write_text(cfg.resolved_text())
+        out = tmp_path / "out"
+        assert cli.main(["tomo-sim", "--config", str(simulated), "--out", str(out)]) == 0
+        assert cli.main(["tomo-fit", "--config", str(fitted), "--out", str(out)]) == 2
+        message = capsys.readouterr().err
+        for named in (str(out / "tomo" / "proj_1_1.csv"), "bin_spacing_hz = 500000000000",
+                      "bin_spacing_hz = 540000000000"):
+            assert named in message
+        assert not (out / "report.txt").exists()
+        assert cli.main(["tomo-fit", "--config", str(simulated), "--out", str(out)]) == 0
 
     def test_peak_memory_below_held_projections(
-        self, pure_hyper, small_images, spectro, tmp_path
+        self, pure_hyper, small_jsa, spectro, tmp_path
     ):
         # each direction of the stream holds one count matrix at a time.
-        # In units of one matrix's bytes the draws peak at 3.0 (the mixed
-        # image, its cell probabilities and the counts) and the gated read
-        # at 1.25; holding all 16 projections read 18.0 and 16.2
-        images, _ = small_images
+        # In units of one matrix's bytes the draws peak at 3.4 (the
+        # projector's transfer matrix and idler-side product, one mixed
+        # image, normalized in place, and its counts) and the gated read at
+        # 1.25; holding all 16 projections read 18.0 and 16.2
         matrix_bytes = spectro.n_bins**2 * np.dtype(np.int64).itemsize
         stages = (
-            lambda: save_tomography_bundle(tmp_path, simulate_tomography(
-                pure_hyper, images, spectro, NU0, events=2000, seed=5, max_alias_fraction=ALIAS
-            )),
+            lambda: save_tomography_bundle(
+                tmp_path, simulate(pure_hyper, small_jsa, spectro, 2000, seed=5)
+            ),
             lambda: analyze_tomography(
                 load_tomography_bundle(tmp_path), PAIRS, SPACING, WIDTH, n_resamples=0, seed=0
             ),
