@@ -17,6 +17,8 @@ Conventions used throughout:
 * An amplitude carries its band center center_frequency_hz, the
   degenerate frequency (Hz) the detunings are measured from; the JSA and
   JSI files record it as nu0_hz.
+* A phase-blind readout needs only |JSA|^2: build_jsi makes it from the
+  same rows as build_jsa, bit for bit, without building the amplitude.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "JointSpectralAmplitude",
     "pump_envelope",
     "build_jsa",
+    "build_jsi",
     "save_jsa",
     "load_jsa",
     "save_jsi",
@@ -45,6 +48,9 @@ __all__ = [
 
 C_LIGHT = 299_792_458.0  # m/s
 _EDGE_MASS_WARN = 1e-3
+# idler rows per step of the JSA row loop: enough to amortise the per-call
+# overhead of numpy, few enough to keep the buffers small beside the grid
+_ROWS_PER_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,48 @@ def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGri
     return grid.toeplitz(pmf(source, dispersion.center + dispersion.slope * grid.differences))
 
 
+def _jsa_rows(pmf: np.ndarray, pump: PumpSpec, grid: FrequencyGrid):
+    """The unnormalised JSA, pump envelope x ``pmf``, a few idler rows at a
+    time: yields (rows, block), each block written into one complex buffer
+    that the next step overwrites."""
+    n = grid.nu.size
+    buffer = np.empty((_ROWS_PER_STEP, n), dtype=complex)
+    for start in range(0, n, _ROWS_PER_STEP):
+        rows = slice(start, min(start + _ROWS_PER_STEP, n))
+        block = buffer[: rows.stop - start]
+        np.multiply(pmf[rows], pump_envelope(pump, grid.nu + grid.nu[rows, None]), out=block)
+        yield rows, block
+
+
+def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float]:
+    """(scale, edge_mass_fraction) of an unnormalised joint intensity: the
+    amplitude's L2 norm with the grid measure and the share of the
+    intensity in the two outermost rows and columns.  Warns when that
+    share exceeds _EDGE_MASS_WARN, a sign the grid is clipping the state,
+    on behalf of the builder's caller."""
+    total = inten.sum()
+    if total <= 0:
+        raise ValueError("cannot normalise a zero amplitude")
+    edge = (
+        inten[:2, :].sum() + inten[-2:, :].sum()
+        + inten[2:-2, :2].sum() + inten[2:-2, -2:].sum()
+    )
+    edge_fraction = float(edge / total)
+    if edge_fraction > _EDGE_MASS_WARN:
+        warnings.warn(
+            f"{edge_fraction:.2%} of the joint intensity sits at the grid edge; "
+            "the frequency span is probably too small",
+            stacklevel=3,
+        )
+    # the same n2 as normalized()
+    return float(np.sqrt(float(total * grid.d_nu * grid.d_nu))), edge_fraction
+
+
+def _band_center(pump: PumpSpec) -> float:
+    """Zero detuning is the degenerate frequency, half the pump's."""
+    return C_LIGHT / (2.0 * pump.center_wavelength)
+
+
 def build_jsa(
     source,
     pump: PumpSpec,
@@ -214,41 +262,45 @@ def build_jsa(
     ``source`` is the analytic comb target (CombSpec) or a concrete poled
     crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
     intensity sits in the two outermost rows or columns, a sign the grid
-    is clipping the state.  The pump is multiplied in one idler row at a
-    time, so the amplitude is the only (n, n) array built.
+    is clipping the state.  The pump is multiplied in a few idler rows at
+    a time, so the amplitude is the only (n, n) array kept.
     """
     pmf = _phasematching_on_grid(source, dispersion, grid)
     values = np.empty(grid.shape, dtype=complex)
-    for row, pmf_row, nu_idler in zip(values, pmf, grid.nu):
-        np.multiply(pmf_row, pump_envelope(pump, grid.nu + nu_idler), out=row)
-    # zero detuning is the degenerate frequency, half the pump's
-    jsa = JointSpectralAmplitude(
-        grid=grid,
-        values=values,
-        center_frequency_hz=C_LIGHT / (2.0 * pump.center_wavelength),
-    )
-
-    inten = jsa.intensity
-    total = inten.sum()
-    if total > 0:
-        edge = (
-            inten[:2, :].sum() + inten[-2:, :].sum()
-            + inten[2:-2, :2].sum() + inten[2:-2, -2:].sum()
-        )
-        edge_fraction = float(edge / total)
-        jsa.metadata["edge_mass_fraction"] = edge_fraction
-        if edge_fraction > _EDGE_MASS_WARN:
-            warnings.warn(
-                f"{edge_fraction:.2%} of the joint intensity sits at the grid edge; "
-                "the frequency span is probably too small",
-                stacklevel=2,
-            )
-    del inten
-    if total <= 0:
-        raise ValueError("cannot normalise a zero amplitude")
-    # the same n2 and divide as normalized(), without a second copy
-    jsa.values /= np.sqrt(float(total * grid.d_nu * grid.d_nu))
+    for rows, block in _jsa_rows(pmf, pump, grid):
+        values[rows] = block
+    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=_band_center(pump))
+    scale, edge_fraction = _normalization(jsa.intensity, grid)
+    jsa.metadata["edge_mass_fraction"] = edge_fraction
+    jsa.values /= scale
     return jsa
+
+
+def build_jsi(
+    source,
+    pump: PumpSpec,
+    dispersion: DispersionMap,
+    grid: FrequencyGrid,
+) -> tuple[np.ndarray, float, float]:
+    """The normalised joint intensity |JSA|^2 of build_jsa, without the
+    amplitude: (intensity, center_frequency_hz, edge_mass_fraction).
+
+    A phase-blind readout needs only this.  The same rows as build_jsa's
+    are made twice, a few at a time: the first pass writes their
+    unnormalised |row|^2 for the norm and the edge check (with the same
+    warning), the second divides each complex row by the norm and squares
+    it in place, so the intensity is bit-identical to
+    ``build_jsa(...).intensity`` and the only (n, n) array built.
+    """
+    pmf = _phasematching_on_grid(source, dispersion, grid)
+    inten = np.empty(grid.shape)
+    for rows, block in _jsa_rows(pmf, pump, grid):
+        np.square(np.abs(block, out=inten[rows]), out=inten[rows])
+    scale, edge_fraction = _normalization(inten, grid)
+    for rows, block in _jsa_rows(pmf, pump, grid):
+        block /= scale
+        np.square(np.abs(block, out=inten[rows]), out=inten[rows])
+    return inten, _band_center(pump), edge_fraction
 
 
 _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}

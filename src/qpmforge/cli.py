@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import report_from_jsa, schmidt_number, schmidt_number_std
 from .artefact import write_table
-from .biphoton import build_jsa, save_jsa, save_jsi
+from .biphoton import build_jsa, build_jsi, save_jsa, save_jsi
 from .config import ConfigError, RunConfig, parse_config
 from .crystal import design_domains, design_overlap, pmf_of_domains, save_domains, target_pmf
 from .interference import (
@@ -73,12 +73,6 @@ def _source(cfg: RunConfig):
     return comb
 
 
-def _jsa(cfg: RunConfig):
-    return build_jsa(
-        _source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid()
-    )
-
-
 def cmd_design(cfg: RunConfig, out_dir: str) -> None:
     comb = cfg.comb_spec()
     width = cfg["crystal"]["domain_width_m"]
@@ -112,7 +106,7 @@ def cmd_design(cfg: RunConfig, out_dir: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
-    jsa = _jsa(cfg)
+    jsa = build_jsa(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
     save_jsa(jsa, os.path.join(out_dir, "jsa.csv"))
     save_jsi(jsa, os.path.join(out_dir, "jsi.csv"))
     n_modes = 2 * cfg["crystal"]["pair_count"]
@@ -173,11 +167,15 @@ def cmd_heralded(cfg: RunConfig, out_dir: str) -> None:
 
 
 def cmd_tofs_sim(cfg: RunConfig, out_dir: str) -> None:
-    jsa = _jsa(cfg)
+    grid = cfg.frequency_grid()
+    # the readout is phase-blind: it needs |JSA|^2, never the amplitude
+    intensity, center, _ = build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), grid)
     spectro = cfg["spectrometer"]
     counts = simulate_counts(
-        jsa,
+        intensity,
+        grid,
         cfg.spectrometer_spec(),
+        center,
         int(spectro["events"]),
         seed=cfg["run"]["seed"],
         max_alias_fraction=spectro["max_alias_fraction"],
@@ -216,9 +214,9 @@ def _hyper_state(cfg: RunConfig, weights: np.ndarray) -> HyperState:
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
-    jsa = _jsa(cfg)
-    grid, center, intensity = jsa.grid, jsa.center_frequency_hz, jsa.intensity
-    del jsa  # the readout reads only the intensity; free the amplitude first
+    grid = cfg.frequency_grid()
+    # as in tofs-sim, the readout needs |JSA|^2 only
+    intensity, center, _ = build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), grid)
     weights = bin_weights(intensity, grid, spacing, cfg["crystal"]["pair_count"])
     projections = simulate_tomography(
         _hyper_state(cfg, weights),

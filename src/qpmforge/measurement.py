@@ -26,9 +26,12 @@ load_counts rebuilds it; tomography.bin_gates cuts every bin's gates on
 the spec's own time grid.  A simulated tomography projection also
 carries, and its file records, the bin layout it was drawn with.
 
-spectrum_projector is the one projection: it takes a joint spectrum
-and, optionally, a weight per cell, such as a read-only Toeplitz view
-of one weight per diagonal, multiplied in block by block.
+spectrum_projector is the one projection: it checks one joint spectrum
+once and then projects it as often as asked, optionally times a weight
+per cell, such as a read-only Toeplitz view of one weight per diagonal,
+multiplied in block by block.  It keeps only the transfer's band, and
+the readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since a
+time-of-flight readout is phase-blind.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artefact import read_table, write_table
-from .biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
+from .biphoton import C_LIGHT, FrequencyGrid
 
 __all__ = [
     "MeasurementError",
@@ -205,45 +208,52 @@ def build_transfer(
 
 
 def spectrum_projector(
+    intensity: np.ndarray,
     grid: FrequencyGrid,
     spec: SpectrometerSpec,
     center_frequency_hz: float,
 ):
     """The spectrometer's map of one joint spectrum on ``grid``, as a function.
 
-    Builds the one transfer matrix of the grid's shared axis once and
-    returns ``project(inten, image, weights=None)``: it writes the
-    (n_idler, n_signal) spectrum ``inten``, cell by cell times the
-    nonnegative ``weights`` when given, scaled to unit mass, into the
-    zeroed time-grid matrix ``image``, rows the idler detector and
-    columns the signal detector.  The transfer is applied, only inside
-    its band, to the idler side and then to the signal side, and the
-    weights are multiplied in one block of rows at a time, so no
-    full-size product is formed; ``weights`` may be a read-only view
-    such as FrequencyGrid.toeplitz gives.  ``image.sum()`` is then the
-    share of the spectrum inside the window.  The map is linear, so a
-    mixture sum_i c_i I_i / |I_i| projects to sum_i c_i image_i.
-    """
-    transfer = build_transfer(spec, grid.nu, center_frequency_hz)
-    blocks = _row_blocks(transfer)
-    half = np.zeros((spec.n_bins, grid.nu.size))
+    Checks the (n_idler, n_signal) spectrum ``intensity`` once and returns
+    ``project(image, weights=None)``: it writes the spectrum, cell by
+    cell times the nonnegative ``weights`` when given, scaled to unit
+    mass, into the zeroed time-grid matrix ``image``, rows the idler
+    detector and columns the signal detector, so that image = T (I w) T^T
+    / mass for the transfer matrix T that both detectors share.
+    ``image.sum()`` is then the share of the spectrum inside the window.
+    The map is linear, so a mixture sum_i c_i I_i / |I_i| projects to
+    sum_i c_i image_i.
 
-    def project(inten: np.ndarray, image: np.ndarray, weights=None) -> None:
-        for name, array in (("intensity", inten), ("weights", weights)):
-            if array is None:
-                continue
-            if array.shape != grid.shape:
-                raise ValueError(f"{name} shape {array.shape} does not match grid {grid.shape}")
-            if np.any(array < 0):
-                raise ValueError(f"{name} must be nonnegative")
-        mass = inten.sum() if weights is None else np.einsum("ij,ij->", inten, weights)
+    T is zero outside its band, so only its blocks are kept: for each
+    block of _BLOCK_ROWS time rows, the contiguous span of frequency
+    columns that reaches it and a copy of T on those rows and columns.
+    The image is formed one block of rows at a time: an idler block's
+    transfer times its rows of the spectrum, over only the signal columns
+    that some block reaches and with the weights multiplied in there,
+    then that product times each signal block's transfer.  Neither the
+    dense T nor a full-size product is held, and ``weights`` may be a
+    read-only view such as FrequencyGrid.toeplitz gives.
+    """
+    inten = np.asarray(intensity, dtype=float)
+    _check_spectrum("intensity", inten, grid)
+    total = inten.sum()
+    blocks = _transfer_blocks(build_transfer(spec, grid.nu, center_frequency_hz))
+    # the signal columns that some block reaches
+    lo = min((cols.start for _, cols, _ in blocks), default=0)
+    span = slice(lo, max((cols.stop for _, cols, _ in blocks), default=0))
+
+    def project(image: np.ndarray, weights=None) -> None:
+        if weights is not None:
+            _check_spectrum("weights", weights, grid)
+        mass = total if weights is None else np.einsum("ij,ij->", inten, weights)
         if mass <= 0:
             raise MeasurementError("joint spectrum carries no intensity")
-        for rows, cols in blocks:
-            part = inten[cols] if weights is None else inten[cols] * weights[cols]
-            half[rows] = transfer[rows, cols] @ part
-        for rows, cols in blocks:
-            image[:, rows] = half[:, cols] @ transfer[rows, cols].T
+        for rows, cols, block in blocks:
+            part = inten[cols, span]
+            part = block @ (part if weights is None else part * weights[cols, span])
+            for rows_s, cols_s, block_s in blocks:
+                image[rows, rows_s] = part[:, cols_s.start - lo:cols_s.stop - lo] @ block_s.T
         image /= mass
         # the blur integral is nonnegative analytically; floating cancellation
         # can leave -1e-18-level residue that multinomial sampling rejects
@@ -252,36 +262,53 @@ def spectrum_projector(
     return project
 
 
-def _row_blocks(transfer: np.ndarray) -> list[tuple[slice, slice]]:
-    """(rows, cols) of each block of time rows and the contiguous span of
-    frequency columns that reaches it; blocks no column reaches are left out."""
+def _check_spectrum(name: str, array: np.ndarray, grid: FrequencyGrid) -> None:
+    """A joint spectrum or weight map must fill the grid and be nonnegative;
+    ``min`` makes no full-size temporary and, like ``any(array < 0)``,
+    lets NaN through."""
+    if array.shape != grid.shape:
+        raise ValueError(f"{name} shape {array.shape} does not match grid {grid.shape}")
+    if array.min() < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def _transfer_blocks(transfer: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
+    """(rows, cols, transfer[rows, cols]) of each block of time rows, with
+    the contiguous span of frequency columns that reaches it and a
+    contiguous copy of the transfer there; blocks no column reaches are
+    left out."""
     reached = transfer != 0
     blocks = []
     for start in range(0, transfer.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         cols = np.flatnonzero(reached[rows].any(axis=0))
         if cols.size:
-            blocks.append((rows, slice(cols[0], cols[-1] + 1)))
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+            blocks.append((rows, cols, np.ascontiguousarray(transfer[rows, cols])))
     return blocks
 
 
 def project_to_spectrometer(
-    jsa: JointSpectralAmplitude,
+    intensity: np.ndarray,
+    grid: FrequencyGrid,
     spec: SpectrometerSpec,
+    center_frequency_hz: float,
 ) -> tuple[np.ndarray, float]:
-    """Deterministic forward map of an amplitude onto the time grid.
+    """Deterministic forward map of a joint spectrum onto the time grid.
 
-    Returns (probabilities, alias_fraction): the n x n matrix of per-cell
-    detection probabilities conditioned on landing in the window (sums
-    to 1), and the fraction of the intensity that fell outside it.  The
-    band center is the amplitude's own ``center_frequency_hz``.
+    ``intensity`` is |JSA|^2 on ``grid``, its detunings measured from the
+    band center center_frequency_hz.  Returns (probabilities,
+    alias_fraction): the n x n matrix of per-cell detection probabilities
+    conditioned on landing in the window (sums to 1), and the fraction of
+    the intensity that fell outside it.
     """
     mapped = np.zeros((spec.n_bins, spec.n_bins))
-    spectrum_projector(jsa.grid, spec, jsa.center_frequency_hz)(jsa.intensity, mapped)
+    spectrum_projector(intensity, grid, spec, center_frequency_hz)(mapped)
     kept = float(mapped.sum())
     if kept <= 0:
         raise MeasurementError("entire joint spectrum maps outside the time window")
-    return mapped / kept, max(1.0 - kept, 0.0)
+    mapped /= kept
+    return mapped, max(1.0 - kept, 0.0)
 
 
 @dataclass
@@ -318,13 +345,16 @@ class CountMatrix:
 
 
 def simulate_counts(
-    jsa: JointSpectralAmplitude,
+    intensity: np.ndarray,
+    grid: FrequencyGrid,
     spec: SpectrometerSpec,
+    center_frequency_hz: float,
     total_events: int,
     seed: int,
     max_alias_fraction: float,
 ) -> CountMatrix:
-    """Poissonian acquisition of the projected joint spectrum.
+    """Poissonian acquisition of the projected joint spectrum ``intensity``
+    on ``grid`` around the band center center_frequency_hz.
 
     Draws the detected events multinomially over the time-grid cells, so
     the matrix total equals the event count exactly.  Raises
@@ -334,9 +364,9 @@ def simulate_counts(
     """
     if total_events < 0:
         raise ValueError("total_events must be >= 0")
-    probs, alias = project_to_spectrometer(jsa, spec)
+    probs, alias = project_to_spectrometer(intensity, grid, spec, center_frequency_hz)
     _check_alias(alias, spec, max_alias_fraction)
-    counts = _draw_counts(probs, spec, jsa.center_frequency_hz, total_events, seed)
+    counts = _draw_counts(probs, spec, center_frequency_hz, total_events, seed)
     counts.metadata["alias_fraction"] = alias
     return counts
 

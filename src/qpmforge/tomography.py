@@ -368,12 +368,14 @@ def simulate_tomography(
     pair_count = hyper.n_bins // 2
     intensity = np.asarray(intensity, dtype=float)
     bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
-    project = spectrum_projector(grid, spec, center_frequency_hz)
+    project = spectrum_projector(intensity, grid, spec, center_frequency_hz)
+    image = np.empty((spec.n_bins, spec.n_bins))
 
     def mixed_image(mix: np.ndarray) -> np.ndarray:
-        """The time-grid image of the source with bin i scaled to mass mix_i."""
-        image = np.zeros((spec.n_bins, spec.n_bins))
-        project(intensity, image, grid.toeplitz((mix / masses)[bins]))
+        """The time-grid image of the source with bin i scaled to mass mix_i,
+        written over the one image buffer that every projection reuses."""
+        image.fill(0.0)
+        project(image, grid.toeplitz((mix / masses)[bins]))
         return image
 
     _check_alias(float(1.0 - mixed_image(hyper.weights).sum()), spec, max_alias_fraction)
@@ -395,7 +397,6 @@ def _draw_projections(hyper, mixed_image, layout, spec, center_frequency_hz, eve
         image = mixed_image(flux / q_jk if q_jk > 0 else hyper.weights)
         alias = max(float(1.0 - image.sum()), 0.0)
         counts = _draw_counts(image, spec, center_frequency_hz, total, seed=[int(seed), j, k])
-        del image  # writing these counts must not hold the image they were drawn from
         counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
         yield (j, k), counts
         del counts  # drawing the next projection must not hold this one

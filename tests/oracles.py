@@ -74,16 +74,15 @@ def split_bins(
 
 def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
                   center_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each spectrum of a (..., n, n) stack through one spectrum_projector.
+    """Each spectrum of a (..., n, n) stack through its own spectrum_projector.
 
     Returns (images, kept): images[...] scaled to unit mass on the time
     grid and kept[...] = images[...].sum(), the share inside the window.
     """
     inten = np.asarray(intensities, dtype=float)
-    project = spectrum_projector(grid, spec, center_frequency_hz)
     images = np.zeros(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
     for index in np.ndindex(inten.shape[:-2]):
-        project(inten[index], images[index])
+        spectrum_projector(inten[index], grid, spec, center_frequency_hz)(images[index])
     return images, images.sum(axis=(-2, -1))
 
 

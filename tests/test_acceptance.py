@@ -53,6 +53,14 @@ ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
 BIN_SPACING_HZ = 500e9
 
 
+def simulate(jsa, spec, events, seed):
+    """simulate_counts of an amplitude's intensity around its band center."""
+    return simulate_counts(
+        jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, events,
+        seed=seed, max_alias_fraction=ALIAS,
+    )
+
+
 # --- 1: design metrics of the ideal comb ------------------------------
 
 
@@ -210,8 +218,10 @@ def test_tofs_calibration_constants(spectro):
 )
 def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     n_events = 10_000_000
-    probs, _ = project_to_spectrometer(comb_jsa, spectro)
-    counts = simulate_counts(comb_jsa, spectro, n_events, seed=7, max_alias_fraction=ALIAS)
+    probs, _ = project_to_spectrometer(
+        comb_jsa.intensity, comb_jsa.grid, spectro, comb_jsa.center_frequency_hz
+    )
+    counts = simulate(comb_jsa, spectro, n_events, seed=7)
     tv = 0.5 * np.abs(counts.values / counts.total - probs).sum()
     assert tv <= 0.02
 
@@ -224,7 +234,7 @@ def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     "50 ps jitter remove only about 0.02",
 )
 def test_tofs_reconstructed_schmidt_number(comb_jsa, spectro):
-    counts = simulate_counts(comb_jsa, spectro, 43_000_000, seed=11, max_alias_fraction=ALIAS)
+    counts = simulate(comb_jsa, spectro, 43_000_000, seed=11)
     k = schmidt_number(np.sqrt(counts.values))
     assert 6.8 <= k <= 8.1
 
@@ -248,7 +258,7 @@ def test_mc_error_scaling(comb_jsa):
 
     stds = {"bootstrap": {}, "delta method": {}}
     for n_events in (430_000, 43_000_000):
-        counts = simulate_counts(comb_jsa, SPEC200, n_events, seed=17, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, SPEC200, n_events, seed=17)
         _, stds["bootstrap"][n_events] = monte_carlo_uncertainty(
             counts.values, n_resamples=1000, seed=19
         )
@@ -267,7 +277,7 @@ def test_delta_method_std_matches_seed_scatter(comb_jsa):
     # 35% is about two of its standard errors.  Seeds 0-19 read 0.90.
     ks, stds = [], []
     for seed in range(20):
-        counts = simulate_counts(comb_jsa, SPEC200, 4_300_000, seed=seed, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, SPEC200, 4_300_000, seed=seed)
         ks.append(schmidt_number(np.sqrt(counts.values)))
         stds.append(schmidt_number_std(counts.values))
     ratio = np.median(stds) / np.std(ks, ddof=1)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qpmforge.biphoton import (
     JointSpectralAmplitude,
     PumpSpec,
     build_jsa,
+    build_jsi,
     load_jsa,
     load_jsi,
     pump_envelope,
@@ -35,17 +37,20 @@ def full_grid_comb_jsa(comb, pump, dispersion, grid):
     return jsa.normalized().values
 
 
-def traced_peak(source, pump, dispersion, grid):
-    """build_jsa's traced peak on the default 1024^2 grid, in units of the
-    amplitude's bytes."""
+def traced_peak(source, pump, dispersion, grid, build=build_jsa):
+    """``build``'s traced peak on the default 1024^2 grid, in bytes."""
     assert grid.shape == (1024, 1024)
     tracemalloc.start()
     try:
-        jsa = build_jsa(source, pump, dispersion, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        build(source, pump, dispersion, grid)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / jsa.values.nbytes
+
+
+# one (n, n) array on the default 1024^2 grid
+FLOAT_GRID_BYTES = 1024**2 * np.dtype(float).itemsize
+COMPLEX_GRID_BYTES = 1024**2 * np.dtype(complex).itemsize
 
 
 def hz_axis(lo_hz, step_hz, n):
@@ -176,16 +181,16 @@ class TestBuildJsa:
 
     def test_comb_peak_memory(self, comb, pump, dispersion, grid):
         # the PMF is evaluated on the 2n - 1 distinct mismatches and read
-        # through a view, and the pump is multiplied in one row at a time,
+        # through a view, and the pump is multiplied in four rows at a time,
         # so the amplitude and the intensity of the edge check (1.5x) are
         # the only (n, n) arrays; gathering the PMF and multiplying the
         # whole pump grid peaked at 2.0x
-        assert traced_peak(comb, pump, dispersion, grid) <= 1.75
+        assert traced_peak(comb, pump, dispersion, grid) <= 1.75 * COMPLEX_GRID_BYTES
 
     def test_designed_peak_memory(self, designed_crystal, pump, dispersion, grid):
         # as for the comb; the gather's (n, n) index array took the
         # designed crystal's peak to 2.5x
-        assert traced_peak(designed_crystal, pump, dispersion, grid) <= 1.75
+        assert traced_peak(designed_crystal, pump, dispersion, grid) <= 1.75 * COMPLEX_GRID_BYTES
 
     @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
     @pytest.mark.parametrize("points", [256, 1024])
@@ -195,6 +200,45 @@ class TestBuildJsa:
         got = build_jsa(crystal, pump, dispersion, grid).values
         want = gathered_jsa(crystal, pump, dispersion, grid)
         np.testing.assert_array_equal(got.view(float), want.view(float))
+
+
+class TestBuildJsi:
+    @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
+    def test_matches_build_jsa_bit_for_bit(self, source, pump, dispersion, grid, request):
+        # the comb's PMF is real and the designed crystal's complex; both
+        # divide a complex row by the norm, as build_jsa does
+        crystal = request.getfixturevalue(source)
+        jsa = request.getfixturevalue(
+            {"comb": "comb_jsa", "designed_crystal": "designed_jsa"}[source]
+        )
+        intensity, center, edge = build_jsi(crystal, pump, dispersion, grid)
+        assert np.array_equal(intensity, jsa.intensity)
+        assert center == jsa.center_frequency_hz
+        assert edge == jsa.metadata["edge_mass_fraction"]
+
+    def test_edge_warning_matches_build_jsa(self, comb, pump, dispersion):
+        tiny = FrequencyGrid.symmetric(64, 0.4e12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            jsa = build_jsa(comb, pump, dispersion, tiny)
+            intensity, _, edge = build_jsi(comb, pump, dispersion, tiny)
+        assert len(caught) == 2
+        # the same warning, blamed on the builder's caller
+        assert [w.category for w in caught] == [UserWarning, UserWarning]
+        assert [w.filename for w in caught] == [__file__, __file__]
+        assert "grid edge" in str(caught[1].message)
+        assert str(caught[1].message) == str(caught[0].message)
+        assert edge == jsa.metadata["edge_mass_fraction"] > 1e-3
+        assert np.array_equal(intensity, jsa.intensity)
+
+    @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
+    def test_peak_memory_is_one_intensity(self, source, pump, dispersion, grid, request):
+        # the intensity is the only (n, n) array: both passes make four rows
+        # at a time (1.03x for the comb, 1.04x for the designed crystal);
+        # build_jsa holds the amplitude and its intensity (1.5x the
+        # amplitude, 3.0x this unit)
+        crystal = request.getfixturevalue(source)
+        assert traced_peak(crystal, pump, dispersion, grid, build_jsi) <= 1.1 * FLOAT_GRID_BYTES
 
 
 class TestJsaIO:

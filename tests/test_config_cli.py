@@ -15,7 +15,7 @@ import pytest
 
 import qpmforge
 from qpmforge.analysis import schmidt_number, schmidt_number_std
-from qpmforge.biphoton import C_LIGHT, build_jsa, load_jsa, load_jsi
+from qpmforge.biphoton import C_LIGHT, build_jsi, load_jsa, load_jsi
 from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
 from qpmforge.crystal import load_domains
@@ -514,9 +514,10 @@ class TestBandCenter:
         # projection (the statistical error here is about 0.1 ps)
         cfg, out = run
         spec = cfg.spectrometer_spec()
-        jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
-                        cfg.frequency_grid())
-        probs, _ = project_to_spectrometer(jsa, spec)
+        grid = cfg.frequency_grid()
+        intensity, center, _ = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
+                                         grid)
+        probs, _ = project_to_spectrometer(intensity, grid, spec, center)
         summed = sum(counts.values for _, counts in load_tomography_bundle(out / "tomo"))
 
         def centroid(image):

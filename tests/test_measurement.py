@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from qpmforge import cli
 from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
 from qpmforge.config import default_config
@@ -29,6 +31,19 @@ from oracles import project_stack
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
 ALIAS = default_config()["spectrometer"]["max_alias_fraction"]
+
+
+def project(jsa, spec):
+    """project_to_spectrometer of an amplitude's intensity around its band center."""
+    return project_to_spectrometer(jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz)
+
+
+def simulate(jsa, spec, events, seed, max_alias_fraction=ALIAS):
+    """simulate_counts of an amplitude's intensity around its band center."""
+    return simulate_counts(
+        jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, events,
+        seed=seed, max_alias_fraction=max_alias_fraction,
+    )
 
 
 def windowed(spec, n_bins):
@@ -191,7 +206,7 @@ class TestTransfer:
 
 class TestProjection:
     def test_probabilities_account_for_alias(self, comb_jsa, spectro):
-        probs, alias = project_to_spectrometer(comb_jsa, spectro)
+        probs, alias = project(comb_jsa, spectro)
         assert probs.shape == (500, 500)
         assert np.all(probs >= 0.0)
         # conditioned on landing inside the window, so exactly normalized
@@ -202,13 +217,13 @@ class TestProjection:
     def test_jitter_washes_out_structure(self, comb_jsa, spectro):
         ks = []
         for fwhm in (0.0, 50e-12, 200e-12):
-            probs, _ = project_to_spectrometer(comb_jsa, jittered(spectro, fwhm))
+            probs, _ = project(comb_jsa, jittered(spectro, fwhm))
             ks.append(schmidt_number(np.sqrt(probs)))
         assert ks[0] > ks[1] > ks[2]
         assert ks[0] == pytest.approx(8.124, abs=0.02)
 
     def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
-        direct, alias = project_to_spectrometer(comb_jsa, spectro)
+        direct, alias = project(comb_jsa, spectro)
         center = comb_jsa.center_frequency_hz
         image, kept = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
         np.testing.assert_array_equal(direct, image / kept)
@@ -222,26 +237,26 @@ class TestProjection:
         np.testing.assert_allclose(kept2, [kept, kept], rtol=1e-12)
 
     def test_amplitude_requires_center(self, comb_jsa):
-        # the projection reads the amplitude's own band center, which no
-        # amplitude can lack
+        # an amplitude always carries the band center its intensity is
+        # projected around
         with pytest.raises(TypeError, match="center_frequency_hz"):
             JointSpectralAmplitude(grid=comb_jsa.grid, values=comb_jsa.values)
 
 
 class TestSimulateCounts:
     def test_total_is_exact_and_reproducible(self, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 100_000, seed=3, max_alias_fraction=ALIAS)
-        again = simulate_counts(comb_jsa, spectro, 100_000, seed=3, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, spectro, 100_000, seed=3)
+        again = simulate(comb_jsa, spectro, 100_000, seed=3)
         assert counts.total == 100_000
         np.testing.assert_array_equal(counts.values, again.values)
-        other = simulate_counts(comb_jsa, spectro, 100_000, seed=4, max_alias_fraction=ALIAS)
+        other = simulate(comb_jsa, spectro, 100_000, seed=4)
         assert np.any(other.values != counts.values)
 
     def test_counts_match_expectation(self, comb_jsa, spectro):
         n = 500_000
-        probs, _ = project_to_spectrometer(comb_jsa, spectro)
+        probs, _ = project(comb_jsa, spectro)
         probs = probs / probs.sum()
-        counts = simulate_counts(comb_jsa, spectro, n, seed=12, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, spectro, n, seed=12)
         expected = n * probs
         hot = expected > 25.0
         z = (counts.values[hot] - expected[hot]) / np.sqrt(expected[hot])
@@ -249,17 +264,38 @@ class TestSimulateCounts:
         assert np.mean(np.abs(z) > 3.0) < 0.01
 
     def test_zero_events(self, comb_jsa, spectro):
-        counts = simulate_counts(comb_jsa, spectro, 0, seed=0, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, spectro, 0, seed=0)
         assert counts.total == 0
 
     def test_alias_overflow_raises(self, comb_jsa, spectro):
         with pytest.raises(MeasurementError, match="outside the"):
-            simulate_counts(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+            simulate(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+
+
+    def test_tofs_sim_peak_memory_below_the_amplitude(self, tmp_path):
+        # tofs-sim builds the intensity, not the amplitude, and keeps only
+        # the transfer's band: on a 256^2 grid and a 100 x 100 time grid its
+        # traced peak reads 0.88 of one complex (n, n) amplitude, and 2.07
+        # while it built the amplitude.  The first run pays numpy.random's
+        # lazy import, so the second is traced.
+        cfg = default_config()
+        cfg.sections["grid"]["points"] = 256
+        cfg.sections["spectrometer"]["time_bin_s"] = 125e-12
+        cfg.sections["spectrometer"]["events"] = 100_000
+        assert cfg.spectrometer_spec().n_bins == 100
+        cli.cmd_tofs_sim(cfg, str(tmp_path))
+        tracemalloc.start()
+        try:
+            cli.cmd_tofs_sim(cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256**2 * np.dtype(complex).itemsize
 
 
 @pytest.fixture(scope="module")
 def counts(comb_jsa, spectro):
-    return simulate_counts(comb_jsa, spectro, 2_000_000, seed=21, max_alias_fraction=ALIAS)
+    return simulate(comb_jsa, spectro, 2_000_000, seed=21)
 
 
 class TestReconstruction:
@@ -291,7 +327,7 @@ class TestCountsIO:
     def test_roundtrip(self, tmp_path, comb_jsa, spectro):
         # a non-default reference wavelength must survive the file
         spec = dataclasses.replace(spectro, reference_wavelength=1555.9e-9)
-        counts = simulate_counts(comb_jsa, spec, 50_000, seed=8, max_alias_fraction=ALIAS)
+        counts = simulate(comb_jsa, spec, 50_000, seed=8)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path)
@@ -329,9 +365,7 @@ class TestCountsIO:
         assert str(path) in str(err.value)
 
     def test_loaded_spec_reads_as_one_km_without_jitter(self, tmp_path, comb_jsa, spectro):
-        counts = simulate_counts(
-            comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3, max_alias_fraction=ALIAS
-        )
+        counts = simulate(comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path).spec

@@ -40,7 +40,10 @@ def calls(comb, pump, dispersion, spectro, designed_crystal, tmp_path_factory):
     """Span name -> (args, kwargs, attribute, its expected value or a predicate)."""
     tmp = tmp_path_factory.mktemp("observers")
     jsa = build_jsa(comb, pump, dispersion, FrequencyGrid.symmetric(64, 2.5e12))
-    counts = simulate_counts(jsa, spectro, 10_000, seed=0, max_alias_fraction=0.02)
+    counts = simulate_counts(
+        jsa.intensity, jsa.grid, spectro, jsa.center_frequency_hz, 10_000,
+        seed=0, max_alias_fraction=0.02,
+    )
     dk = comb.center + np.linspace(-1e3, 1e3, 5)
     paths = {name: str(tmp / name) for name in ("jsa.csv", "jsi.csv", "counts.csv")}
 

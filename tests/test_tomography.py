@@ -531,9 +531,12 @@ class TestSimulateTomography:
 
     def test_peak_memory_below_image_stack(self, small_jsa, random_phases, spectro, tmp_path):
         # the tomo-sim flow keeps no per-bin image: it projects each
-        # setting's mixed spectrum just before the draw, so it peaks at
-        # 0.43 of the stack of eight 500 x 500 bin images; mixing after
-        # projection held that stack and peaked at 1.41
+        # setting's mixed spectrum just before the draw, into one reused
+        # image, with only the transfer's band held, so it peaks at 0.31 of
+        # the stack of eight 500 x 500 bin images (0.35 leaves 13% for
+        # allocator and version drift).  With a dense transfer and a fresh
+        # image per setting it read 0.43; mixing after projection held the
+        # stack and peaked at 1.41
         stack_bytes = 2 * PAIRS * spectro.n_bins**2 * np.dtype(float).itemsize
         tracemalloc.start()
         try:
@@ -543,7 +546,7 @@ class TestSimulateTomography:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stack_bytes
+        assert peak < 0.35 * stack_bytes
 
     def test_counts_are_draws_from_mixed_oracle_images(
         self, sim, pure_hyper, small_images, spectro
@@ -581,12 +584,8 @@ class TestSharedProjection:
         ]
         for flux in mixes:
             mix = flux / flux.sum()
-            mixed = JointSpectralAmplitude(
-                grid=small_grid,
-                values=np.sqrt(np.tensordot(mix, parts, axes=(0, 0))),
-                center_frequency_hz=NU0,
-            )
-            ref, ref_alias = project_to_spectrometer(mixed, spectro)
+            mixed = np.tensordot(mix, parts, axes=(0, 0))
+            ref, ref_alias = project_to_spectrometer(mixed, small_grid, spectro, NU0)
             shared = np.tensordot(mix, images, axes=(0, 0))
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
@@ -598,23 +597,53 @@ class TestSharedProjection:
         diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
         weights = grid.toeplitz(diagonals)
         assert not weights.flags.writeable
-        project = measurement.spectrum_projector(grid, spectro, NU0)
+        project = measurement.spectrum_projector(small_jsa.intensity, grid, spectro, NU0)
         got, want = np.zeros((2, spectro.n_bins, spectro.n_bins))
-        project(small_jsa.intensity, got, weights)
-        project(small_jsa.intensity * weights, want)
+        project(got, weights)
+        measurement.spectrum_projector(small_jsa.intensity * weights, grid, spectro, NU0)(want)
         assert np.abs(got - want).max() <= 1e-15 * want.max()
         with pytest.raises(ValueError, match="weights must be nonnegative"):
-            project(small_jsa.intensity, got, -weights)
+            project(got, -weights)
         with pytest.raises(ValueError, match="weights shape"):
-            project(small_jsa.intensity, got, weights[1:])
+            project(got, weights[1:])
+        with pytest.raises(ValueError, match="intensity must be nonnegative"):
+            measurement.spectrum_projector(-small_jsa.intensity, grid, spectro, NU0)
+        with pytest.raises(ValueError, match="intensity shape"):
+            measurement.spectrum_projector(small_jsa.intensity[1:], grid, spectro, NU0)
 
     def test_banded_projection_matches_dense_product(self, small_split, small_grid, spectro):
-        _, parts, _ = small_split
-        images, kept = project_stack(parts, small_grid, spectro, NU0)
-        transfer = measurement.build_transfer(spectro, small_grid.nu, NU0)
-        dense = np.array([transfer @ (part / part.sum()) @ transfer.T for part in parts])
-        assert np.abs(images - dense).max() <= 1e-12 * dense.max()
-        np.testing.assert_allclose(kept, dense.sum(axis=(1, 2)), rtol=0, atol=1e-12)
+        # the blocks against the dense T (I w) T^T / mass, with and without
+        # weights: on the comb's bin spectra, and on random spectra of a grid
+        # and window that put the block form at its edges.  There the band
+        # reaches frequency columns 0 and n - 1, 473 time rows end in a
+        # short block that the band reaches, and no column reaches the
+        # first three blocks.
+        edge_grid = FrequencyGrid(nu=2.0 * np.pi * np.linspace(-1.7e12, 0.5e12, 256))
+        edge_spec = dataclasses.replace(spectro, window=473 * spectro.time_bin)
+        edge_transfer = measurement.build_transfer(edge_spec, edge_grid.nu, NU0)
+        blocks = measurement._transfer_blocks(edge_transfer)
+        assert edge_spec.n_bins % measurement._BLOCK_ROWS != 0
+        assert min(cols.start for _, cols, _ in blocks) == 0
+        assert max(cols.stop for _, cols, _ in blocks) == edge_grid.nu.size
+        assert [rows.start for rows, _, _ in blocks] == list(range(150, 500, 50))
+        assert blocks[-1][2].shape[0] == 23
+        assert not edge_transfer[:150].any()
+        cases = [
+            (small_grid, spectro, small_split[1]),
+            (edge_grid, edge_spec, np.random.default_rng(7).uniform(0.0, 1.0, (2, 256, 256))),
+        ]
+        for grid, spec, spectra in cases:
+            transfer = measurement.build_transfer(spec, grid.nu, NU0)
+            diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
+            for inten in spectra:
+                project = measurement.spectrum_projector(inten, grid, spec, NU0)
+                for weights in (None, grid.toeplitz(diagonals)):
+                    product = inten if weights is None else inten * weights
+                    dense = transfer @ product @ transfer.T / product.sum()
+                    image = np.zeros((spec.n_bins, spec.n_bins))
+                    project(image, weights)
+                    assert np.abs(image - dense).max() <= 1e-12 * dense.max()
+                    assert image.sum() == pytest.approx(dense.sum(), rel=0, abs=1e-12)
 
     def test_transfer_matrices_built_once_per_call(self, monkeypatch, tmp_path):
         # both photons share one axis, so each readout stage builds one
@@ -888,10 +917,12 @@ class TestBundleIO:
         self, pure_hyper, small_jsa, spectro, tmp_path
     ):
         # each direction of the stream holds one count matrix at a time.
-        # In units of one matrix's bytes the draws peak at 3.4 (the
-        # projector's transfer matrix and idler-side product, one mixed
-        # image, normalized in place, and its counts) and the gated read at
-        # 1.25; holding all 16 projections read 18.0 and 16.2
+        # In units of one matrix's bytes the draws peak at 2.45 (the one
+        # reused image, normalized in place, and its counts, next to the
+        # intensity and the transfer's band; the bound of 2.75 leaves 12%)
+        # and the gated read at 1.25.  A dense transfer, its idler-side
+        # product and a fresh image per setting read 3.4; holding all 16
+        # projections read 18.0 and 16.2
         matrix_bytes = spectro.n_bins**2 * np.dtype(np.int64).itemsize
         stages = (
             lambda: save_tomography_bundle(
@@ -909,7 +940,7 @@ class TestBundleIO:
                 peaks.append(tracemalloc.get_traced_memory()[1] / matrix_bytes)
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 4.0
+        assert peaks[0] < 2.75
         assert peaks[1] < 2.0
 
 
