@@ -168,21 +168,6 @@ class JointSpectralAmplitude:
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def norm_squared(self) -> float:
-        """L2 norm with the grid measure: sum |f|^2 dnu_s dnu_i."""
-        return float(np.sum(self.intensity) * self.grid.d_nu * self.grid.d_nu)
-
-    def normalized(self) -> "JointSpectralAmplitude":
-        n2 = self.norm_squared()
-        if n2 <= 0:
-            raise ValueError("cannot normalise a zero amplitude")
-        return JointSpectralAmplitude(
-            grid=self.grid,
-            values=self.values / np.sqrt(n2),
-            center_frequency_hz=self.center_frequency_hz,
-            metadata=dict(self.metadata),
-        )
-
 
 def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     """Gaussian pump amplitude at a given sum detuning (rad/s)."""
@@ -241,7 +226,6 @@ def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float
             "the frequency span is probably too small",
             stacklevel=3,
         )
-    # the same n2 as normalized()
     return float(np.sqrt(float(total * grid.d_nu * grid.d_nu))), edge_fraction
 
 

@@ -39,7 +39,6 @@ from .tomography import (
     GateError,
     HyperState,
     analyze_tomography,
-    bin_weights,
     load_tomography_bundle,
     save_tomography_bundle,
     simulate_tomography,
@@ -149,7 +148,6 @@ def _cmd_hom(cfg: RunConfig, out_dir: str, kind: str) -> None:
             delays=taus,
             values=rng.poisson(expected).astype(float),
             kind=kind,
-            metadata={"counts_per_point": counts_per_point},
         )
         save_curve(noisy, os.path.join(out_dir, "counts.tsv"))
         # a heralded curve carries no beat, so its fit holds delta at the
@@ -203,23 +201,14 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
     )
 
 
-def _hyper_state(cfg: RunConfig, weights: np.ndarray) -> HyperState:
-    n = weights.size
-    return HyperState(
-        phases=cfg.bin_values("phases_rad", n),
-        weights=weights,
-        drift=cfg.bin_values("drift_rad", n),
-    )
-
-
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
     grid = cfg.frequency_grid()
     # as in tofs-sim, the readout needs |JSA|^2 only
     intensity, center, _ = build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), grid)
-    weights = bin_weights(intensity, grid, spacing, cfg["crystal"]["pair_count"])
+    n = 2 * cfg["crystal"]["pair_count"]
     projections = simulate_tomography(
-        _hyper_state(cfg, weights),
+        HyperState(cfg.bin_values("phases_rad", n), cfg.bin_values("drift_rad", n)),
         intensity,
         grid,
         cfg.spectrometer_spec(),

@@ -29,9 +29,13 @@ carries, and its file records, the bin layout it was drawn with.
 spectrum_projector is the one projection: it checks one joint spectrum
 once and then projects it as often as asked, optionally times a weight
 per cell, such as a read-only Toeplitz view of one weight per diagonal,
-multiplied in block by block.  It keeps only the transfer's band, and
-the readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since a
-time-of-flight readout is phase-blind.
+multiplied in block by block.  Each projection returns the detection
+probabilities, scaled to unit sum in the projector's one image buffer,
+and the alias fraction, the share of the spectrum outside the window; no
+other code scales an image or computes an alias fraction, and the draws
+take the probabilities as they are.  It keeps only the transfer's band,
+and the readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since
+a time-of-flight readout is phase-blind.
 """
 
 from __future__ import annotations
@@ -216,14 +220,18 @@ def spectrum_projector(
     """The spectrometer's map of one joint spectrum on ``grid``, as a function.
 
     Checks the (n_idler, n_signal) spectrum ``intensity`` once and returns
-    ``project(image, weights=None)``: it writes the spectrum, cell by
-    cell times the nonnegative ``weights`` when given, scaled to unit
-    mass, into the zeroed time-grid matrix ``image``, rows the idler
-    detector and columns the signal detector, so that image = T (I w) T^T
-    / mass for the transfer matrix T that both detectors share.
-    ``image.sum()`` is then the share of the spectrum inside the window.
-    The map is linear, so a mixture sum_i c_i I_i / |I_i| projects to
-    sum_i c_i image_i.
+    ``project(weights=None) -> (probabilities, alias_fraction)``.  It maps
+    the spectrum, cell by cell times the nonnegative ``weights`` when
+    given, onto the time grid, rows the idler detector and columns the
+    signal detector: image = T (I w) T^T / mass for the transfer matrix T
+    that both detectors share, so that image.sum() is the share of the
+    spectrum inside the window.  ``probabilities`` is that image scaled to
+    unit sum, the detection probabilities conditioned on landing in the
+    window, and ``alias_fraction`` the share outside it, 1 - image.sum().
+    Raises MeasurementError when the spectrum carries no intensity or none
+    of it lands in the window.  This is the one place that scales an image
+    or computes an alias fraction.  ``probabilities`` is the projector's
+    one n x n buffer, which the next call overwrites.
 
     T is zero outside its band, so only its blocks are kept: for each
     block of _BLOCK_ROWS time rows, the contiguous span of frequency
@@ -242,8 +250,10 @@ def spectrum_projector(
     # the signal columns that some block reaches
     lo = min((cols.start for _, cols, _ in blocks), default=0)
     span = slice(lo, max((cols.stop for _, cols, _ in blocks), default=0))
+    # every call writes the same blocks, so the cells outside them stay zero
+    image = np.zeros((spec.n_bins, spec.n_bins))
 
-    def project(image: np.ndarray, weights=None) -> None:
+    def project(weights=None) -> tuple[np.ndarray, float]:
         if weights is not None:
             _check_spectrum("weights", weights, grid)
         mass = total if weights is None else np.einsum("ij,ij->", inten, weights)
@@ -254,10 +264,15 @@ def spectrum_projector(
             part = block @ (part if weights is None else part * weights[cols, span])
             for rows_s, cols_s, block_s in blocks:
                 image[rows, rows_s] = part[:, cols_s.start - lo:cols_s.stop - lo] @ block_s.T
-        image /= mass
+        np.divide(image, mass, out=image)
         # the blur integral is nonnegative analytically; floating cancellation
         # can leave -1e-18-level residue that multinomial sampling rejects
         np.clip(image, 0.0, None, out=image)
+        kept = float(image.sum())
+        if kept <= 0:
+            raise MeasurementError("entire joint spectrum maps outside the time window")
+        np.divide(image, kept, out=image)
+        return image, max(1.0 - kept, 0.0)
 
     return project
 
@@ -298,17 +313,12 @@ def project_to_spectrometer(
 
     ``intensity`` is |JSA|^2 on ``grid``, its detunings measured from the
     band center center_frequency_hz.  Returns (probabilities,
-    alias_fraction): the n x n matrix of per-cell detection probabilities
-    conditioned on landing in the window (sums to 1), and the fraction of
-    the intensity that fell outside it.
+    alias_fraction) of spectrum_projector's one unweighted projection: the
+    n x n matrix of per-cell detection probabilities conditioned on
+    landing in the window (sums to 1), and the fraction of the intensity
+    that fell outside it.
     """
-    mapped = np.zeros((spec.n_bins, spec.n_bins))
-    spectrum_projector(intensity, grid, spec, center_frequency_hz)(mapped)
-    kept = float(mapped.sum())
-    if kept <= 0:
-        raise MeasurementError("entire joint spectrum maps outside the time window")
-    mapped /= kept
-    return mapped, max(1.0 - kept, 0.0)
+    return spectrum_projector(intensity, grid, spec, center_frequency_hz)()
 
 
 @dataclass
@@ -386,12 +396,9 @@ def _draw_counts(
     total_events: int,
     seed,
 ) -> CountMatrix:
-    """Multinomial draw of the detected events over the time-grid cells.
-
-    ``probs`` is scaled to unit sum in place, so the draw needs no copy.
-    """
+    """Multinomial draw of the detected events over the time-grid cells of
+    ``probs``, which sums to 1 as a projector's probabilities do."""
     rng = np.random.default_rng(seed)
-    probs /= probs.sum()
     draws = rng.multinomial(int(total_events), probs.ravel())
     return CountMatrix(
         values=draws.reshape(probs.shape),

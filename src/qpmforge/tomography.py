@@ -10,11 +10,14 @@ A grid cell belongs to the bin whose difference-frequency center is
 nearest its nu_s - nu_i, which on the shared axis is fixed by the
 column-row difference, so each bin is a band of whole diagonals and the
 bin map is one (2n - 1)-vector.  The forward model never splits the
-spectrum into bins: simulate_tomography mixes the bins of each SIC
-setting by weighting each cell of the source by mix_i / mass_i of its
-bin, and projects that one spectrum just before it draws the setting
-(bin_weights gives the mass fractions).  bin_gates alone lays out the
-bins' time gates.
+spectrum into bins: simulate_tomography sums each bin's mass in one
+pass over the source, takes the bins' shares of it as their emission
+weights, mixes the bins of each SIC setting by weighting each cell of
+the source by mix_i / mass_i of its bin, and projects that one spectrum
+just before it draws the setting.  The projector returns each draw's
+probabilities and alias fraction, so no code here scales an image or
+computes an alias fraction.  bin_gates alone lays out the bins' time
+gates.
 
 The 16 projections stream in both directions, so neither stage holds
 more than one count matrix: simulate_tomography returns an iterator
@@ -70,7 +73,6 @@ __all__ = [
     "bin_detuning",
     "GateError",
     "bin_gates",
-    "bin_weights",
     "simulate_tomography",
     "tomography_probabilities",
     "BinResult",
@@ -244,15 +246,15 @@ class HyperState:
     """Per-bin polarization description of the hyperentangled source.
 
     Bin i, in default_bin_labels order, carries a singlet with its own
-    phase phases[i] and an emission weight weights[i] (summing to 1).  The
-    optional drift[i] (radians) dephases that bin's HV/VH coherence by
-    sinc(drift/2), the average of e^{i theta} over a retardance sweeping
-    uniformly through drift radians during the acquisition; zeros (the
-    default) keep every bin pure.
+    phase phases[i].  The optional drift[i] (radians) dephases that bin's
+    HV/VH coherence by sinc(drift/2), the average of e^{i theta} over a
+    retardance sweeping uniformly through drift radians during the
+    acquisition; zeros (the default) keep every bin pure.  The bins'
+    emission weights are not part of it: simulate_tomography reads them
+    off the joint spectrum.
     """
 
     phases: np.ndarray
-    weights: np.ndarray
     drift: np.ndarray = None
 
     def __post_init__(self) -> None:
@@ -260,11 +262,6 @@ class HyperState:
         n = self.phases.size
         self.phases = (self.phases + np.pi) % (2.0 * np.pi) - np.pi
         self.phases[self.phases == -np.pi] = np.pi
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.weights.shape != (n,):
-            raise ValueError("weights and phases must have equal length")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
         if self.drift is None:
             self.drift = np.zeros(n)
         self.drift = np.atleast_1d(np.asarray(self.drift, dtype=float))
@@ -283,45 +280,27 @@ class HyperState:
 
 
 def _bin_masses(
-    intensity, grid: FrequencyGrid, spacing_hz: float, pair_count: int
+    intensity: np.ndarray, grid: FrequencyGrid, spacing_hz: float, pair_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bins, masses): the bin index, in default_bin_labels order, of each
-    of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``.
+    of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``,
+    a spectrum that spectrum_projector has checked.
 
     A diagonal goes wholly to the bin pair whose difference-frequency
     center is nearest its nu_s - nu_i.  Raises MeasurementError for a bin
     that carries no intensity.
     """
-    inten = np.asarray(intensity, dtype=float)
-    if inten.shape != grid.shape:
-        raise ValueError("intensity must match the grid's shape")
-    if np.any(inten < 0):
-        raise ValueError("intensity must be nonnegative")
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
     bins = np.digitize(grid.differences, 0.5 * (centers[1:] + centers[:-1]))
     masses = np.sum([
         np.bincount(row_bins, weights=row, minlength=labels.size)
-        for row_bins, row in zip(grid.toeplitz(bins), inten)
+        for row_bins, row in zip(grid.toeplitz(bins), intensity)
     ], axis=0)
-    if masses.sum() <= 0:
-        raise ValueError("joint spectrum carries no intensity")
     for label, mass in zip(labels, masses):
         if mass <= 0:
             raise MeasurementError(f"bin {label:+d} of the joint spectrum carries no intensity")
     return bins, masses
-
-
-def bin_weights(
-    intensity: np.ndarray, grid: FrequencyGrid, spacing_hz: float, pair_count: int
-) -> np.ndarray:
-    """Each bin pair's share of the joint spectrum |JSA|^2 ``intensity``
-    on ``grid``, in default_bin_labels order: the emission weights of a
-    HyperState.  Every cell goes to the bin whose difference-frequency
-    center is nearest its nu_s - nu_i, so each diagonal lies in one bin.
-    """
-    _, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
-    return masses / masses.sum()
 
 
 def _born_table(hyper: HyperState) -> np.ndarray:
@@ -345,15 +324,16 @@ def simulate_tomography(
 
     ``intensity`` is the source's joint spectrum |JSA|^2 on ``grid``
     around the band center center_frequency_hz, split into the
-    hyper.n_bins bins of bin_weights at ``spacing_hz``.  For setting
+    hyper.n_bins bins of _bin_masses at ``spacing_hz``; bin i's share
+    weight_i of the spectrum's mass is its emission weight.  For setting
     (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
     total pair flux; the projection's event total is Poissonian with
     mean 4 * events * that flux (so ``events`` is the average count per
     projection), and the image sampled is the spectrum in which each bin
     carries its share mix_i of that flux, each cell of the source
     weighted by mix_i / mass_i of its bin, projected at once.  Raises
-    MeasurementError when more than max_alias_fraction of the source, its
-    bins mixed by hyper.weights, falls outside the acquisition window.
+    MeasurementError when more than max_alias_fraction of the source
+    falls outside the acquisition window.
 
     The arguments are checked at the call; the projections are then
     drawn lazily, one per step of the returned iterator of ((j, k),
@@ -366,37 +346,32 @@ def simulate_tomography(
     if events < 0:
         raise ValueError("events must be >= 0")
     pair_count = hyper.n_bins // 2
-    intensity = np.asarray(intensity, dtype=float)
-    bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
     project = spectrum_projector(intensity, grid, spec, center_frequency_hz)
-    image = np.empty((spec.n_bins, spec.n_bins))
-
-    def mixed_image(mix: np.ndarray) -> np.ndarray:
-        """The time-grid image of the source with bin i scaled to mass mix_i,
-        written over the one image buffer that every projection reuses."""
-        image.fill(0.0)
-        project(image, grid.toeplitz((mix / masses)[bins]))
-        return image
-
-    _check_alias(float(1.0 - mixed_image(hyper.weights).sum()), spec, max_alias_fraction)
+    _check_alias(project()[1], spec, max_alias_fraction)
+    bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
     layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
-    return _draw_projections(hyper, mixed_image, layout, spec, center_frequency_hz, events, seed)
+    return _draw_projections(
+        hyper, project, grid, bins, masses, layout, spec, center_frequency_hz, events, seed
+    )
 
 
-def _draw_projections(hyper, mixed_image, layout, spec, center_frequency_hz, events, seed):
+def _draw_projections(
+    hyper, project, grid, bins, masses, layout, spec, center_frequency_hz, events, seed
+):
     """The draws of simulate_tomography: one master stream for the event
     totals, in setting order, and the stream [seed, j, k] for each image."""
+    weights = masses / masses.sum()
     born = _born_table(hyper)
     master = np.random.default_rng([int(seed), 0x7013])
     for (j, k), born_jk in zip(_SETTINGS, born):
         # exact Born zeros (matched singlet projections) come out as
         # -1e-16-level residue, which np.random.poisson rejects
-        flux = np.clip(hyper.weights * born_jk, 0.0, None)
+        flux = np.clip(weights * born_jk, 0.0, None)
         q_jk = flux.sum()
         total = int(master.poisson(4.0 * events * q_jk))
-        image = mixed_image(flux / q_jk if q_jk > 0 else hyper.weights)
-        alias = max(float(1.0 - image.sum()), 0.0)
-        counts = _draw_counts(image, spec, center_frequency_hz, total, seed=[int(seed), j, k])
+        mix = flux / q_jk if q_jk > 0 else weights
+        probs, alias = project(grid.toeplitz((mix / masses)[bins]))
+        counts = _draw_counts(probs, spec, center_frequency_hz, total, seed=[int(seed), j, k])
         counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
         yield (j, k), counts
         del counts  # drawing the next projection must not hold this one
@@ -565,7 +540,7 @@ def analyze_tomography(
         )
         if n_resamples > 0:
             result.purity_std, result.fidelity_std = resample_tomography(
-                probs * total / 4.0, n_resamples, seed=[seed, label & 0xFF]
+                column, n_resamples, seed=[seed, label & 0xFF]
             )
         results.append(result)
     return results

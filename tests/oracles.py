@@ -34,6 +34,24 @@ from qpmforge.tomography import (
 NU0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
 
 
+def norm_squared(jsa: JointSpectralAmplitude) -> float:
+    """L2 norm with the grid measure: sum |f|^2 dnu_s dnu_i."""
+    return float(np.sum(jsa.intensity) * jsa.grid.d_nu * jsa.grid.d_nu)
+
+
+def normalized(jsa: JointSpectralAmplitude) -> JointSpectralAmplitude:
+    """The amplitude scaled to unit norm_squared."""
+    n2 = norm_squared(jsa)
+    if n2 <= 0:
+        raise ValueError("cannot normalise a zero amplitude")
+    return JointSpectralAmplitude(
+        grid=jsa.grid,
+        values=jsa.values / np.sqrt(n2),
+        center_frequency_hz=jsa.center_frequency_hz,
+        metadata=dict(jsa.metadata),
+    )
+
+
 def project_probability(rho, j: int, k: int) -> float:
     """Born probability Tr[rho (M_j x M_k)], j on signal, k on idler."""
     return float(np.real(np.trace(_rho(rho) @ _pair_operator(j, k))))
@@ -76,14 +94,18 @@ def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
                   center_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Each spectrum of a (..., n, n) stack through its own spectrum_projector.
 
-    Returns (images, kept): images[...] scaled to unit mass on the time
-    grid and kept[...] = images[...].sum(), the share inside the window.
+    Returns (probabilities, alias): probabilities[...] the spectrum's time
+    grid image scaled to unit sum and alias[...] the share of it outside
+    the window.
     """
     inten = np.asarray(intensities, dtype=float)
-    images = np.zeros(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
+    probs = np.empty(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
+    alias = np.empty(inten.shape[:-2])
     for index in np.ndindex(inten.shape[:-2]):
-        spectrum_projector(inten[index], grid, spec, center_frequency_hz)(images[index])
-    return images, images.sum(axis=(-2, -1))
+        probs[index], alias[index] = spectrum_projector(
+            inten[index], grid, spec, center_frequency_hz
+        )()
+    return probs, alias
 
 
 def bin_images(
@@ -97,13 +119,14 @@ def bin_images(
     unit mass on the time grid and weights the mass fractions.  Any mix
     of the bins projects to the same mix of these images."""
     _, parts, weights = split_bins(jsa, spacing_hz, pair_count)
-    images, _ = project_stack(parts, jsa.grid, spec, jsa.center_frequency_hz)
-    return images, weights
+    probs, alias = project_stack(parts, jsa.grid, spec, jsa.center_frequency_hz)
+    return probs * (1.0 - alias)[:, None, None], weights
 
 
 def expected_tomography(
     hyper: HyperState,
     images: np.ndarray,
+    weights: np.ndarray,
     spec: SpectrometerSpec,
     center_frequency_hz: float,
     spacing_hz: float,
@@ -112,11 +135,12 @@ def expected_tomography(
     """Infinite-statistics gated SIC probabilities for every bin.
 
     The expected gated count for (label, j, k) factorizes as
-    sum_i weight_i * Born_i(j,k) * G[label, i], with G the share of bin
-    i's image (as bin_images projects it) inside the label's gates, as
-    bin_gates cuts them.  This is the deterministic limit of
-    simulate_tomography -> analyze_tomography, exposing the gating
-    cross-talk with no sampling noise on top.
+    sum_i weights_i * Born_i(j,k) * G[label, i], with weights_i bin i's
+    emission weight and G the share of bin i's image (as bin_images
+    projects it) inside the label's gates, as bin_gates cuts them.  This
+    is the deterministic limit of simulate_tomography ->
+    analyze_tomography, exposing the gating cross-talk with no sampling
+    noise on top.
     """
     born = _born_table(hyper)
     out: dict[int, np.ndarray] = {}
@@ -124,7 +148,7 @@ def expected_tomography(
     gates = bin_gates(spec, center_frequency_hz, pair_count, spacing_hz, width)
     for label, (rows, cols) in zip(default_bin_labels(pair_count), gates):
         capture = images[:, rows, cols].sum(axis=(1, 2))
-        gated = born @ (hyper.weights * capture)
+        gated = born @ (weights * capture)
         out[int(label)] = 4.0 * gated / gated.sum()
     return out
 
@@ -164,7 +188,7 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
         + np.exp(-((x + centers) ** 2) / (2.0 * sigma**2))
     ).sum(axis=-1)
     values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
-    return JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0).normalized()
+    return normalized(JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0))
 
 
 def svd_weights(jsa) -> np.ndarray:

@@ -308,9 +308,9 @@ def test_noiseless_roundtrip_all_bins(comb, pump, dispersion, spectro):
     labels = default_bin_labels(pairs)
 
     phases = np.random.default_rng(42).uniform(-np.pi, np.pi, 8)
-    hyper = HyperState(phases=phases, weights=weights)
+    hyper = HyperState(phases=phases)
     table = expected_tomography(
-        hyper, images, spectro, jsa.center_frequency_hz, spacing,
+        hyper, images, weights, spectro, jsa.center_frequency_hz, spacing,
         DEVICE["tomography"]["gate_width_s"],
     )
 

@@ -12,16 +12,16 @@ from qpmforge.analysis import (
 )
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
 
-from oracles import NU0, fidelity_to_maximal, svd_weights
+from oracles import NU0, fidelity_to_maximal, normalized, svd_weights
 
 
 def separable_gaussian(n=128, half_span=2e12):
     grid = FrequencyGrid.symmetric(n, half_span)
     s = np.exp(-(grid.nu / (2 * np.pi * 0.4e12)) ** 2)
     i = np.exp(-(grid.nu / (2 * np.pi * 0.25e12)) ** 2)
-    return JointSpectralAmplitude(
+    return normalized(JointSpectralAmplitude(
         grid=grid, values=np.outer(i, s), center_frequency_hz=NU0
-    ).normalized()
+    ))
 
 
 class TestSchmidtDecompose:

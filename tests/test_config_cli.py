@@ -425,6 +425,22 @@ class TestCliExitCodes:
         assert main(["tofs-sim", "--config", config, "--out", str(out)]) == 3
         assert out.is_dir()
 
+    def test_spectrum_wholly_outside_the_window_exits_3(self, tmp_path, capsys):
+        # with any alias allowed and the window centred 56 nm off the band,
+        # no light reaches the detectors: both simulators refuse at exit 3
+        # with the one projector's message and leave no output directory
+        config = make_config(
+            tmp_path,
+            **dict(FAST, **{"spectrometer.max_alias_fraction": 1.0,
+                            "spectrometer.reference_wavelength_m": 1500e-9}),
+        )
+        for command in ("tofs-sim", "tomo-sim"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 3, command
+            err = capsys.readouterr().err
+            assert "numeric failure" in err and "maps outside the time window" in err, command
+            assert not out.exists(), command
+
     def test_alias_limit_applies_to_the_source(self, tmp_path):
         # phases spread over +-0.7 rad make some SIC projections mostly
         # outer-bin light (5% aliased), but the source as a whole stays

@@ -225,16 +225,16 @@ class TestProjection:
     def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
         direct, alias = project(comb_jsa, spectro)
         center = comb_jsa.center_frequency_hz
-        image, kept = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
-        np.testing.assert_array_equal(direct, image / kept)
-        assert alias == 1.0 - kept
+        probs, alias1 = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
+        np.testing.assert_array_equal(direct, probs)
+        assert alias == alias1
         # a stack projects entry by entry
-        stack, kept2 = project_stack(
+        stack, alias2 = project_stack(
             np.stack([comb_jsa.intensity, 3.0 * comb_jsa.intensity]), comb_jsa.grid, spectro,
             center,
         )
-        np.testing.assert_allclose(stack, [image, image], rtol=0, atol=1e-12 * image.max())
-        np.testing.assert_allclose(kept2, [kept, kept], rtol=1e-12)
+        np.testing.assert_allclose(stack, [probs, probs], rtol=0, atol=1e-12 * probs.max())
+        np.testing.assert_allclose(alias2, [alias, alias], rtol=1e-12)
 
     def test_amplitude_requires_center(self, comb_jsa):
         # an amplitude always carries the band center its intensity is

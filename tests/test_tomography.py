@@ -20,6 +20,7 @@ from qpmforge.measurement import (
     save_counts,
 )
 from qpmforge.tomography import (
+    _bin_masses,
     _born_table,
     GateError,
     HyperState,
@@ -27,7 +28,6 @@ from qpmforge.tomography import (
     analyze_tomography,
     bin_detuning,
     bin_gates,
-    bin_weights,
     default_bin_labels,
     fidelity_singlet,
     load_tomography_bundle,
@@ -93,13 +93,14 @@ def random_phases():
 
 @pytest.fixture(scope="module")
 def small_weights(small_jsa):
-    """The pipeline's bin weights of the small amplitude."""
-    return bin_weights(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
+    """The emission weights simulate_tomography reads off the small amplitude."""
+    _, masses = _bin_masses(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
+    return masses / masses.sum()
 
 
 @pytest.fixture(scope="module")
-def pure_hyper(small_weights, random_phases):
-    return HyperState(phases=random_phases, weights=small_weights)
+def pure_hyper(random_phases):
+    return HyperState(phases=random_phases)
 
 
 def simulate(hyper, jsa, spec, events, seed):
@@ -111,9 +112,9 @@ def simulate(hyper, jsa, spec, events, seed):
 
 
 @pytest.fixture(scope="module")
-def pure_table(pure_hyper, small_images, spectro):
+def pure_table(pure_hyper, small_images, small_weights, spectro):
     images, _ = small_images
-    return expected_tomography(pure_hyper, images, spectro, NU0, SPACING, WIDTH)
+    return expected_tomography(pure_hyper, images, small_weights, spectro, NU0, SPACING, WIDTH)
 
 
 class TestSicFrame:
@@ -209,7 +210,7 @@ class TestSinglet:
 
     def test_drifted_bin_metrics(self):
         # drift of 2 rad averages the coherence to sin(1)/1
-        hyper = HyperState(phases=np.zeros(2), weights=np.full(2, 0.5), drift=np.full(2, 2.0))
+        hyper = HyperState(phases=np.zeros(2), drift=np.full(2, 2.0))
         c = np.sin(1.0)
         np.testing.assert_allclose(hyper.coherences(), c, atol=1e-12)
         rho = hyper.bin_state(0)
@@ -247,19 +248,14 @@ class TestReconstructState:
 
 class TestHyperState:
     def test_validation(self):
-        ok = dict(phases=np.zeros(2), weights=np.full(2, 0.5))
-        HyperState(**ok)
-        with pytest.raises(ValueError, match="equal length"):
-            HyperState(phases=np.zeros(2), weights=np.full(3, 1 / 3))
-        with pytest.raises(ValueError, match="sum to 1"):
-            HyperState(phases=np.zeros(2), weights=[0.7, 0.4])
-        with pytest.raises(ValueError, match="sum to 1"):
-            HyperState(phases=np.zeros(2), weights=[-0.2, 1.2])
+        np.testing.assert_array_equal(HyperState(phases=np.zeros(2)).drift, [0.0, 0.0])
         with pytest.raises(ValueError, match="drift"):
-            HyperState(**ok, drift=[-0.1, 0.0])
+            HyperState(phases=np.zeros(2), drift=[-0.1, 0.0])
+        with pytest.raises(ValueError, match="drift"):
+            HyperState(phases=np.zeros(2), drift=[0.1])
 
     def test_phase_wrapping(self):
-        hyper = HyperState(phases=[1.5 * np.pi, -np.pi], weights=[0.5, 0.5])
+        hyper = HyperState(phases=[1.5 * np.pi, -np.pi])
         assert hyper.phases[0] == pytest.approx(-0.5 * np.pi)
         assert hyper.phases[1] == pytest.approx(np.pi)
 
@@ -371,9 +367,8 @@ class TestBinWeights:
         assert len(split) == {256: 6, 1001: 3}[points]
         cells = np.bincount(by_diagonal.ravel(), minlength=2 * PAIRS)
         flat = np.ones(grid.shape)
-        np.testing.assert_array_equal(
-            bin_weights(flat, grid, SPACING, PAIRS), cells / cells.sum()
-        )
+        _, masses = _bin_masses(flat, grid, SPACING, PAIRS)
+        np.testing.assert_array_equal(masses / masses.sum(), cells / cells.sum())
         one = JointSpectralAmplitude(grid=grid, values=flat, center_frequency_hz=NU0)
         parts = split_bins(one, SPACING, PAIRS)[1]
         for d in split:
@@ -387,12 +382,19 @@ class TestBinWeights:
         lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, center_frequency_hz=NU0)
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
+
+        def simulate_spectrum(intensity):
+            return simulate_tomography(
+                HyperState(np.zeros(2 * PAIRS)), intensity, small_grid, spectro, NU0, SPACING,
+                events=100, seed=0, max_alias_fraction=ALIAS,
+            )
+
         with pytest.raises(MeasurementError, match="no intensity"):
-            bin_weights(lit.intensity, small_grid, SPACING, PAIRS)
+            simulate_spectrum(lit.intensity)
         with pytest.raises(ValueError, match="no intensity"):
-            bin_weights(np.zeros((n, n)), small_grid, SPACING, PAIRS)
-        with pytest.raises(ValueError, match="grid's shape"):
-            bin_weights(np.ones((n, n - 1)), small_grid, SPACING, PAIRS)
+            simulate_spectrum(np.zeros((n, n)))
+        with pytest.raises(ValueError, match="does not match grid"):
+            simulate_spectrum(np.ones((n, n - 1)))
 
 
 def arrival_center(spec, label, arrival):
@@ -502,10 +504,8 @@ class TestSimulateTomography:
         mean = 16 * 2000
         assert abs(grand - mean) < 5 * np.sqrt(mean)
 
-    def test_matched_projections_are_dark_for_common_phase(
-        self, small_jsa, small_weights, spectro
-    ):
-        hyper = HyperState(phases=np.zeros(8), weights=small_weights)
+    def test_matched_projections_are_dark_for_common_phase(self, small_jsa, spectro):
+        hyper = HyperState(phases=np.zeros(8))
         sim = dict(simulate(hyper, small_jsa, spectro, 500, seed=1))
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
@@ -518,12 +518,12 @@ class TestSimulateTomography:
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
     def test_validation(self, pure_hyper, small_jsa, spectro):
-        odd = HyperState(phases=np.zeros(3), weights=np.full(3, 1 / 3))
+        odd = HyperState(phases=np.zeros(3))
         with pytest.raises(ValueError, match="one state per bin"):
             simulate(odd, small_jsa, spectro, 100, seed=0)
         with pytest.raises(ValueError, match="events"):
             simulate(pure_hyper, small_jsa, spectro, -1, seed=0)
-        with pytest.raises(ValueError, match="grid's shape"):
+        with pytest.raises(ValueError, match="does not match grid"):
             simulate_tomography(
                 pure_hyper, small_jsa.intensity[1:], small_jsa.grid, spectro, NU0, SPACING,
                 events=100, seed=0, max_alias_fraction=ALIAS,
@@ -540,8 +540,7 @@ class TestSimulateTomography:
         stack_bytes = 2 * PAIRS * spectro.n_bins**2 * np.dtype(float).itemsize
         tracemalloc.start()
         try:
-            weights = bin_weights(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
-            hyper = HyperState(phases=random_phases, weights=weights)
+            hyper = HyperState(phases=random_phases)
             save_tomography_bundle(tmp_path, simulate(hyper, small_jsa, spectro, 2000, seed=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -549,7 +548,7 @@ class TestSimulateTomography:
         assert peak < 0.35 * stack_bytes
 
     def test_counts_are_draws_from_mixed_oracle_images(
-        self, sim, pure_hyper, small_images, spectro
+        self, sim, pure_hyper, small_weights, small_images, spectro
     ):
         # each setting projects its mixed spectrum at once; drawing with the
         # same streams from the oracle's per-bin images, mixed after
@@ -558,7 +557,7 @@ class TestSimulateTomography:
         kept = images.sum(axis=(1, 2))
         master = np.random.default_rng([5, 0x7013])
         for (j, k), born in zip(sim, _born_table(pure_hyper)):
-            flux = np.clip(pure_hyper.weights * born, 0.0, None)
+            flux = np.clip(small_weights * born, 0.0, None)
             total = master.poisson(4.0 * 2000 * flux.sum())
             mix = flux / flux.sum()
             probs = np.tensordot(mix, images, axes=(0, 0)).ravel()
@@ -598,14 +597,16 @@ class TestSharedProjection:
         weights = grid.toeplitz(diagonals)
         assert not weights.flags.writeable
         project = measurement.spectrum_projector(small_jsa.intensity, grid, spectro, NU0)
-        got, want = np.zeros((2, spectro.n_bins, spectro.n_bins))
-        project(got, weights)
-        measurement.spectrum_projector(small_jsa.intensity * weights, grid, spectro, NU0)(want)
+        got, got_alias = project(weights)
+        want, want_alias = measurement.spectrum_projector(
+            small_jsa.intensity * weights, grid, spectro, NU0
+        )()
         assert np.abs(got - want).max() <= 1e-15 * want.max()
+        assert got_alias == pytest.approx(want_alias, rel=0, abs=1e-15)
         with pytest.raises(ValueError, match="weights must be nonnegative"):
-            project(got, -weights)
+            project(-weights)
         with pytest.raises(ValueError, match="weights shape"):
-            project(got, weights[1:])
+            project(weights[1:])
         with pytest.raises(ValueError, match="intensity must be nonnegative"):
             measurement.spectrum_projector(-small_jsa.intensity, grid, spectro, NU0)
         with pytest.raises(ValueError, match="intensity shape"):
@@ -640,10 +641,10 @@ class TestSharedProjection:
                 for weights in (None, grid.toeplitz(diagonals)):
                     product = inten if weights is None else inten * weights
                     dense = transfer @ product @ transfer.T / product.sum()
-                    image = np.zeros((spec.n_bins, spec.n_bins))
-                    project(image, weights)
+                    probs, alias = project(weights)
+                    image = probs * (1.0 - alias)
                     assert np.abs(image - dense).max() <= 1e-12 * dense.max()
-                    assert image.sum() == pytest.approx(dense.sum(), rel=0, abs=1e-12)
+                    assert 1.0 - alias == pytest.approx(dense.sum(), rel=0, abs=1e-12)
 
     def test_transfer_matrices_built_once_per_call(self, monkeypatch, tmp_path):
         # both photons share one axis, so each readout stage builds one
@@ -788,8 +789,8 @@ class TestResample:
         # biases low-count estimates and the event count must be large
         # enough to keep that bias inside the bars
         images, weights = small_images
-        hyper = HyperState(phases=random_phases, weights=weights, drift=np.full(8, 1.0))
-        p16 = expected_tomography(hyper, images, spectro, NU0, SPACING, WIDTH)[2]
+        hyper = HyperState(phases=random_phases, drift=np.full(8, 1.0))
+        p16 = expected_tomography(hyper, images, weights, spectro, NU0, SPACING, WIDTH)[2]
         truth = reconstruct_state(p16)
         truth_purity = purity(truth)
         truth_fid = fidelity_singlet(truth)[0]
@@ -967,7 +968,6 @@ def test_born_table_matches_project_probability(seed, pairs):
     n = 2 * pairs
     hyper = HyperState(
         phases=rng.uniform(-np.pi, np.pi, n),
-        weights=rng.dirichlet(np.ones(n)),
         drift=rng.uniform(0.0, 4.0, n),
     )
     oracle = np.array(
