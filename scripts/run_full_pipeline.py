@@ -58,7 +58,7 @@ def main() -> None:
         cfg.sections["hom"]["counts_per_point"] = 3000
         os.makedirs(args.out, exist_ok=True)
         config = os.path.join(args.out, "quick.cfg")
-        with open(config, "w", encoding="ascii") as fh:
+        with open(config, "w", encoding="utf-8") as fh:  # as parse_config reads it
             fh.write(cfg.resolved_text())
 
     for stage in ("design", "simulate", "hom", "heralded"):
@@ -83,7 +83,7 @@ def run_on_input(stage: str, config: str, out_root: str, seed: int | None,
     out = os.path.join(out_root, stage.replace("-", "_"))
     os.makedirs(out, exist_ok=True)
     resolved = os.path.join(out, config_name)
-    with open(resolved, "w", encoding="ascii") as fh:
+    with open(resolved, "w", encoding="utf-8") as fh:  # as parse_config reads it
         fh.write(cfg.resolved_text())
     return run(stage, resolved, out_root, seed)
 

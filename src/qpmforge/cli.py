@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import report_from_jsa, schmidt_number, schmidt_number_std
 from .artefact import write_table
 from .biphoton import build_jsa, build_jsi, save_jsa, save_jsi
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, _check_seed, parse_config
 from .crystal import design_domains, design_overlap, pmf_of_domains, save_domains, target_pmf
 from .interference import (
     FitError,
@@ -61,8 +61,10 @@ def _write_columns(path: str, names: list[str], table: np.ndarray) -> None:
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
-    head = f"command = {command}\n\n"
-    _write_text(os.path.join(out_dir, "manifest.txt"), head + cfg.resolved_text())
+    """The resolved config, in UTF-8 as parse_config reads it: the echo of
+    a value such as an input path is the config's own text."""
+    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
+        fh.write(f"command = {command}\n\n" + cfg.resolved_text())
 
 
 def _source(cfg: RunConfig):
@@ -281,6 +283,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            _check_seed(args.seed, "--seed")
             cfg.sections["run"]["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](cfg, args.out)

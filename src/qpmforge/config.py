@@ -266,7 +266,14 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
+def _check_seed(seed: int, where: str) -> None:
+    """numpy's generators take no negative seed; ``where`` names its source."""
+    if seed < 0:
+        raise ConfigError(f"{where} must be >= 0, got {seed}")
+
+
 def _validate(cfg: RunConfig) -> None:
+    _check_seed(cfg.sections["run"]["seed"], f"{cfg.path}: [run] seed")
     crystal = cfg.sections["crystal"]
     if crystal["source"] not in ("comb", "designed"):
         raise ConfigError(f"{cfg.path}: crystal source must be 'comb' or 'designed'")

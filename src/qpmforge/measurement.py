@@ -13,6 +13,8 @@ projections multiply only inside that band.
 
 Arrival times are measured relative to the reference wavelength's, with
 the acquisition window centered on it: t in [-window/2, +window/2).
+detuning_to_time is the one arrival-time map: the transfer's cell edges
+and every bin gate go through it.
 
 Detunings are measured from the band center, the degenerate frequency
 half the pump frequency: the pump sets the center, each amplitude
@@ -29,13 +31,15 @@ carries, and its file records, the bin layout it was drawn with.
 spectrum_projector is the one projection: it checks one joint spectrum
 once and then projects it as often as asked, optionally times a weight
 per cell, such as a read-only Toeplitz view of one weight per diagonal,
-multiplied in block by block.  Each projection returns the detection
-probabilities, scaled to unit sum in the projector's one image buffer,
-and the alias fraction, the share of the spectrum outside the window; no
-other code scales an image or computes an alias fraction, and the draws
-take the probabilities as they are.  It keeps only the transfer's band,
-and the readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since
-a time-of-flight readout is phase-blind.
+multiplied in block by block.  simulate_counts draws from one unweighted
+call of it, tomography.simulate_tomography from one weighted call per
+SIC setting.  Each projection returns the detection probabilities,
+scaled to unit sum in the projector's one image buffer, and the alias
+fraction, the share of the spectrum outside the window; no other code
+scales an image or computes an alias fraction, and the draws take the
+probabilities as they are.  It keeps only the transfer's band, and the
+readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since a
+time-of-flight readout is phase-blind.
 """
 
 from __future__ import annotations
@@ -53,11 +57,9 @@ __all__ = [
     "MeasurementError",
     "SpectrometerSpec",
     "CountMatrix",
-    "wavelength_to_time",
     "detuning_to_time",
     "build_transfer",
     "spectrum_projector",
-    "project_to_spectrometer",
     "simulate_counts",
     "marginals",
     "save_counts",
@@ -118,28 +120,20 @@ class SpectrometerSpec:
         return -self.window / 2.0 + self.time_bin * (np.arange(self.n_bins) + 0.5)
 
 
-def wavelength_to_time(spec: SpectrometerSpec, wavelength) -> np.ndarray:
-    """Arrival time relative to the reference wavelength's.
-
-    Linear in wavelength: t = rate * (lambda - lambda_ref).  Values
-    outside [-window/2, window/2) indicate aliasing; they are returned
-    as-is (never wrapped) so the caller can detect and account for them.
-    """
-    lam = np.asarray(wavelength, dtype=float)
-    out = spec.time_rate * (lam - spec.reference_wavelength)
-    return out if out.ndim else float(out)
-
-
 def detuning_to_time(spec: SpectrometerSpec, detuning, center_frequency_hz: float):
-    """Arrival time for a photon at a given detuning (rad/s) from band center.
+    """Arrival time, relative to the reference wavelength's, of a photon at
+    a given detuning (rad/s) from the band center.
 
-    Uses the exact wavelength of the detuned photon, lambda = 2 pi c /
-    (omega0 + nu), so the slight nonlinearity of the frequency-to-time map
-    across the band is kept.
+    Linear in the photon's exact wavelength, lambda = 2 pi c / (omega0 +
+    nu): t = rate * (lambda - lambda_ref), so the slight nonlinearity of
+    the frequency-to-time map across the band is kept.  Values outside
+    [-window/2, window/2) indicate aliasing; they are returned as-is
+    (never wrapped) so the caller can detect and account for them.
     """
     omega0 = 2.0 * np.pi * center_frequency_hz
     lam = 2.0 * np.pi * C_LIGHT / (omega0 + np.asarray(detuning, dtype=float))
-    return wavelength_to_time(spec, lam)
+    out = spec.time_rate * (lam - spec.reference_wavelength)
+    return out if out.ndim else float(out)
 
 
 # the jitter blur is cut at this many standard deviations; the Gaussian
@@ -303,31 +297,13 @@ def _transfer_blocks(transfer: np.ndarray) -> list[tuple[slice, slice, np.ndarra
     return blocks
 
 
-def project_to_spectrometer(
-    intensity: np.ndarray,
-    grid: FrequencyGrid,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float,
-) -> tuple[np.ndarray, float]:
-    """Deterministic forward map of a joint spectrum onto the time grid.
-
-    ``intensity`` is |JSA|^2 on ``grid``, its detunings measured from the
-    band center center_frequency_hz.  Returns (probabilities,
-    alias_fraction) of spectrum_projector's one unweighted projection: the
-    n x n matrix of per-cell detection probabilities conditioned on
-    landing in the window (sums to 1), and the fraction of the intensity
-    that fell outside it.
-    """
-    return spectrum_projector(intensity, grid, spec, center_frequency_hz)()
-
-
 @dataclass
 class CountMatrix:
     """Detected coincidence histogram on the spectrometer time grid.
 
     ``spec`` is the spectrometer the histogram was recorded with: its time
     grid indexes both axes, rows the idler detector and columns the
-    signal detector, and its wavelength-to-time map places every gate.
+    signal detector, and detuning_to_time on it places every gate.
     """
 
     values: np.ndarray            # (n_idler_bins, n_signal_bins) nonnegative ints
@@ -363,8 +339,9 @@ def simulate_counts(
     seed: int,
     max_alias_fraction: float,
 ) -> CountMatrix:
-    """Poissonian acquisition of the projected joint spectrum ``intensity``
-    on ``grid`` around the band center center_frequency_hz.
+    """Poissonian acquisition of the joint spectrum ``intensity`` (|JSA|^2
+    on ``grid``, its detunings measured from the band center
+    center_frequency_hz), projected once by spectrum_projector.
 
     Draws the detected events multinomially over the time-grid cells, so
     the matrix total equals the event count exactly.  Raises
@@ -374,7 +351,7 @@ def simulate_counts(
     """
     if total_events < 0:
         raise ValueError("total_events must be >= 0")
-    probs, alias = project_to_spectrometer(intensity, grid, spec, center_frequency_hz)
+    probs, alias = spectrum_projector(intensity, grid, spec, center_frequency_hz)()
     _check_alias(alias, spec, max_alias_fraction)
     counts = _draw_counts(probs, spec, center_frequency_hz, total_events, seed)
     counts.metadata["alias_fraction"] = alias

@@ -25,7 +25,8 @@ that projects and draws each setting's counts when asked,
 save_tomography_bundle writes each as it arrives, load_tomography_bundle
 parses one file per step, and analyze_tomography gates each matrix as
 it is read into a table of gated totals (settings by bins) before it
-reconstructs any bin.  Each simulated count matrix records the bin
+reconstructs any bin, from the probabilities 4 n_jk / sum(n) of that
+bin's column.  Each simulated count matrix records the bin
 layout it was drawn with, and its file keeps it, so the analysis
 refuses to gate a bundle on another layout.
 
@@ -74,7 +75,6 @@ __all__ = [
     "GateError",
     "bin_gates",
     "simulate_tomography",
-    "tomography_probabilities",
     "BinResult",
     "analyze_tomography",
     "resample_tomography",
@@ -350,31 +350,27 @@ def simulate_tomography(
     _check_alias(project()[1], spec, max_alias_fraction)
     bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
     layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
-    return _draw_projections(
-        hyper, project, grid, bins, masses, layout, spec, center_frequency_hz, events, seed
-    )
-
-
-def _draw_projections(
-    hyper, project, grid, bins, masses, layout, spec, center_frequency_hz, events, seed
-):
-    """The draws of simulate_tomography: one master stream for the event
-    totals, in setting order, and the stream [seed, j, k] for each image."""
     weights = masses / masses.sum()
     born = _born_table(hyper)
-    master = np.random.default_rng([int(seed), 0x7013])
-    for (j, k), born_jk in zip(_SETTINGS, born):
-        # exact Born zeros (matched singlet projections) come out as
-        # -1e-16-level residue, which np.random.poisson rejects
-        flux = np.clip(weights * born_jk, 0.0, None)
-        q_jk = flux.sum()
-        total = int(master.poisson(4.0 * events * q_jk))
-        mix = flux / q_jk if q_jk > 0 else weights
-        probs, alias = project(grid.toeplitz((mix / masses)[bins]))
-        counts = _draw_counts(probs, spec, center_frequency_hz, total, seed=[int(seed), j, k])
-        counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
-        yield (j, k), counts
-        del counts  # drawing the next projection must not hold this one
+
+    def draw():
+        # one master stream for the event totals, in setting order, and
+        # the stream [seed, j, k] for each image
+        master = np.random.default_rng([int(seed), 0x7013])
+        for (j, k), born_jk in zip(_SETTINGS, born):
+            # exact Born zeros (matched singlet projections) come out as
+            # -1e-16-level residue, which np.random.poisson rejects
+            flux = np.clip(weights * born_jk, 0.0, None)
+            q_jk = flux.sum()
+            total = int(master.poisson(4.0 * events * q_jk))
+            mix = flux / q_jk if q_jk > 0 else weights
+            probs, alias = project(grid.toeplitz((mix / masses)[bins]))
+            counts = _draw_counts(probs, spec, center_frequency_hz, total, seed=[int(seed), j, k])
+            counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
+            yield (j, k), counts
+            del counts  # drawing the next projection must not hold this one
+
+    return draw()
 
 
 class GateError(ValueError):
@@ -427,21 +423,6 @@ def bin_gates(
         columns = cells(signal)  # the signal gate is checked first
         gates.append(np.ix_(cells(idler), columns))
     return gates
-
-
-def tomography_probabilities(gated: np.ndarray, label: int) -> tuple[np.ndarray, int]:
-    """One bin's SIC probabilities from its 16 gated totals: p_jk = 4 n_jk / sum(n).
-
-    ``gated`` holds the bin's gated counts in setting order.  The scale 4
-    restores the Born normalization (the 16 probabilities of any state
-    sum to 4) because each setting is a separate acquisition with no
-    shared total.  Returns (probabilities, total gated counts).
-    """
-    gated = np.asarray(gated, dtype=float)
-    total = gated.sum()
-    if total <= 0:
-        raise MeasurementError(f"bin {label}: no gated counts in any projection")
-    return 4.0 * gated / total, int(total)
 
 
 @dataclass
@@ -526,7 +507,13 @@ def analyze_tomography(
         raise ValueError(f"projections {sorted(rows)} are missing")
     results = []
     for label, column in zip(labels, gated.T):
-        probs, total = tomography_probabilities(column, label)
+        # p_jk = 4 n_jk / sum(n): the scale 4 restores the Born normalization
+        # (the 16 probabilities of any state sum to 4), since each setting
+        # is a separate acquisition with no shared total
+        total = column.sum()
+        if total <= 0:
+            raise MeasurementError(f"bin {label}: no gated counts in any projection")
+        probs = 4.0 * column / total
         state = reconstruct_state(probs)
         fid, phi = fidelity_singlet(state)
         result = BinResult(
@@ -535,7 +522,7 @@ def analyze_tomography(
             purity=purity(state),
             fidelity=fid,
             phase=phi,
-            events=total,
+            events=int(total),
             probabilities=probs,
         )
         if n_resamples > 0:

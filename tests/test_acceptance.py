@@ -32,8 +32,8 @@ from qpmforge.interference import (
 )
 from qpmforge.measurement import (
     SpectrometerSpec,
-    project_to_spectrometer,
     simulate_counts,
+    spectrum_projector,
 )
 from qpmforge.tomography import (
     HyperState,
@@ -218,9 +218,9 @@ def test_tofs_calibration_constants(spectro):
 )
 def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     n_events = 10_000_000
-    probs, _ = project_to_spectrometer(
+    probs, _ = spectrum_projector(
         comb_jsa.intensity, comb_jsa.grid, spectro, comb_jsa.center_frequency_hz
-    )
+    )()
     counts = simulate(comb_jsa, spectro, n_events, seed=7)
     tv = 0.5 * np.abs(counts.values / counts.total - probs).sum()
     assert tv <= 0.02

@@ -20,7 +20,7 @@ from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
 from qpmforge.crystal import load_domains
 from qpmforge.interference import load_curve
-from qpmforge.measurement import load_counts, project_to_spectrometer
+from qpmforge.measurement import load_counts, spectrum_projector
 from qpmforge.tomography import load_tomography_bundle
 
 DEFAULTS_FILE = "configs/defaults.cfg"
@@ -122,7 +122,7 @@ class TestParsing:
         [
             # more significant digits than a double holds
             ("[run]\nseed = 12345678901234567\n", "run", "seed", 12345678901234567),
-            ("[run]\nseed = -9_007_199_254_740_993\n", "run", "seed", -9007199254740993),
+            ("[run]\nseed = +9_007_199_254_740_993\n", "run", "seed", 9007199254740993),
             ("[spectrometer]\nevents = 9223372036854775807\n", "spectrometer", "events",
              2**63 - 1),
         ],
@@ -156,6 +156,7 @@ class TestValidation:
             ({"spectrometer.max_alias_fraction": -0.1}, "max_alias_fraction"),
             ({"spectrometer.max_alias_fraction": 1.5}, "max_alias_fraction"),
             ({"tomography.resamples": 1}, "tomography resamples"),
+            ({"run.seed": -9_007_199_254_740_993}, "seed must be >= 0"),
         ],
     )
     def test_semantic_errors(self, tmp_path, overrides, message):
@@ -317,6 +318,40 @@ class TestCliExitCodes:
         assert f"schmidt_number = {k:.6f}" in lines
         assert f"schmidt_number_std = {schmidt_number_std(counts):.6f}" in lines
         assert not [line for line in lines if line.startswith(("resamples", "schmidt_number_resampled"))]
+
+    def test_negative_seed_refused_before_any_stage(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: the config's seed is
+        # refused at parse, naming the file and the key, and --seed by the
+        # same check, naming the option; no stage writes a file
+        config = make_config(tmp_path, **FAST, **{"run.seed": -3})
+        out = tmp_path / "out"
+        for stage in STAGES:
+            assert main([stage, "--config", config, "--out", str(out)]) == 2, stage
+            assert f"{config}: [run] seed must be >= 0" in capsys.readouterr().err, stage
+            assert not out.exists(), stage
+        config = make_config(tmp_path, **FAST)
+        for stage in STAGES:
+            assert main([stage, "--config", config, "--out", str(out), "--seed", "-5"]) == 2
+            assert "--seed must be >= 0" in capsys.readouterr().err, stage
+            assert not out.exists(), stage
+
+    def test_manifest_echoes_a_non_ascii_input(self, tmp_path):
+        # the config is read as UTF-8, and its manifest echo is written so
+        config = make_config(tmp_path, **FAST)
+        assert main(["tofs-sim", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+        data = tmp_path / "spéctre"
+        data.mkdir()
+        os.replace(tmp_path / "sim" / "counts.csv", data / "counts.csv")
+        cfg = parse_config(config)
+        cfg.sections["run"]["input"] = str(data / "counts.csv")
+        analyze = tmp_path / "analyze.cfg"
+        analyze.write_text(cfg.resolved_text(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["tofs-analyze", "--config", str(analyze), "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"input = {data / 'counts.csv'}\n" in manifest
+        for name in ("marginals.tsv", "report.txt"):
+            assert (out / name).read_bytes().isascii(), name
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -533,7 +568,7 @@ class TestBandCenter:
         grid = cfg.frequency_grid()
         intensity, center, _ = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
                                          grid)
-        probs, _ = project_to_spectrometer(intensity, grid, spec, center)
+        probs, _ = spectrum_projector(intensity, grid, spec, center)()
         summed = sum(counts.values for _, counts in load_tomography_bundle(out / "tomo"))
 
         def centroid(image):

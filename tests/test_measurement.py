@@ -20,10 +20,9 @@ from qpmforge.measurement import (
     detuning_to_time,
     load_counts,
     marginals,
-    project_to_spectrometer,
     save_counts,
     simulate_counts,
-    wavelength_to_time,
+    spectrum_projector,
 )
 
 from oracles import project_stack
@@ -34,8 +33,8 @@ ALIAS = default_config()["spectrometer"]["max_alias_fraction"]
 
 
 def project(jsa, spec):
-    """project_to_spectrometer of an amplitude's intensity around its band center."""
-    return project_to_spectrometer(jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz)
+    """The unweighted projection of an amplitude's intensity around its band center."""
+    return spectrum_projector(jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz)()
 
 
 def simulate(jsa, spec, events, seed, max_alias_fraction=ALIAS):
@@ -115,21 +114,17 @@ class TestSpectrometerSpec:
 
 class TestCalibration:
     def test_wavelength_shift_maps_to_delay(self, spectro):
-        lam0 = spectro.reference_wavelength
-        t0 = wavelength_to_time(spectro, lam0)
-        assert t0 == pytest.approx(0.0, abs=1e-24)
-        # the two anchor conversions of the readout chain
-        assert wavelength_to_time(spectro, lam0 + 3.8e-9) - t0 == pytest.approx(
-            1.52e-9, rel=1e-15
-        )
-        assert wavelength_to_time(spectro, lam0 + 0.0625e-9) - t0 == pytest.approx(
-            25e-12, rel=1e-15
-        )
+        # the two anchor conversions of the readout chain, on the
+        # calibration itself: detuning_to_time's detuning -> wavelength
+        # round trip adds about 1e-13 relative
+        assert spectro.time_rate * 3.8e-9 == pytest.approx(1.52e-9, rel=1e-15)
+        assert spectro.time_rate * 0.0625e-9 == pytest.approx(25e-12, rel=1e-15)
 
     def test_window_spans_expected_band(self, spectro):
         lam0 = spectro.reference_wavelength
-        lo = wavelength_to_time(spectro, lam0 - 15.625e-9)
-        hi = wavelength_to_time(spectro, lam0 + 15.625e-9)
+        # the detunings of photons 15.625 nm to either side of lam0
+        detunings = 2.0 * np.pi * (C_LIGHT / (lam0 + np.array([-15.625e-9, 15.625e-9])) - NU0)
+        lo, hi = detuning_to_time(spectro, detunings, NU0)
         assert lo == pytest.approx(-spectro.window / 2, rel=1e-12)
         assert hi == pytest.approx(spectro.window / 2, rel=1e-12)
 
@@ -436,6 +431,6 @@ def test_blur_never_creates_mass(sigma_ps, half_span_hz):
     transfer = build_transfer(spec, nu, 192.6e12)
     sums = transfer.sum(axis=0)
     # differences of Gaussian integrals leave ~1e-14 negative residue,
-    # clipped downstream in project_to_spectrometer
+    # clipped downstream in spectrum_projector
     assert np.all(transfer >= -1e-12)
     assert np.all(sums <= 1.0 + 1e-9)

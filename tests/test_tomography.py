@@ -16,7 +16,6 @@ from qpmforge.measurement import (
     MeasurementError,
     detuning_to_time,
     load_counts,
-    project_to_spectrometer,
     save_counts,
 )
 from qpmforge.tomography import (
@@ -38,7 +37,6 @@ from qpmforge.tomography import (
     sic_operator,
     simulate_tomography,
     singlet_state,
-    tomography_probabilities,
     tomography_report,
 )
 
@@ -584,7 +582,7 @@ class TestSharedProjection:
         for flux in mixes:
             mix = flux / flux.sum()
             mixed = np.tensordot(mix, parts, axes=(0, 0))
-            ref, ref_alias = project_to_spectrometer(mixed, small_grid, spectro, NU0)
+            ref, ref_alias = measurement.spectrum_projector(mixed, small_grid, spectro, NU0)()
             shared = np.tensordot(mix, images, axes=(0, 0))
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
@@ -703,8 +701,6 @@ class TestGatedAnalysis:
         sim = simulate(pure_hyper, small_jsa, spectro, 0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             analyze_tomography(sim, PAIRS, SPACING, WIDTH, n_resamples=0, seed=0)
-        with pytest.raises(ValueError, match="no gated counts"):
-            tomography_probabilities(np.zeros(16), 1)
 
     def test_report_lists_every_bin(
         self, pure_hyper, small_jsa, spectro
