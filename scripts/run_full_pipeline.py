@@ -54,7 +54,6 @@ def main() -> None:
         cfg = parse_config(args.config)
         cfg.sections["spectrometer"]["events"] = 2_000_000
         cfg.sections["tomography"]["events_per_projection"] = 500_000
-        cfg.sections["tomography"]["resamples"] = 100
         cfg.sections["hom"]["counts_per_point"] = 3000
         os.makedirs(args.out, exist_ok=True)
         config = os.path.join(args.out, "quick.cfg")

@@ -1,11 +1,11 @@
 """Entanglement analysis of discretised joint spectral amplitudes.
 
 The Schmidt decomposition of a JSA matrix is its singular value
-decomposition; normalised squared singular values are the Schmidt
-weights.  Every figure of merit here is a function of the weights
-alone, so schmidt_weights takes the singular values without the
-singular vectors, and no Schmidt mode function is ever computed.  Two
-figures of merit are used:
+decomposition; the Schmidt weights, its normalised squared singular
+values, are the normalised eigenvalues of the Gram matrix of the
+amplitude's smaller side.  Every figure of merit here is a function of
+the weights alone, so one Gram matrix (_unit_gram) serves them all and
+no Schmidt mode function is ever computed.  Two figures of merit are used:
 
 * Schmidt number K = 1 / sum(lambda^2), the effective mode count.  It
   equals the inverse purity of either photon's reduced state, which
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12
+_GRAM_ROWS = 64  # a 1 MB block of a 1024-row complex amplitude
 
 
 def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
@@ -54,20 +55,15 @@ def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
 
 
 def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
-    """Schmidt weights: the normalised squared singular values, descending,
-    from the singular values alone (no mode functions are computed).
+    """Schmidt weights, descending: the eigenvalues of the Gram matrix of
+    _unit_gram, scaled to unit sum (no mode functions are computed).
 
     Weights below 1e-12 are dropped; they are numerical noise at double
-    precision and would otherwise pollute entropy sums.  At least the
-    largest weight is kept.
+    precision, and round-off can leave them negative, which would break
+    entropy sums.  At least the largest weight is kept.
     """
-    weights = np.linalg.svd(_amplitude(jsa), compute_uv=False) ** 2
-    total = weights.sum()
-    if not np.isfinite(total):
-        raise np.linalg.LinAlgError("Schmidt weights are not finite")
-    if total <= 0:
-        raise ValueError("amplitude is identically zero")
-    weights = weights / total
+    weights = np.linalg.eigvalsh(_unit_gram(_amplitude(jsa))[1])[::-1]
+    weights = weights / weights.sum()
     return weights[: max(1, np.count_nonzero(weights > _WEIGHT_FLOOR))]
 
 
@@ -81,24 +77,30 @@ def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     weights only by the weights below 1e-12, which add less than
     n * 1e-24 to the sum.
     """
-    _, _, gram = _unit_gram(_amplitude(jsa))
+    _, gram = _unit_gram(_amplitude(jsa))
     trace = np.trace(gram).real
     return float(trace * trace / np.vdot(gram, gram).real)
 
 
-def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(peak, a, G): the amplitude scaled to unit peak |value| and the
-    Gram matrix of its smaller side."""
-    peak = np.max(np.abs(values))
+def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray]:
+    """(peak, G): the largest |value| and the Gram matrix of the smaller
+    side of the amplitude scaled to unit peak, both formed _GRAM_ROWS rows
+    at a time, so that no temporary as large as a square amplitude is held."""
+    starts = range(0, len(values), _GRAM_ROWS)
+    peak = np.max([np.abs(values[lo:lo + _GRAM_ROWS]).max() for lo in starts])  # keeps a NaN
     if not np.isfinite(peak):
         raise np.linalg.LinAlgError("amplitude is not finite")
     if peak == 0:
         raise ValueError("amplitude is identically zero")
     # unit peak: ||G||_F^2 holds fourth powers of the amplitude, which
-    # would overflow or underflow far sooner than the SVD's squares
-    a = values / peak
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    return peak, a, gram
+    # would overflow or underflow far sooner than its squares
+    side = values if values.shape[0] >= values.shape[1] else values.conj().T
+    gram = np.empty((side.shape[1],) * 2, dtype=np.result_type(values, 1.0))
+    for lo in range(0, side.shape[1], _GRAM_ROWS):
+        block = side[:, lo:lo + _GRAM_ROWS] / peak
+        rows = np.matmul(np.conjugate(block, out=block).T, side, out=gram[lo:lo + _GRAM_ROWS])
+        rows /= peak
+    return peak, gram
 
 
 def _check_counts(counts) -> np.ndarray:
@@ -122,7 +124,9 @@ def schmidt_number_std(counts: np.ndarray) -> float:
     assumes the shot noise is small against the counts that shape K; it
     measures the estimator's spread, not its shot-noise bias.
     """
-    peak, a, gram = _unit_gram(np.sqrt(_check_counts(counts)))
+    amplitude = np.sqrt(_check_counts(counts))
+    peak, gram = _unit_gram(amplitude)
+    a = amplitude / peak
     n = np.trace(gram)
     f = np.vdot(gram, gram)
     aata = a @ gram if a.shape[0] >= a.shape[1] else gram @ a

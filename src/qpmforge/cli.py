@@ -108,10 +108,11 @@ def cmd_design(cfg: RunConfig, out_dir: str) -> None:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
     jsa = build_jsa(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
+    # the report's Gram matrix and eigvalsh's copy of it set the stage's
+    # peak, so they come before the writers leave their heap resident
+    report = report_from_jsa(jsa, n_modes=2 * cfg["crystal"]["pair_count"])
     save_jsa(jsa, os.path.join(out_dir, "jsa.csv"))
     save_jsi(jsa, os.path.join(out_dir, "jsi.csv"))
-    n_modes = 2 * cfg["crystal"]["pair_count"]
-    report = report_from_jsa(jsa, n_modes=n_modes)
     proxy = 1.0 / report.schmidt_number
     _write_text(
         os.path.join(out_dir, "report.txt"),
@@ -235,8 +236,6 @@ def cmd_tomo_fit(cfg: RunConfig, out_dir: str) -> None:
             pair_count=cfg["crystal"]["pair_count"],
             spacing_hz=spacing,
             width=tomo["gate_width_s"],
-            n_resamples=tomo["resamples"],
-            seed=cfg["run"]["seed"],
         )
     except GateError as exc:
         raise ConfigError(

@@ -74,7 +74,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "gate_width_s": 1.52e-9,  # matches an 8-bin comb with disjoint gates
         "phases_rad": (0.0,),
         "drift_rad": (0.0,),
-        "resamples": 1000,
     },
     "hom": {
         "tau_min_s": -5e-12,
@@ -267,9 +266,11 @@ def parse_config(path) -> RunConfig:
 
 
 def _check_seed(seed: int, where: str) -> None:
-    """numpy's generators take no negative seed; ``where`` names its source."""
+    """numpy takes no seed < 0, and no config holds one >= 2**63; ``where`` names its source."""
     if seed < 0:
         raise ConfigError(f"{where} must be >= 0, got {seed}")
+    if seed >= _INT_LIMIT:
+        raise ConfigError(f"{where} = {seed} does not fit in 64 bits")
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -310,10 +311,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"{cfg.path}: hom points must be >= {MIN_FIT_POINTS} when counts_per_point > 0"
         )
-    # a sample std needs two replicas; 0 skips the tomography bootstrap
-    tomo_resamples = cfg.sections["tomography"]["resamples"]
-    if tomo_resamples < 0 or tomo_resamples == 1:
-        raise ConfigError(f"{cfg.path}: tomography resamples must be 0 or >= 2")
     if not 0.0 <= cfg.sections["spectrometer"]["max_alias_fraction"] <= 1.0:
         raise ConfigError(f"{cfg.path}: max_alias_fraction must lie in [0, 1]")
     if crystal["domain_width_m"] > crystal["length_m"]:

@@ -359,10 +359,11 @@ def simulate_counts(
 
 
 def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float) -> None:
+    # significant digits: a share over a zero limit can be far below 0.0001%
     if alias > max_alias_fraction:
         raise MeasurementError(
-            f"{alias:.4%} of the joint spectrum lies outside the {spec.window * 1e9:.3g} ns "
-            f"window (limit {max_alias_fraction:.2%}); widen the window or narrow the grid"
+            f"{alias * 100:.4g}% of the joint spectrum lies outside the {spec.window * 1e9:.3g} ns "
+            f"window (limit {max_alias_fraction * 100:.4g}%); widen the window or narrow the grid"
         )
 
 

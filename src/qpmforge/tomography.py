@@ -32,12 +32,15 @@ refuses to gate a bundle on another layout.
 
 Basis order is |q1 q2> in {HH, HV, VH, VV} with the signal photon first;
 ``kron(A, B)`` therefore applies A to the signal and B to the idler.
-Reconstruction is linear inversion over the tensor-product SIC frame
-followed by a projection to the PSD cone.  One stacked estimator does
-both, so a point estimate and its bootstrap replicas run the same code:
-reconstruct_state applies it to the observed probabilities and
-resample_tomography to a stack of Poisson-resampled ones, and purity
-and fidelity_singlet take a single state or a stack alike.
+reconstruct_state inverts the SIC frame matrix Phi and clips the result
+to the PSD cone, the physical state of a BinResult.  Clipping biases a
+boundary state (a pure singlet) low, so a bin's purity and fidelity come
+from its gated totals n (total N) unclipped, and either may exceed 1:
+the purity 16 (n^T Q n - diag(Q) . n) / (N (N - 1)), Q = Re(Phi^-H Phi^-1),
+is unbiased for multinomial counts, and the fidelity of Phi^-1 p,
+p = 4 n / N, is biased only at second order, through |rho_HV,VH|.  Each
+std is the first-order sqrt(g^T C g), g the estimate's gradient in p and
+C = (16 / N) (diag(q) - q q^T), q = n / N, the covariance of p at fixed N.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ __all__ = [
     "simulate_tomography",
     "BinResult",
     "analyze_tomography",
-    "resample_tomography",
     "tomography_report",
     "save_tomography_bundle",
     "load_tomography_bundle",
@@ -123,6 +125,11 @@ _SETTINGS = tuple((j, k) for j in range(1, 5) for k in range(1, 5))
 # probabilities = FRAME @ vec(rho) reproduces Tr[rho (Mj x Mk)].
 _FRAME = np.array([_pair_operator(j, k).T.reshape(16) for j, k in _SETTINGS])
 _FRAME_INV = np.linalg.inv(_FRAME)
+# Tr(rho^2) = p^T Q p for the inversion rho of any real p (rho is Hermitian)
+_PURITY_FORM = (_FRAME_INV.conj().T @ _FRAME_INV).real
+# the rows of the inversion that give (rho_HVHV + rho_VHVH) / 2 and rho_HV,VH
+_DIAGONAL_PAIR = 0.5 * (_FRAME_INV[5] + _FRAME_INV[10]).real
+_COHERENCE = _FRAME_INV[6]
 
 
 def singlet_state(phase: float = 0.0, coherence: float = 1.0) -> np.ndarray:
@@ -169,20 +176,10 @@ def _rho(state) -> np.ndarray:
     return state.rho if isinstance(state, TwoQubitState) else np.asarray(state)
 
 
-def _reconstruct(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked linear inversion: p[..., 16] -> (rho[..., 4, 4], clipped[...]).
-
-    Inverts the frame, keeps the Hermitian part, clips the negative
-    eigenvalues and renormalizes the rest; ``clipped`` is the negative
-    eigenvalue mass removed.
-    """
-    rho = (p.astype(complex) @ _FRAME_INV.T).reshape(p.shape[:-1] + (4, 4))
-    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-    vals, vecs = np.linalg.eigh(rho)
-    clipped = -np.where(vals < 0, vals, 0.0).sum(axis=-1)
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum(axis=-1, keepdims=True)
-    return (vecs * vals[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2)), clipped
+def _invert(p: np.ndarray) -> np.ndarray:
+    """The linear inversion Phi^-1 p as a Hermitian 4x4 matrix."""
+    rho = (p.astype(complex) @ _FRAME_INV.T).reshape(4, 4)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def reconstruct_state(probabilities) -> TwoQubitState:
@@ -198,34 +195,33 @@ def reconstruct_state(probabilities) -> TwoQubitState:
         raise ValueError("expected 16 probabilities ordered over (j, k)")
     if not np.any(p):
         raise ValueError("all 16 probabilities are zero")
-    rho, clipped = _reconstruct(p)
-    return TwoQubitState(rho=rho, clipped_weight=float(clipped))
+    vals, vecs = np.linalg.eigh(_invert(p))
+    clipped = -vals[vals < 0].sum()
+    vals = np.clip(vals, 0.0, None)
+    vals /= vals.sum()
+    return TwoQubitState(rho=(vecs * vals) @ vecs.conj().T, clipped_weight=float(clipped))
 
 
-def purity(state):
-    """Tr(rho^2) of one state (a float) or of a [..., 4, 4] stack (an array)."""
+def purity(state) -> float:
+    """Tr(rho^2)."""
     rho = _rho(state)
-    out = np.trace(rho @ rho, axis1=-2, axis2=-1).real
-    return float(out) if rho.ndim == 2 else out
+    return float(np.trace(rho @ rho).real)
 
 
-def fidelity_singlet(state):
+def fidelity_singlet(state) -> tuple[float, float]:
     """Best fidelity to (|HV> - e^{i phi}|VH>)/sqrt(2) over the phase.
 
     F(phi) = (rho_HVHV + rho_VHVH)/2 - Re(e^{i phi} rho_HV,VH), maximized
     in closed form at phi_hat = pi - arg(rho_HV,VH).  Returns (F, phi_hat)
-    with phi_hat in (-pi, pi] (0 when the off-diagonal vanishes): floats
-    for one state, arrays over the leading axes of a [..., 4, 4] stack.
+    with phi_hat in (-pi, pi] (0 when the off-diagonal vanishes).
     """
     rho = _rho(state)
-    off = rho[..., 1, 2]
-    fid = 0.5 * np.real(rho[..., 1, 1] + rho[..., 2, 2]) + np.abs(off)
-    phi = np.pi - np.angle(off)
-    phi = (phi + np.pi) % (2.0 * np.pi) - np.pi
-    phi = np.where(off == 0.0, 0.0, np.where(phi == -np.pi, np.pi, phi))
-    if rho.ndim == 2:
-        return float(fid), float(phi)
-    return fid, phi
+    off = rho[1, 2]
+    fid = 0.5 * (rho[1, 1] + rho[2, 2]).real + abs(off)
+    if off == 0.0:
+        return float(fid), 0.0
+    phi = (np.pi - np.angle(off) + np.pi) % (2.0 * np.pi) - np.pi
+    return float(fid), float(np.pi if phi == -np.pi else phi)
 
 
 def default_bin_labels(pair_count: int) -> np.ndarray:
@@ -327,11 +323,12 @@ def simulate_tomography(
     hyper.n_bins bins of _bin_masses at ``spacing_hz``; bin i's share
     weight_i of the spectrum's mass is its emission weight.  For setting
     (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
-    total pair flux; the projection's event total is Poissonian with
-    mean 4 * events * that flux (so ``events`` is the average count per
-    projection), and the image sampled is the spectrum in which each bin
-    carries its share mix_i of that flux, each cell of the source
-    weighted by mix_i / mass_i of its bin, projected at once.  Raises
+    total pair flux, and the image sampled is the spectrum in which each
+    bin carries its share mix_i of that flux, each cell of the source
+    weighted by mix_i / mass_i of its bin, projected at once.  Only its
+    share 1 - alias_jk inside the window is recorded, so the event total
+    is Poissonian with mean 4 * events * flux * (1 - alias_jk) / (1 - alias),
+    alias the source's: the 16 means sum to 16 * events.  Raises
     MeasurementError when more than max_alias_fraction of the source
     falls outside the acquisition window.
 
@@ -347,7 +344,8 @@ def simulate_tomography(
         raise ValueError("events must be >= 0")
     pair_count = hyper.n_bins // 2
     project = spectrum_projector(intensity, grid, spec, center_frequency_hz)
-    _check_alias(project()[1], spec, max_alias_fraction)
+    source_alias = project()[1]
+    _check_alias(source_alias, spec, max_alias_fraction)
     bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
     layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
     weights = masses / masses.sum()
@@ -362,9 +360,10 @@ def simulate_tomography(
             # -1e-16-level residue, which np.random.poisson rejects
             flux = np.clip(weights * born_jk, 0.0, None)
             q_jk = flux.sum()
-            total = int(master.poisson(4.0 * events * q_jk))
             mix = flux / q_jk if q_jk > 0 else weights
             probs, alias = project(grid.toeplitz((mix / masses)[bins]))
+            kept = (1.0 - alias) / (1.0 - source_alias)
+            total = int(master.poisson(4.0 * events * q_jk * kept))
             counts = _draw_counts(probs, spec, center_frequency_hz, total, seed=[int(seed), j, k])
             counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
             yield (j, k), counts
@@ -427,39 +426,40 @@ def bin_gates(
 
 @dataclass
 class BinResult:
-    """Per-bin tomography outcome."""
+    """Per-bin tomography outcome; see the module docstring for the estimates."""
 
     label: int
     state: TwoQubitState
     purity: float
+    purity_std: float
     fidelity: float
+    fidelity_std: float
     phase: float
     events: int
-    purity_std: float = float("nan")
-    fidelity_std: float = float("nan")
-    probabilities: np.ndarray = field(default=None, repr=False)
+    probabilities: np.ndarray = field(repr=False)
 
 
-def resample_tomography(
-    gated_counts: np.ndarray,
-    n_resamples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Poisson-bootstrap standard deviations of (purity, fidelity).
+def _linear_estimates(gated: np.ndarray) -> tuple[float, float, float, float]:
+    """(purity, purity_std, fidelity, fidelity_std) from a bin's 16 gated
+    totals, at least two counts in all; see the module docstring."""
+    total = gated.sum()
+    q = gated / total
+    p = 4.0 * q
+    pur = 16.0 * (gated @ _PURITY_FORM @ gated - np.diag(_PURITY_FORM) @ gated) / (
+        total * (total - 1.0)
+    )
+    fid, _ = fidelity_singlet(_invert(p))
+    off = _COHERENCE @ p
+    # |rho_HV,VH| has no gradient at 0, where only the diagonal pair moves F
+    fid_gradient = _DIAGONAL_PAIR
+    if off != 0.0:
+        fid_gradient = fid_gradient + (np.conj(off) * _COHERENCE).real / abs(off)
 
-    Resamples the 16 gated totals as independent Poisson variates and
-    runs each replica through the point estimate's own reconstruction,
-    purity and fidelity.  Replicas with no counts at all are dropped.
-    """
-    gated = np.asarray(gated_counts, dtype=float)
-    if gated.shape != (16,):
-        raise ValueError("expected 16 gated totals")
-    rng = np.random.default_rng(seed)
-    draws = rng.poisson(gated, size=(n_resamples, 16)).astype(float)
-    draws = draws[draws.sum(axis=1) > 0]
-    rho, _ = _reconstruct(4.0 * draws / draws.sum(axis=1, keepdims=True))
-    fid, _ = fidelity_singlet(rho)
-    return float(purity(rho).std(ddof=1)), float(fid.std(ddof=1))
+    def std(gradient):
+        variance = 16.0 / total * (q @ gradient**2 - (q @ gradient) ** 2)
+        return float(np.sqrt(max(variance, 0.0)))  # round-off can take a 0 below 0
+
+    return float(pur), std(2.0 * _PURITY_FORM @ p), fid, std(fid_gradient)
 
 
 def analyze_tomography(
@@ -467,8 +467,6 @@ def analyze_tomography(
     pair_count: int,
     spacing_hz: float,
     width: float,
-    n_resamples: int,
-    seed: int,
 ) -> list[BinResult]:
     """Gate, reconstruct, and summarize every bin of a projection set.
 
@@ -480,8 +478,7 @@ def analyze_tomography(
     totals; each bin is then reconstructed from its column.  A matrix
     whose metadata records another bin layout (``bin_spacing_hz``,
     ``pair_count``) than ``spacing_hz`` and ``pair_count`` is refused
-    with a ValueError naming its file.  With ``n_resamples`` > 0 each bin
-    also gets Poisson-bootstrap error bars.
+    with a ValueError naming its file.
     """
     labels = [int(label) for label in default_bin_labels(pair_count)]
     rows = {key: row for row, key in enumerate(_SETTINGS)}
@@ -511,38 +508,33 @@ def analyze_tomography(
         # (the 16 probabilities of any state sum to 4), since each setting
         # is a separate acquisition with no shared total
         total = column.sum()
-        if total <= 0:
-            raise MeasurementError(f"bin {label}: no gated counts in any projection")
+        if total < 2:
+            found = "no gated counts in any projection" if total == 0 else "a single gated count"
+            raise MeasurementError(f"bin {label}: {found}; the purity estimate needs at least 2")
         probs = 4.0 * column / total
         state = reconstruct_state(probs)
-        fid, phi = fidelity_singlet(state)
-        result = BinResult(
+        pur, pur_std, fid, fid_std = _linear_estimates(column)
+        results.append(BinResult(
             label=label,
             state=state,
-            purity=purity(state),
+            purity=pur,
+            purity_std=pur_std,
             fidelity=fid,
-            phase=phi,
+            fidelity_std=fid_std,
+            phase=fidelity_singlet(state)[1],
             events=int(total),
             probabilities=probs,
-        )
-        if n_resamples > 0:
-            result.purity_std, result.fidelity_std = resample_tomography(
-                column, n_resamples, seed=[seed, label & 0xFF]
-            )
-        results.append(result)
+        ))
     return results
 
 
 def tomography_report(results: list[BinResult]) -> str:
-    """Fixed-width per-bin table of purity, fidelity, and phase."""
+    """Fixed-width per-bin table of purity and fidelity, each with its std,
+    and phase."""
     lines = ["bin   events      purity            fidelity          phase_rad"]
     for r in results:
-        pur = f"{r.purity:.4f}"
-        fid = f"{r.fidelity:.4f}"
-        if np.isfinite(r.purity_std):
-            pur += f" +/- {r.purity_std:.4f}"
-        if np.isfinite(r.fidelity_std):
-            fid += f" +/- {r.fidelity_std:.4f}"
+        pur = f"{r.purity:.4f} +/- {r.purity_std:.4f}"
+        fid = f"{r.fidelity:.4f} +/- {r.fidelity_std:.4f}"
         lines.append(
             f"{r.label:+d}   {r.events:9d}   {pur:<17s} {fid:<17s} {r.phase:+.4f}"
         )

@@ -174,25 +174,41 @@ class TestReport:
         assert "fidelity_maximal_8" in text
 
     def test_report_weights_match_decomposition(self, comb_jsa):
+        # absolute agreement: both routes carry round-off of about eps times
+        # the largest weight, so a weight near the 1e-12 floor agrees to
+        # about 1e-7 of itself and every larger weight far better
         report = report_from_jsa(comb_jsa, n_modes=8)
-        np.testing.assert_allclose(report.weights, svd_weights(comb_jsa))
+        want = svd_weights(comb_jsa)
+        assert report.weights.shape == want.shape
+        np.testing.assert_allclose(report.weights, want, rtol=0, atol=1e-14)
 
 
 def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
-    """K, the report and the bootstrap need no Schmidt modes."""
-    svd = np.linalg.svd
-    compute_uv_flags = []
-
-    def recording_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
-        compute_uv_flags.append(compute_uv)
-        return svd(a, full_matrices, compute_uv, hermitian)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    """K, the report and the bootstrap need no Schmidt modes: no SVD runs,
+    and the report's weights are the Gram matrix's eigenvalues alone."""
+    calls = []
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        decomposition = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda *args, _name=name, _fn=decomposition, **kwargs: (
+                calls.append(_name) or _fn(*args, **kwargs)
+            ),
+        )
     report_from_jsa(comb_jsa, n_modes=8)
     counts = np.random.default_rng(5).poisson(50.0, size=(40, 30)).astype(float)
     schmidt_number(np.sqrt(counts))
     monte_carlo_uncertainty(counts, n_resamples=3, seed=1)
-    assert compute_uv_flags and not any(compute_uv_flags)
+    assert calls == ["eigvalsh"]
+
+
+def test_designed_weights_match_the_full_decomposition(designed_jsa):
+    # the Gram matrix's eigenvalues against np.linalg.svd's squared
+    # singular values, as TestReport checks the comb's: the same weights
+    # survive the 1e-12 floor
+    got, want = schmidt_weights(designed_jsa), svd_weights(designed_jsa)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @settings(deadline=None, max_examples=25)

@@ -149,13 +149,13 @@ class TestValidation:
             ({"hom.points": 1}, "hom points"),
             ({"hom.tau_max_s": -6e-12}, "tau_max_s > tau_min_s"),
             ({"spectrometer.events": -5}, "events"),
-            ({"tomography.resamples": -1}, "resamples"),
+            ({"run.seed": 2**63}, "does not fit in 64 bits"),
             ({"tomography.gate_width_s": 0.0}, "gate_width_s"),
             ({"tomography.gate_width_s": -1.52e-9}, "gate_width_s"),
             ({"hom.counts_per_point": -1}, "counts_per_point"),
             ({"spectrometer.max_alias_fraction": -0.1}, "max_alias_fraction"),
             ({"spectrometer.max_alias_fraction": 1.5}, "max_alias_fraction"),
-            ({"tomography.resamples": 1}, "tomography resamples"),
+            ({"tomography.events_per_projection": -1}, "events_per_projection must be >= 0"),
             ({"run.seed": -9_007_199_254_740_993}, "seed must be >= 0"),
         ],
     )
@@ -335,6 +335,22 @@ class TestCliExitCodes:
             assert "--seed must be >= 0" in capsys.readouterr().err, stage
             assert not out.exists(), stage
 
+    def test_seed_beyond_64_bits_refused_before_any_stage(self, tmp_path, capsys):
+        # a config holds no integer of 2^63 or more, so neither does --seed:
+        # the manifest, below its command line, must parse back as the
+        # config of the run
+        config = make_config(tmp_path, **FAST)
+        out = tmp_path / "out"
+        for stage in STAGES:
+            assert main([stage, "--config", config, "--out", str(out), "--seed", str(2**63)]) == 2
+            assert f"--seed = {2**63} does not fit in 64 bits" in capsys.readouterr().err, stage
+            assert not out.exists(), stage
+        assert main(["hom", "--config", config, "--out", str(out), "--seed", str(2**63 - 1)]) == 0
+        command, resolved = (out / "manifest.txt").read_text().split("\n", 1)
+        assert command == "command = hom"
+        (tmp_path / "echo.cfg").write_text(resolved)
+        assert parse_config(tmp_path / "echo.cfg")["run"]["seed"] == 2**63 - 1
+
     def test_manifest_echoes_a_non_ascii_input(self, tmp_path):
         # the config is read as UTF-8, and its manifest echo is written so
         config = make_config(tmp_path, **FAST)
@@ -495,7 +511,6 @@ class TestCliExitCodes:
             **dict(FAST, **{
                 "crystal.pair_count": 2,
                 "tomography.events_per_projection": 20_000,
-                "tomography.resamples": 10,
             }),
         )
         out = str(tmp_path / "tomo")
@@ -552,7 +567,6 @@ class TestBandCenter:
             "tomography.events_per_projection": 100_000_000,
             "tomography.phases_rad": (self.PHASE,),
             "tomography.drift_rad": self.DRIFTS,
-            "tomography.resamples": 10,
         })
         out = tmp / "tomo"
         assert main(["tomo-sim", "--config", config, "--out", str(out)]) == 0
@@ -610,7 +624,6 @@ def test_every_stage_on_shipped_config(tmp_path, capsys, name):
     cfg.sections["grid"]["points"] = 128
     cfg.sections["spectrometer"]["events"] = 100_000
     cfg.sections["tomography"]["events_per_projection"] = 10_000
-    cfg.sections["tomography"]["resamples"] = 0
     config = tmp_path / name
     config.write_text(cfg.resolved_text())
     out = str(tmp_path / "out")

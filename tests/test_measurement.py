@@ -16,6 +16,7 @@ from qpmforge.measurement import (
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
+    _check_alias,
     build_transfer,
     detuning_to_time,
     load_counts,
@@ -265,6 +266,16 @@ class TestSimulateCounts:
     def test_alias_overflow_raises(self, comb_jsa, spectro):
         with pytest.raises(MeasurementError, match="outside the"):
             simulate(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+
+    def test_alias_refusal_prints_significant_digits(self, comb_jsa, spectro):
+        # a share or limit below 0.00005% printed as 0 in fixed decimals,
+        # so a zero limit refused a nonzero share "0.0000% (limit 0.00%)"
+        with pytest.raises(MeasurementError, match=r"^1\.271% .* \(limit 0\.0001%\)"):
+            simulate(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+        with pytest.raises(MeasurementError) as err:
+            _check_alias(3.2e-9, spectro, 0.0)
+        assert str(err.value).startswith("3.2e-07% of the joint spectrum lies outside the 12.5 ns")
+        assert "(limit 0%)" in str(err.value)
 
 
     def test_tofs_sim_peak_memory_below_the_amplitude(self, tmp_path):

@@ -1,11 +1,13 @@
-"""The benchmark's span observers against the package functions they wrap.
+"""The benchmark's span observers and report readers against the package.
 
 ``perfbench/spans.py`` times each CLI stage by wrapping the package's
 public functions, and a few wrappers (its ``OBSERVERS``) bind arguments
 of the wrapped call by name to record what the call did.  Each observer
 runs here on a small real call, so a renamed parameter fails this suite
-rather than only the traced benchmark run.  ``spans.py`` is loaded from
-its file and not edited.
+rather than only the traced benchmark run.  Likewise ``tomo-fit``'s
+report is read here by ``perfbench/checks.py``'s own reader, so a row
+it cannot parse fails this suite rather than the benchmark's checks.
+Both files are loaded from their paths and not edited.
 """
 
 import importlib
@@ -17,14 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpmforge import cli
 from qpmforge.biphoton import FrequencyGrid, build_jsa
+from qpmforge.config import default_config
 from qpmforge.measurement import simulate_counts
+from qpmforge.tomography import analyze_tomography, load_tomography_bundle
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve their module through sys.modules
     sys.modules[spec.name] = module
@@ -32,7 +37,8 @@ def _load_spans():
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+checks = _load("checks")
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +87,30 @@ def test_observer_runs_against_wrapped_function(name, calls):
         assert expected(value), (key, value)
     else:
         assert value == expected
+
+
+def test_tomo_fit_report_reads_as_the_benchmark_reads_it(tmp_path):
+    # every row carries both stds in the 7-token form the reader takes,
+    # and each parsed value is the analysis's own, to the report's digits
+    cfg = default_config()
+    cfg.sections["crystal"]["length_m"] = 0.005
+    cfg.sections["grid"]["points"] = 128
+    cfg.sections["tomography"]["events_per_projection"] = 10_000
+    cfg.sections["tomography"]["drift_rad"] = tuple(np.linspace(0.0, 1.4, 8))
+    config = tmp_path / "run.cfg"
+    config.write_text(cfg.resolved_text())
+    out = tmp_path / "tomo"
+    for stage in ("tomo-sim", "tomo-fit"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+    rows = checks.read_tomography_report(out / "report.txt")
+    results = analyze_tomography(
+        load_tomography_bundle(out / "tomo"), 4, cfg["crystal"]["bin_spacing_hz"],
+        cfg["tomography"]["gate_width_s"],
+    )
+    assert sorted(rows) == checks.bin_labels(4) == [r.label for r in results]
+    for r in results:
+        row = rows[r.label]
+        assert row["events"] == r.events
+        for key in ("purity", "purity_std", "fidelity", "fidelity_std", "phase"):
+            assert row[key] == pytest.approx(getattr(r, key), abs=5e-5), key
+        assert row["purity_std"] > 0 and row["fidelity_std"] > 0

@@ -54,7 +54,7 @@ def test_stage_peaks_reports_every_stage(tmp_path):
     config = small_config(
         tmp_path,
         spectrometer={"events": 100_000},
-        tomography={"events_per_projection": 10_000, "resamples": 10},
+        tomography={"events_per_projection": 10_000},
     )
     out = tmp_path / "out"
     result = run_script(
