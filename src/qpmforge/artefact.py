@@ -37,104 +37,259 @@ file:
   without them (real data) still reads.
 
 Every body row is ``row_format % tuple(row.tolist())`` of one row of a
-2-d array, formatted in `write_table` and nowhere else.  A table of at
-least `SPLIT_CELLS` cells is formatted across processes where the
-platform can fork: one contiguous block of rows per available CPU, each
-block after the first written by a forked child to a part file beside
-the output, then appended in order.  The bytes are the same either way.
+2-d array, formatted in `write_table` and nowhere else, in one process
+on one thread.  A float table whose conversions are all ``%.17g`` and
+``%+.17g`` (the JSA) or all ``%.12e`` (the JSI and the curves) is
+formatted with numpy, a block of rows at a time, to the same bytes: each
+value is rounded to its significant digits in double-double arithmetic
+and its characters are gathered from lookup tables.  ``%`` itself
+formats every other table, and any row holding a value the vectorised
+path does not decide: a non-finite value, one of magnitude 1e290 or
+more, one within 1e-9 of a rounding tie, or one that ``%g`` writes in
+fixed notation.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import shutil
-import signal
+import functools
+import re
 import warnings
-from typing import NoReturn
 
 import numpy as np
 
 __all__ = ["write_table", "read_table"]
 
-# Tables of at least this many cells are split across processes.  From an
-# 80 MB process on two cores, a fork, reap and empty append cost 3-5 ms,
-# and `%.12e` tables wrote in-process / split in 0.15 / 0.09 s at 250k
-# cells and 0.57 / 0.36 s at 10^6.  The split is kept to the JSA and JSI
-# tables (1-2 x 10^6 cells); the 250k-cell count files stay in-process,
-# so the readout stages fork nothing.
-SPLIT_CELLS = 1_000_000
+# conversion -> (significant digits, stripped of trailing zeros as by %g,
+# explicit plus sign)
+_FAST = {"%.17g": (17, True, False), "%+.17g": (17, True, True), "%.12e": (13, False, False)}
+_FAST_SPLIT = r"(%\+?\.17g|%\.12e)"  # compiled on the first write
+# cells formatted at once: each temporary stays near 128 KB
+_BLOCK_CELLS = 16384
+_HUGE = 1e290  # from here up a row goes through %
+_TINY = 1e-200  # below this a value is scaled by 2**_SCALE, exactly
+_SCALE = 600
+_POW_MIN, _POW_MAX = -300, 350  # powers of ten in the table
+_POW_SIZE = _POW_MAX - _POW_MIN + 1
+_EXP_MIN, _EXP_MAX = -330, 330  # exponent suffixes in the table
 
 
-def _workers() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        return os.cpu_count() or 1
+@functools.cache
+def _tables():
+    """Lookup tables of the vectorised formatter, built on the first write.
 
-
-def _write_rows(fh, row_format: str, table) -> None:
-    for row in table:
-        fh.write(row_format % tuple(row.tolist()) + "\n")
-
-
-def _write_part(part: str, row_format: str, table) -> NoReturn:
-    """Body of a forked child: write `table` to `part` and exit.
-
-    The child leaves only through os._exit, so no atexit hook, buffered
-    stream or `finally` of the parent's stack runs a second time.  It
-    runs Python formatting only and calls no BLAS routine, so it never
-    waits on a lock held by one of the parent's threads, which a forked
-    child does not have.
+    pow_hi[i] + pow_lo[i] is 10**(i + _POW_MIN) as a double-double, and
+    entry i + _POW_SIZE the same power divided by 2**_SCALE, each part
+    correctly rounded from Python integers (nan where unused or out of
+    range).  digits4[g] is "%04d" % g as four bytes in one uint32 and
+    keep4[g] the mask of those bytes that %g keeps when g ends the
+    digits.  suffix[x - _EXP_MIN] is "e%+03d" % x as eight bytes in one
+    uint64, suffix_mask its mask; the entry past the end is empty.
     """
-    code = 1
-    try:
-        with open(part, "w", encoding="ascii") as fh:
-            _write_rows(fh, row_format, table)
-        code = 0
-    finally:
-        os._exit(code)
+
+    def double_double(num: int, den: int) -> tuple[float, float]:
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        return hi, (num * q - p * den) / (den * q)
+
+    plain, scaled = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        plain.append(double_double(1, 10**-k) if k < 0 else
+                     double_double(10**k, 1) if k <= 300 else (np.nan, np.nan))
+        scaled.append(double_double(10**k, 2**_SCALE) if k >= 0 else (np.nan, np.nan))
+    # the four decimal digits of each group, most significant first
+    digit = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+             % 10).astype(np.uint8)
+    digits4 = (ord("0") + digit).view("<u4").ravel()
+    # a digit is kept where it or a later one is nonzero
+    keep4 = (np.maximum.accumulate(digit[:, ::-1], axis=1)[:, ::-1] > 0).view("<u4").ravel()
+    suffixes = ["e%+03d" % x for x in range(_EXP_MIN, _EXP_MAX + 1)] + [""]
+    suffix = np.frombuffer("".join(s.ljust(8, "\0") for s in suffixes).encode(), "<u8")
+    suffix_mask = np.frombuffer(
+        b"".join(b"\1" * len(s) + b"\0" * (8 - len(s)) for s in suffixes), "<u8"
+    )
+    pow_hi, pow_lo = np.array(plain + scaled).T.copy()
+    return pow_hi, pow_lo, digits4, keep4, suffix, suffix_mask
+
+
+def _split(x):
+    """Dekker's split of doubles into halves of at most 26 significant bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _round_scaled(a, k, small):
+    """(n, rem): a * 10**k rounded to the integer n, with the remainder
+    rem in [-0.5, 0.5] (a already scaled by 2**_SCALE where `small`)."""
+    index = k - _POW_MIN
+    index[small] += _POW_SIZE
+    pow_hi, pow_lo = _tables()[:2]
+    hi, lo = pow_hi.take(index), pow_lo.take(index)
+    p = a * hi
+    ah, al = _split(a)
+    bh, bl = _split(hi)
+    # p + q is a * (hi + lo) to about 2**-104 relative (Dekker's product)
+    q = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    r = np.rint(p)
+    f = (p - r) + q
+    c = np.rint(f)
+    return r.astype(np.int64) + c.astype(np.int64), f - c
+
+
+def _decimal(a, digits: int):
+    """(n, x, ok) for a 1-d array of finite positive doubles: each rounds
+    to n * 10**(x - digits + 1) with n a `digits`-digit integer, as %e
+    rounds it.  ok is False where that is not decided: within 1e-9 of a
+    rounding tie."""
+    small = a < _TINY
+    scaled = a * np.where(small, 2.0**_SCALE, 1.0)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, rem = _round_scaled(scaled, digits - 1 - x, small)
+    low, high = 10 ** (digits - 1), 10**digits
+    # log10 can be one off next to a power of ten; the exponent is that
+    # of the unrounded n + rem
+    up = (n > high) | (n == high) & (rem >= 0)
+    down = (n < low) | (n == low) & (rem < 0)
+    redo = np.flatnonzero(up | down)
+    if redo.size:
+        x[redo] += up[redo].astype(np.int64) - down[redo]
+        n[redo], rem[redo] = _round_scaled(scaled[redo], digits - 1 - x[redo], small[redo])
+    # a value such as 9.99...96e-5 rounds up to the next decade
+    carry = n == high
+    n[carry] = low
+    x[carry] += 1
+    ok = (np.abs(np.abs(rem) - 0.5) > 1e-9) & (n >= low) & (n < high)
+    return n, x, ok
+
+
+def _fast_layout(row_format: str, table) -> tuple[list[str], list[str]] | None:
+    """(literals, conversions) of a row format the vectorised path
+    formats for `table`, else None.  Its conversions are all in _FAST
+    and share their digits: a row of %.17g and %+.17g, or of %.12e."""
+    parts = re.split(_FAST_SPLIT, row_format)
+    literals, convs = parts[::2], parts[1::2]
+    if (
+        not convs
+        or any("%" in lit for lit in literals)
+        or len({_FAST[conv][:2] for conv in convs}) > 1
+        or table.ndim != 2
+        or table.dtype != np.float64
+        or table.shape[1] != len(convs)
+    ):
+        return None
+    return literals, convs
+
+
+class _BlockFormatter:
+    """Formats blocks of rows of a float table with numpy.
+
+    Each cell gets a slot of whole 8-byte words in a uint8 row buffer:
+    the literal before it and its sign, first digit and point in the
+    head, the other digits in two words and the exponent suffix in one.
+    A boolean mask of the same shape marks the bytes the cell's ``%``
+    conversion writes, and compressing the buffer by it gives the rows.
+    """
+
+    def __init__(self, literals: list[str], convs: list[str]):
+        self.digits, self.strip = _FAST[convs[0]][:2]
+        self.plus = np.array([_FAST[conv][2] for conv in convs])
+        k = len(convs)
+        self.head = -(-(max(map(len, literals[:-1])) + 3) // 8) * 8
+        self.slot = self.head + 24
+        tail = (literals[-1] + "\n").encode("ascii")
+        self.width = k * self.slot + -(-len(tail) // 8) * 8
+        self.row = np.zeros(self.width, np.uint8)
+        self.row_mask = np.zeros(self.width, bool)
+        cells = self.row[: k * self.slot].reshape(k, self.slot)
+        cells_mask = self.row_mask[: k * self.slot].reshape(k, self.slot)
+        for c, lit in enumerate(lit.encode("ascii") for lit in literals[:-1]):
+            cells[c, self.head - 3 - len(lit) : self.head - 3] = np.frombuffer(lit, np.uint8)
+            cells_mask[c, self.head - 3 - len(lit) : self.head - 3] = True
+        cells[:, self.head - 1] = ord(".")
+        cells_mask[:, self.head - 2] = True  # the first digit
+        if not self.strip:  # %e keeps its point and every digit
+            cells_mask[:, self.head - 1 : self.head + self.digits - 1] = True
+        self.row[k * self.slot : k * self.slot + len(tail)] = np.frombuffer(tail, np.uint8)
+        self.row_mask[k * self.slot : k * self.slot + len(tail)] = True
+
+    def format(self, x):
+        """(buffer, mask, bad): the rows of block `x` in the buffer where
+        the mask is set, and the rows that must go through % instead."""
+        digits4_table, keep4_table, suffix_table, suffix_mask = _tables()[2:]
+        rows, k = x.shape
+        h, digits = self.head, self.digits
+        buf = np.empty((rows, self.width), np.uint8)
+        mask = np.empty((rows, self.width), bool)
+        buf[:] = self.row
+        mask[:] = self.row_mask
+        b3 = buf[:, : k * self.slot].reshape(rows, k, self.slot)
+        m3 = mask[:, : k * self.slot].reshape(rows, k, self.slot)
+        w32 = buf.view("<u4")[:, : k * self.slot // 4].reshape(rows, k, self.slot // 4)
+        m32 = mask.view("<u4")[:, : k * self.slot // 4].reshape(rows, k, self.slot // 4)
+        w64 = buf.view("<u8")[:, : k * self.slot // 8].reshape(rows, k, self.slot // 8)
+        m64 = mask.view("<u8")[:, : k * self.slot // 8].reshape(rows, k, self.slot // 8)
+
+        a = np.abs(x)
+        finite = a < _HUGE  # False for inf and nan too
+        zero = a == 0
+        decided = _decimal(np.where(finite & ~zero, a, 1.0).ravel(), digits)
+        n, e, ok = (v.reshape(x.shape) for v in decided)
+        n[zero] = 0
+        e[zero] = 0
+        ok &= finite
+        if self.strip:  # %g writes exponents from -4 to digits - 1 in fixed notation
+            ok &= zero | (e < -4) | (e >= digits)
+
+        neg = np.signbit(x)
+        b3[:, :, h - 3] = np.where(neg, ord("-"), ord("+"))
+        m3[:, :, h - 3] = neg | self.plus
+        # kept: a nonzero digit follows, so %g keeps this group whole
+        rest, kept = n, None
+        for j in reversed(range((digits - 1) // 4)):
+            quotient = rest // 10000
+            group = rest - quotient * 10000
+            rest = quotient
+            w32[:, :, h // 4 + j] = digits4_table.take(group)
+            if self.strip:
+                keep = keep4_table.take(group)
+                m32[:, :, h // 4 + j] = keep if kept is None else np.where(kept, 0x01010101, keep)
+                kept = keep != 0 if kept is None else kept | (keep != 0)
+        b3[:, :, h - 2] = ord("0") + rest
+        suffix = e - _EXP_MIN
+        if self.strip:
+            m3[:, :, h - 1] = kept
+            suffix[zero] = _EXP_MAX - _EXP_MIN + 1  # %g writes 0 bare
+        w64[:, :, h // 8 + 2] = suffix_table.take(suffix)
+        m64[:, :, h // 8 + 2] = suffix_mask.take(suffix)
+        return buf, mask, ~ok.all(axis=1)
+
+
+def _write_rows(fh, row_format: str, rows) -> None:
+    """Each row as ``%`` formats it, one line each."""
+    for row in rows:
+        fh.write((row_format % tuple(row.tolist()) + "\n").encode("ascii"))
 
 
 def write_table(path, header: dict, row_format: str, table) -> None:
     """Write the header line, then one ``row_format % row`` line per row of `table`."""
     tokens = (f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}" for k, v in header.items())
-    n_blocks = 1
-    if np.size(table) >= SPLIT_CELLS and hasattr(os, "fork"):
-        n_blocks = min(_workers(), len(table))
-    blocks = np.array_split(table, n_blocks)
-    parts, pids = [], []
-    try:
-        for i, block in enumerate(blocks[1:], 1):
-            parts.append(f"{os.fspath(path)}.{i}.part")
-            pid = os.fork()
-            if pid == 0:
-                _write_part(parts[-1], row_format, block)
-            pids.append(pid)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# " + " ".join(tokens) + "\n")
-            _write_rows(fh, row_format, blocks[0])
-        failed = []
-        while pids:
-            status = os.waitpid(pids[0], 0)[1]
-            pids.pop(0)
-            if status:
-                failed.append(os.waitstatus_to_exitcode(status))
-        if failed:
-            raise OSError(f"{path}: {len(failed)} row writer process(es) failed, exit {failed}")
-        with open(path, "ab") as out:
-            for part in parts:
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, out)
-    finally:
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+    table = np.asarray(table)
+    layout = _fast_layout(row_format, table)
+    with open(path, "wb") as fh:
+        fh.write(("# " + " ".join(tokens) + "\n").encode("ascii"))
+        if layout is None:
+            _write_rows(fh, row_format, table)
+            return
+        formatter = _BlockFormatter(*layout)
+        step = max(1, _BLOCK_CELLS // table.shape[1])
+        for start in range(0, len(table), step):
+            block = table[start : start + step]
+            buf, mask, bad = formatter.format(block)
+            done = 0  # rows before each undecided one, then that row through %
+            for i in [*np.flatnonzero(bad).tolist(), len(block)]:
+                fh.write(buf[done:i][mask[done:i]])
+                _write_rows(fh, row_format, block[i : i + 1])
+                done = i + 1
 
 
 def read_table(

@@ -211,10 +211,14 @@ def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float
     amplitude's L2 norm with the grid measure and the share of the
     intensity in the two outermost rows and columns.  Warns when that
     share exceeds _EDGE_MASS_WARN, a sign the grid is clipping the state,
-    on behalf of the builder's caller."""
+    on behalf of the builder's caller.  An intensity that is zero on every
+    grid point, such as one that underflows between comb teeth the grid
+    steps over, is a numeric failure: FloatingPointError."""
     total = inten.sum()
     if total <= 0:
-        raise ValueError("cannot normalise a zero amplitude")
+        raise FloatingPointError(
+            "cannot normalise a zero amplitude: the joint intensity is 0 on every grid point"
+        )
     edge = (
         inten[:2, :].sum() + inten[-2:, :].sum()
         + inten[2:-2, :2].sum() + inten[2:-2, -2:].sum()

@@ -34,6 +34,12 @@ from qpmforge.tomography import (
 NU0 = C_LIGHT / (2.0 * default_config()["pump"]["wavelength_m"])
 
 
+def percent_rows(row_format: str, table) -> bytes:
+    """A table body by its definition: one ``row_format % tuple(row)``
+    line per row, each row's values as Python numbers."""
+    return "".join(row_format % tuple(row.tolist()) + "\n" for row in table).encode("ascii")
+
+
 def norm_squared(jsa: JointSpectralAmplitude) -> float:
     """L2 norm with the grid measure: sum |f|^2 dnu_s dnu_i."""
     return float(np.sum(jsa.intensity) * jsa.grid.d_nu * jsa.grid.d_nu)

@@ -1,9 +1,7 @@
 """The shared ``# key=value`` header + table format of every data file."""
 
-import glob
 import os
-import subprocess
-import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,6 +22,8 @@ from qpmforge.biphoton import (
 from qpmforge.crystal import DomainConfig, load_domains, save_domains
 from qpmforge.interference import HomCurve, load_curve, save_curve
 from qpmforge.measurement import CountMatrix, SpectrometerSpec, load_counts, save_counts
+
+from oracles import percent_rows
 
 # one well-formed file per loader: header line, body rows
 VALID = {
@@ -290,7 +290,7 @@ def test_header_lines_match_format(tmp_path, jsa, x):
         assert path.read_text().split("\n", 1)[0] == want, save.__name__
 
 
-# --- row blocks formatted across processes -------------------------------
+# --- row formatting ---------------------------------------------------------
 
 # kind -> (row format, table of n rows drawn from a generator)
 TABLES = {
@@ -301,110 +301,106 @@ TABLES = {
         lambda rng, n: (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))).view(float),
     ),
     "int64": ("%d,%d,%d,%d", lambda rng, n: rng.integers(-(2**62), 2**62, size=(n, 4))),
+    "intensity": ("%.12e,%.12e,%.12e", lambda rng, n: rng.standard_normal((n, 3)) ** 2 * 1e-27),
 }
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 
 
-def _split_everything(monkeypatch, workers=3):
-    """Split every table into up to `workers` blocks; returns a list that
-    grows by one entry per fork."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(artefact, "SPLIT_CELLS", 1)
-    monkeypatch.setattr(artefact, "_workers", lambda: workers)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+def _written(path) -> tuple[bytes, bytes]:
+    """(header line, body) of a written file."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return head, body
 
 
-def _assert_no_leftovers(tmp_path):
-    assert glob.glob(str(tmp_path / "*.part")) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
 @pytest.mark.parametrize("kind", list(TABLES))
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 1023])
 def test_split_table_bytes_match_in_process(tmp_path, monkeypatch, kind, n_rows):
+    # a table written in blocks of one to three rows is the bytes of `%`
+    # applied to each row in this process
     row_format, make = TABLES[kind]
     table = make(np.random.default_rng(n_rows), n_rows)
     header = {"n": n_rows, "x": 0.5, "s": "%.17g" % 0.1}
-    write_table(tmp_path / "whole.txt", header, row_format, table)
-    forks = _split_everything(monkeypatch)
-    write_table(tmp_path / "split.txt", header, row_format, table)
-    assert len(forks) == min(3, n_rows) - 1
-    whole = (tmp_path / "whole.txt").read_bytes()
-    assert (tmp_path / "split.txt").read_bytes() == whole
-    assert whole.count(b"\n") == n_rows + 1
-    _assert_no_leftovers(tmp_path)
+    path = tmp_path / "split.txt"
+    for rows_per_block in (1, 2, 3):
+        monkeypatch.setattr(artefact, "_BLOCK_CELLS", rows_per_block * table.shape[1])
+        write_table(path, header, row_format, table)
+        assert _written(path) == (b"# n=%d x=0.5 s=0.10000000000000001" % n_rows,
+                                  percent_rows(row_format, table))
 
 
-@needs_fork
-def test_failed_row_writer_process_raises(tmp_path, monkeypatch):
-    parent = os.getpid()
-    write_rows = artefact._write_rows
-
-    def fail_in_child(fh, row_format, table):
-        if os.getpid() != parent:
-            raise OSError("disk full")
-        write_rows(fh, row_format, table)
-
-    _split_everything(monkeypatch)
-    monkeypatch.setattr(artefact, "_write_rows", fail_in_child)
-    path = tmp_path / "out.txt"
-    with pytest.raises(OSError, match="out.txt") as err:
-        write_table(path, {"k": 1}, "%d,%d", np.arange(12).reshape(6, 2))
-    assert str(path) in str(err.value)
-    _assert_no_leftovers(tmp_path)
+def _from_power_of_ten(args) -> float:
+    """10**k moved `steps` ulps: log10 is one off here, and %.17g can
+    carry to a bare 1e-xx."""
+    k, steps = args
+    x = float(f"1e{k}")
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else 0.0))
+    return x
 
 
-@needs_fork
-def test_parent_error_kills_and_reaps_row_writers(tmp_path, monkeypatch):
-    parent = os.getpid()
-    write_rows = artefact._write_rows
-
-    class ParentFailure(Exception):
-        pass
-
-    def fail_in_parent(fh, row_format, table):
-        if os.getpid() == parent:
-            raise ParentFailure
-        write_rows(fh, row_format, table)
-
-    _split_everything(monkeypatch)
-    monkeypatch.setattr(artefact, "_write_rows", fail_in_parent)
-    with pytest.raises(ParentFailure):
-        write_table(tmp_path / "out.txt", {"k": 1}, "%d,%d", np.arange(12).reshape(6, 2))
-    _assert_no_leftovers(tmp_path)
-
-
-ATEXIT_SCRIPT = """
-import atexit, os, sys
-import numpy as np
-from qpmforge import artefact
-
-hits, out = sys.argv[1:]
-atexit.register(lambda: os.write(os.open(hits, os.O_WRONLY | os.O_APPEND | os.O_CREAT), b"x"))
-artefact.SPLIT_CELLS = 1
-artefact._workers = lambda: 3
-artefact.write_table(out, {"k": 1}, "%d,%d", np.arange(6).reshape(3, 2))
-"""
+DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # the whole finite range
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e290, -1e290]),
+    st.tuples(st.integers(-323, 308), st.integers(-3, 3)).map(_from_power_of_ten),
+    # carries of %.12e, and values at or beside a decimal tie
+    st.tuples(
+        st.sampled_from([9.9999999999995, 9.99999999999995, 9.999999999999999, 2.5, 1.25]),
+        st.integers(-315, 300),
+    ).map(lambda t: t[0] * 10.0 ** t[1]),
+    st.integers(10**12, 10**13).map(lambda m: float(10 * m + 5)),
+    st.floats(min_value=1e-5, max_value=1e18),  # %g's fixed notation
+)
+ROW_FORMATS = [
+    "%.17g%+.17gj",
+    "%.17g%+.17gj,%.17g%+.17gj,%.17g%+.17gj",
+    "%.12e",
+    "%.12e,%.12e,%.12e",
+    "%.17g,%.12e\t%+.17g",  # mixed digits: % formats it
+    "(%.12e; %+.17g)",
+    *(row_format for row_format, _ in TABLES.values()),
+]
 
 
-@needs_fork
-def test_row_writer_processes_skip_atexit(tmp_path):
-    hits, out = tmp_path / "hits", tmp_path / "out.txt"
-    # the package this suite imports, not an installed copy
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(artefact.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", ATEXIT_SCRIPT, str(hits), str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text() == "# k=1\n0,1\n2,3\n4,5\n"
-    assert hits.read_bytes() == b"x"
+@st.composite
+def formatted_tables(draw):
+    row_format = draw(st.sampled_from(ROW_FORMATS))
+    n_cols = row_format.count("%")
+    n_rows = draw(st.integers(min_value=1, max_value=200))
+    if "%d" in row_format:
+        cells = st.integers(-(2**63), 2**63 - 1)
+    else:
+        cells = DOUBLES
+    flat = draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return row_format, np.array(flat).reshape(n_rows, n_cols)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=formatted_tables(), block_cells=st.sampled_from([1, 7, 16384]))
+def test_table_bytes_match_percent_oracle(tmp_path, monkeypatch, case, block_cells):
+    row_format, table = case
+    monkeypatch.setattr(artefact, "_BLOCK_CELLS", block_cells)
+    path = tmp_path / "table.txt"
+    write_table(path, {"k": 1}, row_format, table)
+    assert _written(path) == (b"# k=1", percent_rows(row_format, table))
+
+
+def test_large_table_starts_no_process_or_thread(tmp_path, monkeypatch):
+    # a 1024^2 JSA, as its writer views it, is formatted in this process
+    # on this thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("the writer started a process or a thread")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    table = np.random.default_rng(0).standard_normal((1024, 2048)) * 1e-14
+    row_format = ",".join(["%.17g%+.17gj"] * 1024)
+    path = tmp_path / "jsa.csv"
+    write_table(path, {"ns": 1024}, row_format, table)
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"# ns=1024\n"
+        first = fh.readline()
+        for count, last in enumerate(fh, 2):
+            pass
+    assert count == 1024
+    assert first + last == percent_rows(row_format, table[[0, -1]])

@@ -492,6 +492,25 @@ class TestCliExitCodes:
             assert "numeric failure" in err and "maps outside the time window" in err, command
             assert not out.exists(), command
 
+    def test_zero_amplitude_exits_3(self, tmp_path, capsys):
+        # 16 points over +-6.2 THz step 15 pump sigma of a 4.8 ps pump and
+        # fall on no comb tooth: the amplitude peaks near 6e-245, and its
+        # square underflows to 0.  That is a numeric failure, not a config
+        # error
+        config = make_config(tmp_path, **{
+            "grid.points": 16,
+            "grid.half_span_hz": 6.2e12,
+            "pump.fwhm_duration_s": 4.8e-12,
+            "crystal.bin_purity": 0.05,
+            "crystal.bin_spacing_hz": 600e9,
+        })
+        for command in ("simulate", "tofs-sim", "tomo-sim"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 3, command
+            err = capsys.readouterr().err
+            assert "numeric failure" in err and "zero amplitude" in err, command
+            assert not out.exists(), command
+
     def test_alias_limit_applies_to_the_source(self, tmp_path):
         # phases spread over +-0.7 rad make some SIC projections mostly
         # outer-bin light (5% aliased), but the source as a whole stays
