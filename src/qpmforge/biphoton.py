@@ -6,9 +6,11 @@ Conventions used throughout:
   degenerate photon frequency; the pump detuning is their sum.  The
   source is degenerate, so both photons share one uniform axis,
   FrequencyGrid.nu, and the grid is square.  On it nu_s - nu_i depends
-  only on the column-row difference, so anything that is a function of
-  it (the phasematching, a bin assignment) is a (2n - 1)-vector that
-  FrequencyGrid.toeplitz spreads over the grid with no copy.
+  only on the column-row difference and nu_s + nu_i only on their sum,
+  so anything that is a function of one of them is a (2n - 1)-vector
+  that FrequencyGrid.toeplitz (the phasematching, a bin assignment) or
+  FrequencyGrid.hankel (the pump) spreads over the grid with no copy.
+  The JSA is the product of those two views.
 * The phase mismatch is linearised around the first-order QPM point,
   dk = center + slope * (nu_s - nu_i).  The antisymmetric form places the
   comb peaks on the energy-conservation antidiagonal, which is what turns
@@ -17,8 +19,8 @@ Conventions used throughout:
 * An amplitude carries its band center center_frequency_hz, the
   degenerate frequency (Hz) the detunings are measured from; the JSA and
   JSI files record it as nu0_hz.
-* A phase-blind readout needs only |JSA|^2: build_jsi makes it from the
-  same rows as build_jsa, bit for bit, without building the amplitude.
+* A phase-blind readout needs only |JSA|^2: build_jsi makes it as the
+  product of |phasematching|^2 and pump^2, without building the amplitude.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ __all__ = [
 
 C_LIGHT = 299_792_458.0  # m/s
 _EDGE_MASS_WARN = 1e-3
-# idler rows per step of the JSA row loop: enough to amortise the per-call
-# overhead of numpy, few enough to keep the buffers small beside the grid
-_ROWS_PER_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,39 @@ class FrequencyGrid:
         n = self.nu.size
         return np.arange(-(n - 1), n) * self.d_nu
 
+    def _windows(self, values, kind: str) -> np.ndarray:
+        """Read-only (n, n) view of a (2n - 1)-vector: entry [r, c] is
+        values[r + c]."""
+        values = np.asarray(values)
+        n = self.nu.size
+        if values.shape != (2 * n - 1,):
+            raise ValueError(f"expected {2 * n - 1} {kind} values, got shape {values.shape}")
+        return np.lib.stride_tricks.sliding_window_view(values, n)
+
     def toeplitz(self, diagonals) -> np.ndarray:
         """Read-only (n, n) view of a (2n - 1)-vector indexed like
         ``differences``: entry [r, c] is diagonals[c - r + n - 1], so each
         value fills one diagonal of the grid and no (n, n) array is made."""
-        diagonals = np.asarray(diagonals)
+        return self._windows(diagonals, "diagonal")[::-1]
+
+    def hankel(self, antidiagonals) -> np.ndarray:
+        """Read-only (n, n) view of a (2n - 1)-vector: entry [r, c] is
+        antidiagonals[r + c], so each value fills one antidiagonal, the
+        cells of one nu_s + nu_i, and no (n, n) array is made."""
+        return self._windows(antidiagonals, "antidiagonal")
+
+    def diagonal_sums(self, array) -> np.ndarray:
+        """The adjoint of ``toeplitz``: the (2n - 1)-vector whose entry
+        c - r + n - 1 sums the (n, n) ``array`` over the diagonal of that
+        c - r, one row at a time from row 0, with no (n, n) index."""
+        array = np.asarray(array)
         n = self.nu.size
-        if diagonals.shape != (2 * n - 1,):
-            raise ValueError(f"expected {2 * n - 1} diagonal values, got shape {diagonals.shape}")
-        return np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1]
+        if array.shape != self.shape:
+            raise ValueError(f"array shape {array.shape} does not match grid {self.shape}")
+        sums = np.zeros(2 * n - 1, dtype=array.dtype)
+        for r, row in enumerate(array):
+            sums[n - 1 - r:2 * n - 1 - r] += row
+        return sums
 
 
 @dataclass
@@ -175,35 +198,19 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     return np.exp(-(nu ** 2) / (2.0 * pump.sigma ** 2))
 
 
-def _phasematching_on_grid(source, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
-    """The PMF of `source` at every grid point, as a read-only view.
-
-    The mismatch depends only on nu_s - nu_i, which on the shared axis
-    takes only the 2n - 1 values of grid.differences: the PMF of either
-    source is evaluated once per value and spread over the grid by
-    grid.toeplitz.
-    """
+def _factors(source, pump: PumpSpec, dispersion: DispersionMap, grid: FrequencyGrid):
+    """(phasematching, pump): the PMF of ``source`` on grid.differences
+    and the pump envelope on the 2n - 1 values of nu_s + nu_i, centred on
+    the grid, for grid.toeplitz and grid.hankel."""
     if isinstance(source, CombSpec):
         pmf = target_pmf
     elif isinstance(source, DomainConfig):
         pmf = pmf_of_domains
     else:
         raise TypeError("source must be a CombSpec or DomainConfig")
-
-    return grid.toeplitz(pmf(source, dispersion.center + dispersion.slope * grid.differences))
-
-
-def _jsa_rows(pmf: np.ndarray, pump: PumpSpec, grid: FrequencyGrid):
-    """The unnormalised JSA, pump envelope x ``pmf``, a few idler rows at a
-    time: yields (rows, block), each block written into one complex buffer
-    that the next step overwrites."""
-    n = grid.nu.size
-    buffer = np.empty((_ROWS_PER_STEP, n), dtype=complex)
-    for start in range(0, n, _ROWS_PER_STEP):
-        rows = slice(start, min(start + _ROWS_PER_STEP, n))
-        block = buffer[: rows.stop - start]
-        np.multiply(pmf[rows], pump_envelope(pump, grid.nu + grid.nu[rows, None]), out=block)
-        yield rows, block
+    differences = grid.differences
+    phasematching = pmf(source, dispersion.center + dispersion.slope * differences)
+    return phasematching, pump_envelope(pump, grid.nu[0] + grid.nu[-1] + differences)
 
 
 def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float]:
@@ -219,8 +226,10 @@ def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float
         raise FloatingPointError(
             "cannot normalise a zero amplitude: the joint intensity is 0 on every grid point"
         )
+    # every edge cell once: rows 0-1, the last two rows after them, and
+    # the outer two columns of the rows between
     edge = (
-        inten[:2, :].sum() + inten[-2:, :].sum()
+        inten[:2].sum() + inten[max(2, len(inten) - 2):].sum()
         + inten[2:-2, :2].sum() + inten[2:-2, -2:].sum()
     )
     edge_fraction = float(edge / total)
@@ -250,13 +259,13 @@ def build_jsa(
     ``source`` is the analytic comb target (CombSpec) or a concrete poled
     crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
     intensity sits in the two outermost rows or columns, a sign the grid
-    is clipping the state.  The pump is multiplied in a few idler rows at
-    a time, so the amplitude is the only (n, n) array kept.
+    is clipping the state.  Both factors are (2n - 1)-vectors, the
+    phasematching spread over the grid's diagonals and the pump over its
+    antidiagonals, so their product is the only (n, n) array kept.
     """
-    pmf = _phasematching_on_grid(source, dispersion, grid)
+    phasematching, envelope = _factors(source, pump, dispersion, grid)
     values = np.empty(grid.shape, dtype=complex)
-    for rows, block in _jsa_rows(pmf, pump, grid):
-        values[rows] = block
+    np.multiply(grid.toeplitz(phasematching), grid.hankel(envelope), out=values)
     jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=_band_center(pump))
     scale, edge_fraction = _normalization(jsa.intensity, grid)
     jsa.metadata["edge_mass_fraction"] = edge_fraction
@@ -273,21 +282,17 @@ def build_jsi(
     """The normalised joint intensity |JSA|^2 of build_jsa, without the
     amplitude: (intensity, center_frequency_hz, edge_mass_fraction).
 
-    A phase-blind readout needs only this.  The same rows as build_jsa's
-    are made twice, a few at a time: the first pass writes their
-    unnormalised |row|^2 for the norm and the edge check (with the same
-    warning), the second divides each complex row by the norm and squares
-    it in place, so the intensity is bit-identical to
-    ``build_jsa(...).intensity`` and the only (n, n) array built.
+    A phase-blind readout needs only this.  It is the product of the two
+    factors' squared magnitudes, |phasematching|^2 on the diagonals and
+    pump^2 on the antidiagonals, divided by the squared norm, so it
+    agrees with ``build_jsa(...).intensity`` to a few ulp per cell and is
+    the only (n, n) array built; the edge check warns as build_jsa does.
     """
-    pmf = _phasematching_on_grid(source, dispersion, grid)
+    phasematching, envelope = _factors(source, pump, dispersion, grid)
     inten = np.empty(grid.shape)
-    for rows, block in _jsa_rows(pmf, pump, grid):
-        np.square(np.abs(block, out=inten[rows]), out=inten[rows])
+    np.multiply(grid.toeplitz(np.abs(phasematching) ** 2), grid.hankel(envelope**2), out=inten)
     scale, edge_fraction = _normalization(inten, grid)
-    for rows, block in _jsa_rows(pmf, pump, grid):
-        block /= scale
-        np.square(np.abs(block, out=inten[rows]), out=inten[rows])
+    inten /= scale * scale
     return inten, _band_center(pump), edge_fraction
 
 

@@ -145,23 +145,12 @@ def closed_curve(kind: str, delays, n_pairs: int, delta: float, sigma: float) ->
     return HomCurve(delays=delays, values=clamped, kind=kind, metadata=meta)
 
 
-def _normalized_values(jsa: JointSpectralAmplitude) -> tuple[np.ndarray, float]:
-    d_nu = jsa.grid.d_nu
-    values = jsa.values * d_nu  # absorb the 2-d measure, sqrt(dnu) per axis
+def _normalized_values(jsa: JointSpectralAmplitude) -> np.ndarray:
+    values = jsa.values * jsa.grid.d_nu  # absorb the 2-d measure, sqrt(dnu) per axis
     norm = np.sqrt(np.sum(np.abs(values) ** 2))
     if norm == 0:
         raise ValueError("amplitude is identically zero")
-    return values / norm, d_nu
-
-
-def _difference_index(n: int) -> np.ndarray:
-    return np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-
-
-def _bincount_complex(idx: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
-    re = np.bincount(idx.ravel(), weights=weights.real.ravel(), minlength=n_out)
-    im = np.bincount(idx.ravel(), weights=weights.imag.ravel(), minlength=n_out)
-    return re + 1j * im
+    return values / norm
 
 
 def p2_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
@@ -172,14 +161,14 @@ def p2_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
     axis indices only through i - s, so the double sum is reduced to a
     single sum over the 2N-1 difference diagonals.
     """
-    f, d_nu = _normalized_values(jsa)
-    n = f.shape[0]
-    # W[i, s] = f(s, i) * conj(f(i, s)) with rows indexing the idler axis.
+    f = _normalized_values(jsa)
+    # W[i, s] = f(s, i) * conj(f(i, s)) with rows indexing the idler axis,
+    # summed over i - s: the diagonals of W.T, as grid.diagonal_sums runs
+    # them over column minus row.
     swap = f * np.conj(f.T)
-    diag_sum = _bincount_complex(_difference_index(n), swap, 2 * n - 1)
+    diag_sum = jsa.grid.diagonal_sums(swap.T)
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    d_vals = (np.arange(2 * n - 1) - (n - 1)) * d_nu
-    phases = np.exp(1j * np.outer(t, d_vals))
+    phases = np.exp(1j * np.outer(t, jsa.grid.differences))
     overlap = (phases * diag_sum).sum(axis=1).real
     out = 0.5 - 0.5 * overlap
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
@@ -206,16 +195,12 @@ def p4_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
     heralded purity, i.e. 1/K for flat-phase states.  One N^3 matrix
     product, then the same difference-diagonal reduction as p2_numeric.
     """
-    f, d_nu = _normalized_values(jsa)
-    n = f.shape[0]
+    f = _normalized_values(jsa)
     reduced = f.T @ f.conj()
-    weight = np.abs(reduced) ** 2
-    diag_sum = np.bincount(
-        _difference_index(n).ravel(), weights=weight.ravel(), minlength=2 * n - 1
-    )
+    # summed over s1 - s2, through the transpose as in p2_numeric
+    diag_sum = jsa.grid.diagonal_sums((np.abs(reduced) ** 2).T)
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    d_vals = (np.arange(2 * n - 1) - (n - 1)) * d_nu
-    overlap = np.cos(np.outer(t, d_vals)) @ diag_sum
+    overlap = np.cos(np.outer(t, jsa.grid.differences)) @ diag_sum
     out = 0.5 - 0.5 * overlap
     if np.isscalar(tau) or np.asarray(tau).ndim == 0:
         return float(out[0])

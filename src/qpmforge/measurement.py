@@ -363,7 +363,7 @@ def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float
     if alias > max_alias_fraction:
         raise MeasurementError(
             f"{alias * 100:.4g}% of the joint spectrum lies outside the {spec.window * 1e9:.3g} ns "
-            f"window (limit {max_alias_fraction * 100:.4g}%); widen the window or narrow the grid"
+            f"window (limit {max_alias_fraction * 100:.4g}%); widen the window"
         )
 
 

@@ -280,7 +280,8 @@ def _bin_masses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bins, masses): the bin index, in default_bin_labels order, of each
     of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``,
-    a spectrum that spectrum_projector has checked.
+    a spectrum that spectrum_projector has checked: the intensity's
+    diagonal sums (grid.diagonal_sums), binned by one bincount.
 
     A diagonal goes wholly to the bin pair whose difference-frequency
     center is nearest its nu_s - nu_i.  Raises MeasurementError for a bin
@@ -289,10 +290,7 @@ def _bin_masses(
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
     bins = np.digitize(grid.differences, 0.5 * (centers[1:] + centers[:-1]))
-    masses = np.sum([
-        np.bincount(row_bins, weights=row, minlength=labels.size)
-        for row_bins, row in zip(grid.toeplitz(bins), intensity)
-    ], axis=0)
+    masses = np.bincount(bins, weights=grid.diagonal_sums(intensity), minlength=labels.size)
     for label, mass in zip(labels, masses):
         if mass <= 0:
             raise MeasurementError(f"bin {label:+d} of the joint spectrum carries no intensity")

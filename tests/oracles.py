@@ -161,17 +161,54 @@ def expected_tomography(
 
 def gathered_jsa(source, pump, dispersion: DispersionMap, grid: FrequencyGrid) -> np.ndarray:
     """Normalized JSA values by the dense construction: the PMF on the
-    2n - 1 mismatches gathered onto the grid through an (n, n) index
-    array, times the pump envelope on the full (n, n) sum-frequency grid."""
+    2n - 1 mismatches and the pump envelope on the 2n - 1 sums
+    nu_s + nu_i, each gathered onto the grid through an (n, n) index array
+    (column minus row for the PMF, row plus column for the pump), times
+    each other."""
     pmf = target_pmf if isinstance(source, CombSpec) else pmf_of_domains
     n = grid.nu.size
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
     diff = np.arange(-(n - 1), n) * grid.d_nu
-    values = pmf(source, dispersion.center + dispersion.slope * diff)
-    values = values[np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)]
-    values = values * pump_envelope(pump, grid.nu[None, :] + grid.nu[:, None])
+    values = pmf(source, dispersion.center + dispersion.slope * diff)[cols - rows + (n - 1)]
+    values = values * pump_envelope(pump, grid.nu[0] + grid.nu[-1] + diff)[rows + cols]
     values = np.asarray(values, dtype=complex)
     total = (np.abs(values) ** 2).sum()
     return values / np.sqrt(float(total * grid.d_nu * grid.d_nu))
+
+
+def diagonal_sums(array) -> np.ndarray:
+    """Sums of an (n, n) array over its 2n - 1 diagonals, indexed by
+    column minus row + n - 1, by bincount through an (n, n) index array;
+    a complex array sums its real and imaginary parts apart."""
+    array = np.asarray(array)
+    n = array.shape[0]
+    index = (np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)).ravel()
+    real = np.bincount(index, weights=array.real.ravel(), minlength=2 * n - 1)
+    if not np.iscomplexobj(array):
+        return real
+    return real + 1j * np.bincount(index, weights=array.imag.ravel(), minlength=2 * n - 1)
+
+
+def hom_numeric(jsa: JointSpectralAmplitude, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(p2, p4) of p2_numeric and p4_numeric at the delays ``tau``, with
+    each diagonal reduction a bincount over the idler-minus-signal index
+    of an (n, n) array, in row-major order."""
+    values = jsa.values * jsa.grid.d_nu
+    f = values / np.sqrt(np.sum(np.abs(values) ** 2))
+    n = f.shape[0]
+    index = (np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)).ravel()
+
+    def sums(weights):
+        return np.bincount(index, weights=weights.ravel(), minlength=2 * n - 1)
+
+    swap = f * np.conj(f.T)
+    swap_sums = sums(swap.real) + 1j * sums(swap.imag)
+    heralded_sums = sums(np.abs(f.T @ f.conj()) ** 2)
+    t = np.atleast_1d(np.asarray(tau, dtype=float))
+    d_vals = (np.arange(2 * n - 1) - (n - 1)) * jsa.grid.d_nu
+    p2 = 0.5 - 0.5 * (np.exp(1j * np.outer(t, d_vals)) * swap_sums).sum(axis=1).real
+    p4 = 0.5 - 0.5 * (np.cos(np.outer(t, d_vals)) @ heralded_sums)
+    return p2, p4
 
 
 def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid) -> JointSpectralAmplitude:

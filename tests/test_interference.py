@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge.analysis import schmidt_number
-from qpmforge.biphoton import FrequencyGrid
+from qpmforge.biphoton import FrequencyGrid, build_jsa
 from qpmforge.interference import (
     FitError,
     HomCurve,
@@ -20,7 +20,7 @@ from qpmforge.interference import (
     save_curve,
 )
 
-from oracles import bin_model_jsa, visibility
+from oracles import bin_model_jsa, hom_numeric, visibility
 
 SIGMA = 1.0e12  # rad/s; keeps delta/sigma >= 5 for the 500 GHz defaults
 DELTA_500 = delta_from_bin_hz(500e9)
@@ -107,6 +107,22 @@ class TestNumericOracle:
         k = schmidt_number(jsa)
         # p4(0) = 1/2 - purity/2 and heralded purity is 1/K
         assert p4_numeric(jsa, 0.0) == pytest.approx(0.5 - 0.5 / k, abs=1e-9)
+
+    @pytest.mark.parametrize("axis", [None, 2 * np.pi * (-2.2e12 + 25e9 * np.arange(201))],
+                             ids=["default", "off-centre"])
+    def test_matches_bincount_path_bit_for_bit(self, axis, designed_jsa, designed_crystal,
+                                               pump, dispersion):
+        # the designed crystal's JSA is not exchange-symmetric, so summing
+        # p2's diagonals over signal minus idler instead of idler minus
+        # signal would change its curve; p4's |R|^2 is symmetric
+        jsa = designed_jsa if axis is None else build_jsa(
+            designed_crystal, pump, dispersion, FrequencyGrid(nu=axis)
+        )
+        peak = np.abs(jsa.values).max()
+        assert np.abs(jsa.values - jsa.values.T).max() > 1e-3 * peak
+        p2, p4 = hom_numeric(jsa, TAUS)
+        np.testing.assert_array_equal(p2_numeric(jsa, TAUS), p2)
+        np.testing.assert_array_equal(p4_numeric(jsa, TAUS), p4)
 
     def test_scalar_delay_returns_float(self, model_grid):
         jsa = bin_model_jsa(1, 6e12, 0.6e12, model_grid)

@@ -276,6 +276,10 @@ class TestSimulateCounts:
             _check_alias(3.2e-9, spectro, 0.0)
         assert str(err.value).startswith("3.2e-07% of the joint spectrum lies outside the 12.5 ns")
         assert "(limit 0%)" in str(err.value)
+        # narrowing the grid clips the state instead of fitting it in the
+        # window, so the only advice is the window
+        assert str(err.value).endswith("; widen the window")
+        assert "grid" not in str(err.value)
 
 
     def test_tofs_sim_peak_memory_below_the_amplitude(self, tmp_path):

@@ -344,11 +344,26 @@ class TestSplitBins:
 
 class TestBinWeights:
     def test_match_dense_oracle(self, small_jsa, small_weights):
-        # the package sums each bin row by row and then over the rows, the
-        # oracle over a masked copy of the whole grid: the same masses in
-        # another order, each within about (256 + 256) eps of the exact sum
+        # the package sums each diagonal row by row and then the diagonals
+        # of each bin, the oracle over a masked copy of the whole grid: the
+        # same masses in another order, each within about (256 + 256) eps
+        # of the exact sum
         _, _, want = where_split_bins(small_jsa)
         np.testing.assert_allclose(small_weights, want, rtol=512 * np.finfo(float).eps, atol=0.0)
+
+    def test_bins_follow_signal_minus_idler(self, small_jsa):
+        # the comb is exchange-symmetric, so its mirror-image bins carry
+        # equal masses; a spectrum tilted along nu_s - nu_i tells a bin
+        # from its mirror, as the oracle's column-minus-row rule does
+        grid = small_jsa.grid
+        tilt = grid.toeplitz(np.linspace(1.0, 3.0, 2 * grid.nu.size - 1))
+        tilted = JointSpectralAmplitude(
+            grid=grid, values=small_jsa.values * np.sqrt(tilt), center_frequency_hz=NU0
+        )
+        _, masses = _bin_masses(tilted.intensity, grid, SPACING, PAIRS)
+        _, _, want = where_split_bins(tilted)
+        assert masses[0] < masses[-1]
+        np.testing.assert_allclose(masses / masses.sum(), want, rtol=512 * np.finfo(float).eps)
 
     @pytest.mark.parametrize(
         "points, half_span_hz", [(256, 2.5e12), (1001, DEVICE["grid"]["half_span_hz"])]
@@ -623,7 +638,18 @@ class TestSharedProjection:
             small_jsa.intensity * weights, grid, spectro, NU0
         )()
         assert np.abs(got - want).max() <= 1e-15 * want.max()
-        assert got_alias == pytest.approx(want_alias, rel=0, abs=1e-15)
+        # the image before its division by the mass is the same bits in
+        # both, so the alias fractions differ by the two masses' rounding:
+        # einsum's over the weighted cells and the pairwise sum of the
+        # formed product, each measured against the exact sum, times the
+        # kept share, plus eps/2 for each side's division, image sum,
+        # scaling and 1 - kept
+        formed = small_jsa.intensity * weights
+        exact = math.fsum(formed.ravel())
+        masses = np.array([np.einsum("ij,ij->", small_jsa.intensity, weights), formed.sum()])
+        mass_rounding = np.abs(masses - exact).sum() / exact
+        bound = (1.0 - want_alias) * mass_rounding + 4 * np.finfo(float).eps
+        assert abs(got_alias - want_alias) <= bound
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             project(-weights)
         with pytest.raises(ValueError, match="weights shape"):
