@@ -108,8 +108,10 @@ def cmd_design(cfg: RunConfig, out_dir: str) -> None:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
     jsa = build_jsa(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
-    # the report's Gram matrix and eigvalsh's copy of it set the stage's
-    # peak, so they come before the writers leave their heap resident
+    # the report's sketch holds only n x 64 products, but a spectrum the
+    # sketch cannot hold falls back to the n x n Gram matrix and
+    # eigvalsh's copy of it, so the report comes before the writers
+    # leave their heap resident
     report = report_from_jsa(jsa, n_modes=2 * cfg["crystal"]["pair_count"])
     save_jsa(jsa, os.path.join(out_dir, "jsa.csv"))
     save_jsi(jsa, os.path.join(out_dir, "jsi.csv"))

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmforge import analysis
 from qpmforge.analysis import (
     monte_carlo_uncertainty,
     report_from_jsa,
@@ -13,6 +17,8 @@ from qpmforge.analysis import (
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
 
 from oracles import NU0, fidelity_to_maximal, normalized, svd_weights
+
+SKETCH = analysis._SKETCH_COLUMNS  # columns of schmidt_weights' range sketch
 
 
 def separable_gaussian(n=128, half_span=2e12):
@@ -185,27 +191,83 @@ class TestReport:
 
 def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
     """K, the report and the bootstrap need no Schmidt modes: no SVD runs,
-    and the report's weights are the Gram matrix's eigenvalues alone."""
+    and the report's weights come from one QR of the 64-column sample and
+    the eigenvalues of a 64 x 64 matrix, not of the 1024^2 Gram matrix."""
     calls = []
-    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr"):
         decomposition = getattr(np.linalg, name)
         monkeypatch.setattr(
             np.linalg, name,
-            lambda *args, _name=name, _fn=decomposition, **kwargs: (
-                calls.append(_name) or _fn(*args, **kwargs)
+            lambda matrix, *args, _name=name, _fn=decomposition, **kwargs: (
+                calls.append((_name, np.shape(matrix))) or _fn(matrix, *args, **kwargs)
             ),
         )
     report_from_jsa(comb_jsa, n_modes=8)
     counts = np.random.default_rng(5).poisson(50.0, size=(40, 30)).astype(float)
     schmidt_number(np.sqrt(counts))
     monte_carlo_uncertainty(counts, n_resamples=3, seed=1)
-    assert calls == ["eigvalsh"]
+    assert calls == [("qr", (len(comb_jsa.values), SKETCH)), ("eigvalsh", (SKETCH, SKETCH))]
+
+
+def test_report_holds_no_square_temporary(designed_jsa):
+    """The sketch's largest temporaries are n x 64: the report's traced
+    peak stays under half of one 1024^2 amplitude, where a Gram matrix
+    alone would take all of it."""
+    assert designed_jsa.values.shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        report_from_jsa(designed_jsa, n_modes=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * designed_jsa.values.nbytes
+
+
+def chosen_rank_amplitude(rng, shape, rank, complex_valued):
+    """U diag(s) V^H with random orthonormal U, V and s log-uniform in
+    [1e-4, 1]: every weight is above 1e-8 / rank, far over the floor."""
+    def orthonormal(n):
+        z = rng.normal(size=(n, rank))
+        if complex_valued:
+            z = z + 1j * rng.normal(size=(n, rank))
+        return np.linalg.qr(z)[0]
+
+    s = 10.0 ** rng.uniform(-4.0, 0.0, size=rank)
+    return (orthonormal(shape[0]) * s) @ orthonormal(shape[1]).conj().T
+
+
+@pytest.mark.parametrize("rank", [1, SKETCH - 1, SKETCH, SKETCH + 1, 3 * SKETCH, "full"])
+@settings(deadline=None, max_examples=8)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    width=st.integers(2, 300),
+    extra=st.integers(0, 40),
+    transpose=st.booleans(),
+    complex_valued=st.booleans(),
+)
+def test_sketch_weights_match_svd(rank, seed, width, extra, transpose, complex_valued):
+    """Every route of schmidt_weights gives the full decomposition's weights.
+
+    An amplitude of rank <= 64 whose smaller side is wider than 128 is
+    sketched; a wider spectrum fails the certificate and a narrower side
+    skips the sketch, and both take the dense Gram matrix."""
+    rank = width if rank == "full" else rank
+    width = max(width, rank)
+    shape = (width + extra, width)[::-1 if transpose else 1]
+    amp = chosen_rank_amplitude(np.random.default_rng(seed), shape, rank, complex_valued)
+    with mock.patch.object(analysis, "_unit_gram", wraps=analysis._unit_gram) as dense:
+        got = schmidt_weights(amp)
+    assert dense.called == (width <= 2 * SKETCH or rank > SKETCH)
+    want = svd_weights(amp)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(schmidt_weights(amp), got)
 
 
 def test_designed_weights_match_the_full_decomposition(designed_jsa):
-    # the Gram matrix's eigenvalues against np.linalg.svd's squared
-    # singular values, as TestReport checks the comb's: the same weights
-    # survive the 1e-12 floor
+    # the sketch's eigenvalues against np.linalg.svd's squared singular
+    # values, as TestReport checks the comb's: the same weights survive
+    # the 1e-12 floor
     got, want = schmidt_weights(designed_jsa), svd_weights(designed_jsa)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -711,13 +711,15 @@ def test_package_exports_its_modules():
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     """No CLI process loads scipy: not on import of qpmforge.cli, not in the
-    HOM fits, and not in the spectrometer's jitter blur."""
+    HOM fits, and not in the spectrometer's jitter blur.  Importing the CLI
+    loads no numpy.random either: the stages draw their generators, and
+    schmidt_weights its sketch's test matrix, at call time."""
     args = ["--config", make_config(tmp_path, **FAST), "--out", str(tmp_path)]
     code = "\n".join([
         "import sys, qpmforge.cli",
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
-        "print(scipy_modules())",
+        "print(scipy_modules(), 'numpy.random' in sys.modules)",
         "for stage in ('hom', 'heralded', 'tofs-sim', 'tomo-sim'):",
         f"    assert qpmforge.cli.main([stage, *{args!r}]) == 0",
         "    print(stage, scipy_modules())",
@@ -729,7 +731,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.splitlines() == [
-        "[]", "hom []", "heralded []", "tofs-sim []", "tomo-sim []",
+        "[] False", "hom []", "heralded []", "tofs-sim []", "tomo-sim []",
     ]
     assert (tmp_path / "fit.txt").exists()
     assert (tmp_path / "counts.csv").exists() and (tmp_path / "tomo").is_dir()

@@ -50,27 +50,44 @@ def test_full_pipeline_quick_runs_every_stage(tmp_path):
     assert len(rows) == 8
 
 
-def test_stage_peaks_reports_every_stage(tmp_path):
+STAGE_NAMES = (
+    "design", "simulate", "hom", "heralded", "tofs-sim", "tofs-analyze", "tomo-sim", "tomo-fit",
+)
+
+
+def stage_peak_rows(tmp_path, *extra):
+    """Runs stage_peaks.py on a small fast config; returns its stage rows
+    after checking that each names its stage, a time and a peak."""
     config = small_config(
         tmp_path,
         spectrometer={"events": 100_000},
         tomography={"events_per_projection": 10_000},
     )
-    out = tmp_path / "out"
     result = run_script(
-        "stage_peaks.py", "--config", str(config), "--out", str(out), "--seed", "3",
-        cwd=tmp_path,
+        "stage_peaks.py", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--seed", "3", *extra, cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
     assert header.split() == ["stage", "wall_s", "peak_rss_mb"]
-    assert [row.split()[0] for row in rows] == [
-        "design", "simulate", "hom", "heralded",
-        "tofs-sim", "tofs-analyze", "tomo-sim", "tomo-fit",
-    ]
+    assert [row.split()[0] for row in rows] == list(STAGE_NAMES)
     for row in rows:
         seconds, peak_mb = map(float, row.split()[1:])
         # every stage imports numpy, which alone holds more than 10 MB
         assert seconds > 0.0 and peak_mb > 10.0
+    return rows
+
+
+def test_stage_peaks_reports_every_stage(tmp_path):
+    stage_peak_rows(tmp_path)
+    out = tmp_path / "out"
     assert len((out / "tofs" / "report.txt").read_text().splitlines()) == 3
     assert len((out / "tomo" / "report.txt").read_text().splitlines()) == 9
+
+
+def test_stage_peaks_repeats_the_chain(tmp_path):
+    """--repeat 2 runs the chain twice and still prints one line a stage."""
+    stage_peak_rows(tmp_path, "--repeat", "2")
+    bad = run_script("stage_peaks.py", "--config", "unused.cfg", "--out", "unused",
+                     "--repeat", "0", cwd=tmp_path)
+    assert bad.returncode == 2 and "--repeat must be >= 1" in bad.stderr
