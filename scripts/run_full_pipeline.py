@@ -5,6 +5,10 @@ Runs design -> simulate -> hom -> heralded -> tofs-sim -> tofs-analyze
 -> tomo-sim -> tomo-fit into subdirectories of --out and prints the
 headline numbers from each stage.  With --quick the event counts are
 scaled down so the whole chain finishes in well under a minute.
+
+The readout pairs share a directory, tofs/ and tomo/, so tofs-analyze
+and tomo-fit read what tofs-sim and tomo-sim wrote (unless the config's
+[run] input names other data).
 """
 
 import argparse
@@ -14,8 +18,7 @@ from qpmforge import cli
 from qpmforge.config import parse_config
 
 
-def run(stage: str, config: str, out_root: str, seed: int | None) -> str:
-    out = os.path.join(out_root, stage.replace("-", "_"))
+def run(stage: str, config: str, out: str, seed: int | None) -> str:
     argv = [stage, "--config", config, "--out", out]
     if seed is not None:
         argv += ["--seed", str(seed)]
@@ -61,30 +64,15 @@ def main() -> None:
             fh.write(cfg.resolved_text())
 
     for stage in ("design", "simulate", "hom", "heralded"):
-        show(run(stage, config, args.out, args.seed))
+        out = run(stage, config, os.path.join(args.out, stage), args.seed)
+        show(out)
         if stage == "hom":
-            show(os.path.join(args.out, "hom"), "fit.txt")
+            show(out, "fit.txt")
 
-    tofs = run("tofs-sim", config, args.out, args.seed)
-    # the analyzer defaults to counts.csv inside its own --out directory
-    counts = os.path.join(tofs, "counts.csv")
-    show(run_on_input("tofs-analyze", config, args.out, args.seed, counts, "analyze.cfg"))
-
-    bundle = os.path.join(run("tomo-sim", config, args.out, args.seed), "tomo")
-    show(run_on_input("tomo-fit", config, args.out, args.seed, bundle, "fit.cfg"))
-
-
-def run_on_input(stage: str, config: str, out_root: str, seed: int | None,
-                 data: str, config_name: str) -> str:
-    """Run an analysis stage on `data` through a copy of the config with [run] input set."""
-    cfg = parse_config(config)
-    cfg.sections["run"]["input"] = data
-    out = os.path.join(out_root, stage.replace("-", "_"))
-    os.makedirs(out, exist_ok=True)
-    resolved = os.path.join(out, config_name)
-    with open(resolved, "w", encoding="utf-8") as fh:  # as parse_config reads it
-        fh.write(cfg.resolved_text())
-    return run(stage, resolved, out_root, seed)
+    for sim, fit, sub in (("tofs-sim", "tofs-analyze", "tofs"), ("tomo-sim", "tomo-fit", "tomo")):
+        out = os.path.join(args.out, sub)
+        run(sim, config, out, args.seed)
+        show(run(fit, config, out, args.seed))
 
 
 if __name__ == "__main__":

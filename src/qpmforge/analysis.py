@@ -18,10 +18,12 @@ amplitude's mass it misses, r = ||A - Q B||_F^2 / ||A||_F^2, is at most
 r ||A||_F^2, so by Weyl's inequality each eigenvalue of B B^H is at most
 r ||A||_F^2 below the matching one of A^H A: every weight is exact to
 about 1e-13, and the 1e-12 floor keeps the same weights.  One sketch is
-tried, never a wider one.  A spectrum it cannot hold, or n <= 128, takes
-the dense route: the eigenvalues of the full Gram matrix (_unit_gram).
-The Schmidt number and its error bar keep that Gram matrix, since they
-need only its trace and norm, and measured counts are full rank.
+tried, never a wider one, and the certificate alone picks the route: a
+spectrum the sketch cannot hold takes the dense one, the eigenvalues of
+the full Gram matrix (_unit_gram).  An amplitude no wider than 64 is
+sketched exactly, since its sample spans its whole range.  The Schmidt
+number and its error bar keep that Gram matrix, since they need only
+its trace and norm, and measured counts are full rank.
 
 Two figures of merit are used:
 
@@ -34,14 +36,14 @@ Two figures of merit are used:
   entangled target is defined in the source's own dominant modes.
 
 A measured count matrix n has no phase, so its Schmidt number is read
-as schmidt_number(sqrt(n)), the flat-phase amplitude.  Its uncertainty,
-schmidt_number_std, is first order (the delta method): a Poisson count's
-square root has variance close to 1/4 whatever its mean, so the std is
-half the norm of the gradient of K in sqrt(n), summed over every cell,
-since a repeat of the experiment can fill a cell that is empty now.  It
-costs one more matrix product than K itself.  monte_carlo_uncertainty,
-a Poisson bootstrap of the same expression that costs one Gram product
-per replica, is kept as the reference the tests compare against.
+as schmidt_number(sqrt(n)), the flat-phase amplitude.  counts_schmidt_number
+returns that K with its uncertainty, both from one Gram matrix.  The
+uncertainty is first order (the delta method): a Poisson count's square
+root has variance close to 1/4 whatever its mean, so the std is half the
+norm of the gradient of K in sqrt(n), summed over every cell, since a
+repeat of the experiment can fill a cell that is empty now.  It costs
+one more matrix product than K itself.  The Poisson bootstrap the tests
+compare it against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ from .biphoton import JointSpectralAmplitude
 __all__ = [
     "schmidt_weights",
     "schmidt_number",
-    "schmidt_number_std",
-    "monte_carlo_uncertainty",
+    "counts_schmidt_number",
     "EntanglementReport",
     "report_from_jsa",
 ]
@@ -83,9 +84,9 @@ def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
     are computed).
 
     They are the eigenvalues of B B^H for the certified range sketch
-    B = Q^H A of the module docstring, or, when the amplitude is narrow or
-    its spectrum too wide for the sketch, of the full Gram matrix of
-    _unit_gram.  Either way every weight above the floor is exact to 1e-13.
+    B = Q^H A of the module docstring, or, when its spectrum is too wide
+    for the sketch, of the full Gram matrix of _unit_gram.  Either way
+    every weight above the floor is exact to 1e-13.
     Weights below 1e-12 are dropped; they are numerical noise at double
     precision, and round-off can leave them negative, which would break
     entropy sums.  At least the largest weight is kept.
@@ -101,8 +102,8 @@ def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
 
 def _sketched_spectrum(values: np.ndarray) -> np.ndarray | None:
     """Eigenvalues, ascending, of B B^H for the range sketch B = Q^H A / peak
-    of the amplitude A, or None when A is too narrow to gain from a sketch
-    or the sketch misses more than _SKETCH_MISS of A's squared norm.
+    of the amplitude A, or None when the sketch misses more than
+    _SKETCH_MISS of A's squared norm.
 
     The unit-peak scaling is applied to the k-column products only.  The
     missed mass ||A - Q B||_F^2 is summed from A - Q B formed _GRAM_ROWS
@@ -114,8 +115,6 @@ def _sketched_spectrum(values: np.ndarray) -> np.ndarray | None:
     # the singular values of A^T are those of A, and A^T is a view
     side = values if values.shape[0] >= values.shape[1] else values.T
     width = side.shape[1]
-    if width <= 2 * _SKETCH_COLUMNS:
-        return None
     peak = _peak(values)
     omega = np.random.default_rng(_SKETCH_SEED).standard_normal((width, _SKETCH_COLUMNS))
     sample = side @ omega
@@ -144,9 +143,13 @@ def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     weights only by the weights below 1e-12, which add less than
     n * 1e-24 to the sum.
     """
-    _, gram = _unit_gram(_amplitude(jsa))
-    trace = np.trace(gram).real
-    return float(trace * trace / np.vdot(gram, gram).real)
+    trace, norm2 = _trace_and_norm(_unit_gram(_amplitude(jsa))[1])
+    return float(trace * trace / norm2)
+
+
+def _trace_and_norm(gram: np.ndarray) -> tuple[float, float]:
+    """Tr G and ||G||_F^2 of a Hermitian Gram matrix."""
+    return np.trace(gram).real, np.vdot(gram, gram).real
 
 
 def _peak(values: np.ndarray) -> float:
@@ -164,11 +167,15 @@ def _peak(values: np.ndarray) -> float:
 def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray]:
     """(peak, G): the largest |value| and the Gram matrix of the smaller
     side of the amplitude scaled to unit peak, both formed _GRAM_ROWS rows
-    at a time, so that no temporary as large as a square amplitude is held."""
+    at a time, so that no temporary as large as a square amplitude is held.
+
+    A wide amplitude A is taken as the view A^T, whose Gram matrix
+    conj(A A^H) has the trace, norm and eigenvalues of A A^H, so no
+    conjugated copy of A is made."""
     peak = _peak(values)
     # unit peak: ||G||_F^2 holds fourth powers of the amplitude, which
     # would overflow or underflow far sooner than its squares
-    side = values if values.shape[0] >= values.shape[1] else values.conj().T
+    side = values if values.shape[0] >= values.shape[1] else values.T
     gram = np.empty((side.shape[1],) * 2, dtype=np.result_type(values, 1.0))
     for lo in range(0, side.shape[1], _GRAM_ROWS):
         block = side[:, lo:lo + _GRAM_ROWS] / peak
@@ -177,17 +184,9 @@ def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray]:
     return peak, gram
 
 
-def _check_counts(counts) -> np.ndarray:
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2:
-        raise ValueError("counts must be a 2-d array")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    return counts
-
-
-def schmidt_number_std(counts: np.ndarray) -> float:
-    """First-order (delta-method) std of schmidt_number(sqrt(counts)).
+def counts_schmidt_number(counts: np.ndarray) -> tuple[float, float]:
+    """(K, std): schmidt_number(sqrt(counts)) and its first-order
+    (delta-method) std, both from one Gram matrix of sqrt(counts).
 
     With A = sqrt(counts), N = sum A^2, G the Gram matrix of A's smaller
     side and F = ||G||_F^2, K = N^2 / F and
@@ -198,55 +197,18 @@ def schmidt_number_std(counts: np.ndarray) -> float:
     assumes the shot noise is small against the counts that shape K; it
     measures the estimator's spread, not its shot-noise bias.
     """
-    amplitude = np.sqrt(_check_counts(counts))
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2:
+        raise ValueError("counts must be a 2-d array")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    amplitude = np.sqrt(counts)
     peak, gram = _unit_gram(amplitude)
     a = amplitude / peak
-    n = np.trace(gram)
-    f = np.vdot(gram, gram)
+    n, f = _trace_and_norm(gram)
     aata = a @ gram if a.shape[0] >= a.shape[1] else gram @ a
     gradient = (2.0 * n / f) * a - (2.0 * n * n / (f * f)) * aata
-    return float(np.linalg.norm(gradient) / peak)
-
-
-def monte_carlo_uncertainty(
-    counts: np.ndarray,
-    n_resamples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Poissonian bootstrap of the Schmidt number of a count matrix.
-
-    Each resample draws counts'_ij ~ Poisson(counts_ij) and evaluates
-    schmidt_number(sqrt(counts')), the estimator whose value on the
-    observed counts is the point estimate.  Returns (mean, sample std).
-    Trial k uses the independent substream default_rng([seed, k]).  A
-    replica that draws no counts at all falls back to the observed counts.
-
-    Only the nonzero cells are drawn, in C order, into one reused matrix.
-    numpy's Poisson draw with mean 0 returns 0 and consumes no randomness,
-    so each replica is bit-identical to a draw over every cell.
-
-    The flat-phase amplitude is an assumption, not an inference: measured
-    intensities carry no phase, so K tracks the magnitude structure only.
-    Shot noise biases this estimator upward; the bootstrap measures its
-    spread, not that bias.
-    """
-    counts = _check_counts(counts)
-    if n_resamples < 2:
-        raise ValueError("n_resamples must be >= 2")
-
-    # != 0 keeps NaN cells in the draw, which rejects them
-    support = counts != 0
-    means = counts[support]
-    resampled = np.zeros_like(counts)
-
-    def one_trial(k: int) -> float:
-        resampled[support] = np.random.default_rng([seed, k]).poisson(means)
-        if not resampled.any():
-            return schmidt_number(np.sqrt(counts))
-        return schmidt_number(np.sqrt(resampled))
-
-    values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
-    return float(values.mean()), float(values.std(ddof=1))
+    return float(n * n / f), float(np.linalg.norm(gradient) / peak)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analysis import report_from_jsa, schmidt_number, schmidt_number_std
+from .analysis import counts_schmidt_number, report_from_jsa
 from .artefact import write_table
 from .biphoton import build_jsa, build_jsi, save_jsa, save_jsi
 from .config import ConfigError, RunConfig, _check_seed, parse_config
@@ -194,13 +194,14 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
         ["time_s", "signal_marginal", "idler_marginal"],
         np.column_stack([counts.spec.time_centers, *marginals(counts)]),
     )
+    k, k_std = counts_schmidt_number(counts.values)
     _write_text(
         os.path.join(out_dir, "report.txt"),
         "\n".join(
             [
                 f"total_events = {counts.total}",
-                f"schmidt_number = {schmidt_number(np.sqrt(counts.values)):.6f}",
-                f"schmidt_number_std = {schmidt_number_std(counts.values):.6f}",
+                f"schmidt_number = {k:.6f}",
+                f"schmidt_number_std = {k_std:.6f}",
             ]
         ),
     )

@@ -89,6 +89,15 @@ _SCHEMA: dict[str, dict[str, object]] = {
 
 
 _INT_LIMIT = 2**63  # event counts and sizes reach numpy as int64
+# numpy's Poisson draw refuses a mean above about 9.22e18.  hom and
+# heralded draw means up to 2 * counts_per_point, and tomo-sim up to
+# 4 * events_per_projection (a Born probability is at most 1 and a
+# setting's in-window flux a share of the source's); each limit keeps a
+# factor of 2 for rounding.
+_POISSON_LIMITS = {
+    ("hom", "counts_per_point"): 2**61,
+    ("tomography", "events_per_projection"): 2**60,
+}
 
 
 def _parse_value(raw: str, default, where: str):
@@ -305,6 +314,12 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if cfg.sections[section][key] < 0:
             raise ConfigError(f"{cfg.path}: {key} must be >= 0")
+    for (section, key), limit in _POISSON_LIMITS.items():
+        if cfg.sections[section][key] > limit:
+            raise ConfigError(
+                f"{cfg.path}: [{section}] {key} = {cfg.sections[section][key]} asks for"
+                f" Poisson means numpy cannot draw; it must be <= {limit}"
+            )
     # counts_per_point > 0 fits the sampled curve, which needs enough delays
     hom = cfg.sections["hom"]
     if hom["counts_per_point"] > 0 and hom["points"] < MIN_FIT_POINTS:

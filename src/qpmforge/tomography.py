@@ -220,8 +220,13 @@ def fidelity_singlet(state) -> tuple[float, float]:
     fid = 0.5 * (rho[1, 1] + rho[2, 2]).real + abs(off)
     if off == 0.0:
         return float(fid), 0.0
-    phi = (np.pi - np.angle(off) + np.pi) % (2.0 * np.pi) - np.pi
-    return float(fid), float(np.pi if phi == -np.pi else phi)
+    return float(fid), float(_wrap_phase(np.pi - np.angle(off)))
+
+
+def _wrap_phase(phase):
+    """phase wrapped into (-pi, pi], with -pi read as pi."""
+    wrapped = (phase + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
 def default_bin_labels(pair_count: int) -> np.ndarray:
@@ -254,10 +259,8 @@ class HyperState:
     drift: np.ndarray = None
 
     def __post_init__(self) -> None:
-        self.phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
+        self.phases = _wrap_phase(np.atleast_1d(np.asarray(self.phases, dtype=float)))
         n = self.phases.size
-        self.phases = (self.phases + np.pi) % (2.0 * np.pi) - np.pi
-        self.phases[self.phases == -np.pi] = np.pi
         if self.drift is None:
             self.drift = np.zeros(n)
         self.drift = np.atleast_1d(np.asarray(self.drift, dtype=float))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import (
     C_LIGHT,
     DispersionMap,
@@ -252,6 +253,51 @@ def fidelity_to_maximal(jsa, n_modes: int) -> float:
     """
     top = svd_weights(jsa)[:n_modes]
     return float(np.sum(np.sqrt(top / n_modes)) ** 2)
+
+
+def monte_carlo_uncertainty(
+    counts: np.ndarray,
+    n_resamples: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Poissonian bootstrap of the Schmidt number of a count matrix.
+
+    Each resample draws counts'_ij ~ Poisson(counts_ij) and evaluates
+    schmidt_number(sqrt(counts')), the estimator whose value on the
+    observed counts is the point estimate.  Returns (mean, sample std).
+    Trial k uses the independent substream default_rng([seed, k]).  A
+    replica that draws no counts at all falls back to the observed counts.
+
+    Only the nonzero cells are drawn, in C order, into one reused matrix.
+    numpy's Poisson draw with mean 0 returns 0 and consumes no randomness,
+    so each replica is bit-identical to a draw over every cell.
+
+    The flat-phase amplitude is an assumption, not an inference: measured
+    intensities carry no phase, so K tracks the magnitude structure only.
+    Shot noise biases this estimator upward; the bootstrap measures its
+    spread, not that bias.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2:
+        raise ValueError("counts must be a 2-d array")
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    if n_resamples < 2:
+        raise ValueError("n_resamples must be >= 2")
+
+    # != 0 keeps NaN cells in the draw, which rejects them
+    support = counts != 0
+    means = counts[support]
+    resampled = np.zeros_like(counts)
+
+    def one_trial(k: int) -> float:
+        resampled[support] = np.random.default_rng([seed, k]).poisson(means)
+        if not resampled.any():
+            return schmidt_number(np.sqrt(counts))
+        return schmidt_number(np.sqrt(resampled))
+
+    values = np.fromiter(map(one_trial, range(n_resamples)), dtype=float)
+    return float(values.mean()), float(values.std(ddof=1))
 
 
 def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:

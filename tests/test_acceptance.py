@@ -13,12 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qpmforge.analysis import (
-    monte_carlo_uncertainty,
-    report_from_jsa,
-    schmidt_number,
-    schmidt_number_std,
-)
+from qpmforge.analysis import counts_schmidt_number, report_from_jsa, schmidt_number
 from qpmforge.biphoton import FrequencyGrid, build_jsa
 from qpmforge.config import default_config
 from qpmforge.crystal import design_overlap
@@ -45,7 +40,13 @@ from qpmforge.tomography import (
     singlet_state,
 )
 
-from oracles import bin_images, bin_model_jsa, expected_tomography, visibility
+from oracles import (
+    bin_images,
+    bin_model_jsa,
+    expected_tomography,
+    monte_carlo_uncertainty,
+    visibility,
+)
 
 DEVICE = default_config()
 ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
@@ -262,7 +263,7 @@ def test_mc_error_scaling(comb_jsa):
         _, stds["bootstrap"][n_events] = monte_carlo_uncertainty(
             counts.values, n_resamples=1000, seed=19
         )
-        stds["delta method"][n_events] = schmidt_number_std(counts.values)
+        stds["delta method"][n_events] = counts_schmidt_number(counts.values)[1]
 
     for method, std in stds.items():
         ratio = std[430_000] / std[43_000_000]
@@ -278,8 +279,9 @@ def test_delta_method_std_matches_seed_scatter(comb_jsa):
     ks, stds = [], []
     for seed in range(20):
         counts = simulate(comb_jsa, SPEC200, 4_300_000, seed=seed)
-        ks.append(schmidt_number(np.sqrt(counts.values)))
-        stds.append(schmidt_number_std(counts.values))
+        k, std = counts_schmidt_number(counts.values)
+        ks.append(k)
+        stds.append(std)
     ratio = np.median(stds) / np.std(ks, ddof=1)
     assert abs(ratio - 1.0) <= 0.35
 

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from qpmforge import analysis
 from qpmforge.analysis import (
-    monte_carlo_uncertainty,
+    counts_schmidt_number,
     report_from_jsa,
     schmidt_number,
-    schmidt_number_std,
     schmidt_weights,
 )
 from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
 
-from oracles import NU0, fidelity_to_maximal, normalized, svd_weights
+from oracles import NU0, fidelity_to_maximal, monte_carlo_uncertainty, normalized, svd_weights
 
 SKETCH = analysis._SKETCH_COLUMNS  # columns of schmidt_weights' range sketch
 
@@ -136,7 +135,17 @@ class TestMonteCarlo:
             monte_carlo_uncertainty(np.ones((4, 4)), n_resamples=1, seed=0)
 
 
+def schmidt_number_std(counts):
+    return counts_schmidt_number(counts)[1]
+
+
 class TestSchmidtNumberStd:
+    def test_k_is_schmidt_number_of_sqrt_counts(self):
+        # the same Gram matrix and the same trace^2 / norm^2, bit for bit
+        counts = np.random.default_rng(6).poisson(20.0, size=(9, 14)).astype(float)
+        for c in (counts, counts.T):
+            assert counts_schmidt_number(c)[0] == schmidt_number(np.sqrt(c))
+
     def test_half_the_gradient_norm_in_sqrt_counts(self):
         # Var(sqrt(n)) is close to 1/4 for a Poisson count, so the std is
         # |grad K| / 2, with the gradient taken by central differences
@@ -190,7 +199,7 @@ class TestReport:
 
 
 def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
-    """K, the report and the bootstrap need no Schmidt modes: no SVD runs,
+    """K, its error bar and the report need no Schmidt modes: no SVD runs,
     and the report's weights come from one QR of the 64-column sample and
     the eigenvalues of a 64 x 64 matrix, not of the 1024^2 Gram matrix."""
     calls = []
@@ -205,7 +214,7 @@ def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
     report_from_jsa(comb_jsa, n_modes=8)
     counts = np.random.default_rng(5).poisson(50.0, size=(40, 30)).astype(float)
     schmidt_number(np.sqrt(counts))
-    monte_carlo_uncertainty(counts, n_resamples=3, seed=1)
+    counts_schmidt_number(counts)
     assert calls == [("qr", (len(comb_jsa.values), SKETCH)), ("eigvalsh", (SKETCH, SKETCH))]
 
 
@@ -221,6 +230,22 @@ def test_report_holds_no_square_temporary(designed_jsa):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * designed_jsa.values.nbytes
+
+
+def test_wide_complex_amplitude_is_not_copied():
+    """A wide amplitude is taken by its transpose view: schmidt_number of
+    a complex 512 x 1024 amplitude holds its 512^2 Gram matrix and one
+    block, not a conjugated 8.4 MB copy of the amplitude."""
+    rng = np.random.default_rng(12)
+    amp = rng.normal(size=(512, 1024)) + 1j * rng.normal(size=(512, 1024))
+    tracemalloc.start()
+    try:
+        wide = schmidt_number(amp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert wide == pytest.approx(schmidt_number(amp.T.copy()), rel=1e-12)
 
 
 def chosen_rank_amplitude(rng, shape, rank, complex_valued):
@@ -248,16 +273,16 @@ def chosen_rank_amplitude(rng, shape, rank, complex_valued):
 def test_sketch_weights_match_svd(rank, seed, width, extra, transpose, complex_valued):
     """Every route of schmidt_weights gives the full decomposition's weights.
 
-    An amplitude of rank <= 64 whose smaller side is wider than 128 is
-    sketched; a wider spectrum fails the certificate and a narrower side
-    skips the sketch, and both take the dense Gram matrix."""
+    The certificate alone picks the route: an amplitude of rank <= 64 is
+    sketched, however narrow, and a wider spectrum fails the certificate
+    and takes the dense Gram matrix."""
     rank = width if rank == "full" else rank
     width = max(width, rank)
     shape = (width + extra, width)[::-1 if transpose else 1]
     amp = chosen_rank_amplitude(np.random.default_rng(seed), shape, rank, complex_valued)
     with mock.patch.object(analysis, "_unit_gram", wraps=analysis._unit_gram) as dense:
         got = schmidt_weights(amp)
-    assert dense.called == (width <= 2 * SKETCH or rank > SKETCH)
+    assert dense.called == (rank > SKETCH)
     want = svd_weights(amp)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -9,12 +9,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qpmforge
-from qpmforge.analysis import schmidt_number, schmidt_number_std
+from qpmforge import analysis
+from qpmforge.analysis import counts_schmidt_number, schmidt_number
 from qpmforge.biphoton import C_LIGHT, build_jsi, load_jsa, load_jsi
 from qpmforge.cli import main
 from qpmforge.config import ConfigError, default_config, parse_config
@@ -306,17 +308,19 @@ class TestCliExitCodes:
         assert (out / "marginals.tsv").exists()
 
     def test_tofs_point_estimate_is_k_of_sqrt_counts(self, tmp_path):
-        # the report holds K of sqrt(counts) and its delta-method std, and
-        # no bootstrap lines
+        # the report holds K of sqrt(counts) and its delta-method std, both
+        # from one Gram matrix, and no bootstrap lines
         config = make_config(tmp_path, **FAST)
         out = tmp_path / "tofs"
         assert main(["tofs-sim", "--config", config, "--out", str(out)]) == 0
-        assert main(["tofs-analyze", "--config", config, "--out", str(out)]) == 0
+        with mock.patch.object(analysis, "_unit_gram", wraps=analysis._unit_gram) as gram:
+            assert main(["tofs-analyze", "--config", config, "--out", str(out)]) == 0
+        assert gram.call_count == 1
         counts = load_counts(out / "counts.csv").values
         k = schmidt_number(np.sqrt(counts))
         lines = (out / "report.txt").read_text().splitlines()
         assert f"schmidt_number = {k:.6f}" in lines
-        assert f"schmidt_number_std = {schmidt_number_std(counts):.6f}" in lines
+        assert f"schmidt_number_std = {counts_schmidt_number(counts)[1]:.6f}" in lines
         assert not [line for line in lines if line.startswith(("resamples", "schmidt_number_resampled"))]
 
     def test_negative_seed_refused_before_any_stage(self, tmp_path, capsys):
@@ -334,6 +338,28 @@ class TestCliExitCodes:
             assert main([stage, "--config", config, "--out", str(out), "--seed", "-5"]) == 2
             assert "--seed must be >= 0" in capsys.readouterr().err, stage
             assert not out.exists(), stage
+
+    @pytest.mark.parametrize(
+        "key, limit, stages",
+        [
+            ("hom.counts_per_point", 2**61, ("hom", "heralded")),
+            ("tomography.events_per_projection", 2**60, ("tomo-sim",)),
+        ],
+    )
+    def test_poisson_mean_numpy_cannot_draw_refused_at_parse(
+        self, tmp_path, capsys, key, limit, stages
+    ):
+        # numpy draws no Poisson mean above about 9.22e18: a count that
+        # would ask for one is refused before any stage writes a file,
+        # naming the file and the key; the limit itself parses
+        config = make_config(tmp_path, **{**FAST, key: 2**63 - 1})
+        out = tmp_path / "out"
+        section, name = key.split(".")
+        for stage in stages:
+            assert main([stage, "--config", config, "--out", str(out)]) == 2, stage
+            assert f"{config}: [{section}] {name} = {2**63 - 1}" in capsys.readouterr().err
+            assert not out.exists(), stage
+        assert parse_config(make_config(tmp_path, **{**FAST, key: limit}))[section][name] == limit
 
     def test_seed_beyond_64_bits_refused_before_any_stage(self, tmp_path, capsys):
         # a config holds no integer of 2^63 or more, so neither does --seed:

@@ -25,7 +25,12 @@ from qpmforge.config import default_config
 from qpmforge.measurement import simulate_counts
 from qpmforge.tomography import analyze_tomography, load_tomography_bundle
 
+import oracles
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# spans the benchmark still observes whose function moved out of the
+# package into the test oracles; no stage calls them
+MOVED = {"analysis.monte_carlo_uncertainty": oracles.monte_carlo_uncertainty}
 
 
 def _load(name):
@@ -78,7 +83,7 @@ def calls(comb, pump, dispersion, spectro, designed_crystal, tmp_path_factory):
 def test_observer_runs_against_wrapped_function(name, calls):
     assert name in calls, f"no example call for the observer of {name}"
     module, attr = name.split(".")
-    fn = getattr(importlib.import_module(f"qpmforge.{module}"), attr)
+    fn = MOVED.get(name) or getattr(importlib.import_module(f"qpmforge.{module}"), attr)
     args, kwargs, key, expected = calls[name]
     span = spans.Span(name, 0.0, 0.0, None)
     spans.OBSERVERS[name](span, fn, args, kwargs)

@@ -46,7 +46,7 @@ def test_full_pipeline_quick_runs_every_stage(tmp_path):
         cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    rows = (out / "tomo_fit" / "report.txt").read_text().splitlines()[1:]
+    rows = (out / "tomo" / "report.txt").read_text().splitlines()[1:]
     assert len(rows) == 8
 
 
