@@ -38,15 +38,23 @@ file:
 
 Every body row is ``row_format % tuple(row.tolist())`` of one row of a
 2-d array, formatted in `write_table` and nowhere else, in one process
-on one thread.  A float table whose conversions are all ``%.17g`` and
-``%+.17g`` (the JSA) or all ``%.12e`` (the JSI and the curves) is
-formatted with numpy, a block of rows at a time, to the same bytes: each
-value is rounded to its significant digits in double-double arithmetic
-and its characters are gathered from lookup tables.  ``%`` itself
-formats every other table, and any row holding a value the vectorised
-path does not decide: a non-finite value, one of magnitude 1e290 or
-more, one within 1e-9 of a rounding tie, or one that ``%g`` writes in
-fixed notation.
+on one thread.  Two kinds of table are formatted with numpy, a block of
+rows at a time, to the same bytes:
+
+* a float table whose conversions are all ``%.17g`` and ``%+.17g`` (the
+  JSA) or all ``%.12e`` (the JSI and the curves): each value is rounded
+  to its significant digits in double-double arithmetic and its
+  characters are gathered from lookup tables;
+* an integer table whose row format is ``%d`` conversions joined by one
+  literal of one to four characters (the count files): each value's
+  four-digit groups are gathered from a table of ``"%04d"`` plus the
+  literal, masked to the digits ``%d`` writes.
+
+``%`` itself formats every other table, and any row holding a value the
+vectorised path does not decide: a negative integer, or a non-finite
+float, one of magnitude 1e290 or more, one within 1e-9 of a rounding
+tie, or one that ``%g`` writes in fixed notation.  The lookup tables are
+built on the first write that needs them.
 """
 
 from __future__ import annotations
@@ -96,9 +104,7 @@ def _tables():
         plain.append(double_double(1, 10**-k) if k < 0 else
                      double_double(10**k, 1) if k <= 300 else (np.nan, np.nan))
         scaled.append(double_double(10**k, 2**_SCALE) if k >= 0 else (np.nan, np.nan))
-    # the four decimal digits of each group, most significant first
-    digit = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
-             % 10).astype(np.uint8)
+    digit = _group_digits()
     digits4 = (ord("0") + digit).view("<u4").ravel()
     # a digit is kept where it or a later one is nonzero
     keep4 = (np.maximum.accumulate(digit[:, ::-1], axis=1)[:, ::-1] > 0).view("<u4").ravel()
@@ -109,6 +115,41 @@ def _tables():
     )
     pow_hi, pow_lo = np.array(plain + scaled).T.copy()
     return pow_hi, pow_lo, digits4, keep4, suffix, suffix_mask
+
+
+def _group_digits() -> np.ndarray:
+    """The four decimal digits of each group 0..9999, most significant
+    first, as a (10000, 4) uint8 array."""
+    return (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+            % 10).astype(np.uint8)
+
+
+@functools.cache
+def _int_tables(sep: str) -> tuple[np.ndarray, ...]:
+    """Lookup tables of the integer formatter for cells ending in `sep`
+    (one to four ASCII characters), built on the first write.
+
+    word[g] is "%04d" % g + sep right-aligned in eight bytes of one
+    uint64, and short[g] the mask of its bytes that "%d" % g + sep
+    keeps: the digits from the first nonzero one (the last digit of 0)
+    and the separator.  digits4[g] is "%04d" % g as four bytes in one
+    uint32, and lead[g] the mask of those bytes that "%d" % g keeps when
+    g leads a larger value: none for 0.
+    """
+    digit = _group_digits()
+    tail = np.frombuffer(sep.encode("ascii"), np.uint8)
+    pad = 8 - 4 - tail.size
+    word = np.zeros((10000, 8), np.uint8)
+    word[:, pad : pad + 4] = ord("0") + digit
+    word[:, pad + 4 :] = tail
+    lead = np.maximum.accumulate(digit, axis=1) > 0
+    short = np.zeros((10000, 8), bool)
+    short[:, pad : pad + 4] = lead
+    short[:, pad + 3] = True  # "%d" writes 0 as one digit
+    short[:, pad + 4 :] = True
+    digits4 = (ord("0") + digit).view("<u4").ravel()
+    return (word.view("<u8").ravel(), short.view("<u8").ravel(), digits4,
+            lead.view("<u4").ravel())
 
 
 def _split(x):
@@ -162,22 +203,94 @@ def _decimal(a, digits: int):
     return n, x, ok
 
 
-def _fast_layout(row_format: str, table) -> tuple[list[str], list[str]] | None:
-    """(literals, conversions) of a row format the vectorised path
-    formats for `table`, else None.  Its conversions are all in _FAST
-    and share their digits: a row of %.17g and %+.17g, or of %.12e."""
+def _formatter(row_format: str, table):
+    """The block formatter of `table` under `row_format`, or None where
+    ``%`` formats every row: a 2-d integer table whose row format is
+    ``%d`` conversions joined by one literal of one to four characters,
+    or a float table whose conversions are all in _FAST and share their
+    digits, a row of %.17g and %+.17g or of %.12e."""
+    if table.ndim != 2 or not table.shape[1]:
+        return None
+    if table.dtype.kind in "iu":
+        parts = row_format.split("%d")
+        seps = set(parts[1:-1]) or {"\n"}  # the newline ends a lone column
+        sep = seps.pop()
+        if (
+            len(parts) != table.shape[1] + 1
+            or parts[0] or parts[-1] or seps
+            or not 0 < len(sep) <= 4
+            or not sep.isascii()
+            or "%" in sep
+        ):
+            return None
+        return _IntFormatter(sep)
     parts = re.split(_FAST_SPLIT, row_format)
     literals, convs = parts[::2], parts[1::2]
     if (
         not convs
         or any("%" in lit for lit in literals)
         or len({_FAST[conv][:2] for conv in convs}) > 1
-        or table.ndim != 2
         or table.dtype != np.float64
         or table.shape[1] != len(convs)
     ):
         return None
-    return literals, convs
+    return _BlockFormatter(literals, convs)
+
+
+class _IntFormatter:
+    """Formats blocks of rows of a nonnegative integer table with numpy.
+
+    Each cell gets a slot of whole 8-byte words: the four-digit groups
+    above its lowest, one uint32 each, then its lowest group and the
+    separator in one word of _int_tables.  A block's slots hold as many
+    groups as its largest value needs, and a mask of the same shape marks
+    the bytes ``%d`` writes: the digits from the value's first nonzero
+    one, and the separator, which in a row's last cell becomes its
+    newline.  Compressing the buffer by the mask gives the rows.
+    """
+
+    def __init__(self, sep: str):
+        self.sep = sep
+
+    def format(self, x):
+        """(buffer, mask, bad): the rows of block `x` in the buffer where
+        the mask is set, and the rows that must go through % instead."""
+        word_table, short_table, digits4_table, lead_table = _int_tables(self.sep)
+        rows, k = x.shape
+        bad = (x < 0).any(axis=1)
+        if bad.any():
+            x = np.maximum(x, 0)
+        top, groups = int(x.max()), 1
+        while top >= 10 ** (4 * groups):
+            groups += 1
+        if groups == 1:
+            buf, mask = word_table.take(x), short_table.take(x)
+        else:
+            slot = 1 + groups // 2  # words: the high groups, padded, then the lowest
+            buf = np.zeros((rows, k, slot), "<u8")
+            mask = np.zeros((rows, k, slot), "<u8")
+            w32, m32 = buf.view("<u4"), mask.view("<u4")
+            rest, part = x.astype(np.uint64), []  # the groups, lowest first
+            for _ in range(groups):
+                quotient = rest // 10000
+                part.append(rest - quotient * 10000)
+                rest = quotient
+            # kept: a nonzero group leads, so this one is written whole
+            kept = np.zeros(x.shape, bool)
+            for j in reversed(range(1, groups)):
+                lead = lead_table.take(part[j])
+                w32[:, :, 2 * slot - 2 - j] = digits4_table.take(part[j])
+                m32[:, :, 2 * slot - 2 - j] = np.where(kept, 0x01010101, lead)
+                kept |= part[j] != 0
+            buf[:, :, -1] = word_table.take(part[0])
+            # short[1000] keeps all four digits
+            mask[:, :, -1] = np.where(kept, short_table[1000], short_table.take(part[0]))
+        b3 = buf.view(np.uint8).reshape(rows, k, -1)
+        m3 = mask.view(np.uint8).reshape(rows, k, -1)
+        end = b3.shape[2] - len(self.sep)
+        b3[:, -1, end] = ord("\n")
+        m3[:, -1, end + 1 :] = 0
+        return b3.reshape(rows, -1), m3.view(bool).reshape(rows, -1), bad
 
 
 class _BlockFormatter:
@@ -274,13 +387,12 @@ def write_table(path, header: dict, row_format: str, table) -> None:
     """Write the header line, then one ``row_format % row`` line per row of `table`."""
     tokens = (f"{k}={v:.12g}" if isinstance(v, float) else f"{k}={v}" for k, v in header.items())
     table = np.asarray(table)
-    layout = _fast_layout(row_format, table)
+    formatter = _formatter(row_format, table)
     with open(path, "wb") as fh:
         fh.write(("# " + " ".join(tokens) + "\n").encode("ascii"))
-        if layout is None:
+        if formatter is None:
             _write_rows(fh, row_format, table)
             return
-        formatter = _BlockFormatter(*layout)
         step = max(1, _BLOCK_CELLS // table.shape[1])
         for start in range(0, len(table), step):
             block = table[start : start + step]

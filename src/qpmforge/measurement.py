@@ -36,10 +36,13 @@ call of it, tomography.simulate_tomography from one weighted call per
 SIC setting.  Each projection returns the detection probabilities,
 scaled to unit sum in the projector's one image buffer, and the alias
 fraction, the share of the spectrum outside the window; no other code
-scales an image or computes an alias fraction, and the draws take the
-probabilities as they are.  It keeps only the transfer's band, and the
-readout stages hand it |JSA|^2 alone (biphoton.build_jsi), since a
-time-of-flight readout is phase-blind.
+scales an image to unit sum or computes an alias fraction, and the draws
+take the probabilities as they are: simulate_counts draws multinomially
+from them, and simulate_tomography multiplies them in the buffer by
+each setting's mean event count and draws a Poisson variate per cell.
+It keeps only the transfer's band, and the readout stages hand it
+|JSA|^2 alone (biphoton.build_jsi), since a time-of-flight readout is
+phase-blind.
 """
 
 from __future__ import annotations
@@ -260,7 +263,7 @@ def spectrum_projector(
                 image[rows, rows_s] = part[:, cols_s.start - lo:cols_s.stop - lo] @ block_s.T
         np.divide(image, mass, out=image)
         # the blur integral is nonnegative analytically; floating cancellation
-        # can leave -1e-18-level residue that multinomial sampling rejects
+        # can leave -1e-18-level residue that the draws reject
         np.clip(image, 0.0, None, out=image)
         kept = float(image.sum())
         if kept <= 0:
@@ -353,9 +356,13 @@ def simulate_counts(
         raise ValueError("total_events must be >= 0")
     probs, alias = spectrum_projector(intensity, grid, spec, center_frequency_hz)()
     _check_alias(alias, spec, max_alias_fraction)
-    counts = _draw_counts(probs, spec, center_frequency_hz, total_events, seed)
-    counts.metadata["alias_fraction"] = alias
-    return counts
+    draws = np.random.default_rng(seed).multinomial(int(total_events), probs.ravel())
+    return CountMatrix(
+        values=draws.reshape(probs.shape),
+        spec=spec,
+        center_frequency_hz=center_frequency_hz,
+        metadata={"seed": seed, "requested_events": int(total_events), "alias_fraction": alias},
+    )
 
 
 def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float) -> None:
@@ -365,25 +372,6 @@ def _check_alias(alias: float, spec: SpectrometerSpec, max_alias_fraction: float
             f"{alias * 100:.4g}% of the joint spectrum lies outside the {spec.window * 1e9:.3g} ns "
             f"window (limit {max_alias_fraction * 100:.4g}%); widen the window"
         )
-
-
-def _draw_counts(
-    probs: np.ndarray,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float,
-    total_events: int,
-    seed,
-) -> CountMatrix:
-    """Multinomial draw of the detected events over the time-grid cells of
-    ``probs``, which sums to 1 as a projector's probabilities do."""
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(int(total_events), probs.ravel())
-    return CountMatrix(
-        values=draws.reshape(probs.shape),
-        spec=spec,
-        center_frequency_hz=center_frequency_hz,
-        metadata={"seed": seed, "requested_events": int(total_events)},
-    )
 
 
 def marginals(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,10 @@ pass over the source, takes the bins' shares of it as their emission
 weights, mixes the bins of each SIC setting by weighting each cell of
 the source by mix_i / mass_i of its bin, and projects that one spectrum
 just before it draws the setting.  The projector returns each draw's
-probabilities and alias fraction, so no code here scales an image or
-computes an alias fraction.  bin_gates alone lays out the bins' time
-gates.
+probabilities and alias fraction, so no code here normalises an image
+or computes an alias fraction; the draw multiplies the probabilities,
+in the projector's buffer, by the setting's mean event count.
+bin_gates alone lays out the bins' time gates.
 
 The 16 projections stream in both directions, so neither stage holds
 more than one count matrix: simulate_tomography returns an iterator
@@ -58,7 +59,6 @@ from .measurement import (
     MeasurementError,
     SpectrometerSpec,
     _check_alias,
-    _draw_counts,
     detuning_to_time,
     load_counts,
     save_counts,
@@ -328,10 +328,14 @@ def simulate_tomography(
     bin carries its share mix_i of that flux, each cell of the source
     weighted by mix_i / mass_i of its bin, projected at once.  Only its
     share 1 - alias_jk inside the window is recorded, so the event total
-    is Poissonian with mean 4 * events * flux * (1 - alias_jk) / (1 - alias),
-    alias the source's: the 16 means sum to 16 * events.  Raises
-    MeasurementError when more than max_alias_fraction of the source
-    falls outside the acquisition window.
+    has mean mu_jk = 4 * events * flux * (1 - alias_jk) / (1 - alias),
+    alias the source's: the 16 means sum to 16 * events.  Each cell of
+    the time grid is drawn as its own Poisson variate with mean mu_jk
+    times its detection probability, from the stream [seed, j, k]; by
+    Poisson splitting that is the law of a Poisson(mu_jk) total split
+    multinomially over the cells.  Raises MeasurementError when more
+    than max_alias_fraction of the source falls outside the acquisition
+    window.
 
     The arguments are checked at the call; the projections are then
     drawn lazily, one per step of the returned iterator of ((j, k),
@@ -353,9 +357,6 @@ def simulate_tomography(
     born = _born_table(hyper)
 
     def draw():
-        # one master stream for the event totals, in setting order, and
-        # the stream [seed, j, k] for each image
-        master = np.random.default_rng([int(seed), 0x7013])
         for (j, k), born_jk in zip(_SETTINGS, born):
             # exact Born zeros (matched singlet projections) come out as
             # -1e-16-level residue, which np.random.poisson rejects
@@ -364,9 +365,14 @@ def simulate_tomography(
             mix = flux / q_jk if q_jk > 0 else weights
             probs, alias = project(grid.toeplitz((mix / masses)[bins]))
             kept = (1.0 - alias) / (1.0 - source_alias)
-            total = int(master.poisson(4.0 * events * q_jk * kept))
-            counts = _draw_counts(probs, spec, center_frequency_hz, total, seed=[int(seed), j, k])
-            counts.metadata.update(alias_fraction=alias, born_flux=float(q_jk), **layout)
+            # the cells' means, in the projector's buffer that the next call overwrites
+            probs *= 4.0 * events * q_jk * kept
+            counts = CountMatrix(
+                values=np.random.default_rng([int(seed), j, k]).poisson(probs),
+                spec=spec,
+                center_frequency_hz=center_frequency_hz,
+                metadata={"alias_fraction": alias, "born_flux": float(q_jk), **layout},
+            )
             yield (j, k), counts
             del counts  # drawing the next projection must not hold this one
 

@@ -236,11 +236,13 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
 
 
 def svd_weights(jsa) -> np.ndarray:
-    """Schmidt weights by the full decomposition: np.linalg.svd with its
-    singular vectors, squared singular values normalized to unit sum,
-    descending, with the weights below 1e-12 dropped (the largest kept)."""
+    """Schmidt weights by the full decomposition: np.linalg.svd's squared
+    singular values normalized to unit sum, descending, with the weights
+    below 1e-12 dropped (the largest kept).  Only the values are formed:
+    with its singular vectors the SVD fails to converge on some low-rank
+    amplitudes that the values alone resolve."""
     values = jsa.values if isinstance(jsa, JointSpectralAmplitude) else np.asarray(jsa)
-    _, s, _ = np.linalg.svd(values, full_matrices=False)
+    s = np.linalg.svd(values, compute_uv=False)
     weights = s**2 / np.sum(s**2)
     return weights[: max(1, np.count_nonzero(weights > 1e-12))]
 

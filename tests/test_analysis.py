@@ -289,6 +289,17 @@ def test_sketch_weights_match_svd(rank, seed, width, extra, transpose, complex_v
     np.testing.assert_array_equal(schmidt_weights(amp), got)
 
 
+def test_svd_oracle_converges_on_a_rank_64_amplitude():
+    # with its singular vectors, np.linalg.svd raised "SVD did not
+    # converge" on this amplitude, which test_sketch_weights_match_svd's
+    # strategy can draw; the values alone converge, s_64 = 1.0e-4 above
+    # s_65 = 3e-16, and the sketch's weights match them
+    amp = chosen_rank_amplitude(np.random.default_rng(344), (248, 223), 64, False)
+    want = svd_weights(amp)
+    assert want.shape == (64,)
+    np.testing.assert_allclose(schmidt_weights(amp), want, rtol=0, atol=1e-14)
+
+
 def test_designed_weights_match_the_full_decomposition(designed_jsa):
     # the sketch's eigenvalues against np.linalg.svd's squared singular
     # values, as TestReport checks the comb's: the same weights survive

@@ -301,6 +301,12 @@ TABLES = {
         lambda rng, n: (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))).view(float),
     ),
     "int64": ("%d,%d,%d,%d", lambda rng, n: rng.integers(-(2**62), 2**62, size=(n, 4))),
+    # counts of one to ten digits
+    "counts": ("%d,%d,%d,%d,%d", lambda rng, n: rng.poisson([0.3, 30.0, 3e3, 3e5, 3e9], (n, 5))),
+    "uint64": (
+        "%d\t%d",
+        lambda rng, n: rng.integers(0, 2**64 - 1, size=(n, 2), dtype=np.uint64, endpoint=True),
+    ),
     "intensity": ("%.12e,%.12e,%.12e", lambda rng, n: rng.standard_normal((n, 3)) ** 2 * 1e-27),
 }
 
@@ -357,8 +363,27 @@ ROW_FORMATS = [
     "%.12e,%.12e,%.12e",
     "%.17g,%.12e\t%+.17g",  # mixed digits: % formats it
     "(%.12e; %+.17g)",
+    "%d",
+    "%d, %d, %d",
+    "%d -- %d",
+    "%d,%d;%d",  # two literals: % formats it
+    "%d ----- %d",  # a literal longer than four characters: the same
+    "[%d,%d]",  # text around the row: the same
     *(row_format for row_format, _ in TABLES.values()),
 ]
+INT_DTYPES = [np.int64, np.int32, np.int16, np.int8, np.uint64, np.uint32, np.uint16, np.uint8]
+
+
+def _ints(dtype):
+    """Values of an integer dtype: one to four digits, its whole range,
+    and zero, the edges of the digit groups, -1 and the dtype's extremes."""
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    edges = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**16, -1, lo, hi]
+    return st.one_of(
+        st.integers(0, min(hi, 9999)),
+        st.integers(lo, hi),
+        st.sampled_from([v for v in edges if lo <= v <= hi]),
+    )
 
 
 @st.composite
@@ -367,11 +392,12 @@ def formatted_tables(draw):
     n_cols = row_format.count("%")
     n_rows = draw(st.integers(min_value=1, max_value=200))
     if "%d" in row_format:
-        cells = st.integers(-(2**63), 2**63 - 1)
+        dtype = draw(st.sampled_from(INT_DTYPES))
+        cells = _ints(dtype)
     else:
-        cells = DOUBLES
+        dtype, cells = float, DOUBLES
     flat = draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
-    return row_format, np.array(flat).reshape(n_rows, n_cols)
+    return row_format, np.array(flat, dtype=dtype).reshape(n_rows, n_cols)
 
 
 @settings(deadline=None, max_examples=60,
@@ -386,21 +412,25 @@ def test_table_bytes_match_percent_oracle(tmp_path, monkeypatch, case, block_cel
 
 
 def test_large_table_starts_no_process_or_thread(tmp_path, monkeypatch):
-    # a 1024^2 JSA, as its writer views it, is formatted in this process
-    # on this thread
+    # a 1024^2 JSA, as its writer views it, and a 1024^2 count matrix are
+    # formatted in this process on this thread
     def refuse(*args, **kwargs):
         raise AssertionError("the writer started a process or a thread")
 
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    table = np.random.default_rng(0).standard_normal((1024, 2048)) * 1e-14
-    row_format = ",".join(["%.17g%+.17gj"] * 1024)
-    path = tmp_path / "jsa.csv"
-    write_table(path, {"ns": 1024}, row_format, table)
-    with open(path, "rb") as fh:
-        assert fh.readline() == b"# ns=1024\n"
-        first = fh.readline()
-        for count, last in enumerate(fh, 2):
-            pass
-    assert count == 1024
-    assert first + last == percent_rows(row_format, table[[0, -1]])
+    rng = np.random.default_rng(0)
+    cases = [
+        (",".join(["%.17g%+.17gj"] * 1024), rng.standard_normal((1024, 2048)) * 1e-14),
+        (",".join(["%d"] * 1024), rng.poisson(rng.uniform(0.0, 2e4, (1024, 1024)))),
+    ]
+    path = tmp_path / "table.csv"
+    for row_format, table in cases:
+        write_table(path, {"ns": 1024}, row_format, table)
+        with open(path, "rb") as fh:
+            assert fh.readline() == b"# ns=1024\n"
+            first = fh.readline()
+            for count, last in enumerate(fh, 2):
+                pass
+        assert count == 1024
+        assert first + last == percent_rows(row_format, table[[0, -1]])

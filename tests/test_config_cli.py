@@ -761,3 +761,30 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     ]
     assert (tmp_path / "fit.txt").exists()
     assert (tmp_path / "counts.csv").exists() and (tmp_path / "tomo").is_dir()
+
+
+def test_cli_import_builds_no_formatter_table(tmp_path):
+    """Importing the CLI builds none of artefact's lookup tables: each is
+    built by the first write that needs it, and a count file's write
+    builds the integer table alone."""
+    code = "\n".join([
+        "import numpy as np, qpmforge.cli",
+        "from qpmforge import artefact",
+        "def sizes():",
+        "    return sorted((name, f.cache_info().currsize)",
+        "                  for name, f in vars(artefact).items() if hasattr(f, 'cache_info'))",
+        "print(sizes())",
+        f"path = {str(tmp_path / 'counts.csv')!r}",
+        "artefact.write_table(path, {}, '%d,%d', np.eye(2, dtype=int))",
+        "print(sizes())",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.splitlines() == [
+        "[('_int_tables', 0), ('_tables', 0)]",
+        "[('_int_tables', 1), ('_tables', 0)]",
+    ]

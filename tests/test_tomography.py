@@ -585,20 +585,20 @@ class TestSimulateTomography:
     def test_counts_are_draws_from_mixed_oracle_images(
         self, sim, pure_hyper, small_weights, small_images, spectro
     ):
-        # each setting projects its mixed spectrum at once; drawing with the
-        # same streams from the oracle's per-bin images, mixed after
-        # projection, gives the same counts.  A setting's mean total is the
-        # in-window share of its flux, scaled by the source's in-window share
+        # each setting projects its mixed spectrum at once; drawing one
+        # Poisson variate per cell with the same stream from the oracle's
+        # per-bin images, mixed after projection, gives the same counts.  A
+        # setting's mean total is the in-window share of its flux, scaled by
+        # the source's in-window share
         images, _ = small_images
         kept = images.sum(axis=(1, 2))
-        master = np.random.default_rng([5, 0x7013])
         for (j, k), born in zip(sim, _born_table(pure_hyper)):
             flux = np.clip(small_weights * born, 0.0, None)
-            total = master.poisson(4.0 * 2000 * (flux @ kept) / (small_weights @ kept))
+            mean = 4.0 * 2000 * (flux @ kept) / (small_weights @ kept)
             mix = flux / flux.sum()
-            probs = np.tensordot(mix, images, axes=(0, 0)).ravel()
-            want = np.random.default_rng([5, j, k]).multinomial(total, probs / probs.sum())
-            np.testing.assert_array_equal(sim[(j, k)].values.ravel(), want)
+            probs = np.tensordot(mix, images, axes=(0, 0))
+            want = np.random.default_rng([5, j, k]).poisson(mean * (probs / probs.sum()))
+            np.testing.assert_array_equal(sim[(j, k)].values, want)
             alias = sim[(j, k)].metadata["alias_fraction"]
             assert alias == pytest.approx(1.0 - mix @ kept, rel=0, abs=1e-12)
             assert sim[(j, k)].metadata["bin_spacing_hz"] == SPACING
@@ -905,6 +905,40 @@ class TestReadoutOverSeeds:
             if hyper.drift.any():
                 ratio = np.median(np.median(runs[..., 2:], axis=0) / scatter, axis=0)
                 assert np.all(np.abs(ratio - 1.0) < 0.25)
+
+
+    def test_draw_means_match_the_noiseless_oracle(
+        self, small_jsa, small_weights, random_phases, coarse_readout
+    ):
+        # the law of the per-cell Poisson draws, over 30 seeds: each
+        # setting's total against its mean mu_jk (standard error
+        # sqrt(mu_jk / 30)), and each bin's 16 gated probabilities against
+        # the oracle's noiseless ones (standard error from the seed
+        # scatter).  Each family matches within 2 standard errors in root
+        # mean square; for the right law its z-scores have unit variance.
+        # A per-quantity 2-sigma gate would fail about 1 in 20 quantities
+        # on the right law, here 7 of 128 probabilities
+        spec, images = coarse_readout
+        hyper = HyperState(phases=random_phases, drift=np.linspace(0.0, 1.4, 8))
+        events, seeds = 2e6, 30
+        kept = images.sum(axis=(1, 2))
+        flux = np.clip(small_weights * _born_table(hyper), 0.0, None)
+        means = 4.0 * events * (flux @ kept) / (small_weights @ kept)
+        oracle = expected_tomography(hyper, images, small_weights, spec, NU0, SPACING, WIDTH)
+        totals, probabilities = [], []
+        for seed in range(seeds):
+            run = list(simulate(hyper, small_jsa, spec, events, seed))
+            totals.append([counts.total for _, counts in run])
+            probabilities.append([
+                res.probabilities for res in analyze_tomography(run, PAIRS, SPACING, WIDTH)
+            ])
+        totals, probabilities = np.array(totals), np.array(probabilities)
+        z = (totals.mean(axis=0) - means) / np.sqrt(means / seeds)
+        assert np.sqrt(np.mean(z**2)) < 2.0, z
+        want = np.array([oracle[int(label)] for label in LABELS])
+        stderr = probabilities.std(axis=0, ddof=1) / np.sqrt(seeds)
+        z = (probabilities.mean(axis=0) - want) / stderr
+        assert np.all(np.sqrt(np.mean(z**2, axis=1)) < 2.0), z
 
 
 class TestBundleIO:
