@@ -263,28 +263,27 @@ class _IntFormatter:
         top, groups = int(x.max()), 1
         while top >= 10 ** (4 * groups):
             groups += 1
-        if groups == 1:
-            buf, mask = word_table.take(x), short_table.take(x)
-        else:
-            slot = 1 + groups // 2  # words: the high groups, padded, then the lowest
-            buf = np.zeros((rows, k, slot), "<u8")
-            mask = np.zeros((rows, k, slot), "<u8")
-            w32, m32 = buf.view("<u4"), mask.view("<u4")
-            rest, part = x.astype(np.uint64), []  # the groups, lowest first
-            for _ in range(groups):
-                quotient = rest // 10000
-                part.append(rest - quotient * 10000)
-                rest = quotient
-            # kept: a nonzero group leads, so this one is written whole
-            kept = np.zeros(x.shape, bool)
-            for j in reversed(range(1, groups)):
-                lead = lead_table.take(part[j])
-                w32[:, :, 2 * slot - 2 - j] = digits4_table.take(part[j])
-                m32[:, :, 2 * slot - 2 - j] = np.where(kept, 0x01010101, lead)
-                kept |= part[j] != 0
-            buf[:, :, -1] = word_table.take(part[0])
-            # short[1000] keeps all four digits
-            mask[:, :, -1] = np.where(kept, short_table[1000], short_table.take(part[0]))
+        slot = 1 + groups // 2  # words: the high groups, padded, then the lowest
+        buf = np.empty((rows, k, slot), "<u8")
+        mask = np.zeros((rows, k, slot), "<u8")
+        w32, m32 = buf.view("<u4"), mask.view("<u4")
+        rest, part = x, []  # the groups, lowest first
+        for _ in range(groups - 1):
+            rest, low = np.divmod(rest, 10000)
+            part.append(low)
+        part.append(rest)
+        # kept: a nonzero group leads, so this one is written whole
+        kept = np.zeros(x.shape, bool)
+        for j in reversed(range(1, groups)):
+            lead = lead_table.take(part[j])
+            w32[:, :, 2 * slot - 2 - j] = digits4_table.take(part[j])
+            m32[:, :, 2 * slot - 2 - j] = np.where(kept, 0x01010101, lead)
+            kept |= part[j] != 0
+        # every group is below 10000, so "clip" clips nothing; unlike
+        # "raise", it lets take write into the buffers without a copy
+        word_table.take(part[0], out=buf[:, :, -1], mode="clip")
+        short_table.take(part[0], out=mask[:, :, -1], mode="clip")
+        mask[:, :, -1][kept] = short_table[1000]  # all four digits
         b3 = buf.view(np.uint8).reshape(rows, k, -1)
         m3 = mask.view(np.uint8).reshape(rows, k, -1)
         end = b3.shape[2] - len(self.sep)

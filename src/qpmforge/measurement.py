@@ -227,8 +227,10 @@ def spectrum_projector(
     window, and ``alias_fraction`` the share outside it, 1 - image.sum().
     Raises MeasurementError when the spectrum carries no intensity or none
     of it lands in the window.  This is the one place that scales an image
-    or computes an alias fraction.  ``probabilities`` is the projector's
-    one n x n buffer, which the next call overwrites.
+    to unit sum or computes an alias fraction.  ``probabilities`` is the
+    projector's one n x n buffer, which the next call overwrites: every
+    call rewrites the same blocks and the cells outside them stay zero,
+    so a caller may rescale the buffer in place between calls.
 
     T is zero outside its band, so only its blocks are kept: for each
     block of _BLOCK_ROWS time rows, the contiguous span of frequency

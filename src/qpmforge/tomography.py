@@ -537,13 +537,15 @@ def analyze_tomography(
 
 def tomography_report(results: list[BinResult]) -> str:
     """Fixed-width per-bin table of purity and fidelity, each with its std,
-    and phase."""
-    lines = ["bin   events      purity            fidelity          phase_rad"]
+    and phase.  Each std is written with four significant digits, so a
+    small one, such as the fidelity's on an exact singlet, does not read
+    as zero."""
+    lines = ["bin   events      purity               fidelity             phase_rad"]
     for r in results:
-        pur = f"{r.purity:.4f} +/- {r.purity_std:.4f}"
-        fid = f"{r.fidelity:.4f} +/- {r.fidelity_std:.4f}"
+        pur = f"{r.purity:.4f} +/- {r.purity_std:.3e}"
+        fid = f"{r.fidelity:.4f} +/- {r.fidelity_std:.3e}"
         lines.append(
-            f"{r.label:+d}   {r.events:9d}   {pur:<17s} {fid:<17s} {r.phase:+.4f}"
+            f"{r.label:+d}   {r.events:9d}   {pur:<20s} {fid:<20s} {r.phase:+.4f}"
         )
     return "\n".join(lines)
 
