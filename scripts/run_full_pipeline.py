@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Drive every pipeline stage in sequence from one config.
 
-Runs design -> simulate -> hom -> heralded -> tofs-sim -> tofs-analyze
--> tomo-sim -> tomo-fit into subdirectories of --out and prints the
-headline numbers from each stage.  With --quick the event counts are
+Runs the stages of stage_peaks.STAGES, design -> simulate -> hom ->
+heralded -> tofs-sim -> tofs-analyze -> tomo-sim -> tomo-fit, in one
+process into their subdirectories of --out, then prints each
+directory's report.txt and fit.txt.  With --quick the event counts are
 scaled down so the whole chain finishes in well under a minute.
 
 The readout pairs share a directory, tofs/ and tomo/, so tofs-analyze
@@ -14,18 +15,19 @@ and tomo-fit read what tofs-sim and tomo-sim wrote (unless the config's
 import argparse
 import os
 
+from stage_peaks import STAGES
+
 from qpmforge import cli
 from qpmforge.config import parse_config
 
 
-def run(stage: str, config: str, out: str, seed: int | None) -> str:
+def run(stage: str, config: str, out: str, seed: int | None) -> None:
     argv = [stage, "--config", config, "--out", out]
     if seed is not None:
         argv += ["--seed", str(seed)]
     code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"stage {stage} failed with exit code {code}")
-    return out
 
 
 def show(path: str, name: str = "report.txt") -> None:
@@ -63,16 +65,11 @@ def main() -> None:
         with open(config, "w", encoding="utf-8") as fh:  # as parse_config reads it
             fh.write(cfg.resolved_text())
 
-    for stage in ("design", "simulate", "hom", "heralded"):
-        out = run(stage, config, os.path.join(args.out, stage), args.seed)
-        show(out)
-        if stage == "hom":
-            show(out, "fit.txt")
-
-    for sim, fit, sub in (("tofs-sim", "tofs-analyze", "tofs"), ("tomo-sim", "tomo-fit", "tomo")):
-        out = os.path.join(args.out, sub)
-        run(sim, config, out, args.seed)
-        show(run(fit, config, out, args.seed))
+    for stage, sub in STAGES.items():
+        run(stage, config, os.path.join(args.out, sub), args.seed)
+    for sub in dict.fromkeys(STAGES.values()):
+        show(os.path.join(args.out, sub))
+        show(os.path.join(args.out, sub), "fit.txt")
 
 
 if __name__ == "__main__":

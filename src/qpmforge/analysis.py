@@ -42,8 +42,8 @@ uncertainty is first order (the delta method): a Poisson count's square
 root has variance close to 1/4 whatever its mean, so the std is half the
 norm of the gradient of K in sqrt(n), summed over every cell, since a
 repeat of the experiment can fill a cell that is empty now.  It costs
-one more matrix product than K itself.  The Poisson bootstrap the tests
-compare it against lives with the test oracles.
+one Gram-sized product, G @ G, more than K.  The Poisson bootstrap the
+tests compare it against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -193,22 +193,22 @@ def counts_schmidt_number(counts: np.ndarray) -> tuple[float, float]:
     dK/dA = (4N/F) A - (4N^2/F^2) A A^T A.  Each sqrt of a Poisson count
     has variance close to 1/4, so the std is half the Frobenius norm of
     that gradient, taken over every cell: an empty cell can fill in a
-    repeat of the experiment.  The expansion is first order, so it
-    assumes the shot noise is small against the counts that shape K; it
-    measures the estimator's spread, not its shot-noise bias.
+    repeat of the experiment.  With ||A||^2 = N, <A, A G> = F and
+    ||A G||^2 = Tr G^3, its squared norm is (16 N^3/F^2)(N Tr G^3/F^2 - 1),
+    a function of G alone.  The expansion is first order, so it assumes
+    the shot noise is small against the counts that shape K; it measures
+    the estimator's spread, not its shot-noise bias.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2:
         raise ValueError("counts must be a 2-d array")
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
-    amplitude = np.sqrt(counts)
-    peak, gram = _unit_gram(amplitude)
-    a = amplitude / peak
+    peak, gram = _unit_gram(np.sqrt(counts))
     n, f = _trace_and_norm(gram)
-    aata = a @ gram if a.shape[0] >= a.shape[1] else gram @ a
-    gradient = (2.0 * n / f) * a - (2.0 * n * n / (f * f)) * aata
-    return float(n * n / f), float(np.linalg.norm(gradient) / peak)
+    # 0 at rank 1, where round-off can take it below 0
+    bracket = n * np.vdot(gram, gram @ gram).real / (f * f) - 1.0
+    return float(n * n / f), float(2.0 * n**1.5 / (f * peak) * np.sqrt(max(bracket, 0.0)))
 
 
 @dataclass(frozen=True)

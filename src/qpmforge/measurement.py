@@ -29,9 +29,9 @@ the spec's own time grid.  A simulated tomography projection also
 carries, and its file records, the bin layout it was drawn with.
 
 spectrum_projector is the one projection: it checks one joint spectrum
-once and then projects it as often as asked, optionally times a weight
-per cell, such as a read-only Toeplitz view of one weight per diagonal,
-multiplied in block by block.  simulate_counts draws from one unweighted
+once and then projects it as often as asked, optionally times one weight
+per diagonal of the grid, read through a Toeplitz view and multiplied in
+block by block.  simulate_counts draws from one unweighted
 call of it, tomography.simulate_tomography from one weighted call per
 SIC setting.  Each projection returns the detection probabilities,
 scaled to unit sum in the projector's one image buffer, and the alias
@@ -218,11 +218,13 @@ def spectrum_projector(
 
     Checks the (n_idler, n_signal) spectrum ``intensity`` once and returns
     ``project(weights=None) -> (probabilities, alias_fraction)``.  It maps
-    the spectrum, cell by cell times the nonnegative ``weights`` when
+    the spectrum, each diagonal times its nonnegative entry of the
+    (2n - 1)-vector ``weights`` (indexed like grid.differences) when
     given, onto the time grid, rows the idler detector and columns the
     signal detector: image = T (I w) T^T / mass for the transfer matrix T
-    that both detectors share, so that image.sum() is the share of the
-    spectrum inside the window.  ``probabilities`` is that image scaled to
+    that both detectors share and w = grid.toeplitz(weights), so that
+    image.sum() is the share of the spectrum inside the window.
+    ``probabilities`` is that image scaled to
     unit sum, the detection probabilities conditioned on landing in the
     window, and ``alias_fraction`` the share outside it, 1 - image.sum().
     Raises MeasurementError when the spectrum carries no intensity or none
@@ -237,13 +239,16 @@ def spectrum_projector(
     columns that reaches it and a copy of T on those rows and columns.
     The image is formed one block of rows at a time: an idler block's
     transfer times its rows of the spectrum, over only the signal columns
-    that some block reaches and with the weights multiplied in there,
-    then that product times each signal block's transfer.  Neither the
-    dense T nor a full-size product is held, and ``weights`` may be a
-    read-only view such as FrequencyGrid.toeplitz gives.
+    that some block reaches and with w multiplied in there, then that
+    product times each signal block's transfer.  Neither the dense T nor
+    a full-size product is held, and w is a read-only view.
     """
     inten = np.asarray(intensity, dtype=float)
-    _check_spectrum("intensity", inten, grid)
+    if inten.shape != grid.shape:
+        raise ValueError(f"intensity shape {inten.shape} does not match grid {grid.shape}")
+    # min makes no full-size temporary and, like any(inten < 0), lets NaN through
+    if inten.min() < 0:
+        raise ValueError("intensity must be nonnegative")
     total = inten.sum()
     blocks = _transfer_blocks(build_transfer(spec, grid.nu, center_frequency_hz))
     # the signal columns that some block reaches
@@ -254,13 +259,15 @@ def spectrum_projector(
 
     def project(weights=None) -> tuple[np.ndarray, float]:
         if weights is not None:
-            _check_spectrum("weights", weights, grid)
-        mass = total if weights is None else np.einsum("ij,ij->", inten, weights)
+            view = grid.toeplitz(weights)  # refuses any shape but (2n - 1,)
+            if np.min(weights) < 0:
+                raise ValueError("weights must be nonnegative")
+        mass = total if weights is None else np.einsum("ij,ij->", inten, view)
         if mass <= 0:
             raise MeasurementError("joint spectrum carries no intensity")
         for rows, cols, block in blocks:
             part = inten[cols, span]
-            part = block @ (part if weights is None else part * weights[cols, span])
+            part = block @ (part if weights is None else part * view[cols, span])
             for rows_s, cols_s, block_s in blocks:
                 image[rows, rows_s] = part[:, cols_s.start - lo:cols_s.stop - lo] @ block_s.T
         np.divide(image, mass, out=image)
@@ -274,16 +281,6 @@ def spectrum_projector(
         return image, max(1.0 - kept, 0.0)
 
     return project
-
-
-def _check_spectrum(name: str, array: np.ndarray, grid: FrequencyGrid) -> None:
-    """A joint spectrum or weight map must fill the grid and be nonnegative;
-    ``min`` makes no full-size temporary and, like ``any(array < 0)``,
-    lets NaN through."""
-    if array.shape != grid.shape:
-        raise ValueError(f"{name} shape {array.shape} does not match grid {grid.shape}")
-    if array.min() < 0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 def _transfer_blocks(transfer: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:

@@ -12,13 +12,13 @@ column-row difference, so each bin is a band of whole diagonals and the
 bin map is one (2n - 1)-vector.  The forward model never splits the
 spectrum into bins: simulate_tomography sums each bin's mass in one
 pass over the source, takes the bins' shares of it as their emission
-weights, mixes the bins of each SIC setting by weighting each cell of
-the source by mix_i / mass_i of its bin, and projects that one spectrum
-just before it draws the setting.  The projector returns each draw's
+weights, weights each diagonal of the source by its bin's Born
+probability for the SIC setting, and projects that one spectrum just
+before it draws the setting.  The projector returns each draw's
 probabilities and alias fraction, so no code here normalises an image
 or computes an alias fraction; the draw multiplies the probabilities,
 in the projector's buffer, by the setting's mean event count.
-bin_gates alone lays out the bins' time gates.
+bin_gates alone lays out the bins' time gates, as slices of the time grid.
 
 The 16 projections stream in both directions, so neither stage holds
 more than one count matrix: simulate_tomography returns an iterator
@@ -39,7 +39,8 @@ boundary state (a pure singlet) low, so a bin's purity and fidelity come
 from its gated totals n (total N) unclipped, and either may exceed 1:
 the purity 16 (n^T Q n - diag(Q) . n) / (N (N - 1)), Q = Re(Phi^-H Phi^-1),
 is unbiased for multinomial counts, and the fidelity of Phi^-1 p,
-p = 4 n / N, is biased only at second order, through |rho_HV,VH|.  Each
+p = 4 n / N, is biased only at second order, through |rho_HV,VH|; the
+reported phase is the one that maximises that fidelity.  Each
 std is the first-order sqrt(g^T C g), g the estimate's gradient in p and
 C = (16 / N) (diag(q) - q q^T), q = n / N, the covariance of p at fixed N.
 """
@@ -324,9 +325,9 @@ def simulate_tomography(
     hyper.n_bins bins of _bin_masses at ``spacing_hz``; bin i's share
     weight_i of the spectrum's mass is its emission weight.  For setting
     (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
-    total pair flux, and the image sampled is the spectrum in which each
-    bin carries its share mix_i of that flux, each cell of the source
-    weighted by mix_i / mass_i of its bin, projected at once.  Only its
+    total pair flux: the image sampled is the source projected at once
+    with each diagonal weighted by its bin's Tr[rho_i (Mj x Mk)], or
+    unweighted for a setting with no flux.  Only its
     share 1 - alias_jk inside the window is recorded, so the event total
     has mean mu_jk = 4 * events * flux * (1 - alias_jk) / (1 - alias),
     alias the source's: the 16 means sum to 16 * events.  Each cell of
@@ -353,17 +354,16 @@ def simulate_tomography(
     _check_alias(source_alias, spec, max_alias_fraction)
     bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
     layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
-    weights = masses / masses.sum()
+    shares = masses / masses.sum()
     born = _born_table(hyper)
 
     def draw():
         for (j, k), born_jk in zip(_SETTINGS, born):
             # exact Born zeros (matched singlet projections) come out as
             # -1e-16-level residue, which np.random.poisson rejects
-            flux = np.clip(weights * born_jk, 0.0, None)
-            q_jk = flux.sum()
-            mix = flux / q_jk if q_jk > 0 else weights
-            probs, alias = project(grid.toeplitz((mix / masses)[bins]))
+            born_jk = np.clip(born_jk, 0.0, None)
+            q_jk = (born_jk * shares).sum()
+            probs, alias = project(born_jk[bins]) if q_jk > 0 else project()
             kept = (1.0 - alias) / (1.0 - source_alias)
             # the cells' means, in the projector's buffer that the next call overwrites
             probs *= 4.0 * events * q_jk * kept
@@ -393,14 +393,14 @@ def bin_gates(
     pair_count: int,
     spacing_hz: float,
     width: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(idler rows, signal columns) index of each bin's gated cells, in
+) -> list[tuple[slice, slice]]:
+    """(idler rows, signal columns) slices of each bin's gated cells, in
     default_bin_labels order, from every bin's arrival time on ``spec``.
 
     Each gate is ``width`` wide: the signal gate is centered on the bin's
     arrival time, the idler gate on the conjugate bin n-1-i's.  A gate
     overhanging the window is truncated to it (those counts were never
-    recorded); cells are selected by their time centers in [lo, hi).
+    recorded); it is the run of time bins whose centers lie in [lo, hi).
     Raises GateError if ``width`` exceeds the smallest gap between
     adjacent bins, then MeasurementError for a gate wholly outside the window.
     """
@@ -414,7 +414,6 @@ def bin_gates(
             f"a {width:.4g} s gate is wider than the {gap:.4g} s between adjacent bins", gap
         )
     edge = spec.window / 2.0
-    t = spec.time_centers
 
     def cells(center):
         lo, hi = center - width / 2.0, center + width / 2.0
@@ -422,12 +421,12 @@ def bin_gates(
             raise MeasurementError(
                 f"gate [{lo * 1e9:.3f}, {hi * 1e9:.3f}] ns lies outside the acquisition window"
             )
-        return (t >= max(lo, -edge)) & (t < min(hi, edge))
+        return slice(*np.searchsorted(spec.time_centers, [lo, hi]).tolist())
 
     gates = []
     for signal, idler in zip(times, times[::-1]):
         columns = cells(signal)  # the signal gate is checked first
-        gates.append(np.ix_(cells(idler), columns))
+        gates.append((cells(idler), columns))
     return gates
 
 
@@ -446,16 +445,16 @@ class BinResult:
     probabilities: np.ndarray = field(repr=False)
 
 
-def _linear_estimates(gated: np.ndarray) -> tuple[float, float, float, float]:
-    """(purity, purity_std, fidelity, fidelity_std) from a bin's 16 gated
-    totals, at least two counts in all; see the module docstring."""
+def _linear_estimates(gated: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(purity, purity_std, fidelity, fidelity_std, phase) from a bin's 16
+    gated totals, at least two counts in all; see the module docstring."""
     total = gated.sum()
     q = gated / total
     p = 4.0 * q
     pur = 16.0 * (gated @ _PURITY_FORM @ gated - np.diag(_PURITY_FORM) @ gated) / (
         total * (total - 1.0)
     )
-    fid, _ = fidelity_singlet(_invert(p))
+    fid, phase = fidelity_singlet(_invert(p))
     off = _COHERENCE @ p
     # |rho_HV,VH| has no gradient at 0, where only the diagonal pair moves F
     fid_gradient = _DIAGONAL_PAIR
@@ -466,7 +465,7 @@ def _linear_estimates(gated: np.ndarray) -> tuple[float, float, float, float]:
         variance = 16.0 / total * (q @ gradient**2 - (q @ gradient) ** 2)
         return float(np.sqrt(max(variance, 0.0)))  # round-off can take a 0 below 0
 
-    return float(pur), std(2.0 * _PURITY_FORM @ p), fid, std(fid_gradient)
+    return float(pur), std(2.0 * _PURITY_FORM @ p), fid, std(fid_gradient), phase
 
 
 def analyze_tomography(
@@ -519,16 +518,15 @@ def analyze_tomography(
             found = "no gated counts in any projection" if total == 0 else "a single gated count"
             raise MeasurementError(f"bin {label}: {found}; the purity estimate needs at least 2")
         probs = 4.0 * column / total
-        state = reconstruct_state(probs)
-        pur, pur_std, fid, fid_std = _linear_estimates(column)
+        pur, pur_std, fid, fid_std, phase = _linear_estimates(column)
         results.append(BinResult(
             label=label,
-            state=state,
+            state=reconstruct_state(probs),
             purity=pur,
             purity_std=pur_std,
             fidelity=fid,
             fidelity_std=fid_std,
-            phase=fidelity_singlet(state)[1],
+            phase=phase,
             events=int(total),
             probabilities=probs,
         ))

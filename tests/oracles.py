@@ -302,6 +302,30 @@ def monte_carlo_uncertainty(
     return float(values.mean()), float(values.std(ddof=1))
 
 
+def gradient_schmidt_number_std(counts) -> float:
+    """First-order std of schmidt_number(sqrt(counts)) as half the norm of
+    its gradient, formed cell by cell: with A = sqrt(counts) scaled to
+    unit peak, N = ||A||^2, G = A^T A and F = ||G||_F^2,
+    dK/dA = (4N/F) A - (4N^2/F^2) A G, and each sqrt of a Poisson count
+    has variance close to 1/4."""
+    a = np.sqrt(np.asarray(counts, dtype=float))
+    peak = a.max()
+    a = a / peak
+    gram = a.T @ a
+    n, f = np.trace(gram), np.vdot(gram, gram)
+    gradient = (2.0 * n / f) * a - (2.0 * n * n / (f * f)) * (a @ gram)
+    return float(np.linalg.norm(gradient) / peak)
+
+
+def gate_mask(spec: SpectrometerSpec, lo: float, hi: float) -> np.ndarray:
+    """The time bins of a gate [lo, hi) (s) as a boolean mask: those whose
+    centers lie in the gate truncated to the window,
+    [max(lo, -window/2), min(hi, window/2))."""
+    edge = spec.window / 2.0
+    t = spec.time_centers
+    return (t >= max(lo, -edge)) & (t < min(hi, edge))
+
+
 def bin_spacing_from_comb(spacing: float, dispersion: DispersionMap) -> float:
     """Per-photon bin spacing in Hz implied by a mismatch comb spacing.
 

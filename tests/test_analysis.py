@@ -13,9 +13,17 @@ from qpmforge.analysis import (
     schmidt_number,
     schmidt_weights,
 )
-from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude
+from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude, build_jsi
+from qpmforge.measurement import simulate_counts
 
-from oracles import NU0, fidelity_to_maximal, monte_carlo_uncertainty, normalized, svd_weights
+from oracles import (
+    NU0,
+    fidelity_to_maximal,
+    gradient_schmidt_number_std,
+    monte_carlo_uncertainty,
+    normalized,
+    svd_weights,
+)
 
 SKETCH = analysis._SKETCH_COLUMNS  # columns of schmidt_weights' range sketch
 
@@ -161,6 +169,59 @@ class TestSchmidtNumberStd:
                 grad[idx] = (schmidt_number(up) - schmidt_number(down)) / 2e-5
             assert abs(grad[np.nonzero(c == 0)]).min() > 1e-3
             assert schmidt_number_std(c) == pytest.approx(0.5 * np.linalg.norm(grad), rel=1e-6)
+
+    def test_gram_form_equals_gradient_form(self, cfg, grid):
+        # the std from Tr G, ||G||_F^2 and Tr G^3 equals half the norm of
+        # the gradient formed cell by cell, on tall, wide and random
+        # matrices and on the seed-1 counts of the default readout
+        rng = np.random.default_rng(9)
+        intensity, center, _ = build_jsi(cfg.comb_spec(), cfg.pump_spec(),
+                                         cfg.dispersion_map(), grid)
+        readout = simulate_counts(
+            intensity, grid, cfg.spectrometer_spec(), center, cfg["spectrometer"]["events"],
+            seed=1, max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],
+        )
+        cases = {
+            "tall": rng.poisson(40.0, size=(60, 25)),
+            "wide": rng.poisson(40.0, size=(25, 60)),
+            "random": rng.poisson(rng.uniform(0.0, 50.0, size=(120, 90))),
+            "seed 1": readout.values,
+        }
+        for name, counts in cases.items():
+            assert schmidt_number_std(counts) == pytest.approx(
+                gradient_schmidt_number_std(counts), rel=1e-12, abs=0.0
+            ), name
+
+    def test_rank_one_std_is_zero_up_to_rounding(self):
+        # a rank-1 matrix is a minimum of K = 1, so its gradient vanishes.
+        # The gradient form reads that 0 to round-off.  The Gram form
+        # reads the std as 2K sqrt(b / total) through the bracket
+        # b = N Tr G^3 / F^2 - 1, exactly 0 here, which rounding leaves at
+        # a few eps: its std can read up to 2K sqrt(8 eps / total).
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for shape in ((7, 5), (5, 7), (300, 200)):
+            for scale in (1.0, 1e2, 1e6):
+                counts = scale * np.outer(rng.uniform(0.1, 1.0, shape[0]),
+                                          rng.uniform(0.1, 1.0, shape[1]))
+                k, std = counts_schmidt_number(counts)
+                assert k == pytest.approx(1.0, abs=1e-12)
+                assert gradient_schmidt_number_std(counts) <= 1e-12
+                assert std <= 2.0 * k * np.sqrt(8.0 * eps / counts.sum())
+
+    def test_holds_no_array_the_size_of_the_counts_but_its_root(self):
+        # a float copy of the integer counts, sqrt(counts), the 500^2 Gram
+        # matrix and G @ G, 2 MB each and never all four at once: no
+        # unit-peak copy, A G or gradient of the counts' size (the gradient
+        # form traced 14.0 MB)
+        counts = np.random.default_rng(13).poisson(170.0, size=(500, 500))
+        tracemalloc.start()
+        try:
+            counts_schmidt_number(counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_unit_peak_scaling(self):
         # 1e300 counts would overflow the unscaled fourth powers; the std

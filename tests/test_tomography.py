@@ -15,6 +15,7 @@ from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, bu
 from qpmforge.config import default_config
 from qpmforge.measurement import (
     MeasurementError,
+    SpectrometerSpec,
     detuning_to_time,
     load_counts,
     save_counts,
@@ -47,6 +48,7 @@ from oracles import (
     NU0,
     bin_images,
     expected_tomography,
+    gate_mask,
     project_probability,
     project_stack,
     split_bins,
@@ -419,6 +421,11 @@ def arrival_center(spec, label, arrival):
     return C_LIGHT / wavelength - bin_detuning(label, SPACING) / (2.0 * np.pi)
 
 
+def gate_cells(spec, gate):
+    """The time bins a gate's slice selects."""
+    return np.arange(spec.n_bins)[gate]
+
+
 class TestBinGates:
     def test_gate_is_centered_and_truncated(self, spectro):
         t = spectro.time_centers
@@ -427,14 +434,15 @@ class TestBinGates:
         # signal gate of the conjugate bin -1
         plus = PAIRS  # the index of label +1
         gates = bin_gates(spectro, arrival_center(spectro, 1, 0.0), PAIRS, SPACING, 1e-9)
-        rows, cols = (index.ravel() for index in gates[plus])
-        np.testing.assert_array_equal(cols, np.arange(230, 270))
-        np.testing.assert_array_equal(rows, gates[plus - 1][1].ravel())
+        rows, cols = gates[plus]
+        assert all(isinstance(gate, slice) for gate in gates[plus])
+        np.testing.assert_array_equal(gate_cells(spectro, cols), np.arange(230, 270))
+        assert rows == gates[plus - 1][1]
         # bin -4 arrives near +5.65 ns: its gate overhangs the window edge
         # and is truncated to it, never extended past it
         start = detuning_to_time(spectro, bin_detuning(-PAIRS, SPACING), NU0) - WIDTH / 2
         assert start > 0
-        cols = bin_gates(spectro, NU0, PAIRS, SPACING, WIDTH)[0][1].ravel()
+        cols = gate_cells(spectro, bin_gates(spectro, NU0, PAIRS, SPACING, WIDTH)[0][1])
         np.testing.assert_array_equal(cols, np.arange(cols[0], spectro.n_bins))
         assert t[cols[0]] >= start > t[cols[0] - 1]
 
@@ -449,7 +457,46 @@ class TestBinGates:
         # it holds; one pair keeps both bins' 25 ps gates inside the window
         for arrival, cell in ((22.5e-12, 250), (2.5e-12, 250), (47.5e-12, 251)):
             gates = bin_gates(spectro, arrival_center(spectro, 1, arrival), 1, SPACING, 25e-12)
-            assert gates[1][1].ravel().tolist() == [cell]
+            assert gate_cells(spectro, gates[1][1]).tolist() == [cell]
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        bins=st.integers(8, 600),
+        dispersion=st.floats(2.0, 40.0),
+        pairs=st.integers(1, 4),
+        spacing=st.floats(100e9, 600e9),
+        cover=st.floats(0.3, 1.5),
+        middle=st.floats(-0.6, 0.6),
+        fill=st.floats(0.01, 1.0),
+    )
+    def test_slices_select_the_cells_of_the_mask(
+        self, bins, dispersion, pairs, spacing, cover, middle, fill
+    ):
+        # each gate's slices take exactly the time bins whose centers lie
+        # in [lo, hi) truncated to the window, the oracle's mask, for gates
+        # inside the window and overhanging either edge; a gate wholly
+        # outside it is refused.  The bins' arrivals span ``cover``
+        # windows, the band center arrives ``middle`` windows from the
+        # window's center, and each gate fills ``fill`` of the smallest
+        # gap between bins.
+        detunings = [bin_detuning(label, spacing) for label in default_bin_labels(pairs)]
+        spec = SpectrometerSpec(dispersion_ps_per_nm_km=dispersion, jitter_fwhm=0.0)
+        times = detuning_to_time(spec, detunings, C_LIGHT / spec.reference_wavelength)
+        time_bin = float(np.ptp(times) + np.abs(np.diff(times)).min()) / (cover * bins)
+        spec = dataclasses.replace(spec, time_bin=time_bin, window=bins * time_bin)
+        center = C_LIGHT / (spec.reference_wavelength + middle * spec.window / spec.time_rate)
+        times = detuning_to_time(spec, detunings, center)
+        width = fill * float(np.abs(np.diff(times)).min())
+        edge = spec.window / 2.0
+        if any(t + width / 2.0 <= -edge or t - width / 2.0 >= edge for t in times):
+            with pytest.raises(MeasurementError, match="outside the acquisition"):
+                bin_gates(spec, center, pairs, spacing, width)
+            return
+        gates = bin_gates(spec, center, pairs, spacing, width)
+        for (rows, cols), signal, idler in zip(gates, times, times[::-1], strict=True):
+            for gate, arrival in ((rows, idler), (cols, signal)):
+                mask = gate_mask(spec, arrival - width / 2.0, arrival + width / 2.0)
+                np.testing.assert_array_equal(gate_cells(spec, gate), np.flatnonzero(mask))
 
     def test_gate_wider_than_the_bin_gap_raises(self, sim, spectro):
         # adjacent bins arrive 1.590 ns apart on the default calibration, so
@@ -631,9 +678,8 @@ class TestSharedProjection:
         grid = small_jsa.grid
         diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
         weights = grid.toeplitz(diagonals)
-        assert not weights.flags.writeable
         project = measurement.spectrum_projector(small_jsa.intensity, grid, spectro, NU0)
-        got, got_alias = project(weights)
+        got, got_alias = project(diagonals)
         want, want_alias = measurement.spectrum_projector(
             small_jsa.intensity * weights, grid, spectro, NU0
         )()
@@ -650,10 +696,15 @@ class TestSharedProjection:
         mass_rounding = np.abs(masses - exact).sum() / exact
         bound = (1.0 - want_alias) * mass_rounding + 4 * np.finfo(float).eps
         assert abs(got_alias - want_alias) <= bound
+        # one weight per diagonal: a negative entry, a vector of another
+        # length and an (n, n) weight map are refused
+        negative = diagonals.copy()
+        negative[100] = -1e-300
         with pytest.raises(ValueError, match="weights must be nonnegative"):
-            project(-weights)
-        with pytest.raises(ValueError, match="weights shape"):
-            project(weights[1:])
+            project(negative)
+        for shape in (diagonals[1:], np.append(diagonals, 1.0), np.array(weights)):
+            with pytest.raises(ValueError, match=f"expected {diagonals.size} diagonal values"):
+                project(shape)
         with pytest.raises(ValueError, match="intensity must be nonnegative"):
             measurement.spectrum_projector(-small_jsa.intensity, grid, spectro, NU0)
         with pytest.raises(ValueError, match="intensity shape"):
@@ -685,8 +736,8 @@ class TestSharedProjection:
             diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
             for inten in spectra:
                 project = measurement.spectrum_projector(inten, grid, spec, NU0)
-                for weights in (None, grid.toeplitz(diagonals)):
-                    product = inten if weights is None else inten * weights
+                for weights in (None, diagonals):
+                    product = inten if weights is None else inten * grid.toeplitz(weights)
                     dense = transfer @ product @ transfer.T / product.sum()
                     probs, alias = project(weights)
                     image = probs * (1.0 - alias)
@@ -808,7 +859,7 @@ class TestLinearEstimates:
         n16 = np.random.default_rng(4).poisson(frame_counts(rho, 1e6) / 4.0).astype(float)
         total = n16.sum()
         q = n16 / total
-        pur, pur_std, fid, fid_std = _linear_estimates(n16)
+        pur, pur_std, fid, fid_std, _ = _linear_estimates(n16)
         cov = 16.0 / total * (np.diag(q) - np.outer(q, q))
         step = 1e-6
         grads = np.array([
@@ -832,10 +883,19 @@ class TestLinearEstimates:
         n16[[4, 8]] = 500.0
         assert tomography._COHERENCE @ (4.0 * n16 / n16.sum()) == 0.0
         diagonal = 0.5 * (_FRAME_INV[5] + _FRAME_INV[10]).real
-        _, _, fid, fid_std = _linear_estimates(n16)
+        _, _, fid, fid_std, _ = _linear_estimates(n16)
         assert fid == pytest.approx(diagonal @ (4.0 * n16 / 1000.0), abs=1e-15)
         want = np.sqrt(16.0 / 1000.0 * 0.25) * abs(diagonal[4] - diagonal[8])
         assert fid_std == pytest.approx(want)
+
+    def test_phase_maximises_the_reported_fidelity(self, sim):
+        # the fidelity and its phase are read off one linear inversion of
+        # the bin's probabilities, not the phase of the clipped state: on
+        # this noisy bundle clipping moves some bins' states
+        results = analyze_tomography(sim.items(), PAIRS, SPACING, WIDTH)
+        assert any(r.state.clipped_weight > 0 for r in results)
+        for r in results:
+            assert (r.fidelity, r.phase) == fidelity_singlet(_invert(r.probabilities))
 
     def test_error_bars_cover_truth(self, small_images, spectro, random_phases):
         # 3-sigma closed-form bars on (purity, fidelity) cover the
@@ -851,7 +911,7 @@ class TestLinearEstimates:
             covered = 0
             for _ in range(100):
                 n16 = rng.multinomial(10_000_000, p16 / 4.0).astype(float)
-                pur, pur_std, fid, fid_std = _linear_estimates(n16)
+                pur, pur_std, fid, fid_std, _ = _linear_estimates(n16)
                 within = np.abs([pur, fid] - truth) <= 3 * np.array([pur_std, fid_std])
                 covered += bool(within.all())
             assert covered >= 99, drift
