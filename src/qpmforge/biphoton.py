@@ -19,14 +19,18 @@ Conventions used throughout:
 * An amplitude carries its band center center_frequency_hz, the
   degenerate frequency (Hz) the detunings are measured from; the JSA and
   JSI files record it as nu0_hz.
-* A phase-blind readout needs only |JSA|^2: build_jsi makes it as the
-  product of |phasematching|^2 and pump^2, without building the amplitude.
+* A phase-blind readout needs only |JSA|^2, and never as an array:
+  build_jsi returns it as its two factors, |phasematching|^2 on the
+  diagonals and pump^2 on the antidiagonals (JointSpectralIntensity),
+  without building the amplitude.  Its masses per diagonal, its total
+  and its edge rows and columns are sums over those factors, so no
+  (n, n) intensity is formed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +43,7 @@ __all__ = [
     "DispersionMap",
     "FrequencyGrid",
     "JointSpectralAmplitude",
+    "JointSpectralIntensity",
     "pump_envelope",
     "build_jsa",
     "build_jsi",
@@ -192,6 +197,72 @@ class JointSpectralAmplitude:
         return np.abs(self.values) ** 2
 
 
+@dataclass(frozen=True)
+class JointSpectralIntensity:
+    """A joint intensity on ``grid`` as its two nonnegative factors: cell
+    [idler r, signal c] is diagonals[c - r + n - 1] * antidiagonals[r + c],
+    so grid.toeplitz(diagonals) * grid.hankel(antidiagonals) is the (n, n)
+    array that this object replaces.  ``diagonals`` is indexed like
+    grid.differences and ``antidiagonals`` by nu_s + nu_i, both
+    (2n - 1)-vectors, kept as read-only copies; ``center_frequency_hz``
+    is the band center the detunings are measured from.
+    """
+
+    grid: FrequencyGrid
+    diagonals: np.ndarray
+    antidiagonals: np.ndarray
+    center_frequency_hz: float  # Hz
+
+    def __post_init__(self) -> None:
+        for name, view in (("diagonals", self.grid.toeplitz), ("antidiagonals", self.grid.hankel)):
+            values = np.array(getattr(self, name), dtype=float)
+            view(values)  # refuses any shape but (2n - 1,)
+            if np.any(values < 0):
+                raise ValueError("intensity must be nonnegative")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def diagonal_masses(self) -> np.ndarray:
+        """The (2n - 1)-vector of the intensity summed over each diagonal:
+        entry d is diagonals[d] times the sum of antidiagonals[|k| : 2n - 1
+        - |k| : 2], k = d - (n - 1) the diagonal's column-row difference.
+        Those sums are taken from the grid's center outwards, each the
+        last plus the pair of values that lengthens its diagonal, so every
+        step adds nonnegative terms and a short corner diagonal keeps its
+        few values' precision."""
+        n = self.grid.nu.size
+        anti = self.antidiagonals
+        # pairs[m] = anti[m] + anti[2n - 2 - m], the center m = n - 1 once
+        pairs = anti[:n] + anti[n - 1:][::-1]
+        pairs[n - 1] = anti[n - 1]
+        # lengthened[m]: the sum over pairs[m], pairs[m + 2], ... up to the center
+        lengthened = np.empty(n)
+        lengthened[n - 1::-2] = np.cumsum(pairs[n - 1::-2])
+        lengthened[n - 2::-2] = np.cumsum(pairs[n - 2::-2])
+        return self.diagonals * np.concatenate([lengthened[:0:-1], lengthened])
+
+    @property
+    def total(self) -> float:
+        """The intensity summed over the grid: its diagonal masses' sum."""
+        return float(self.diagonal_masses().sum())
+
+    @property
+    def edge_mass_fraction(self) -> float:
+        """The share of the intensity in the two outermost rows and
+        columns, each edge cell once, summed row by row and column by
+        column; NaN for a spectrum that carries no intensity."""
+        n = self.grid.nu.size
+        d, a = self.diagonals, self.antidiagonals
+        edges = sorted({0, 1, n - 2, n - 1})
+        # row r is d[n - 1 - r : 2n - 1 - r] * a[r : r + n]
+        edge = sum(float(d[n - 1 - r:2 * n - 1 - r] @ a[r:r + n]) for r in edges)
+        # column c is d[c : c + n][::-1] * a[c : c + n]; the rows between
+        # the edge rows, which exist from five points on
+        edge += sum(float(d[c + 2:c + n - 2][::-1] @ a[c + 2:c + n - 2]) for c in edges)
+        total = self.total
+        return edge / total if total > 0 else float("nan")
+
+
 def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     """Gaussian pump amplitude at a given sum detuning (rad/s)."""
     nu = np.asarray(nu_sum, dtype=float)
@@ -213,33 +284,25 @@ def _factors(source, pump: PumpSpec, dispersion: DispersionMap, grid: FrequencyG
     return phasematching, pump_envelope(pump, grid.nu[0] + grid.nu[-1] + differences)
 
 
-def _normalization(inten: np.ndarray, grid: FrequencyGrid) -> tuple[float, float]:
-    """(scale, edge_mass_fraction) of an unnormalised joint intensity: the
-    amplitude's L2 norm with the grid measure and the share of the
-    intensity in the two outermost rows and columns.  Warns when that
-    share exceeds _EDGE_MASS_WARN, a sign the grid is clipping the state,
-    on behalf of the builder's caller.  An intensity that is zero on every
-    grid point, such as one that underflows between comb teeth the grid
-    steps over, is a numeric failure: FloatingPointError."""
-    total = inten.sum()
+def _normalization(total: float, edge_fraction: float, grid: FrequencyGrid) -> float:
+    """The amplitude's L2 norm with the grid measure, from the joint
+    intensity's unnormalised ``total``.  Warns when ``edge_fraction``, its
+    share in the two outermost rows and columns, exceeds _EDGE_MASS_WARN,
+    a sign the grid is clipping the state, on behalf of the caller of
+    build_jsa or build_jsi.  An intensity that is zero on every grid point, such as one
+    that underflows between comb teeth the grid steps over, is a numeric
+    failure: FloatingPointError."""
     if total <= 0:
         raise FloatingPointError(
             "cannot normalise a zero amplitude: the joint intensity is 0 on every grid point"
         )
-    # every edge cell once: rows 0-1, the last two rows after them, and
-    # the outer two columns of the rows between
-    edge = (
-        inten[:2].sum() + inten[max(2, len(inten) - 2):].sum()
-        + inten[2:-2, :2].sum() + inten[2:-2, -2:].sum()
-    )
-    edge_fraction = float(edge / total)
     if edge_fraction > _EDGE_MASS_WARN:
         warnings.warn(
             f"{edge_fraction:.2%} of the joint intensity sits at the grid edge; "
             "the frequency span is probably too small",
             stacklevel=3,
         )
-    return float(np.sqrt(float(total * grid.d_nu * grid.d_nu))), edge_fraction
+    return float(np.sqrt(float(total * grid.d_nu * grid.d_nu)))
 
 
 def _band_center(pump: PumpSpec) -> float:
@@ -259,15 +322,20 @@ def build_jsa(
     ``source`` is the analytic comb target (CombSpec) or a concrete poled
     crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
     intensity sits in the two outermost rows or columns, a sign the grid
-    is clipping the state.  Both factors are (2n - 1)-vectors, the
+    is clipping the state; that share is read off the factors, as
+    build_jsi reads it.  Both factors are (2n - 1)-vectors, the
     phasematching spread over the grid's diagonals and the pump over its
     antidiagonals, so their product is the only (n, n) array kept.
     """
     phasematching, envelope = _factors(source, pump, dispersion, grid)
+    center = _band_center(pump)
     values = np.empty(grid.shape, dtype=complex)
     np.multiply(grid.toeplitz(phasematching), grid.hankel(envelope), out=values)
-    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=_band_center(pump))
-    scale, edge_fraction = _normalization(jsa.intensity, grid)
+    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=center)
+    edge_fraction = JointSpectralIntensity(
+        grid, np.abs(phasematching) ** 2, envelope**2, center
+    ).edge_mass_fraction
+    scale = _normalization(jsa.intensity.sum(), edge_fraction, grid)
     jsa.metadata["edge_mass_fraction"] = edge_fraction
     jsa.values /= scale
     return jsa
@@ -278,22 +346,21 @@ def build_jsi(
     pump: PumpSpec,
     dispersion: DispersionMap,
     grid: FrequencyGrid,
-) -> tuple[np.ndarray, float, float]:
-    """The normalised joint intensity |JSA|^2 of build_jsa, without the
-    amplitude: (intensity, center_frequency_hz, edge_mass_fraction).
+) -> JointSpectralIntensity:
+    """The normalised joint intensity |JSA|^2 of build_jsa, as its factors
+    and without the amplitude.
 
-    A phase-blind readout needs only this.  It is the product of the two
-    factors' squared magnitudes, |phasematching|^2 on the diagonals and
-    pump^2 on the antidiagonals, divided by the squared norm, so it
-    agrees with ``build_jsa(...).intensity`` to a few ulp per cell and is
-    the only (n, n) array built; the edge check warns as build_jsa does.
+    A phase-blind readout needs only this.  Its diagonals are
+    |phasematching|^2 divided by the squared norm and its antidiagonals
+    pump^2, so the product of the two views agrees with
+    ``build_jsa(...).intensity`` to a few ulp per cell; the norm and the
+    edge check are sums over the factors, and no (n, n) array is built.
+    The edge check warns as build_jsa does.
     """
     phasematching, envelope = _factors(source, pump, dispersion, grid)
-    inten = np.empty(grid.shape)
-    np.multiply(grid.toeplitz(np.abs(phasematching) ** 2), grid.hankel(envelope**2), out=inten)
-    scale, edge_fraction = _normalization(inten, grid)
-    inten /= scale * scale
-    return inten, _band_center(pump), edge_fraction
+    raw = JointSpectralIntensity(grid, np.abs(phasematching) ** 2, envelope**2, _band_center(pump))
+    scale = _normalization(raw.total, raw.edge_mass_fraction, grid)
+    return replace(raw, diagonals=raw.diagonals / (scale * scale))
 
 
 _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}

@@ -169,16 +169,18 @@ def cmd_heralded(cfg: RunConfig, out_dir: str) -> None:
     _cmd_hom(cfg, out_dir, "heralded")
 
 
+def _readout_jsi(cfg: RunConfig):
+    """The source's joint intensity as the readout stages take it: the
+    readout is phase-blind, so it needs |JSA|^2 in its two factors, never
+    the amplitude nor an (n, n) array."""
+    return build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
+
+
 def cmd_tofs_sim(cfg: RunConfig, out_dir: str) -> None:
-    grid = cfg.frequency_grid()
-    # the readout is phase-blind: it needs |JSA|^2, never the amplitude
-    intensity, center, _ = build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), grid)
     spectro = cfg["spectrometer"]
     counts = simulate_counts(
-        intensity,
-        grid,
+        _readout_jsi(cfg),
         cfg.spectrometer_spec(),
-        center,
         int(spectro["events"]),
         seed=cfg["run"]["seed"],
         max_alias_fraction=spectro["max_alias_fraction"],
@@ -209,16 +211,12 @@ def cmd_tofs_analyze(cfg: RunConfig, out_dir: str) -> None:
 
 def cmd_tomo_sim(cfg: RunConfig, out_dir: str) -> None:
     spacing = _require_bin_spacing(cfg)
-    grid = cfg.frequency_grid()
-    # as in tofs-sim, the readout needs |JSA|^2 only
-    intensity, center, _ = build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), grid)
+    intensity = _readout_jsi(cfg)
     n = 2 * cfg["crystal"]["pair_count"]
     projections = simulate_tomography(
         HyperState(cfg.bin_values("phases_rad", n), cfg.bin_values("drift_rad", n)),
         intensity,
-        grid,
         cfg.spectrometer_spec(),
-        center,
         spacing_hz=spacing,
         events=cfg["tomography"]["events_per_projection"],
         seed=cfg["run"]["seed"],

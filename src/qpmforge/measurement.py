@@ -28,9 +28,9 @@ load_counts rebuilds it; tomography.bin_gates cuts every bin's gates on
 the spec's own time grid.  A simulated tomography projection also
 carries, and its file records, the bin layout it was drawn with.
 
-spectrum_projector is the one projection: it checks one joint spectrum
+spectrum_projector is the one projection: it reads one joint spectrum
 once and then projects it as often as asked, optionally times one weight
-per diagonal of the grid, read through a Toeplitz view and multiplied in
+per diagonal of the grid, multiplied into the spectrum's diagonal factor
 block by block.  simulate_counts draws from one unweighted
 call of it, tomography.simulate_tomography from one weighted call per
 SIC setting.  Each projection returns the detection probabilities,
@@ -40,9 +40,12 @@ scales an image to unit sum or computes an alias fraction, and the draws
 take the probabilities as they are: simulate_counts draws multinomially
 from them, and simulate_tomography multiplies them in the buffer by
 each setting's mean event count and draws a Poisson variate per cell.
-It keeps only the transfer's band, and the readout stages hand it
-|JSA|^2 alone (biphoton.build_jsi), since a time-of-flight readout is
-phase-blind.
+It keeps only the transfer's band.  A time-of-flight readout is
+phase-blind, so the readout stages hand it |JSA|^2 alone, and never as
+an array: biphoton.build_jsi's JointSpectralIntensity holds the two
+(2n - 1)-vector factors, and the projector forms each block's rows of
+the spectrum from their views, so the readout never forms the
+intensity.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artefact import read_table, write_table
-from .biphoton import C_LIGHT, FrequencyGrid
+from .biphoton import C_LIGHT, JointSpectralIntensity
 
 __all__ = [
     "MeasurementError",
@@ -208,28 +211,24 @@ def build_transfer(
     return _box_blur_integral(spec.time_edges, a, b, spec.jitter_sigma)
 
 
-def spectrum_projector(
-    intensity: np.ndarray,
-    grid: FrequencyGrid,
-    spec: SpectrometerSpec,
-    center_frequency_hz: float,
-):
-    """The spectrometer's map of one joint spectrum on ``grid``, as a function.
+def spectrum_projector(intensity: JointSpectralIntensity, spec: SpectrometerSpec):
+    """The spectrometer's map of one joint spectrum, as a function.
 
-    Checks the (n_idler, n_signal) spectrum ``intensity`` once and returns
-    ``project(weights=None) -> (probabilities, alias_fraction)``.  It maps
-    the spectrum, each diagonal times its nonnegative entry of the
-    (2n - 1)-vector ``weights`` (indexed like grid.differences) when
-    given, onto the time grid, rows the idler detector and columns the
-    signal detector: image = T (I w) T^T / mass for the transfer matrix T
-    that both detectors share and w = grid.toeplitz(weights), so that
+    Reads the factored spectrum ``intensity`` (its grid and band center
+    included) once and returns ``project(weights=None) ->
+    (probabilities, alias_fraction)``.  It maps the spectrum, each
+    diagonal times its nonnegative entry of the (2n - 1)-vector
+    ``weights`` (indexed like grid.differences) when given, onto the time
+    grid, rows the idler detector and columns the signal detector: image
+    = T (I w) T^T / mass for the transfer matrix T that both detectors
+    share, I the intensity and w = grid.toeplitz(weights), so that
     image.sum() is the share of the spectrum inside the window.
-    ``probabilities`` is that image scaled to
-    unit sum, the detection probabilities conditioned on landing in the
-    window, and ``alias_fraction`` the share outside it, 1 - image.sum().
-    Raises MeasurementError when the spectrum carries no intensity or none
-    of it lands in the window.  This is the one place that scales an image
-    to unit sum or computes an alias fraction.  ``probabilities`` is the
+    ``probabilities`` is that image scaled to unit sum, the detection
+    probabilities conditioned on landing in the window, and
+    ``alias_fraction`` the share outside it, 1 - image.sum().  Raises
+    MeasurementError when the spectrum carries no intensity or none of it
+    lands in the window.  This is the one place that scales an image to
+    unit sum or computes an alias fraction.  ``probabilities`` is the
     projector's one n x n buffer, which the next call overwrites: every
     call rewrites the same blocks and the cells outside them stay zero,
     so a caller may rescale the buffer in place between calls.
@@ -239,35 +238,37 @@ def spectrum_projector(
     columns that reaches it and a copy of T on those rows and columns.
     The image is formed one block of rows at a time: an idler block's
     transfer times its rows of the spectrum, over only the signal columns
-    that some block reaches and with w multiplied in there, then that
-    product times each signal block's transfer.  Neither the dense T nor
-    a full-size product is held, and w is a read-only view.
+    that some block reaches, then that product times each signal block's
+    transfer.  Those rows are the block's cells of the diagonal factor's
+    toeplitz view, with w multiplied into that factor, times the same
+    cells of the pump's hankel view; the mass is the sum of
+    intensity.diagonal_masses(), each times its weight when given.
+    Neither the intensity, the dense T nor a full-size product is held.
     """
-    inten = np.asarray(intensity, dtype=float)
-    if inten.shape != grid.shape:
-        raise ValueError(f"intensity shape {inten.shape} does not match grid {grid.shape}")
-    # min makes no full-size temporary and, like any(inten < 0), lets NaN through
-    if inten.min() < 0:
-        raise ValueError("intensity must be nonnegative")
-    total = inten.sum()
-    blocks = _transfer_blocks(build_transfer(spec, grid.nu, center_frequency_hz))
+    grid = intensity.grid
+    masses = intensity.diagonal_masses()
+    total = masses.sum()
+    blocks = _transfer_blocks(build_transfer(spec, grid.nu, intensity.center_frequency_hz))
     # the signal columns that some block reaches
     lo = min((cols.start for _, cols, _ in blocks), default=0)
     span = slice(lo, max((cols.stop for _, cols, _ in blocks), default=0))
+    pump = grid.hankel(intensity.antidiagonals)
     # every call writes the same blocks, so the cells outside them stay zero
     image = np.zeros((spec.n_bins, spec.n_bins))
 
     def project(weights=None) -> tuple[np.ndarray, float]:
-        if weights is not None:
-            view = grid.toeplitz(weights)  # refuses any shape but (2n - 1,)
+        if weights is None:
+            diagonals, mass = intensity.diagonals, total
+        else:
+            grid.toeplitz(weights)  # refuses any shape but (2n - 1,)
             if np.min(weights) < 0:
                 raise ValueError("weights must be nonnegative")
-        mass = total if weights is None else np.einsum("ij,ij->", inten, view)
+            diagonals, mass = intensity.diagonals * weights, masses @ weights
         if mass <= 0:
             raise MeasurementError("joint spectrum carries no intensity")
+        diagonal = grid.toeplitz(diagonals)
         for rows, cols, block in blocks:
-            part = inten[cols, span]
-            part = block @ (part if weights is None else part * view[cols, span])
+            part = block @ (diagonal[cols, span] * pump[cols, span])
             for rows_s, cols_s, block_s in blocks:
                 image[rows, rows_s] = part[:, cols_s.start - lo:cols_s.stop - lo] @ block_s.T
         np.divide(image, mass, out=image)
@@ -333,17 +334,15 @@ class CountMatrix:
 
 
 def simulate_counts(
-    intensity: np.ndarray,
-    grid: FrequencyGrid,
+    intensity: JointSpectralIntensity,
     spec: SpectrometerSpec,
-    center_frequency_hz: float,
     total_events: int,
     seed: int,
     max_alias_fraction: float,
 ) -> CountMatrix:
     """Poissonian acquisition of the joint spectrum ``intensity`` (|JSA|^2
-    on ``grid``, its detunings measured from the band center
-    center_frequency_hz), projected once by spectrum_projector.
+    as biphoton.build_jsi factors it, its detunings measured from its
+    band center), projected once by spectrum_projector.
 
     Draws the detected events multinomially over the time-grid cells, so
     the matrix total equals the event count exactly.  Raises
@@ -353,13 +352,13 @@ def simulate_counts(
     """
     if total_events < 0:
         raise ValueError("total_events must be >= 0")
-    probs, alias = spectrum_projector(intensity, grid, spec, center_frequency_hz)()
+    probs, alias = spectrum_projector(intensity, spec)()
     _check_alias(alias, spec, max_alias_fraction)
     draws = np.random.default_rng(seed).multinomial(int(total_events), probs.ravel())
     return CountMatrix(
         values=draws.reshape(probs.shape),
         spec=spec,
-        center_frequency_hz=center_frequency_hz,
+        center_frequency_hz=intensity.center_frequency_hz,
         metadata={"seed": seed, "requested_events": int(total_events), "alias_fraction": alias},
     )
 

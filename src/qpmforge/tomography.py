@@ -9,12 +9,13 @@ matrix per bin.  The bins are the 2 * pair_count of default_bin_labels.
 A grid cell belongs to the bin whose difference-frequency center is
 nearest its nu_s - nu_i, which on the shared axis is fixed by the
 column-row difference, so each bin is a band of whole diagonals and the
-bin map is one (2n - 1)-vector.  The forward model never splits the
-spectrum into bins: simulate_tomography sums each bin's mass in one
-pass over the source, takes the bins' shares of it as their emission
-weights, weights each diagonal of the source by its bin's Born
-probability for the SIC setting, and projects that one spectrum just
-before it draws the setting.  The projector returns each draw's
+bin map is one (2n - 1)-vector.  The source arrives as the two factors
+of biphoton.build_jsi, so the readout never forms the intensity, and
+the forward model never splits it into bins: simulate_tomography bins
+the source's masses per diagonal into each bin's mass, takes the bins'
+shares of it as their emission weights, weights each diagonal of the
+source by its bin's Born probability for the SIC setting, and projects
+that one spectrum just before it draws the setting.  The projector returns each draw's
 probabilities and alias fraction, so no code here normalises an image
 or computes an alias fraction; the draw multiplies the probabilities,
 in the projector's buffer, by the setting's mean event count.
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biphoton import FrequencyGrid
+from .biphoton import JointSpectralIntensity
 from .measurement import (
     CountMatrix,
     MeasurementError,
@@ -280,12 +281,12 @@ class HyperState:
 
 
 def _bin_masses(
-    intensity: np.ndarray, grid: FrequencyGrid, spacing_hz: float, pair_count: int
+    intensity: JointSpectralIntensity, spacing_hz: float, pair_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bins, masses): the bin index, in default_bin_labels order, of each
-    of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``,
-    a spectrum that spectrum_projector has checked: the intensity's
-    diagonal sums (grid.diagonal_sums), binned by one bincount.
+    of the grid's 2n - 1 diagonals, and each bin's summed ``intensity``:
+    its masses per diagonal (intensity.diagonal_masses), binned by one
+    bincount.
 
     A diagonal goes wholly to the bin pair whose difference-frequency
     center is nearest its nu_s - nu_i.  Raises MeasurementError for a bin
@@ -293,8 +294,8 @@ def _bin_masses(
     """
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
-    bins = np.digitize(grid.differences, 0.5 * (centers[1:] + centers[:-1]))
-    masses = np.bincount(bins, weights=grid.diagonal_sums(intensity), minlength=labels.size)
+    bins = np.digitize(intensity.grid.differences, 0.5 * (centers[1:] + centers[:-1]))
+    masses = np.bincount(bins, weights=intensity.diagonal_masses(), minlength=labels.size)
     for label, mass in zip(labels, masses):
         if mass <= 0:
             raise MeasurementError(f"bin {label:+d} of the joint spectrum carries no intensity")
@@ -309,10 +310,8 @@ def _born_table(hyper: HyperState) -> np.ndarray:
 
 def simulate_tomography(
     hyper: HyperState,
-    intensity: np.ndarray,
-    grid: FrequencyGrid,
+    intensity: JointSpectralIntensity,
     spec: SpectrometerSpec,
-    center_frequency_hz: float,
     spacing_hz: float,
     events: float,
     seed: int,
@@ -320,8 +319,8 @@ def simulate_tomography(
 ) -> Iterator[tuple[tuple[int, int], CountMatrix]]:
     """Forward-simulate the 16 SIC projection acquisitions.
 
-    ``intensity`` is the source's joint spectrum |JSA|^2 on ``grid``
-    around the band center center_frequency_hz, split into the
+    ``intensity`` is the source's joint spectrum |JSA|^2 as
+    biphoton.build_jsi factors it, around its band center, split into the
     hyper.n_bins bins of _bin_masses at ``spacing_hz``; bin i's share
     weight_i of the spectrum's mass is its emission weight.  For setting
     (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
@@ -349,10 +348,10 @@ def simulate_tomography(
     if events < 0:
         raise ValueError("events must be >= 0")
     pair_count = hyper.n_bins // 2
-    project = spectrum_projector(intensity, grid, spec, center_frequency_hz)
+    project = spectrum_projector(intensity, spec)
     source_alias = project()[1]
     _check_alias(source_alias, spec, max_alias_fraction)
-    bins, masses = _bin_masses(intensity, grid, spacing_hz, pair_count)
+    bins, masses = _bin_masses(intensity, spacing_hz, pair_count)
     layout = {"bin_spacing_hz": float(spacing_hz), "pair_count": pair_count}
     shares = masses / masses.sum()
     born = _born_table(hyper)
@@ -370,7 +369,7 @@ def simulate_tomography(
             counts = CountMatrix(
                 values=np.random.default_rng([int(seed), j, k]).poisson(probs),
                 spec=spec,
-                center_frequency_hz=center_frequency_hz,
+                center_frequency_hz=intensity.center_frequency_hz,
                 metadata={"alias_fraction": alias, "born_flux": float(q_jk), **layout},
             )
             yield (j, k), counts

@@ -15,12 +15,13 @@ from qpmforge.biphoton import (
     DispersionMap,
     FrequencyGrid,
     JointSpectralAmplitude,
+    JointSpectralIntensity,
     pump_envelope,
 )
 from qpmforge.config import default_config
 from qpmforge.crystal import CombSpec, pmf_of_domains, target_pmf
 from qpmforge.interference import HomCurve
-from qpmforge.measurement import SpectrometerSpec, spectrum_projector
+from qpmforge.measurement import MeasurementError, SpectrometerSpec, build_transfer
 from qpmforge.tomography import (
     HyperState,
     _born_table,
@@ -97,21 +98,50 @@ def split_bins(
     return labels, parts, weights
 
 
-def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
-                  center_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each spectrum of a (..., n, n) stack through its own spectrum_projector.
+def dense(intensity: JointSpectralIntensity) -> np.ndarray:
+    """The (n, n) joint intensity of a factored one: the product of its
+    diagonal factor's toeplitz view and its pump's hankel view, cell by
+    cell."""
+    grid = intensity.grid
+    return grid.toeplitz(intensity.diagonals) * grid.hankel(intensity.antidiagonals)
 
-    Returns (probabilities, alias): probabilities[...] the spectrum's time
-    grid image scaled to unit sum and alias[...] the share of it outside
-    the window.
+
+def edge_fraction(intensity: np.ndarray) -> float:
+    """The share of an (n, n) intensity in its two outermost rows and
+    columns, by masking a copy of the array: every edge cell once."""
+    inten = np.asarray(intensity, dtype=float)
+    edge = np.zeros(inten.shape, dtype=bool)
+    edge[:2] = edge[-2:] = edge[:, :2] = edge[:, -2:] = True
+    return float(inten[edge].sum() / inten.sum())
+
+
+def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
+                  center_frequency_hz: float, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each (n, n) spectrum of a (..., n, n) stack by the dense map of the
+    spectrometer: image = T (I w) T^T / mass, with T build_transfer's
+    whole matrix, w = grid.toeplitz(weights) (ones when None) and mass
+    the sum of I w, clipped at zero.
+
+    Returns (probabilities, alias): probabilities[...] that image scaled
+    to unit sum and alias[...] 1 - its sum, the share of the spectrum
+    outside the window.  Raises MeasurementError for a spectrum with no
+    intensity or none inside the window.
     """
     inten = np.asarray(intensities, dtype=float)
+    if weights is not None:
+        inten = inten * grid.toeplitz(weights)
+    transfer = build_transfer(spec, grid.nu, center_frequency_hz)
     probs = np.empty(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
     alias = np.empty(inten.shape[:-2])
     for index in np.ndindex(inten.shape[:-2]):
-        probs[index], alias[index] = spectrum_projector(
-            inten[index], grid, spec, center_frequency_hz
-        )()
+        mass = inten[index].sum()
+        if mass <= 0:
+            raise MeasurementError("joint spectrum carries no intensity")
+        image = np.clip(transfer @ inten[index] @ transfer.T / mass, 0.0, None)
+        kept = image.sum()
+        if kept <= 0:
+            raise MeasurementError("entire joint spectrum maps outside the time window")
+        probs[index], alias[index] = image / kept, max(1.0 - kept, 0.0)
     return probs, alias
 
 

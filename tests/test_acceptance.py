@@ -54,12 +54,9 @@ ALIAS = DEVICE["spectrometer"]["max_alias_fraction"]
 BIN_SPACING_HZ = 500e9
 
 
-def simulate(jsa, spec, events, seed):
-    """simulate_counts of an amplitude's intensity around its band center."""
-    return simulate_counts(
-        jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, events,
-        seed=seed, max_alias_fraction=ALIAS,
-    )
+def simulate(jsi, spec, events, seed):
+    """simulate_counts of a factored intensity."""
+    return simulate_counts(jsi, spec, events, seed=seed, max_alias_fraction=ALIAS)
 
 
 # --- 1: design metrics of the ideal comb ------------------------------
@@ -217,12 +214,10 @@ def test_tofs_calibration_constants(spectro):
     reason="multinomial sampling noise across the roughly 51k time cells "
     "that 1e7 events occupy floors the total variation near 0.0206",
 )
-def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
+def test_tofs_roundtrip_total_variation(comb_jsi, spectro):
     n_events = 10_000_000
-    probs, _ = spectrum_projector(
-        comb_jsa.intensity, comb_jsa.grid, spectro, comb_jsa.center_frequency_hz
-    )()
-    counts = simulate(comb_jsa, spectro, n_events, seed=7)
+    probs, _ = spectrum_projector(comb_jsi, spectro)()
+    counts = simulate(comb_jsi, spectro, n_events, seed=7)
     tv = 0.5 * np.abs(counts.values / counts.total - probs).sum()
     assert tv <= 0.02
 
@@ -234,8 +229,8 @@ def test_tofs_roundtrip_total_variation(comb_jsa, spectro):
     "Schmidt number near 8.14 at 4.3e7 events; deterministic blur and "
     "50 ps jitter remove only about 0.02",
 )
-def test_tofs_reconstructed_schmidt_number(comb_jsa, spectro):
-    counts = simulate(comb_jsa, spectro, 43_000_000, seed=11)
+def test_tofs_reconstructed_schmidt_number(comb_jsi, spectro):
+    counts = simulate(comb_jsi, spectro, 43_000_000, seed=11)
     k = schmidt_number(np.sqrt(counts.values))
     assert 6.8 <= k <= 8.1
 
@@ -254,12 +249,12 @@ SPEC200 = SpectrometerSpec(
 
 
 @pytest.mark.criterion(7, "K uncertainty scales as 1/sqrt(events)")
-def test_mc_error_scaling(comb_jsa):
+def test_mc_error_scaling(comb_jsi):
     assert SPEC200.n_bins == 200
 
     stds = {"bootstrap": {}, "delta method": {}}
     for n_events in (430_000, 43_000_000):
-        counts = simulate(comb_jsa, SPEC200, n_events, seed=17)
+        counts = simulate(comb_jsi, SPEC200, n_events, seed=17)
         _, stds["bootstrap"][n_events] = monte_carlo_uncertainty(
             counts.values, n_resamples=1000, seed=19
         )
@@ -272,13 +267,13 @@ def test_mc_error_scaling(comb_jsa):
 
 
 @pytest.mark.criterion(7, "delta-method K std matches the seed scatter")
-def test_delta_method_std_matches_seed_scatter(comb_jsa):
+def test_delta_method_std_matches_seed_scatter(comb_jsi):
     # over 40 disjoint groups of 20 seeds (0-799) the ratio read 0.76-1.69,
     # median 1.06: the std of 20 draws is itself uncertain by about 16%, so
     # 35% is about two of its standard errors.  Seeds 0-19 read 0.90.
     ks, stds = [], []
     for seed in range(20):
-        counts = simulate(comb_jsa, SPEC200, 4_300_000, seed=seed)
+        counts = simulate(comb_jsi, SPEC200, 4_300_000, seed=seed)
         k, std = counts_schmidt_number(counts.values)
         ks.append(k)
         stds.append(std)

@@ -175,10 +175,9 @@ class TestSchmidtNumberStd:
         # the gradient formed cell by cell, on tall, wide and random
         # matrices and on the seed-1 counts of the default readout
         rng = np.random.default_rng(9)
-        intensity, center, _ = build_jsi(cfg.comb_spec(), cfg.pump_spec(),
-                                         cfg.dispersion_map(), grid)
+        intensity = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), grid)
         readout = simulate_counts(
-            intensity, grid, cfg.spectrometer_spec(), center, cfg["spectrometer"]["events"],
+            intensity, cfg.spectrometer_spec(), cfg["spectrometer"]["events"],
             seed=1, max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],
         )
         cases = {

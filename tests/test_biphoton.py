@@ -24,7 +24,7 @@ from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
 
 import oracles
-from oracles import NU0, bin_spacing_from_comb, gathered_jsa, norm_squared, normalized
+from oracles import NU0, bin_spacing_from_comb, dense, gathered_jsa, norm_squared, normalized
 
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):
@@ -224,7 +224,10 @@ class TestBuildJsa:
         tiny = FrequencyGrid.symmetric(n, cfg["grid"]["half_span_hz"])
         with pytest.warns(UserWarning, match=r"^100\.00% of the joint intensity sits at the grid edge"):
             built = build(comb, pump, dispersion, tiny)
-        edge = built.metadata["edge_mass_fraction"] if build is build_jsa else built[2]
+        edge = (
+            built.metadata["edge_mass_fraction"] if build is build_jsa
+            else built.edge_mass_fraction
+        )
         assert edge == pytest.approx(1.0, rel=0, abs=4 * EPS)
 
     def test_rejects_unknown_source(self, pump, dispersion, grid):
@@ -275,27 +278,30 @@ class TestBuildJsi:
     def test_matches_build_jsa_to_rounding(self, source, pump, dispersion, grid, request):
         # the comb's PMF is real and the designed crystal's complex.
         # build_jsa rounds the product, the division by the norm and
-        # |.|^2; build_jsi rounds |PMF|^2, pump^2, their product, the squared
-        # norm and the division: about a dozen roundings of eps/2 between
-        # them, so 8 eps per cell (measured: 3.4 eps comb, 4.7 designed).
-        # The factors are the same, so the zeros fall in the same cells.
+        # |.|^2; build_jsi rounds |PMF|^2, pump^2, the squared norm, the
+        # division and, formed here, the product of the two views: about a
+        # dozen roundings of eps/2 between them, so 8 eps per cell.  The
+        # factors are the same, so the zeros fall in the same cells.
         crystal = request.getfixturevalue(source)
         jsa = request.getfixturevalue(
             {"comb": "comb_jsa", "designed_crystal": "designed_jsa"}[source]
         )
-        intensity, center, edge = build_jsi(crystal, pump, dispersion, grid)
+        jsi = build_jsi(crystal, pump, dispersion, grid)
+        intensity = dense(jsi)
         want = jsa.intensity
         np.testing.assert_array_equal(intensity == 0, want == 0)
         np.testing.assert_allclose(intensity, want, rtol=8 * EPS, atol=0)
-        assert center == jsa.center_frequency_hz
-        assert edge == pytest.approx(jsa.metadata["edge_mass_fraction"], rel=8 * EPS)
+        assert jsi.center_frequency_hz == jsa.center_frequency_hz
+        assert jsi.edge_mass_fraction == pytest.approx(
+            jsa.metadata["edge_mass_fraction"], rel=8 * EPS
+        )
 
     def test_edge_warning_matches_build_jsa(self, comb, pump, dispersion):
         tiny = FrequencyGrid.symmetric(64, 0.4e12)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             jsa = build_jsa(comb, pump, dispersion, tiny)
-            intensity, _, edge = build_jsi(comb, pump, dispersion, tiny)
+            jsi = build_jsi(comb, pump, dispersion, tiny)
         assert len(caught) == 2
         # the same warning, blamed on the builder's caller
         assert [w.category for w in caught] == [UserWarning, UserWarning]
@@ -304,17 +310,21 @@ class TestBuildJsi:
         assert str(caught[1].message) == str(caught[0].message)
         assert jsa.metadata["edge_mass_fraction"] > 1e-3
         # to rounding, as in test_matches_build_jsa_to_rounding
-        assert edge == pytest.approx(jsa.metadata["edge_mass_fraction"], rel=8 * EPS)
-        np.testing.assert_allclose(intensity, jsa.intensity, rtol=8 * EPS, atol=0)
+        assert jsi.edge_mass_fraction == pytest.approx(
+            jsa.metadata["edge_mass_fraction"], rel=8 * EPS
+        )
+        np.testing.assert_allclose(dense(jsi), jsa.intensity, rtol=8 * EPS, atol=0)
 
     @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
-    def test_peak_memory_is_one_intensity(self, source, pump, dispersion, grid, request):
-        # the intensity is the only (n, n) array: both factors are squared
-        # on their 2n - 1 values and multiplied through views (1.02x for
-        # the comb, 1.03x for the designed crystal); build_jsa holds the
-        # amplitude and its intensity (1.5x the amplitude, 3.0x this unit)
+    def test_peak_memory_holds_no_grid_array(self, source, pump, dispersion, grid, request):
+        # no (n, n) array is made: both factors are squared on their 2n - 1
+        # values, and the norm and the edge check are sums over them, so
+        # the peak is the PMF's own evaluation (0.037 of one float grid for
+        # the comb, 0.066 for the designed crystal's chirp-z sum).  Forming
+        # the product read 1.02 and 1.03; build_jsa holds the amplitude and
+        # its intensity (1.5x the amplitude, 3.0x this unit)
         crystal = request.getfixturevalue(source)
-        assert traced_peak(crystal, pump, dispersion, grid, build_jsi) <= 1.1 * FLOAT_GRID_BYTES
+        assert traced_peak(crystal, pump, dispersion, grid, build_jsi) <= 0.1 * FLOAT_GRID_BYTES
 
 
 class TestJsaIO:

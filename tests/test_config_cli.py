@@ -624,10 +624,9 @@ class TestBandCenter:
         # projection (the statistical error here is about 0.1 ps)
         cfg, out = run
         spec = cfg.spectrometer_spec()
-        grid = cfg.frequency_grid()
-        intensity, center, _ = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
-                                         grid)
-        probs, _ = spectrum_projector(intensity, grid, spec, center)()
+        intensity = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
+                              cfg.frequency_grid())
+        probs, _ = spectrum_projector(intensity, spec)()
         summed = sum(counts.values for _, counts in load_tomography_bundle(out / "tomo"))
 
         def centroid(image):

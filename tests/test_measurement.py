@@ -10,7 +10,12 @@ from scipy.special import ndtr
 
 from qpmforge import cli
 from qpmforge.analysis import schmidt_number
-from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude
+from qpmforge.biphoton import (
+    C_LIGHT,
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    JointSpectralIntensity,
+)
 from qpmforge.config import default_config
 from qpmforge.measurement import (
     CountMatrix,
@@ -26,24 +31,21 @@ from qpmforge.measurement import (
     spectrum_projector,
 )
 
-from oracles import project_stack
+from oracles import dense, diagonal_sums, edge_fraction, project_stack
 
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
 ALIAS = default_config()["spectrometer"]["max_alias_fraction"]
 
 
-def project(jsa, spec):
-    """The unweighted projection of an amplitude's intensity around its band center."""
-    return spectrum_projector(jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz)()
+def project(jsi, spec):
+    """The unweighted projection of a factored intensity."""
+    return spectrum_projector(jsi, spec)()
 
 
-def simulate(jsa, spec, events, seed, max_alias_fraction=ALIAS):
-    """simulate_counts of an amplitude's intensity around its band center."""
-    return simulate_counts(
-        jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, events,
-        seed=seed, max_alias_fraction=max_alias_fraction,
-    )
+def simulate(jsi, spec, events, seed, max_alias_fraction=ALIAS):
+    """simulate_counts of a factored intensity."""
+    return simulate_counts(jsi, spec, events, seed=seed, max_alias_fraction=max_alias_fraction)
 
 
 def windowed(spec, n_bins):
@@ -201,8 +203,8 @@ class TestTransfer:
 
 
 class TestProjection:
-    def test_probabilities_account_for_alias(self, comb_jsa, spectro):
-        probs, alias = project(comb_jsa, spectro)
+    def test_probabilities_account_for_alias(self, comb_jsi, spectro):
+        probs, alias = project(comb_jsi, spectro)
         assert probs.shape == (500, 500)
         assert np.all(probs >= 0.0)
         # conditioned on landing inside the window, so exactly normalized
@@ -210,27 +212,30 @@ class TestProjection:
         # the reference state leaks a little over 1% out of the window
         assert 0.005 < alias < 0.02
 
-    def test_jitter_washes_out_structure(self, comb_jsa, spectro):
+    def test_jitter_washes_out_structure(self, comb_jsi, spectro):
         ks = []
         for fwhm in (0.0, 50e-12, 200e-12):
-            probs, _ = project(comb_jsa, jittered(spectro, fwhm))
+            probs, _ = project(comb_jsi, jittered(spectro, fwhm))
             ks.append(schmidt_number(np.sqrt(probs)))
         assert ks[0] > ks[1] > ks[2]
         assert ks[0] == pytest.approx(8.124, abs=0.02)
 
-    def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsa, spectro):
-        direct, alias = project(comb_jsa, spectro)
-        center = comb_jsa.center_frequency_hz
-        probs, alias1 = project_stack(comb_jsa.intensity, comb_jsa.grid, spectro, center)
-        np.testing.assert_array_equal(direct, probs)
-        assert alias == alias1
+    def test_matrix_and_grid_equivalent_to_jsa(self, comb_jsi, spectro):
+        # the factored blocks against the dense T I T^T / mass of the
+        # formed intensity, to the tolerance of the dense products' own
+        # summation order
+        direct, alias = project(comb_jsi, spectro)
+        center = comb_jsi.center_frequency_hz
+        inten = dense(comb_jsi)
+        probs, alias1 = project_stack(inten, comb_jsi.grid, spectro, center)
+        np.testing.assert_allclose(direct, probs, rtol=0, atol=1e-12 * probs.max())
+        assert alias == pytest.approx(alias1, rel=0, abs=1e-12)
         # a stack projects entry by entry
         stack, alias2 = project_stack(
-            np.stack([comb_jsa.intensity, 3.0 * comb_jsa.intensity]), comb_jsa.grid, spectro,
-            center,
+            np.stack([inten, 3.0 * inten]), comb_jsi.grid, spectro, center,
         )
         np.testing.assert_allclose(stack, [probs, probs], rtol=0, atol=1e-12 * probs.max())
-        np.testing.assert_allclose(alias2, [alias, alias], rtol=1e-12)
+        np.testing.assert_allclose(alias2, [alias1, alias1], rtol=1e-12)
 
     def test_amplitude_requires_center(self, comb_jsa):
         # an amplitude always carries the band center its intensity is
@@ -240,38 +245,38 @@ class TestProjection:
 
 
 class TestSimulateCounts:
-    def test_total_is_exact_and_reproducible(self, comb_jsa, spectro):
-        counts = simulate(comb_jsa, spectro, 100_000, seed=3)
-        again = simulate(comb_jsa, spectro, 100_000, seed=3)
+    def test_total_is_exact_and_reproducible(self, comb_jsi, spectro):
+        counts = simulate(comb_jsi, spectro, 100_000, seed=3)
+        again = simulate(comb_jsi, spectro, 100_000, seed=3)
         assert counts.total == 100_000
         np.testing.assert_array_equal(counts.values, again.values)
-        other = simulate(comb_jsa, spectro, 100_000, seed=4)
+        other = simulate(comb_jsi, spectro, 100_000, seed=4)
         assert np.any(other.values != counts.values)
 
-    def test_counts_match_expectation(self, comb_jsa, spectro):
+    def test_counts_match_expectation(self, comb_jsi, spectro):
         n = 500_000
-        probs, _ = project(comb_jsa, spectro)
+        probs, _ = project(comb_jsi, spectro)
         probs = probs / probs.sum()
-        counts = simulate(comb_jsa, spectro, n, seed=12)
+        counts = simulate(comb_jsi, spectro, n, seed=12)
         expected = n * probs
         hot = expected > 25.0
         z = (counts.values[hot] - expected[hot]) / np.sqrt(expected[hot])
         assert np.abs(z).max() < 6.0
         assert np.mean(np.abs(z) > 3.0) < 0.01
 
-    def test_zero_events(self, comb_jsa, spectro):
-        counts = simulate(comb_jsa, spectro, 0, seed=0)
+    def test_zero_events(self, comb_jsi, spectro):
+        counts = simulate(comb_jsi, spectro, 0, seed=0)
         assert counts.total == 0
 
-    def test_alias_overflow_raises(self, comb_jsa, spectro):
+    def test_alias_overflow_raises(self, comb_jsi, spectro):
         with pytest.raises(MeasurementError, match="outside the"):
-            simulate(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+            simulate(comb_jsi, spectro, 1000, seed=0, max_alias_fraction=1e-6)
 
-    def test_alias_refusal_prints_significant_digits(self, comb_jsa, spectro):
+    def test_alias_refusal_prints_significant_digits(self, comb_jsi, spectro):
         # a share or limit below 0.00005% printed as 0 in fixed decimals,
         # so a zero limit refused a nonzero share "0.0000% (limit 0.00%)"
         with pytest.raises(MeasurementError, match=r"^1\.271% .* \(limit 0\.0001%\)"):
-            simulate(comb_jsa, spectro, 1000, seed=0, max_alias_fraction=1e-6)
+            simulate(comb_jsi, spectro, 1000, seed=0, max_alias_fraction=1e-6)
         with pytest.raises(MeasurementError) as err:
             _check_alias(3.2e-9, spectro, 0.0)
         assert str(err.value).startswith("3.2e-07% of the joint spectrum lies outside the 12.5 ns")
@@ -283,10 +288,11 @@ class TestSimulateCounts:
 
 
     def test_tofs_sim_peak_memory_below_the_amplitude(self, tmp_path):
-        # tofs-sim builds the intensity, not the amplitude, and keeps only
-        # the transfer's band: on a 256^2 grid and a 100 x 100 time grid its
-        # traced peak reads 0.88 of one complex (n, n) amplitude, and 2.07
-        # while it built the amplitude.  The first run pays numpy.random's
+        # tofs-sim builds the intensity's factors, not the amplitude, and
+        # keeps only the transfer's band: on a 256^2 grid and a 100 x 100
+        # time grid its traced peak reads 0.54 of one complex (n, n)
+        # amplitude, 0.88 while it formed the intensity and 2.07 while it
+        # built the amplitude.  The first run pays numpy.random's
         # lazy import, so the second is traced.
         cfg = default_config()
         cfg.sections["grid"]["points"] = 256
@@ -304,8 +310,8 @@ class TestSimulateCounts:
 
 
 @pytest.fixture(scope="module")
-def counts(comb_jsa, spectro):
-    return simulate(comb_jsa, spectro, 2_000_000, seed=21)
+def counts(comb_jsi, spectro):
+    return simulate(comb_jsi, spectro, 2_000_000, seed=21)
 
 
 class TestReconstruction:
@@ -334,10 +340,10 @@ class TestReconstruction:
 
 
 class TestCountsIO:
-    def test_roundtrip(self, tmp_path, comb_jsa, spectro):
+    def test_roundtrip(self, tmp_path, comb_jsi, spectro):
         # a non-default reference wavelength must survive the file
         spec = dataclasses.replace(spectro, reference_wavelength=1555.9e-9)
-        counts = simulate(comb_jsa, spec, 50_000, seed=8)
+        counts = simulate(comb_jsi, spec, 50_000, seed=8)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path)
@@ -346,7 +352,7 @@ class TestCountsIO:
         assert back.spec.window == pytest.approx(spec.window, rel=1e-12)
         assert back.spec.time_rate == pytest.approx(spec.time_rate, rel=1e-12)
         assert back.spec.reference_wavelength == 1555.9e-9
-        assert back.center_frequency_hz == comb_jsa.center_frequency_hz
+        assert back.center_frequency_hz == comb_jsi.center_frequency_hz
 
     @pytest.mark.parametrize(
         "edit, body, message",
@@ -374,8 +380,8 @@ class TestCountsIO:
             load_counts(path)
         assert str(path) in str(err.value)
 
-    def test_loaded_spec_reads_as_one_km_without_jitter(self, tmp_path, comb_jsa, spectro):
-        counts = simulate(comb_jsa, jittered(spectro, 80e-12), 10_000, seed=3)
+    def test_loaded_spec_reads_as_one_km_without_jitter(self, tmp_path, comb_jsi, spectro):
+        counts = simulate(comb_jsi, jittered(spectro, 80e-12), 10_000, seed=3)
         path = tmp_path / "counts.csv"
         save_counts(counts, path)
         back = load_counts(path).spec
@@ -449,3 +455,46 @@ def test_blur_never_creates_mass(sigma_ps, half_span_hz):
     # clipped downstream in spectrum_projector
     assert np.all(transfer >= -1e-12)
     assert np.all(sums <= 1.0 + 1e-9)
+
+
+FACTOR = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=64),
+    half_span_hz=st.floats(min_value=0.2e12, max_value=1.5e12),
+    data=st.data(),
+)
+def test_factored_intensity_matches_its_dense_product(n, half_span_hz, data):
+    # on random nonnegative factors, zeros included, the structured sums
+    # (per diagonal, total, edge share) and the projections, unweighted and
+    # weighted, match those of the dense product the factors stand for.
+    # Each sum adds at most n nonnegative terms on either side, so they
+    # agree to 2 n eps; the images to the dense map's 1e-12.  Every cell
+    # of these grids arrives inside the window.
+    size = 2 * n - 1
+    vector = st.lists(FACTOR, min_size=size, max_size=size).map(np.array)
+    grid = FrequencyGrid.symmetric(n, half_span_hz)
+    jsi = JointSpectralIntensity(grid, data.draw(vector), data.draw(vector), NU0)
+    weights = data.draw(vector)
+    product = dense(jsi)
+    rtol = 2 * n * np.finfo(float).eps
+    np.testing.assert_allclose(jsi.diagonal_masses(), diagonal_sums(product), rtol=rtol, atol=0)
+    assert jsi.total == pytest.approx(product.sum(), rel=rtol, abs=0)
+    spec = SpectrometerSpec(time_bin=125e-12)
+    project = spectrum_projector(jsi, spec)
+    for w in (None, weights):
+        if (product if w is None else product * grid.toeplitz(w)).sum() == 0:
+            with pytest.raises(MeasurementError, match="no intensity"):
+                project(w)
+            continue
+        want, want_alias = project_stack(product, grid, spec, NU0, w)
+        probs, alias = project(w)
+        image, want_image = probs * (1.0 - alias), want * (1.0 - want_alias)
+        assert np.abs(image - want_image).max() <= 1e-12 * want_image.max()
+        assert alias == pytest.approx(want_alias, rel=0, abs=1e-12)
+    if product.sum() == 0:
+        assert np.isnan(jsi.edge_mass_fraction)
+    else:
+        assert jsi.edge_mass_fraction == pytest.approx(edge_fraction(product), rel=rtol, abs=0)

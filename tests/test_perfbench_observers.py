@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qpmforge import cli
-from qpmforge.biphoton import FrequencyGrid, build_jsa
+from qpmforge.biphoton import FrequencyGrid, build_jsa, build_jsi
 from qpmforge.config import default_config
 from qpmforge.measurement import simulate_counts
 from qpmforge.tomography import analyze_tomography, load_tomography_bundle
@@ -50,10 +50,10 @@ checks = _load("checks")
 def calls(comb, pump, dispersion, spectro, designed_crystal, tmp_path_factory):
     """Span name -> (args, kwargs, attribute, its expected value or a predicate)."""
     tmp = tmp_path_factory.mktemp("observers")
-    jsa = build_jsa(comb, pump, dispersion, FrequencyGrid.symmetric(64, 2.5e12))
+    grid = FrequencyGrid.symmetric(64, 2.5e12)
+    jsa = build_jsa(comb, pump, dispersion, grid)
     counts = simulate_counts(
-        jsa.intensity, jsa.grid, spectro, jsa.center_frequency_hz, 10_000,
-        seed=0, max_alias_fraction=0.02,
+        build_jsi(comb, pump, dispersion, grid), spectro, 10_000, seed=0, max_alias_fraction=0.02,
     )
     dk = comb.center + np.linspace(-1e3, 1e3, 5)
     paths = {name: str(tmp / name) for name in ("jsa.csv", "jsi.csv", "counts.csv")}

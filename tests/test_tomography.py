@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge import cli, measurement, tomography
-from qpmforge.biphoton import C_LIGHT, FrequencyGrid, JointSpectralAmplitude, build_jsa
+from qpmforge.biphoton import (
+    C_LIGHT,
+    FrequencyGrid,
+    JointSpectralAmplitude,
+    JointSpectralIntensity,
+    build_jsa,
+    build_jsi,
+)
 from qpmforge.config import default_config
 from qpmforge.measurement import (
     MeasurementError,
@@ -47,6 +54,7 @@ from qpmforge.tomography import (
 from oracles import (
     NU0,
     bin_images,
+    dense,
     expected_tomography,
     gate_mask,
     project_probability,
@@ -78,6 +86,12 @@ def small_jsa(cfg, small_grid):
 
 
 @pytest.fixture(scope="module")
+def small_jsi(cfg, small_grid):
+    """The readout's factored intensity of small_jsa."""
+    return build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
+
+
+@pytest.fixture(scope="module")
 def small_split(small_jsa):
     labels, parts, weights = split_bins(small_jsa, SPACING, PAIRS)
     return labels, np.asarray(parts), weights
@@ -95,9 +109,9 @@ def random_phases():
 
 
 @pytest.fixture(scope="module")
-def small_weights(small_jsa):
-    """The emission weights simulate_tomography reads off the small amplitude."""
-    _, masses = _bin_masses(small_jsa.intensity, small_jsa.grid, SPACING, PAIRS)
+def small_weights(small_jsi):
+    """The emission weights simulate_tomography reads off the small intensity."""
+    _, masses = _bin_masses(small_jsi, SPACING, PAIRS)
     return masses / masses.sum()
 
 
@@ -106,11 +120,10 @@ def pure_hyper(random_phases):
     return HyperState(phases=random_phases)
 
 
-def simulate(hyper, jsa, spec, events, seed):
-    """simulate_tomography of an amplitude's intensity at the device's spacing."""
+def simulate(hyper, jsi, spec, events, seed):
+    """simulate_tomography of a factored intensity at the device's spacing."""
     return simulate_tomography(
-        hyper, jsa.intensity, jsa.grid, spec, jsa.center_frequency_hz, SPACING,
-        events=events, seed=seed, max_alias_fraction=ALIAS,
+        hyper, jsi, spec, SPACING, events=events, seed=seed, max_alias_fraction=ALIAS,
     )
 
 
@@ -346,23 +359,29 @@ class TestSplitBins:
 
 class TestBinWeights:
     def test_match_dense_oracle(self, small_jsa, small_weights):
-        # the package sums each diagonal row by row and then the diagonals
-        # of each bin, the oracle over a masked copy of the whole grid: the
-        # same masses in another order, each within about (256 + 256) eps
+        # the package sums the pump along each diagonal from the center
+        # outwards, scales it by the diagonal's factor and sums the
+        # diagonals of each bin, the oracle the amplitude's intensity over a
+        # masked copy of the whole grid: the same masses to a few eps per
+        # cell, summed in another order, each within about (256 + 256) eps
         # of the exact sum
         _, _, want = where_split_bins(small_jsa)
         np.testing.assert_allclose(small_weights, want, rtol=512 * np.finfo(float).eps, atol=0.0)
 
-    def test_bins_follow_signal_minus_idler(self, small_jsa):
+    def test_bins_follow_signal_minus_idler(self, small_jsa, small_jsi):
         # the comb is exchange-symmetric, so its mirror-image bins carry
         # equal masses; a spectrum tilted along nu_s - nu_i tells a bin
         # from its mirror, as the oracle's column-minus-row rule does
         grid = small_jsa.grid
-        tilt = grid.toeplitz(np.linspace(1.0, 3.0, 2 * grid.nu.size - 1))
+        tilt = np.linspace(1.0, 3.0, 2 * grid.nu.size - 1)
         tilted = JointSpectralAmplitude(
-            grid=grid, values=small_jsa.values * np.sqrt(tilt), center_frequency_hz=NU0
+            grid=grid, values=small_jsa.values * np.sqrt(grid.toeplitz(tilt)),
+            center_frequency_hz=NU0,
         )
-        _, masses = _bin_masses(tilted.intensity, grid, SPACING, PAIRS)
+        factored = JointSpectralIntensity(
+            grid, small_jsi.diagonals * tilt, small_jsi.antidiagonals, NU0
+        )
+        _, masses = _bin_masses(factored, SPACING, PAIRS)
         _, _, want = where_split_bins(tilted)
         assert masses[0] < masses[-1]
         np.testing.assert_allclose(masses / masses.sum(), want, rtol=512 * np.finfo(float).eps)
@@ -384,10 +403,10 @@ class TestBinWeights:
         ]
         assert len(split) == {256: 6, 1001: 3}[points]
         cells = np.bincount(by_diagonal.ravel(), minlength=2 * PAIRS)
-        flat = np.ones(grid.shape)
-        _, masses = _bin_masses(flat, grid, SPACING, PAIRS)
+        ones = np.ones(2 * points - 1)
+        _, masses = _bin_masses(JointSpectralIntensity(grid, ones, ones, NU0), SPACING, PAIRS)
         np.testing.assert_array_equal(masses / masses.sum(), cells / cells.sum())
-        one = JointSpectralAmplitude(grid=grid, values=flat, center_frequency_hz=NU0)
+        one = JointSpectralAmplitude(grid=grid, values=np.ones(grid.shape), center_frequency_hz=NU0)
         parts = split_bins(one, SPACING, PAIRS)[1]
         for d in split:
             assert sum(np.any(part[steps == d]) for part in parts) == 1
@@ -401,18 +420,25 @@ class TestBinWeights:
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
 
-        def simulate_spectrum(intensity):
+        def simulate_spectrum(diagonals, antidiagonals):
+            intensity = JointSpectralIntensity(small_grid, diagonals, antidiagonals, NU0)
             return simulate_tomography(
-                HyperState(np.zeros(2 * PAIRS)), intensity, small_grid, spectro, NU0, SPACING,
+                HyperState(np.zeros(2 * PAIRS)), intensity, spectro, SPACING,
                 events=100, seed=0, max_alias_fraction=ALIAS,
             )
 
+        # the cell [100, 140]: its diagonal 140 - 100 times its antidiagonal 240
+        diagonal, antidiagonal = np.zeros(2 * n - 1), np.zeros(2 * n - 1)
+        diagonal[40 + n - 1], antidiagonal[240] = 1.0, 0.25
+        np.testing.assert_array_equal(
+            dense(JointSpectralIntensity(small_grid, diagonal, antidiagonal, NU0)), lit.intensity
+        )
         with pytest.raises(MeasurementError, match="no intensity"):
-            simulate_spectrum(lit.intensity)
+            simulate_spectrum(diagonal, antidiagonal)
         with pytest.raises(ValueError, match="no intensity"):
-            simulate_spectrum(np.zeros((n, n)))
-        with pytest.raises(ValueError, match="does not match grid"):
-            simulate_spectrum(np.ones((n, n - 1)))
+            simulate_spectrum(np.zeros(2 * n - 1), antidiagonal)
+        with pytest.raises(ValueError, match=f"expected {2 * n - 1} diagonal values"):
+            simulate_spectrum(np.ones(2 * n - 2), antidiagonal)
 
 
 def arrival_center(spec, label, arrival):
@@ -548,8 +574,8 @@ class TestBinGates:
 
 
 @pytest.fixture(scope="module")
-def sim(pure_hyper, small_jsa, spectro):
-    return dict(simulate(pure_hyper, small_jsa, spectro, 2000, seed=5))
+def sim(pure_hyper, small_jsi, spectro):
+    return dict(simulate(pure_hyper, small_jsi, spectro, 2000, seed=5))
 
 
 class TestSimulateTomography:
@@ -567,36 +593,39 @@ class TestSimulateTomography:
         mean = 16 * 2000
         assert abs(grand - mean) < 5 * np.sqrt(mean)
 
-    def test_matched_projections_are_dark_for_common_phase(self, small_jsa, spectro):
+    def test_matched_projections_are_dark_for_common_phase(self, small_jsi, spectro):
         hyper = HyperState(phases=np.zeros(8))
-        sim = dict(simulate(hyper, small_jsa, spectro, 500, seed=1))
+        sim = dict(simulate(hyper, small_jsi, spectro, 500, seed=1))
         for j in range(1, 5):
             assert sim[(j, j)].total == 0
 
-    def test_reproducible(self, pure_hyper, small_jsa, spectro):
-        a = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=9))
-        b = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=9))
-        c = dict(simulate(pure_hyper, small_jsa, spectro, 300, seed=10))
+    def test_reproducible(self, pure_hyper, small_jsi, spectro):
+        a = dict(simulate(pure_hyper, small_jsi, spectro, 300, seed=9))
+        b = dict(simulate(pure_hyper, small_jsi, spectro, 300, seed=9))
+        c = dict(simulate(pure_hyper, small_jsi, spectro, 300, seed=10))
         np.testing.assert_array_equal(a[(1, 2)].values, b[(1, 2)].values)
         assert any(np.any(a[key].values != c[key].values) for key in a)
 
-    def test_validation(self, pure_hyper, small_jsa, spectro):
+    def test_validation(self, pure_hyper, small_jsi, spectro):
         odd = HyperState(phases=np.zeros(3))
         with pytest.raises(ValueError, match="one state per bin"):
-            simulate(odd, small_jsa, spectro, 100, seed=0)
+            simulate(odd, small_jsi, spectro, 100, seed=0)
         with pytest.raises(ValueError, match="events"):
-            simulate(pure_hyper, small_jsa, spectro, -1, seed=0)
-        with pytest.raises(ValueError, match="does not match grid"):
+            simulate(pure_hyper, small_jsi, spectro, -1, seed=0)
+        with pytest.raises(ValueError, match="expected 511 antidiagonal values"):
             simulate_tomography(
-                pure_hyper, small_jsa.intensity[1:], small_jsa.grid, spectro, NU0, SPACING,
-                events=100, seed=0, max_alias_fraction=ALIAS,
+                pure_hyper,
+                JointSpectralIntensity(
+                    small_jsi.grid, small_jsi.diagonals, small_jsi.antidiagonals[1:], NU0
+                ),
+                spectro, SPACING, events=100, seed=0, max_alias_fraction=ALIAS,
             )
 
-    def test_peak_memory_below_image_stack(self, small_jsa, random_phases, spectro, tmp_path):
+    def test_peak_memory_below_image_stack(self, small_jsi, random_phases, spectro, tmp_path):
         # the tomo-sim flow keeps no per-bin image: it projects each
         # setting's mixed spectrum just before the draw, into one reused
-        # image, with only the transfer's band held, so it peaks at 0.31 of
-        # the stack of eight 500 x 500 bin images (0.35 leaves 13% for
+        # image, with only the transfer's band held, so it peaks at 0.29 of
+        # the stack of eight 500 x 500 bin images (0.35 leaves 20% for
         # allocator and version drift).  With a dense transfer and a fresh
         # image per setting it read 0.43; mixing after projection held the
         # stack and peaked at 1.41
@@ -604,14 +633,41 @@ class TestSimulateTomography:
         tracemalloc.start()
         try:
             hyper = HyperState(phases=random_phases)
-            save_tomography_bundle(tmp_path, simulate(hyper, small_jsa, spectro, 2000, seed=5))
+            save_tomography_bundle(tmp_path, simulate(hyper, small_jsi, spectro, 2000, seed=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.35 * stack_bytes
 
+    def test_default_draws_hold_no_intensity(self, cfg, spectro):
+        # tomo-sim's build of the joint intensity and its draws of all 16
+        # settings on the 1024^2 defaults peak at 0.61 of one (n, n) float
+        # grid: the dense transfer while its band is cut (4.1 MB), then the
+        # reused image and one count matrix (2 MB each).  No (n, n)
+        # intensity exists; forming it read 1.65.  The first run pays
+        # numpy.random's lazy import, so the second is traced
+        grid_bytes = cfg.frequency_grid().nu.size ** 2 * np.dtype(float).itemsize
+
+        def tomo_sim():
+            jsi = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
+                            cfg.frequency_grid())
+            for _, counts in simulate_tomography(
+                HyperState(np.zeros(2 * PAIRS)), jsi, spectro, SPACING,
+                events=1000, seed=1, max_alias_fraction=ALIAS,
+            ):
+                del counts  # as save_tomography_bundle drops each
+
+        tomo_sim()
+        tracemalloc.start()
+        try:
+            tomo_sim()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * grid_bytes
+
     def test_noiseless_limit_is_the_gated_oracle(
-        self, small_jsa, small_images, small_weights, random_phases, spectro
+        self, small_jsi, small_images, small_weights, random_phases, spectro
     ):
         # at 10^12 events per projection every bin's gated probabilities
         # lie within shot noise (about 2e-6) of the oracle's: each setting
@@ -620,7 +676,7 @@ class TestSimulateTomography:
         # 1 / (1 - its alias fraction), and the bins moved by 1.3e-3.  The
         # bins partition the source, so the 16 means still sum to 16 events
         hyper = HyperState(phases=random_phases, drift=np.linspace(0.0, 1.4, 8))
-        run = list(simulate(hyper, small_jsa, spectro, 1e12, seed=3))
+        run = list(simulate(hyper, small_jsi, spectro, 1e12, seed=3))
         alias = [counts.metadata["alias_fraction"] for _, counts in run]
         assert max(alias) - min(alias) > 5e-3
         assert abs(sum(counts.total for _, counts in run) - 16e12) < 5 * np.sqrt(16e12)
@@ -654,45 +710,48 @@ class TestSimulateTomography:
 
 class TestSharedProjection:
     def test_mixed_images_match_reference_projection(
-        self, pure_hyper, small_split, small_images, small_grid, spectro
+        self, pure_hyper, small_jsi, small_split, small_images, spectro
     ):
-        # projecting each bin once and mixing the images must equal
-        # projecting each setting's mixed spectrum: the map is linear
+        # projecting each bin once and mixing the images, by the dense
+        # oracle, must equal the projector's one projection of each
+        # setting's mixed spectrum, weighted per diagonal: the map is linear
         _, parts, weights = small_split
         images, _ = small_images
         kept = images.sum(axis=(1, 2))
+        bins, masses = _bin_masses(small_jsi, SPACING, PAIRS)
+        project = measurement.spectrum_projector(small_jsi, spectro)
         mixes = [weights] + [
             np.clip(weights * born, 0.0, None) for born in _born_table(pure_hyper)
         ]
         for flux in mixes:
             mix = flux / flux.sum()
-            mixed = np.tensordot(mix, parts, axes=(0, 0))
-            ref, ref_alias = measurement.spectrum_projector(mixed, small_grid, spectro, NU0)()
+            # bin i's share mix_i of the spectrum is its cells over its mass, times mix_i
+            ref, ref_alias = project((mix / masses)[bins])
             shared = np.tensordot(mix, images, axes=(0, 0))
             assert np.abs(shared / shared.sum() - ref).max() <= 1e-12 * ref.max()
             assert abs((1.0 - mix @ kept) - ref_alias) <= 1e-12
 
-    def test_weighted_projection_matches_formed_product(self, small_jsa, spectro):
-        # the weights are multiplied in block by block, never as a whole
-        # array; only the mass is summed in another order
-        grid = small_jsa.grid
+    def test_weighted_projection_matches_formed_product(self, small_jsi, spectro):
+        # the weights are multiplied into the diagonal factor, the same
+        # product as a spectrum whose factor holds them; only the mass is
+        # summed in another order
+        grid = small_jsi.grid
         diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
-        weights = grid.toeplitz(diagonals)
-        project = measurement.spectrum_projector(small_jsa.intensity, grid, spectro, NU0)
+        project = measurement.spectrum_projector(small_jsi, spectro)
         got, got_alias = project(diagonals)
-        want, want_alias = measurement.spectrum_projector(
-            small_jsa.intensity * weights, grid, spectro, NU0
-        )()
+        formed = JointSpectralIntensity(
+            grid, small_jsi.diagonals * diagonals, small_jsi.antidiagonals, NU0
+        )
+        want, want_alias = measurement.spectrum_projector(formed, spectro)()
         assert np.abs(got - want).max() <= 1e-15 * want.max()
         # the image before its division by the mass is the same bits in
         # both, so the alias fractions differ by the two masses' rounding:
-        # einsum's over the weighted cells and the pairwise sum of the
-        # formed product, each measured against the exact sum, times the
+        # the weighted diagonal masses' and the formed spectrum's, each
+        # measured against the exact sum of the formed cells, times the
         # kept share, plus eps/2 for each side's division, image sum,
         # scaling and 1 - kept
-        formed = small_jsa.intensity * weights
-        exact = math.fsum(formed.ravel())
-        masses = np.array([np.einsum("ij,ij->", small_jsa.intensity, weights), formed.sum()])
+        exact = math.fsum(dense(formed).ravel())
+        masses = np.array([small_jsi.diagonal_masses() @ diagonals, formed.total])
         mass_rounding = np.abs(masses - exact).sum() / exact
         bound = (1.0 - want_alias) * mass_rounding + 4 * np.finfo(float).eps
         assert abs(got_alias - want_alias) <= bound
@@ -702,20 +761,21 @@ class TestSharedProjection:
         negative[100] = -1e-300
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             project(negative)
-        for shape in (diagonals[1:], np.append(diagonals, 1.0), np.array(weights)):
+        for shape in (diagonals[1:], np.append(diagonals, 1.0), grid.toeplitz(diagonals)):
             with pytest.raises(ValueError, match=f"expected {diagonals.size} diagonal values"):
                 project(shape)
+        # so is a spectrum with a negative factor or a factor of another length
         with pytest.raises(ValueError, match="intensity must be nonnegative"):
-            measurement.spectrum_projector(-small_jsa.intensity, grid, spectro, NU0)
-        with pytest.raises(ValueError, match="intensity shape"):
-            measurement.spectrum_projector(small_jsa.intensity[1:], grid, spectro, NU0)
+            JointSpectralIntensity(grid, -small_jsi.diagonals, small_jsi.antidiagonals, NU0)
+        with pytest.raises(ValueError, match=f"expected {diagonals.size} diagonal values"):
+            JointSpectralIntensity(grid, small_jsi.diagonals[1:], small_jsi.antidiagonals, NU0)
 
-    def test_banded_projection_matches_dense_product(self, small_split, small_grid, spectro):
+    def test_banded_projection_matches_dense_product(self, small_jsi, small_grid, spectro):
         # the blocks against the dense T (I w) T^T / mass, with and without
-        # weights: on the comb's bin spectra, and on random spectra of a grid
-        # and window that put the block form at its edges.  There the band
-        # reaches frequency columns 0 and n - 1, 473 time rows end in a
-        # short block that the band reaches, and no column reaches the
+        # weights: on the comb's bin spectra, and on random factored spectra
+        # of a grid and window that put the block form at its edges.  There
+        # the band reaches frequency columns 0 and n - 1, 473 time rows end
+        # in a short block that the band reaches, and no column reaches the
         # first three blocks.
         edge_grid = FrequencyGrid(nu=2.0 * np.pi * np.linspace(-1.7e12, 0.5e12, 256))
         edge_spec = dataclasses.replace(spectro, window=473 * spectro.time_bin)
@@ -727,22 +787,35 @@ class TestSharedProjection:
         assert [rows.start for rows, _, _ in blocks] == list(range(150, 500, 50))
         assert blocks[-1][2].shape[0] == 23
         assert not edge_transfer[:150].any()
+        bins, _ = _bin_masses(small_jsi, SPACING, PAIRS)
+        rng = np.random.default_rng(7)
         cases = [
-            (small_grid, spectro, small_split[1]),
-            (edge_grid, edge_spec, np.random.default_rng(7).uniform(0.0, 1.0, (2, 256, 256))),
+            (spectro, [
+                JointSpectralIntensity(
+                    small_grid, small_jsi.diagonals * (bins == i), small_jsi.antidiagonals, NU0
+                )
+                for i in range(2 * PAIRS)
+            ]),
+            (edge_spec, [
+                JointSpectralIntensity(edge_grid, *rng.uniform(0.0, 1.0, (2, 511)), NU0)
+                for _ in range(2)
+            ]),
         ]
-        for grid, spec, spectra in cases:
-            transfer = measurement.build_transfer(spec, grid.nu, NU0)
-            diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
+        for spec, spectra in cases:
             for inten in spectra:
-                project = measurement.spectrum_projector(inten, grid, spec, NU0)
+                grid = inten.grid
+                transfer = measurement.build_transfer(spec, grid.nu, NU0)
+                diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
+                project = measurement.spectrum_projector(inten, spec)
                 for weights in (None, diagonals):
-                    product = inten if weights is None else inten * grid.toeplitz(weights)
-                    dense = transfer @ product @ transfer.T / product.sum()
+                    product = dense(inten)
+                    if weights is not None:
+                        product = product * grid.toeplitz(weights)
+                    want = transfer @ product @ transfer.T / product.sum()
                     probs, alias = project(weights)
                     image = probs * (1.0 - alias)
-                    assert np.abs(image - dense).max() <= 1e-12 * dense.max()
-                    assert 1.0 - alias == pytest.approx(dense.sum(), rel=0, abs=1e-12)
+                    assert np.abs(image - want).max() <= 1e-12 * want.max()
+                    assert 1.0 - alias == pytest.approx(want.sum(), rel=0, abs=1e-12)
 
     def test_transfer_matrices_built_once_per_call(self, monkeypatch, tmp_path):
         # both photons share one axis, so each readout stage builds one
@@ -782,9 +855,9 @@ class TestGatedAnalysis:
             assert abs(wrap_angle(phi - random_phases[i])) < 1e-6
 
     def test_simulated_analysis_recovers_state(
-        self, pure_hyper, random_phases, small_jsa, spectro
+        self, pure_hyper, random_phases, small_jsi, spectro
     ):
-        run = simulate(pure_hyper, small_jsa, spectro, 100_000, seed=5)
+        run = simulate(pure_hyper, small_jsi, spectro, 100_000, seed=5)
         results = analyze_tomography(run, PAIRS, SPACING, WIDTH)
         assert [r.label for r in results] == list(LABELS)
         for i, res in enumerate(results):
@@ -797,15 +870,15 @@ class TestGatedAnalysis:
             assert 0.0 < res.purity_std < 0.02
             assert 0.0 < res.fidelity_std < 0.02
 
-    def test_zero_counts_raise(self, pure_hyper, small_jsa, spectro):
-        sim = simulate(pure_hyper, small_jsa, spectro, 0, seed=0)
+    def test_zero_counts_raise(self, pure_hyper, small_jsi, spectro):
+        sim = simulate(pure_hyper, small_jsi, spectro, 0, seed=0)
         with pytest.raises(ValueError, match="no gated counts"):
             analyze_tomography(sim, PAIRS, SPACING, WIDTH)
 
     def test_report_lists_every_bin(
-        self, pure_hyper, small_jsa, spectro
+        self, pure_hyper, small_jsi, spectro
     ):
-        sim = simulate(pure_hyper, small_jsa, spectro, 5000, seed=2)
+        sim = simulate(pure_hyper, small_jsi, spectro, 5000, seed=2)
         results = analyze_tomography(sim, PAIRS, SPACING, WIDTH)
         text = tomography_report(results)
         lines = text.splitlines()
@@ -929,7 +1002,7 @@ def coarse_readout(small_jsa, spectro):
 class TestReadoutOverSeeds:
     @pytest.mark.parametrize("events", [2e6, 2e7])
     def test_estimates_centre_on_the_truth(
-        self, events, small_jsa, small_weights, random_phases, coarse_readout
+        self, events, small_jsi, small_weights, random_phases, coarse_readout
     ):
         # 30 runs of simulate_tomography -> analyze_tomography per state: the
         # mean purity and fidelity of every bin lie within 4 standard errors
@@ -952,7 +1025,7 @@ class TestReadoutOverSeeds:
             runs = np.array([
                 [(r.purity, r.fidelity, r.purity_std, r.fidelity_std)
                  for r in analyze_tomography(
-                     simulate(hyper, small_jsa, spec, events, seed), PAIRS, SPACING, WIDTH
+                     simulate(hyper, small_jsi, spec, events, seed), PAIRS, SPACING, WIDTH
                  )]
                 for seed in range(30)
             ])
@@ -968,7 +1041,7 @@ class TestReadoutOverSeeds:
 
 
     def test_draw_means_match_the_noiseless_oracle(
-        self, small_jsa, small_weights, random_phases, coarse_readout
+        self, small_jsi, small_weights, random_phases, coarse_readout
     ):
         # the law of the per-cell Poisson draws, over 30 seeds: each
         # setting's total against its mean mu_jk (standard error
@@ -987,7 +1060,7 @@ class TestReadoutOverSeeds:
         oracle = expected_tomography(hyper, images, small_weights, spec, NU0, SPACING, WIDTH)
         totals, probabilities = [], []
         for seed in range(seeds):
-            run = list(simulate(hyper, small_jsa, spec, events, seed))
+            run = list(simulate(hyper, small_jsi, spec, events, seed))
             totals.append([counts.total for _, counts in run])
             probabilities.append([
                 res.probabilities for res in analyze_tomography(run, PAIRS, SPACING, WIDTH)
@@ -1003,9 +1076,9 @@ class TestReadoutOverSeeds:
 
 class TestBundleIO:
     def test_roundtrip(
-        self, pure_hyper, small_jsa, spectro, tmp_path
+        self, pure_hyper, small_jsi, spectro, tmp_path
     ):
-        sim = dict(simulate(pure_hyper, small_jsa, spectro, 50, seed=3))
+        sim = dict(simulate(pure_hyper, small_jsi, spectro, 50, seed=3))
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim.items())
         names = sorted(os.listdir(target))
@@ -1018,9 +1091,9 @@ class TestBundleIO:
             assert loaded[key].center_frequency_hz == NU0
 
     def test_incomplete_bundle_rejected(
-        self, pure_hyper, small_jsa, spectro, tmp_path
+        self, pure_hyper, small_jsi, spectro, tmp_path
     ):
-        sim = simulate(pure_hyper, small_jsa, spectro, 50, seed=3)
+        sim = simulate(pure_hyper, small_jsi, spectro, 50, seed=3)
         target = tmp_path / "bundle"
         save_tomography_bundle(target, sim)
         os.remove(target / "proj_2_3.csv")
@@ -1028,12 +1101,12 @@ class TestBundleIO:
             load_tomography_bundle(target)
 
     def test_streamed_analysis_matches_in_memory(
-        self, pure_hyper, small_jsa, spectro, tmp_path
+        self, pure_hyper, small_jsi, spectro, tmp_path
     ):
         # the analysis of the files read back, and of the pairs in any
         # order, equals that of the pairs in memory bit for bit, and each
         # bin's totals are the ones gated one bin at a time over all 16
-        sim = list(simulate(pure_hyper, small_jsa, spectro, 5000, seed=4))
+        sim = list(simulate(pure_hyper, small_jsi, spectro, 5000, seed=4))
         save_tomography_bundle(tmp_path, iter(sim))
         reference, *streamed = [
             analyze_tomography(pairs, PAIRS, SPACING, WIDTH)
@@ -1107,19 +1180,20 @@ class TestBundleIO:
         assert cli.main(["tomo-fit", "--config", str(simulated), "--out", str(out)]) == 0
 
     def test_peak_memory_below_held_projections(
-        self, pure_hyper, small_jsa, spectro, tmp_path
+        self, pure_hyper, small_jsi, spectro, tmp_path
     ):
         # each direction of the stream holds one count matrix at a time.
-        # In units of one matrix's bytes the draws peak at 2.45 (the one
+        # In units of one matrix's bytes the draws peak at 2.33 (the one
         # reused image, normalized in place, and its counts, next to the
-        # intensity and the transfer's band; the bound of 2.75 leaves 12%)
+        # transfer's band; the bound of 2.75 leaves 18%; 2.45 while the
+        # projector read a formed intensity)
         # and the gated read at 1.25.  A dense transfer, its idler-side
         # product and a fresh image per setting read 3.4; holding all 16
         # projections read 18.0 and 16.2
         matrix_bytes = spectro.n_bins**2 * np.dtype(np.int64).itemsize
         stages = (
             lambda: save_tomography_bundle(
-                tmp_path, simulate(pure_hyper, small_jsa, spectro, 2000, seed=5)
+                tmp_path, simulate(pure_hyper, small_jsi, spectro, 2000, seed=5)
             ),
             lambda: analyze_tomography(load_tomography_bundle(tmp_path), PAIRS, SPACING, WIDTH),
         )
