@@ -40,12 +40,13 @@ scales an image to unit sum or computes an alias fraction, and the draws
 take the probabilities as they are: simulate_counts draws multinomially
 from them, and simulate_tomography multiplies them in the buffer by
 each setting's mean event count and draws a Poisson variate per cell.
-It keeps only the transfer's band.  A time-of-flight readout is
-phase-blind, so the readout stages hand it |JSA|^2 alone, and never as
-an array: biphoton.build_jsi's JointSpectralIntensity holds the two
-(2n - 1)-vector factors, and the projector forms each block's rows of
-the spectrum from their views, so the readout never forms the
-intensity.
+It takes the transfer as build_transfer's blocks, cut from the blur
+band as it is computed, so the dense transfer is never formed.  A
+time-of-flight readout is phase-blind, so the readout stages hand it
+|JSA|^2 alone, and never as an array: biphoton.build_jsi's
+JointSpectralIntensity holds the two (2n - 1)-vector factors, and the
+projector forms each block's rows of the spectrum from their views, so
+the readout never forms the intensity.
 """
 
 from __future__ import annotations
@@ -151,20 +152,42 @@ _BLOCK_ROWS = 50
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _box_blur_integral(edges: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """Mass of unit boxes [a_k, b_k] blurred by N(0, sigma) into bins given by edges.
+def build_transfer(
+    spec: SpectrometerSpec,
+    nu_axis: np.ndarray,
+    center_frequency_hz: float,
+) -> list[tuple[slice, slice, np.ndarray]]:
+    """Transfer T[m, k] of one detector, frequency cell k -> time bin m,
+    as the blocks that spectrum_projector multiplies.
 
-    Uses G(x) = x Phi(x/sigma) + sigma phi(x/sigma), the antiderivative of
-    the Gaussian CDF; the mass of box k landing in [edges_m, edges_m+1] is
-    (G(v-a) - G(u-a) - G(v-b) + G(u-b)) / (b - a).  For sigma = 0, G(x) =
-    max(x, 0) recovers exact interval overlap.  G is evaluated only on the
-    band of bins that reach [a_k - 9 sigma, b_k + 9 sigma]; every other
-    entry is exactly zero, and the cut drops at most Phi(-9) = 1.1e-19 of
-    the box's mass on each side.
+    Both photons share the grid's axis, so one transfer serves the signal
+    and the idler detector alike.  Cell k spans the arrival times [a_k,
+    b_k] of its two frequency edges (exact wavelength map, no
+    linearization), then the jitter blur spreads it over the time bins.
+    With G(x) = x Phi(x/sigma) + sigma phi(x/sigma), the antiderivative
+    of the Gaussian CDF, the mass of cell k landing in time bin [u, v] is
+    (G(v-a) - G(u-a) - G(v-b) + G(u-b)) / (b - a); for sigma = 0, G(x) =
+    max(x, 0) recovers exact interval overlap.  G is evaluated only on
+    the band of bins that reach [a_k - 9 sigma, b_k + 9 sigma]; every
+    other entry is exactly zero, and the cut drops at most Phi(-9) =
+    1.1e-19 of the cell's mass on each side.  Columns sum to <= 1; the
+    deficit is the cell's out-of-window (aliased plus blurred-out) mass.
+
+    Returns (rows, cols, block) for each block of _BLOCK_ROWS time rows
+    that some cell reaches: cols the smallest span of frequency columns
+    that holds the block's nonzero entries and block a C-contiguous
+    T[rows, cols].  T is zero outside these blocks, and is never formed
+    whole.
     """
-    n = edges.size - 1
+    nu = np.asarray(nu_axis, dtype=float)
+    d_nu = nu[1] - nu[0]
+    cell_edges = np.concatenate([nu - d_nu / 2.0, [nu[-1] + d_nu / 2.0]])
+    t_edges = detuning_to_time(spec, cell_edges, center_frequency_hz)
+    a = np.minimum(t_edges[:-1], t_edges[1:])
+    b = np.maximum(t_edges[:-1], t_edges[1:])
+    edges, sigma, n = spec.time_edges, spec.jitter_sigma, spec.n_bins
     reach = _BLUR_CUT_SIGMAS * sigma
-    # box k reaches bins lo[k] <= m < hi[k]
+    # cell k reaches bins lo[k] <= m < hi[k]
     lo = np.maximum(np.searchsorted(edges, a - reach, side="right") - 1, 0)
     hi = np.minimum(np.searchsorted(edges, b + reach, side="left"), n)
     width = int((hi - lo).max(initial=0))
@@ -179,36 +202,22 @@ def _box_blur_integral(edges: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: f
             cdf = 0.5 * _erfc(-z / np.sqrt(2.0)).astype(float)
             return x * cdf + sigma * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
 
-    rows = lo[None, :] + np.arange(width + 1)[:, None]
-    x = edges[np.minimum(rows, n)]
+    bins = lo + np.arange(width + 1)[:, None]
+    x = edges[np.minimum(bins, n)]
     band = (np.diff(g(x - a), axis=0) - np.diff(g(x - b), axis=0)) / (b - a)
-    inside = rows[:-1] < hi[None, :]
-    out = np.zeros((n, a.size))
-    out[rows[:-1][inside], np.nonzero(inside)[1]] = band[inside]
-    return out
-
-
-def build_transfer(
-    spec: SpectrometerSpec,
-    nu_axis: np.ndarray,
-    center_frequency_hz: float,
-) -> np.ndarray:
-    """Transfer matrix T[m, k] of one detector: frequency cell k -> time bin m.
-
-    Both photons share the grid's axis, so one matrix serves the signal
-    and the idler detector alike.  Cell k spans the arrival times of its
-    two frequency edges (exact wavelength map, no linearization), then
-    the jitter blur integral spreads it over the time bins.  Columns sum
-    to <= 1; the deficit is the cell's out-of-window (aliased plus
-    blurred-out) mass.
-    """
-    nu = np.asarray(nu_axis, dtype=float)
-    d_nu = nu[1] - nu[0]
-    cell_edges = np.concatenate([nu - d_nu / 2.0, [nu[-1] + d_nu / 2.0]])
-    t_edges = detuning_to_time(spec, cell_edges, center_frequency_hz)
-    a = np.minimum(t_edges[:-1], t_edges[1:])
-    b = np.maximum(t_edges[:-1], t_edges[1:])
-    return _box_blur_integral(spec.time_edges, a, b, spec.jitter_sigma)
+    # the band's nonzero entries T[m, k]
+    nonzero = (bins[:-1] < hi) & (band != 0)
+    m, k, value = bins[:-1][nonzero], np.nonzero(nonzero)[1], band[nonzero]
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        here = (m >= rows.start) & (m < rows.stop)
+        if here.any():
+            cols = slice(int(k[here].min()), int(k[here].max()) + 1)
+            block = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+            block[m[here] - rows.start, k[here] - cols.start] = value[here]
+            blocks.append((rows, cols, block))
+    return blocks
 
 
 def spectrum_projector(intensity: JointSpectralIntensity, spec: SpectrometerSpec):
@@ -233,9 +242,8 @@ def spectrum_projector(intensity: JointSpectralIntensity, spec: SpectrometerSpec
     call rewrites the same blocks and the cells outside them stay zero,
     so a caller may rescale the buffer in place between calls.
 
-    T is zero outside its band, so only its blocks are kept: for each
-    block of _BLOCK_ROWS time rows, the contiguous span of frequency
-    columns that reaches it and a copy of T on those rows and columns.
+    T comes as build_transfer's blocks, each a block of time rows on the
+    span of frequency columns that reaches it, and is used as it comes.
     The image is formed one block of rows at a time: an idler block's
     transfer times its rows of the spectrum, over only the signal columns
     that some block reaches, then that product times each signal block's
@@ -243,12 +251,12 @@ def spectrum_projector(intensity: JointSpectralIntensity, spec: SpectrometerSpec
     toeplitz view, with w multiplied into that factor, times the same
     cells of the pump's hankel view; the mass is the sum of
     intensity.diagonal_masses(), each times its weight when given.
-    Neither the intensity, the dense T nor a full-size product is held.
+    Neither the intensity, a dense T nor a full-size product is held.
     """
     grid = intensity.grid
     masses = intensity.diagonal_masses()
     total = masses.sum()
-    blocks = _transfer_blocks(build_transfer(spec, grid.nu, intensity.center_frequency_hz))
+    blocks = build_transfer(spec, grid.nu, intensity.center_frequency_hz)
     # the signal columns that some block reaches
     lo = min((cols.start for _, cols, _ in blocks), default=0)
     span = slice(lo, max((cols.stop for _, cols, _ in blocks), default=0))
@@ -282,22 +290,6 @@ def spectrum_projector(intensity: JointSpectralIntensity, spec: SpectrometerSpec
         return image, max(1.0 - kept, 0.0)
 
     return project
-
-
-def _transfer_blocks(transfer: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
-    """(rows, cols, transfer[rows, cols]) of each block of time rows, with
-    the contiguous span of frequency columns that reaches it and a
-    contiguous copy of the transfer there; blocks no column reaches are
-    left out."""
-    reached = transfer != 0
-    blocks = []
-    for start in range(0, transfer.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        cols = np.flatnonzero(reached[rows].any(axis=0))
-        if cols.size:
-            cols = slice(int(cols[0]), int(cols[-1]) + 1)
-            blocks.append((rows, cols, np.ascontiguousarray(transfer[rows, cols])))
-    return blocks
 
 
 @dataclass

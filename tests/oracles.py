@@ -8,6 +8,7 @@ package's own structured or streamed code against it.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import (
@@ -21,7 +22,12 @@ from qpmforge.biphoton import (
 from qpmforge.config import default_config
 from qpmforge.crystal import CombSpec, pmf_of_domains, target_pmf
 from qpmforge.interference import HomCurve
-from qpmforge.measurement import MeasurementError, SpectrometerSpec, build_transfer
+from qpmforge.measurement import (
+    MeasurementError,
+    SpectrometerSpec,
+    build_transfer,
+    detuning_to_time,
+)
 from qpmforge.tomography import (
     HyperState,
     _born_table,
@@ -115,12 +121,46 @@ def edge_fraction(intensity: np.ndarray) -> float:
     return float(inten[edge].sum() / inten.sum())
 
 
+def cell_times(spec: SpectrometerSpec, nu, center_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival-time interval [a_k, b_k] of each frequency cell."""
+    d_nu = nu[1] - nu[0]
+    t = detuning_to_time(spec, np.append(nu - d_nu / 2.0, nu[-1] + d_nu / 2.0), center_hz)
+    return np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
+
+
+def dense_transfer(spec: SpectrometerSpec, nu, center_hz: float) -> np.ndarray:
+    """The blur integral on every (time bin, cell) pair, with scipy's ndtr
+    and no cut: the dense (n_bins, n) transfer that build_transfer's
+    blocks stand for.  Zero jitter is exact interval overlap."""
+    a, b = cell_times(spec, nu, center_hz)
+    sigma = spec.jitter_sigma
+
+    def g(x):
+        if sigma == 0.0:
+            return np.maximum(x, 0.0)
+        with np.errstate(over="ignore"):
+            z = x / sigma
+            return x * ndtr(z) + sigma * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+    x = spec.time_edges[:, None]
+    return (np.diff(g(x - a), axis=0) - np.diff(g(x - b), axis=0)) / (b - a)
+
+
+def transfer_matrix(blocks, n_bins: int, n: int) -> np.ndarray:
+    """The (n_bins, n) transfer of build_transfer's blocks: each block
+    scattered to its rows and columns, zero elsewhere."""
+    transfer = np.zeros((n_bins, n))
+    for rows, cols, block in blocks:
+        transfer[rows, cols] = block
+    return transfer
+
+
 def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
                   center_frequency_hz: float, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Each (n, n) spectrum of a (..., n, n) stack by the dense map of the
     spectrometer: image = T (I w) T^T / mass, with T build_transfer's
-    whole matrix, w = grid.toeplitz(weights) (ones when None) and mass
-    the sum of I w, clipped at zero.
+    blocks assembled into the whole matrix, w = grid.toeplitz(weights)
+    (ones when None) and mass the sum of I w, clipped at zero.
 
     Returns (probabilities, alias): probabilities[...] that image scaled
     to unit sum and alias[...] 1 - its sum, the share of the spectrum
@@ -130,7 +170,9 @@ def project_stack(intensities, grid: FrequencyGrid, spec: SpectrometerSpec,
     inten = np.asarray(intensities, dtype=float)
     if weights is not None:
         inten = inten * grid.toeplitz(weights)
-    transfer = build_transfer(spec, grid.nu, center_frequency_hz)
+    transfer = transfer_matrix(
+        build_transfer(spec, grid.nu, center_frequency_hz), spec.n_bins, grid.nu.size
+    )
     probs = np.empty(inten.shape[:-2] + (spec.n_bins, spec.n_bins))
     alias = np.empty(inten.shape[:-2])
     for index in np.ndindex(inten.shape[:-2]):

@@ -4,9 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from qpmforge import cli
 from qpmforge.analysis import schmidt_number
@@ -18,6 +17,7 @@ from qpmforge.biphoton import (
 )
 from qpmforge.config import default_config
 from qpmforge.measurement import (
+    _BLOCK_ROWS,
     CountMatrix,
     MeasurementError,
     SpectrometerSpec,
@@ -31,7 +31,15 @@ from qpmforge.measurement import (
     spectrum_projector,
 )
 
-from oracles import dense, diagonal_sums, edge_fraction, project_stack
+from oracles import (
+    cell_times,
+    dense,
+    dense_transfer,
+    diagonal_sums,
+    edge_fraction,
+    project_stack,
+    transfer_matrix,
+)
 
 # the band center whose zero detuning arrives at t = 0 on the default spectrometer
 NU0 = C_LIGHT / 1555.7e-9
@@ -64,26 +72,9 @@ def jittered(spec, fwhm):
     )
 
 
-def cell_times(spec, nu, center_hz):
-    """Arrival-time interval [a_k, b_k] of each frequency cell."""
-    d_nu = nu[1] - nu[0]
-    t = detuning_to_time(spec, np.append(nu - d_nu / 2.0, nu[-1] + d_nu / 2.0), center_hz)
-    return np.minimum(t[:-1], t[1:]), np.maximum(t[:-1], t[1:])
-
-
-def dense_transfer(spec, nu, center_hz):
-    """The blur integral on every (time bin, cell) pair, with scipy's ndtr
-    and no cut: the dense transfer the banded one replaced."""
-    a, b = cell_times(spec, nu, center_hz)
-    sigma = spec.jitter_sigma
-
-    def g(x):
-        with np.errstate(over="ignore"):
-            z = x / sigma
-            return x * ndtr(z) + sigma * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-    x = spec.time_edges[:, None]
-    return (np.diff(g(x - a), axis=0) - np.diff(g(x - b), axis=0)) / (b - a)
+def assembled_transfer(spec, nu, center_hz):
+    """build_transfer's blocks assembled into the dense transfer."""
+    return transfer_matrix(build_transfer(spec, nu, center_hz), spec.n_bins, nu.size)
 
 
 class TestSpectrometerSpec:
@@ -152,14 +143,14 @@ class TestTransfer:
         # frequency cells arriving well inside the window must put all
         # their mass into the time bins
         nu = FrequencyGrid.symmetric(64, 1.2e12).nu
-        transfer = build_transfer(spectro, nu, self.CENTER_HZ)
+        transfer = assembled_transfer(spectro, nu, self.CENTER_HZ)
         assert transfer.shape == (spectro.n_bins, nu.size)
         np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=1e-9)
 
     def test_jitter_spreads_but_conserves(self, spectro):
         nu = FrequencyGrid.symmetric(32, 1.0e12).nu
-        sharp = build_transfer(jittered(spectro, 0.0), nu, self.CENTER_HZ)
-        blurred = build_transfer(jittered(spectro, 200e-12), nu, self.CENTER_HZ)
+        sharp = assembled_transfer(jittered(spectro, 0.0), nu, self.CENTER_HZ)
+        blurred = assembled_transfer(jittered(spectro, 200e-12), nu, self.CENTER_HZ)
         np.testing.assert_allclose(
             sharp.sum(axis=0), blurred.sum(axis=0), rtol=1e-9
         )
@@ -170,7 +161,7 @@ class TestTransfer:
     def test_band_matches_dense_oracle(self, spectro, grid, fwhm):
         spec = jittered(spectro, fwhm)
         nu = grid.nu
-        banded = build_transfer(spec, nu, self.CENTER_HZ)
+        banded = assembled_transfer(spec, nu, self.CENTER_HZ)
         dense = dense_transfer(spec, nu, self.CENTER_HZ)
         band = banded != 0
         assert np.abs(banded - dense)[band].max() <= 1e-12 * dense.max()
@@ -181,7 +172,7 @@ class TestTransfer:
 
     def test_columns_vanish_beyond_the_cut(self, spectro, grid):
         nu = grid.nu
-        transfer = build_transfer(spectro, nu, self.CENTER_HZ)
+        transfer = assembled_transfer(spectro, nu, self.CENTER_HZ)
         a, b = cell_times(spectro, nu, self.CENTER_HZ)
         reach = 9.0 * spectro.jitter_sigma
         rows, cols = np.nonzero(transfer)
@@ -197,9 +188,25 @@ class TestTransfer:
         a, b = cell_times(spec, nu, self.CENTER_HZ)
         u, v = spec.time_edges[:-1, None], spec.time_edges[1:, None]
         overlap = np.clip(np.minimum(v, b) - np.maximum(u, a), 0.0, None) / (b - a)
-        transfer = build_transfer(spec, nu, self.CENTER_HZ)
+        transfer = assembled_transfer(spec, nu, self.CENTER_HZ)
         np.testing.assert_array_equal(transfer != 0, overlap > 0)
         np.testing.assert_allclose(transfer, overlap, rtol=0, atol=1e-12)
+
+    def test_build_holds_no_dense_transfer(self, cfg, spectro):
+        # the blocks are cut from the blur band as it is computed, so the
+        # build on the 1024^2 defaults peaks at about 0.2 of one (n, n)
+        # float grid; forming the dense 500 x 1024 transfer and then
+        # cutting it read 0.60
+        nu = cfg.frequency_grid().nu
+        grid_bytes = nu.size ** 2 * np.dtype(float).itemsize
+        build_transfer(spectro, nu, NU0)
+        tracemalloc.start()
+        try:
+            build_transfer(spectro, nu, NU0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * grid_bytes
 
 
 class TestProjection:
@@ -435,26 +442,52 @@ class TestCountsIO:
             )
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=100, derandomize=True)
 @given(
     sigma_ps=st.floats(min_value=0.0, max_value=300.0),
+    n=st.integers(min_value=2, max_value=64),
+    offset_hz=st.floats(min_value=-2.0e12, max_value=2.0e12),
     half_span_hz=st.floats(min_value=0.2e12, max_value=2.5e12),
+    n_bins=st.integers(min_value=1, max_value=520),
 )
-def test_blur_never_creates_mass(sigma_ps, half_span_hz):
+# a window that is not a whole number of blocks, a band that reaches
+# columns 0 and n - 1, and no cell reaching the first three blocks
+@example(sigma_ps=21.2, n=256, offset_hz=-0.6e12, half_span_hz=1.1e12, n_bins=473)
+def test_blur_never_creates_mass(sigma_ps, n, offset_hz, half_span_hz, n_bins):
+    # build_transfer's blocks assemble to the dense ndtr transfer inside
+    # the 9 sigma band and to exact zeros outside it; each block covers
+    # _BLOCK_ROWS time rows (fewer at the window's end) on the smallest
+    # span of columns that holds its nonzero entries, none is all zero,
+    # and each is C-contiguous
     spec = SpectrometerSpec(
         dispersion_ps_per_nm_km=20,
         fiber_length_km=20,
         jitter_fwhm=sigma_ps * 1e-12 * 2.3548,
         time_bin=25e-12,
-        window=12.5e-9,
+        window=n_bins * 25e-12,
     )
-    nu = FrequencyGrid.symmetric(24, half_span_hz).nu
-    transfer = build_transfer(spec, nu, 192.6e12)
-    sums = transfer.sum(axis=0)
+    nu = 2.0 * np.pi * np.linspace(offset_hz - half_span_hz, offset_hz + half_span_hz, n)
+    blocks = build_transfer(spec, nu, 192.6e12)
+    for rows, cols, block in blocks:
+        assert rows.start % _BLOCK_ROWS == 0
+        assert rows.stop == min(rows.start + _BLOCK_ROWS, n_bins)
+        assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
+        assert block[:, 0].any() and block[:, -1].any()
+        assert block.flags.c_contiguous
+    starts = [rows.start for rows, _, _ in blocks]
+    assert starts == sorted(set(starts))
+    transfer = transfer_matrix(blocks, n_bins, n)
+    want = dense_transfer(spec, nu, 192.6e12)
+    a, b = cell_times(spec, nu, 192.6e12)
+    reach = 9.0 * spec.jitter_sigma
+    edges = spec.time_edges[:, None]
+    band = (edges[1:] > a - reach) & (edges[:-1] < b + reach)
+    assert np.all(transfer[~band] == 0)
+    assert np.abs(transfer - want)[band].max(initial=0) <= 1e-12 * np.abs(want).max()
     # differences of Gaussian integrals leave ~1e-14 negative residue,
     # clipped downstream in spectrum_projector
     assert np.all(transfer >= -1e-12)
-    assert np.all(sums <= 1.0 + 1e-9)
+    assert np.all(transfer.sum(axis=0) <= 1.0 + 1e-9)
 
 
 FACTOR = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))

@@ -60,6 +60,7 @@ from oracles import (
     project_probability,
     project_stack,
     split_bins,
+    transfer_matrix,
 )
 
 # the device every library call below is handed explicitly
@@ -641,11 +642,11 @@ class TestSimulateTomography:
 
     def test_default_draws_hold_no_intensity(self, cfg, spectro):
         # tomo-sim's build of the joint intensity and its draws of all 16
-        # settings on the 1024^2 defaults peak at 0.61 of one (n, n) float
-        # grid: the dense transfer while its band is cut (4.1 MB), then the
-        # reused image and one count matrix (2 MB each).  No (n, n)
-        # intensity exists; forming it read 1.65.  The first run pays
-        # numpy.random's lazy import, so the second is traced
+        # settings on the 1024^2 defaults peak at 0.57 of one (n, n) float
+        # grid: the reused image and one count matrix (2 MB each) and the
+        # transfer's blocks.  No (n, n) intensity exists (forming it read
+        # 1.65) and no dense transfer (forming it read 0.61).  The first
+        # run pays numpy.random's lazy import, so the second is traced
         grid_bytes = cfg.frequency_grid().nu.size ** 2 * np.dtype(float).itemsize
 
         def tomo_sim():
@@ -664,7 +665,7 @@ class TestSimulateTomography:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.7 * grid_bytes
+        assert peak < 0.6 * grid_bytes
 
     def test_noiseless_limit_is_the_gated_oracle(
         self, small_jsi, small_images, small_weights, random_phases, spectro
@@ -779,14 +780,12 @@ class TestSharedProjection:
         # first three blocks.
         edge_grid = FrequencyGrid(nu=2.0 * np.pi * np.linspace(-1.7e12, 0.5e12, 256))
         edge_spec = dataclasses.replace(spectro, window=473 * spectro.time_bin)
-        edge_transfer = measurement.build_transfer(edge_spec, edge_grid.nu, NU0)
-        blocks = measurement._transfer_blocks(edge_transfer)
+        blocks = measurement.build_transfer(edge_spec, edge_grid.nu, NU0)
         assert edge_spec.n_bins % measurement._BLOCK_ROWS != 0
         assert min(cols.start for _, cols, _ in blocks) == 0
         assert max(cols.stop for _, cols, _ in blocks) == edge_grid.nu.size
         assert [rows.start for rows, _, _ in blocks] == list(range(150, 500, 50))
         assert blocks[-1][2].shape[0] == 23
-        assert not edge_transfer[:150].any()
         bins, _ = _bin_masses(small_jsi, SPACING, PAIRS)
         rng = np.random.default_rng(7)
         cases = [
@@ -804,7 +803,9 @@ class TestSharedProjection:
         for spec, spectra in cases:
             for inten in spectra:
                 grid = inten.grid
-                transfer = measurement.build_transfer(spec, grid.nu, NU0)
+                transfer = transfer_matrix(
+                    measurement.build_transfer(spec, grid.nu, NU0), spec.n_bins, grid.nu.size
+                )
                 diagonals = np.random.default_rng(3).uniform(0.0, 2.0, 2 * grid.nu.size - 1)
                 project = measurement.spectrum_projector(inten, spec)
                 for weights in (None, diagonals):
