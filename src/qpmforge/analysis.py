@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12
-_GRAM_ROWS = 64  # a 1 MB block of a 1024-row complex amplitude
+_GRAM_ROWS = 64  # columns per block: 1 MB of a 1024-row complex amplitude
 # range sketch of schmidt_weights: 64 columns hold the 37 (comb) and 43
 # (designed crystal) weights of the shipped sources with a missed share
 # of about 1e-24; 48 columns missed 7e-14 of the designed one
@@ -72,11 +72,25 @@ _SKETCH_SEED = 20110217
 _SKETCH_MISS = 1e-13
 
 
-def _amplitude(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
-    values = jsa.values if isinstance(jsa, JointSpectralAmplitude) else np.asarray(jsa)
+def _column_blocks(jsa: JointSpectralAmplitude | np.ndarray):
+    """(starts, block): the amplitude A oriented to its smaller side S,
+    read _GRAM_ROWS columns at a time.  S is A, or the view A^T of a wide
+    array, whose singular values are A's; block(lo) is S[:, lo : lo +
+    _GRAM_ROWS] and starts the lo of every block, up to S's width
+    starts.stop.  A JointSpectralAmplitude is square, and each of its
+    blocks is the product of its factors' views over those columns, so no
+    (n, n) array is formed."""
+    if isinstance(jsa, JointSpectralAmplitude):
+        grid = jsa.grid
+        diagonals, antidiagonals = grid.toeplitz(jsa.diagonals), grid.hankel(jsa.antidiagonals)
+        return range(0, grid.nu.size, _GRAM_ROWS), lambda lo: (
+            diagonals[:, lo:lo + _GRAM_ROWS] * antidiagonals[:, lo:lo + _GRAM_ROWS]
+        )
+    values = np.asarray(jsa)
     if values.ndim != 2:
         raise ValueError("expected a 2-d amplitude array")
-    return values
+    side = values if values.shape[0] >= values.shape[1] else values.T
+    return range(0, side.shape[1], _GRAM_ROWS), lambda lo: side[:, lo:lo + _GRAM_ROWS]
 
 
 def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
@@ -91,46 +105,52 @@ def schmidt_weights(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray:
     precision, and round-off can leave them negative, which would break
     entropy sums.  At least the largest weight is kept.
     """
-    values = _amplitude(jsa)
-    weights = _sketched_spectrum(values)
+    weights = _sketched_spectrum(jsa)
     if weights is None:
-        weights = np.linalg.eigvalsh(_unit_gram(values)[1])
+        weights = np.linalg.eigvalsh(_unit_gram(jsa)[1])
     weights = weights[::-1]
     weights = weights / weights.sum()
     return weights[: max(1, np.count_nonzero(weights > _WEIGHT_FLOOR))]
 
 
-def _sketched_spectrum(values: np.ndarray) -> np.ndarray | None:
+def _sketched_spectrum(jsa: JointSpectralAmplitude | np.ndarray) -> np.ndarray | None:
     """Eigenvalues, ascending, of B B^H for the range sketch B = Q^H A / peak
     of the amplitude A, or None when the sketch misses more than
     _SKETCH_MISS of A's squared norm.
 
-    The unit-peak scaling is applied to the k-column products only.  The
-    missed mass ||A - Q B||_F^2 is summed from A - Q B formed _GRAM_ROWS
-    columns at a time, and ||A||_F^2 is read as ||B||_F^2 plus that mass,
-    a sum of two positive terms.  ||A||^2 - ||B||^2 would need no residual,
-    but its cancellation leaves noise of up to 1e-14 on the shipped
-    sources, where the residual reads 1e-24.
+    A is read in _column_blocks, once for the sample A Omega and once for
+    B and the missed mass ||A - Q B||_F^2, both scaled to unit peak.
+    ||A||_F^2 is read as ||B||_F^2 plus that mass, a sum of two positive
+    terms.  ||A||^2 - ||B||^2 would need no residual, but its cancellation
+    leaves noise of up to 1e-14 on the shipped sources, where the residual
+    reads 1e-24.
     """
-    # the singular values of A^T are those of A, and A^T is a view
-    side = values if values.shape[0] >= values.shape[1] else values.T
-    width = side.shape[1]
-    peak = _peak(values)
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((width, _SKETCH_COLUMNS))
-    sample = side @ omega
-    sample /= peak
-    q = np.linalg.qr(sample)[0]
-    b = q.conj().T @ side
-    b /= peak
+    starts, block = _column_blocks(jsa)
+    peak = _peak(starts, block)
+    q = _range_basis(starts, block, peak)
+    q_h = q.conj().T
+    b = np.empty((q.shape[1], starts.stop), dtype=q.dtype)
     missed = 0.0
-    for lo in range(0, width, _GRAM_ROWS):
-        rest = side[:, lo:lo + _GRAM_ROWS] / peak
-        rest -= q @ b[:, lo:lo + _GRAM_ROWS]
+    for lo in starts:
+        rest = block(lo) / peak
+        part = np.matmul(q_h, rest, out=b[:, lo:lo + _GRAM_ROWS])
+        rest -= q @ part
         missed += np.vdot(rest, rest).real
     captured = np.vdot(b, b).real
     if missed > _SKETCH_MISS * (captured + missed):
         return None
     return np.linalg.eigvalsh(b @ b.conj().T)
+
+
+def _range_basis(starts: range, block, peak: float) -> np.ndarray:
+    """Q of qr(A Omega / peak): an orthonormal basis of the sketched range
+    of the amplitude A of _column_blocks, Omega the fixed-seed Gaussian
+    test matrix of _SKETCH_COLUMNS columns.  Omega and the sample are
+    freed on return, before the pass that forms B."""
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((starts.stop, _SKETCH_COLUMNS))
+    sample = sum(block(lo) @ omega[lo:lo + _GRAM_ROWS] for lo in starts)
+    sample /= peak
+    return np.linalg.qr(sample)[0]
 
 
 def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
@@ -143,7 +163,7 @@ def schmidt_number(jsa: JointSpectralAmplitude | np.ndarray) -> float:
     weights only by the weights below 1e-12, which add less than
     n * 1e-24 to the sum.
     """
-    trace, norm2 = _trace_and_norm(_unit_gram(_amplitude(jsa))[1])
+    trace, norm2 = _trace_and_norm(_unit_gram(jsa)[1])
     return float(trace * trace / norm2)
 
 
@@ -152,11 +172,10 @@ def _trace_and_norm(gram: np.ndarray) -> tuple[float, float]:
     return np.trace(gram).real, np.vdot(gram, gram).real
 
 
-def _peak(values: np.ndarray) -> float:
-    """The largest |value|, formed _GRAM_ROWS rows at a time; raises on a
+def _peak(starts: range, block) -> float:
+    """The largest |value| of an amplitude's _column_blocks; raises on a
     non-finite or identically zero amplitude."""
-    starts = range(0, len(values), _GRAM_ROWS)
-    peak = np.max([np.abs(values[lo:lo + _GRAM_ROWS]).max() for lo in starts])  # keeps a NaN
+    peak = np.max([np.abs(block(lo)).max() for lo in starts])  # keeps a NaN
     if not np.isfinite(peak):
         raise np.linalg.LinAlgError("amplitude is not finite")
     if peak == 0:
@@ -164,22 +183,26 @@ def _peak(values: np.ndarray) -> float:
     return peak
 
 
-def _unit_gram(values: np.ndarray) -> tuple[float, np.ndarray]:
+def _unit_gram(jsa: JointSpectralAmplitude | np.ndarray) -> tuple[float, np.ndarray]:
     """(peak, G): the largest |value| and the Gram matrix of the smaller
-    side of the amplitude scaled to unit peak, both formed _GRAM_ROWS rows
-    at a time, so that no temporary as large as a square amplitude is held.
+    side of the amplitude scaled to unit peak, G[i, j] = S[:, i]^H S[:, j],
+    formed one pair of _column_blocks at a time, so that no temporary as
+    large as a square amplitude is held.
 
     A wide amplitude A is taken as the view A^T, whose Gram matrix
     conj(A A^H) has the trace, norm and eigenvalues of A A^H, so no
     conjugated copy of A is made."""
-    peak = _peak(values)
+    starts, block = _column_blocks(jsa)
+    peak = _peak(starts, block)
     # unit peak: ||G||_F^2 holds fourth powers of the amplitude, which
     # would overflow or underflow far sooner than its squares
-    side = values if values.shape[0] >= values.shape[1] else values.T
-    gram = np.empty((side.shape[1],) * 2, dtype=np.result_type(values, 1.0))
-    for lo in range(0, side.shape[1], _GRAM_ROWS):
-        block = side[:, lo:lo + _GRAM_ROWS] / peak
-        rows = np.matmul(np.conjugate(block, out=block).T, side, out=gram[lo:lo + _GRAM_ROWS])
+    gram = np.empty((starts.stop,) * 2, dtype=np.result_type(block(0), 1.0))
+    for lo in starts:
+        left = block(lo) / peak
+        left = np.conjugate(left, out=left).T
+        rows = gram[lo:lo + _GRAM_ROWS]
+        for lo2 in starts:
+            rows[:, lo2:lo2 + _GRAM_ROWS] = left @ block(lo2)
         rows /= peak
     return peak, gram
 

@@ -15,22 +15,25 @@ Conventions used throughout:
   dk = center + slope * (nu_s - nu_i).  The antisymmetric form places the
   comb peaks on the energy-conservation antidiagonal, which is what turns
   a mismatch comb into frequency bins.
-* JSA arrays are indexed values[idler, signal].
+* An amplitude is kept as those two factors (JointSpectralAmplitude):
+  the PMF on the diagonals and the pump on the antidiagonals, each a
+  (2n - 1)-vector.  Its (n, n) array, indexed values[idler, signal], is
+  formed only when asked for, by the JSA writer and the JSI writer.
 * An amplitude carries its band center center_frequency_hz, the
   degenerate frequency (Hz) the detunings are measured from; the JSA and
   JSI files record it as nu0_hz.
 * A phase-blind readout needs only |JSA|^2, and never as an array:
-  build_jsi returns it as its two factors, |phasematching|^2 on the
-  diagonals and pump^2 on the antidiagonals (JointSpectralIntensity),
-  without building the amplitude.  Its masses per diagonal, its total
-  and its edge rows and columns are sums over those factors, so no
-  (n, n) intensity is formed.
+  JointSpectralAmplitude.intensity is it as its two factors,
+  |phasematching|^2 on the diagonals and pump^2 on the antidiagonals
+  (JointSpectralIntensity).  Its masses per diagonal, its total and its
+  edge rows and columns are sums over those factors, so no (n, n)
+  intensity is formed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +49,6 @@ __all__ = [
     "JointSpectralIntensity",
     "pump_envelope",
     "build_jsa",
-    "build_jsi",
     "save_jsa",
     "load_jsa",
     "save_jsi",
@@ -161,40 +163,49 @@ class FrequencyGrid:
         cells of one nu_s + nu_i, and no (n, n) array is made."""
         return self._windows(antidiagonals, "antidiagonal")
 
-    def diagonal_sums(self, array) -> np.ndarray:
-        """The adjoint of ``toeplitz``: the (2n - 1)-vector whose entry
-        c - r + n - 1 sums the (n, n) ``array`` over the diagonal of that
-        c - r, one row at a time from row 0, with no (n, n) index."""
-        array = np.asarray(array)
-        n = self.nu.size
-        if array.shape != self.shape:
-            raise ValueError(f"array shape {array.shape} does not match grid {self.shape}")
-        sums = np.zeros(2 * n - 1, dtype=array.dtype)
-        for r, row in enumerate(array):
-            sums[n - 1 - r:2 * n - 1 - r] += row
-        return sums
+
+def _factor(values, dtype, view) -> np.ndarray:
+    """A read-only copy of one factor, a (2n - 1)-vector; ``view``,
+    grid.toeplitz or grid.hankel, refuses any other shape."""
+    values = np.array(values, dtype=dtype)
+    view(values)
+    values.flags.writeable = False
+    return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Discretised JSA: values[idler, signal] on a FrequencyGrid around the
-    band center; ``metadata`` holds diagnostics (``edge_mass_fraction``)."""
+    """A joint amplitude on ``grid`` as its two factors: cell [idler r,
+    signal c] is diagonals[c - r + n - 1] * antidiagonals[r + c], the
+    complex phasematching on grid.differences times the real pump on
+    nu_s + nu_i, both (2n - 1)-vectors kept as read-only copies;
+    ``center_frequency_hz`` is the band center the detunings are measured
+    from.
+    """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    diagonals: np.ndarray
+    antidiagonals: np.ndarray
     center_frequency_hz: float  # Hz
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
+        object.__setattr__(self, "diagonals", _factor(self.diagonals, complex, self.grid.toeplitz))
+        object.__setattr__(
+            self, "antidiagonals", _factor(self.antidiagonals, float, self.grid.hankel)
+        )
 
     @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+    def values(self) -> np.ndarray:
+        """The (n, n) amplitude values[idler, signal], the product of the
+        two factors' views, formed anew on every call."""
+        return self.grid.toeplitz(self.diagonals) * self.grid.hankel(self.antidiagonals)
+
+    @property
+    def intensity(self) -> JointSpectralIntensity:
+        """|JSA|^2 as its factors, |diagonals|^2 and antidiagonals^2."""
+        return JointSpectralIntensity(
+            self.grid, np.abs(self.diagonals) ** 2, self.antidiagonals**2, self.center_frequency_hz
+        )
 
 
 @dataclass(frozen=True)
@@ -215,11 +226,9 @@ class JointSpectralIntensity:
 
     def __post_init__(self) -> None:
         for name, view in (("diagonals", self.grid.toeplitz), ("antidiagonals", self.grid.hankel)):
-            values = np.array(getattr(self, name), dtype=float)
-            view(values)  # refuses any shape but (2n - 1,)
+            values = _factor(getattr(self, name), float, view)
             if np.any(values < 0):
                 raise ValueError("intensity must be nonnegative")
-            values.flags.writeable = False
             object.__setattr__(self, name, values)
 
     def diagonal_masses(self) -> np.ndarray:
@@ -269,45 +278,28 @@ def pump_envelope(pump: PumpSpec, nu_sum) -> np.ndarray:
     return np.exp(-(nu ** 2) / (2.0 * pump.sigma ** 2))
 
 
-def _factors(source, pump: PumpSpec, dispersion: DispersionMap, grid: FrequencyGrid):
-    """(phasematching, pump): the PMF of ``source`` on grid.differences
-    and the pump envelope on the 2n - 1 values of nu_s + nu_i, centred on
-    the grid, for grid.toeplitz and grid.hankel."""
-    if isinstance(source, CombSpec):
-        pmf = target_pmf
-    elif isinstance(source, DomainConfig):
-        pmf = pmf_of_domains
-    else:
-        raise TypeError("source must be a CombSpec or DomainConfig")
-    differences = grid.differences
-    phasematching = pmf(source, dispersion.center + dispersion.slope * differences)
-    return phasematching, pump_envelope(pump, grid.nu[0] + grid.nu[-1] + differences)
-
-
-def _normalization(total: float, edge_fraction: float, grid: FrequencyGrid) -> float:
-    """The amplitude's L2 norm with the grid measure, from the joint
-    intensity's unnormalised ``total``.  Warns when ``edge_fraction``, its
-    share in the two outermost rows and columns, exceeds _EDGE_MASS_WARN,
-    a sign the grid is clipping the state, on behalf of the caller of
-    build_jsa or build_jsi.  An intensity that is zero on every grid point, such as one
-    that underflows between comb teeth the grid steps over, is a numeric
+def _normalization(intensity: JointSpectralIntensity) -> float:
+    """The amplitude's L2 norm with the grid measure, from its unnormalised
+    joint ``intensity``.  Warns when the intensity's share in the two
+    outermost rows and columns exceeds _EDGE_MASS_WARN, a sign the grid is
+    clipping the state, on behalf of the caller of build_jsa.  An
+    intensity that is zero on every grid point, such as one that
+    underflows between comb teeth the grid steps over, is a numeric
     failure: FloatingPointError."""
+    total = intensity.total
     if total <= 0:
         raise FloatingPointError(
             "cannot normalise a zero amplitude: the joint intensity is 0 on every grid point"
         )
+    edge_fraction = intensity.edge_mass_fraction
     if edge_fraction > _EDGE_MASS_WARN:
         warnings.warn(
             f"{edge_fraction:.2%} of the joint intensity sits at the grid edge; "
             "the frequency span is probably too small",
             stacklevel=3,
         )
-    return float(np.sqrt(float(total * grid.d_nu * grid.d_nu)))
-
-
-def _band_center(pump: PumpSpec) -> float:
-    """Zero detuning is the degenerate frequency, half the pump's."""
-    return C_LIGHT / (2.0 * pump.center_wavelength)
+    d_nu = intensity.grid.d_nu
+    return float(np.sqrt(float(total * d_nu * d_nu)))
 
 
 def build_jsa(
@@ -317,50 +309,30 @@ def build_jsa(
     grid: FrequencyGrid,
 ) -> JointSpectralAmplitude:
     """JSA = pump envelope x phasematching on the grid, L2-normalised with
-    the grid measure.
+    the grid measure, as its two factors.
 
     ``source`` is the analytic comb target (CombSpec) or a concrete poled
-    crystal (DomainConfig).  Warns when more than _EDGE_MASS_WARN of the
-    intensity sits in the two outermost rows or columns, a sign the grid
-    is clipping the state; that share is read off the factors, as
-    build_jsi reads it.  Both factors are (2n - 1)-vectors, the
-    phasematching spread over the grid's diagonals and the pump over its
-    antidiagonals, so their product is the only (n, n) array kept.
+    crystal (DomainConfig).  Its PMF is evaluated on grid.differences and
+    the pump on the 2n - 1 values of nu_s + nu_i, centred on the grid.
+    The norm is summed over the factors of the intensity, and the PMF is
+    divided by it, so no (n, n) array is made.  Warns when more than
+    _EDGE_MASS_WARN of the intensity sits in the two outermost rows or
+    columns, a sign the grid is clipping the state.
     """
-    phasematching, envelope = _factors(source, pump, dispersion, grid)
-    center = _band_center(pump)
-    values = np.empty(grid.shape, dtype=complex)
-    np.multiply(grid.toeplitz(phasematching), grid.hankel(envelope), out=values)
-    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=center)
-    edge_fraction = JointSpectralIntensity(
-        grid, np.abs(phasematching) ** 2, envelope**2, center
-    ).edge_mass_fraction
-    scale = _normalization(jsa.intensity.sum(), edge_fraction, grid)
-    jsa.metadata["edge_mass_fraction"] = edge_fraction
-    jsa.values /= scale
-    return jsa
-
-
-def build_jsi(
-    source,
-    pump: PumpSpec,
-    dispersion: DispersionMap,
-    grid: FrequencyGrid,
-) -> JointSpectralIntensity:
-    """The normalised joint intensity |JSA|^2 of build_jsa, as its factors
-    and without the amplitude.
-
-    A phase-blind readout needs only this.  Its diagonals are
-    |phasematching|^2 divided by the squared norm and its antidiagonals
-    pump^2, so the product of the two views agrees with
-    ``build_jsa(...).intensity`` to a few ulp per cell; the norm and the
-    edge check are sums over the factors, and no (n, n) array is built.
-    The edge check warns as build_jsa does.
-    """
-    phasematching, envelope = _factors(source, pump, dispersion, grid)
-    raw = JointSpectralIntensity(grid, np.abs(phasematching) ** 2, envelope**2, _band_center(pump))
-    scale = _normalization(raw.total, raw.edge_mass_fraction, grid)
-    return replace(raw, diagonals=raw.diagonals / (scale * scale))
+    if isinstance(source, CombSpec):
+        pmf = target_pmf
+    elif isinstance(source, DomainConfig):
+        pmf = pmf_of_domains
+    else:
+        raise TypeError("source must be a CombSpec or DomainConfig")
+    differences = grid.differences
+    phasematching = pmf(source, dispersion.center + dispersion.slope * differences)
+    envelope = pump_envelope(pump, grid.nu[0] + grid.nu[-1] + differences)
+    # zero detuning is the degenerate frequency, half the pump's
+    raw = JointSpectralAmplitude(
+        grid, phasematching, envelope, C_LIGHT / (2.0 * pump.center_wavelength)
+    )
+    return replace(raw, diagonals=raw.diagonals / _normalization(raw.intensity))
 
 
 _HEADER_FIELDS = {"ns": int, "ni": int, "dnu_s_hz": float, "dnu_i_hz": float, "nu0_hz": float}
@@ -400,18 +372,22 @@ def _save_grid_table(jsa: JointSpectralAmplitude, path, values: np.ndarray, cell
 
 
 def save_jsa(jsa: JointSpectralAmplitude, path) -> None:
-    """Write the amplitude; 17 significant digits read back bit-identical."""
+    """Write the amplitude's (n, n) values; 17 significant digits read
+    back bit-identical."""
     _save_grid_table(jsa, path, jsa.values, "%.17g%+.17gj")
 
 
-def load_jsa(path) -> JointSpectralAmplitude:
-    grid, values, center = _load_grid_table(path, complex)
-    return JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=center)
+def load_jsa(path) -> tuple[FrequencyGrid, np.ndarray, float]:
+    """Read a JSA file; returns (grid, values, center_frequency_hz), the
+    table as it was written, not factored."""
+    return _load_grid_table(path, complex)
 
 
 def save_jsi(jsa: JointSpectralAmplitude, path) -> None:
-    """Write the joint spectral intensity |JSA|^2."""
-    _save_grid_table(jsa, path, jsa.intensity, "%.12e")
+    """Write the joint spectral intensity |JSA|^2 of the amplitude's (n, n)
+    values."""
+    magnitude = np.abs(jsa.values)
+    _save_grid_table(jsa, path, np.square(magnitude, out=magnitude), "%.12e")
 
 
 def load_jsi(path) -> tuple[FrequencyGrid, np.ndarray, float]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import counts_schmidt_number, report_from_jsa
 from .artefact import write_table
-from .biphoton import build_jsa, build_jsi, save_jsa, save_jsi
+from .biphoton import build_jsa, save_jsa, save_jsi
 from .config import ConfigError, RunConfig, _check_seed, parse_config
 from .crystal import design_domains, design_overlap, pmf_of_domains, save_domains, target_pmf
 from .interference import (
@@ -108,9 +108,10 @@ def cmd_design(cfg: RunConfig, out_dir: str) -> None:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> None:
     jsa = build_jsa(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
-    # the report's sketch holds only n x 64 products, but a spectrum the
-    # sketch cannot hold falls back to the n x n Gram matrix and
-    # eigvalsh's copy of it, so the report comes before the writers
+    # the amplitude is held as its two factors and the report reads it
+    # n x 64 columns at a time, but a spectrum the sketch cannot hold
+    # falls back to the n x n Gram matrix and eigvalsh's copy of it, so
+    # the report comes before the writers form the (n, n) amplitude and
     # leave their heap resident
     report = report_from_jsa(jsa, n_modes=2 * cfg["crystal"]["pair_count"])
     save_jsa(jsa, os.path.join(out_dir, "jsa.csv"))
@@ -171,9 +172,10 @@ def cmd_heralded(cfg: RunConfig, out_dir: str) -> None:
 
 def _readout_jsi(cfg: RunConfig):
     """The source's joint intensity as the readout stages take it: the
-    readout is phase-blind, so it needs |JSA|^2 in its two factors, never
-    the amplitude nor an (n, n) array."""
-    return build_jsi(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
+    readout is phase-blind, so it needs only |JSA|^2, the amplitude's
+    intensity as its two factors, and never an (n, n) array."""
+    jsa = build_jsa(_source(cfg), cfg.pump_spec(), cfg.dispersion_map(), cfg.frequency_grid())
+    return jsa.intensity
 
 
 def cmd_tofs_sim(cfg: RunConfig, out_dir: str) -> None:

@@ -1,8 +1,8 @@
 """Two-photon and heralded Hong-Ou-Mandel interference for bin combs.
 
-Closed forms and numeric quadrature oracles for the beamsplitter
-coincidence probability of frequency-bin biphotons, plus model fitting,
-which reports the fitted visibility.
+Closed forms for the beamsplitter coincidence probability of
+frequency-bin biphotons, plus model fitting, which reports the fitted
+visibility.
 
 Variable conventions (documented once, used everywhere):
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artefact import read_table, write_table
-from .biphoton import JointSpectralAmplitude
 
 __all__ = [
     "HomCurve",
@@ -38,8 +37,6 @@ __all__ = [
     "FitError",
     "delta_from_bin_hz",
     "bin_hz_from_delta",
-    "p2_numeric",
-    "p4_numeric",
     "closed_curve",
     "fit_hom",
     "save_curve",
@@ -143,68 +140,6 @@ def closed_curve(kind: str, delays, n_pairs: int, delta: float, sigma: float) ->
         "max_clamp_excursion": float(np.max(np.abs(raw - clamped))) if n_clamped else 0.0,
     }
     return HomCurve(delays=delays, values=clamped, kind=kind, metadata=meta)
-
-
-def _normalized_values(jsa: JointSpectralAmplitude) -> np.ndarray:
-    values = jsa.values * jsa.grid.d_nu  # absorb the 2-d measure, sqrt(dnu) per axis
-    norm = np.sqrt(np.sum(np.abs(values) ** 2))
-    if norm == 0:
-        raise ValueError("amplitude is identically zero")
-    return values / norm
-
-
-def p2_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
-    """Quadrature oracle for the two-photon curve.
-
-    Evaluates p2(tau) = 1/2 - 1/2 Re sum f(nu_s, nu_i) f*(nu_i, nu_s)
-    exp(i (nu_i - nu_s) tau) on the grid.  The integrand depends on the
-    axis indices only through i - s, so the double sum is reduced to a
-    single sum over the 2N-1 difference diagonals.
-    """
-    f = _normalized_values(jsa)
-    # W[i, s] = f(s, i) * conj(f(i, s)) with rows indexing the idler axis,
-    # summed over i - s: the diagonals of W.T, as grid.diagonal_sums runs
-    # them over column minus row.
-    swap = f * np.conj(f.T)
-    diag_sum = jsa.grid.diagonal_sums(swap.T)
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    phases = np.exp(1j * np.outer(t, jsa.grid.differences))
-    overlap = (phases * diag_sum).sum(axis=1).real
-    out = 0.5 - 0.5 * overlap
-    if np.isscalar(tau) or np.asarray(tau).ndim == 0:
-        return float(out[0])
-    return out
-
-
-def p4_numeric(jsa: JointSpectralAmplitude, tau) -> np.ndarray:
-    """Quadrature oracle for the heralded two-photon curve.
-
-    The quadruple integral factorizes through the heralded signal photon's
-    reduced density matrix.  Writing F[i, s] for the (unit-norm, measure
-    absorbed) amplitude, the idler traces give
-
-        R[s1, s2] = sum_i F[i, s1] conj(F[i, s2])     (= rho_signal),
-
-    and the four-fold sum collapses to
-
-        p4(tau) = 1/2 - 1/2 sum_{s1,s2} |R[s1, s2]|^2 cos((nu_s1 - nu_s2) tau),
-
-    because the two amplitude factors and the two conjugated ones pair up
-    into R[s1, s2] R[s2, s1] = |R[s1, s2]|^2 (R is Hermitian).  At tau = 0
-    this is 1/2 - Tr(rho^2)/2, so the heralded visibility equals the
-    heralded purity, i.e. 1/K for flat-phase states.  One N^3 matrix
-    product, then the same difference-diagonal reduction as p2_numeric.
-    """
-    f = _normalized_values(jsa)
-    reduced = f.T @ f.conj()
-    # summed over s1 - s2, through the transpose as in p2_numeric
-    diag_sum = jsa.grid.diagonal_sums((np.abs(reduced) ** 2).T)
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    overlap = np.cos(np.outer(t, jsa.grid.differences)) @ diag_sum
-    out = 0.5 - 0.5 * overlap
-    if np.isscalar(tau) or np.asarray(tau).ndim == 0:
-        return float(out[0])
-    return out
 
 
 # ---------------------------------------------------------------------------

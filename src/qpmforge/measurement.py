@@ -43,8 +43,8 @@ each setting's mean event count and draws a Poisson variate per cell.
 It takes the transfer as build_transfer's blocks, cut from the blur
 band as it is computed, so the dense transfer is never formed.  A
 time-of-flight readout is phase-blind, so the readout stages hand it
-|JSA|^2 alone, and never as an array: biphoton.build_jsi's
-JointSpectralIntensity holds the two (2n - 1)-vector factors, and the
+|JSA|^2 alone, and never as an array: the amplitude's intensity, a
+JointSpectralIntensity, holds the two (2n - 1)-vector factors, and the
 projector forms each block's rows of the spectrum from their views, so
 the readout never forms the intensity.
 """
@@ -333,8 +333,8 @@ def simulate_counts(
     max_alias_fraction: float,
 ) -> CountMatrix:
     """Poissonian acquisition of the joint spectrum ``intensity`` (|JSA|^2
-    as biphoton.build_jsi factors it, its detunings measured from its
-    band center), projected once by spectrum_projector.
+    as JointSpectralAmplitude.intensity factors it, its detunings
+    measured from its band center), projected once by spectrum_projector.
 
     Draws the detected events multinomially over the time-grid cells, so
     the matrix total equals the event count exactly.  Raises

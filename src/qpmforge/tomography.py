@@ -10,7 +10,7 @@ A grid cell belongs to the bin whose difference-frequency center is
 nearest its nu_s - nu_i, which on the shared axis is fixed by the
 column-row difference, so each bin is a band of whole diagonals and the
 bin map is one (2n - 1)-vector.  The source arrives as the two factors
-of biphoton.build_jsi, so the readout never forms the intensity, and
+of the amplitude's intensity, so the readout never forms it, and
 the forward model never splits it into bins: simulate_tomography bins
 the source's masses per diagonal into each bin's mass, takes the bins'
 shares of it as their emission weights, weights each diagonal of the
@@ -320,11 +320,11 @@ def simulate_tomography(
     """Forward-simulate the 16 SIC projection acquisitions.
 
     ``intensity`` is the source's joint spectrum |JSA|^2 as
-    biphoton.build_jsi factors it, around its band center, split into the
-    hyper.n_bins bins of _bin_masses at ``spacing_hz``; bin i's share
-    weight_i of the spectrum's mass is its emission weight.  For setting
-    (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)] of the
-    total pair flux: the image sampled is the source projected at once
+    JointSpectralAmplitude.intensity factors it, around its band center,
+    split into the hyper.n_bins bins of _bin_masses at ``spacing_hz``;
+    bin i's share weight_i of the spectrum's mass is its emission weight.
+    For setting (j, k) each bin contributes weight_i * Tr[rho_i (Mj x Mk)]
+    of the total pair flux: the image sampled is the source projected at once
     with each diagonal weighted by its bin's Tr[rho_i (Mj x Mk)], or
     unweighted for a setting with no flux.  Only its
     share 1 - alias_jk inside the window is recorded, so the event total

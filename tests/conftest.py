@@ -8,7 +8,7 @@ printed after the run.
 
 import pytest
 
-from qpmforge.biphoton import build_jsa, build_jsi
+from qpmforge.biphoton import build_jsa
 from qpmforge.config import default_config
 from qpmforge.crystal import design_domains
 
@@ -94,9 +94,9 @@ def comb_jsa(comb, pump, dispersion, grid):
 
 
 @pytest.fixture(scope="session")
-def comb_jsi(comb, pump, dispersion, grid):
+def comb_jsi(comb_jsa):
     """The readout's factored intensity of comb_jsa."""
-    return build_jsi(comb, pump, dispersion, grid)
+    return comb_jsa.intensity
 
 
 @pytest.fixture(scope="session")

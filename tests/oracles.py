@@ -5,7 +5,7 @@ Born rule, a dense stack or a closed form, and tests compare the
 package's own structured or streamed code against it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -48,22 +48,29 @@ def percent_rows(row_format: str, table) -> bytes:
     return "".join(row_format % tuple(row.tolist()) + "\n" for row in table).encode("ascii")
 
 
-def norm_squared(jsa: JointSpectralAmplitude) -> float:
-    """L2 norm with the grid measure: sum |f|^2 dnu_s dnu_i."""
-    return float(np.sum(jsa.intensity) * jsa.grid.d_nu * jsa.grid.d_nu)
+@dataclass(frozen=True)
+class DenseAmplitude:
+    """An amplitude given cell by cell, values[idler, signal] on ``grid``:
+    what save_jsa and save_jsi read of a JointSpectralAmplitude, for the
+    tables that are no product of a diagonal and an antidiagonal factor."""
+
+    grid: FrequencyGrid
+    values: np.ndarray
+    center_frequency_hz: float
 
 
-def normalized(jsa: JointSpectralAmplitude) -> JointSpectralAmplitude:
-    """The amplitude scaled to unit norm_squared."""
-    n2 = norm_squared(jsa)
+def norm_squared(values, grid: FrequencyGrid) -> float:
+    """L2 norm of an (n, n) amplitude with the grid measure:
+    sum |f|^2 dnu_s dnu_i."""
+    return float(np.sum(np.abs(values) ** 2) * grid.d_nu * grid.d_nu)
+
+
+def normalized(values, grid: FrequencyGrid) -> np.ndarray:
+    """The (n, n) amplitude scaled to unit norm_squared."""
+    n2 = norm_squared(values, grid)
     if n2 <= 0:
         raise ValueError("cannot normalise a zero amplitude")
-    return JointSpectralAmplitude(
-        grid=jsa.grid,
-        values=jsa.values / np.sqrt(n2),
-        center_frequency_hz=jsa.center_frequency_hz,
-        metadata=dict(jsa.metadata),
-    )
+    return np.asarray(values) / np.sqrt(n2)
 
 
 def project_probability(rho, j: int, k: int) -> float:
@@ -84,7 +91,7 @@ def split_bins(
     with intensities[i] normalized to unit sum and weights the mass
     fractions.
     """
-    inten, grid = jsa.intensity, jsa.grid
+    inten, grid = np.abs(jsa.values) ** 2, jsa.grid
     labels = default_bin_labels(pair_count)
     centers = np.array([2.0 * bin_detuning(lab, spacing_hz) for lab in labels])
     n = grid.nu.size
@@ -262,10 +269,25 @@ def diagonal_sums(array) -> np.ndarray:
     return real + 1j * np.bincount(index, weights=array.imag.ravel(), minlength=2 * n - 1)
 
 
-def hom_numeric(jsa: JointSpectralAmplitude, tau) -> tuple[np.ndarray, np.ndarray]:
-    """(p2, p4) of p2_numeric and p4_numeric at the delays ``tau``, with
-    each diagonal reduction a bincount over the idler-minus-signal index
-    of an (n, n) array, in row-major order."""
+def hom_numeric(jsa, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(p2, p4): the two-photon and the heralded Hong-Ou-Mandel
+    coincidence probabilities of the amplitude ``jsa`` at the delays
+    ``tau``, by quadrature on its grid.
+
+    With F[i, s] the amplitude at unit norm, the grid measure absorbed,
+
+        p2(tau) = 1/2 - 1/2 Re sum F[i, s] conj(F[s, i]) exp(i (nu_i - nu_s) tau),
+        p4(tau) = 1/2 - 1/2 sum |R[s1, s2]|^2 cos((nu_s1 - nu_s2) tau),
+
+    R = F^T conj(F) the heralded signal photon's reduced state: the four
+    amplitude factors of the heralded integral pair up into R[s1, s2]
+    R[s2, s1] = |R[s1, s2]|^2.  At tau = 0, p4 is 1/2 - Tr(R^2)/2, so the
+    heralded visibility is the heralded purity, 1/K for flat-phase
+    states.  Each sum depends on the indices only through a difference,
+    so it is one sum over the 2n - 1 diagonals, each diagonal's reduction
+    a bincount over the row-minus-column index of an (n, n) array, in
+    row-major order.
+    """
     values = jsa.values * jsa.grid.d_nu
     f = values / np.sqrt(np.sum(np.abs(values) ** 2))
     n = f.shape[0]
@@ -290,21 +312,21 @@ def bin_model_jsa(n_pairs: int, delta: float, sigma: float, grid: FrequencyGrid)
     Pump and bin amplitudes share the width sigma in their respective
     (sum / difference) variables, which makes each bin pair separable.
     This is the state the closed forms describe exactly in the
-    well-separated limit.
+    well-separated limit: the comb on the grid's differences times the
+    pump on its sums, scaled to unit norm_squared.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    nu_sum = grid.nu[None, :] + grid.nu[:, None]
-    nu_diff = grid.nu[None, :] - grid.nu[:, None]
-    j = np.arange(n_pairs)
-    centers = (2.0 * j + 1.0) * delta / 2.0
-    x = nu_diff[..., None]
+    differences = grid.differences
+    centers = (2.0 * np.arange(n_pairs) + 1.0) * delta / 2.0
+    x = differences[:, None]
     comb = (
         np.exp(-((x - centers) ** 2) / (2.0 * sigma**2))
         + np.exp(-((x + centers) ** 2) / (2.0 * sigma**2))
     ).sum(axis=-1)
-    values = np.exp(-(nu_sum**2) / (2.0 * sigma**2)) * comb
-    return normalized(JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0))
+    pump = np.exp(-((grid.nu[0] + grid.nu[-1] + differences) ** 2) / (2.0 * sigma**2))
+    raw = JointSpectralAmplitude(grid, comb, pump, NU0)
+    return replace(raw, diagonals=raw.diagonals / np.sqrt(norm_squared(raw.values, grid)))
 
 
 def svd_weights(jsa) -> np.ndarray:

@@ -22,8 +22,6 @@ from qpmforge.interference import (
     closed_curve,
     delta_from_bin_hz,
     fit_hom,
-    p2_numeric,
-    p4_numeric,
 )
 from qpmforge.measurement import (
     SpectrometerSpec,
@@ -44,6 +42,7 @@ from oracles import (
     bin_images,
     bin_model_jsa,
     expected_tomography,
+    hom_numeric,
     monte_carlo_uncertainty,
     visibility,
 )
@@ -105,8 +104,7 @@ def test_oracle_equivalence():
         jsa = bin_model_jsa(n_pairs, delta, sigma, grid)
         p2c = closed_curve("two_photon", delays, n_pairs, delta, sigma).values
         p4c = closed_curve("heralded", delays, n_pairs, delta, sigma).values
-        p2n = np.array([p2_numeric(jsa, t) for t in delays])
-        p4n = np.array([p4_numeric(jsa, t) for t in delays])
+        p2n, p4n = hom_numeric(jsa, delays)
         assert np.max(np.abs(p2c - p2n)) < 2e-3
         assert np.max(np.abs(p4c - p4n)) < 2e-3
     elapsed = time.perf_counter() - start
@@ -163,10 +161,11 @@ def test_heralded_visibility_tracks_schmidt_number():
         else:
             jsa = bin_model_jsa(n_pairs, delta, sigma, grid)
         k = schmidt_number(jsa)
-        v = (0.5 - p4_numeric(jsa, 0.0)) / 0.5
+        at_zero, far = hom_numeric(jsa, [0.0, 8.0 / sigma])[1]
+        v = (0.5 - at_zero) / 0.5
         assert abs(v - 1.0 / k) <= 0.02 / k
         # far from overlap the heralded coincidence sits at its baseline
-        assert abs(p4_numeric(jsa, 8.0 / sigma) - 0.5) < 1e-4
+        assert abs(far - 0.5) < 1e-4
 
 
 # --- 5: fitting synthetic noisy interference data ---------------------

@@ -13,11 +13,10 @@ from qpmforge.analysis import (
     schmidt_number,
     schmidt_weights,
 )
-from qpmforge.biphoton import FrequencyGrid, JointSpectralAmplitude, build_jsi
+from qpmforge.biphoton import FrequencyGrid, build_jsa
 from qpmforge.measurement import simulate_counts
 
 from oracles import (
-    NU0,
     fidelity_to_maximal,
     gradient_schmidt_number_std,
     monte_carlo_uncertainty,
@@ -32,9 +31,7 @@ def separable_gaussian(n=128, half_span=2e12):
     grid = FrequencyGrid.symmetric(n, half_span)
     s = np.exp(-(grid.nu / (2 * np.pi * 0.4e12)) ** 2)
     i = np.exp(-(grid.nu / (2 * np.pi * 0.25e12)) ** 2)
-    return normalized(JointSpectralAmplitude(
-        grid=grid, values=np.outer(i, s), center_frequency_hz=NU0
-    ))
+    return normalized(np.outer(i, s), grid)
 
 
 class TestSchmidtDecompose:
@@ -175,7 +172,7 @@ class TestSchmidtNumberStd:
         # the gradient formed cell by cell, on tall, wide and random
         # matrices and on the seed-1 counts of the default readout
         rng = np.random.default_rng(9)
-        intensity = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), grid)
+        intensity = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), grid).intensity
         readout = simulate_counts(
             intensity, cfg.spectrometer_spec(), cfg["spectrometer"]["events"],
             seed=1, max_alias_fraction=cfg["spectrometer"]["max_alias_fraction"],
@@ -278,18 +275,20 @@ def test_pipeline_computes_no_singular_vectors(monkeypatch, comb_jsa):
     assert calls == [("qr", (len(comb_jsa.values), SKETCH)), ("eigvalsh", (SKETCH, SKETCH))]
 
 
-def test_report_holds_no_square_temporary(designed_jsa):
-    """The sketch's largest temporaries are n x 64: the report's traced
-    peak stays under half of one 1024^2 amplitude, where a Gram matrix
-    alone would take all of it."""
-    assert designed_jsa.values.shape == (1024, 1024)
+def test_report_holds_no_square_temporary(designed_crystal, pump, dispersion, grid):
+    """build_jsa keeps the amplitude as its two factors and the sketch
+    reads it n x 64 columns at a time, so its largest temporaries are
+    n x 64: the traced peak of building the amplitude and its report
+    stays under half of one 1024^2 amplitude, where a Gram matrix alone
+    would take all of it."""
+    assert grid.shape == (1024, 1024)
     tracemalloc.start()
     try:
-        report_from_jsa(designed_jsa, n_modes=8)
+        report_from_jsa(build_jsa(designed_crystal, pump, dispersion, grid), n_modes=8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * designed_jsa.values.nbytes
+    assert peak < 0.5 * 1024**2 * np.dtype(complex).itemsize
 
 
 def test_wide_complex_amplitude_is_not_copied():

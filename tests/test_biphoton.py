@@ -10,10 +10,8 @@ from qpmforge.analysis import schmidt_number
 from qpmforge.biphoton import (
     DispersionMap,
     FrequencyGrid,
-    JointSpectralAmplitude,
     PumpSpec,
     build_jsa,
-    build_jsi,
     load_jsa,
     load_jsi,
     pump_envelope,
@@ -23,8 +21,15 @@ from qpmforge.biphoton import (
 from qpmforge.crystal import target_pmf
 from qpmforge.tomography import bin_detuning, default_bin_labels
 
-import oracles
-from oracles import NU0, bin_spacing_from_comb, dense, gathered_jsa, norm_squared, normalized
+from oracles import (
+    DenseAmplitude,
+    bin_spacing_from_comb,
+    dense,
+    edge_fraction,
+    gathered_jsa,
+    norm_squared,
+    normalized,
+)
 
 
 def full_grid_comb_jsa(comb, pump, dispersion, grid):
@@ -34,16 +39,14 @@ def full_grid_comb_jsa(comb, pump, dispersion, grid):
     values = pump_envelope(pump, nu_sum) * target_pmf(
         comb, dispersion.center + dispersion.slope * diff
     )
-    jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=NU0)
-    return normalized(jsa).values
+    return normalized(values, grid)
 
 
-def traced_peak(source, pump, dispersion, grid, build=build_jsa):
-    """``build``'s traced peak on the default 1024^2 grid, in bytes."""
-    assert grid.shape == (1024, 1024)
+def traced_peak(build, *args):
+    """``build(*args)``'s traced peak in bytes."""
     tracemalloc.start()
     try:
-        build(source, pump, dispersion, grid)
+        build(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,39 +133,6 @@ class TestFrequencyGrid:
         bound = (2 * n + 4) * EPS * np.abs(grid.nu).max()
         np.testing.assert_allclose(sums, grid.nu[rows] + grid.nu[cols], rtol=0, atol=bound)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(2, 40),
-        complex_array=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_diagonal_sums_is_the_adjoint_of_toeplitz(self, n, complex_array, seed):
-        # <toeplitz(x), A> = <x, diagonal_sums(A)>, bilinear, for real and
-        # complex A; each side sums n^2 products, so each rounds by at most
-        # about n^2 eps/2 of the sum of the products' magnitudes
-        grid = FrequencyGrid.symmetric(n, 1e12)
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=2 * n - 1)
-        a = rng.normal(size=(n, n))
-        if complex_array:
-            a = a + 1j * rng.normal(size=(n, n))
-        left = np.sum(grid.toeplitz(x) * a)
-        right = np.sum(x * grid.diagonal_sums(a))
-        bound = n * n * EPS * np.sum(np.abs(grid.toeplitz(x)) * np.abs(a))
-        assert abs(left - right) <= bound
-
-    @pytest.mark.parametrize("n", [2, 5, 256])
-    def test_diagonal_sums_match_bincount_bit_for_bit(self, n):
-        grid = FrequencyGrid.symmetric(n, 1e12)
-        rng = np.random.default_rng(n)
-        real = rng.normal(size=(n, n))
-        for array in (real, real + 1j * rng.normal(size=(n, n)), real.T):
-            sums = grid.diagonal_sums(array)
-            assert sums.dtype == array.dtype
-            np.testing.assert_array_equal(sums, oracles.diagonal_sums(array))
-        with pytest.raises(ValueError, match="does not match grid"):
-            grid.diagonal_sums(real[1:])
-
 
 class TestBinGeometry:
     def test_bin_centers_symmetric_ascending(self):
@@ -181,11 +151,11 @@ class TestBinGeometry:
 
 class TestBuildJsa:
     def test_normalized(self, comb_jsa):
-        assert norm_squared(comb_jsa) == pytest.approx(1.0, rel=1e-12)
+        assert norm_squared(comb_jsa.values, comb_jsa.grid) == pytest.approx(1.0, rel=1e-12)
 
     def test_marginals_peak_at_bin_centers(self, comb_jsa, cfg):
         grid = comb_jsa.grid
-        marg = comb_jsa.intensity.sum(axis=0)  # the signal photon's spectrum
+        marg = dense(comb_jsa.intensity).sum(axis=0)  # the signal photon's spectrum
         centers = [
             bin_detuning(label, cfg["crystal"]["bin_spacing_hz"])
             for label in default_bin_labels(cfg["crystal"]["pair_count"])
@@ -202,7 +172,7 @@ class TestBuildJsa:
         # intensity collapses onto |nu_s + nu_i| <~ a few pump widths
         grid = comb_jsa.grid
         nu_sum = grid.nu[None, :] + grid.nu[:, None]
-        inten = comb_jsa.intensity
+        inten = dense(comb_jsa.intensity)
         inside = inten[np.abs(nu_sum) <= 4.0 * pump.sigma].sum()
         assert inside / inten.sum() > 0.9999
 
@@ -216,19 +186,14 @@ class TestBuildJsa:
         with pytest.warns(UserWarning, match="grid edge"):
             build_jsa(comb, pump, dispersion, tiny)
 
-    @pytest.mark.parametrize("build", [build_jsa, build_jsi])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_tiny_grid_counts_each_edge_cell_once(self, n, build, cfg, comb, pump, dispersion):
+    def test_tiny_grid_counts_each_edge_cell_once(self, n, cfg, comb, pump, dispersion):
         # every cell of a grid of at most 4 points is an edge cell, and
         # each counts once
         tiny = FrequencyGrid.symmetric(n, cfg["grid"]["half_span_hz"])
         with pytest.warns(UserWarning, match=r"^100\.00% of the joint intensity sits at the grid edge"):
-            built = build(comb, pump, dispersion, tiny)
-        edge = (
-            built.metadata["edge_mass_fraction"] if build is build_jsa
-            else built.edge_mass_fraction
-        )
-        assert edge == pytest.approx(1.0, rel=0, abs=4 * EPS)
+            jsa = build_jsa(comb, pump, dispersion, tiny)
+        assert jsa.intensity.edge_mass_fraction == pytest.approx(1.0, rel=0, abs=4 * EPS)
 
     def test_rejects_unknown_source(self, pump, dispersion, grid):
         with pytest.raises(TypeError):
@@ -252,79 +217,94 @@ class TestBuildJsa:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11 * peak)
 
     def test_comb_peak_memory(self, comb, pump, dispersion, grid):
-        # the PMF and the pump are evaluated on the 2n - 1 differences and
-        # sums and read through views, so the amplitude and the intensity of
-        # the edge check (1.5x) are the only (n, n) arrays; gathering the PMF
-        # and multiplying the whole pump grid peaked at 2.0x
-        assert traced_peak(comb, pump, dispersion, grid) <= 1.75 * COMPLEX_GRID_BYTES
+        # the amplitude is kept as its two (2n - 1)-vector factors and its
+        # norm is summed over them, so no (n, n) array is made: the peak
+        # is the PMF's own evaluation, 0.02 of one complex grid.  Forming
+        # the amplitude and the intensity of a dense norm peaked at 1.5x
+        assert grid.shape == (1024, 1024)
+        assert traced_peak(build_jsa, comb, pump, dispersion, grid) <= 0.1 * COMPLEX_GRID_BYTES
 
     def test_designed_peak_memory(self, designed_crystal, pump, dispersion, grid):
-        # as for the comb; the gather's (n, n) index array took the
-        # designed crystal's peak to 2.5x
-        assert traced_peak(designed_crystal, pump, dispersion, grid) <= 1.75 * COMPLEX_GRID_BYTES
+        # as for the comb; the domain PMF's chirp-z sum reads 0.04 of one
+        # complex grid
+        assert grid.shape == (1024, 1024)
+        peak = traced_peak(build_jsa, designed_crystal, pump, dispersion, grid)
+        assert peak <= 0.1 * COMPLEX_GRID_BYTES
 
     @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
     @pytest.mark.parametrize("points", [256, 1024])
     def test_matches_dense_gather_bit_for_bit(self, source, points, pump, dispersion, request):
         crystal = request.getfixturevalue(source)
         grid = FrequencyGrid.symmetric(points, 2.5e12)
-        got = build_jsa(crystal, pump, dispersion, grid).values
+        jsa = build_jsa(crystal, pump, dispersion, grid)
+        got = jsa.values
+        # the product of the two factors gathered onto the grid through
+        # (n, n) index arrays, cell by cell
+        rows, cols = np.arange(points)[:, None], np.arange(points)[None, :]
+        product = jsa.diagonals[cols - rows + (points - 1)] * jsa.antidiagonals[rows + cols]
+        np.testing.assert_array_equal(got.view(float), product.view(float))
+        # the oracle divides the product by the norm of its dense sum,
+        # build_jsa the PMF by the norm of the factors' total: the same
+        # norm to a few roundings, 1.9 eps of the peak at most here
         want = gathered_jsa(crystal, pump, dispersion, grid)
-        np.testing.assert_array_equal(got.view(float), want.view(float))
+        peak = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * EPS * peak)
 
 
 class TestBuildJsi:
+    """The joint intensity the readout takes, build_jsa(...).intensity,
+    against the amplitude's dense values."""
+
     @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
-    def test_matches_build_jsa_to_rounding(self, source, pump, dispersion, grid, request):
-        # the comb's PMF is real and the designed crystal's complex.
-        # build_jsa rounds the product, the division by the norm and
-        # |.|^2; build_jsi rounds |PMF|^2, pump^2, the squared norm, the
-        # division and, formed here, the product of the two views: about a
-        # dozen roundings of eps/2 between them, so 8 eps per cell.  The
-        # factors are the same, so the zeros fall in the same cells.
-        crystal = request.getfixturevalue(source)
+    def test_matches_build_jsa_to_rounding(self, source, request):
+        # the comb's PMF is real and the designed crystal's complex.  The
+        # dense |values|^2 rounds the product and |.|^2; the factors round
+        # |diagonals|^2, pump^2 and, formed here, the product of the two
+        # views: a few roundings of eps/2 between them, well inside 8 eps
+        # per cell.  The factors are the same, so the zeros fall in the
+        # same cells.
         jsa = request.getfixturevalue(
             {"comb": "comb_jsa", "designed_crystal": "designed_jsa"}[source]
         )
-        jsi = build_jsi(crystal, pump, dispersion, grid)
+        jsi = jsa.intensity
         intensity = dense(jsi)
-        want = jsa.intensity
+        want = np.abs(jsa.values) ** 2
         np.testing.assert_array_equal(intensity == 0, want == 0)
         np.testing.assert_allclose(intensity, want, rtol=8 * EPS, atol=0)
         assert jsi.center_frequency_hz == jsa.center_frequency_hz
-        assert jsi.edge_mass_fraction == pytest.approx(
-            jsa.metadata["edge_mass_fraction"], rel=8 * EPS
-        )
+        assert jsi.edge_mass_fraction == pytest.approx(edge_fraction(want), rel=8 * EPS)
 
     def test_edge_warning_matches_build_jsa(self, comb, pump, dispersion):
         tiny = FrequencyGrid.symmetric(64, 0.4e12)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             jsa = build_jsa(comb, pump, dispersion, tiny)
-            jsi = build_jsi(comb, pump, dispersion, tiny)
-        assert len(caught) == 2
-        # the same warning, blamed on the builder's caller
-        assert [w.category for w in caught] == [UserWarning, UserWarning]
-        assert [w.filename for w in caught] == [__file__, __file__]
-        assert "grid edge" in str(caught[1].message)
-        assert str(caught[1].message) == str(caught[0].message)
-        assert jsa.metadata["edge_mass_fraction"] > 1e-3
+        # one warning, blamed on the builder's caller, naming the share
+        # the intensity's factors hold at the edge
+        assert [w.category for w in caught] == [UserWarning]
+        assert [w.filename for w in caught] == [__file__]
+        edge = jsa.intensity.edge_mass_fraction
+        assert edge > 1e-3
+        assert str(caught[0].message).startswith(f"{edge:.2%} of the joint intensity sits at the grid edge")
         # to rounding, as in test_matches_build_jsa_to_rounding
-        assert jsi.edge_mass_fraction == pytest.approx(
-            jsa.metadata["edge_mass_fraction"], rel=8 * EPS
-        )
-        np.testing.assert_allclose(dense(jsi), jsa.intensity, rtol=8 * EPS, atol=0)
+        want = np.abs(jsa.values) ** 2
+        assert edge == pytest.approx(edge_fraction(want), rel=8 * EPS)
+        np.testing.assert_allclose(dense(jsa.intensity), want, rtol=8 * EPS, atol=0)
 
     @pytest.mark.parametrize("source", ["comb", "designed_crystal"])
     def test_peak_memory_holds_no_grid_array(self, source, pump, dispersion, grid, request):
         # no (n, n) array is made: both factors are squared on their 2n - 1
         # values, and the norm and the edge check are sums over them, so
-        # the peak is the PMF's own evaluation (0.037 of one float grid for
-        # the comb, 0.066 for the designed crystal's chirp-z sum).  Forming
-        # the product read 1.02 and 1.03; build_jsa holds the amplitude and
-        # its intensity (1.5x the amplitude, 3.0x this unit)
+        # the peak is the PMF's own evaluation (0.04 of one float grid for
+        # the comb, 0.08 for the designed crystal's chirp-z sum).  Forming
+        # the product read 1.02 and 1.03
         crystal = request.getfixturevalue(source)
-        assert traced_peak(crystal, pump, dispersion, grid, build_jsi) <= 0.1 * FLOAT_GRID_BYTES
+
+        def readout_intensity():
+            return build_jsa(crystal, pump, dispersion, grid).intensity
+
+        assert grid.shape == (1024, 1024)
+        assert traced_peak(readout_intensity) <= 0.1 * FLOAT_GRID_BYTES
 
 
 class TestJsaIO:
@@ -333,12 +313,11 @@ class TestJsaIO:
         jsa = build_jsa(comb, pump, dispersion, small)
         path = tmp_path / "jsa.csv"
         save_jsa(jsa, path)
-        back = load_jsa(path)
-        assert back.grid.shape == jsa.grid.shape
-        np.testing.assert_allclose(back.values, jsa.values, rtol=1e-9, atol=1e-16)
-        np.testing.assert_allclose(
-            back.grid.nu, jsa.grid.nu, rtol=1e-10
-        )
+        grid, values, center = load_jsa(path)
+        assert grid.shape == jsa.grid.shape
+        np.testing.assert_allclose(values, jsa.values, rtol=1e-9, atol=1e-16)
+        np.testing.assert_allclose(grid.nu, jsa.grid.nu, rtol=1e-10)
+        assert center == pytest.approx(jsa.center_frequency_hz, rel=1e-11)
 
     def test_jsi_roundtrip(self, tmp_path, comb, pump, dispersion):
         small = FrequencyGrid.symmetric(96, 2.5e12)
@@ -346,7 +325,7 @@ class TestJsaIO:
         path = tmp_path / "jsi.csv"
         save_jsi(jsa, path)
         grid, jsi, center = load_jsi(path)
-        np.testing.assert_allclose(jsi, jsa.intensity, rtol=1e-9, atol=1e-20)
+        np.testing.assert_allclose(jsi, np.abs(jsa.values) ** 2, rtol=1e-9, atol=1e-20)
         assert grid.shape == jsa.grid.shape
         assert center == pytest.approx(jsa.center_frequency_hz, rel=1e-11)
 
@@ -359,7 +338,7 @@ class TestJsaIO:
                 save_jsa, 1e300, 1e-300, lambda j: j.values,
                 lambda v: "%.17g%+.17gj" % (v.real, v.imag),
             ),
-            (save_jsi, 1e150, 1e-150, lambda j: j.intensity, lambda v: f"{v:.12e}"),
+            (save_jsi, 1e150, 1e-150, lambda j: np.abs(j.values) ** 2, lambda v: f"{v:.12e}"),
         ):
             values = np.array(
                 [
@@ -368,7 +347,7 @@ class TestJsaIO:
                     [complex(0.5, 1e-5), complex(-1e-7, big), complex(-small, 0.0)],
                 ]
             )
-            jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
+            jsa = DenseAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
             path = tmp_path / "out.csv"
             save(jsa, path)
             body = path.read_text().split("\n", 1)[1]
@@ -386,10 +365,10 @@ class TestJsaIO:
         grid = FrequencyGrid.symmetric(3, 1e12)
         # a transposed view is not contiguous
         for values in (base, base.T.copy().T):
-            jsa = JointSpectralAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
+            jsa = DenseAmplitude(grid=grid, values=values, center_frequency_hz=1.9e14)
             path = tmp_path / "jsa.csv"
             save_jsa(jsa, path)
-            back = load_jsa(path).values
+            back = load_jsa(path)[1]
             assert back.view(np.uint64).tobytes() == base.view(np.uint64).tobytes()
 
 
@@ -416,5 +395,4 @@ def test_jsa_norm_invariant(seed):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.symmetric(16, 1e12)
     vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    jsa = normalized(JointSpectralAmplitude(grid=grid, values=vals, center_frequency_hz=NU0))
-    assert norm_squared(jsa) == pytest.approx(1.0, rel=1e-12)
+    assert norm_squared(normalized(vals, grid), grid) == pytest.approx(1.0, rel=1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmforge.analysis import schmidt_number
-from qpmforge.biphoton import FrequencyGrid, build_jsa
+from qpmforge.biphoton import FrequencyGrid
 from qpmforge.interference import (
     FitError,
     HomCurve,
@@ -15,8 +15,6 @@ from qpmforge.interference import (
     delta_from_bin_hz,
     fit_hom,
     load_curve,
-    p2_numeric,
-    p4_numeric,
     save_curve,
 )
 
@@ -90,7 +88,7 @@ class TestNumericOracle:
         delta = 10 * sigma
         jsa = bin_model_jsa(n, delta, sigma, model_grid)
         closed = closed_curve("two_photon", TAUS, n, delta, sigma).values
-        numeric = p2_numeric(jsa, TAUS)
+        numeric = hom_numeric(jsa, TAUS)[0]
         assert np.max(np.abs(closed - numeric)) < 2e-3
 
     def test_p4_matches_closed(self, model_grid):
@@ -98,7 +96,7 @@ class TestNumericOracle:
         delta = 10 * sigma
         jsa = bin_model_jsa(n, delta, sigma, model_grid)
         closed = closed_curve("heralded", TAUS, n, delta, sigma).values
-        numeric = p4_numeric(jsa, TAUS)
+        numeric = hom_numeric(jsa, TAUS)[1]
         assert np.max(np.abs(closed - numeric)) < 2e-3
 
     def test_heralded_dip_equals_inverse_schmidt(self, model_grid):
@@ -106,34 +104,7 @@ class TestNumericOracle:
         jsa = bin_model_jsa(2, 10 * sigma, sigma, model_grid)
         k = schmidt_number(jsa)
         # p4(0) = 1/2 - purity/2 and heralded purity is 1/K
-        assert p4_numeric(jsa, 0.0) == pytest.approx(0.5 - 0.5 / k, abs=1e-9)
-
-    @pytest.mark.parametrize("axis", [None, 2 * np.pi * (-2.2e12 + 25e9 * np.arange(201))],
-                             ids=["default", "off-centre"])
-    def test_matches_bincount_path_bit_for_bit(self, axis, designed_jsa, designed_crystal,
-                                               pump, dispersion):
-        # the designed crystal's JSA is not exchange-symmetric, so summing
-        # p2's diagonals over signal minus idler instead of idler minus
-        # signal would change its curve; p4's |R|^2 is symmetric
-        jsa = designed_jsa if axis is None else build_jsa(
-            designed_crystal, pump, dispersion, FrequencyGrid(nu=axis)
-        )
-        peak = np.abs(jsa.values).max()
-        assert np.abs(jsa.values - jsa.values.T).max() > 1e-3 * peak
-        p2, p4 = hom_numeric(jsa, TAUS)
-        np.testing.assert_array_equal(p2_numeric(jsa, TAUS), p2)
-        np.testing.assert_array_equal(p4_numeric(jsa, TAUS), p4)
-
-    def test_scalar_delay_returns_float(self, model_grid):
-        jsa = bin_model_jsa(1, 6e12, 0.6e12, model_grid)
-        assert isinstance(p2_numeric(jsa, 0.0), float)
-        assert isinstance(p4_numeric(jsa, 0.0), float)
-
-    def test_delay_array_matches_scalar_delays(self, model_grid):
-        jsa = bin_model_jsa(1, 6e12, 0.6e12, model_grid)
-        np.testing.assert_allclose(
-            p4_numeric(jsa, TAUS), [p4_numeric(jsa, tau) for tau in TAUS]
-        )
+        assert hom_numeric(jsa, 0.0)[1][0] == pytest.approx(0.5 - 0.5 / k, abs=1e-9)
 
 
 class TestVisibility:

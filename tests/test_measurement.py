@@ -248,7 +248,10 @@ class TestProjection:
         # an amplitude always carries the band center its intensity is
         # projected around
         with pytest.raises(TypeError, match="center_frequency_hz"):
-            JointSpectralAmplitude(grid=comb_jsa.grid, values=comb_jsa.values)
+            JointSpectralAmplitude(
+                grid=comb_jsa.grid, diagonals=comb_jsa.diagonals,
+                antidiagonals=comb_jsa.antidiagonals,
+            )
 
 
 class TestSimulateCounts:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qpmforge import cli
-from qpmforge.biphoton import FrequencyGrid, build_jsa, build_jsi
+from qpmforge.biphoton import FrequencyGrid, build_jsa
 from qpmforge.config import default_config
 from qpmforge.measurement import simulate_counts
 from qpmforge.tomography import analyze_tomography, load_tomography_bundle
@@ -53,7 +53,7 @@ def calls(comb, pump, dispersion, spectro, designed_crystal, tmp_path_factory):
     grid = FrequencyGrid.symmetric(64, 2.5e12)
     jsa = build_jsa(comb, pump, dispersion, grid)
     counts = simulate_counts(
-        build_jsi(comb, pump, dispersion, grid), spectro, 10_000, seed=0, max_alias_fraction=0.02,
+        jsa.intensity, spectro, 10_000, seed=0, max_alias_fraction=0.02,
     )
     dk = comb.center + np.linspace(-1e3, 1e3, 5)
     paths = {name: str(tmp / name) for name in ("jsa.csv", "jsi.csv", "counts.csv")}

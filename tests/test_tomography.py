@@ -17,7 +17,6 @@ from qpmforge.biphoton import (
     JointSpectralAmplitude,
     JointSpectralIntensity,
     build_jsa,
-    build_jsi,
 )
 from qpmforge.config import default_config
 from qpmforge.measurement import (
@@ -87,9 +86,9 @@ def small_jsa(cfg, small_grid):
 
 
 @pytest.fixture(scope="module")
-def small_jsi(cfg, small_grid):
+def small_jsi(small_jsa):
     """The readout's factored intensity of small_jsa."""
-    return build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
+    return small_jsa.intensity
 
 
 @pytest.fixture(scope="module")
@@ -296,9 +295,18 @@ def diagonal_rule(grid):
             np.digitize(grid.nu[None, :] - grid.nu[:, None], bounds))
 
 
+def one_lit_cell(grid):
+    """An amplitude of 0.5 in cell [100, 140] and 0 elsewhere: its factors
+    meet on the one cell of difference 40 and sum 240."""
+    n = grid.nu.size
+    diagonals, antidiagonals = np.zeros(2 * n - 1), np.zeros(2 * n - 1)
+    diagonals[40 + n - 1], antidiagonals[240] = 0.5, 1.0
+    return JointSpectralAmplitude(grid, diagonals, antidiagonals, NU0)
+
+
 def where_split_bins(jsa):
     """split_bins building each bin spectrum with np.where and a divided copy."""
-    inten = jsa.intensity
+    inten = np.abs(jsa.values) ** 2
     labels = default_bin_labels(PAIRS)
     nearest, _ = diagonal_rule(jsa.grid)
     total = inten.sum()
@@ -316,10 +324,7 @@ class TestSplitBins:
     def test_in_place_fill_matches_where_oracle(self, cfg, small_grid):
         jsa = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid)
         # one lit cell leaves seven bins without mass
-        n = small_grid.nu.size
-        one_cell = np.zeros((n, n))
-        one_cell[100, 140] = 0.5
-        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, center_frequency_hz=NU0)
+        lit = one_lit_cell(small_grid)
         assert np.count_nonzero(split_bins(lit, SPACING, PAIRS)[2]) == 1
         for amp in (jsa, lit):
             got, want = split_bins(amp, SPACING, PAIRS), where_split_bins(amp)
@@ -346,15 +351,15 @@ class TestSplitBins:
             cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(), small_grid
         )
         rebuilt = np.tensordot(weights, parts, axes=(0, 0))
-        target = jsa.intensity / jsa.intensity.sum()
+        intensity = np.abs(jsa.values) ** 2
+        target = intensity / intensity.sum()
         np.testing.assert_allclose(rebuilt, target, atol=1e-15 * target.max())
 
     def test_zero_intensity_rejected(self, small_grid):
         n = small_grid.nu.size
         with pytest.raises(ValueError, match="no intensity"):
-            zero = JointSpectralAmplitude(
-                grid=small_grid, values=np.zeros((n, n)), center_frequency_hz=NU0
-            )
+            zeros = np.zeros(2 * n - 1)
+            zero = JointSpectralAmplitude(small_grid, zeros, zeros, NU0)
             split_bins(zero, SPACING, PAIRS)
 
 
@@ -376,8 +381,7 @@ class TestBinWeights:
         grid = small_jsa.grid
         tilt = np.linspace(1.0, 3.0, 2 * grid.nu.size - 1)
         tilted = JointSpectralAmplitude(
-            grid=grid, values=small_jsa.values * np.sqrt(grid.toeplitz(tilt)),
-            center_frequency_hz=NU0,
+            grid, small_jsa.diagonals * np.sqrt(tilt), small_jsa.antidiagonals, NU0
         )
         factored = JointSpectralIntensity(
             grid, small_jsi.diagonals * tilt, small_jsi.antidiagonals, NU0
@@ -407,7 +411,7 @@ class TestBinWeights:
         ones = np.ones(2 * points - 1)
         _, masses = _bin_masses(JointSpectralIntensity(grid, ones, ones, NU0), SPACING, PAIRS)
         np.testing.assert_array_equal(masses / masses.sum(), cells / cells.sum())
-        one = JointSpectralAmplitude(grid=grid, values=np.ones(grid.shape), center_frequency_hz=NU0)
+        one = JointSpectralAmplitude(grid, ones, ones, NU0)
         parts = split_bins(one, SPACING, PAIRS)[1]
         for d in split:
             assert sum(np.any(part[steps == d]) for part in parts) == 1
@@ -415,9 +419,7 @@ class TestBinWeights:
     def test_empty_bins_raise_like_the_dense_oracle(self, small_grid, spectro):
         n = small_grid.nu.size
         # one lit cell leaves seven bins without mass
-        one_cell = np.zeros((n, n))
-        one_cell[100, 140] = 0.5
-        lit = JointSpectralAmplitude(grid=small_grid, values=one_cell, center_frequency_hz=NU0)
+        lit = one_lit_cell(small_grid)
         with pytest.raises(MeasurementError, match="no intensity"):
             project_stack(where_split_bins(lit)[1], small_grid, spectro, NU0)
 
@@ -432,7 +434,8 @@ class TestBinWeights:
         diagonal, antidiagonal = np.zeros(2 * n - 1), np.zeros(2 * n - 1)
         diagonal[40 + n - 1], antidiagonal[240] = 1.0, 0.25
         np.testing.assert_array_equal(
-            dense(JointSpectralIntensity(small_grid, diagonal, antidiagonal, NU0)), lit.intensity
+            dense(JointSpectralIntensity(small_grid, diagonal, antidiagonal, NU0)),
+            np.abs(lit.values) ** 2,
         )
         with pytest.raises(MeasurementError, match="no intensity"):
             simulate_spectrum(diagonal, antidiagonal)
@@ -650,8 +653,8 @@ class TestSimulateTomography:
         grid_bytes = cfg.frequency_grid().nu.size ** 2 * np.dtype(float).itemsize
 
         def tomo_sim():
-            jsi = build_jsi(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
-                            cfg.frequency_grid())
+            jsi = build_jsa(cfg.comb_spec(), cfg.pump_spec(), cfg.dispersion_map(),
+                            cfg.frequency_grid()).intensity
             for _, counts in simulate_tomography(
                 HyperState(np.zeros(2 * PAIRS)), jsi, spectro, SPACING,
                 events=1000, seed=1, max_alias_fraction=ALIAS,
